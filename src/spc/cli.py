@@ -2,13 +2,17 @@
 
 Commands: gen-data, train, eval, sweep, noise-study, ratio-study, ood,
 repr-quality, report. Every run writes its artifacts under
-<out-root>/<run-id>/ where the run id is a short hash of the run's inputs
-(command, flags, dataset content hash), so re-running the same command
-reproduces the same directory with byte-identical result numbers. The
-output root comes from --out or the SPC_OUT environment variable
-(default ./out). Input dataset files are never modified.
+<out-root>/<run-id>/. The run id is a short hash of the command, the
+resolved TrainConfig of every objective it trains (see `run_inputs`), the
+content hash of each input file, the featurizer settings and the command's
+extras (seeds, grids, ratios). Invocations that differ in any effective
+input get different ids, and re-running one reproduces the same directory
+with byte-identical result numbers. The output root comes from --out or
+the SPC_OUT environment variable (default ./out). Input dataset files are
+never modified.
 
-Exit codes: 0 success, 2 bad flags, 3 data errors, 4 training divergence.
+Exit codes: 0 success, 2 bad flags, 3 data errors (unreadable inputs,
+unusable or mismatched checkpoints, empty splits), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import io
 import json
 import os
 import sys
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +56,13 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-DEFAULT_GRID = [0.001, 0.01, 0.1, 1.0, 10.0]
+# keys of a --config file, one per training flag. Each defaults to the
+# TrainConfig or ObjectiveConfig field of the same name ("lr" is
+# TrainConfig.learning_rate), except seeds: they are not part of one run's
+# config, and default to "5" (seeds 0..4).
+CONFIG_KEYS = ("epochs", "batch_size", "lr", "weight_decay", "patience", "hidden_dim",
+               "vib_latent_dim", "dropout", "layer_norm", "beta", "gamma", "cp_weight",
+               "structured_from", "seeds")
 
 
 def out_root(args) -> str:
@@ -60,6 +71,10 @@ def out_root(args) -> str:
 
 def default_data_path(args) -> str:
     return os.path.join(out_root(args), "data", "mixture.jsonl")
+
+
+def data_path(args) -> str:
+    return args.data or default_data_path(args)
 
 
 def short_hash(obj) -> str:
@@ -107,14 +122,33 @@ def make_objective(kind: str, task: str, beta: float = 0.0, gamma: float = 0.0,
 
 # --- artifact plumbing ---
 
+def run_inputs(args, files: dict[str, str], configs: Sequence[TrainConfig] = (),
+               **extras) -> dict:
+    """Everything a run id hashes besides the command.
+
+    That is each resolved config with its objective, the path and content
+    hash of each input file (a file named twice is read once), the
+    featurizer settings, and the command's extras (seeds, grids, ratios).
+    """
+    digests = {path: file_sha256(path) for path in dict.fromkeys(files.values())}
+    inputs = {"configs": [cfg.to_dict() for cfg in configs],
+              "hash_dim": args.hash_dim, "hash_seed": args.hash_seed, **extras}
+    for role, path in files.items():
+        inputs[role] = path
+        inputs[f"{role}_sha256"] = digests[path]
+    return inputs
+
+
 def start_run(args, command: str, inputs: dict) -> tuple[str, dict]:
-    """Create the run directory; returns (run_dir, manifest skeleton)."""
+    """Name the run; returns (run_dir, manifest skeleton).
+
+    The directory is created when the first artifact is written, so a run
+    that fails before that leaves nothing behind.
+    """
     manifest = {"command": command, "inputs": inputs}
     run_id = short_hash(manifest)
     manifest["run_id"] = run_id
-    run_dir = os.path.join(out_root(args), run_id)
-    os.makedirs(run_dir, exist_ok=True)
-    return run_dir, manifest
+    return os.path.join(out_root(args), run_id), manifest
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -126,6 +160,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def finish_run(run_dir: str, manifest: dict, results: dict,
                csv_rows: list[dict] | None = None, timing: dict | None = None) -> None:
+    os.makedirs(run_dir, exist_ok=True)
     report_path = os.path.join(run_dir, "report.json")
     _write_atomic(report_path, json.dumps({"results": results, "timing": timing or {}},
                                           indent=2, sort_keys=True))
@@ -148,23 +183,22 @@ def finish_run(run_dir: str, manifest: dict, results: dict,
 
 
 def _load_dataset(args) -> Dataset:
-    path = args.data or default_data_path(args)
-    return dataio.load(path, task=args.task, hash_dim=args.hash_dim,
+    return dataio.load(data_path(args), task=args.task, hash_dim=args.hash_dim,
                        hash_seed=args.hash_seed)
 
 
-# hard defaults for training flags; a --config json file may override them,
-# and explicit command-line flags override the file
-TRAIN_DEFAULTS = {
-    "epochs": 20, "batch_size": 128, "lr": 1e-2, "weight_decay": 0.0,
-    "patience": 5, "hidden_dim": 64, "vib_latent_dim": 16, "dropout": 0.0,
-    "layer_norm": False, "beta": 0.0, "gamma": 0.0, "cp_weight": 0.0,
-    "structured_from": "sample", "seeds": "5",
-}
+def _load_checkpoint(args, dataset: Dataset) -> Model:
+    """The --ckpt model, checked against the dataset's feature width."""
+    model = load_model(args.ckpt)
+    if model.input_dim != dataset.num_features:
+        raise DataError(f"{args.ckpt}: checkpoint takes {model.input_dim} input features, "
+                        f"the dataset has {dataset.num_features}")
+    return model
 
 
 def resolve_train_args(args) -> None:
-    """Fill unset training flags from --config (json) or the defaults."""
+    """Fill unset training flags from --config (json), else from the
+    TrainConfig/ObjectiveConfig field defaults."""
     file_values: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -172,72 +206,68 @@ def resolve_train_args(args) -> None:
             raise DataError(f"config file not found: {config_path}")
         with open(config_path, encoding="utf-8") as fh:
             file_values = json.load(fh)
-        unknown = set(file_values) - set(TRAIN_DEFAULTS)
+        unknown = set(file_values) - set(CONFIG_KEYS)
         if unknown:
             raise DataError(f"{config_path}: unknown config keys {sorted(unknown)}")
-    for key, default in TRAIN_DEFAULTS.items():
+    defaults = {**vars(ObjectiveConfig()), **vars(TrainConfig())}
+    defaults["lr"], defaults["seeds"] = defaults["learning_rate"], "5"
+    for key in CONFIG_KEYS:
         if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, default))
+            setattr(args, key, file_values.get(key, defaults[key]))
+
+
+def _objective(args, kind: str, task: str | None = None) -> ObjectiveConfig:
+    return make_objective(kind, task or args.task, beta=args.beta, gamma=args.gamma,
+                          cp_weight=args.cp_weight, structured_from=args.structured_from)
 
 
 def _train_config(args, objective: ObjectiveConfig) -> TrainConfig:
-    return TrainConfig(
-        objective=objective,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        weight_decay=args.weight_decay,
-        patience=args.patience,
-        hidden_dim=args.hidden_dim,
-        vib_latent_dim=args.vib_latent_dim,
-        dropout=args.dropout,
-        layer_norm=args.layer_norm,
-    )
-
-
-def _config_inputs(args, dataset_path: str, extra: dict | None = None) -> dict:
-    inputs = {
-        "data": dataset_path,
-        "data_sha256": file_sha256(dataset_path),
-        "task": args.task,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "lr": args.lr,
-        "weight_decay": args.weight_decay,
-        "patience": args.patience,
-        "hidden_dim": args.hidden_dim,
-        "vib_latent_dim": args.vib_latent_dim,
-        "dropout": args.dropout,
-        "layer_norm": args.layer_norm,
-        "hash_dim": args.hash_dim,
-        "hash_seed": args.hash_seed,
-    }
-    if extra:
-        inputs.update(extra)
-    return inputs
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    return TrainConfig(objective=objective, learning_rate=args.lr,
+                       **{key: getattr(args, key) for key in CONFIG_KEYS if key in fields})
 
 
 # --- experiment protocols (importable; the commands are thin wrappers) ---
 
-def noise_study(dataset: Dataset, cfg_base: TrainConfig, objectives: list[ObjectiveConfig],
-                ratios: list[float], seeds: list[int]) -> list[dict]:
+def _label_noise(dataset: Dataset, ratio: float, seed: int) -> Dataset:
+    return dataio.inject_label_noise(dataset, PerturbationSpec(noise_ratio=ratio, seed=seed))
+
+
+def _train_subsample(dataset: Dataset, ratio: float, seed: int) -> Dataset:
+    return dataio.subsample_train(dataset, ratio, seed=seed)
+
+
+@dataclasses.dataclass(frozen=True)
+class Study:
+    """A perturbation of the train split, tabulated over ratios."""
+
+    perturb: Callable[[Dataset, float, int], Dataset]  # (dataset, ratio, seed)
+    row_key: str                                       # the ratio's column
+    ratios: str                                        # default --ratios
+
+
+STUDIES = {
+    "noise-study": Study(_label_noise, "noise_ratio", "0.1,0.2,0.3"),
+    "ratio-study": Study(_train_subsample, "train_ratio", "0.2,0.4,0.6,0.8,1.0"),
+}
+
+
+def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,
+                       objectives: list[ObjectiveConfig], ratios: list[float],
+                       seeds: list[int], study: Study) -> list[dict]:
     """objective x ratio table; each cell averages runs over the seeds.
 
-    The noise injection seed equals the run seed, so each seed sees its own
-    corruption of the train split while val/test stay clean.
+    The perturbation seed equals the run seed, so each seed sees its own
+    corruption or subsample of the train split while val/test stay intact.
     """
     rows = []
     for objective in objectives:
         cfg = dataclasses.replace(cfg_base, objective=objective)
         for ratio in ratios:
-            values = []
-            for seed in seeds:
-                noisy = dataio.inject_label_noise(
-                    dataset, PerturbationSpec(noise_ratio=ratio, seed=seed))
-                report = train(noisy, cfg, seed)
-                values.append(report.headline_value)
+            values = [train(study.perturb(dataset, ratio, seed), cfg, seed).headline_value
+                      for seed in seeds]
             rows.append({
-                "objective": objective.kind, "noise_ratio": ratio,
+                "objective": objective.kind, study.row_key: ratio,
                 "mean": float(np.mean(values)), "std": float(np.std(values)),
                 "values": [float(v) for v in values],
             })
@@ -246,22 +276,9 @@ def noise_study(dataset: Dataset, cfg_base: TrainConfig, objectives: list[Object
 
 def ratio_study(dataset: Dataset, cfg_base: TrainConfig, objectives: list[ObjectiveConfig],
                 ratios: list[float], seeds: list[int]) -> list[dict]:
-    """objective x train-ratio table; subsample seed equals the run seed."""
-    rows = []
-    for objective in objectives:
-        cfg = dataclasses.replace(cfg_base, objective=objective)
-        for ratio in ratios:
-            values = []
-            for seed in seeds:
-                subset = dataio.subsample_train(dataset, ratio, seed=seed)
-                report = train(subset, cfg, seed)
-                values.append(report.headline_value)
-            rows.append({
-                "objective": objective.kind, "train_ratio": ratio,
-                "mean": float(np.mean(values)), "std": float(np.std(values)),
-                "values": [float(v) for v in values],
-            })
-    return rows
+    """The limited-training-data table of the ratio-study command."""
+    return perturbation_study(dataset, cfg_base, objectives, ratios, seeds,
+                              STUDIES["ratio-study"])
 
 
 def read_label_mapping(path: str) -> dict[str, str]:
@@ -342,6 +359,7 @@ def representation_quality(model: Model, dataset: Dataset,
     """
     if dataset.task != "classification":
         raise DataError("representation quality is defined for classification")
+    dataset.require_rows("test")
     if kmeans_seeds is None:
         kmeans_seeds = [0, 1, 2, 3, 4]
     features, gold = dataset.subset("test")
@@ -398,15 +416,10 @@ def _seed_reports_artifacts(run_dir: str, reports: list[RunReport]) -> list[dict
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    objective = make_objective(args.objective, args.task, beta=args.beta,
-                               gamma=args.gamma, cp_weight=args.cp_weight,
-                               structured_from=args.structured_from)
-    cfg = _train_config(args, objective)
+    cfg = _train_config(args, _objective(args, args.objective))
     seeds = parse_seeds(args.seeds)
-    inputs = _config_inputs(args, args.data or default_data_path(args), {
-        "objective": dataclasses.asdict(objective), "seeds": seeds,
-    })
-    run_dir, manifest = start_run(args, "train", inputs)
+    run_dir, manifest = start_run(args, "train", run_inputs(
+        args, {"data": data_path(args)}, [cfg], seeds=seeds))
     reports = run_seeds(dataset, cfg, tuple(seeds))
     rows = _seed_reports_artifacts(run_dir, reports)
     results = {
@@ -426,13 +439,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
-    model = load_model(args.ckpt)
+    model = _load_checkpoint(args, dataset)
+    dataset.require_rows(args.split)
     metrics = evaluate_split(model, dataset, args.split)
-    inputs = {"ckpt": args.ckpt, "ckpt_sha256": file_sha256(args.ckpt),
-              "data": args.data or default_data_path(args),
-              "data_sha256": file_sha256(args.data or default_data_path(args)),
-              "split": args.split, "task": args.task}
-    run_dir, manifest = start_run(args, "eval", inputs)
+    run_dir, manifest = start_run(args, "eval", run_inputs(
+        args, {"ckpt": args.ckpt, "data": data_path(args)}, split=args.split, task=args.task))
     finish_run(run_dir, manifest, {"metrics": metrics})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
@@ -440,16 +451,15 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
-    objective = make_objective(args.objective, args.task, beta=args.beta,
-                               gamma=args.gamma, structured_from=args.structured_from)
+    # the grid sets every weight of each cell, so only the kind and the
+    # batch-entropy input come from the flags
+    objective = make_objective(args.objective, args.task, structured_from=args.structured_from)
     cfg = _train_config(args, objective)
     seeds = parse_seeds(args.seeds)
     betas = parse_floats(args.betas)
     gammas = parse_floats(args.gammas) if args.objective == "spc" else [0.0]
-    inputs = _config_inputs(args, args.data or default_data_path(args), {
-        "objective": args.objective, "betas": betas, "gammas": gammas, "seeds": seeds,
-    })
-    run_dir, manifest = start_run(args, "sweep", inputs)
+    run_dir, manifest = start_run(args, "sweep", run_inputs(
+        args, {"data": data_path(args)}, [cfg], betas=betas, gammas=gammas, seeds=seeds))
     result = sweep(dataset, cfg, betas, gammas, tuple(seeds))
     results = {"rows": result.rows, "best_beta": result.best_beta,
                "best_gamma": result.best_gamma}
@@ -459,48 +469,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_noise_study(args) -> int:
+def cmd_study(args) -> int:
+    """noise-study and ratio-study: one table per perturbation in STUDIES."""
+    study = STUDIES[args.command]
     dataset = _load_dataset(args)
-    kinds = [k.strip() for k in args.objectives.split(",") if k.strip()]
-    objectives = [make_objective(k, args.task, beta=args.beta, gamma=args.gamma,
-                                 cp_weight=args.cp_weight,
-                                 structured_from=args.structured_from) for k in kinds]
+    objectives = [_objective(args, k.strip()) for k in args.objectives.split(",") if k.strip()]
     cfg = _train_config(args, objectives[0])
     ratios = parse_floats(args.ratios)
     seeds = parse_seeds(args.seeds)
-    inputs = _config_inputs(args, args.data or default_data_path(args), {
-        "objectives": kinds, "ratios": ratios, "seeds": seeds,
-        "beta": args.beta, "gamma": args.gamma,
-    })
-    run_dir, manifest = start_run(args, "noise-study", inputs)
-    rows = noise_study(dataset, cfg, objectives, ratios, seeds)
+    configs = [dataclasses.replace(cfg, objective=o) for o in objectives]
+    run_dir, manifest = start_run(args, args.command, run_inputs(
+        args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds))
+    rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, study)
     csv_rows = [{k: v for k, v in row.items() if k != "values"} for row in rows]
     finish_run(run_dir, manifest, {"rows": rows}, csv_rows=csv_rows)
+    label = args.command.split("-")[0]
     for row in rows:
-        print(f"{row['objective']:>8} @ noise {row['noise_ratio']}: "
-              f"{row['mean']:.4f} +/- {row['std']:.4f}")
-    return EXIT_OK
-
-
-def cmd_ratio_study(args) -> int:
-    dataset = _load_dataset(args)
-    kinds = [k.strip() for k in args.objectives.split(",") if k.strip()]
-    objectives = [make_objective(k, args.task, beta=args.beta, gamma=args.gamma,
-                                 cp_weight=args.cp_weight,
-                                 structured_from=args.structured_from) for k in kinds]
-    cfg = _train_config(args, objectives[0])
-    ratios = parse_floats(args.ratios)
-    seeds = parse_seeds(args.seeds)
-    inputs = _config_inputs(args, args.data or default_data_path(args), {
-        "objectives": kinds, "ratios": ratios, "seeds": seeds,
-        "beta": args.beta, "gamma": args.gamma,
-    })
-    run_dir, manifest = start_run(args, "ratio-study", inputs)
-    rows = ratio_study(dataset, cfg, objectives, ratios, seeds)
-    csv_rows = [{k: v for k, v in row.items() if k != "values"} for row in rows]
-    finish_run(run_dir, manifest, {"rows": rows}, csv_rows=csv_rows)
-    for row in rows:
-        print(f"{row['objective']:>8} @ ratio {row['train_ratio']}: "
+        print(f"{row['objective']:>8} @ {label} {row[study.row_key]}: "
               f"{row['mean']:.4f} +/- {row['std']:.4f}")
     return EXIT_OK
 
@@ -511,17 +496,10 @@ def cmd_ood(args) -> int:
     target = dataio.load(args.target, task="classification",
                          hash_dim=args.hash_dim, hash_seed=args.hash_seed)
     mapping = read_label_mapping(args.mapping)
-    objective = make_objective(args.objective, "classification", beta=args.beta,
-                               gamma=args.gamma, cp_weight=args.cp_weight,
-                               structured_from=args.structured_from)
-    cfg = _train_config(args, objective)
+    cfg = _train_config(args, _objective(args, args.objective, "classification"))
     seeds = parse_seeds(args.seeds)
-    inputs = {"source": args.source, "source_sha256": file_sha256(args.source),
-              "target": args.target, "target_sha256": file_sha256(args.target),
-              "mapping": args.mapping, "mapping_sha256": file_sha256(args.mapping),
-              "objective": dataclasses.asdict(objective), "seeds": seeds,
-              "epochs": args.epochs, "batch_size": args.batch_size, "lr": args.lr}
-    run_dir, manifest = start_run(args, "ood", inputs)
+    files = {"source": args.source, "target": args.target, "mapping": args.mapping}
+    run_dir, manifest = start_run(args, "ood", run_inputs(args, files, [cfg], seeds=seeds))
     results = ood_run(source, target, mapping, cfg, seeds)
     finish_run(run_dir, manifest, results)
     print(f"run {manifest['run_id']}: target macro_f1 = {results['mean']:.4f} "
@@ -532,13 +510,10 @@ def cmd_ood(args) -> int:
 
 def cmd_repr_quality(args) -> int:
     dataset = _load_dataset(args)
-    model = load_model(args.ckpt)
+    model = _load_checkpoint(args, dataset)
     seeds = parse_seeds(args.seeds)
-    inputs = {"ckpt": args.ckpt, "ckpt_sha256": file_sha256(args.ckpt),
-              "data": args.data or default_data_path(args),
-              "data_sha256": file_sha256(args.data or default_data_path(args)),
-              "kmeans_seeds": seeds}
-    run_dir, manifest = start_run(args, "repr-quality", inputs)
+    run_dir, manifest = start_run(args, "repr-quality", run_inputs(
+        args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
     results = representation_quality(model, dataset, seeds)
     finish_run(run_dir, manifest, results)
     print(f"silhouette median {results['silhouette_median']:.4f}, "
@@ -593,7 +568,7 @@ def _add_common(parser: argparse.ArgumentParser, with_data: bool = True) -> None
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     # defaults are None so that a --config file can fill the gaps; see
-    # resolve_train_args / TRAIN_DEFAULTS for the effective values
+    # resolve_train_args for the effective values
     parser.add_argument("--config", default=None,
                         help="json file of training keys; explicit flags win")
     parser.add_argument("--epochs", type=int, default=None)
@@ -654,19 +629,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas", default="0.001,0.01,0.1,1,10")
     p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("noise-study", help="label-noise robustness table")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--ratios", default="0.1,0.2,0.3")
-    p.add_argument("--objectives", default="ce,spc")
-    p.set_defaults(handler=cmd_noise_study)
-
-    p = sub.add_parser("ratio-study", help="limited-training-data table")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--ratios", default="0.2,0.4,0.6,0.8,1.0")
-    p.add_argument("--objectives", default="ce,spc")
-    p.set_defaults(handler=cmd_ratio_study)
+    for name, help_text in (("noise-study", "label-noise robustness table"),
+                            ("ratio-study", "limited-training-data table")):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p)
+        _add_train_flags(p)
+        p.add_argument("--ratios", default=STUDIES[name].ratios)
+        p.add_argument("--objectives", default="ce,spc")
+        p.set_defaults(handler=cmd_study)
 
     p = sub.add_parser("ood", help="train on a source domain, test on a mapped target")
     _add_common(p, with_data=False)

@@ -94,6 +94,12 @@ class Dataset:
             raise DataError(f"unknown split {split!r}")
         return np.flatnonzero(self.split == split)
 
+    def require_rows(self, *splits: str) -> None:
+        """Raise DataError unless each of `splits` has at least one row."""
+        for split in splits:
+            if self.indices(split).size == 0:
+                raise DataError(f"dataset has no {split!r} rows")
+
     def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         idx = self.indices(split)
         return self.features[idx], self.targets[idx]

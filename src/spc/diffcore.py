@@ -11,8 +11,6 @@ Broadcasting is restricted to two cases: scalar-vs-tensor, and adding a
 
 from __future__ import annotations
 
-import itertools
-import threading
 from typing import Callable
 
 import numpy as np
@@ -30,35 +28,24 @@ class GraphError(RuntimeError):
     """Misuse of the tape/backward machinery."""
 
 
-_node_ids = itertools.count()
-
-# thread-local stack of active tapes; a Tape is confined to one thread
-_active = threading.local()
-
-
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_active, "stack", None)
-    if stack is None:
-        stack = []
-        _active.stack = stack
-    return stack
+# active tapes, innermost last; it records new ops. One stack per process:
+# recording forward passes must not run in concurrent threads.
+_tape_stack: list["Tape"] = []
 
 
 def active_tape() -> "Tape | None":
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tape_stack[-1] if _tape_stack else None
 
 
 class Tensor:
     """A dense float64 array plus a lazily allocated gradient buffer."""
 
-    __slots__ = ("values", "grad", "requires_grad", "node_id")
+    __slots__ = ("values", "grad", "requires_grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.node_id = next(_node_ids)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,8 +107,7 @@ class Tape:
 
     Ops are appended in construction order, so the list is already a valid
     topological order; the backward pass replays it once, in reverse. A tape
-    can be backwarded exactly once; call `reset_grads()` to clear every grad
-    it touched and arm it again.
+    can be backwarded exactly once; a second pass needs a fresh tape.
     """
 
     def __init__(self):
@@ -129,14 +115,13 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _tape_stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
+        if not _tape_stack or _tape_stack[-1] is not self:
             raise GraphError("tape stack corrupted: exiting a tape that is not active")
-        stack.pop()
+        _tape_stack.pop()
 
     def record(self, output: Tensor, inputs: tuple[Tensor, ...],
                backward_fn: Callable[[np.ndarray], None]) -> None:
@@ -145,27 +130,19 @@ class Tape:
     def __len__(self) -> int:
         return len(self._ops)
 
-    def reset_grads(self) -> None:
-        for out, inputs, _ in self._ops:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
-        self._consumed = False
-
 
 def backward(loss: Tensor, tape: Tape, params: list[Tensor] | None = None) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` for everything on the tape.
 
     `loss` must be a scalar produced under `tape`. Re-invoking backward on a
-    consumed tape raises; call `tape.reset_grads()` first if a second pass
-    over the same graph is really intended. Parameters in `params` that the
-    loss does not reach get an explicit zero gradient.
+    consumed tape raises; a second pass means a fresh forward under a new
+    tape. Parameters in `params` that the loss does not reach get an
+    explicit zero gradient.
     """
     if loss.values.ndim != 0:
         raise GraphError(f"loss must be scalar, got shape {loss.values.shape}")
     if tape._consumed:
-        raise GraphError("backward() already ran on this tape; call reset_grads() "
-                         "or build a fresh tape")
+        raise GraphError("backward() already ran on this tape; build a fresh tape")
     tape._consumed = True
     loss.accumulate_grad(np.ones_like(loss.values))
     for out, _, backward_fn in reversed(tape._ops):

@@ -182,7 +182,7 @@ def save_checkpoint(path: str, kind: str, arch: dict, tensors: dict[str, Tensor]
 def load_checkpoint_payload(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    version = payload.get("format_version")
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")
     return payload

@@ -30,7 +30,7 @@ from .baselines import (
     vib_from_payload,
     vib_to_checkpoint,
 )
-from .data import Dataset
+from .data import DataError, Dataset
 from .diffcore import Tape, Tensor, backward, zero_grads
 from .encoder import (
     EncoderParams,
@@ -61,10 +61,12 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of one training run (seeds aside, fully deterministic).
+    """Hyperparameters of one training run (the seed is passed to `train`).
 
-    The default learning rate targets the desk-scale MLP; transformer-style
-    fine-tuning rates (5e-5) remain available through the field.
+    These field defaults, with those of `ObjectiveConfig`, are the defaults
+    of the command-line training flags too. The default learning rate
+    targets the desk-scale MLP; transformer-style fine-tuning rates (5e-5)
+    remain available through the field.
     """
 
     objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
@@ -73,7 +75,6 @@ class TrainConfig:
     learning_rate: float = 1e-2
     weight_decay: float = 0.0
     patience: int = 5
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     hidden_dim: int = 64
     vib_latent_dim: int = 16
     vib_decoder_hidden: int | None = None
@@ -102,9 +103,7 @@ class TrainConfig:
         return "macro_f1" if self.objective.task == "classification" else "spearman"
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["seeds"] = list(self.seeds)
-        return d
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -200,10 +199,14 @@ def save_model(path: str, model: Model) -> None:
 
 
 def load_model(path: str) -> Model:
-    payload = load_checkpoint_payload(path)
-    if payload["kind"] == "vib":
-        return vib_from_payload(payload)
-    return encoder_from_payload(payload)
+    """Read a checkpoint; any malformed content is a DataError naming the file."""
+    try:
+        payload = load_checkpoint_payload(path)
+        if payload["kind"] == "vib":
+            return vib_from_payload(payload)
+        return encoder_from_payload(payload)
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: not a usable checkpoint ({type(err).__name__}: {err})") from err
 
 
 def build_model(dataset: Dataset, cfg: TrainConfig,
@@ -294,10 +297,10 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int,
     Validation is scored every epoch with the task's headline metric; the
     best parameters are kept and training stops once `patience` epochs pass
     without improvement. On divergence the best checkpoint so far is
-    restored and the report is flagged.
+    restored and the report is flagged. An empty train, val or test split
+    is a DataError, raised before any work.
     """
-    if dataset.indices("train").size == 0 or dataset.indices("val").size == 0:
-        raise ValueError("dataset needs non-empty train and val splits")
+    dataset.require_rows("train", "val", "test")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     if model is None:
@@ -387,11 +390,8 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int,
     return report
 
 
-def run_seeds(dataset: Dataset, cfg: TrainConfig,
-              seeds: tuple[int, ...] | None = None) -> list[RunReport]:
+def run_seeds(dataset: Dataset, cfg: TrainConfig, seeds: tuple[int, ...]) -> list[RunReport]:
     """Independent runs over seeds (fresh model per seed)."""
-    if seeds is None:
-        seeds = cfg.seeds
     return [train(dataset, cfg, seed) for seed in seeds]
 
 
@@ -427,15 +427,13 @@ def _cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> Ob
 
 
 def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
-          gammas: list[float], seeds: tuple[int, ...] | None = None) -> SweepResult:
+          gammas: list[float], seeds: tuple[int, ...]) -> SweepResult:
     """Grid search over (beta, gamma); each cell averages over the seeds.
 
     For objective kind "ce_cp" the beta grid drives the confidence-penalty
     weight instead (pass gammas=[0.0]). The winning cell maximizes the mean
     validation metric; ties go to the lexicographically smaller (beta, gamma).
     """
-    if seeds is None:
-        seeds = cfg.seeds
     rows = []
     for beta in betas:
         for gamma in gammas:

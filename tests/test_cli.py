@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,8 @@ import pytest
 from spc import cli
 from spc.data import gen_mixture, save
 from spc.objectives import ObjectiveConfig
-from spc.trainer import TrainConfig, train
+from spc.encoder import init_encoder
+from spc.trainer import TrainConfig, save_model, train
 
 
 def run_cli(*argv) -> int:
@@ -291,3 +293,150 @@ class TestSeedParsing:
         assert obj.beta == 0.0 and obj.gamma == 0.0
         obj = cli.make_objective("pc", "classification", beta=0.5, gamma=0.5)
         assert obj.beta == 0.5 and obj.gamma == 0.0
+
+
+def _single_run_id(out_root):
+    ids = run_ids(out_root)
+    assert len(ids) == 1
+    return ids[0]
+
+
+def _study_argv(command, data_file, tmp_path):
+    return (command, "--data", data_file, "--ratios", "0.5", "--seeds", "1")
+
+
+def _sweep_argv(command, data_file, tmp_path):
+    return ("sweep", "--data", data_file, "--objective", "spc", "--betas", "0.1",
+            "--gammas", "0.1", "--seeds", "1")
+
+
+def _ood_argv(command, data_file, tmp_path):
+    mapping = tmp_path / "identity.csv"
+    mapping.write_text("source_label,target_label\n0,0\n1,1\n")
+    return ("ood", "--source", data_file, "--target", data_file,
+            "--mapping", str(mapping), "--objective", "ce", "--seeds", "1")
+
+
+class TestRunIdentity:
+    """Two invocations that differ in one effective input must not share a run."""
+
+    @pytest.mark.parametrize("command, base, first, second", [
+        ("sweep", _sweep_argv, ("--structured-from", "mu"), ("--structured-from", "sample")),
+        ("noise-study", _study_argv, ("--objectives", "ce_cp", "--cp-weight", "0.1"),
+         ("--objectives", "ce_cp", "--cp-weight", "1.0")),
+        ("ratio-study", _study_argv, ("--objectives", "spc", "--structured-from", "mu"),
+         ("--objectives", "spc", "--structured-from", "sample")),
+        ("ood", _ood_argv, ("--hidden-dim", "8"), ("--hidden-dim", "16")),
+        ("ood", _ood_argv, ("--patience", "1"), ("--patience", "2")),
+    ])
+    def test_distinct_inputs_distinct_run_ids(self, tmp_path, data_file,
+                                              command, base, first, second):
+        # a flag given twice takes its last value, so `first`/`second` win
+        fixed = ("--epochs", "2", "--patience", "2", "--batch-size", "16", "--hidden-dim", "4")
+        ids = []
+        for i, extra in enumerate((first, second)):
+            out = str(tmp_path / f"out{i}")
+            assert run_cli(*base(command, data_file, tmp_path), "--out", out,
+                           *fixed, *extra) == 0
+            ids.append(_single_run_id(out))
+        assert ids[0] != ids[1]
+
+    def test_train_reports_the_seeds_it_ran(self, out, data_file):
+        assert run_cli("train", "--out", out, "--data", data_file, "--objective", "ce",
+                       "--epochs", "1", "--patience", "1", "--batch-size", "16",
+                       "--hidden-dim", "4", "--seeds", "3,7") == 0
+        results = read_report(out, _single_run_id(out))["results"]
+        assert results["summary"]["seeds"] == [3, 7]
+        assert [r["seed"] for r in results["per_seed"]] == [3, 7]
+        for r in results["per_seed"]:
+            assert set(r["config"].get("seeds", [])) <= {3, 7}
+
+    def test_unset_train_flags_take_the_dataclass_defaults(self, monkeypatch):
+        # a default changed in the dataclass must reach the command line
+        @dataclasses.dataclass
+        class Shifted(TrainConfig):
+            epochs: int = 7
+            learning_rate: float = 0.5
+
+        monkeypatch.setattr(cli, "TrainConfig", Shifted)
+        args = cli.build_parser().parse_args(["train"])
+        cli.resolve_train_args(args)
+        cfg, objective = Shifted(), ObjectiveConfig()
+        resolved = {key: getattr(args, key) for key in (
+            "epochs", "batch_size", "lr", "weight_decay", "patience", "hidden_dim",
+            "vib_latent_dim", "dropout", "layer_norm", "beta", "gamma", "cp_weight",
+            "structured_from", "seeds")}
+        assert resolved == {
+            "epochs": 7, "batch_size": cfg.batch_size, "lr": 0.5,
+            "weight_decay": cfg.weight_decay, "patience": cfg.patience,
+            "hidden_dim": cfg.hidden_dim, "vib_latent_dim": cfg.vib_latent_dim,
+            "dropout": cfg.dropout, "layer_norm": cfg.layer_norm,
+            "beta": objective.beta, "gamma": objective.gamma,
+            "cp_weight": objective.cp_weight, "structured_from": objective.structured_from,
+            "seeds": "5",
+        }
+
+
+class TestBadInputs:
+    """Bad checkpoints and empty splits exit 3 with one line, before any training."""
+
+    @pytest.fixture()
+    def ckpt(self, tmp_path):
+        path = str(tmp_path / "seed0.json")
+        save_model(path, init_encoder(8, 4, 2, rng=0))
+        return path
+
+    def _one_line_error(self, capsys, *names):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:")
+        for name in names:
+            assert name in err
+
+    @pytest.mark.parametrize("command", ["eval", "repr-quality"])
+    def test_checkpoint_of_wrong_input_width(self, out, tmp_path, ckpt, command, capsys):
+        narrow = str(tmp_path / "narrow.jsonl")
+        save(gen_mixture(2, 5, 20, 4.0, seed=205), narrow)
+        assert run_cli(command, "--out", out, "--data", narrow,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt)
+        assert not os.path.exists(out)
+
+    def test_checkpoint_missing_a_tensor(self, out, data_file, ckpt, capsys):
+        payload = json.load(open(ckpt))
+        del payload["tensors"]["w_lv"]
+        with open(ckpt, "w") as fh:
+            json.dump(payload, fh)
+        assert run_cli("eval", "--out", out, "--data", data_file,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt)
+
+    @pytest.mark.parametrize("field, value", [("format_version", 99), ("kind", "mystery")])
+    def test_checkpoint_of_unknown_format(self, out, data_file, ckpt, field, value, capsys):
+        payload = json.load(open(ckpt))
+        payload[field] = value
+        with open(ckpt, "w") as fh:
+            json.dump(payload, fh)
+        assert run_cli("eval", "--out", out, "--data", data_file,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt)
+
+    @pytest.mark.parametrize("missing", ["val", "test"])
+    def test_empty_split_fails_before_training(self, out, tmp_path, missing, capsys):
+        ds = gen_mixture(2, 8, 50, 4.0, seed=200)
+        path = str(tmp_path / f"no_{missing}.jsonl")
+        save(dataclasses.replace(ds, split=np.where(ds.split == missing, "train", ds.split)),
+             path)
+        assert run_cli("train", "--out", out, "--data", path, "--objective", "ce",
+                       "--epochs", "1", "--patience", "1", "--batch-size", "16",
+                       "--hidden-dim", "4", "--seeds", "1") == cli.EXIT_DATA
+        self._one_line_error(capsys, missing)
+        assert not os.path.exists(out) or os.listdir(out) == []
+
+    def test_eval_on_empty_split(self, out, tmp_path, ckpt, capsys):
+        ds = gen_mixture(2, 8, 50, 4.0, seed=200)
+        path = str(tmp_path / "no_test.jsonl")
+        save(dataclasses.replace(ds, split=np.where(ds.split == "test", "train", ds.split)),
+             path)
+        assert run_cli("eval", "--out", out, "--data", path, "--ckpt", ckpt,
+                       "--split", "test") == cli.EXIT_DATA
+        self._one_line_error(capsys, "test")

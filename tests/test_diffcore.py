@@ -227,15 +227,6 @@ class TestBackward:
         with pytest.raises(GraphError):
             backward(loss, tape)
 
-    def test_reset_grads_allows_rerun(self):
-        p = param(np.ones((2, 2)))
-        with Tape() as tape:
-            loss = reduce_sum(p)
-        backward(loss, tape)
-        tape.reset_grads()
-        backward(loss, tape)
-        assert np.array_equal(p.grad, np.ones((2, 2)))
-
     def test_shared_subexpression_accumulates(self):
         x = param(np.array(3.0))
         with Tape() as tape:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spc.data import gen_mixture
+from spc.data import DataError, gen_mixture
 from spc.diffcore import param
 from spc.objectives import ObjectiveConfig
 from spc.trainer import (
@@ -115,6 +115,14 @@ class TestTrainLoop:
         broken = dataclasses.replace(
             mixture, split=np.array(["train"] * mixture.num_rows))
         with pytest.raises(ValueError):
+            train(broken, small_cfg(ObjectiveConfig(kind="ce")), seed=0)
+
+    @pytest.mark.parametrize("empty", ["train", "val", "test"])
+    def test_empty_split_is_a_data_error(self, mixture, empty):
+        other = "val" if empty == "train" else "train"
+        broken = dataclasses.replace(
+            mixture, split=np.where(mixture.split == empty, other, mixture.split))
+        with pytest.raises(DataError, match=empty):
             train(broken, small_cfg(ObjectiveConfig(kind="ce")), seed=0)
 
     def test_divergence_aborts_with_checkpoint(self):
