@@ -1,8 +1,9 @@
 """Stochastic label-space coding: library and experiment harness."""
 
 from .diffcore import Tape, Tensor, backward, param
-from .encoder import EncoderParams, GaussianCode, encode, init_encoder, predict, sample
+from .encoder import EncoderParams, GaussianCode, decode, encode, init_encoder, init_vib, predict, sample
 from .objectives import (
+    OBJECTIVES,
     LossTerms,
     ObjectiveConfig,
     batch_entropy,
@@ -12,9 +13,8 @@ from .objectives import (
     spc_loss,
     task_nll,
 )
-from .baselines import VibParams, ce_cp_forward, ce_forward, init_vib, vib_forward
 from .data import Dataset, PerturbationSpec, gen_mixture, hash_featurize, inject_label_noise, load, save, subsample_train
 from .metrics import adjusted_rand_index, kmeans, macro_f1, macro_recall, pearson, silhouette, spearman
-from .trainer import RunReport, TrainConfig, adamax_step, run_seeds, sweep, train
+from .trainer import RunReport, TrainConfig, adamax_step, batch_loss, run_seeds, sweep, train
 
 __version__ = "0.1.0"

@@ -11,8 +11,12 @@ with byte-identical result numbers. The output root comes from --out or
 the SPC_OUT environment variable (default ./out). Input dataset files are
 never modified.
 
-Exit codes: 0 success, 2 bad flags, 3 data errors (unreadable inputs,
-unusable or mismatched checkpoints, empty splits), 4 training divergence.
+Exit codes: 0 success, 2 bad flags (including values that do not resolve
+into a run: empty or malformed seed, objective, grid or ratio lists,
+negative weights, batch size below 2, patience above epochs; caught before
+any dataset is read), 3 data errors (unreadable inputs, unusable or
+mismatched checkpoints, tensors whose shapes disagree with the checkpoint
+arch, empty splits), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -30,22 +34,18 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from . import data as dataio
-from .baselines import VibParams
 from .data import DataError, Dataset, PerturbationSpec
 from .diffcore import Tensor
-from .encoder import encode
+from .encoder import EncoderParams, encode, load_checkpoint, save_checkpoint
 from .metrics import adjusted_rand_index, kmeans, macro_f1, silhouette
-from .objectives import ObjectiveConfig
+from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, ObjectiveConfig
 from .trainer import (
-    Model,
     RunReport,
     TrainConfig,
     TrainingDiverged,
     evaluate_split,
-    load_model,
     model_outputs,
     run_seeds,
-    save_model,
     summarize,
     sweep,
     train,
@@ -90,34 +90,45 @@ def file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+class UsageError(ValueError):
+    """A flag value that does not resolve into a run (exit 2)."""
+
+
 def parse_seeds(text: str) -> list[int]:
-    """Either a count ("5" -> seeds 0..4) or an explicit list ("3,7,11")."""
-    if "," in text:
-        return [int(v) for v in text.split(",") if v != ""]
-    return list(range(int(text)))
+    """Either a count ("5" -> seeds 0..4) or an explicit list ("3,7,11");
+    at least one seed."""
+    try:
+        seeds = ([int(v) for v in text.split(",") if v != ""] if "," in text
+                 else list(range(int(text))))
+    except ValueError:
+        raise UsageError(f"--seeds {text!r}: expected a count or a list of integers") from None
+    if not seeds:
+        raise UsageError(f"--seeds {text!r} names no seed")
+    return seeds
 
 
-def parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+def parse_floats(text: str, flag: str) -> list[float]:
+    """A comma-separated list of at least one number, given to `flag`."""
+    try:
+        values = [float(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise UsageError(f"{flag} {text!r}: expected a list of numbers") from None
+    if not values:
+        raise UsageError(f"{flag} {text!r} names no value")
+    return values
 
 
 def make_objective(kind: str, task: str, beta: float = 0.0, gamma: float = 0.0,
                    cp_weight: float = 0.0, structured_from: str = "sample") -> ObjectiveConfig:
-    """Build a config for `kind`, dropping weights the kind does not use.
+    """Build a config for `kind`, dropping weights the kind does not take.
 
     Lets one flag set (--beta/--gamma/--cp-weight) drive a list of
     objectives: ce simply ignores them instead of erroring.
     """
-    if kind in ("ce", "mse"):
-        beta = gamma = 0.0
-    if kind in ("pc", "vib", "mse_pc", "mse_vib", "ce_cp"):
-        gamma = 0.0
-    if kind == "ce_cp":
-        beta = 0.0
-    else:
-        cp_weight = 0.0
-    return ObjectiveConfig(kind=kind, beta=beta, gamma=gamma, task=task,
-                           cp_weight=cp_weight, structured_from=structured_from)
+    weights = {"beta": beta, "gamma": gamma, "cp_weight": cp_weight}
+    taken = OBJECTIVES[kind].weights if kind in OBJECTIVES else ()
+    return ObjectiveConfig(kind=kind, task=task, structured_from=structured_from,
+                           **{name: weights[name] for name in taken})
 
 
 # --- artifact plumbing ---
@@ -187,9 +198,9 @@ def _load_dataset(args) -> Dataset:
                        hash_seed=args.hash_seed)
 
 
-def _load_checkpoint(args, dataset: Dataset) -> Model:
+def _load_checkpoint(args, dataset: Dataset) -> EncoderParams:
     """The --ckpt model, checked against the dataset's feature width."""
-    model = load_model(args.ckpt)
+    model = load_checkpoint(args.ckpt)
     if model.input_dim != dataset.num_features:
         raise DataError(f"{args.ckpt}: checkpoint takes {model.input_dim} input features, "
                         f"the dataset has {dataset.num_features}")
@@ -216,15 +227,25 @@ def resolve_train_args(args) -> None:
             setattr(args, key, file_values.get(key, defaults[key]))
 
 
-def _objective(args, kind: str, task: str | None = None) -> ObjectiveConfig:
-    return make_objective(kind, task or args.task, beta=args.beta, gamma=args.gamma,
-                          cp_weight=args.cp_weight, structured_from=args.structured_from)
+def _train_configs(args, kinds: Sequence[str], task: str | None = None,
+                   weights: bool = True) -> list[TrainConfig]:
+    """One resolved TrainConfig per objective kind; a bad value is a UsageError.
 
-
-def _train_config(args, objective: ObjectiveConfig) -> TrainConfig:
+    The kinds share the training flags and take the weight flags they use;
+    with `weights=False` every weight stays 0 (a sweep grid sets them).
+    """
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    return TrainConfig(objective=objective, learning_rate=args.lr,
-                       **{key: getattr(args, key) for key in CONFIG_KEYS if key in fields})
+    settings = {key: getattr(args, key) for key in CONFIG_KEYS if key in fields}
+    flag_weights = (dict(beta=args.beta, gamma=args.gamma, cp_weight=args.cp_weight)
+                    if weights else {})
+    try:
+        return [TrainConfig(objective=make_objective(kind, task or args.task,
+                                                     structured_from=args.structured_from,
+                                                     **flag_weights),
+                            learning_rate=args.lr, **settings)
+                for kind in kinds]
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 # --- experiment protocols (importable; the commands are thin wrappers) ---
@@ -349,7 +370,7 @@ def ood_run(source_ds: Dataset, target_ds: Dataset, mapping: dict[str, str],
     }
 
 
-def representation_quality(model: Model, dataset: Dataset,
+def representation_quality(model: EncoderParams, dataset: Dataset,
                            kmeans_seeds: list[int] | None = None) -> dict:
     """Cluster the mean codes of the test split and score SC / ARI.
 
@@ -363,11 +384,7 @@ def representation_quality(model: Model, dataset: Dataset,
     if kmeans_seeds is None:
         kmeans_seeds = [0, 1, 2, 3, 4]
     features, gold = dataset.subset("test")
-    if isinstance(model, VibParams):
-        code = encode(model.encoder_view(), Tensor(features))
-    else:
-        code = encode(model, Tensor(features))
-    reps = code.mu.values
+    reps = encode(model, Tensor(features)).mu.values
     per_seed = []
     for seed in kmeans_seeds:
         assign = kmeans(reps, dataset.num_classes, seed=seed)
@@ -404,7 +421,7 @@ def cmd_gen_data(args) -> int:
 def _seed_reports_artifacts(run_dir: str, reports: list[RunReport]) -> list[dict]:
     rows = []
     for report in reports:
-        save_model(os.path.join(run_dir, "ckpt", f"seed{report.seed}.json"), report.model)
+        save_checkpoint(os.path.join(run_dir, "ckpt", f"seed{report.seed}.json"), report.model)
         row = {"seed": report.seed, "best_epoch": report.best_epoch,
                "epochs_ran": report.epochs_ran, "diverged": report.diverged}
         for name, value in report.test_metrics.items():
@@ -415,9 +432,9 @@ def _seed_reports_artifacts(run_dir: str, reports: list[RunReport]) -> list[dict
 
 
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args)
-    cfg = _train_config(args, _objective(args, args.objective))
+    [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
+    dataset = _load_dataset(args)
     run_dir, manifest = start_run(args, "train", run_inputs(
         args, {"data": data_path(args)}, [cfg], seeds=seeds))
     reports = run_seeds(dataset, cfg, tuple(seeds))
@@ -450,14 +467,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    dataset = _load_dataset(args)
     # the grid sets every weight of each cell, so only the kind and the
     # batch-entropy input come from the flags
-    objective = make_objective(args.objective, args.task, structured_from=args.structured_from)
-    cfg = _train_config(args, objective)
+    [cfg] = _train_configs(args, [args.objective], weights=False)
     seeds = parse_seeds(args.seeds)
-    betas = parse_floats(args.betas)
-    gammas = parse_floats(args.gammas) if args.objective == "spc" else [0.0]
+    betas = parse_floats(args.betas, "--betas")
+    # a kind with one weight has no gamma axis (see trainer.sweep)
+    gammas = (parse_floats(args.gammas, "--gammas")
+              if len(OBJECTIVES[args.objective].weights) > 1 else [0.0])
+    dataset = _load_dataset(args)
     run_dir, manifest = start_run(args, "sweep", run_inputs(
         args, {"data": data_path(args)}, [cfg], betas=betas, gammas=gammas, seeds=seeds))
     result = sweep(dataset, cfg, betas, gammas, tuple(seeds))
@@ -472,12 +490,14 @@ def cmd_sweep(args) -> int:
 def cmd_study(args) -> int:
     """noise-study and ratio-study: one table per perturbation in STUDIES."""
     study = STUDIES[args.command]
-    dataset = _load_dataset(args)
-    objectives = [_objective(args, k.strip()) for k in args.objectives.split(",") if k.strip()]
-    cfg = _train_config(args, objectives[0])
-    ratios = parse_floats(args.ratios)
+    kinds = [k.strip() for k in args.objectives.split(",") if k.strip()]
+    if not kinds:
+        raise UsageError(f"--objectives {args.objectives!r} names no objective")
+    configs = _train_configs(args, kinds)
+    objectives, cfg = [c.objective for c in configs], configs[0]
+    ratios = parse_floats(args.ratios, "--ratios")
     seeds = parse_seeds(args.seeds)
-    configs = [dataclasses.replace(cfg, objective=o) for o in objectives]
+    dataset = _load_dataset(args)
     run_dir, manifest = start_run(args, args.command, run_inputs(
         args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds))
     rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, study)
@@ -491,13 +511,13 @@ def cmd_study(args) -> int:
 
 
 def cmd_ood(args) -> int:
+    [cfg] = _train_configs(args, [args.objective], "classification")
+    seeds = parse_seeds(args.seeds)
     source = dataio.load(args.source, task="classification",
                          hash_dim=args.hash_dim, hash_seed=args.hash_seed)
     target = dataio.load(args.target, task="classification",
                          hash_dim=args.hash_dim, hash_seed=args.hash_seed)
     mapping = read_label_mapping(args.mapping)
-    cfg = _train_config(args, _objective(args, args.objective, "classification"))
-    seeds = parse_seeds(args.seeds)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
     run_dir, manifest = start_run(args, "ood", run_inputs(args, files, [cfg], seeds=seeds))
     results = ood_run(source, target, mapping, cfg, seeds)
@@ -509,9 +529,9 @@ def cmd_ood(args) -> int:
 
 
 def cmd_repr_quality(args) -> int:
+    seeds = parse_seeds(args.seeds)
     dataset = _load_dataset(args)
     model = _load_checkpoint(args, dataset)
-    seeds = parse_seeds(args.seeds)
     run_dir, manifest = start_run(args, "repr-quality", run_inputs(
         args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
     results = representation_quality(model, dataset, seeds)
@@ -610,8 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one objective over several seeds")
     _add_common(p)
     _add_train_flags(p)
-    p.add_argument("--objective", default="spc",
-                   choices=["spc", "pc", "ce", "ce_cp", "vib", "mse", "mse_pc", "mse_vib"])
+    p.add_argument("--objective", default="spc", choices=list(OBJECTIVES))
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -624,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_train_flags(p)
     p.add_argument("--objective", default="spc",
-                   choices=["spc", "pc", "ce_cp", "vib", "mse_pc", "mse_vib"])
+                   choices=[kind for kind, spec in OBJECTIVES.items() if spec.weights])
     p.add_argument("--betas", default="0.001,0.01,0.1,1,10")
     p.add_argument("--gammas", default="0.001,0.01,0.1,1,10")
     p.set_defaults(handler=cmd_sweep)
@@ -645,8 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--mapping", required=True,
                    help="csv with header source_label,target_label")
-    p.add_argument("--objective", default="spc",
-                   choices=["spc", "pc", "ce", "ce_cp", "vib"])
+    p.add_argument("--objective", default="spc", choices=list(CLASSIFICATION_KINDS))
     p.add_argument("--hash-dim", type=int, default=256, dest="hash_dim")
     p.add_argument("--hash-seed", type=int, default=0, dest="hash_seed")
     p.set_defaults(handler=cmd_ood)
@@ -671,6 +689,9 @@ def main(argv=None) -> int:
         if hasattr(args, "epochs"):
             resolve_train_args(args)
         return args.handler(args)
+    except UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return EXIT_USAGE
     except (DataError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -6,6 +6,11 @@ per class, or one dimension for regression). Sampling uses the
 reparameterization t = mu + exp(log_var / 2) * eps with caller-supplied
 eps, so gradients reach mu and log_var but never the noise. Prediction is
 non-parametric: softmax of mu for classification, mu itself for regression.
+
+The VIB baseline is the same encoder into a code of any width, plus a
+trainable single-hidden-layer tanh decoder from t to the output space;
+`decode` is the identity for a model without one. Checkpoints of both are
+written and read here, each tensor's shape checked against the "arch".
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError
 from .diffcore import (
     ShapeError,
     Tensor,
@@ -44,13 +50,28 @@ class GaussianCode:
     log_var: Tensor
 
 
+# every tensor a model can hold, in checkpoint and init order
+TENSOR_NAMES = ("w_in", "b_in", "w_mu", "b_mu", "w_lv", "b_lv",
+                "w_dec1", "b_dec1", "w_dec2", "b_dec2")
+DECODER_NAMES = TENSOR_NAMES[6:]
+
+# checkpoint kind -> its "arch" keys, in file order
+ARCH_KEYS = {
+    "encoder": ("input_dim", "hidden_dim", "out_dim", "use_layer_norm"),
+    "vib": ("input_dim", "hidden_dim", "latent_dim", "decoder_hidden", "out_dim",
+            "use_layer_norm"),
+}
+
+
 @dataclass
 class EncoderParams:
-    """Trunk + mean head + log-variance head.
+    """Trunk + mean head + log-variance head, and optionally a decoder.
 
-    `use_layer_norm` standardizes the trunk pre-activation row-wise before
-    the tanh. Dropout, when used, is applied by the caller as a mask on the
-    hidden layer (see `encode`).
+    Without a decoder the code lives in the output space. With one (the VIB
+    baseline, checkpoint kind "vib") the code is `latent_dim` wide and the
+    decoder maps t to the `out_dim` outputs. `use_layer_norm` standardizes
+    the trunk pre-activation row-wise before the tanh. Dropout, when used,
+    is applied by the caller as a mask on the hidden layer (see `encode`).
     """
 
     w_in: Tensor
@@ -60,6 +81,10 @@ class EncoderParams:
     w_lv: Tensor
     b_lv: Tensor
     use_layer_norm: bool = False
+    w_dec1: Tensor | None = None
+    b_dec1: Tensor | None = None
+    w_dec2: Tensor | None = None
+    b_dec2: Tensor | None = None
 
     @property
     def input_dim(self) -> int:
@@ -70,15 +95,20 @@ class EncoderParams:
         return self.w_in.values.shape[1]
 
     @property
-    def out_dim(self) -> int:
+    def latent_dim(self) -> int:
+        """Width of the Gaussian code (and of every noise draw)."""
         return self.w_mu.values.shape[1]
 
+    @property
+    def out_dim(self) -> int:
+        return self.latent_dim if self.w_dec2 is None else self.w_dec2.values.shape[1]
+
     def parameters(self) -> list[Tensor]:
-        return [self.w_in, self.b_in, self.w_mu, self.b_mu, self.w_lv, self.b_lv]
+        return list(self.named_parameters().values())
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return {"w_in": self.w_in, "b_in": self.b_in, "w_mu": self.w_mu,
-                "b_mu": self.b_mu, "w_lv": self.w_lv, "b_lv": self.b_lv}
+        return {name: getattr(self, name) for name in TENSOR_NAMES
+                if getattr(self, name) is not None}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -86,26 +116,61 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def tensor_shapes(arch: dict) -> dict[str, tuple[int, int]]:
+    """Each tensor's shape under a checkpoint "arch", in TENSOR_NAMES order."""
+    d_in, hidden, out = arch["input_dim"], arch["hidden_dim"], arch["out_dim"]
+    code = arch.get("latent_dim", out)
+    shapes = {"w_in": (d_in, hidden), "b_in": (1, hidden), "w_mu": (hidden, code),
+              "b_mu": (1, code), "w_lv": (hidden, code), "b_lv": (1, code)}
+    if "decoder_hidden" in arch:
+        dec = arch["decoder_hidden"]
+        shapes.update(w_dec1=(code, dec), b_dec1=(1, dec), w_dec2=(dec, out), b_dec2=(1, out))
+    return shapes
+
+
+def _init(arch: dict, rng: np.random.Generator | int) -> EncoderParams:
+    """Glorot-uniform weights, zero biases, drawn in TENSOR_NAMES order."""
+    if isinstance(rng, int):
+        rng = np.random.default_rng(rng)
+    tensors = {name: param(_glorot(rng, *shape) if name.startswith("w") else np.zeros(shape))
+               for name, shape in tensor_shapes(arch).items()}
+    return EncoderParams(**tensors, use_layer_norm=arch["use_layer_norm"])
+
+
 def init_encoder(input_dim: int, hidden_dim: int, out_dim: int,
                  rng: np.random.Generator | int,
                  use_layer_norm: bool = False) -> EncoderParams:
     """Glorot-uniform weights, zero biases. Draw order: w_in, w_mu, w_lv."""
-    if isinstance(rng, int):
-        rng = np.random.default_rng(rng)
-    return EncoderParams(
-        w_in=param(_glorot(rng, input_dim, hidden_dim)),
-        b_in=param(np.zeros((1, hidden_dim))),
-        w_mu=param(_glorot(rng, hidden_dim, out_dim)),
-        b_mu=param(np.zeros((1, out_dim))),
-        w_lv=param(_glorot(rng, hidden_dim, out_dim)),
-        b_lv=param(np.zeros((1, out_dim))),
-        use_layer_norm=use_layer_norm,
-    )
+    return _init({"input_dim": input_dim, "hidden_dim": hidden_dim, "out_dim": out_dim,
+                  "use_layer_norm": use_layer_norm}, rng)
 
 
-def hidden_layer(params: EncoderParams, x: Tensor,
-                 dropout_mask: np.ndarray | None = None) -> Tensor:
-    """Shared trunk: tanh(layer_norm?(x @ w_in + b_in)), optionally masked."""
+def init_vib(input_dim: int, hidden_dim: int, latent_dim: int, out_dim: int,
+             rng: np.random.Generator | int, use_layer_norm: bool = False) -> EncoderParams:
+    """The encoder into a latent_dim-wide code plus a decoder with
+    hidden_dim hidden units. Draw order: w_in, w_mu, w_lv, w_dec1, w_dec2."""
+    return _init({"input_dim": input_dim, "hidden_dim": hidden_dim, "latent_dim": latent_dim,
+                  "decoder_hidden": hidden_dim, "out_dim": out_dim,
+                  "use_layer_norm": use_layer_norm}, rng)
+
+
+def prediction_path_param_count(params: EncoderParams) -> int:
+    """Trainable parameters between the code t and the final prediction.
+
+    The stochastic-coding head predicts by softmax/identity on t, so zero;
+    VIB runs t through its decoder.
+    """
+    return sum(t.values.size for name, t in params.named_parameters().items()
+               if name in DECODER_NAMES)
+
+
+def encode(params: EncoderParams, x: Tensor,
+           dropout_mask: np.ndarray | None = None) -> GaussianCode:
+    """Map a feature batch to per-sample (mu, log_var), log_var clamped to [-8, 8].
+
+    The shared trunk is tanh(layer_norm?(x @ w_in + b_in)), times the
+    dropout mask if one is given.
+    """
     if x.values.ndim != 2 or x.values.shape[1] != params.input_dim:
         raise ShapeError(
             f"encode: expected input of shape (B, {params.input_dim}), got {x.values.shape}")
@@ -115,13 +180,6 @@ def hidden_layer(params: EncoderParams, x: Tensor,
     h = tanh(pre)
     if dropout_mask is not None:
         h = mul(h, Tensor(dropout_mask))
-    return h
-
-
-def encode(params: EncoderParams, x: Tensor,
-           dropout_mask: np.ndarray | None = None) -> GaussianCode:
-    """Map a feature batch to per-sample (mu, log_var), log_var clamped to [-8, 8]."""
-    h = hidden_layer(params, x, dropout_mask)
     mu = matmul(h, params.w_mu) + params.b_mu
     log_var = clip(matmul(h, params.w_lv) + params.b_lv, LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianCode(mu=mu, log_var=log_var)
@@ -139,6 +197,14 @@ def sample(code: GaussianCode, eps: Tensor | np.ndarray) -> Tensor:
             f"sample: eps shape {eps_t.values.shape} != code shape {code.mu.values.shape}")
     sigma = exp(scale(code.log_var, 0.5))
     return code.mu + mul(sigma, Tensor(eps_t.values))
+
+
+def decode(params: EncoderParams, t: Tensor) -> Tensor:
+    """The prediction from a code sample: t itself, or the decoder's output."""
+    if params.w_dec1 is None:
+        return t
+    h = tanh(matmul(t, params.w_dec1) + params.b_dec1)
+    return matmul(h, params.w_dec2) + params.b_dec2
 
 
 def softmax_rows(values: np.ndarray) -> np.ndarray:
@@ -161,22 +227,25 @@ def predict(code: GaussianCode, task: str) -> Tensor:
 
 # --- checkpoint serialization (versioned JSON of named tensors) ---
 
-def checkpoint_payload(kind: str, arch: dict, tensors: dict[str, Tensor]) -> dict:
-    return {
+def save_checkpoint(path: str, params: EncoderParams) -> None:
+    kind = "encoder" if params.w_dec1 is None else "vib"
+    dims = {"input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
+            "latent_dim": params.latent_dim, "out_dim": params.out_dim,
+            "use_layer_norm": params.use_layer_norm}
+    if params.w_dec1 is not None:
+        dims["decoder_hidden"] = params.w_dec1.values.shape[1]
+    payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "kind": kind,
-        "arch": arch,
+        "arch": {key: dims[key] for key in ARCH_KEYS[kind]},
         "tensors": {
             name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
-            for name, t in tensors.items()
+            for name, t in params.named_parameters().items()
         },
     }
-
-
-def save_checkpoint(path: str, kind: str, arch: dict, tensors: dict[str, Tensor]) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_payload(kind, arch, tensors), fh)
+        json.dump(payload, fh)
 
 
 def load_checkpoint_payload(path: str) -> dict:
@@ -188,27 +257,22 @@ def load_checkpoint_payload(path: str) -> dict:
     return payload
 
 
-def _tensor_from_entry(entry: dict) -> Tensor:
-    values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-    return param(values)
-
-
-def encoder_to_checkpoint(params: EncoderParams) -> tuple[str, dict, dict[str, Tensor]]:
-    arch = {
-        "input_dim": params.input_dim,
-        "hidden_dim": params.hidden_dim,
-        "out_dim": params.out_dim,
-        "use_layer_norm": params.use_layer_norm,
-    }
-    return "encoder", arch, params.named_parameters()
-
-
-def encoder_from_payload(payload: dict) -> EncoderParams:
-    if payload["kind"] != "encoder":
-        raise ValueError(f"checkpoint kind {payload['kind']!r} is not an encoder")
-    t = {name: _tensor_from_entry(entry) for name, entry in payload["tensors"].items()}
-    return EncoderParams(
-        w_in=t["w_in"], b_in=t["b_in"], w_mu=t["w_mu"], b_mu=t["b_mu"],
-        w_lv=t["w_lv"], b_lv=t["b_lv"],
-        use_layer_norm=bool(payload["arch"]["use_layer_norm"]),
-    )
+def load_checkpoint(path: str) -> EncoderParams:
+    """Read a checkpoint. Any malformed content, including a tensor whose
+    shape disagrees with the "arch", is a DataError naming the file."""
+    try:
+        payload = load_checkpoint_payload(path)
+        kind = payload["kind"]
+        if kind not in ARCH_KEYS:
+            raise ValueError(f"unknown checkpoint kind {kind!r}")
+        arch = {key: payload["arch"][key] for key in ARCH_KEYS[kind]}
+        tensors = {}
+        for name, shape in tensor_shapes(arch).items():
+            entry = payload["tensors"][name]
+            if tuple(entry["shape"]) != shape:
+                raise ValueError(f"tensor {name} has shape {entry['shape']}, "
+                                 f"the arch needs {list(shape)}")
+            tensors[name] = param(np.asarray(entry["values"], dtype=np.float64).reshape(shape))
+        return EncoderParams(**tensors, use_layer_norm=bool(arch["use_layer_norm"]))
+    except (KeyError, TypeError, ValueError) as err:
+        raise DataError(f"{path}: not a usable checkpoint ({type(err).__name__}: {err})") from err

@@ -1,19 +1,25 @@
-"""Loss terms and their weighted compositions.
+"""Loss terms, the table of objective kinds, and the one composition.
 
-The stochastic-coding objective for a batch is
+Every objective in this package is a point in one family:
 
-    total = NLL(t, y) + beta * KL(N(mu, sigma^2) || N(0, I)) - gamma * H_batch
+    total = NLL(out, y) + beta * KL(N(mu, sigma^2) || N(0, I))
+            - gamma * H_batch + cp_weight * penalty
 
-where t is a reparameterized sample from the per-sample Gaussian code,
-NLL is cross-entropy on sampled logits (classification) or squared error
-(regression), KL is the closed diagonal-Gaussian form, and H_batch is the
-entropy of the batch-averaged predicted class distribution (a Jensen upper
-bound on the mean per-sample entropy, so maximizing it promotes class-level
-uniformity without forcing individual predictions flat).
+where t is a reparameterized sample from the per-sample Gaussian code (or
+mu itself, for kinds without beta), out is t or a decoder's output, NLL is
+cross-entropy on out (classification) or squared error (regression), KL
+is the closed diagonal-Gaussian form, and H_batch is the entropy of the
+batch-averaged predicted class distribution (a Jensen upper bound on the
+mean per-sample entropy, so maximizing it promotes class-level uniformity
+without forcing individual predictions flat).
 
 The per-sample confidence penalty (negative mean per-row entropy) is kept
 separate: it regularizes each prediction toward uniform, which is a
 different effect from the batch-marginal term above.
+
+`OBJECTIVES` declares each kind once: its task, the weights it takes and
+whether it decodes t. Validation, the command-line choices, the sweep
+grid and sampling all derive from it; `spc_loss` is the only composition.
 """
 
 from __future__ import annotations
@@ -35,9 +41,36 @@ from .diffcore import (
 )
 from .encoder import GaussianCode
 
-CLASSIFICATION_KINDS = ("spc", "pc", "ce", "ce_cp", "vib")
-REGRESSION_KINDS = ("mse", "mse_pc", "mse_vib")
-OBJECTIVE_KINDS = CLASSIFICATION_KINDS + REGRESSION_KINDS
+WEIGHTS = ("beta", "gamma", "cp_weight")
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One objective kind: its task, the weights it takes (a subset of
+    WEIGHTS, in sweep-grid order) and whether a decoder maps t to the output.
+    A kind samples t exactly when it takes beta; otherwise t is mu."""
+
+    task: str
+    weights: tuple[str, ...] = ()
+    decoder: bool = False
+
+
+# Every objective is a point in the family above. pc is spc with gamma
+# pinned to 0; ce/mse read out mu with no weights; ce_cp adds the
+# confidence penalty; vib/mse_vib put a trainable decoder after the sample.
+# Regression kinds never take gamma: with one output dimension the batch
+# entropy has no class structure to act on.
+OBJECTIVES = {
+    "spc": Kind("classification", ("beta", "gamma")),
+    "pc": Kind("classification", ("beta",)),
+    "ce": Kind("classification"),
+    "ce_cp": Kind("classification", ("cp_weight",)),
+    "vib": Kind("classification", ("beta",), decoder=True),
+    "mse": Kind("regression"),
+    "mse_pc": Kind("regression", ("beta",)),
+    "mse_vib": Kind("regression", ("beta",), decoder=True),
+}
+CLASSIFICATION_KINDS = tuple(k for k, spec in OBJECTIVES.items() if spec.task == "classification")
 
 _ROW_SUM_TOL = 1e-9
 
@@ -46,14 +79,9 @@ _ROW_SUM_TOL = 1e-9
 class ObjectiveConfig:
     """Which loss to optimize and with what trade-off weights.
 
-    kind "pc" is "spc" with gamma pinned to 0; "ce" is the fully
-    deterministic degenerate case (beta = gamma = 0, t = mu). Regression
-    kinds never carry a gamma term: with a one-dimensional output space
-    the batch-entropy regularizer has no class structure to act on.
-
+    A weight that the kind does not take (see OBJECTIVES) must stay 0.
     `structured_from` selects the probabilities fed to the batch-entropy
     term: softmax of the sampled t ("sample", default) or of mu ("mu").
-    `cp_weight` is the confidence-penalty weight, used by kind "ce_cp" only.
     """
 
     kind: str = "spc"
@@ -64,7 +92,7 @@ class ObjectiveConfig:
     cp_weight: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
+        if self.kind not in OBJECTIVES:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         if self.task not in ("classification", "regression"):
             raise ValueError(f"unknown task {self.task!r}")
@@ -72,16 +100,17 @@ class ObjectiveConfig:
             raise ValueError("beta, gamma and cp_weight must be non-negative")
         if self.structured_from not in ("sample", "mu"):
             raise ValueError(f"structured_from must be 'sample' or 'mu', got {self.structured_from!r}")
-        expected_task = "classification" if self.kind in CLASSIFICATION_KINDS else "regression"
-        if self.task != expected_task:
-            raise ValueError(f"objective kind {self.kind!r} requires task {expected_task!r}")
-        if self.gamma != 0.0 and self.kind != "spc":
-            # pc is spc with gamma pinned to 0; regression has no class structure
-            raise ValueError(f"kind {self.kind!r} does not take a gamma term")
-        if self.beta != 0.0 and self.kind in ("ce", "ce_cp", "mse"):
-            raise ValueError(f"kind {self.kind!r} does not take a beta term")
-        if self.cp_weight != 0.0 and self.kind != "ce_cp":
-            raise ValueError("cp_weight applies to kind 'ce_cp' only")
+        spec = OBJECTIVES[self.kind]
+        if self.task != spec.task:
+            raise ValueError(f"objective kind {self.kind!r} requires task {spec.task!r}")
+        for name in WEIGHTS:
+            if getattr(self, name) != 0.0 and name not in spec.weights:
+                raise ValueError(f"kind {self.kind!r} does not take a {name} term")
+
+    @property
+    def samples(self) -> bool:
+        """Whether t is a reparameterized sample (else t = mu)."""
+        return "beta" in OBJECTIVES[self.kind].weights
 
 
 @dataclass
@@ -174,42 +203,28 @@ def confidence_penalty(probs: Tensor) -> Tensor:
     return scale(reduce_sum(xlogx(probs)), 1.0 / batch)
 
 
-def spc_loss(code: GaussianCode, t_sample: Tensor, y, cfg: ObjectiveConfig) -> LossTerms:
-    """Compose NLL + beta*KL - gamma*batch_entropy for kinds 'spc' and 'pc'.
+def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTerms:
+    """Compose the objective of any kind from the prediction `out`.
 
-    Zero-weight terms are skipped entirely (not multiplied by 0), so the
-    gamma = 0 case is the plain coding objective and beta = gamma = 0
-    reduces to cross-entropy on the sampled logits, exactly.
+    NLL(out, y), then + beta*KL(code), - gamma*H_batch, + cp_weight*penalty,
+    in that order. `out` is t itself, or the decoder's output for the
+    kinds with a decoder. Zero-weight terms are skipped entirely (not
+    multiplied by 0), so beta = gamma = 0 with t = mu is plain
+    cross-entropy, exactly.
     """
-    if cfg.kind not in ("spc", "pc"):
-        raise ValueError(f"spc_loss: config kind must be 'spc' or 'pc', got {cfg.kind!r}")
-    nll = task_nll(t_sample, y)
-    total = nll
-    kl_value = 0.0
-    lb_value = 0.0
+    nll = task_nll(out, y) if cfg.task == "classification" else mse(out, y)
+    terms = LossTerms(total=nll, nll=float(nll.values))
     if cfg.beta != 0.0:
         kl = kl_to_std_normal(code)
-        kl_value = float(kl.values)
-        total = total + scale(kl, cfg.beta)
+        terms.kl = float(kl.values)
+        terms.total = terms.total + scale(kl, cfg.beta)
     if cfg.gamma != 0.0:
-        source = t_sample if cfg.structured_from == "sample" else code.mu
+        source = out if cfg.structured_from == "sample" else code.mu
         lb = batch_entropy(softmax_probs(source))
-        lb_value = float(lb.values)
-        total = total - scale(lb, cfg.gamma)
-    return LossTerms(total=total, nll=float(nll.values), kl=kl_value,
-                     batch_entropy=lb_value)
-
-
-def pc_regression_loss(code: GaussianCode, t_sample: Tensor, y,
-                       cfg: ObjectiveConfig) -> LossTerms:
-    """Squared-error analogue of the coding objective: MSE + beta*KL."""
-    if cfg.kind not in ("mse", "mse_pc"):
-        raise ValueError(f"pc_regression_loss: config kind must be 'mse' or 'mse_pc', got {cfg.kind!r}")
-    nll = mse(t_sample, y)
-    total = nll
-    kl_value = 0.0
-    if cfg.beta != 0.0:
-        kl = kl_to_std_normal(code)
-        kl_value = float(kl.values)
-        total = total + scale(kl, cfg.beta)
-    return LossTerms(total=total, nll=float(nll.values), kl=kl_value)
+        terms.batch_entropy = float(lb.values)
+        terms.total = terms.total - scale(lb, cfg.gamma)
+    if cfg.cp_weight != 0.0:
+        penalty = confidence_penalty(softmax_probs(out))
+        terms.penalty = float(penalty.values)
+        terms.total = terms.total + scale(penalty, cfg.cp_weight)
+    return terms

@@ -19,40 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import (
-    VibParams,
-    ce_cp_forward,
-    ce_forward,
-    init_vib,
-    mse_forward,
-    vib_decode,
-    vib_forward,
-    vib_from_payload,
-    vib_to_checkpoint,
-)
-from .data import DataError, Dataset
+from .data import Dataset
 from .diffcore import Tape, Tensor, backward, zero_grads
-from .encoder import (
-    EncoderParams,
-    encode,
-    encoder_from_payload,
-    encoder_to_checkpoint,
-    init_encoder,
-    load_checkpoint_payload,
-    predict,
-    sample,
-    save_checkpoint,
-    softmax_rows,
-)
+from .encoder import EncoderParams, decode, encode, init_encoder, init_vib, sample, softmax_rows
 from .metrics import _per_class_stats, confusion_matrix, macro_f1, macro_recall, pearson, spearman
-from .objectives import (
-    LossTerms,
-    ObjectiveConfig,
-    pc_regression_loss,
-    spc_loss,
-)
-
-Model = EncoderParams | VibParams
+from .objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
 
 
 class TrainingDiverged(RuntimeError):
@@ -77,29 +48,22 @@ class TrainConfig:
     patience: int = 5
     hidden_dim: int = 64
     vib_latent_dim: int = 16
-    vib_decoder_hidden: int | None = None
     dropout: float = 0.0
     layer_norm: bool = False
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    decoupled_decay: bool = True
-    select_metric: str = "auto"
     zero_eps: bool = False  # replace every noise draw with zeros (draws still consumed)
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 1 <= self.patience <= self.epochs:
-            raise ValueError("patience must be in [1, epochs]")
+            raise ValueError(f"patience must be in [1, epochs={self.epochs}], got {self.patience}")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch entropy needs a real batch)")
+            raise ValueError(f"batch_size must be >= 2 (batch entropy needs a real batch), "
+                             f"got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def headline_metric(self) -> str:
-        if self.select_metric != "auto":
-            return self.select_metric
         return "macro_f1" if self.objective.task == "classification" else "spearman"
 
     def to_dict(self) -> dict:
@@ -119,16 +83,15 @@ class AdamaxState:
 
 
 def adamax_step(params: list[Tensor], grads: list[np.ndarray], state: AdamaxState,
-                lr: float, weight_decay: float = 0.0, beta1: float = 0.9,
-                beta2: float = 0.999, epsilon: float = 1e-8,
-                decoupled: bool = True) -> None:
+                lr: float, weight_decay: float = 0.0) -> None:
     """One Adamax update, in place.
 
     m <- beta1*m + (1-beta1)*g;  u <- max(beta2*u, |g|);
-    p <- p - (lr / (1 - beta1^t)) * m / (u + epsilon).
-    Weight decay is decoupled by default (p is shrunk by lr*wd before the
-    update); `decoupled=False` adds wd*p to the gradient instead.
+    p <- p - (lr / (1 - beta1^t)) * m / (u + epsilon),
+    with beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8. Weight decay is
+    decoupled: p is shrunk by lr*wd before the update.
     """
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise TrainingDiverged(f"non-finite gradient in parameter {i} "
@@ -137,10 +100,7 @@ def adamax_step(params: list[Tensor], grads: list[np.ndarray], state: AdamaxStat
     correction = 1.0 - beta1 ** state.t
     for p, g, m, u in zip(params, grads, state.m, state.u):
         if weight_decay != 0.0:
-            if decoupled:
-                p.values *= 1.0 - lr * weight_decay
-            else:
-                g = g + weight_decay * p.values
+            p.values *= 1.0 - lr * weight_decay
         m *= beta1
         m += (1.0 - beta1) * g
         np.maximum(beta2 * u, np.abs(g), out=u)
@@ -163,7 +123,7 @@ class RunReport:
     headline_metric: str = ""
     diverged: bool = False
     wall_clock: float = 0.0
-    model: "Model | None" = field(default=None, repr=False, compare=False)
+    model: EncoderParams | None = field(default=None, repr=False, compare=False)
 
     @property
     def headline_value(self) -> float:
@@ -190,77 +150,35 @@ class RunReport:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def save_model(path: str, model: Model) -> None:
-    if isinstance(model, VibParams):
-        kind, arch, tensors = vib_to_checkpoint(model)
-    else:
-        kind, arch, tensors = encoder_to_checkpoint(model)
-    save_checkpoint(path, kind, arch, tensors)
-
-
-def load_model(path: str) -> Model:
-    """Read a checkpoint; any malformed content is a DataError naming the file."""
-    try:
-        payload = load_checkpoint_payload(path)
-        if payload["kind"] == "vib":
-            return vib_from_payload(payload)
-        return encoder_from_payload(payload)
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataError(f"{path}: not a usable checkpoint ({type(err).__name__}: {err})") from err
-
-
 def build_model(dataset: Dataset, cfg: TrainConfig,
-                rng: np.random.Generator | int) -> Model:
+                rng: np.random.Generator | int) -> EncoderParams:
     out_dim = dataset.num_classes if dataset.task == "classification" else 1
-    if cfg.objective.kind in ("vib", "mse_vib"):
+    if OBJECTIVES[cfg.objective.kind].decoder:
         return init_vib(dataset.num_features, cfg.hidden_dim, cfg.vib_latent_dim,
-                        out_dim, rng, decoder_hidden=cfg.vib_decoder_hidden,
-                        use_layer_norm=cfg.layer_norm)
+                        out_dim, rng, use_layer_norm=cfg.layer_norm)
     return init_encoder(dataset.num_features, cfg.hidden_dim, out_dim, rng,
                         use_layer_norm=cfg.layer_norm)
 
 
-def batch_loss(model: Model, x: Tensor, y, objective: ObjectiveConfig,
+def batch_loss(model: EncoderParams, x: Tensor, y, objective: ObjectiveConfig,
                eps: np.ndarray, dropout_mask: np.ndarray | None = None) -> LossTerms:
-    """Dispatch one minibatch through the configured objective."""
-    kind = objective.kind
-    if kind == "ce":
-        return ce_forward(model, x, y, dropout_mask)
-    if kind == "ce_cp":
-        return ce_cp_forward(model, x, y, objective.cp_weight, dropout_mask)
-    if kind == "mse":
-        return mse_forward(model, x, y, dropout_mask)
-    if kind in ("spc", "pc"):
-        code = encode(model, x, dropout_mask)
-        t = sample(code, eps)
-        return spc_loss(code, t, y, objective)
-    if kind == "mse_pc":
-        code = encode(model, x, dropout_mask)
-        t = sample(code, eps)
-        return pc_regression_loss(code, t, y, objective)
-    if kind in ("vib", "mse_vib"):
-        return vib_forward(model, x, y, objective.beta, eps,
-                           task=objective.task, dropout_mask=dropout_mask)
-    raise ValueError(f"unknown objective kind {kind!r}")
+    """One minibatch through the configured objective: encode, set t to a
+    sample (kinds that take beta) or to mu, decode, score."""
+    code = encode(model, x, dropout_mask)
+    t = sample(code, eps) if objective.samples else code.mu
+    return spc_loss(code, decode(model, t), y, objective)
 
 
-def model_outputs(model: Model, features: np.ndarray, task: str) -> np.ndarray:
+def model_outputs(model: EncoderParams, features: np.ndarray, task: str) -> np.ndarray:
     """Deterministic predictions: class probabilities or point estimates.
 
     Stochastic heads are read out at their mean (no sampling at inference).
     """
-    x = Tensor(features)
-    if isinstance(model, VibParams):
-        code = encode(model.encoder_view(), x)
-        out = vib_decode(model, code.mu)
-        if task == "classification":
-            return softmax_rows(out.values)
-        return out.values
-    code = encode(model, x)
-    return predict(code, task).values
+    out = decode(model, encode(model, Tensor(features)).mu).values
+    return softmax_rows(out) if task == "classification" else out
 
 
-def evaluate_split(model: Model, dataset: Dataset, split: str) -> dict:
+def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
     features, targets = dataset.subset(split)
     outputs = model_outputs(model, features, dataset.task)
     if dataset.task == "classification":
@@ -276,10 +194,6 @@ def evaluate_split(model: Model, dataset: Dataset, split: str) -> dict:
     return {"pearson": pearson(values, targets), "spearman": spearman(values, targets)}
 
 
-def _noise_dim(model: Model) -> int:
-    return model.latent_dim if isinstance(model, VibParams) else model.out_dim
-
-
 def _snapshot(params: list[Tensor]) -> list[np.ndarray]:
     return [p.values.copy() for p in params]
 
@@ -290,7 +204,7 @@ def _restore(params: list[Tensor], snapshot: list[np.ndarray]) -> None:
 
 
 def train(dataset: Dataset, cfg: TrainConfig, seed: int,
-          model: Model | None = None) -> RunReport:
+          model: EncoderParams | None = None) -> RunReport:
     """Train one model; returns a report reproducible byte-for-byte from
     (dataset, cfg, seed).
 
@@ -312,7 +226,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int,
 
     train_features, train_targets = dataset.subset("train")
     n_train = train_features.shape[0]
-    noise_dim = _noise_dim(model)
 
     dataset_info = {"task": dataset.task, "num_classes": dataset.num_classes,
                     "num_features": dataset.num_features,
@@ -332,7 +245,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int,
             idx = perm[start:start + cfg.batch_size]
             x = Tensor(train_features[idx])
             y = train_targets[idx]
-            draw = rng.standard_normal((idx.size, noise_dim))
+            draw = rng.standard_normal((idx.size, model.latent_dim))
             eps = np.zeros_like(draw) if cfg.zero_eps else draw
             mask = None
             if cfg.dropout > 0.0:
@@ -353,9 +266,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int,
             backward(terms.total, tape, params)
             try:
                 adamax_step(params, [p.grad for p in params], state,
-                            lr=cfg.learning_rate, weight_decay=cfg.weight_decay,
-                            beta1=cfg.beta1, beta2=cfg.beta2, epsilon=cfg.epsilon,
-                            decoupled=cfg.decoupled_decay)
+                            lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
             except TrainingDiverged:
                 diverged = True
                 break
@@ -420,18 +331,21 @@ class SweepResult:
 
 
 def _cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> ObjectiveConfig:
-    # ce_cp has a single tunable weight; it shares the beta grid
-    if objective.kind == "ce_cp":
-        return dataclasses.replace(objective, cp_weight=beta)
-    return dataclasses.replace(objective, beta=beta, gamma=gamma)
+    # the beta grid drives the kind's first weight and the gamma grid its second
+    names = OBJECTIVES[objective.kind].weights
+    if any(value != 0.0 for value in (beta, gamma)[len(names):]):
+        raise ValueError(f"kind {objective.kind!r} takes {len(names)} swept weight(s), "
+                         f"got beta={beta}, gamma={gamma}")
+    return dataclasses.replace(objective, **dict(zip(names, (beta, gamma))))
 
 
 def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
           gammas: list[float], seeds: tuple[int, ...]) -> SweepResult:
     """Grid search over (beta, gamma); each cell averages over the seeds.
 
-    For objective kind "ce_cp" the beta grid drives the confidence-penalty
-    weight instead (pass gammas=[0.0]). The winning cell maximizes the mean
+    The beta grid drives the kind's first weight in OBJECTIVES and the gamma
+    grid its second (so for "ce_cp" the beta grid sets cp_weight); a kind
+    with fewer weights takes gammas=[0.0]. The winning cell maximizes the mean
     validation metric; ties go to the lexicographically smaller (beta, gamma).
     """
     rows = []

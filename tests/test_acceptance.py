@@ -26,7 +26,6 @@ from test_metrics import (
 )
 
 from spc import cli
-from spc.baselines import ce_cp_forward, ce_forward, init_vib, mse_forward, vib_forward
 from spc.data import PerturbationSpec, gen_mixture, inject_label_noise, save
 from spc.diffcore import (
     Tensor,
@@ -47,7 +46,7 @@ from spc.diffcore import (
     tanh,
     xlogx,
 )
-from spc.encoder import GaussianCode, encode, init_encoder, sample
+from spc.encoder import GaussianCode, encode, init_encoder, init_vib, sample
 from spc.metrics import (
     adjusted_rand_index,
     f1_of_class,
@@ -58,7 +57,7 @@ from spc.metrics import (
     spearman,
 )
 from spc.objectives import ObjectiveConfig, batch_entropy, confidence_penalty, kl_to_std_normal, spc_loss
-from spc.trainer import TrainConfig, train
+from spc.trainer import TrainConfig, batch_loss, train
 
 GRID = [0.001, 0.01, 0.1, 1.0, 10.0]
 SEEDS = (0, 1, 2, 3, 4)
@@ -146,17 +145,22 @@ def _objective_case(kind, rng):
         model = init_vib(d_in, hidden, latent, classes, rng=rng)
         y = rng.integers(0, classes, size=batch)
         eps = rng.standard_normal((batch, latent))
-        return lambda: vib_forward(model, x, y, 0.2, eps).total, model.parameters()
+        cfg = ObjectiveConfig(kind="vib", beta=0.2)
+        return lambda: batch_loss(model, x, y, cfg, eps).total, model.parameters()
     model = init_encoder(d_in, hidden, out_dim, rng=rng)
+    no_eps = np.zeros((batch, out_dim))  # deterministic kinds ignore eps; nothing is drawn
     if kind == "ce":
         y = rng.integers(0, classes, size=batch)
-        return lambda: ce_forward(model, x, y).total, model.parameters()
+        cfg = ObjectiveConfig(kind="ce")
+        return lambda: batch_loss(model, x, y, cfg, no_eps).total, model.parameters()
     if kind == "ce_cp":
         y = rng.integers(0, classes, size=batch)
-        return lambda: ce_cp_forward(model, x, y, 0.5).total, model.parameters()
+        cfg = ObjectiveConfig(kind="ce_cp", cp_weight=0.5)
+        return lambda: batch_loss(model, x, y, cfg, no_eps).total, model.parameters()
     if kind == "mse":
         y = rng.normal(size=batch)
-        return lambda: mse_forward(model, x, y).total, model.parameters()
+        cfg = ObjectiveConfig(kind="mse", task="regression")
+        return lambda: batch_loss(model, x, y, cfg, no_eps).total, model.parameters()
     # spc / pc
     y = rng.integers(0, classes, size=batch)
     eps = rng.standard_normal((batch, out_dim))

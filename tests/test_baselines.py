@@ -1,25 +1,32 @@
 import math
 
 import numpy as np
-import pytest
 
 from gradcheck import max_grad_rel_err
-from spc.baselines import (
-    ce_cp_forward,
-    ce_forward,
-    init_vib,
-    mlp_logits,
-    mse_forward,
-    prediction_path_param_count,
-    vib_decode,
-    vib_encode,
-    vib_forward,
-    vib_from_payload,
-    vib_to_checkpoint,
-)
 from spc.diffcore import Tensor
-from spc.encoder import encode, init_encoder, load_checkpoint_payload, sample, save_checkpoint
+from spc.encoder import (
+    decode,
+    encode,
+    init_encoder,
+    init_vib,
+    load_checkpoint,
+    prediction_path_param_count,
+    sample,
+    save_checkpoint,
+)
 from spc.objectives import ObjectiveConfig, kl_to_std_normal, spc_loss, task_nll
+from spc.trainer import batch_loss
+
+CE = ObjectiveConfig(kind="ce")
+
+
+def ce_cp(weight: float) -> ObjectiveConfig:
+    return ObjectiveConfig(kind="ce_cp", cp_weight=weight)
+
+
+def no_eps(batch: int, width: int) -> np.ndarray:
+    """The eps of a deterministic kind: ignored, so zeros rather than a draw."""
+    return np.zeros((batch, width))
 
 
 class TestCeForward:
@@ -28,7 +35,7 @@ class TestCeForward:
         params = init_encoder(5, 8, 3, rng=rng)
         x = Tensor(rng.normal(size=(6, 5)))
         y = rng.integers(0, 3, size=6)
-        ce = ce_forward(params, x, y)
+        ce = batch_loss(params, x, y, CE, no_eps(6, 3))
         code = encode(params, x)
         t = sample(code, np.zeros((6, 3)))
         reduced = spc_loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.0, gamma=0.0))
@@ -40,14 +47,15 @@ class TestCeForward:
             p.values[:] = 0.0
         x = Tensor(np.random.default_rng(41).normal(size=(7, 4)))
         y = np.random.default_rng(42).integers(0, 5, size=7)
-        assert abs(ce_forward(params, x, y).total_value - math.log(5)) < 1e-15
+        assert abs(batch_loss(params, x, y, CE, no_eps(7, 5)).total_value - math.log(5)) < 1e-15
 
     def test_gradcheck(self):
         rng = np.random.default_rng(43)
         params = init_encoder(4, 5, 3, rng=rng)
         x = Tensor(rng.normal(size=(5, 4)))
         y = rng.integers(0, 3, size=5)
-        err = max_grad_rel_err(lambda: ce_forward(params, x, y).total, params.parameters())
+        err = max_grad_rel_err(lambda: batch_loss(params, x, y, CE, no_eps(5, 3)).total,
+                               params.parameters())
         assert err < 1e-4
 
 
@@ -57,7 +65,9 @@ class TestCeCpForward:
         params = init_encoder(4, 5, 3, rng=rng)
         x = Tensor(rng.normal(size=(5, 4)))
         y = rng.integers(0, 3, size=5)
-        assert ce_cp_forward(params, x, y, 0.0).total_value == ce_forward(params, x, y).total_value
+        eps = no_eps(5, 3)
+        assert (batch_loss(params, x, y, ce_cp(0.0), eps).total_value
+                == batch_loss(params, x, y, CE, eps).total_value)
 
     def test_confident_network_penalty_vanishes(self):
         params = init_encoder(3, 4, 2, rng=45)
@@ -65,7 +75,7 @@ class TestCeCpForward:
             p.values[:] = 0.0
         params.b_mu.values[:] = np.array([[40.0, -40.0]])  # softmax ~ one-hot
         x = Tensor(np.zeros((4, 3)))
-        terms = ce_cp_forward(params, x, np.zeros(4, dtype=int), cp_weight=1.0)
+        terms = batch_loss(params, x, np.zeros(4, dtype=int), ce_cp(1.0), no_eps(4, 2))
         assert abs(terms.penalty) < 1e-12
 
     def test_external_recomputation(self):
@@ -74,9 +84,9 @@ class TestCeCpForward:
         x = Tensor(rng.normal(size=(6, 4)))
         y = rng.integers(0, 3, size=6)
         w = 0.8
-        terms = ce_cp_forward(params, x, y, w)
+        terms = batch_loss(params, x, y, ce_cp(w), no_eps(6, 3))
 
-        logits = mlp_logits(params, x).values
+        logits = encode(params, x).mu.values
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         nll = -log_probs[np.arange(6), y].mean()
@@ -89,14 +99,9 @@ class TestCeCpForward:
         params = init_encoder(4, 5, 3, rng=rng)
         x = Tensor(rng.normal(size=(5, 4)))
         y = rng.integers(0, 3, size=5)
-        err = max_grad_rel_err(lambda: ce_cp_forward(params, x, y, 0.5).total,
+        err = max_grad_rel_err(lambda: batch_loss(params, x, y, ce_cp(0.5), no_eps(5, 3)).total,
                                params.parameters())
         assert err < 1e-4
-
-    def test_negative_weight_rejected(self):
-        params = init_encoder(3, 4, 2, rng=48)
-        with pytest.raises(ValueError):
-            ce_cp_forward(params, Tensor(np.zeros((2, 3))), [0, 1], -1.0)
 
 
 class TestVib:
@@ -110,20 +115,21 @@ class TestVib:
 
     def test_beta_zero_eps_zero_is_deterministic_ce(self):
         params, x, y, _ = self._setup()
-        terms = vib_forward(params, x, y, beta=0.0, eps=np.zeros((5, 3)))
-        code = vib_encode(params, x)
-        logits = vib_decode(params, code.mu)
+        terms = batch_loss(params, x, y, ObjectiveConfig(kind="vib"), np.zeros((5, 3)))
+        code = encode(params, x)
+        logits = decode(params, code.mu)
         assert terms.total_value == task_nll(logits, y).item()
 
     def test_kl_matches_closed_form(self):
         params, x, y, eps = self._setup(seed=50)
-        terms = vib_forward(params, x, y, beta=1.0, eps=eps)
-        code = vib_encode(params, x)
+        terms = batch_loss(params, x, y, ObjectiveConfig(kind="vib", beta=1.0), eps)
+        code = encode(params, x)
         assert abs(terms.kl - kl_to_std_normal(code).item()) < 1e-15
 
     def test_gradcheck(self):
         params, x, y, eps = self._setup(seed=51)
-        err = max_grad_rel_err(lambda: vib_forward(params, x, y, 0.3, eps).total,
+        vib = ObjectiveConfig(kind="vib", beta=0.3)
+        err = max_grad_rel_err(lambda: batch_loss(params, x, y, vib, eps).total,
                                params.parameters())
         assert err < 1e-4
 
@@ -138,14 +144,15 @@ class TestVib:
         x = Tensor(rng.normal(size=(5, 4)))
         y = rng.normal(size=5)
         eps = rng.standard_normal((5, 3))
-        terms = vib_forward(params, x, y, beta=0.2, eps=eps, task="regression")
+        terms = batch_loss(params, x, y,
+                           ObjectiveConfig(kind="mse_vib", beta=0.2, task="regression"), eps)
         assert abs(terms.total_value - (terms.nll + 0.2 * terms.kl)) < 1e-12
 
     def test_checkpoint_round_trip(self, tmp_path):
         params, _, _, _ = self._setup(seed=53)
         path = str(tmp_path / "vib.json")
-        save_checkpoint(path, *vib_to_checkpoint(params))
-        restored = vib_from_payload(load_checkpoint_payload(path))
+        save_checkpoint(path, params)
+        restored = load_checkpoint(path)
         for name, tensor in params.named_parameters().items():
             assert np.array_equal(tensor.values, restored.named_parameters()[name].values)
 
@@ -162,6 +169,7 @@ class TestStructuralContrast:
         params = init_encoder(4, 5, 1, rng=rng)
         x = Tensor(rng.normal(size=(5, 4)))
         y = rng.normal(size=5)
-        terms = mse_forward(params, x, y)
-        pred = mlp_logits(params, x).values
+        terms = batch_loss(params, x, y, ObjectiveConfig(kind="mse", task="regression"),
+                           no_eps(5, 1))
+        pred = encode(params, x).mu.values
         assert abs(terms.total_value - ((pred.ravel() - y) ** 2).mean()) < 1e-12

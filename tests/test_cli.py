@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -9,8 +10,8 @@ import pytest
 from spc import cli
 from spc.data import gen_mixture, save
 from spc.objectives import ObjectiveConfig
-from spc.encoder import init_encoder
-from spc.trainer import TrainConfig, save_model, train
+from spc.encoder import init_encoder, init_vib, save_checkpoint
+from spc.trainer import TrainConfig, train
 
 
 def run_cli(*argv) -> int:
@@ -201,6 +202,22 @@ class TestOod:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ("train", "--seeds", "0"),
+        ("train", "--seeds", ","),
+        ("noise-study", "--objectives", ","),
+        ("train", "--seeds", "abc"),
+        ("train", "--beta", "-1"),
+        ("train", "--batch-size", "1"),
+        ("train", "--epochs", "3"),
+    ])
+    def test_bad_flag_value_exits_2_before_training(self, out, data_file, argv, capsys):
+        assert run_cli(*argv, "--out", out, "--data", data_file, "--hidden-dim", "4") \
+            == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+        assert not os.path.exists(out)
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--no-such-flag"])
@@ -279,6 +296,20 @@ class TestOutputRoot:
                        "--batch-size", "16", "--hidden-dim", "8", "--seeds", "1") == 0
         assert run_ids(explicit)
         assert not os.path.isdir(str(tmp_path / "ignored"))
+
+
+class TestObjectiveChoices:
+    def test_choice_lists(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command):
+            return next(a.choices for a in sub.choices[command]._actions
+                        if a.dest == "objective")
+
+        assert choices("train") == ["spc", "pc", "ce", "ce_cp", "vib", "mse", "mse_pc", "mse_vib"]
+        assert choices("sweep") == ["spc", "pc", "ce_cp", "vib", "mse_pc", "mse_vib"]
+        assert choices("ood") == ["spc", "pc", "ce", "ce_cp", "vib"]
 
 
 class TestSeedParsing:
@@ -383,7 +414,7 @@ class TestBadInputs:
     @pytest.fixture()
     def ckpt(self, tmp_path):
         path = str(tmp_path / "seed0.json")
-        save_model(path, init_encoder(8, 4, 2, rng=0))
+        save_checkpoint(path, init_encoder(8, 4, 2, rng=0))
         return path
 
     def _one_line_error(self, capsys, *names):
@@ -409,6 +440,21 @@ class TestBadInputs:
         assert run_cli("eval", "--out", out, "--data", data_file,
                        "--ckpt", ckpt) == cli.EXIT_DATA
         self._one_line_error(capsys, ckpt)
+
+    @pytest.mark.parametrize("model", ["encoder", "vib"])
+    def test_checkpoint_tensor_of_wrong_shape(self, out, data_file, tmp_path, model, capsys):
+        ckpt = str(tmp_path / f"{model}.json")
+        params = init_encoder(8, 4, 2, rng=0) if model == "encoder" else init_vib(8, 4, 3, 2, rng=0)
+        save_checkpoint(ckpt, params)
+        payload = json.load(open(ckpt))
+        w_mu = payload["tensors"]["w_mu"]  # one hidden row short, values to match
+        w_mu["shape"][0] -= 1
+        w_mu["values"] = w_mu["values"][:w_mu["shape"][0] * w_mu["shape"][1]]
+        with open(ckpt, "w") as fh:
+            json.dump(payload, fh)
+        assert run_cli("eval", "--out", out, "--data", data_file,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt, "w_mu")
 
     @pytest.mark.parametrize("field, value", [("format_version", 99), ("kind", "mystery")])
     def test_checkpoint_of_unknown_format(self, out, data_file, ckpt, field, value, capsys):

@@ -6,9 +6,8 @@ from spc.diffcore import ShapeError, Tape, Tensor, backward, param, reduce_mean
 from spc.encoder import (
     EncoderParams,
     encode,
-    encoder_from_payload,
-    encoder_to_checkpoint,
     init_encoder,
+    load_checkpoint,
     load_checkpoint_payload,
     predict,
     sample,
@@ -156,8 +155,8 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         params = init_encoder(6, 8, 3, rng=16, use_layer_norm=True)
         path = str(tmp_path / "ckpt.json")
-        save_checkpoint(path, *encoder_to_checkpoint(params))
-        restored = encoder_from_payload(load_checkpoint_payload(path))
+        save_checkpoint(path, params)
+        restored = load_checkpoint(path)
         for name, tensor in params.named_parameters().items():
             assert np.array_equal(tensor.values, restored.named_parameters()[name].values)
         assert restored.use_layer_norm

@@ -12,7 +12,6 @@ from spc.objectives import (
     confidence_penalty,
     kl_to_std_normal,
     mse,
-    pc_regression_loss,
     softmax_probs,
     spc_loss,
     task_nll,
@@ -262,7 +261,7 @@ class TestRegressionObjective:
         t = sample(code, rng.standard_normal((4, 1)))
         y = rng.normal(size=4)
         cfg = ObjectiveConfig(kind="mse_pc", beta=0.25, task="regression")
-        terms = pc_regression_loss(code, t, y, cfg)
+        terms = spc_loss(code, t, y, cfg)
         assert abs(terms.total_value - (terms.nll + 0.25 * terms.kl)) < 1e-12
 
     def test_regression_rejects_gamma(self):
@@ -286,3 +285,5 @@ class TestObjectiveConfigValidation:
     def test_negative_weights(self):
         with pytest.raises(ValueError):
             ObjectiveConfig(kind="spc", beta=-0.1)
+        with pytest.raises(ValueError):
+            ObjectiveConfig(kind="ce_cp", cp_weight=-1.0)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from spc.data import DataError, gen_mixture
-from spc.diffcore import param
-from spc.objectives import ObjectiveConfig
+from spc.diffcore import Tensor, param
+from spc.encoder import init_encoder, init_vib, load_checkpoint, save_checkpoint
+from spc.objectives import OBJECTIVES, ObjectiveConfig
 from spc.trainer import (
     AdamaxState,
     TrainConfig,
     TrainingDiverged,
     adamax_step,
-    load_model,
+    batch_loss,
     run_seeds,
-    save_model,
     summarize,
     sweep,
     train,
@@ -68,12 +68,29 @@ class TestAdamax:
         adamax_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
         assert np.allclose(p.values, 10.0 * (1 - 0.1 * 0.01))
 
-    def test_coupled_decay_moves_toward_zero(self):
-        p = param(np.array([10.0]))
-        state = AdamaxState.init([p])
-        adamax_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01,
-                    decoupled=False)
-        assert float(p.values[0]) < 10.0
+
+class TestBatchLoss:
+    @pytest.mark.parametrize("kind", list(OBJECTIVES))
+    def test_terms_recompose_the_total(self, kind):
+        # every weight the kind takes is nonzero, so each of its terms is computed
+        spec = OBJECTIVES[kind]
+        weights = {name: value for name, value in
+                   {"beta": 0.3, "gamma": 0.7, "cp_weight": 0.5}.items() if name in spec.weights}
+        objective = ObjectiveConfig(kind=kind, task=spec.task, **weights)
+        rng = np.random.default_rng(60)
+        out_dim = 3 if spec.task == "classification" else 1
+        model = (init_vib(4, 6, 2, out_dim, rng=rng) if spec.decoder
+                 else init_encoder(4, 6, out_dim, rng=rng))
+        x = Tensor(rng.normal(size=(5, 4)))
+        y = rng.integers(0, 3, size=5) if spec.task == "classification" else rng.normal(size=5)
+        terms = batch_loss(model, x, y, objective, rng.standard_normal((5, model.latent_dim)))
+        recomposed = (terms.nll + objective.beta * terms.kl
+                      - objective.gamma * terms.batch_entropy
+                      + objective.cp_weight * terms.penalty)
+        assert abs(terms.total_value - recomposed) < 1e-12
+        computed = {"beta": terms.kl, "gamma": terms.batch_entropy, "cp_weight": terms.penalty}
+        for name, value in computed.items():
+            assert (value != 0.0) == (name in spec.weights), name
 
 
 class TestTrainLoop:
@@ -253,8 +270,8 @@ class TestModelIO:
         cfg = small_cfg(ObjectiveConfig(kind="spc", beta=0.1, gamma=0.1), epochs=2)
         report = train(mixture, cfg, seed=0)
         path = str(tmp_path / "model.json")
-        save_model(path, report.model)
-        restored = load_model(path)
+        save_checkpoint(path, report.model)
+        restored = load_checkpoint(path)
         for a, b in zip(report.model.parameters(), restored.parameters()):
             assert np.array_equal(a.values, b.values)
 
@@ -262,8 +279,8 @@ class TestModelIO:
         cfg = small_cfg(ObjectiveConfig(kind="vib", beta=0.01), epochs=2)
         report = train(mixture, cfg, seed=0)
         path = str(tmp_path / "vib.json")
-        save_model(path, report.model)
-        restored = load_model(path)
+        save_checkpoint(path, report.model)
+        restored = load_checkpoint(path)
         assert restored.latent_dim == cfg.vib_latent_dim
 
     def test_summarize(self, mixture):
