@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from gradcheck import max_grad_rel_err
 from spc.diffcore import Tensor
@@ -102,6 +103,10 @@ class TestCeCpForward:
         err = max_grad_rel_err(lambda: batch_loss(params, x, y, ce_cp(0.5), no_eps(5, 3)).total,
                                params.parameters())
         assert err < 1e-4
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            ce_cp(-1.0)
 
 
 class TestVib:
