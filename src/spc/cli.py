@@ -13,10 +13,11 @@ never modified.
 
 Exit codes: 0 success, 2 bad flags (including values that do not resolve
 into a run: empty or malformed seed, objective, grid or ratio lists,
-negative weights, batch size below 2, patience above epochs; caught before
-any dataset is read), 3 data errors (unreadable inputs, unusable or
-mismatched checkpoints, tensors whose shapes disagree with the checkpoint
-arch, empty splits), 4 training divergence.
+negative weights, batch size below 2, patience above epochs, --config
+values of the wrong type; caught before any dataset is read), 3 data
+errors (unreadable inputs, unusable checkpoints or ones whose input or
+output width does not fit the dataset, tensors whose shapes disagree with
+the checkpoint arch, empty splits), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -199,11 +200,15 @@ def _load_dataset(args) -> Dataset:
 
 
 def _load_checkpoint(args, dataset: Dataset) -> EncoderParams:
-    """The --ckpt model, checked against the dataset's feature width."""
+    """The --ckpt model, checked against the dataset's feature width and
+    class count (one output for regression)."""
     model = load_checkpoint(args.ckpt)
     if model.input_dim != dataset.num_features:
         raise DataError(f"{args.ckpt}: checkpoint takes {model.input_dim} input features, "
                         f"the dataset has {dataset.num_features}")
+    if model.out_dim != dataset.num_outputs:
+        raise DataError(f"{args.ckpt}: checkpoint has {model.out_dim} outputs, "
+                        f"the {dataset.task} dataset needs {dataset.num_outputs}")
     return model
 
 
@@ -222,9 +227,20 @@ def resolve_train_args(args) -> None:
             raise DataError(f"{config_path}: unknown config keys {sorted(unknown)}")
     defaults = {**vars(ObjectiveConfig()), **vars(TrainConfig())}
     defaults["lr"], defaults["seeds"] = defaults["learning_rate"], "5"
+    for key, value in file_values.items():
+        _check_config_type(config_path, key, value, type(defaults[key]))
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, defaults[key]))
+
+
+def _check_config_type(path: str, key: str, value, expected: type) -> None:
+    """A --config value must have its flag's type: seeds a string as on the
+    command line, a float field also an integer, and a bool only a bool."""
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise UsageError(f"{path}: config key {key!r} must be {expected.__name__}, "
+                         f"got {value!r}")
 
 
 def _train_configs(args, kinds: Sequence[str], task: str | None = None,

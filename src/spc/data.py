@@ -89,6 +89,11 @@ class Dataset:
     def num_features(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def num_outputs(self) -> int:
+        """Width of a model's output: the class count, or 1 for regression."""
+        return self.num_classes if self.task == "classification" else 1
+
     def indices(self, split: str) -> np.ndarray:
         if split not in SPLITS:
             raise DataError(f"unknown split {split!r}")
@@ -136,21 +141,38 @@ def hash_featurize(texts, dim: int, seed: int = 0) -> np.ndarray:
     unsigned integer h gives bucket h % dim and sign +1 if bit 63 of h is 0
     else -1; signed counts are accumulated and each row is L2-normalized
     (all-zero rows stay zero).
+
+    Each distinct n-gram is hashed once per call. The counts are small
+    integers, so their sums and squared norms are exact in any order.
     """
     if dim < 2:
         raise DataError("hash_featurize: dim must be >= 2")
-    out = np.zeros((len(texts), dim))
+    flat, signs = _ngram_cells(texts, dim, seed)
+    out = np.bincount(flat, weights=signs, minlength=len(texts) * dim)
+    out = out.astype(np.float64, copy=False).reshape(len(texts), dim)
+    norm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+    np.divide(out, norm, out=out, where=norm > 0)
+    return out
+
+
+def _ngram_cells(texts, dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index (row * dim + bucket) and sign of every n-gram occurrence
+    in `texts`, hashing each distinct n-gram once."""
+    ids: dict[str, int] = {}  # distinct n-gram -> its index in `bucket`/`sign`
+    cells: list[int] = []     # n-gram ids of all documents, in document order
+    lengths = np.zeros(len(texts), dtype=np.int64)
     for i, text in enumerate(texts):
         tokens = tokenize(text)
-        ngrams = list(tokens)
-        ngrams.extend(f"{a} {b}" for a, b in zip(tokens, tokens[1:]))
-        for ngram in ngrams:
-            bucket, sign = _hash_bucket(ngram, dim, seed)
-            out[i, bucket] += sign
-        norm = np.linalg.norm(out[i])
-        if norm > 0:
-            out[i] /= norm
-    return out
+        ngrams = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
+        cells.extend([ids.setdefault(ngram, len(ids)) for ngram in ngrams])
+        lengths[i] = len(ngrams)
+    bucket = np.empty(len(ids), dtype=np.int64)
+    sign = np.empty(len(ids), dtype=np.float64)
+    for k, ngram in enumerate(ids):
+        bucket[k], sign[k] = _hash_bucket(ngram, dim, seed)
+    cells_arr = np.array(cells, dtype=np.int64)
+    rows = np.repeat(np.arange(len(texts), dtype=np.int64) * dim, lengths)
+    return rows + bucket[cells_arr], sign[cells_arr]
 
 
 def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,

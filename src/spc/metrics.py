@@ -79,15 +79,13 @@ def pearson(a, b) -> float:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Fractional ranks starting at 1; ties share the mean of their positions."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie group is a run of equal sorted values, positions i..j
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    ends = np.r_[starts[1:], x.size] - 1
+    group = np.repeat(np.arange(starts.size), ends - starts + 1)
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = (0.5 * (starts + ends) + 1.0)[group]
     return ranks
 
 
@@ -158,28 +156,42 @@ def kmeans(points, k: int, seed: int = 0, iters: int = 100) -> np.ndarray:
     return assign
 
 
+# Largest rows x n x d difference tensor silhouette builds at once (8 MB of
+# float64); its peak memory is a small multiple of this, whatever n is.
+SILHOUETTE_BLOCK_ELEMENTS = 1 << 20
+
+
 def silhouette(points, assignments) -> float:
     """Mean over points of (b - a) / max(a, b) with Euclidean distances.
 
     a is the mean distance to the point's own cluster (excluding itself),
     b the smallest mean distance to any other cluster. A point alone in its
-    cluster contributes 0.
+    cluster contributes 0. Rows are processed in blocks of at most
+    SILHOUETTE_BLOCK_ELEMENTS difference entries.
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.int64)
-    labels = np.unique(assignments)
+    labels, cluster, sizes = np.unique(assignments, return_inverse=True, return_counts=True)
     if labels.size < 2:
         raise MetricError("silhouette needs at least 2 clusters")
-    dists = np.sqrt(np.maximum(_pairwise_sq_dists(points, points), 0.0))
-    scores = np.zeros(points.shape[0])
-    members = {c: np.flatnonzero(assignments == c) for c in labels}
-    for i in range(points.shape[0]):
-        own = members[assignments[i]]
-        if own.size == 1:
-            continue  # singleton contributes 0
-        a = dists[i, own].sum() / (own.size - 1)
-        b = min(dists[i, members[c]].mean() for c in labels if c != assignments[i])
-        scores[i] = (b - a) / max(a, b)
+    n = points.shape[0]
+    members = [np.flatnonzero(cluster == c) for c in range(labels.size)]
+    rows_per_block = max(1, SILHOUETTE_BLOCK_ELEMENTS // max(1, n * points.shape[1]))
+    scores = np.zeros(n)
+    for lo in range(0, n, rows_per_block):
+        block = slice(lo, min(lo + rows_per_block, n))
+        dists = np.sqrt(np.maximum(_pairwise_sq_dists(points[block], points), 0.0))
+        # np.take keeps each row contiguous, so each row's sum adds in the
+        # same (pairwise) order as the 1-D sum over the full matrix's row
+        sums = np.stack([np.take(dists, m, axis=1).sum(axis=1) for m in members], axis=1)
+        own = cluster[block]
+        at_own = (np.arange(own.size), own)
+        means = sums / sizes
+        means[at_own] = np.inf
+        b = means.min(axis=1)
+        multi = sizes[own] > 1  # a singleton contributes 0
+        a = sums[at_own][multi] / (sizes[own][multi] - 1)
+        scores[block][multi] = (b[multi] - a) / np.maximum(a, b[multi])
     return float(scores.mean())
 
 

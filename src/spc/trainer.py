@@ -152,11 +152,10 @@ class RunReport:
 
 def build_model(dataset: Dataset, cfg: TrainConfig,
                 rng: np.random.Generator | int) -> EncoderParams:
-    out_dim = dataset.num_classes if dataset.task == "classification" else 1
     if OBJECTIVES[cfg.objective.kind].decoder:
         return init_vib(dataset.num_features, cfg.hidden_dim, cfg.vib_latent_dim,
-                        out_dim, rng, use_layer_norm=cfg.layer_norm)
-    return init_encoder(dataset.num_features, cfg.hidden_dim, out_dim, rng,
+                        dataset.num_outputs, rng, use_layer_norm=cfg.layer_norm)
+    return init_encoder(dataset.num_features, cfg.hidden_dim, dataset.num_outputs, rng,
                         use_layer_norm=cfg.layer_norm)
 
 

@@ -218,6 +218,20 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("usage error:")
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("key, value", [
+        ("seeds", 2), ("epochs", "2"), ("epochs", 2.0), ("epochs", True),
+        ("lr", "0.1"), ("layer_norm", 1), ("structured_from", None),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, out, data_file, tmp_path, key, value,
+                                                capsys):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({key: value}))
+        assert run_cli("train", "--out", out, "--data", data_file,
+                       "--config", str(config)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:") and repr(key) in err
+        assert not os.path.exists(out)
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--no-such-flag"])
@@ -261,6 +275,14 @@ class TestConfigFile:
         cfg = report["results"]["per_seed"][0]["config"]
         assert cfg["epochs"] == 2 and cfg["hidden_dim"] == 8
         assert cfg["objective"]["beta"] == 0.1
+
+    def test_float_keys_accept_integers(self, out, data_file, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"epochs": 1, "patience": 1, "batch_size": 16,
+                                      "hidden_dim": 4, "seeds": "1", "lr": 1,
+                                      "weight_decay": 0, "layer_norm": True}))
+        assert run_cli("train", "--out", out, "--data", data_file,
+                       "--objective", "ce", "--config", str(config)) == 0
 
     def test_explicit_flag_beats_config_file(self, out, data_file, tmp_path):
         config = tmp_path / "train.json"
@@ -430,6 +452,15 @@ class TestBadInputs:
         assert run_cli(command, "--out", out, "--data", narrow,
                        "--ckpt", ckpt) == cli.EXIT_DATA
         self._one_line_error(capsys, ckpt)
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["eval", "repr-quality"])
+    def test_checkpoint_of_wrong_output_width(self, out, data_file, tmp_path, command, capsys):
+        wide = str(tmp_path / "four_class.json")
+        save_checkpoint(wide, init_encoder(8, 4, 4, rng=0))  # the dataset has 2 classes
+        assert run_cli(command, "--out", out, "--data", data_file,
+                       "--ckpt", wide) == cli.EXIT_DATA
+        self._one_line_error(capsys, wide, "4 outputs")
         assert not os.path.exists(out)
 
     def test_checkpoint_missing_a_tensor(self, out, data_file, ckpt, capsys):

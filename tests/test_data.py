@@ -117,6 +117,46 @@ class TestHashFeaturize:
         produced = hash_featurize([sentence], dim, seed=seed)[0]
         assert np.allclose(produced, expected, atol=1e-15)
 
+    @staticmethod
+    def recipe_featurize(texts, dim, seed):
+        # the documented recipe, one hash per n-gram occurrence
+        out = np.zeros((len(texts), dim))
+        for i, text in enumerate(texts):
+            tokens = re.findall(r"[a-z0-9]+", text.lower())
+            grams = tokens + [tokens[k] + " " + tokens[k + 1] for k in range(len(tokens) - 1)]
+            for gram in grams:
+                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8,
+                                         key=seed.to_bytes(8, "little")).digest()
+                h = int.from_bytes(digest, "little")
+                out[i, h % dim] += 1.0 if (h >> 63) & 1 == 0 else -1.0
+            norm = np.linalg.norm(out[i])
+            if norm > 0:
+                out[i] /= norm
+        return out
+
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (16, 5), (256, 0)])
+    def test_matches_per_ngram_recipe_exactly(self, dim, seed):
+        texts = [
+            "the cat sat on the mat, the cat sat",   # repeats within a document
+            "",                                      # no tokens: a zero row
+            "The CAT sat; on the mat!",              # the same n-grams again
+            "?!, ...",                               # separators only: a zero row
+            "red fish",                              # at dim 2, bucket 0 cancels (+1, -1)
+            "blue green",                            # at dim 2, bucket 1 cancels
+            "a b c d e f g h i j k l m n o p a b c",
+        ]
+        produced = hash_featurize(texts, dim, seed=seed)
+        assert produced.dtype == np.float64
+        assert np.array_equal(produced, self.recipe_featurize(texts, dim, seed))
+        if (dim, seed) == (2, 0):
+            # a document has an odd number of +-1 n-grams, so it never cancels
+            # to a zero row, but a single bucket can cancel to an exact zero
+            assert np.array_equal(np.abs(produced[4:6]), [[0.0, 1.0], [1.0, 0.0]])
+
+    def test_no_documents(self):
+        produced = hash_featurize([], 8, seed=0)
+        assert produced.shape == (0, 8) and produced.dtype == np.float64
+
     def test_seed_changes_embedding(self):
         a = hash_featurize(["same text"], 32, seed=0)
         b = hash_featurize(["same text"], 32, seed=1)

@@ -1,12 +1,16 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spc import metrics
 from spc.metrics import (
     MetricError,
+    _average_ranks,
     _lloyd,
+    _pairwise_sq_dists,
     adjusted_rand_index,
     confusion_matrix,
     f1_of_class,
@@ -82,6 +86,41 @@ def brute_silhouette(points, assign):
             b = min(b, sum(math.dist(points[i], points[j]) for j in members) / len(members))
         scores.append((b - a) / max(a, b))
     return sum(scores) / n
+
+
+def loop_silhouette(points, assignments):
+    """The former per-point silhouette over the full n x n distance matrix;
+    the blocked version must reproduce it bit for bit."""
+    points = np.asarray(points, dtype=np.float64)
+    assignments = np.asarray(assignments, dtype=np.int64)
+    labels = np.unique(assignments)
+    dists = np.sqrt(np.maximum(_pairwise_sq_dists(points, points), 0.0))
+    scores = np.zeros(points.shape[0])
+    members = {c: np.flatnonzero(assignments == c) for c in labels}
+    for i in range(points.shape[0]):
+        own = members[assignments[i]]
+        if own.size == 1:
+            continue
+        a = dists[i, own].sum() / (own.size - 1)
+        b = min(dists[i, members[c]].mean() for c in labels if c != assignments[i])
+        scores[i] = (b - a) / max(a, b)
+    return float(scores.mean())
+
+
+def loop_average_ranks(x):
+    """The former while-loop fractional ranks; the vectorized version must
+    reproduce them bit for bit."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(x.size, dtype=np.float64)
+    sorted_x = x[order]
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 def brute_ari(a, b):
@@ -192,6 +231,13 @@ class TestCorrelations:
         b = [1.0, 2.0, 3.0]
         assert spearman(a, b) == pytest.approx(brute_spearman(a, b), abs=1e-12)
 
+    @pytest.mark.parametrize("size, distinct", [(1, 1), (2, 1), (50, 3), (5000, 7), (20000, 900)])
+    def test_average_ranks_equal_the_loop(self, size, distinct):
+        rng = np.random.default_rng(size)
+        x = rng.integers(0, distinct, size=size).astype(np.float64)
+        x[::11] = -0.0  # ties with 0.0
+        assert np.array_equal(_average_ranks(x), loop_average_ranks(x))
+
 
 class TestKmeans:
     def test_separated_pairs_coassigned(self):
@@ -256,6 +302,44 @@ class TestSilhouette:
     def test_single_cluster_error(self):
         with pytest.raises(MetricError):
             silhouette(np.zeros((4, 2)), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("n, d, labels", [
+        (60, 3, [0, 1]),
+        (97, 5, [0, 3, 7]),          # non-contiguous labels
+        (400, 8, [2, 5, 6, 11]),     # 400 * 400 * 8 entries: more than one block
+        (1600, 16, list(range(8))),  # the size of a text repr-quality run
+    ])
+    def test_blocked_equals_per_point_loop(self, n, d, labels):
+        rng = np.random.default_rng(n)
+        points = rng.normal(size=(n, d)) + rng.integers(0, 3, size=(n, 1))
+        # uneven clusters: label probabilities 1, 2, 3, ... and a singleton
+        weights = np.arange(1, len(labels) + 1, dtype=np.float64)
+        assign = rng.choice(labels, size=n, p=weights / weights.sum())
+        assign[n // 2] = 99
+        assert silhouette(points, assign) == loop_silhouette(points, assign)
+
+    @pytest.mark.parametrize("budget", [1, 40, 1000])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, budget):
+        rng = np.random.default_rng(69)
+        points = rng.normal(size=(53, 4))
+        assign = rng.choice([0, 3, 7], size=53)
+        assign[:2] = [1, 1]  # a cluster of two
+        assign[2] = 9        # a singleton
+        expected = loop_silhouette(points, assign)
+        monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_ELEMENTS", budget)
+        assert silhouette(points, assign) == expected
+
+    def test_peak_memory_is_bounded(self):
+        rng = np.random.default_rng(70)
+        points = rng.normal(size=(1500, 8))
+        assign = rng.integers(0, 6, size=1500)
+        tracemalloc.start()
+        try:
+            silhouette(points, assign)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20  # the full n x n x d tensor alone is 144 MB
 
 
 class TestAri:
