@@ -17,7 +17,8 @@ negative weights, batch size below 2, patience above epochs, --config
 values of the wrong type; caught before any dataset is read), 3 data
 errors (unreadable inputs, unusable checkpoints or ones whose input or
 output width does not fit the dataset, tensors whose shapes disagree with
-the checkpoint arch, empty splits), 4 training divergence.
+the checkpoint arch, empty splits, a repr-quality test split with fewer
+rows than classes), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ import io
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from . import data as dataio
-from .data import DataError, Dataset, PerturbationSpec
+from .data import DataError, Dataset
 from .diffcore import Tensor
 from .encoder import EncoderParams, encode, load_checkpoint, save_checkpoint
 from .metrics import adjusted_rand_index, kmeans, macro_f1, silhouette
@@ -228,7 +229,10 @@ def resolve_train_args(args) -> None:
     defaults = {**vars(ObjectiveConfig()), **vars(TrainConfig())}
     defaults["lr"], defaults["seeds"] = defaults["learning_rate"], "5"
     for key, value in file_values.items():
-        _check_config_type(config_path, key, value, type(defaults[key]))
+        expected = type(defaults[key])
+        _check_config_type(config_path, key, value, expected)
+        if expected is float:  # as --lr 1 gives 1.0, so the run id agrees
+            file_values[key] = float(value)
     for key in CONFIG_KEYS:
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, defaults[key]))
@@ -266,26 +270,18 @@ def _train_configs(args, kinds: Sequence[str], task: str | None = None,
 
 # --- experiment protocols (importable; the commands are thin wrappers) ---
 
-def _label_noise(dataset: Dataset, ratio: float, seed: int) -> Dataset:
-    return dataio.inject_label_noise(dataset, PerturbationSpec(noise_ratio=ratio, seed=seed))
-
-
-def _train_subsample(dataset: Dataset, ratio: float, seed: int) -> Dataset:
-    return dataio.subsample_train(dataset, ratio, seed=seed)
-
-
 @dataclasses.dataclass(frozen=True)
 class Study:
     """A perturbation of the train split, tabulated over ratios."""
 
-    perturb: Callable[[Dataset, float, int], Dataset]  # (dataset, ratio, seed)
-    row_key: str                                       # the ratio's column
-    ratios: str                                        # default --ratios
+    perturb: str   # name of the `data` function (dataset, ratio, seed) -> Dataset
+    row_key: str   # the ratio's column
+    ratios: str    # default --ratios
 
 
 STUDIES = {
-    "noise-study": Study(_label_noise, "noise_ratio", "0.1,0.2,0.3"),
-    "ratio-study": Study(_train_subsample, "train_ratio", "0.2,0.4,0.6,0.8,1.0"),
+    "noise-study": Study("inject_label_noise", "noise_ratio", "0.1,0.2,0.3"),
+    "ratio-study": Study("subsample_train", "train_ratio", "0.2,0.4,0.6,0.8,1.0"),
 }
 
 
@@ -301,7 +297,9 @@ def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,
     for objective in objectives:
         cfg = dataclasses.replace(cfg_base, objective=objective)
         for ratio in ratios:
-            values = [train(study.perturb(dataset, ratio, seed), cfg, seed).headline_value
+            # looked up here, not at import, so a wrapper installed on the module is used
+            perturb = getattr(dataio, study.perturb)
+            values = [train(perturb(dataset, ratio, seed), cfg, seed).headline_value
                       for seed in seeds]
             rows.append({
                 "objective": objective.kind, study.row_key: ratio,
@@ -387,7 +385,7 @@ def ood_run(source_ds: Dataset, target_ds: Dataset, mapping: dict[str, str],
 
 
 def representation_quality(model: EncoderParams, dataset: Dataset,
-                           kmeans_seeds: list[int] | None = None) -> dict:
+                           kmeans_seeds: list[int]) -> dict:
     """Cluster the mean codes of the test split and score SC / ARI.
 
     Representations are mu(x) (the latent mean for the bottleneck model),
@@ -397,9 +395,10 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     if dataset.task != "classification":
         raise DataError("representation quality is defined for classification")
     dataset.require_rows("test")
-    if kmeans_seeds is None:
-        kmeans_seeds = [0, 1, 2, 3, 4]
     features, gold = dataset.subset("test")
+    if gold.size < dataset.num_classes:
+        raise DataError(f"the test split has {gold.size} rows, fewer than the "
+                        f"{dataset.num_classes} clusters of k-means")
     reps = encode(model, Tensor(features)).mu.values
     per_seed = []
     for seed in kmeans_seeds:

@@ -37,22 +37,6 @@ class DataError(ValueError):
 
 
 @dataclass
-class PerturbationSpec:
-    """Label-noise ratio and/or training-subset ratio, with their seed."""
-
-    noise_ratio: float = 0.0
-    train_ratio: float = 1.0
-    seed: int = 0
-    exclude_self: bool = True  # a "flipped" label never keeps its old value
-
-    def __post_init__(self):
-        if not 0.0 <= self.noise_ratio <= 1.0:
-            raise DataError(f"noise_ratio must be in [0, 1], got {self.noise_ratio}")
-        if not 0.0 < self.train_ratio <= 1.0:
-            raise DataError(f"train_ratio must be in (0, 1], got {self.train_ratio}")
-
-
-@dataclass
 class Dataset:
     """Feature matrix + targets + aligned split tags. Treat as immutable."""
 
@@ -62,7 +46,6 @@ class Dataset:
     task: str                       # "classification" | "regression"
     num_classes: int = 0
     label_names: list[str] = field(default_factory=list)  # index -> original label
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.features.ndim != 2:
@@ -207,9 +190,6 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
         task="classification",
         num_classes=num_classes,
         label_names=[str(c) for c in range(num_classes)],
-        provenance={"generator": "gen_mixture", "num_classes": num_classes,
-                    "dim": dim, "per_class": per_class,
-                    "separation": separation, "seed": seed},
     )
 
 
@@ -241,10 +221,6 @@ def _finish_load(rows: list[dict], task: str, path: str, hash_dim: int,
     if bad:
         raise DataError(f"{path}: unknown split tags {sorted(bad)}")
 
-    provenance: dict = {"source": path}
-    if has_text:
-        provenance["hash_dim"] = hash_dim
-        provenance["hash_seed"] = hash_seed
     raw_labels = [str(row["label"]) for row in rows]
     if task == "regression":
         try:
@@ -252,35 +228,28 @@ def _finish_load(rows: list[dict], task: str, path: str, hash_dim: int,
         except ValueError as err:
             raise DataError(f"{path}: regression labels must be numeric") from err
         return Dataset(features=features, targets=targets, split=split,
-                       task="regression", provenance=provenance)
+                       task="regression")
 
+    # every label gets an index, also one seen only in val/test: the
+    # out-of-domain protocol evaluates against a mapping
     label_names = sorted(set(raw_labels))
     index = {name: i for i, name in enumerate(label_names)}
     targets = np.array([index[v] for v in raw_labels], dtype=np.int64)
-    train_labels = {raw_labels[i] for i in np.flatnonzero(split == "train")}
-    missing = sorted(set(raw_labels) - train_labels)
-    if missing:
-        # tolerated: the out-of-domain protocol evaluates against a mapping
-        provenance["labels_not_in_train"] = missing
     return Dataset(features=features, targets=targets, split=split,
                    task="classification", num_classes=len(label_names),
-                   label_names=label_names, provenance=provenance)
+                   label_names=label_names)
 
 
-def load(path: str, fmt: str | None = None, task: str = "classification",
-         hash_dim: int = 256, hash_seed: int = 0) -> Dataset:
-    """Read a jsonl or csv dataset file (format inferred from the suffix)."""
+def load(path: str, task: str = "classification", hash_dim: int = 256,
+         hash_seed: int = 0) -> Dataset:
+    """Read a jsonl or csv dataset file (csv if the name ends in .csv)."""
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
-    if fmt is None:
-        fmt = "csv" if path.endswith(".csv") else "jsonl"
-    if fmt not in ("jsonl", "csv"):
-        raise DataError(f"unknown format {fmt!r}")
     if task not in ("classification", "regression"):
         raise DataError(f"unknown task {task!r}")
 
     rows: list[dict] = []
-    if fmt == "jsonl":
+    if not path.endswith(".csv"):
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -333,37 +302,28 @@ def save(ds: Dataset, path: str) -> None:
             }) + "\n")
 
 
-def inject_label_noise(ds: Dataset, spec: PerturbationSpec) -> Dataset:
+def inject_label_noise(ds: Dataset, noise_ratio: float, seed: int) -> Dataset:
     """Flip an exact fraction of train labels, uniformly at random.
 
     Picks round(noise_ratio * n_train) train rows without replacement; each
-    picked label is redrawn uniformly over the other C-1 classes (or over
-    all C classes when spec.exclude_self is False). Val/test rows are
-    untouched and the flipped row indices are recorded in provenance.
+    picked label is redrawn uniformly over the other C-1 classes, so a
+    flipped label never keeps its old value. Val/test rows are untouched.
     """
+    if not 0.0 <= noise_ratio <= 1.0:
+        raise DataError(f"noise_ratio must be in [0, 1], got {noise_ratio}")
     if ds.task != "classification":
         raise DataError("label noise is only defined for classification datasets")
     train_idx = ds.indices("train")
-    n_flip = int(round(spec.noise_ratio * train_idx.size))
-    rng = np.random.default_rng(spec.seed)
+    n_flip = int(round(noise_ratio * train_idx.size))
+    rng = np.random.default_rng(seed)
     chosen = rng.choice(train_idx, size=n_flip, replace=False) if n_flip else np.array([], dtype=np.int64)
     targets = ds.targets.copy()
     for i in chosen:
-        if spec.exclude_self:
-            draw = int(rng.integers(0, ds.num_classes - 1))
-            if draw >= targets[i]:
-                draw += 1
-        else:
-            draw = int(rng.integers(0, ds.num_classes))
+        draw = int(rng.integers(0, ds.num_classes - 1))
+        if draw >= targets[i]:
+            draw += 1
         targets[i] = draw
-    provenance = dict(ds.provenance)
-    provenance["label_noise"] = {
-        "ratio": spec.noise_ratio,
-        "seed": spec.seed,
-        "exclude_self": spec.exclude_self,
-        "flipped_rows": sorted(int(i) for i in chosen),
-    }
-    return replace(ds, targets=targets, provenance=provenance)
+    return replace(ds, targets=targets)
 
 
 def subsample_train(ds: Dataset, train_ratio: float, seed: int) -> Dataset:
@@ -393,8 +353,5 @@ def subsample_train(ds: Dataset, train_ratio: float, seed: int) -> Dataset:
     mask = np.ones(ds.num_rows, dtype=bool)
     mask[train_idx] = False
     mask[keep_set] = True
-    provenance = dict(ds.provenance)
-    provenance["subsample"] = {"train_ratio": train_ratio, "seed": seed,
-                               "kept_train_rows": int(keep_set.size)}
     return replace(ds, features=ds.features[mask], targets=ds.targets[mask],
-                   split=ds.split[mask], provenance=provenance)
+                   split=ds.split[mask])

@@ -111,7 +111,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, tuple[Tensor, ...], Callable[[np.ndarray], None]]] = []
+        self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -123,9 +123,8 @@ class Tape:
             raise GraphError("tape stack corrupted: exiting a tape that is not active")
         _tape_stack.pop()
 
-    def record(self, output: Tensor, inputs: tuple[Tensor, ...],
-               backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._ops.append((output, inputs, backward_fn))
+    def record(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
+        self._ops.append((output, backward_fn))
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -145,7 +144,7 @@ def backward(loss: Tensor, tape: Tape, params: list[Tensor] | None = None) -> No
         raise GraphError("backward() already ran on this tape; build a fresh tape")
     tape._consumed = True
     loss.accumulate_grad(np.ones_like(loss.values))
-    for out, _, backward_fn in reversed(tape._ops):
+    for out, backward_fn in reversed(tape._ops):
         if out.grad is None:
             continue  # not on any path to the loss
         backward_fn(out.grad)
@@ -160,7 +159,7 @@ def _emit(values: np.ndarray, inputs: tuple[Tensor, ...],
     out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
     tape = active_tape()
     if tape is not None and out.requires_grad:
-        tape.record(out, inputs, backward_fn)
+        tape.record(out, backward_fn)
     return out
 
 

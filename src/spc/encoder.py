@@ -154,7 +154,7 @@ def init_vib(input_dim: int, hidden_dim: int, latent_dim: int, out_dim: int,
                   "use_layer_norm": use_layer_norm}, rng)
 
 
-def prediction_path_param_count(params: EncoderParams) -> int:
+def decoder_param_count(params: EncoderParams) -> int:
     """Trainable parameters between the code t and the final prediction.
 
     The stochastic-coding head predicts by softmax/identity on t, so zero;
@@ -211,18 +211,6 @@ def softmax_rows(values: np.ndarray) -> np.ndarray:
     shifted = values - values.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def predict(code: GaussianCode, task: str) -> Tensor:
-    """Deterministic readout: class probabilities softmax(mu), or mu itself.
-
-    Never samples; consumes no randomness.
-    """
-    if task == "classification":
-        return Tensor(softmax_rows(code.mu.values))
-    if task == "regression":
-        return Tensor(code.mu.values.copy())
-    raise ValueError(f"unknown task kind: {task!r}")
 
 
 # --- checkpoint serialization (versioned JSON of named tensors) ---

@@ -1,12 +1,11 @@
 """Deterministic minibatch training: Adamax, early stopping, seeds, sweeps.
 
 Randomness discipline: one `numpy` Generator per run, seeded from the run
-seed, consumed in a fixed documented order — model init (when the model is
-built here), then per epoch one shuffle permutation, then per batch one
-noise draw followed by one dropout mask (if dropout is on). Deterministic
-objectives consume the noise draw too and ignore it, so runs that differ
-only in objective kind see identical shuffles and can be compared
-trajectory-for-trajectory.
+seed, consumed in a fixed documented order — model init, then per epoch one
+shuffle permutation, then per batch one noise draw followed by one dropout
+mask (if dropout is on). Deterministic objectives consume the noise draw
+too and ignore it, so runs that differ only in objective kind see identical
+shuffles and can be compared trajectory-for-trajectory.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .data import Dataset
 from .diffcore import Tape, Tensor, backward, zero_grads
 from .encoder import EncoderParams, decode, encode, init_encoder, init_vib, sample, softmax_rows
-from .metrics import _per_class_stats, confusion_matrix, macro_f1, macro_recall, pearson, spearman
+from .metrics import _per_class_stats, confusion_matrix, pearson, spearman
 from .objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
 
 
@@ -182,10 +181,10 @@ def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
     outputs = model_outputs(model, features, dataset.task)
     if dataset.task == "classification":
         pred = outputs.argmax(axis=1)
-        _, _, f1 = _per_class_stats(confusion_matrix(targets, pred, dataset.num_classes))
+        _, recall, f1 = _per_class_stats(confusion_matrix(targets, pred, dataset.num_classes))
         return {
-            "macro_f1": macro_f1(targets, pred, dataset.num_classes),
-            "macro_recall": macro_recall(targets, pred, dataset.num_classes),
+            "macro_f1": float(f1.mean()),
+            "macro_recall": float(recall.mean()),
             "accuracy": float((pred == targets).mean()),
             "per_class_f1": [float(v) for v in f1],
         }
@@ -202,8 +201,7 @@ def _restore(params: list[Tensor], snapshot: list[np.ndarray]) -> None:
         p.values = values.copy()
 
 
-def train(dataset: Dataset, cfg: TrainConfig, seed: int,
-          model: EncoderParams | None = None) -> RunReport:
+def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     """Train one model; returns a report reproducible byte-for-byte from
     (dataset, cfg, seed).
 
@@ -216,8 +214,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int,
     dataset.require_rows("train", "val", "test")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    if model is None:
-        model = build_model(dataset, cfg, rng)
+    model = build_model(dataset, cfg, rng)
     params = model.parameters()
     state = AdamaxState.init(params)
     objective = cfg.objective

@@ -26,7 +26,7 @@ from test_metrics import (
 )
 
 from spc import cli
-from spc.data import PerturbationSpec, gen_mixture, inject_label_noise, save
+from spc.data import gen_mixture, inject_label_noise, save
 from spc.diffcore import (
     Tensor,
     add,
@@ -331,7 +331,7 @@ def test_criterion_7_noise_robustness():
             f"separation miscalibrated: clean CE macro-F1 {clean_mean:.4f}"
 
         def noisy(seed):
-            return inject_label_noise(ds, PerturbationSpec(noise_ratio=0.2, seed=seed))
+            return inject_label_noise(ds, 0.2, seed=seed)
 
         ce_scores = [train(noisy(s), cfg_ce, seed=s).test_metrics["macro_f1"]
                      for s in SEEDS]

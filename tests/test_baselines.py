@@ -7,11 +7,11 @@ from gradcheck import max_grad_rel_err
 from spc.diffcore import Tensor
 from spc.encoder import (
     decode,
+    decoder_param_count,
     encode,
     init_encoder,
     init_vib,
     load_checkpoint,
-    prediction_path_param_count,
     sample,
     save_checkpoint,
 )
@@ -166,8 +166,8 @@ class TestStructuralContrast:
     def test_prediction_path_param_counts(self):
         enc = init_encoder(4, 8, 3, rng=54)
         vib = init_vib(4, 8, 16, 3, rng=55)
-        assert prediction_path_param_count(enc) == 0
-        assert prediction_path_param_count(vib) >= 1
+        assert decoder_param_count(enc) == 0
+        assert decoder_param_count(vib) >= 1
 
     def test_mse_forward_baseline(self):
         rng = np.random.default_rng(56)

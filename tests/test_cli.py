@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spc import cli
+from spc import data as dataio
 from spc.data import gen_mixture, save
 from spc.objectives import ObjectiveConfig
 from spc.encoder import init_encoder, init_vib, save_checkpoint
@@ -132,6 +133,28 @@ class TestStudies:
                        "--hidden-dim", "8", "--seeds", "2") == 0
         rows = read_report(out, run_ids(out)[0])["results"]["rows"]
         assert [r["train_ratio"] for r in rows] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("command, perturbation, ratios", [
+        ("noise-study", "inject_label_noise", (0.1, 0.3)),
+        ("ratio-study", "subsample_train", (0.5, 1.0)),
+    ])
+    def test_one_perturbation_call_per_ratio_and_seed(self, out, data_file, monkeypatch,
+                                                      command, perturbation, ratios):
+        # the benchmark tracer times `data.perturb` by wrapping these module
+        # attributes, so the studies must call them through the module
+        calls = []
+        original = getattr(dataio, perturbation)
+
+        def counted(ds, ratio, seed):
+            calls.append((ratio, seed))
+            return original(ds, ratio, seed)
+
+        monkeypatch.setattr(dataio, perturbation, counted)
+        assert run_cli(command, "--out", out, "--data", data_file,
+                       "--ratios", ",".join(map(str, ratios)), "--objectives", "ce",
+                       "--epochs", "1", "--patience", "1", "--batch-size", "16",
+                       "--hidden-dim", "4", "--seeds", "3,5") == 0
+        assert sorted(calls) == [(r, s) for r in ratios for s in (3, 5)]
 
     def test_sweep_command(self, out, data_file):
         assert run_cli("sweep", "--out", out, "--data", data_file,
@@ -283,6 +306,18 @@ class TestConfigFile:
                                       "weight_decay": 0, "layer_norm": True}))
         assert run_cli("train", "--out", out, "--data", data_file,
                        "--objective", "ce", "--config", str(config)) == 0
+
+    def test_integer_for_a_float_key_gives_the_flag_run_id(self, tmp_path, data_file):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"lr": 1}))
+        ids = []
+        for i, extra in enumerate((("--config", str(config)), ("--lr", "1"))):
+            out = str(tmp_path / f"out{i}")
+            assert run_cli("train", "--out", out, "--data", data_file, "--objective", "ce",
+                           "--epochs", "1", "--patience", "1", "--batch-size", "16",
+                           "--hidden-dim", "4", "--seeds", "1", *extra) == 0
+            ids.append(_single_run_id(out))
+        assert ids[0] == ids[1]
 
     def test_explicit_flag_beats_config_file(self, out, data_file, tmp_path):
         config = tmp_path / "train.json"
@@ -508,6 +543,20 @@ class TestBadInputs:
                        "--hidden-dim", "4", "--seeds", "1") == cli.EXIT_DATA
         self._one_line_error(capsys, missing)
         assert not os.path.exists(out) or os.listdir(out) == []
+
+    def test_repr_quality_with_fewer_test_rows_than_classes(self, out, tmp_path, capsys):
+        ds = gen_mixture(4, 8, 10, 4.0, seed=206)
+        test_rows = np.flatnonzero(ds.split == "test")
+        split = ds.split.copy()
+        split[test_rows[2:]] = "val"  # two test rows for four classes
+        path = str(tmp_path / "two_test_rows.jsonl")
+        save(dataclasses.replace(ds, split=split), path)
+        ckpt = str(tmp_path / "four_class.json")
+        save_checkpoint(ckpt, init_encoder(8, 4, 4, rng=0))
+        assert run_cli("repr-quality", "--out", out, "--data", path,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, "2 rows", "4 clusters")
+        assert not os.path.exists(out)
 
     def test_eval_on_empty_split(self, out, tmp_path, ckpt, capsys):
         ds = gen_mixture(2, 8, 50, 4.0, seed=200)

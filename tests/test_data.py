@@ -8,7 +8,6 @@ from scipy import stats
 from spc.data import (
     DataError,
     Dataset,
-    PerturbationSpec,
     gen_mixture,
     hash_featurize,
     inject_label_noise,
@@ -64,8 +63,9 @@ class TestLoad:
                         '{"features": [1.0], "label": "a", "split": "train"}\n'
                         '{"features": [2.0], "label": "b", "split": "test"}\n')
         ds = load(str(path))
-        assert ds.provenance["labels_not_in_train"] == ["b"]
         assert ds.num_classes == 2
+        assert ds.label_names == ["a", "b"]
+        assert np.array_equal(ds.targets, [0, 0, 1])
 
     def test_text_rows_are_featurized(self, tmp_path):
         path = tmp_path / "text.jsonl"
@@ -197,12 +197,12 @@ class TestGenMixture:
 class TestInjectLabelNoise:
     def test_zero_ratio_identity(self):
         ds = gen_mixture(3, 4, 30, 2.0, seed=5)
-        noisy = inject_label_noise(ds, PerturbationSpec(noise_ratio=0.0, seed=0))
+        noisy = inject_label_noise(ds, 0.0, seed=0)
         assert np.array_equal(ds.targets, noisy.targets)
 
     def test_full_ratio_two_classes_flips_everything(self):
         ds = gen_mixture(2, 4, 30, 2.0, seed=6)
-        noisy = inject_label_noise(ds, PerturbationSpec(noise_ratio=1.0, seed=1))
+        noisy = inject_label_noise(ds, 1.0, seed=1)
         train_idx = ds.indices("train")
         assert np.all(noisy.targets[train_idx] == 1 - ds.targets[train_idx])
         for split in ("val", "test"):
@@ -212,15 +212,15 @@ class TestInjectLabelNoise:
     def test_exact_flip_count(self):
         ds = gen_mixture(4, 6, 42, 2.0, seed=7)  # 25 train rows per class -> 100
         assert ds.indices("train").size == 100
-        noisy = inject_label_noise(ds, PerturbationSpec(noise_ratio=0.2, seed=2))
-        changed = int((noisy.targets != ds.targets).sum())
-        assert changed == 20
-        assert len(noisy.provenance["label_noise"]["flipped_rows"]) == 20
+        noisy = inject_label_noise(ds, 0.2, seed=2)
+        changed = noisy.targets != ds.targets
+        assert int(changed.sum()) == 20
+        assert set(np.flatnonzero(changed)) <= set(ds.indices("train"))
 
     def test_flip_distribution_uniform(self):
-        # chi-squared over the flipped-to class counts, exclude-self mode
+        # chi-squared over the flipped-to class counts
         ds = gen_mixture(4, 6, 1000, 0.0, seed=8)
-        noisy = inject_label_noise(ds, PerturbationSpec(noise_ratio=1.0, seed=3))
+        noisy = inject_label_noise(ds, 1.0, seed=3)
         train_idx = ds.indices("train")
         counts = np.zeros((4, 4))
         for i in train_idx:
@@ -228,21 +228,13 @@ class TestInjectLabelNoise:
         p_values = []
         for c in range(4):
             observed = np.delete(counts[c], c)
-            assert counts[c, c] == 0  # exclude-self: never kept
+            assert counts[c, c] == 0  # a flipped label never keeps its value
             p_values.append(stats.chisquare(observed).pvalue)
         assert min(p_values) > 0.01
 
-    def test_include_self_mode(self):
-        ds = gen_mixture(3, 4, 400, 0.0, seed=9)
-        spec = PerturbationSpec(noise_ratio=1.0, seed=4, exclude_self=False)
-        noisy = inject_label_noise(ds, spec)
-        train_idx = ds.indices("train")
-        kept = int((noisy.targets[train_idx] == ds.targets[train_idx]).sum())
-        assert kept > 0  # "any category" includes the original with prob 1/C
-
     def test_val_test_untouched_fingerprints(self):
         ds = gen_mixture(3, 4, 50, 2.0, seed=10)
-        noisy = inject_label_noise(ds, PerturbationSpec(noise_ratio=0.5, seed=5))
+        noisy = inject_label_noise(ds, 0.5, seed=5)
         for split in ("val", "test"):
             assert ds.split_fingerprint(split) == noisy.split_fingerprint(split)
 
@@ -251,13 +243,28 @@ class TestInjectLabelNoise:
         reg = Dataset(features=ds.features, targets=ds.targets.astype(float),
                       split=ds.split, task="regression")
         with pytest.raises(DataError):
-            inject_label_noise(reg, PerturbationSpec(noise_ratio=0.1, seed=0))
+            inject_label_noise(reg, 0.1, seed=0)
+
+    @pytest.mark.parametrize("ratio", [-0.1, 1.5])
+    def test_ratio_out_of_range(self, ratio):
+        ds = gen_mixture(2, 4, 20, 1.0, seed=11)
+        with pytest.raises(DataError, match="noise_ratio must be in"):
+            inject_label_noise(ds, ratio, seed=0)
+
+    def test_draws_follow_the_documented_recipe(self):
+        ds = gen_mixture(5, 6, 40, 2.0, seed=13)
+        rng = np.random.default_rng(7)
+        train_idx = ds.indices("train")
+        expected = ds.targets.copy()
+        for i in rng.choice(train_idx, size=round(0.4 * train_idx.size), replace=False):
+            draw = int(rng.integers(0, 4))
+            expected[i] = draw + 1 if draw >= expected[i] else draw
+        assert np.array_equal(inject_label_noise(ds, 0.4, seed=7).targets, expected)
 
     def test_seeded_purity(self):
         ds = gen_mixture(3, 4, 60, 2.0, seed=12)
-        spec = PerturbationSpec(noise_ratio=0.3, seed=6)
-        a = inject_label_noise(ds, spec)
-        b = inject_label_noise(ds, spec)
+        a = inject_label_noise(ds, 0.3, seed=6)
+        b = inject_label_noise(ds, 0.3, seed=6)
         assert np.array_equal(a.targets, b.targets)
 
 

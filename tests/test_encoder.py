@@ -9,10 +9,10 @@ from spc.encoder import (
     init_encoder,
     load_checkpoint,
     load_checkpoint_payload,
-    predict,
     sample,
     save_checkpoint,
 )
+from spc.trainer import model_outputs
 
 
 def zero_encoder(input_dim=3, hidden_dim=4, out_dim=2) -> EncoderParams:
@@ -119,33 +119,34 @@ class TestSample:
 
 
 class TestPredict:
+    """The readout every command runs: `trainer.model_outputs`."""
+
     def test_uniform(self):
-        code = encode(zero_encoder(out_dim=3, hidden_dim=4, input_dim=3),
-                      Tensor(np.zeros((2, 3))))
-        probs = predict(code, "classification").values
+        probs = model_outputs(zero_encoder(out_dim=3, hidden_dim=4, input_dim=3),
+                              np.zeros((2, 3)), "classification")
         assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(14)
         params = init_encoder(3, 4, 5, rng=rng)
-        code = encode(params, Tensor(rng.normal(size=(6, 3))))
-        base = predict(code, "classification").values.argmax(axis=1)
-        code.mu.values = code.mu.values + 123.45
-        shifted = predict(code, "classification").values.argmax(axis=1)
+        features = rng.normal(size=(6, 3))
+        base = model_outputs(params, features, "classification").argmax(axis=1)
+        params.b_mu.values = params.b_mu.values + 123.45
+        shifted = model_outputs(params, features, "classification").argmax(axis=1)
         assert np.array_equal(base, shifted)
 
     def test_regression_identity(self):
-        code = encode(zero_encoder(out_dim=1), Tensor(np.zeros((1, 3))))
-        code.mu.values = np.array([[2.5]])
-        assert predict(code, "regression").values[0, 0] == 2.5
+        params = zero_encoder(out_dim=1)
+        params.b_mu.values = np.array([[2.5]])
+        assert model_outputs(params, np.zeros((1, 3)), "regression")[0, 0] == 2.5
 
     def test_no_randomness(self):
         rng = np.random.default_rng(15)
         params = init_encoder(3, 4, 2, rng=rng)
-        code = encode(params, Tensor(rng.normal(size=(4, 3))))
+        features = rng.normal(size=(4, 3))
         state = np.random.get_state()
-        a = predict(code, "classification").values
-        b = predict(code, "classification").values
+        a = model_outputs(params, features, "classification")
+        b = model_outputs(params, features, "classification")
         assert np.array_equal(a, b)
         after = np.random.get_state()
         assert state[1].tolist() == after[1].tolist()
