@@ -15,6 +15,6 @@ from .objectives import (
 )
 from .data import Dataset, gen_mixture, hash_featurize, inject_label_noise, load, save, subsample_train
 from .metrics import adjusted_rand_index, kmeans, macro_f1, macro_recall, pearson, silhouette, spearman
-from .trainer import RunReport, TrainConfig, adamax_step, batch_loss, run_seeds, sweep, train
+from .trainer import RunReport, TrainConfig, adamax_step, batch_loss, sweep, train, train_jobs
 
 __version__ = "0.1.0"

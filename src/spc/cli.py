@@ -9,16 +9,20 @@ extras (seeds, grids, ratios). Invocations that differ in any effective
 input get different ids, and re-running one reproduces the same directory
 with byte-identical result numbers. The output root comes from --out or
 the SPC_OUT environment variable (default ./out). Input dataset files are
-never modified.
+never modified. This module holds flags, run directories and printing; the
+protocols that train many runs live in `spc.trainer`.
 
 Exit codes: 0 success, 2 bad flags (including values that do not resolve
 into a run: empty or malformed seed, objective, grid or ratio lists,
-negative weights, batch size below 2, patience above epochs, --config
-values of the wrong type; caught before any dataset is read), 3 data
-errors (unreadable inputs, unusable checkpoints or ones whose input or
-output width does not fit the dataset, tensors whose shapes disagree with
-the checkpoint arch, empty splits, a repr-quality test split with fewer
-rows than classes), 4 training divergence.
+negative or repeated seeds, ratios outside the study's range ([0, 1] for
+noise, (0, 1] for ratio), negative weights, batch size below 2, patience
+above epochs, --config values of the wrong type; caught before any
+dataset is read), 3 data errors (unreadable inputs, unusable checkpoints
+or ones whose input or output width does not fit the dataset, tensors
+whose shapes disagree with the checkpoint arch, empty splits, a
+repr-quality test split with fewer rows than classes), 4 a diverged seed,
+after the report is written (train's summary and each sweep or study row
+count them, ood flags each seed).
 """
 
 from __future__ import annotations
@@ -39,18 +43,19 @@ from . import data as dataio
 from .data import DataError, Dataset
 from .diffcore import Tensor
 from .encoder import EncoderParams, encode, load_checkpoint, save_checkpoint
-from .metrics import adjusted_rand_index, kmeans, macro_f1, silhouette
+from .metrics import adjusted_rand_index, kmeans, silhouette
 from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, ObjectiveConfig
 from .trainer import (
     RunReport,
     TrainConfig,
     TrainingDiverged,
     evaluate_split,
-    model_outputs,
-    run_seeds,
+    ood_run,
+    perturbation_study,
     summarize,
     sweep,
-    train,
+    train,  # not called here; bench/tests/test_bench_tracer.py reads cli.train
+    train_jobs,
 )
 
 EXIT_OK = 0
@@ -97,8 +102,8 @@ class UsageError(ValueError):
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Either a count ("5" -> seeds 0..4) or an explicit list ("3,7,11");
-    at least one seed."""
+    """Either a count ("5" -> seeds 0..4) or an explicit list ("3,7,11") of
+    distinct non-negative seeds; at least one seed."""
     try:
         seeds = ([int(v) for v in text.split(",") if v != ""] if "," in text
                  else list(range(int(text))))
@@ -106,6 +111,8 @@ def parse_seeds(text: str) -> list[int]:
         raise UsageError(f"--seeds {text!r}: expected a count or a list of integers") from None
     if not seeds:
         raise UsageError(f"--seeds {text!r} names no seed")
+    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise UsageError(f"--seeds {text!r}: seeds must be distinct and non-negative")
     return seeds
 
 
@@ -285,35 +292,12 @@ STUDIES = {
 }
 
 
-def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,
-                       objectives: list[ObjectiveConfig], ratios: list[float],
-                       seeds: list[int], study: Study) -> list[dict]:
-    """objective x ratio table; each cell averages runs over the seeds.
-
-    The perturbation seed equals the run seed, so each seed sees its own
-    corruption or subsample of the train split while val/test stay intact.
-    """
-    rows = []
-    for objective in objectives:
-        cfg = dataclasses.replace(cfg_base, objective=objective)
-        for ratio in ratios:
-            # looked up here, not at import, so a wrapper installed on the module is used
-            perturb = getattr(dataio, study.perturb)
-            values = [train(perturb(dataset, ratio, seed), cfg, seed).headline_value
-                      for seed in seeds]
-            rows.append({
-                "objective": objective.kind, study.row_key: ratio,
-                "mean": float(np.mean(values)), "std": float(np.std(values)),
-                "values": [float(v) for v in values],
-            })
-    return rows
-
-
 def ratio_study(dataset: Dataset, cfg_base: TrainConfig, objectives: list[ObjectiveConfig],
                 ratios: list[float], seeds: list[int]) -> list[dict]:
     """The limited-training-data table of the ratio-study command."""
+    study = STUDIES["ratio-study"]
     return perturbation_study(dataset, cfg_base, objectives, ratios, seeds,
-                              STUDIES["ratio-study"])
+                              study.perturb, study.row_key)
 
 
 def read_label_mapping(path: str) -> dict[str, str]:
@@ -334,54 +318,6 @@ def read_label_mapping(path: str) -> dict[str, str]:
     if not mapping:
         raise DataError(f"{path}: empty mapping")
     return mapping
-
-
-def ood_run(source_ds: Dataset, target_ds: Dataset, mapping: dict[str, str],
-            cfg: TrainConfig, seeds: list[int]) -> dict:
-    """Train on the source domain, evaluate on the mapped target test split.
-
-    Target test rows whose label has no mapping into the source label set
-    are excluded from evaluation (their count is reported). Model selection
-    happens on the source validation split, exactly as in a plain run.
-    """
-    if source_ds.task != "classification" or target_ds.task != "classification":
-        raise DataError("out-of-domain evaluation is defined for classification")
-    if source_ds.num_features != target_ds.num_features:
-        raise DataError("source and target feature dimensions differ")
-    unknown_sources = sorted(set(mapping.values()) - set(source_ds.label_names))
-    if unknown_sources:
-        raise DataError(f"mapping uses labels absent from the source dataset: {unknown_sources}")
-
-    test_idx = target_ds.indices("test")
-    gold_names = [target_ds.label_names[int(target_ds.targets[i])] for i in test_idx]
-    keep = [j for j, name in enumerate(gold_names) if name in mapping]
-    excluded = len(gold_names) - len(keep)
-    if not keep:
-        raise DataError("no target test rows are covered by the label mapping")
-    source_index = {name: i for i, name in enumerate(source_ds.label_names)}
-    gold = np.array([source_index[mapping[gold_names[j]]] for j in keep], dtype=np.int64)
-    features = target_ds.features[test_idx[keep]]
-
-    per_seed = []
-    for seed in seeds:
-        report = train(source_ds, cfg, seed)
-        outputs = model_outputs(report.model, features, "classification")
-        pred = outputs.argmax(axis=1)
-        per_seed.append({
-            "seed": seed,
-            "macro_f1": macro_f1(gold, pred, source_ds.num_classes),
-            "source_test_macro_f1": report.test_metrics["macro_f1"],
-        })
-    values = [r["macro_f1"] for r in per_seed]
-    return {
-        "metric": "macro_f1",
-        "mean": float(np.mean(values)),
-        "std": float(np.std(values)),
-        "per_seed": per_seed,
-        "evaluated_rows": len(keep),
-        "excluded_rows": excluded,
-        "mapped_labels": sorted(mapping),
-    }
 
 
 def representation_quality(model: EncoderParams, dataset: Dataset,
@@ -446,13 +382,21 @@ def _seed_reports_artifacts(run_dir: str, reports: list[RunReport]) -> list[dict
     return rows
 
 
+def _exit_code(rows: list[dict]) -> int:
+    """Exit 4, with a warning, once a report with a diverged seed is written."""
+    if any(row["diverged"] for row in rows):
+        print("warning: at least one seed diverged", file=sys.stderr)
+        return EXIT_DIVERGED
+    return EXIT_OK
+
+
 def cmd_train(args) -> int:
     [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
     dataset = _load_dataset(args)
     run_dir, manifest = start_run(args, "train", run_inputs(
         args, {"data": data_path(args)}, [cfg], seeds=seeds))
-    reports = run_seeds(dataset, cfg, tuple(seeds))
+    reports = train_jobs((dataset, cfg, seed) for seed in seeds)
     rows = _seed_reports_artifacts(run_dir, reports)
     results = {
         "summary": summarize(reports),
@@ -463,10 +407,7 @@ def cmd_train(args) -> int:
     summary = results["summary"]
     print(f"run {manifest['run_id']}: {summary['metric']} = "
           f"{summary['mean']:.4f} +/- {summary['std']:.4f} over seeds {seeds}")
-    if any(r.diverged for r in reports):
-        print("warning: at least one seed diverged", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return _exit_code([summary])
 
 
 def cmd_eval(args) -> int:
@@ -493,13 +434,12 @@ def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     run_dir, manifest = start_run(args, "sweep", run_inputs(
         args, {"data": data_path(args)}, [cfg], betas=betas, gammas=gammas, seeds=seeds))
-    result = sweep(dataset, cfg, betas, gammas, tuple(seeds))
-    results = {"rows": result.rows, "best_beta": result.best_beta,
-               "best_gamma": result.best_gamma}
-    finish_run(run_dir, manifest, results, csv_rows=result.rows)
-    print(f"run {manifest['run_id']}: best beta={result.best_beta} "
-          f"gamma={result.best_gamma} (val {result.best_row()['val_mean']:.4f})")
-    return EXIT_OK
+    result = sweep(dataset, cfg, betas, gammas, seeds)
+    finish_run(run_dir, manifest, dataclasses.asdict(result), csv_rows=result.rows)
+    # the best cell has the highest mean validation score (see trainer.sweep)
+    print(f"run {manifest['run_id']}: best beta={result.best_beta} gamma={result.best_gamma} "
+          f"(val {max(row['val_mean'] for row in result.rows):.4f})")
+    return _exit_code(result.rows)
 
 
 def cmd_study(args) -> int:
@@ -511,18 +451,24 @@ def cmd_study(args) -> int:
     configs = _train_configs(args, kinds)
     objectives, cfg = [c.objective for c in configs], configs[0]
     ratios = parse_floats(args.ratios, "--ratios")
+    try:
+        for ratio in ratios:
+            dataio.check_ratio(study.perturb, ratio)
+    except DataError as err:
+        raise UsageError(f"--ratios: {err}") from None
     seeds = parse_seeds(args.seeds)
     dataset = _load_dataset(args)
     run_dir, manifest = start_run(args, args.command, run_inputs(
         args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds))
-    rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, study)
+    rows = perturbation_study(dataset, cfg, objectives, ratios, seeds,
+                              study.perturb, study.row_key)
     csv_rows = [{k: v for k, v in row.items() if k != "values"} for row in rows]
     finish_run(run_dir, manifest, {"rows": rows}, csv_rows=csv_rows)
     label = args.command.split("-")[0]
     for row in rows:
         print(f"{row['objective']:>8} @ {label} {row[study.row_key]}: "
               f"{row['mean']:.4f} +/- {row['std']:.4f}")
-    return EXIT_OK
+    return _exit_code(rows)
 
 
 def cmd_ood(args) -> int:
@@ -540,7 +486,7 @@ def cmd_ood(args) -> int:
     print(f"run {manifest['run_id']}: target macro_f1 = {results['mean']:.4f} "
           f"+/- {results['std']:.4f} ({results['evaluated_rows']} rows evaluated, "
           f"{results['excluded_rows']} excluded)")
-    return EXIT_OK
+    return _exit_code(results["per_seed"])
 
 
 def cmd_repr_quality(args) -> int:

@@ -302,6 +302,15 @@ def save(ds: Dataset, path: str) -> None:
             }) + "\n")
 
 
+def check_ratio(perturbation: str, ratio: float) -> None:
+    """The range of a perturbation's ratio: [0, 1] for `inject_label_noise`,
+    (0, 1] for `subsample_train`; a value outside it is a DataError."""
+    name, zero_ok = {"inject_label_noise": ("noise_ratio", True),
+                     "subsample_train": ("train_ratio", False)}[perturbation]
+    if not (0.0 <= ratio if zero_ok else 0.0 < ratio) or not ratio <= 1.0:
+        raise DataError(f"{name} must be in {'[' if zero_ok else '('}0, 1], got {ratio}")
+
+
 def inject_label_noise(ds: Dataset, noise_ratio: float, seed: int) -> Dataset:
     """Flip an exact fraction of train labels, uniformly at random.
 
@@ -309,8 +318,7 @@ def inject_label_noise(ds: Dataset, noise_ratio: float, seed: int) -> Dataset:
     picked label is redrawn uniformly over the other C-1 classes, so a
     flipped label never keeps its old value. Val/test rows are untouched.
     """
-    if not 0.0 <= noise_ratio <= 1.0:
-        raise DataError(f"noise_ratio must be in [0, 1], got {noise_ratio}")
+    check_ratio("inject_label_noise", noise_ratio)
     if ds.task != "classification":
         raise DataError("label noise is only defined for classification datasets")
     train_idx = ds.indices("train")
@@ -332,8 +340,7 @@ def subsample_train(ds: Dataset, train_ratio: float, seed: int) -> Dataset:
     Per class, round(ratio * n_c) rows are kept (error if that rounds to
     zero for any class). Unselected train rows are dropped from the dataset.
     """
-    if not 0.0 < train_ratio <= 1.0:
-        raise DataError(f"train_ratio must be in (0, 1], got {train_ratio}")
+    check_ratio("subsample_train", train_ratio)
     if train_ratio == 1.0:
         return ds
     rng = np.random.default_rng(seed)

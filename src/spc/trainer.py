@@ -1,4 +1,5 @@
-"""Deterministic minibatch training: Adamax, early stopping, seeds, sweeps.
+"""Deterministic minibatch training: Adamax, early stopping, and the protocols
+that train many runs (seeds, sweeps, perturbation studies, out-of-domain).
 
 Randomness discipline: one `numpy` Generator per run, seeded from the run
 seed, consumed in a fixed documented order — model init, then per epoch one
@@ -12,13 +13,16 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import time
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from . import data as dataio
+from .data import DataError, Dataset
 from .diffcore import Tape, Tensor, backward, zero_grads
 from .encoder import EncoderParams, decode, encode, init_encoder, init_vib, sample, softmax_rows
 from .metrics import _per_class_stats, confusion_matrix, pearson, spearman
@@ -130,19 +134,8 @@ class RunReport:
 
     def results_dict(self) -> dict:
         """Reported numbers only; excludes timing, stable across reruns."""
-        return {
-            "config": self.config,
-            "seed": self.seed,
-            "dataset_info": self.dataset_info,
-            "best_epoch": self.best_epoch,
-            "epochs_ran": self.epochs_ran,
-            "step_logs": self.step_logs,
-            "epoch_logs": self.epoch_logs,
-            "val_metrics": self.val_metrics,
-            "test_metrics": self.test_metrics,
-            "headline_metric": self.headline_metric,
-            "diverged": self.diverged,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in ("wall_clock", "model")}
 
     def run_hash(self) -> str:
         payload = json.dumps(self.results_dict(), sort_keys=True)
@@ -232,9 +225,9 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     best_state = _snapshot(params)
     best_epoch = 0
     step = 0
-    diverged = False
 
     for epoch in range(1, cfg.epochs + 1):
+        report.epochs_ran = epoch
         perm = rng.permutation(n_train)
         epoch_totals = []
         for start in range(0, n_train, cfg.batch_size):
@@ -257,20 +250,19 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
                 "total": total,
             })
             if not np.isfinite(total):
-                diverged = True
+                report.diverged = True
                 break
             backward(terms.total, tape, params)
             try:
                 adamax_step(params, [p.grad for p in params], state,
                             lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
             except TrainingDiverged:
-                diverged = True
+                report.diverged = True
                 break
             finally:
                 zero_grads(params)
             epoch_totals.append(total)
-        if diverged:
-            report.epochs_ran = epoch
+        if report.diverged:
             break
         val = evaluate_split(model, dataset, "val")
         value = val[metric_name]
@@ -279,7 +271,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             "train_total": float(np.mean(epoch_totals)) if epoch_totals else float("nan"),
             "val_metric": value,
         })
-        report.epochs_ran = epoch
         if value > best_value:
             best_value = value
             best_state = _snapshot(params)
@@ -289,7 +280,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
 
     _restore(params, best_state)
     report.best_epoch = best_epoch
-    report.diverged = diverged
     report.val_metrics = evaluate_split(model, dataset, "val")
     report.test_metrics = evaluate_split(model, dataset, "test")
     report.wall_clock = time.perf_counter() - started
@@ -297,19 +287,24 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     return report
 
 
-def run_seeds(dataset: Dataset, cfg: TrainConfig, seeds: tuple[int, ...]) -> list[RunReport]:
-    """Independent runs over seeds (fresh model per seed)."""
-    return [train(dataset, cfg, seed) for seed in seeds]
+def train_jobs(jobs: Iterable[tuple[Dataset, TrainConfig, int]]) -> list[RunReport]:
+    """`train(dataset, cfg, seed)` of each job, in order: the one loop over runs.
+    A job is dropped once trained, so a generator of jobs holds one dataset."""
+    return list(itertools.starmap(train, jobs))
+
+
+def mean_std(prefix: str, values: list[float]) -> dict:
+    return {f"{prefix}mean": float(np.mean(values)), f"{prefix}std": float(np.std(values))}
 
 
 def summarize(reports: list[RunReport]) -> dict:
     values = [r.headline_value for r in reports]
     return {
         "metric": reports[0].headline_metric,
-        "mean": float(np.mean(values)),
-        "std": float(np.std(values)),
+        **mean_std("", values),
         "values": [float(v) for v in values],
         "seeds": [r.seed for r in reports],
+        "diverged": sum(r.diverged for r in reports),
     }
 
 
@@ -318,12 +313,6 @@ class SweepResult:
     rows: list[dict]
     best_beta: float
     best_gamma: float
-
-    def best_row(self) -> dict:
-        for row in self.rows:
-            if row["beta"] == self.best_beta and row["gamma"] == self.best_gamma:
-                return row
-        raise KeyError("best cell missing from sweep rows")
 
 
 def _cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> ObjectiveConfig:
@@ -336,28 +325,84 @@ def _cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> Ob
 
 
 def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
-          gammas: list[float], seeds: tuple[int, ...]) -> SweepResult:
+          gammas: list[float], seeds: Sequence[int]) -> SweepResult:
     """Grid search over (beta, gamma); each cell averages over the seeds.
 
     The beta grid drives the kind's first weight in OBJECTIVES and the gamma
     grid its second (so for "ce_cp" the beta grid sets cp_weight); a kind
     with fewer weights takes gammas=[0.0]. The winning cell maximizes the mean
     validation metric; ties go to the lexicographically smaller (beta, gamma).
+    Each row counts its diverged seeds.
     """
     rows = []
     for beta in betas:
         for gamma in gammas:
             objective = _cell_objective(cfg.objective, beta, gamma)
             cell_cfg = dataclasses.replace(cfg, objective=objective)
-            reports = run_seeds(dataset, cell_cfg, seeds)
-            val_values = [r.val_metrics[r.headline_metric] for r in reports]
-            test_values = [r.headline_value for r in reports]
+            reports = train_jobs((dataset, cell_cfg, seed) for seed in seeds)
             rows.append({
                 "beta": beta, "gamma": gamma,
-                "val_mean": float(np.mean(val_values)),
-                "val_std": float(np.std(val_values)),
-                "test_mean": float(np.mean(test_values)),
-                "test_std": float(np.std(test_values)),
+                **mean_std("val_", [r.val_metrics[r.headline_metric] for r in reports]),
+                **mean_std("test_", [r.headline_value for r in reports]),
+                "diverged": sum(r.diverged for r in reports),
             })
     best = min(rows, key=lambda r: (-r["val_mean"], r["beta"], r["gamma"]))
     return SweepResult(rows=rows, best_beta=best["beta"], best_gamma=best["gamma"])
+
+
+def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,
+                       objectives: list[ObjectiveConfig], ratios: list[float],
+                       seeds: Sequence[int], perturb: str, row_key: str) -> list[dict]:
+    """objective x ratio table under the `data` function named `perturb`
+    (dataset, ratio, seed) -> Dataset, the ratio in column `row_key`. Each
+    cell averages over the seeds; the perturbation seed is the run seed, so
+    each seed sees its own perturbed train split, and val/test stay intact.
+    """
+    rows = []
+    for objective in objectives:
+        cfg = dataclasses.replace(cfg_base, objective=objective)
+        for ratio in ratios:
+            # looked up here, not at import, so a wrapper installed on the module is used
+            perturbed = getattr(dataio, perturb)
+            reports = train_jobs((perturbed(dataset, ratio, seed), cfg, seed) for seed in seeds)
+            values = [r.headline_value for r in reports]
+            rows.append({"objective": objective.kind, row_key: ratio, **mean_std("", values),
+                         "values": [float(v) for v in values],
+                         "diverged": sum(r.diverged for r in reports)})
+    return rows
+
+
+def ood_run(source_ds: Dataset, target_ds: Dataset, mapping: dict[str, str],
+            cfg: TrainConfig, seeds: Sequence[int]) -> dict:
+    """Train on the source domain, evaluate on the mapped target test split.
+
+    Target test rows whose label has no mapping into the source label set
+    are excluded from evaluation (their count is reported). Model selection
+    happens on the source validation split, exactly as in a plain run.
+    """
+    if source_ds.task != "classification" or target_ds.task != "classification":
+        raise DataError("out-of-domain evaluation is defined for classification")
+    if source_ds.num_features != target_ds.num_features:
+        raise DataError("source and target feature dimensions differ")
+    unknown_sources = sorted(set(mapping.values()) - set(source_ds.label_names))
+    if unknown_sources:
+        raise DataError(f"mapping uses labels absent from the source dataset: {unknown_sources}")
+
+    test_idx = target_ds.indices("test")
+    gold_names = [target_ds.label_names[int(target_ds.targets[i])] for i in test_idx]
+    keep = [j for j, name in enumerate(gold_names) if name in mapping]
+    if not keep:
+        raise DataError("no target test rows are covered by the label mapping")
+    source_index = {name: i for i, name in enumerate(source_ds.label_names)}
+    mapped = Dataset(features=target_ds.features[test_idx[keep]],
+                     targets=np.array([source_index[mapping[gold_names[j]]] for j in keep],
+                                      dtype=np.int64),
+                     split=np.full(len(keep), "test"), task="classification",
+                     num_classes=source_ds.num_classes, label_names=source_ds.label_names)
+    per_seed = [{"seed": r.seed,
+                 "macro_f1": evaluate_split(r.model, mapped, "test")["macro_f1"],
+                 "source_test_macro_f1": r.test_metrics["macro_f1"], "diverged": r.diverged}
+                for r in train_jobs((source_ds, cfg, seed) for seed in seeds)]
+    return {"metric": "macro_f1", **mean_std("", [r["macro_f1"] for r in per_seed]),
+            "per_seed": per_seed, "evaluated_rows": len(keep),
+            "excluded_rows": len(gold_names) - len(keep), "mapped_labels": sorted(mapping)}

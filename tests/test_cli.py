@@ -9,10 +9,11 @@ import pytest
 
 from spc import cli
 from spc import data as dataio
+from spc import trainer
 from spc.data import gen_mixture, save
 from spc.objectives import ObjectiveConfig
 from spc.encoder import init_encoder, init_vib, save_checkpoint
-from spc.trainer import TrainConfig, train
+from spc.trainer import TrainConfig, TrainingDiverged, train
 
 
 def run_cli(*argv) -> int:
@@ -29,6 +30,19 @@ def data_file(tmp_path):
     path = str(tmp_path / "mix.jsonl")
     save(gen_mixture(2, 8, 50, 4.0, seed=200), path)
     return path
+
+
+def regression_file(tmp_path):
+    """A 3-feature regression jsonl on which --lr 1e200 diverges."""
+    rng = np.random.default_rng(204)
+    lines = []
+    for i in range(30):
+        split = "train" if i < 15 else ("val" if i < 22 else "test")
+        lines.append(json.dumps({"features": rng.normal(size=3).tolist(),
+                                 "label": float(rng.normal()), "split": split}))
+    path = tmp_path / "reg.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
 
 
 def read_report(out_root, run_id):
@@ -233,6 +247,10 @@ class TestExitCodes:
         ("train", "--beta", "-1"),
         ("train", "--batch-size", "1"),
         ("train", "--epochs", "3"),
+        ("train", "--seeds=-1,3"),
+        ("train", "--seeds", "3,3"),
+        ("noise-study", "--ratios", "0.1,1.5"),
+        ("ratio-study", "--ratios", "0"),
     ])
     def test_bad_flag_value_exits_2_before_training(self, out, data_file, argv, capsys):
         assert run_cli(*argv, "--out", out, "--data", data_file, "--hidden-dim", "4") \
@@ -270,20 +288,114 @@ class TestExitCodes:
                        "--objective", "ce") == cli.EXIT_DATA
 
     def test_divergence_exits_4(self, out, tmp_path):
-        rng = np.random.default_rng(204)
-        lines = []
-        for i in range(30):
-            split = "train" if i < 15 else ("val" if i < 22 else "test")
-            lines.append(json.dumps({"features": rng.normal(size=3).tolist(),
-                                     "label": float(rng.normal()), "split": split}))
-        path = tmp_path / "reg.jsonl"
-        path.write_text("\n".join(lines) + "\n")
         with np.errstate(all="ignore"):
-            code = run_cli("train", "--out", out, "--data", str(path),
+            code = run_cli("train", "--out", out, "--data", regression_file(tmp_path),
                            "--task", "regression", "--objective", "mse",
                            "--lr", "1e200", "--epochs", "3", "--patience", "3",
                            "--batch-size", "8", "--hidden-dim", "8", "--seeds", "1")
         assert code == cli.EXIT_DIVERGED
+        assert read_report(out, run_ids(out)[0])["results"]["summary"]["diverged"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--objective", "mse_pc", "--betas", "0.1,1"),
+        ("ratio-study", "--objectives", "mse", "--ratios", "0.5,1"),
+    ])
+    def test_diverged_seeds_counted_per_row_and_exit_4(self, out, tmp_path, argv, capsys):
+        with np.errstate(all="ignore"):
+            code = run_cli(*argv, "--out", out, "--data", regression_file(tmp_path),
+                           "--task", "regression", "--lr", "1e200", "--epochs", "3",
+                           "--patience", "3", "--batch-size", "8", "--hidden-dim", "8",
+                           "--seeds", "2")
+        assert code == cli.EXIT_DIVERGED
+        assert "warning: at least one seed diverged" in capsys.readouterr().err
+        run_id = run_ids(out)[0]
+        assert [row["diverged"] for row in read_report(out, run_id)["results"]["rows"]] == [2, 2]
+        with open(os.path.join(out, run_id, "report.csv"), newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[-1] == "diverged" and [row[-1] for row in rows] == ["2", "2"]
+
+
+def diverge_second_run(monkeypatch):
+    """Make the second training run of a command diverge at its first step."""
+    original = trainer.adamax_step
+    runs = []
+
+    def step(params, grads, state, **kwargs):
+        if state.t == 0:  # a fresh optimizer: a new run begins
+            runs.append(state)
+        if len(runs) == 2:
+            raise TrainingDiverged("injected")
+        return original(params, grads, state, **kwargs)
+
+    monkeypatch.setattr(trainer, "adamax_step", step)
+
+
+class TestDivergedSeeds:
+    def test_noise_study_counts_the_diverged_seed(self, out, data_file, monkeypatch):
+        diverge_second_run(monkeypatch)
+        assert run_cli("noise-study", "--out", out, "--data", data_file,
+                       "--objectives", "ce", "--ratios", "0.1,0.2", "--epochs", "1",
+                       "--patience", "1", "--batch-size", "16", "--hidden-dim", "4",
+                       "--seeds", "2") == cli.EXIT_DIVERGED
+        rows = read_report(out, run_ids(out)[0])["results"]["rows"]
+        assert [row["diverged"] for row in rows] == [1, 0]
+
+    def test_ood_flags_the_diverged_seed(self, out, tmp_path, data_file, monkeypatch):
+        diverge_second_run(monkeypatch)
+        mapping = tmp_path / "identity.csv"
+        mapping.write_text("source_label,target_label\n0,0\n1,1\n")
+        assert run_cli("ood", "--out", out, "--source", data_file, "--target", data_file,
+                       "--mapping", str(mapping), "--objective", "ce", "--epochs", "1",
+                       "--patience", "1", "--batch-size", "16", "--hidden-dim", "4",
+                       "--seeds", "3") == cli.EXIT_DIVERGED
+        per_seed = read_report(out, run_ids(out)[0])["results"]["per_seed"]
+        assert [r["diverged"] for r in per_seed] == [False, True, False]
+
+
+class TestOneTrainCallPerRun:
+    """Each multi-run command trains each (cell, seed) once, in cell order;
+    the benchmark tracer counts runs by wrapping `spc.trainer.train`."""
+
+    RUN_FLAGS = ("--epochs", "1", "--patience", "1", "--batch-size", "16",
+                 "--hidden-dim", "4", "--seeds", "3,5")
+
+    @pytest.mark.parametrize("argv, cells", [
+        (("train", "--objective", "ce"), [("ce", 0.0, 0.0, None, None)]),
+        (("sweep", "--objective", "spc", "--betas", "0.01,0.1", "--gammas", "0.1,1"),
+         [("spc", b, g, None, None) for b in (0.01, 0.1) for g in (0.1, 1.0)]),
+        (("noise-study", "--objectives", "ce,spc", "--beta", "0.1", "--gamma", "0.2",
+          "--ratios", "0.1,0.3"),
+         [(k, b, g, "inject_label_noise", r) for k, b, g in (("ce", 0.0, 0.0),
+                                                               ("spc", 0.1, 0.2))
+          for r in (0.1, 0.3)]),
+        (("ratio-study", "--objectives", "ce", "--ratios", "0.5,1"),
+         [("ce", 0.0, 0.0, "subsample_train", r) for r in (0.5, 1.0)]),
+        (("ood", "--objective", "ce"), [("ce", 0.0, 0.0, None, None)]),
+    ])
+    def test_one_call_per_cell_and_seed(self, out, tmp_path, data_file, monkeypatch,
+                                        argv, cells):
+        calls = []
+        original = trainer.train
+
+        def counted(dataset, cfg, seed):
+            calls.append((cfg.objective.kind, cfg.objective.beta, cfg.objective.gamma, seed,
+                          dataset.split_fingerprint("train")))
+            return original(dataset, cfg, seed)
+
+        monkeypatch.setattr(trainer, "train", counted)
+        if argv[0] == "ood":
+            mapping = tmp_path / "identity.csv"
+            mapping.write_text("source_label,target_label\n0,0\n1,1\n")
+            files = ("--source", data_file, "--target", data_file, "--mapping", str(mapping))
+        else:
+            files = ("--data", data_file)
+        assert run_cli(*argv, *files, "--out", out, *self.RUN_FLAGS) == 0
+        ds = dataio.load(data_file)
+        expected = [(kind, beta, gamma, seed,
+                     (getattr(dataio, perturb)(ds, ratio, seed) if perturb else ds)
+                     .split_fingerprint("train"))
+                    for kind, beta, gamma, perturb, ratio in cells for seed in (3, 5)]
+        assert calls == expected
 
 
 class TestConfigFile:
@@ -375,6 +487,11 @@ class TestSeedParsing:
 
     def test_list_form(self):
         assert cli.parse_seeds("3,7,11") == [3, 7, 11]
+
+    @pytest.mark.parametrize("text", ["-1,3", "3,3"])
+    def test_negative_or_repeated_seeds_rejected(self, text):
+        with pytest.raises(cli.UsageError, match="distinct and non-negative"):
+            cli.parse_seeds(text)
 
     def test_make_objective_drops_unused_weights(self):
         obj = cli.make_objective("ce", "classification", beta=0.5, gamma=0.5)

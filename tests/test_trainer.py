@@ -13,10 +13,10 @@ from spc.trainer import (
     TrainingDiverged,
     adamax_step,
     batch_loss,
-    run_seeds,
     summarize,
     sweep,
     train,
+    train_jobs,
 )
 
 
@@ -228,7 +228,7 @@ class TestSweep:
         cfg = small_cfg(ObjectiveConfig(kind="spc", beta=0.1, gamma=0.1))
         result = sweep(mixture, cfg, betas=[0.1], gammas=[0.1], seeds=(0, 1))
         assert len(result.rows) == 1
-        reports = run_seeds(mixture, cfg, (0, 1))
+        reports = train_jobs((mixture, cfg, seed) for seed in (0, 1))
         expected = float(np.mean([r.headline_value for r in reports]))
         assert result.rows[0]["test_mean"] == pytest.approx(expected, abs=1e-15)
 
@@ -285,7 +285,7 @@ class TestModelIO:
 
     def test_summarize(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="ce"), epochs=2)
-        reports = run_seeds(mixture, cfg, (0, 1, 2))
+        reports = train_jobs((mixture, cfg, seed) for seed in (0, 1, 2))
         summary = summarize(reports)
         assert summary["metric"] == "macro_f1"
         assert len(summary["values"]) == 3
