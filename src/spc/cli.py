@@ -9,20 +9,24 @@ extras (seeds, grids, ratios). Invocations that differ in any effective
 input get different ids, and re-running one reproduces the same directory
 with byte-identical result numbers. The output root comes from --out or
 the SPC_OUT environment variable (default ./out). Input dataset files are
-never modified. This module holds flags, run directories and printing; the
-protocols that train many runs live in `spc.trainer`.
+never modified. This module holds flags, run directories and printing
+only: the training flags and --config keys are the TrainConfig and
+ObjectiveConfig fields (see `train_defaults`), and the protocols live in
+`spc.trainer`.
 
-Exit codes: 0 success, 2 bad flags (including values that do not resolve
-into a run: empty or malformed seed, objective, grid or ratio lists,
-negative or repeated seeds, ratios outside the study's range ([0, 1] for
-noise, (0, 1] for ratio), negative weights, batch size below 2, patience
-above epochs, --config values of the wrong type; caught before any
-dataset is read), 3 data errors (unreadable inputs, unusable checkpoints
-or ones whose input or output width does not fit the dataset, tensors
-whose shapes disagree with the checkpoint arch, empty splits, a
-repr-quality test split with fewer rows than classes), 4 a diverged seed,
-after the report is written (train's summary and each sweep or study row
-count them, ood flags each seed).
+Exit codes: 0 success, 2 bad flags (values that do not resolve into a run:
+empty or malformed seed, objective, grid or ratio lists, negative or
+repeated seeds, ratios outside the study's range ([0, 1] for noise, (0, 1]
+for ratio), an objective of another task than --task, a negative or
+non-finite weight, learning rate or weight decay, a zero hidden or latent
+width, batch size below 2, patience above epochs, --config values of the
+wrong type; caught before any dataset is read), 3 data errors (unreadable
+inputs, unusable checkpoints or ones whose input or output width does not
+fit the dataset, tensors whose shapes disagree with the checkpoint arch,
+empty splits, a repr-quality test split with fewer rows than classes), 4 a
+diverged seed (a non-finite loss, gradient or validation score), after the
+report is written (train's summary and each sweep or study row count
+them, ood flags each seed).
 """
 
 from __future__ import annotations
@@ -37,14 +41,10 @@ import os
 import sys
 from collections.abc import Sequence
 
-import numpy as np
-
 from . import data as dataio
 from .data import DataError, Dataset
-from .diffcore import Tensor
-from .encoder import EncoderParams, encode, load_checkpoint, save_checkpoint
-from .metrics import adjusted_rand_index, kmeans, silhouette
-from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, ObjectiveConfig
+from .encoder import EncoderParams, load_checkpoint, save_checkpoint
+from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, WEIGHTS, ObjectiveConfig
 from .trainer import (
     RunReport,
     TrainConfig,
@@ -52,6 +52,7 @@ from .trainer import (
     evaluate_split,
     ood_run,
     perturbation_study,
+    representation_quality,
     summarize,
     sweep,
     train,  # not called here; bench/tests/test_bench_tracer.py reads cli.train
@@ -63,13 +64,9 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
-# keys of a --config file, one per training flag. Each defaults to the
-# TrainConfig or ObjectiveConfig field of the same name ("lr" is
-# TrainConfig.learning_rate), except seeds: they are not part of one run's
-# config, and default to "5" (seeds 0..4).
-CONFIG_KEYS = ("epochs", "batch_size", "lr", "weight_decay", "patience", "hidden_dim",
-               "vib_latent_dim", "dropout", "layer_norm", "beta", "gamma", "cp_weight",
-               "structured_from", "seeds")
+# config fields that are not training flags, and the flags named otherwise
+NOT_FLAGS = ("objective", "zero_eps", "kind")
+FLAG_NAMES = {"learning_rate": "lr"}
 
 
 def out_root(args) -> str:
@@ -127,7 +124,7 @@ def parse_floats(text: str, flag: str) -> list[float]:
     return values
 
 
-def make_objective(kind: str, task: str, beta: float = 0.0, gamma: float = 0.0,
+def make_objective(kind: str, beta: float = 0.0, gamma: float = 0.0,
                    cp_weight: float = 0.0, structured_from: str = "sample") -> ObjectiveConfig:
     """Build a config for `kind`, dropping weights the kind does not take.
 
@@ -136,7 +133,7 @@ def make_objective(kind: str, task: str, beta: float = 0.0, gamma: float = 0.0,
     """
     weights = {"beta": beta, "gamma": gamma, "cp_weight": cp_weight}
     taken = OBJECTIVES[kind].weights if kind in OBJECTIVES else ()
-    return ObjectiveConfig(kind=kind, task=task, structured_from=structured_from,
+    return ObjectiveConfig(kind=kind, structured_from=structured_from,
                            **{name: weights[name] for name in taken})
 
 
@@ -178,6 +175,15 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """`rows` under a header of the first row's keys, written atomically."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_atomic(path, buf.getvalue())
+
+
 def finish_run(run_dir: str, manifest: dict, results: dict,
                csv_rows: list[dict] | None = None, timing: dict | None = None) -> None:
     os.makedirs(run_dir, exist_ok=True)
@@ -187,11 +193,7 @@ def finish_run(run_dir: str, manifest: dict, results: dict,
     artifacts = {"report.json": file_sha256(report_path)}
     if csv_rows:
         csv_path = os.path.join(run_dir, "report.csv")
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(csv_rows)
-        _write_atomic(csv_path, buf.getvalue())
+        _write_csv(csv_path, csv_rows)
         artifacts["report.csv"] = file_sha256(csv_path)
     ckpt_dir = os.path.join(run_dir, "ckpt")
     if os.path.isdir(ckpt_dir):
@@ -202,8 +204,9 @@ def finish_run(run_dir: str, manifest: dict, results: dict,
                   json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _load_dataset(args) -> Dataset:
-    return dataio.load(data_path(args), task=args.task, hash_dim=args.hash_dim,
+def _load_dataset(args, path: str | None = None) -> Dataset:
+    """`path` (default --data) under the --task and featurizer flags."""
+    return dataio.load(path or data_path(args), task=args.task, hash_dim=args.hash_dim,
                        hash_seed=args.hash_seed)
 
 
@@ -220,135 +223,70 @@ def _load_checkpoint(args, dataset: Dataset) -> EncoderParams:
     return model
 
 
+def train_defaults() -> dict:
+    """Each training flag (and --config key) with its default: the fields of
+    TrainConfig and ObjectiveConfig, and seeds, which are not part of one
+    run's config and default to "5" (seeds 0..4)."""
+    defaults = {FLAG_NAMES.get(f.name, f.name): getattr(config, f.name)
+                for config in (TrainConfig(), ObjectiveConfig())
+                for f in dataclasses.fields(config) if f.name not in NOT_FLAGS}
+    return {**defaults, "seeds": "5"}
+
+
 def resolve_train_args(args) -> None:
-    """Fill unset training flags from --config (json), else from the
-    TrainConfig/ObjectiveConfig field defaults."""
+    """Fill unset training flags from --config (json), else from
+    `train_defaults`."""
     file_values: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        if not os.path.exists(config_path):
-            raise DataError(f"config file not found: {config_path}")
-        with open(config_path, encoding="utf-8") as fh:
+    defaults = train_defaults()
+    if args.config:
+        if not os.path.exists(args.config):
+            raise DataError(f"config file not found: {args.config}")
+        with open(args.config, encoding="utf-8") as fh:
             file_values = json.load(fh)
-        unknown = set(file_values) - set(CONFIG_KEYS)
+        unknown = set(file_values) - set(defaults)
         if unknown:
-            raise DataError(f"{config_path}: unknown config keys {sorted(unknown)}")
-    defaults = {**vars(ObjectiveConfig()), **vars(TrainConfig())}
-    defaults["lr"], defaults["seeds"] = defaults["learning_rate"], "5"
+            raise DataError(f"{args.config}: unknown config keys {sorted(unknown)}")
     for key, value in file_values.items():
+        # a value has its flag's type: seeds a string as on the command line,
+        # a float field also an integer, and a bool only a bool
         expected = type(defaults[key])
-        _check_config_type(config_path, key, value, expected)
+        accepted = (int, float) if expected is float else expected
+        if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+            raise UsageError(f"{args.config}: config key {key!r} must be "
+                             f"{expected.__name__}, got {value!r}")
         if expected is float:  # as --lr 1 gives 1.0, so the run id agrees
             file_values[key] = float(value)
-    for key in CONFIG_KEYS:
-        if getattr(args, key, None) is None:
-            setattr(args, key, file_values.get(key, defaults[key]))
+    for key, default in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, file_values.get(key, default))
 
 
-def _check_config_type(path: str, key: str, value, expected: type) -> None:
-    """A --config value must have its flag's type: seeds a string as on the
-    command line, a float field also an integer, and a bool only a bool."""
-    accepted = (int, float) if expected is float else expected
-    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
-        raise UsageError(f"{path}: config key {key!r} must be {expected.__name__}, "
-                         f"got {value!r}")
-
-
-def _train_configs(args, kinds: Sequence[str], task: str | None = None,
-                   weights: bool = True) -> list[TrainConfig]:
-    """One resolved TrainConfig per objective kind; a bad value is a UsageError.
+def _train_configs(args, kinds: Sequence[str], weights: bool = True) -> list[TrainConfig]:
+    """One resolved TrainConfig per objective kind; a bad value, or a kind
+    of another task than --task, is a UsageError.
 
     The kinds share the training flags and take the weight flags they use;
     with `weights=False` every weight stays 0 (a sweep grid sets them).
     """
-    fields = {f.name for f in dataclasses.fields(TrainConfig)}
-    settings = {key: getattr(args, key) for key in CONFIG_KEYS if key in fields}
-    flag_weights = (dict(beta=args.beta, gamma=args.gamma, cp_weight=args.cp_weight)
-                    if weights else {})
-    try:
-        return [TrainConfig(objective=make_objective(kind, task or args.task,
-                                                     structured_from=args.structured_from,
-                                                     **flag_weights),
-                            learning_rate=args.lr, **settings)
-                for kind in kinds]
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    settings = {f.name: getattr(args, FLAG_NAMES.get(f.name, f.name))
+                for f in dataclasses.fields(TrainConfig) if f.name not in NOT_FLAGS}
+    flag_weights = {name: getattr(args, name) for name in WEIGHTS} if weights else {}
+    configs = []
+    for kind in kinds:
+        if kind in OBJECTIVES and OBJECTIVES[kind].task != args.task:
+            raise UsageError(f"objective kind {kind!r} requires task {OBJECTIVES[kind].task!r}")
+        try:
+            configs.append(TrainConfig(
+                objective=make_objective(kind, structured_from=args.structured_from,
+                                         **flag_weights), **settings))
+        except ValueError as err:
+            raise UsageError(str(err)) from None
+    return configs
 
 
-# --- experiment protocols (importable; the commands are thin wrappers) ---
-
-@dataclasses.dataclass(frozen=True)
-class Study:
-    """A perturbation of the train split, tabulated over ratios."""
-
-    perturb: str   # name of the `data` function (dataset, ratio, seed) -> Dataset
-    row_key: str   # the ratio's column
-    ratios: str    # default --ratios
-
-
-STUDIES = {
-    "noise-study": Study("inject_label_noise", "noise_ratio", "0.1,0.2,0.3"),
-    "ratio-study": Study("subsample_train", "train_ratio", "0.2,0.4,0.6,0.8,1.0"),
-}
-
-
-def ratio_study(dataset: Dataset, cfg_base: TrainConfig, objectives: list[ObjectiveConfig],
-                ratios: list[float], seeds: list[int]) -> list[dict]:
-    """The limited-training-data table of the ratio-study command."""
-    study = STUDIES["ratio-study"]
-    return perturbation_study(dataset, cfg_base, objectives, ratios, seeds,
-                              study.perturb, study.row_key)
-
-
-def read_label_mapping(path: str) -> dict[str, str]:
-    """Two-column csv (source_label, target_label) -> {target: source}."""
-    mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["source_label", "target_label"]:
-            raise DataError(f"{path}: expected header 'source_label,target_label'")
-        for row in reader:
-            if len(row) < 2:
-                continue
-            source, target = row[0].strip(), row[1].strip()
-            if target in mapping and mapping[target] != source:
-                raise DataError(f"{path}: target label {target!r} mapped twice")
-            mapping[target] = source
-    if not mapping:
-        raise DataError(f"{path}: empty mapping")
-    return mapping
-
-
-def representation_quality(model: EncoderParams, dataset: Dataset,
-                           kmeans_seeds: list[int]) -> dict:
-    """Cluster the mean codes of the test split and score SC / ARI.
-
-    Representations are mu(x) (the latent mean for the bottleneck model),
-    clustered by k-means with k equal to the class count; the median over
-    the k-means seeds is reported for both scores.
-    """
-    if dataset.task != "classification":
-        raise DataError("representation quality is defined for classification")
-    dataset.require_rows("test")
-    features, gold = dataset.subset("test")
-    if gold.size < dataset.num_classes:
-        raise DataError(f"the test split has {gold.size} rows, fewer than the "
-                        f"{dataset.num_classes} clusters of k-means")
-    reps = encode(model, Tensor(features)).mu.values
-    per_seed = []
-    for seed in kmeans_seeds:
-        assign = kmeans(reps, dataset.num_classes, seed=seed)
-        per_seed.append({
-            "seed": seed,
-            "silhouette": silhouette(reps, assign),
-            "ari": adjusted_rand_index(assign, gold),
-        })
-    return {
-        "silhouette_median": float(np.median([r["silhouette"] for r in per_seed])),
-        "ari_median": float(np.median([r["ari"] for r in per_seed])),
-        "per_seed": per_seed,
-    }
+# each study's `data` perturbation (see data.RATIOS) and default --ratios
+STUDIES = {"noise-study": ("inject_label_noise", "0.1,0.2,0.3"),
+           "ratio-study": ("subsample_train", "0.2,0.4,0.6,0.8,1.0")}
 
 
 # --- command handlers ---
@@ -444,7 +382,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_study(args) -> int:
     """noise-study and ratio-study: one table per perturbation in STUDIES."""
-    study = STUDIES[args.command]
+    perturb = STUDIES[args.command][0]
     kinds = [k.strip() for k in args.objectives.split(",") if k.strip()]
     if not kinds:
         raise UsageError(f"--objectives {args.objectives!r} names no objective")
@@ -453,32 +391,29 @@ def cmd_study(args) -> int:
     ratios = parse_floats(args.ratios, "--ratios")
     try:
         for ratio in ratios:
-            dataio.check_ratio(study.perturb, ratio)
+            dataio.check_ratio(perturb, ratio)
     except DataError as err:
         raise UsageError(f"--ratios: {err}") from None
     seeds = parse_seeds(args.seeds)
     dataset = _load_dataset(args)
     run_dir, manifest = start_run(args, args.command, run_inputs(
         args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds))
-    rows = perturbation_study(dataset, cfg, objectives, ratios, seeds,
-                              study.perturb, study.row_key)
+    rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, perturb)
     csv_rows = [{k: v for k, v in row.items() if k != "values"} for row in rows]
     finish_run(run_dir, manifest, {"rows": rows}, csv_rows=csv_rows)
-    label = args.command.split("-")[0]
+    label, row_key = args.command.split("-")[0], dataio.RATIOS[perturb][0]
     for row in rows:
-        print(f"{row['objective']:>8} @ {label} {row[study.row_key]}: "
+        print(f"{row['objective']:>8} @ {label} {row[row_key]}: "
               f"{row['mean']:.4f} +/- {row['std']:.4f}")
     return _exit_code(rows)
 
 
 def cmd_ood(args) -> int:
-    [cfg] = _train_configs(args, [args.objective], "classification")
+    [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
-    source = dataio.load(args.source, task="classification",
-                         hash_dim=args.hash_dim, hash_seed=args.hash_seed)
-    target = dataio.load(args.target, task="classification",
-                         hash_dim=args.hash_dim, hash_seed=args.hash_seed)
-    mapping = read_label_mapping(args.mapping)
+    source = _load_dataset(args, args.source)
+    target = _load_dataset(args, args.target)
+    mapping = dataio.read_label_mapping(args.mapping)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
     run_dir, manifest = start_run(args, "ood", run_inputs(args, files, [cfg], seeds=seeds))
     results = ood_run(source, target, mapping, cfg, seeds)
@@ -527,10 +462,7 @@ def cmd_report(args) -> int:
         print(f"no runs found under {root}")
         return EXIT_OK
     path = os.path.join(root, "summary.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, rows)
     for row in rows:
         print(f"{row['run_id']}  {row['command']:<12} {row['metric']} {row['mean']}")
     print(f"wrote {path}")
@@ -543,32 +475,27 @@ def _add_common(parser: argparse.ArgumentParser, with_data: bool = True) -> None
         parser.add_argument("--data", default=None, help="dataset file (jsonl or csv)")
         parser.add_argument("--task", default="classification",
                             choices=["classification", "regression"])
-        parser.add_argument("--hash-dim", type=int, default=256, dest="hash_dim")
-        parser.add_argument("--hash-seed", type=int, default=0, dest="hash_seed")
+        _add_featurizer(parser)
+
+
+def _add_featurizer(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--hash-dim", type=int, default=256, dest="hash_dim")
+    parser.add_argument("--hash-seed", type=int, default=0, dest="hash_seed")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    # defaults are None so that a --config file can fill the gaps; see
-    # resolve_train_args for the effective values
+    """--config and one flag per `train_defaults` key. The defaults are None
+    so that a --config file can fill the gaps; see resolve_train_args."""
     parser.add_argument("--config", default=None,
                         help="json file of training keys; explicit flags win")
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-    parser.add_argument("--patience", type=int, default=None)
-    parser.add_argument("--hidden-dim", type=int, default=None, dest="hidden_dim")
-    parser.add_argument("--vib-latent-dim", type=int, default=None, dest="vib_latent_dim")
-    parser.add_argument("--dropout", type=float, default=None)
-    parser.add_argument("--layer-norm", action=argparse.BooleanOptionalAction,
-                        default=None, dest="layer_norm")
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--cp-weight", type=float, default=None, dest="cp_weight")
-    parser.add_argument("--structured-from", default=None,
-                        choices=["sample", "mu"], dest="structured_from")
-    parser.add_argument("--seeds", default=None,
-                        help="count ('5' -> 0..4) or explicit list ('0,1,2')")
+    for key, default in train_defaults().items():
+        if key == "seeds":
+            kwargs = {"help": "count ('5' -> 0..4) or explicit list ('0,1,2')"}
+        elif isinstance(default, bool):
+            kwargs = {"action": argparse.BooleanOptionalAction}
+        else:
+            kwargs = {"type": type(default)}
+        parser.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -614,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         _add_train_flags(p)
-        p.add_argument("--ratios", default=STUDIES[name].ratios)
+        p.add_argument("--ratios", default=STUDIES[name][1])
         p.add_argument("--objectives", default="ce,spc")
         p.set_defaults(handler=cmd_study)
 
@@ -626,9 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mapping", required=True,
                    help="csv with header source_label,target_label")
     p.add_argument("--objective", default="spc", choices=list(CLASSIFICATION_KINDS))
-    p.add_argument("--hash-dim", type=int, default=256, dest="hash_dim")
-    p.add_argument("--hash-seed", type=int, default=0, dest="hash_seed")
-    p.set_defaults(handler=cmd_ood)
+    _add_featurizer(p)
+    p.set_defaults(handler=cmd_ood, task="classification")
 
     p = sub.add_parser("repr-quality", help="cluster test-split codes; report SC/ARI")
     _add_common(p)

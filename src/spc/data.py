@@ -302,11 +302,34 @@ def save(ds: Dataset, path: str) -> None:
             }) + "\n")
 
 
+def read_label_mapping(path: str) -> dict[str, str]:
+    """Two-column csv (source_label, target_label) -> {target: source}."""
+    mapping: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header[:2]] != ["source_label", "target_label"]:
+            raise DataError(f"{path}: expected header 'source_label,target_label'")
+        for row in reader:
+            if len(row) < 2:
+                continue
+            source, target = row[0].strip(), row[1].strip()
+            if target in mapping and mapping[target] != source:
+                raise DataError(f"{path}: target label {target!r} mapped twice")
+            mapping[target] = source
+    if not mapping:
+        raise DataError(f"{path}: empty mapping")
+    return mapping
+
+
+# each perturbation's ratio: its name (the study's column) and whether 0 is allowed
+RATIOS = {"inject_label_noise": ("noise_ratio", True), "subsample_train": ("train_ratio", False)}
+
+
 def check_ratio(perturbation: str, ratio: float) -> None:
-    """The range of a perturbation's ratio: [0, 1] for `inject_label_noise`,
-    (0, 1] for `subsample_train`; a value outside it is a DataError."""
-    name, zero_ok = {"inject_label_noise": ("noise_ratio", True),
-                     "subsample_train": ("train_ratio", False)}[perturbation]
+    """The range of a perturbation's ratio: [0, 1] where RATIOS allows 0,
+    else (0, 1]; a value outside it is a DataError."""
+    name, zero_ok = RATIOS[perturbation]
     if not (0.0 <= ratio if zero_ok else 0.0 < ratio) or not ratio <= 1.0:
         raise DataError(f"{name} must be in {'[' if zero_ok else '('}0, 1], got {ratio}")
 

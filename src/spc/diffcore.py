@@ -163,71 +163,62 @@ def _emit(values: np.ndarray, inputs: tuple[Tensor, ...],
     return out
 
 
-def _binary_mode(a: Tensor, b: Tensor, op: str, allow_row: bool) -> str:
-    """Classify the a-vs-b shape combination or raise.
-
-    Returns one of "same", "a_scalar", "b_scalar", "b_row" (1xH against BxH).
-    """
-    if a.values.shape == b.values.shape:
-        return "same"
-    if a.values.ndim == 0:
-        return "a_scalar"
-    if b.values.ndim == 0:
-        return "b_scalar"
-    if (allow_row and a.values.ndim == 2 and b.values.ndim == 2
-            and b.values.shape[0] == 1 and b.values.shape[1] == a.values.shape[1]):
-        return "b_row"
-    raise ShapeError(f"{op}: incompatible shapes {a.values.shape} and {b.values.shape}")
+def _check_broadcast(a: Tensor, b: Tensor, op: str, allow_row: bool) -> None:
+    """Raise unless a and b share a shape, one is a scalar, or (with
+    `allow_row`) b is a 1xH row against a BxH a."""
+    shape_a, shape_b = a.values.shape, b.values.shape
+    if shape_a == shape_b or not shape_a or not shape_b:
+        return
+    if allow_row and len(shape_a) == 2 and shape_b == (1, shape_a[1]):
+        return
+    raise ShapeError(f"{op}: incompatible shapes {shape_a} and {shape_b}")
 
 
-def _unbroadcast(g: np.ndarray, mode: str, side: str) -> np.ndarray:
-    if mode == "same":
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The output gradient `g` summed back to an operand of `shape`."""
+    if g.shape == shape:
         return g
-    if mode == "a_scalar":
-        return g.sum() if side == "a" else g
-    if mode == "b_scalar":
-        return g.sum() if side == "b" else g
-    if mode == "b_row":
-        return g.sum(axis=0, keepdims=True) if side == "b" else g
-    raise AssertionError(mode)
+    if not shape:
+        return g.sum()
+    return g.sum(axis=0, keepdims=True)  # a 1xH row
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    mode = _binary_mode(a, b, "add", allow_row=True)
+    _check_broadcast(a, b, "add", allow_row=True)
     out_values = a.values + b.values
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, mode, "a"))
+            a.accumulate_grad(_unbroadcast(g, a.values.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, mode, "b"))
+            b.accumulate_grad(_unbroadcast(g, b.values.shape))
 
     return _emit(out_values, (a, b), backward_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    mode = _binary_mode(a, b, "sub", allow_row=True)
+    _check_broadcast(a, b, "sub", allow_row=True)
     out_values = a.values - b.values
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, mode, "a"))
+            a.accumulate_grad(_unbroadcast(g, a.values.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, mode, "b"))
+            b.accumulate_grad(_unbroadcast(-g, b.values.shape))
 
     return _emit(out_values, (a, b), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; same shape or scalar-vs-tensor only."""
-    mode = _binary_mode(a, b, "mul", allow_row=False)
+    _check_broadcast(a, b, "mul", allow_row=False)
     out_values = a.values * b.values
 
     def backward_fn(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.values, mode, "a"))
+            a.accumulate_grad(_unbroadcast(g * b.values, a.values.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.values, mode, "b"))
+            b.accumulate_grad(_unbroadcast(g * a.values, b.values.shape))
 
     return _emit(out_values, (a, b), backward_fn)
 

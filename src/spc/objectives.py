@@ -79,7 +79,8 @@ _ROW_SUM_TOL = 1e-9
 class ObjectiveConfig:
     """Which loss to optimize and with what trade-off weights.
 
-    A weight that the kind does not take (see OBJECTIVES) must stay 0.
+    Every weight is finite and non-negative, and one that the kind does not
+    take (see OBJECTIVES) must stay 0; the task is the kind's.
     `structured_from` selects the probabilities fed to the batch-entropy
     term: softmax of the sampled t ("sample", default) or of mu ("mu").
     """
@@ -87,25 +88,24 @@ class ObjectiveConfig:
     kind: str = "spc"
     beta: float = 0.0
     gamma: float = 0.0
-    task: str = "classification"
-    structured_from: str = "sample"
     cp_weight: float = 0.0
+    structured_from: str = "sample"
 
     def __post_init__(self):
         if self.kind not in OBJECTIVES:
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if self.task not in ("classification", "regression"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.beta < 0 or self.gamma < 0 or self.cp_weight < 0:
-            raise ValueError("beta, gamma and cp_weight must be non-negative")
+        for name in WEIGHTS:
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            if value != 0.0 and name not in OBJECTIVES[self.kind].weights:
+                raise ValueError(f"kind {self.kind!r} does not take a {name} term")
         if self.structured_from not in ("sample", "mu"):
             raise ValueError(f"structured_from must be 'sample' or 'mu', got {self.structured_from!r}")
-        spec = OBJECTIVES[self.kind]
-        if self.task != spec.task:
-            raise ValueError(f"objective kind {self.kind!r} requires task {spec.task!r}")
-        for name in WEIGHTS:
-            if getattr(self, name) != 0.0 and name not in spec.weights:
-                raise ValueError(f"kind {self.kind!r} does not take a {name} term")
+
+    @property
+    def task(self) -> str:
+        return OBJECTIVES[self.kind].task
 
     @property
     def samples(self) -> bool:

@@ -25,7 +25,8 @@ from . import data as dataio
 from .data import DataError, Dataset
 from .diffcore import Tape, Tensor, backward, zero_grads
 from .encoder import EncoderParams, decode, encode, init_encoder, init_vib, sample, softmax_rows
-from .metrics import _per_class_stats, confusion_matrix, pearson, spearman
+from .metrics import (MetricError, _per_class_stats, adjusted_rand_index, confusion_matrix,
+                      kmeans, pearson, silhouette, spearman)
 from .objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
 
 
@@ -65,6 +66,13 @@ class TrainConfig:
                              f"got {self.batch_size}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name, value in (("learning_rate", self.learning_rate),
+                            ("weight_decay", self.weight_decay)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if min(self.hidden_dim, self.vib_latent_dim) < 1:
+            raise ValueError(f"hidden_dim and vib_latent_dim must be >= 1, "
+                             f"got {self.hidden_dim} and {self.vib_latent_dim}")
 
     def headline_metric(self) -> str:
         return "macro_f1" if self.objective.task == "classification" else "spearman"
@@ -181,8 +189,41 @@ def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
             "accuracy": float((pred == targets).mean()),
             "per_class_f1": [float(v) for v in f1],
         }
-    values = outputs.ravel()
-    return {"pearson": pearson(values, targets), "spearman": spearman(values, targets)}
+    scores = {}
+    for name, correlation in (("pearson", pearson), ("spearman", spearman)):
+        try:
+            scores[name] = correlation(outputs.ravel(), targets)
+        except MetricError:  # undefined: a constant prediction or target, or one row
+            scores[name] = float("nan")
+    return scores
+
+
+def representation_quality(model: EncoderParams, dataset: Dataset,
+                           kmeans_seeds: list[int]) -> dict:
+    """Cluster the mean codes of the test split and score SC / ARI.
+
+    Representations are mu(x) (the latent mean for the bottleneck model),
+    clustered by k-means with k equal to the class count; the median over
+    the k-means seeds is reported for both scores.
+    """
+    if dataset.task != "classification":
+        raise DataError("representation quality is defined for classification")
+    dataset.require_rows("test")
+    features, gold = dataset.subset("test")
+    if gold.size < dataset.num_classes:
+        raise DataError(f"the test split has {gold.size} rows, fewer than the "
+                        f"{dataset.num_classes} clusters of k-means")
+    reps = encode(model, Tensor(features)).mu.values
+    per_seed = []
+    for seed in kmeans_seeds:
+        assign = kmeans(reps, dataset.num_classes, seed=seed)
+        per_seed.append({"seed": seed, "silhouette": silhouette(reps, assign),
+                         "ari": adjusted_rand_index(assign, gold)})
+    return {
+        "silhouette_median": float(np.median([r["silhouette"] for r in per_seed])),
+        "ari_median": float(np.median([r["ari"] for r in per_seed])),
+        "per_seed": per_seed,
+    }
 
 
 def _snapshot(params: list[Tensor]) -> list[np.ndarray]:
@@ -200,9 +241,10 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
 
     Validation is scored every epoch with the task's headline metric; the
     best parameters are kept and training stops once `patience` epochs pass
-    without improvement. On divergence the best checkpoint so far is
-    restored and the report is flagged. An empty train, val or test split
-    is a DataError, raised before any work.
+    without improvement. On divergence (a non-finite loss, gradient or
+    validation score) the best checkpoint so far is restored and the report
+    is flagged. An empty train, val or test split is a DataError, raised
+    before any work.
     """
     dataset.require_rows("train", "val", "test")
     started = time.perf_counter()
@@ -271,6 +313,9 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             "train_total": float(np.mean(epoch_totals)) if epoch_totals else float("nan"),
             "val_metric": value,
         })
+        if not np.isfinite(value):
+            report.diverged = True
+            break
         if value > best_value:
             best_value = value
             best_state = _snapshot(params)
@@ -352,12 +397,14 @@ def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
 
 def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,
                        objectives: list[ObjectiveConfig], ratios: list[float],
-                       seeds: Sequence[int], perturb: str, row_key: str) -> list[dict]:
+                       seeds: Sequence[int], perturb: str) -> list[dict]:
     """objective x ratio table under the `data` function named `perturb`
-    (dataset, ratio, seed) -> Dataset, the ratio in column `row_key`. Each
-    cell averages over the seeds; the perturbation seed is the run seed, so
-    each seed sees its own perturbed train split, and val/test stay intact.
+    (dataset, ratio, seed) -> Dataset, the ratio in its `data.RATIOS`
+    column. Each cell averages over the seeds; the perturbation seed is the
+    run seed, so each seed sees its own perturbed train split, and val/test
+    stay intact.
     """
+    row_key = dataio.RATIOS[perturb][0]
     rows = []
     for objective in objectives:
         cfg = dataclasses.replace(cfg_base, objective=objective)

@@ -57,7 +57,7 @@ from spc.metrics import (
     spearman,
 )
 from spc.objectives import ObjectiveConfig, batch_entropy, confidence_penalty, kl_to_std_normal, spc_loss
-from spc.trainer import TrainConfig, batch_loss, train
+from spc.trainer import TrainConfig, batch_loss, perturbation_study, train
 
 GRID = [0.001, 0.01, 0.1, 1.0, 10.0]
 SEEDS = (0, 1, 2, 3, 4)
@@ -159,7 +159,7 @@ def _objective_case(kind, rng):
         return lambda: batch_loss(model, x, y, cfg, no_eps).total, model.parameters()
     if kind == "mse":
         y = rng.normal(size=batch)
-        cfg = ObjectiveConfig(kind="mse", task="regression")
+        cfg = ObjectiveConfig(kind="mse")
         return lambda: batch_loss(model, x, y, cfg, no_eps).total, model.parameters()
     # spc / pc
     y = rng.integers(0, classes, size=batch)
@@ -358,13 +358,13 @@ def test_criterion_8_limited_data_trend():
         ds = _mixture()
         ratios = [0.2, 0.4, 0.6, 0.8, 1.0]
         objectives = [
-            cli.make_objective("ce", "classification"),
-            cli.make_objective("pc", "classification", beta=0.01),
-            cli.make_objective("spc", "classification", beta=0.01, gamma=0.1),
-            cli.make_objective("vib", "classification", beta=0.01),
+            cli.make_objective("ce"),
+            cli.make_objective("pc", beta=0.01),
+            cli.make_objective("spc", beta=0.01, gamma=0.1),
+            cli.make_objective("vib", beta=0.01),
         ]
         cfg = TrainConfig(objective=objectives[0])
-        rows = cli.ratio_study(ds, cfg, objectives, ratios, list(SEEDS))
+        rows = perturbation_study(ds, cfg, objectives, ratios, list(SEEDS), "subsample_train")
         for objective in objectives:
             means = [r["mean"] for r in rows if r["objective"] == objective.kind]
             rho = spearman(ratios, means)

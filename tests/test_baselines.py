@@ -150,7 +150,7 @@ class TestVib:
         y = rng.normal(size=5)
         eps = rng.standard_normal((5, 3))
         terms = batch_loss(params, x, y,
-                           ObjectiveConfig(kind="mse_vib", beta=0.2, task="regression"), eps)
+                           ObjectiveConfig(kind="mse_vib", beta=0.2), eps)
         assert abs(terms.total_value - (terms.nll + 0.2 * terms.kl)) < 1e-12
 
     def test_checkpoint_round_trip(self, tmp_path):
@@ -174,7 +174,7 @@ class TestStructuralContrast:
         params = init_encoder(4, 5, 1, rng=rng)
         x = Tensor(rng.normal(size=(5, 4)))
         y = rng.normal(size=5)
-        terms = batch_loss(params, x, y, ObjectiveConfig(kind="mse", task="regression"),
+        terms = batch_loss(params, x, y, ObjectiveConfig(kind="mse"),
                            no_eps(5, 1))
         pred = encode(params, x).mu.values
         assert abs(terms.total_value - ((pred.ravel() - y) ** 2).mean()) < 1e-12

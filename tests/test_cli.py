@@ -251,10 +251,21 @@ class TestExitCodes:
         ("train", "--seeds", "3,3"),
         ("noise-study", "--ratios", "0.1,1.5"),
         ("ratio-study", "--ratios", "0"),
+        ("train", "--lr", "-1"),
+        ("train", "--weight-decay", "-5"),
+        ("train", "--hidden-dim", "0"),
+        ("train", "--objective", "vib", "--vib-latent-dim", "0"),
+        ("train", "--lr", "inf"),
+        ("train", "--beta", "nan"),
+        ("train", "--objective", "ce_cp", "--cp-weight", "inf"),
+        ("train", "--task", "regression", "--objective", "spc"),
+        ("train", "--structured-from", "logits"),
     ])
     def test_bad_flag_value_exits_2_before_training(self, out, data_file, argv, capsys):
-        assert run_cli(*argv, "--out", out, "--data", data_file, "--hidden-dim", "4") \
-            == cli.EXIT_USAGE
+        # the case's own flags come last, so they win over the fixed ones
+        command, *flags = argv
+        assert run_cli(command, "--out", out, "--data", data_file, "--hidden-dim", "4",
+                       *flags) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("usage error:")
         assert not os.path.exists(out)
@@ -299,6 +310,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("sweep", "--objective", "mse_pc", "--betas", "0.1,1"),
         ("ratio-study", "--objectives", "mse", "--ratios", "0.5,1"),
+        # a constant prediction leaves the validation correlation undefined (NaN)
+        ("ratio-study", "--objectives", "mse_vib", "--ratios", "0.5,1"),
     ])
     def test_diverged_seeds_counted_per_row_and_exit_4(self, out, tmp_path, argv, capsys):
         with np.errstate(all="ignore"):
@@ -494,9 +507,9 @@ class TestSeedParsing:
             cli.parse_seeds(text)
 
     def test_make_objective_drops_unused_weights(self):
-        obj = cli.make_objective("ce", "classification", beta=0.5, gamma=0.5)
+        obj = cli.make_objective("ce", beta=0.5, gamma=0.5)
         assert obj.beta == 0.0 and obj.gamma == 0.0
-        obj = cli.make_objective("pc", "classification", beta=0.5, gamma=0.5)
+        obj = cli.make_objective("pc", beta=0.5, gamma=0.5)
         assert obj.beta == 0.5 and obj.gamma == 0.0
 
 
@@ -556,12 +569,13 @@ class TestRunIdentity:
         for r in results["per_seed"]:
             assert set(r["config"].get("seeds", [])) <= {3, 7}
 
-    def test_unset_train_flags_take_the_dataclass_defaults(self, monkeypatch):
+    def test_unset_train_flags_take_the_dataclass_defaults(self, monkeypatch, tmp_path):
         # a default changed in the dataclass must reach the command line
         @dataclasses.dataclass
         class Shifted(TrainConfig):
             epochs: int = 7
             learning_rate: float = 0.5
+            warmup: int = 3
 
         monkeypatch.setattr(cli, "TrainConfig", Shifted)
         args = cli.build_parser().parse_args(["train"])
@@ -580,6 +594,16 @@ class TestRunIdentity:
             "cp_weight": objective.cp_weight, "structured_from": objective.structured_from,
             "seeds": "5",
         }
+        # a field added to the dataclass is a flag and a --config key too
+        assert args.warmup == 3
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"warmup": 4}))
+        for argv, expected in ((["--config", str(config)], 4),
+                               (["--config", str(config), "--warmup", "5"], 5)):
+            args = cli.build_parser().parse_args(["train", *argv])
+            cli.resolve_train_args(args)
+            assert args.warmup == expected
+            assert cli._train_configs(args, ["spc"])[0].warmup == expected
 
 
 class TestBadInputs:

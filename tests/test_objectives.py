@@ -7,6 +7,7 @@ from gradcheck import max_grad_rel_err
 from spc.diffcore import DomainError, Tape, Tensor, backward, param, zero_grads
 from spc.encoder import GaussianCode
 from spc.objectives import (
+    OBJECTIVES,
     ObjectiveConfig,
     batch_entropy,
     confidence_penalty,
@@ -260,19 +261,19 @@ class TestRegressionObjective:
         from spc.encoder import sample
         t = sample(code, rng.standard_normal((4, 1)))
         y = rng.normal(size=4)
-        cfg = ObjectiveConfig(kind="mse_pc", beta=0.25, task="regression")
+        cfg = ObjectiveConfig(kind="mse_pc", beta=0.25)
         terms = spc_loss(code, t, y, cfg)
         assert abs(terms.total_value - (terms.nll + 0.25 * terms.kl)) < 1e-12
 
     def test_regression_rejects_gamma(self):
         with pytest.raises(ValueError):
-            ObjectiveConfig(kind="mse_pc", beta=0.1, gamma=0.1, task="regression")
+            ObjectiveConfig(kind="mse_pc", beta=0.1, gamma=0.1)
 
 
 class TestObjectiveConfigValidation:
-    def test_kind_task_mismatch(self):
-        with pytest.raises(ValueError):
-            ObjectiveConfig(kind="spc", task="regression")
+    def test_task_is_the_kinds(self):
+        for kind, spec in OBJECTIVES.items():
+            assert ObjectiveConfig(kind=kind).task == spec.task
 
     def test_pc_rejects_gamma(self):
         with pytest.raises(ValueError):

@@ -76,7 +76,7 @@ class TestBatchLoss:
         spec = OBJECTIVES[kind]
         weights = {name: value for name, value in
                    {"beta": 0.3, "gamma": 0.7, "cp_weight": 0.5}.items() if name in spec.weights}
-        objective = ObjectiveConfig(kind=kind, task=spec.task, **weights)
+        objective = ObjectiveConfig(kind=kind, **weights)
         rng = np.random.default_rng(60)
         out_dim = 3 if spec.task == "classification" else 1
         model = (init_vib(4, 6, 2, out_dim, rng=rng) if spec.decoder
@@ -150,7 +150,7 @@ class TestTrainLoop:
         ds = Dataset(features=rng.normal(size=(40, 3)), targets=rng.normal(size=40),
                      split=np.array(["train"] * 20 + ["val"] * 10 + ["test"] * 10),
                      task="regression")
-        cfg = small_cfg(ObjectiveConfig(kind="mse", task="regression"),
+        cfg = small_cfg(ObjectiveConfig(kind="mse"),
                         learning_rate=1e200, epochs=5)
         with np.errstate(all="ignore"):
             report = train(ds, cfg, seed=0)
@@ -201,7 +201,7 @@ class TestConfigValidation:
 
     def test_headline_metric_auto(self):
         clf = TrainConfig(objective=ObjectiveConfig(kind="ce"))
-        reg = TrainConfig(objective=ObjectiveConfig(kind="mse", task="regression"))
+        reg = TrainConfig(objective=ObjectiveConfig(kind="mse"))
         assert clf.headline_metric() == "macro_f1"
         assert reg.headline_metric() == "spearman"
 
@@ -216,7 +216,7 @@ class TestRegressionTraining:
         split = np.array(["train"] * 180 + ["val"] * 60 + ["test"] * 60)
         from spc.data import Dataset
         ds = Dataset(features=features, targets=targets, split=split, task="regression")
-        cfg = small_cfg(ObjectiveConfig(kind="mse_pc", beta=0.001, task="regression"),
+        cfg = small_cfg(ObjectiveConfig(kind="mse_pc", beta=0.001),
                         epochs=30, learning_rate=2e-2)
         report = train(ds, cfg, seed=0)
         assert report.test_metrics["spearman"] > 0.9
