@@ -23,7 +23,9 @@ width, batch size below 2, patience above epochs, --config values of the
 wrong type; caught before any dataset is read), 3 data errors (unreadable
 inputs, unusable checkpoints or ones whose input or output width does not
 fit the dataset, tensors whose shapes disagree with the checkpoint arch,
-empty splits, a repr-quality test split with fewer rows than classes), 4 a
+empty splits, a regression split of one row, a repr-quality test split
+with fewer rows than classes, a study ratio that leaves a train class
+empty; each caught before any training), 4 a
 diverged seed (a non-finite loss, gradient or validation score), after the
 report is written (train's summary and each sweep or study row count
 them, ood flags each seed).
@@ -48,7 +50,6 @@ from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, WEIGHTS, ObjectiveConf
 from .trainer import (
     RunReport,
     TrainConfig,
-    TrainingDiverged,
     evaluate_split,
     ood_run,
     perturbation_study,
@@ -582,9 +583,6 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingDiverged as err:
-        print(f"training diverged: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

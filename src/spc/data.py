@@ -82,11 +82,18 @@ class Dataset:
             raise DataError(f"unknown split {split!r}")
         return np.flatnonzero(self.split == split)
 
+    @property
+    def min_rows(self) -> int:
+        """Rows a split needs: one, or two for regression (a correlation needs two)."""
+        return 1 if self.task == "classification" else 2
+
     def require_rows(self, *splits: str) -> None:
-        """Raise DataError unless each of `splits` has at least one row."""
+        """Raise DataError unless each of `splits` has at least `min_rows` rows."""
         for split in splits:
-            if self.indices(split).size == 0:
-                raise DataError(f"dataset has no {split!r} rows")
+            n = self.indices(split).size
+            if n < self.min_rows:
+                raise DataError(f"dataset has {n or 'no'} {split!r} rows; "
+                                f"{self.task} needs at least {self.min_rows}")
 
     def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
         idx = self.indices(split)
@@ -334,6 +341,30 @@ def check_ratio(perturbation: str, ratio: float) -> None:
         raise DataError(f"{name} must be in {'[' if zero_ok else '('}0, 1], got {ratio}")
 
 
+def check_perturbation(perturbation: str, ds: Dataset, ratio: float) -> None:
+    """Raise DataError unless `perturbation` can apply `ratio` to `ds`: the
+    ratio is in range, label noise needs a classification dataset, and a
+    subsample keeps round(ratio * n) >= ds.min_rows of the n train rows of
+    every class (of the whole train split, for regression)."""
+    check_ratio(perturbation, ratio)
+    if perturbation == "inject_label_noise" and ds.task != "classification":
+        raise DataError("label noise is only defined for classification datasets")
+    if perturbation == "subsample_train" and ratio < 1.0:
+        for rows in _train_strata(ds):
+            if round(ratio * rows.size) < ds.min_rows:
+                raise DataError(f"train_ratio {ratio} keeps {round(ratio * rows.size)} of "
+                                f"{rows.size} train rows of a {ds.task} stratum; "
+                                f"it needs {ds.min_rows}")
+
+
+def _train_strata(ds: Dataset) -> list[np.ndarray]:
+    """The train rows of each class, or all of them as one stratum for regression."""
+    train_idx = ds.indices("train")
+    if ds.task == "classification":
+        return [train_idx[ds.targets[train_idx] == c] for c in range(ds.num_classes)]
+    return [train_idx]
+
+
 def inject_label_noise(ds: Dataset, noise_ratio: float, seed: int) -> Dataset:
     """Flip an exact fraction of train labels, uniformly at random.
 
@@ -341,9 +372,7 @@ def inject_label_noise(ds: Dataset, noise_ratio: float, seed: int) -> Dataset:
     picked label is redrawn uniformly over the other C-1 classes, so a
     flipped label never keeps its old value. Val/test rows are untouched.
     """
-    check_ratio("inject_label_noise", noise_ratio)
-    if ds.task != "classification":
-        raise DataError("label noise is only defined for classification datasets")
+    check_perturbation("inject_label_noise", ds, noise_ratio)
     train_idx = ds.indices("train")
     n_flip = int(round(noise_ratio * train_idx.size))
     rng = np.random.default_rng(seed)
@@ -360,28 +389,17 @@ def inject_label_noise(ds: Dataset, noise_ratio: float, seed: int) -> Dataset:
 def subsample_train(ds: Dataset, train_ratio: float, seed: int) -> Dataset:
     """Keep a class-stratified fraction of the train split; val/test untouched.
 
-    Per class, round(ratio * n_c) rows are kept (error if that rounds to
-    zero for any class). Unselected train rows are dropped from the dataset.
+    Per class, round(ratio * n_c) rows are kept (see `check_perturbation`
+    for the ratios that are errors). Unselected train rows are dropped.
     """
-    check_ratio("subsample_train", train_ratio)
+    check_perturbation("subsample_train", ds, train_ratio)
     if train_ratio == 1.0:
         return ds
     rng = np.random.default_rng(seed)
-    train_idx = ds.indices("train")
-    if ds.task == "classification":
-        strata = [train_idx[ds.targets[train_idx] == c] for c in range(ds.num_classes)]
-    else:
-        strata = [train_idx]
-    keep: list[np.ndarray] = []
-    for rows in strata:
-        n_keep = int(round(train_ratio * rows.size))
-        if n_keep < 1:
-            raise DataError(
-                f"train_ratio {train_ratio} leaves no samples for a class with {rows.size} rows")
-        keep.append(rng.choice(rows, size=n_keep, replace=False))
-    keep_set = np.concatenate(keep)
+    keep = [rng.choice(rows, size=round(train_ratio * rows.size), replace=False)
+            for rows in _train_strata(ds)]
     mask = np.ones(ds.num_rows, dtype=bool)
-    mask[train_idx] = False
-    mask[keep_set] = True
+    mask[ds.indices("train")] = False
+    mask[np.concatenate(keep)] = True
     return replace(ds, features=ds.features[mask], targets=ds.targets[mask],
                    split=ds.split[mask])

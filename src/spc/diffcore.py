@@ -7,6 +7,15 @@ tight tolerances.
 
 Broadcasting is restricted to two cases: scalar-vs-tensor, and adding a
 1xH row vector (a bias) to a BxH matrix. Nothing else is implicit.
+
+Op contract: an op computes its output values and hands `_emit` one
+(input, local-gradient function) pair per input; the function maps the
+output gradient `g` to that input's local gradient (`exp`: `g * out`;
+`matmul`: `g @ b.T` and `a.T @ g`; `sub`'s right operand: `-g`). The
+shared rules live in two places only. `_emit` keeps the pairs whose input
+requires a gradient, and tapes the output (which then requires one) iff
+any pair is kept. `backward` sums each local gradient back over a
+broadcast operand's shape and accumulates it into that input's `.grad`.
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ class GraphError(RuntimeError):
 _tape_stack: list["Tape"] = []
 
 
-def active_tape() -> "Tape | None":
-    return _tape_stack[-1] if _tape_stack else None
+# maps an op's output gradient to one input's local gradient
+GradFn = Callable[[np.ndarray], np.ndarray]
 
 
 class Tensor:
@@ -111,7 +120,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._ops: list[tuple[Tensor, tuple[tuple[Tensor, GradFn], ...]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -123,8 +132,8 @@ class Tape:
             raise GraphError("tape stack corrupted: exiting a tape that is not active")
         _tape_stack.pop()
 
-    def record(self, output: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._ops.append((output, backward_fn))
+    def record(self, output: Tensor, pairs: tuple[tuple[Tensor, GradFn], ...]) -> None:
+        self._ops.append((output, pairs))
 
     def __len__(self) -> int:
         return len(self._ops)
@@ -144,22 +153,24 @@ def backward(loss: Tensor, tape: Tape, params: list[Tensor] | None = None) -> No
         raise GraphError("backward() already ran on this tape; build a fresh tape")
     tape._consumed = True
     loss.accumulate_grad(np.ones_like(loss.values))
-    for out, backward_fn in reversed(tape._ops):
+    for out, pairs in reversed(tape._ops):
         if out.grad is None:
             continue  # not on any path to the loss
-        backward_fn(out.grad)
+        for t, grad_fn in pairs:
+            t.accumulate_grad(_unbroadcast(grad_fn(out.grad), t.values.shape))
     if params is not None:
         for p in params:
             if p.grad is None:
                 p.grad = np.zeros_like(p.values)
 
 
-def _emit(values: np.ndarray, inputs: tuple[Tensor, ...],
-          backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    out = Tensor(values, requires_grad=any(t.requires_grad for t in inputs))
-    tape = active_tape()
-    if tape is not None and out.requires_grad:
-        tape.record(out, backward_fn)
+def _emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
+    """The op output `values`, taped with the (input, local gradient) pairs
+    whose input requires a gradient; it requires one iff any pair is kept."""
+    kept = tuple(pair for pair in pairs if pair[0].requires_grad)
+    out = Tensor(values, requires_grad=bool(kept))
+    if kept and _tape_stack:
+        _tape_stack[-1].record(out, kept)
     return out
 
 
@@ -185,52 +196,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "add", allow_row=True)
-    out_values = a.values + b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.values.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.values.shape))
-
-    return _emit(out_values, (a, b), backward_fn)
+    return _emit(a.values + b.values, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a, b, "sub", allow_row=True)
-    out_values = a.values - b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.values.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.values.shape))
-
-    return _emit(out_values, (a, b), backward_fn)
+    return _emit(a.values - b.values, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; same shape or scalar-vs-tensor only."""
     _check_broadcast(a, b, "mul", allow_row=False)
-    out_values = a.values * b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.values, a.values.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.values, b.values.shape))
-
-    return _emit(out_values, (a, b), backward_fn)
+    return _emit(a.values * b.values,
+                 (a, lambda g: g * b.values), (b, lambda g: g * a.values))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * c)
-
-    return _emit(a.values * c, (a,), backward_fn)
+    return _emit(a.values * c, (a, lambda g: g * c))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -239,58 +222,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: expected 2-D operands, got {a.values.shape} and {b.values.shape}")
     if a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.values.shape} vs {b.values.shape}")
-    out_values = a.values @ b.values
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g @ b.values.T)
-        if b.requires_grad:
-            b.accumulate_grad(a.values.T @ g)
-
-    return _emit(out_values, (a, b), backward_fn)
+    return _emit(a.values @ b.values,
+                 (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g))
 
 
 def exp(a: Tensor) -> Tensor:
     out_values = np.exp(a.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * out_values)
-
-    return _emit(out_values, (a,), backward_fn)
+    return _emit(out_values, (a, lambda g: g * out_values))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.values <= 0.0):
         raise DomainError("log: all values must be positive")
-    out_values = np.log(a.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g / a.values)
-
-    return _emit(out_values, (a,), backward_fn)
+    return _emit(np.log(a.values), (a, lambda g: g / a.values))
 
 
 def tanh(a: Tensor) -> Tensor:
     out_values = np.tanh(a.values)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * (1.0 - out_values * out_values))
-
-    return _emit(out_values, (a,), backward_fn)
+    return _emit(out_values, (a, lambda g: g * (1.0 - out_values * out_values)))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0.0
-    out_values = np.where(mask, a.values, 0.0)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _emit(out_values, (a,), backward_fn)
+    return _emit(np.where(mask, a.values, 0.0), (a, lambda g: g * mask))
 
 
 def xlogx(a: Tensor) -> Tensor:
@@ -304,25 +258,14 @@ def xlogx(a: Tensor) -> Tensor:
         raise DomainError("xlogx: values must be non-negative")
     positive = a.values > 0.0
     safe = np.where(positive, a.values, 1.0)
-    out_values = np.where(positive, a.values * np.log(safe), 0.0)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * np.where(positive, np.log(safe) + 1.0, 0.0))
-
-    return _emit(out_values, (a,), backward_fn)
+    return _emit(np.where(positive, a.values * np.log(safe), 0.0),
+                 (a, lambda g: g * np.where(positive, np.log(safe) + 1.0, 0.0)))
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Hard clamp; gradient passes only where lo <= value <= hi."""
     mask = (a.values >= lo) & (a.values <= hi)
-    out_values = np.clip(a.values, lo, hi)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _emit(out_values, (a,), backward_fn)
+    return _emit(np.clip(a.values, lo, hi), (a, lambda g: g * mask))
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -333,13 +276,9 @@ def log_softmax(a: Tensor) -> Tensor:
         raise ShapeError("log_softmax: need at least 2 columns")
     shifted = a.values - a.values.max(axis=1, keepdims=True)
     out_values = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-    def backward_fn(g):
-        if a.requires_grad:
-            softmax = np.exp(out_values)
-            a.accumulate_grad(g - softmax * g.sum(axis=1, keepdims=True))
-
-    return _emit(out_values, (a,), backward_fn)
+    # the softmax is only materialized if the backward pass reaches this op
+    return _emit(out_values,
+                 (a, lambda g: g - np.exp(out_values) * g.sum(axis=1, keepdims=True)))
 
 
 def _check_axis(a: Tensor, axis: int | None) -> None:
@@ -352,32 +291,15 @@ def _check_axis(a: Tensor, axis: int | None) -> None:
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over all elements (axis=None, scalar result) or one axis (keepdims)."""
     _check_axis(a, axis)
-    if axis is None:
-        out_values = a.values.sum()
-    else:
-        out_values = a.values.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g, a.values.shape).copy())
-
-    return _emit(out_values, (a,), backward_fn)
+    out_values = a.values.sum() if axis is None else a.values.sum(axis=axis, keepdims=True)
+    return _emit(out_values, (a, lambda g: np.broadcast_to(g, a.values.shape)))
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis)
-    if axis is None:
-        n = a.values.size
-        out_values = a.values.mean()
-    else:
-        n = a.values.shape[axis]
-        out_values = a.values.mean(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        if a.requires_grad:
-            a.accumulate_grad(np.broadcast_to(g, a.values.shape) / n)
-
-    return _emit(out_values, (a,), backward_fn)
+    n = a.values.size if axis is None else a.values.shape[axis]
+    out_values = a.values.mean() if axis is None else a.values.mean(axis=axis, keepdims=True)
+    return _emit(out_values, (a, lambda g: np.broadcast_to(g, a.values.shape) / n))
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -387,15 +309,9 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     mean = a.values.mean(axis=1, keepdims=True)
     var = a.values.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    out_values = (a.values - mean) * inv_std
-
-    def backward_fn(g):
-        if a.requires_grad:
-            g_mean = g.mean(axis=1, keepdims=True)
-            gy_mean = (g * out_values).mean(axis=1, keepdims=True)
-            a.accumulate_grad(inv_std * (g - g_mean - out_values * gy_mean))
-
-    return _emit(out_values, (a,), backward_fn)
+    y = (a.values - mean) * inv_std
+    return _emit(y, (a, lambda g: inv_std * (g - g.mean(axis=1, keepdims=True)
+                                             - y * (g * y).mean(axis=1, keepdims=True))))
 
 
 def zero_grads(tensors) -> None:

@@ -405,6 +405,8 @@ def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,
     stay intact.
     """
     row_key = dataio.RATIOS[perturb][0]
+    for ratio in ratios:  # a ratio the dataset cannot take fails before any training
+        dataio.check_perturbation(perturb, dataset, ratio)
     rows = []
     for objective in objectives:
         cfg = dataclasses.replace(cfg_base, objective=objective)

@@ -673,17 +673,69 @@ class TestBadInputs:
                        "--ckpt", ckpt) == cli.EXIT_DATA
         self._one_line_error(capsys, ckpt)
 
-    @pytest.mark.parametrize("missing", ["val", "test"])
-    def test_empty_split_fails_before_training(self, out, tmp_path, missing, capsys):
-        ds = gen_mixture(2, 8, 50, 4.0, seed=200)
-        path = str(tmp_path / f"no_{missing}.jsonl")
-        save(dataclasses.replace(ds, split=np.where(ds.split == missing, "train", ds.split)),
-             path)
-        assert run_cli("train", "--out", out, "--data", path, "--objective", "ce",
-                       "--epochs", "1", "--patience", "1", "--batch-size", "16",
-                       "--hidden-dim", "4", "--seeds", "1") == cli.EXIT_DATA
+    @staticmethod
+    def _with_rows(tmp_path, task, split, keep):
+        """A dataset file whose `split` keeps only its first `keep` rows
+        (the rest move to train)."""
+        if task == "classification":
+            ds = gen_mixture(2, 8, 50, 4.0, seed=200)
+        else:
+            ds = dataio.load(regression_file(tmp_path), task="regression")
+        splits = ds.split.copy()
+        splits[np.flatnonzero(ds.split == split)[keep:]] = "train"
+        path = str(tmp_path / f"{task}_{keep}_{split}.jsonl")
+        save(dataclasses.replace(ds, split=splits), path)
+        return path
+
+    # a regression split of one row leaves its correlation undefined
+    @pytest.mark.parametrize("task, missing, keep", [
+        pytest.param("classification", "val", 0, id="val"),
+        pytest.param("classification", "test", 0, id="test"),
+        pytest.param("regression", "val", 1, id="regression-one-val"),
+        pytest.param("regression", "test", 1, id="regression-one-test"),
+    ])
+    def test_empty_split_fails_before_training(self, out, tmp_path, task, missing, keep,
+                                               capsys):
+        path = self._with_rows(tmp_path, task, missing, keep)
+        objective = "ce" if task == "classification" else "mse"
+        assert run_cli("train", "--out", out, "--data", path, "--task", task,
+                       "--objective", objective, "--epochs", "1", "--patience", "1",
+                       "--batch-size", "16", "--hidden-dim", "4",
+                       "--seeds", "1") == cli.EXIT_DATA
         self._one_line_error(capsys, missing)
         assert not os.path.exists(out) or os.listdir(out) == []
+
+    def test_eval_on_one_row_regression_split(self, out, tmp_path, capsys):
+        path = self._with_rows(tmp_path, "regression", "test", 1)
+        ckpt = str(tmp_path / "regressor.json")
+        save_checkpoint(ckpt, init_encoder(3, 4, 1, rng=0))
+        assert run_cli("eval", "--out", out, "--data", path, "--task", "regression",
+                       "--ckpt", ckpt, "--split", "test") == cli.EXIT_DATA
+        self._one_line_error(capsys, "'test'", "at least 2")
+        assert not os.path.exists(out)
+
+    # 0.001 of 30 train rows a class keeps none; 0.05 of 15 regression rows keeps one
+    @pytest.mark.parametrize("task, ratio", [("classification", "0.001"),
+                                             ("regression", "0.05")])
+    def test_study_ratio_that_empties_a_class_fails_before_training(
+            self, out, tmp_path, data_file, monkeypatch, task, ratio, capsys):
+        calls = []
+        original = trainer.train
+
+        def counted(dataset, cfg, seed):
+            calls.append(seed)
+            return original(dataset, cfg, seed)
+
+        monkeypatch.setattr(trainer, "train", counted)
+        path, objective = ((data_file, "ce") if task == "classification"
+                           else (regression_file(tmp_path), "mse"))
+        assert run_cli("ratio-study", "--out", out, "--data", path, "--task", task,
+                       "--objectives", objective, "--ratios", f"0.5,{ratio}", "--epochs", "1",
+                       "--patience", "1", "--batch-size", "4", "--hidden-dim", "4",
+                       "--seeds", "1") == cli.EXIT_DATA
+        self._one_line_error(capsys, f"train_ratio {ratio}")
+        assert calls == []
+        assert not os.path.exists(out)
 
     def test_repr_quality_with_fewer_test_rows_than_classes(self, out, tmp_path, capsys):
         ds = gen_mixture(4, 8, 10, 4.0, seed=206)

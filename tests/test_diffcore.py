@@ -24,6 +24,7 @@ from spc.diffcore import (
     reduce_sum,
     relu,
     scale,
+    sub,
     tanh,
     xlogx,
 )
@@ -94,13 +95,20 @@ class TestElementwise:
         assert np.array_equal((a + Tensor(1.0)).values, [[2.0, 3.0], [4.0, 5.0]])
         assert np.array_equal((a * 2.0).values, [[2.0, 4.0], [6.0, 8.0]])
 
-    def test_row_bias_broadcast_grad(self):
+    @pytest.mark.parametrize("op, operand, expected", [
+        pytest.param(add, [[10.0, 20.0]], [[2.0, 2.0]], id="row-add"),
+        pytest.param(sub, [[10.0, 20.0]], [[-2.0, -2.0]], id="row-sub"),
+        pytest.param(add, 10.0, 4.0, id="scalar-add"),
+        pytest.param(mul, 10.0, 10.0, id="scalar-mul"),  # the sum of x
+    ])
+    def test_row_bias_broadcast_grad(self, op, operand, expected):
         x = param(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = param(np.array([[10.0, 20.0]]))
+        b = param(np.array(operand))
         with Tape() as tape:
-            y = reduce_sum(add(x, b))
+            y = reduce_sum(op(x, b))
         backward(y, tape)
-        assert np.array_equal(b.grad, [[2.0, 2.0]])
+        assert b.grad.shape == b.values.shape
+        assert np.array_equal(b.grad, expected)
 
     def test_disallowed_broadcast(self):
         with pytest.raises(ShapeError):
@@ -241,6 +249,22 @@ class TestBackward:
             loss = reduce_sum(p)
         backward(loss, tape, params=[p, q])
         assert np.array_equal(q.grad, np.zeros(3))
+
+    def test_op_on_constants_is_not_taped(self):
+        with Tape() as tape:
+            out = mul(exp(Tensor([[1.0, 2.0]])), Tensor(3.0))
+        assert len(tape) == 0
+        assert not out.requires_grad
+
+    def test_constant_operand_gets_no_grad(self):
+        p = param(np.array([[1.0, 2.0]]))
+        c = Tensor(np.array([[3.0, 4.0]]))
+        with Tape() as tape:
+            loss = reduce_sum(matmul(mul(p, c), Tensor(np.ones((2, 1)))))
+        assert len(tape) == 3
+        backward(loss, tape)
+        assert np.array_equal(p.grad, [[3.0, 4.0]])
+        assert c.grad is None
 
     def test_non_scalar_loss_rejected(self):
         p = param(np.ones((2, 2)))

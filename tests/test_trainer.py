@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from spc.data import DataError, gen_mixture
-from spc.diffcore import Tensor, param
+from spc.data import SPLITS, DataError, Dataset, gen_mixture
+from spc.diffcore import Tape, Tensor, param
 from spc.encoder import init_encoder, init_vib, load_checkpoint, save_checkpoint
-from spc.objectives import OBJECTIVES, ObjectiveConfig
+from spc.objectives import OBJECTIVES, WEIGHTS, ObjectiveConfig
 from spc.trainer import (
     AdamaxState,
     TrainConfig,
@@ -69,28 +69,46 @@ class TestAdamax:
         assert np.allclose(p.values, 10.0 * (1 - 0.1 * 0.01))
 
 
+def one_batch(kind: str, weights: dict[str, float], hidden: int):
+    """A model, batch and objective of `kind`, taking the `weights` it accepts."""
+    spec = OBJECTIVES[kind]
+    objective = ObjectiveConfig(kind=kind, **{name: value for name, value in weights.items()
+                                              if name in spec.weights})
+    rng = np.random.default_rng(60)
+    out_dim = 3 if spec.task == "classification" else 1
+    model = (init_vib(4, hidden, 2, out_dim, rng=rng) if spec.decoder
+             else init_encoder(4, hidden, out_dim, rng=rng))
+    x = Tensor(rng.normal(size=(5, 4)))
+    y = rng.integers(0, 3, size=5) if spec.task == "classification" else rng.normal(size=5)
+    return model, x, y, objective, rng.standard_normal((5, model.latent_dim))
+
+
 class TestBatchLoss:
     @pytest.mark.parametrize("kind", list(OBJECTIVES))
     def test_terms_recompose_the_total(self, kind):
         # every weight the kind takes is nonzero, so each of its terms is computed
-        spec = OBJECTIVES[kind]
-        weights = {name: value for name, value in
-                   {"beta": 0.3, "gamma": 0.7, "cp_weight": 0.5}.items() if name in spec.weights}
-        objective = ObjectiveConfig(kind=kind, **weights)
-        rng = np.random.default_rng(60)
-        out_dim = 3 if spec.task == "classification" else 1
-        model = (init_vib(4, 6, 2, out_dim, rng=rng) if spec.decoder
-                 else init_encoder(4, 6, out_dim, rng=rng))
-        x = Tensor(rng.normal(size=(5, 4)))
-        y = rng.integers(0, 3, size=5) if spec.task == "classification" else rng.normal(size=5)
-        terms = batch_loss(model, x, y, objective, rng.standard_normal((5, model.latent_dim)))
+        model, x, y, objective, eps = one_batch(
+            kind, {"beta": 0.3, "gamma": 0.7, "cp_weight": 0.5}, hidden=6)
+        terms = batch_loss(model, x, y, objective, eps)
         recomposed = (terms.nll + objective.beta * terms.kl
                       - objective.gamma * terms.batch_entropy
                       + objective.cp_weight * terms.penalty)
         assert abs(terms.total_value - recomposed) < 1e-12
         computed = {"beta": terms.kl, "gamma": terms.batch_entropy, "cp_weight": terms.penalty}
         for name, value in computed.items():
-            assert (value != 0.0) == (name in spec.weights), name
+            assert (value != 0.0) == (name in OBJECTIVES[kind].weights), name
+
+    # Python dispatch per taped op is what a training step costs, so a change
+    # to these counts has to be deliberate
+    TAPE_OPS = {"spc": 33, "pc": 25, "ce": 12, "ce_cp": 19, "vib": 30,
+                "mse": 11, "mse_pc": 24, "mse_vib": 29}
+
+    @pytest.mark.parametrize("kind", list(OBJECTIVES))
+    def test_taped_ops_per_step(self, kind):
+        model, x, y, objective, eps = one_batch(kind, dict.fromkeys(WEIGHTS, 0.1), hidden=8)
+        with Tape() as tape:
+            batch_loss(model, x, y, objective, eps)
+        assert len(tape) == self.TAPE_OPS[kind]
 
 
 class TestTrainLoop:
@@ -134,19 +152,28 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(broken, small_cfg(ObjectiveConfig(kind="ce")), seed=0)
 
-    @pytest.mark.parametrize("empty", ["train", "val", "test"])
-    def test_empty_split_is_a_data_error(self, mixture, empty):
+    @pytest.mark.parametrize("task, empty", [
+        *(pytest.param("classification", split, id=split) for split in SPLITS),
+        # a regression split needs two rows: a correlation of one is undefined
+        *(pytest.param("regression", split, id=f"regression-one-{split}") for split in SPLITS),
+    ])
+    def test_empty_split_is_a_data_error(self, mixture, task, empty):
         other = "val" if empty == "train" else "train"
-        broken = dataclasses.replace(
-            mixture, split=np.where(mixture.split == empty, other, mixture.split))
+        split = mixture.split.copy()
+        split[np.flatnonzero(split == empty)[0 if task == "classification" else 1:]] = other
+        if task == "classification":
+            broken, kind = dataclasses.replace(mixture, split=split), "ce"
+        else:
+            broken = Dataset(features=mixture.features, split=split, task="regression",
+                             targets=mixture.targets.astype(np.float64))
+            kind = "mse"
         with pytest.raises(DataError, match=empty):
-            train(broken, small_cfg(ObjectiveConfig(kind="ce")), seed=0)
+            train(broken, small_cfg(ObjectiveConfig(kind=kind)), seed=0)
 
     def test_divergence_aborts_with_checkpoint(self):
         # Adamax steps are magnitude-bounded by lr, so overflow needs an
         # absurd rate plus a squared loss
         rng = np.random.default_rng(103)
-        from spc.data import Dataset
         ds = Dataset(features=rng.normal(size=(40, 3)), targets=rng.normal(size=40),
                      split=np.array(["train"] * 20 + ["val"] * 10 + ["test"] * 10),
                      task="regression")
@@ -214,7 +241,6 @@ class TestRegressionTraining:
         w = np.array([1.0, -2.0, 0.5, 0.0])
         targets = features @ w + 0.05 * rng.normal(size=n)
         split = np.array(["train"] * 180 + ["val"] * 60 + ["test"] * 60)
-        from spc.data import Dataset
         ds = Dataset(features=features, targets=targets, split=split, task="regression")
         cfg = small_cfg(ObjectiveConfig(kind="mse_pc", beta=0.001),
                         epochs=30, learning_rate=2e-2)
