@@ -12,22 +12,23 @@ the SPC_OUT environment variable (default ./out). Input dataset files are
 never modified. This module holds flags, run directories and printing
 only: the training flags and --config keys are the TrainConfig and
 ObjectiveConfig fields (see `train_defaults`), and the protocols live in
-`spc.trainer`.
+`spc.trainer`. A run's task is its objective's, its checkpoint's for eval
+and repr-quality (one output is regression), and classification for ood.
 
 Exit codes: 0 success, 2 bad flags (values that do not resolve into a run:
 empty or malformed seed, objective, grid or ratio lists, negative or
 repeated seeds, ratios outside the study's range ([0, 1] for noise, (0, 1]
-for ratio), an objective of another task than --task, a negative or
-non-finite weight, learning rate or weight decay, a zero hidden or latent
-width, batch size below 2, patience above epochs, --config values of the
-wrong type; caught before any dataset is read), 3 data errors (unreadable
-inputs, unusable checkpoints or ones whose input or output width does not
-fit the dataset, tensors whose shapes disagree with the checkpoint arch,
-empty splits, a regression split of one row, a repr-quality test split
-with fewer rows than classes, a study ratio that leaves a train class
-empty; each caught before any training), 4 a
-diverged seed (a non-finite loss, gradient or validation score), after the
-report is written (train's summary and each sweep or study row count
+for ratio), study objectives of two tasks, a negative or non-finite
+weight, learning rate or weight decay, a zero hidden or latent width,
+batch size below 2, patience above epochs, --config values of the wrong
+type; caught before any dataset is read), 3 data errors (unreadable or
+malformed inputs, unusable checkpoints or ones whose input or output width
+does not fit the dataset, tensors whose shapes disagree with the
+checkpoint arch, empty splits, a regression split of one row, a
+repr-quality test split with fewer rows than classes, a study ratio that
+leaves a train class empty; each caught before any training), 4 a
+diverged seed (a non-finite loss, gradient or validation score), after
+the report is written (train's summary and each sweep or study row count
 them, ood flags each seed).
 """
 
@@ -37,6 +38,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -205,23 +207,24 @@ def finish_run(run_dir: str, manifest: dict, results: dict,
                   json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _load_dataset(args, path: str | None = None) -> Dataset:
-    """`path` (default --data) under the --task and featurizer flags."""
-    return dataio.load(path or data_path(args), task=args.task, hash_dim=args.hash_dim,
+def _load_dataset(args, task: str, path: str | None = None) -> Dataset:
+    """`path` (default --data) as a dataset of the objective's or checkpoint's `task`."""
+    return dataio.load(path or data_path(args), task=task, hash_dim=args.hash_dim,
                        hash_seed=args.hash_seed)
 
 
-def _load_checkpoint(args, dataset: Dataset) -> EncoderParams:
-    """The --ckpt model, checked against the dataset's feature width and
-    class count (one output for regression)."""
+def _load_checkpoint(args) -> tuple[EncoderParams, Dataset]:
+    """The --ckpt model, and the --data dataset under its task (one output is
+    regression, as classification needs 2 classes); their widths must agree."""
     model = load_checkpoint(args.ckpt)
+    dataset = _load_dataset(args, "regression" if model.out_dim == 1 else "classification")
     if model.input_dim != dataset.num_features:
         raise DataError(f"{args.ckpt}: checkpoint takes {model.input_dim} input features, "
                         f"the dataset has {dataset.num_features}")
     if model.out_dim != dataset.num_outputs:
         raise DataError(f"{args.ckpt}: checkpoint has {model.out_dim} outputs, "
                         f"the {dataset.task} dataset needs {dataset.num_outputs}")
-    return model
+    return model, dataset
 
 
 def train_defaults() -> dict:
@@ -263,8 +266,8 @@ def resolve_train_args(args) -> None:
 
 
 def _train_configs(args, kinds: Sequence[str], weights: bool = True) -> list[TrainConfig]:
-    """One resolved TrainConfig per objective kind; a bad value, or a kind
-    of another task than --task, is a UsageError.
+    """One resolved TrainConfig per objective kind; a bad value, or kinds
+    of two tasks, is a UsageError. The run's data has the kinds' task.
 
     The kinds share the training flags and take the weight flags they use;
     with `weights=False` every weight stays 0 (a sweep grid sets them).
@@ -274,20 +277,20 @@ def _train_configs(args, kinds: Sequence[str], weights: bool = True) -> list[Tra
     flag_weights = {name: getattr(args, name) for name in WEIGHTS} if weights else {}
     configs = []
     for kind in kinds:
-        if kind in OBJECTIVES and OBJECTIVES[kind].task != args.task:
-            raise UsageError(f"objective kind {kind!r} requires task {OBJECTIVES[kind].task!r}")
         try:
             configs.append(TrainConfig(
                 objective=make_objective(kind, structured_from=args.structured_from,
                                          **flag_weights), **settings))
         except ValueError as err:
             raise UsageError(str(err)) from None
+    if len({cfg.objective.task for cfg in configs}) > 1:
+        raise UsageError(f"objectives {','.join(kinds)} mix classification and regression")
     return configs
 
 
-# each study's `data` perturbation (see data.RATIOS) and default --ratios
-STUDIES = {"noise-study": ("inject_label_noise", "0.1,0.2,0.3"),
-           "ratio-study": ("subsample_train", "0.2,0.4,0.6,0.8,1.0")}
+# each study's `data` perturbation (see data.RATIOS), default --ratios and help
+STUDIES = {"noise-study": ("inject_label_noise", "0.1,0.2,0.3", "label-noise robustness table"),
+           "ratio-study": ("subsample_train", "0.2,0.4,0.6,0.8,1.0", "limited-training-data table")}
 
 
 # --- command handlers ---
@@ -332,7 +335,7 @@ def _exit_code(rows: list[dict]) -> int:
 def cmd_train(args) -> int:
     [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, cfg.objective.task)
     run_dir, manifest = start_run(args, "train", run_inputs(
         args, {"data": data_path(args)}, [cfg], seeds=seeds))
     reports = train_jobs((dataset, cfg, seed) for seed in seeds)
@@ -350,12 +353,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_dataset(args)
-    model = _load_checkpoint(args, dataset)
+    model, dataset = _load_checkpoint(args)
     dataset.require_rows(args.split)
     metrics = evaluate_split(model, dataset, args.split)
     run_dir, manifest = start_run(args, "eval", run_inputs(
-        args, {"ckpt": args.ckpt, "data": data_path(args)}, split=args.split, task=args.task))
+        args, {"ckpt": args.ckpt, "data": data_path(args)}, split=args.split, task=dataset.task))
     finish_run(run_dir, manifest, {"metrics": metrics})
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
@@ -370,7 +372,7 @@ def cmd_sweep(args) -> int:
     # a kind with one weight has no gamma axis (see trainer.sweep)
     gammas = (parse_floats(args.gammas, "--gammas")
               if len(OBJECTIVES[args.objective].weights) > 1 else [0.0])
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, cfg.objective.task)
     run_dir, manifest = start_run(args, "sweep", run_inputs(
         args, {"data": data_path(args)}, [cfg], betas=betas, gammas=gammas, seeds=seeds))
     result = sweep(dataset, cfg, betas, gammas, seeds)
@@ -396,7 +398,7 @@ def cmd_study(args) -> int:
     except DataError as err:
         raise UsageError(f"--ratios: {err}") from None
     seeds = parse_seeds(args.seeds)
-    dataset = _load_dataset(args)
+    dataset = _load_dataset(args, cfg.objective.task)
     run_dir, manifest = start_run(args, args.command, run_inputs(
         args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds))
     rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, perturb)
@@ -412,8 +414,8 @@ def cmd_study(args) -> int:
 def cmd_ood(args) -> int:
     [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
-    source = _load_dataset(args, args.source)
-    target = _load_dataset(args, args.target)
+    source = _load_dataset(args, "classification", args.source)
+    target = _load_dataset(args, "classification", args.target)
     mapping = dataio.read_label_mapping(args.mapping)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
     run_dir, manifest = start_run(args, "ood", run_inputs(args, files, [cfg], seeds=seeds))
@@ -427,8 +429,7 @@ def cmd_ood(args) -> int:
 
 def cmd_repr_quality(args) -> int:
     seeds = parse_seeds(args.seeds)
-    dataset = _load_dataset(args)
-    model = _load_checkpoint(args, dataset)
+    model, dataset = _load_checkpoint(args)
     run_dir, manifest = start_run(args, "repr-quality", run_inputs(
         args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
     results = representation_quality(model, dataset, seeds)
@@ -474,14 +475,13 @@ def _add_common(parser: argparse.ArgumentParser, with_data: bool = True) -> None
     parser.add_argument("--out", default=None, help="output root (default $SPC_OUT or ./out)")
     if with_data:
         parser.add_argument("--data", default=None, help="dataset file (jsonl or csv)")
-        parser.add_argument("--task", default="classification",
-                            choices=["classification", "regression"])
         _add_featurizer(parser)
 
 
 def _add_featurizer(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--hash-dim", type=int, default=256, dest="hash_dim")
-    parser.add_argument("--hash-seed", type=int, default=0, dest="hash_seed")
+    for name in ("hash_dim", "hash_seed"):  # with data.load's defaults
+        parser.add_argument("--" + name.replace("_", "-"), type=int,
+                            default=inspect.signature(dataio.load).parameters[name].default)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -537,12 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gammas", default="0.001,0.01,0.1,1,10")
     p.set_defaults(handler=cmd_sweep)
 
-    for name, help_text in (("noise-study", "label-noise robustness table"),
-                            ("ratio-study", "limited-training-data table")):
+    for name, (_, ratios, help_text) in STUDIES.items():
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         _add_train_flags(p)
-        p.add_argument("--ratios", default=STUDIES[name][1])
+        p.add_argument("--ratios", default=ratios)
         p.add_argument("--objectives", default="ce,spc")
         p.set_defaults(handler=cmd_study)
 
@@ -555,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv with header source_label,target_label")
     p.add_argument("--objective", default="spc", choices=list(CLASSIFICATION_KINDS))
     _add_featurizer(p)
-    p.set_defaults(handler=cmd_ood, task="classification")
+    p.set_defaults(handler=cmd_ood)
 
     p = sub.add_parser("repr-quality", help="cluster test-split codes; report SC/ARI")
     _add_common(p)

@@ -266,8 +266,11 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
                     obj = json.loads(line)
                 except json.JSONDecodeError as err:
                     raise DataError(f"{path}:{lineno}: invalid json") from err
-                if "features" not in obj and "text" not in obj:
-                    raise DataError(f"{path}:{lineno}: need 'features' or 'text'")
+                if not isinstance(obj, dict):
+                    raise DataError(f"{path}:{lineno}: expected a json object")
+                if not (isinstance(obj["text"], str) if "text" in obj
+                        else isinstance(obj.get("features"), list)):
+                    raise DataError(f"{path}:{lineno}: need a 'features' list or a 'text' string")
                 rows.append(obj)
     else:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -283,6 +286,9 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
             if "label" not in reader.fieldnames:
                 raise DataError(f"{path}: missing 'label' column")
             for record in reader:
+                if None in record or None in record.values():
+                    raise DataError(f"{path}:{reader.line_num}: expected "
+                                    f"{len(reader.fieldnames)} fields, as in the header")
                 row: dict = {"label": record["label"]}
                 if has_text:
                     row["text"] = record["text"]
@@ -318,8 +324,10 @@ def read_label_mapping(path: str) -> dict[str, str]:
         if header is None or [c.strip() for c in header[:2]] != ["source_label", "target_label"]:
             raise DataError(f"{path}: expected header 'source_label,target_label'")
         for row in reader:
-            if len(row) < 2:
+            if not row:  # a blank line
                 continue
+            if len(row) < 2:
+                raise DataError(f"{path}:{reader.line_num}: expected source_label,target_label")
             source, target = row[0].strip(), row[1].strip()
             if target in mapping and mapping[target] != source:
                 raise DataError(f"{path}: target label {target!r} mapped twice")

@@ -310,7 +310,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
         value = val[metric_name]
         report.epoch_logs.append({
             "epoch": epoch,
-            "train_total": float(np.mean(epoch_totals)) if epoch_totals else float("nan"),
+            "train_total": float(np.mean(epoch_totals)),
             "val_metric": value,
         })
         if not np.isfinite(value):

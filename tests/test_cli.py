@@ -258,10 +258,15 @@ class TestExitCodes:
         ("train", "--lr", "inf"),
         ("train", "--beta", "nan"),
         ("train", "--objective", "ce_cp", "--cp-weight", "inf"),
-        ("train", "--task", "regression", "--objective", "spc"),
+        ("noise-study", "--objectives", "ce,mse"),
         ("train", "--structured-from", "logits"),
     ])
-    def test_bad_flag_value_exits_2_before_training(self, out, data_file, argv, capsys):
+    def test_bad_flag_value_exits_2_before_training(self, out, data_file, argv, monkeypatch,
+                                                     capsys):
+        def no_load(*args, **kwargs):
+            raise AssertionError("a dataset was read")
+
+        monkeypatch.setattr(cli, "_load_dataset", no_load)
         # the case's own flags come last, so they win over the fixed ones
         command, *flags = argv
         assert run_cli(command, "--out", out, "--data", data_file, "--hidden-dim", "4",
@@ -289,6 +294,13 @@ class TestExitCodes:
             cli.main(["train", "--no-such-flag"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep", "noise-study", "ratio-study",
+                                         "ood", "repr-quality"])
+    def test_no_command_takes_a_task_flag(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--task", "regression"])
+        assert exc.value.code == 2
+
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -301,9 +313,9 @@ class TestExitCodes:
     def test_divergence_exits_4(self, out, tmp_path):
         with np.errstate(all="ignore"):
             code = run_cli("train", "--out", out, "--data", regression_file(tmp_path),
-                           "--task", "regression", "--objective", "mse",
-                           "--lr", "1e200", "--epochs", "3", "--patience", "3",
-                           "--batch-size", "8", "--hidden-dim", "8", "--seeds", "1")
+                           "--objective", "mse", "--lr", "1e200", "--epochs", "3",
+                           "--patience", "3", "--batch-size", "8", "--hidden-dim", "8",
+                           "--seeds", "1")
         assert code == cli.EXIT_DIVERGED
         assert read_report(out, run_ids(out)[0])["results"]["summary"]["diverged"] == 1
 
@@ -316,9 +328,8 @@ class TestExitCodes:
     def test_diverged_seeds_counted_per_row_and_exit_4(self, out, tmp_path, argv, capsys):
         with np.errstate(all="ignore"):
             code = run_cli(*argv, "--out", out, "--data", regression_file(tmp_path),
-                           "--task", "regression", "--lr", "1e200", "--epochs", "3",
-                           "--patience", "3", "--batch-size", "8", "--hidden-dim", "8",
-                           "--seeds", "2")
+                           "--lr", "1e200", "--epochs", "3", "--patience", "3",
+                           "--batch-size", "8", "--hidden-dim", "8", "--seeds", "2")
         assert code == cli.EXIT_DIVERGED
         assert "warning: at least one seed diverged" in capsys.readouterr().err
         run_id = run_ids(out)[0]
@@ -326,6 +337,54 @@ class TestExitCodes:
         with open(os.path.join(out, run_id, "report.csv"), newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header[-1] == "diverged" and [row[-1] for row in rows] == ["2", "2"]
+
+
+class TestTaskFromObjectiveOrCheckpoint:
+    """The objective's task, or the checkpoint's (one output is regression),
+    says how the dataset's labels are read."""
+
+    RUN_FLAGS = ("--epochs", "2", "--patience", "2", "--batch-size", "8", "--hidden-dim", "4",
+                 "--seeds", "1")
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--objective", "mse"),
+        ("sweep", "--objective", "mse_pc", "--betas", "0.01,0.1"),
+    ])
+    def test_regression_objective_reads_regression_labels(self, out, tmp_path, monkeypatch,
+                                                          argv):
+        tasks = []
+        original = trainer.train
+
+        def recorded(dataset, cfg, seed):
+            tasks.append(dataset.task)
+            return original(dataset, cfg, seed)
+
+        monkeypatch.setattr(trainer, "train", recorded)
+        assert run_cli(*argv, "--out", out, "--data", regression_file(tmp_path),
+                       *self.RUN_FLAGS) == 0
+        assert tasks and set(tasks) == {"regression"}
+
+    def test_eval_of_a_regression_checkpoint(self, out, tmp_path):
+        path = regression_file(tmp_path)
+        assert run_cli("train", "--out", out, "--data", path, "--objective", "mse",
+                       *self.RUN_FLAGS) == 0
+        ckpt = os.path.join(out, _single_run_id(out), "ckpt", "seed0.json")
+        eval_out = str(tmp_path / "eval_out")
+        assert run_cli("eval", "--out", eval_out, "--data", path, "--ckpt", ckpt) == 0
+        run_id = _single_run_id(eval_out)
+        assert set(read_report(eval_out, run_id)["results"]["metrics"]) == {"pearson", "spearman"}
+        with open(os.path.join(eval_out, run_id, "manifest.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["inputs"]["task"] == "regression"
+
+    def test_repr_quality_of_a_regression_checkpoint_exits_3(self, out, tmp_path, capsys):
+        ckpt = str(tmp_path / "regressor.json")
+        save_checkpoint(ckpt, init_encoder(3, 4, 1, rng=0))
+        assert run_cli("repr-quality", "--out", out, "--data", regression_file(tmp_path),
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:")
+        assert "defined for classification" in err
+        assert not os.path.exists(out)
 
 
 def diverge_second_run(monkeypatch):
@@ -698,10 +757,9 @@ class TestBadInputs:
                                                capsys):
         path = self._with_rows(tmp_path, task, missing, keep)
         objective = "ce" if task == "classification" else "mse"
-        assert run_cli("train", "--out", out, "--data", path, "--task", task,
-                       "--objective", objective, "--epochs", "1", "--patience", "1",
-                       "--batch-size", "16", "--hidden-dim", "4",
-                       "--seeds", "1") == cli.EXIT_DATA
+        assert run_cli("train", "--out", out, "--data", path, "--objective", objective,
+                       "--epochs", "1", "--patience", "1", "--batch-size", "16",
+                       "--hidden-dim", "4", "--seeds", "1") == cli.EXIT_DATA
         self._one_line_error(capsys, missing)
         assert not os.path.exists(out) or os.listdir(out) == []
 
@@ -709,8 +767,8 @@ class TestBadInputs:
         path = self._with_rows(tmp_path, "regression", "test", 1)
         ckpt = str(tmp_path / "regressor.json")
         save_checkpoint(ckpt, init_encoder(3, 4, 1, rng=0))
-        assert run_cli("eval", "--out", out, "--data", path, "--task", "regression",
-                       "--ckpt", ckpt, "--split", "test") == cli.EXIT_DATA
+        assert run_cli("eval", "--out", out, "--data", path, "--ckpt", ckpt,
+                       "--split", "test") == cli.EXIT_DATA
         self._one_line_error(capsys, "'test'", "at least 2")
         assert not os.path.exists(out)
 
@@ -729,10 +787,9 @@ class TestBadInputs:
         monkeypatch.setattr(trainer, "train", counted)
         path, objective = ((data_file, "ce") if task == "classification"
                            else (regression_file(tmp_path), "mse"))
-        assert run_cli("ratio-study", "--out", out, "--data", path, "--task", task,
-                       "--objectives", objective, "--ratios", f"0.5,{ratio}", "--epochs", "1",
-                       "--patience", "1", "--batch-size", "4", "--hidden-dim", "4",
-                       "--seeds", "1") == cli.EXIT_DATA
+        assert run_cli("ratio-study", "--out", out, "--data", path, "--objectives", objective,
+                       "--ratios", f"0.5,{ratio}", "--epochs", "1", "--patience", "1",
+                       "--batch-size", "4", "--hidden-dim", "4", "--seeds", "1") == cli.EXIT_DATA
         self._one_line_error(capsys, f"train_ratio {ratio}")
         assert calls == []
         assert not os.path.exists(out)
@@ -759,3 +816,90 @@ class TestBadInputs:
         assert run_cli("eval", "--out", out, "--data", path, "--ckpt", ckpt,
                        "--split", "test") == cli.EXIT_DATA
         self._one_line_error(capsys, "test")
+
+    # each case: the file's name and text, and the line at fault
+    @pytest.mark.parametrize("name, text, line", [
+        pytest.param("rows.jsonl", '{"features": 5, "label": "a"}\n', 1, id="features-number"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
+                     '{"features": null, "label": "b"}\n', 2, id="features-null"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n\n5\n', 3,
+                     id="row-not-an-object"),
+        pytest.param("rows.csv", "f0,f1,label\n1,2,a\n\n1,2\n", 4, id="csv-record-short"),
+        pytest.param("rows.csv", "f0,f1,label\n1,2,a,b\n", 2, id="csv-record-long"),
+        pytest.param("map.csv", "source_label,target_label\n0,0\n\n1\n", 4,
+                     id="mapping-row-of-one-field"),
+    ])
+    def test_malformed_input_exits_3_naming_the_line(self, out, tmp_path, data_file,
+                                                     monkeypatch, name, text, line, capsys):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        path = tmp_path / name
+        path.write_text(text)
+        if name == "map.csv":
+            files = ("ood", "--source", data_file, "--target", data_file, "--mapping", str(path))
+        else:
+            files = ("train", "--data", str(path))
+        assert run_cli(*files, "--out", out, "--objective", "ce",
+                       "--seeds", "1") == cli.EXIT_DATA
+        self._one_line_error(capsys, f"{path}:{line}:")
+        assert calls == []
+        assert not os.path.exists(out)
+
+
+CLASSIFICATION_ROWS = """\
+{"features": [1.0, 0.0], "label": "a", "split": "train"}
+{"features": [0.9, 0.2], "label": "a", "split": "train"}
+{"features": [0.0, 1.0], "label": "b", "split": "train"}
+{"features": [0.1, 0.8], "label": "b", "split": "train"}
+{"features": [0.8, 0.1], "label": "a", "split": "val"}
+{"features": [0.2, 0.9], "label": "b", "split": "val"}
+{"features": [1.1, 0.1], "label": "a", "split": "test"}
+{"features": [0.1, 1.1], "label": "b", "split": "test"}
+"""
+
+REGRESSION_ROWS = """\
+{"features": [1.0, 0.0], "label": 1.0, "split": "train"}
+{"features": [0.5, 0.5], "label": 0.5, "split": "train"}
+{"features": [0.0, 1.0], "label": -1.0, "split": "train"}
+{"features": [0.2, 0.3], "label": 0.1, "split": "train"}
+{"features": [0.9, 0.1], "label": 0.8, "split": "val"}
+{"features": [0.1, 0.9], "label": -0.7, "split": "val"}
+{"features": [0.7, 0.2], "label": 0.6, "split": "test"}
+{"features": [0.3, 0.6], "label": -0.2, "split": "test"}
+"""
+
+GOLDEN_FLAGS = ("--epochs", "1", "--patience", "1", "--batch-size", "2", "--hidden-dim", "4",
+                "--seeds", "1")
+
+
+class TestGoldenRunIds:
+    """Run ids of fixed invocations on literal files, given by relative
+    paths (a run id hashes the paths as given). A run id depends on the
+    command's inputs only, never on training arithmetic; a change to one of
+    these values changes the identity of every stored run."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cls.jsonl").write_text(CLASSIFICATION_ROWS)
+        (tmp_path / "reg.jsonl").write_text(REGRESSION_ROWS)
+        save_checkpoint("cls_ckpt.json", init_encoder(2, 4, 2, rng=0))
+        save_checkpoint("reg_ckpt.json", init_encoder(2, 4, 1, rng=0))
+
+    @pytest.mark.parametrize("argv, run_id", [
+        pytest.param(("train", "--data", "cls.jsonl", "--objective", "spc", *GOLDEN_FLAGS),
+                     "6bfe1897589c", id="train-spc"),
+        pytest.param(("train", "--data", "reg.jsonl", "--objective", "mse", *GOLDEN_FLAGS),
+                     "63895f748b66", id="train-mse"),
+        pytest.param(("ratio-study", "--data", "reg.jsonl", "--objectives", "mse",
+                      "--ratios", "1", *GOLDEN_FLAGS), "7d1114e0c00c", id="ratio-study-mse"),
+        pytest.param(("eval", "--data", "cls.jsonl", "--ckpt", "cls_ckpt.json"),
+                     "2a441ceb69ba", id="eval-classification"),
+        pytest.param(("eval", "--data", "reg.jsonl", "--ckpt", "reg_ckpt.json"),
+                     "fafe24e27f47", id="eval-regression"),
+        pytest.param(("repr-quality", "--data", "cls.jsonl", "--ckpt", "cls_ckpt.json",
+                      "--seeds", "1"), "8eafc92e1e04", id="repr-quality"),
+    ])
+    def test_run_id(self, argv, run_id):
+        assert run_cli(*argv, "--out", "out") == 0
+        assert _single_run_id("out") == run_id
