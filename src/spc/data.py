@@ -3,9 +3,11 @@
 File formats
 ------------
 jsonl: one object per line with either "features": [floats] or
-  "text": str, plus "label" and an optional "split" (train|val|test,
-  default train). csv: a header row with feature columns f0..f{D-1} (or a
-  single "text" column), a "label" column, and an optional "split" column.
+  "text": str, plus a non-null "label" and an optional "split"
+  (train|val|test, default train). csv: a header row with feature columns
+  f0..f{D-1} (or a single "text" column), a "label" column, and an
+  optional "split" column. A malformed row is a DataError naming its
+  `file:line`, blank lines counted.
 
 Labels are remapped to dense indices 0..C-1 by sorting the distinct label
 strings; the mapping is persisted on the dataset (`label_names`) and in
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -200,6 +203,21 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
     )
 
 
+def _row_line(path: str, index: int) -> int:
+    """The file line of row `index` of `path`, counting rows as `load` does
+    (blank lines skipped). It re-reads the file, so that only an error pays
+    for line numbers."""
+    if path.endswith(".csv"):
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            for _ in itertools.islice(reader, index + 1):
+                pass
+            return reader.line_num
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(lines, index, None))
+
+
 def _finish_load(rows: list[dict], task: str, path: str, hash_dim: int,
                  hash_seed: int) -> Dataset:
     if not rows:
@@ -207,9 +225,10 @@ def _finish_load(rows: list[dict], task: str, path: str, hash_dim: int,
     has_text = "text" in rows[0]
     for i, row in enumerate(rows):
         if ("text" in row) != has_text:
-            raise DataError(f"{path}: row {i} mixes text and feature schemas")
-        if "label" not in row:
-            raise DataError(f"{path}: row {i} is missing 'label'")
+            raise DataError(f"{path}:{_row_line(path, i)}: row mixes text and feature schemas")
+        if row.get("label") is None:
+            raise DataError(f"{path}:{_row_line(path, i)}: row is missing 'label' or has a "
+                            f"null one")
     if has_text:
         features = hash_featurize([r["text"] for r in rows], hash_dim, hash_seed)
     else:
@@ -218,11 +237,13 @@ def _finish_load(rows: list[dict], task: str, path: str, hash_dim: int,
         for i, row in enumerate(rows):
             vec = row["features"]
             if len(vec) != dim:
-                raise DataError(f"{path}: row {i} has {len(vec)} features, expected {dim}")
+                raise DataError(f"{path}:{_row_line(path, i)}: row has {len(vec)} features, "
+                                f"expected {dim}")
             try:
                 features[i] = [float(v) for v in vec]
             except (TypeError, ValueError) as err:
-                raise DataError(f"{path}: row {i} has a non-numeric feature") from err
+                raise DataError(f"{path}:{_row_line(path, i)}: row has a non-numeric "
+                                f"feature") from err
     split = np.array([row.get("split") or "train" for row in rows])
     bad = set(split.tolist()) - set(SPLITS)
     if bad:
@@ -326,8 +347,9 @@ def read_label_mapping(path: str) -> dict[str, str]:
         for row in reader:
             if not row:  # a blank line
                 continue
-            if len(row) < 2:
-                raise DataError(f"{path}:{reader.line_num}: expected source_label,target_label")
+            if len(row) != 2:
+                raise DataError(f"{path}:{reader.line_num}: expected two fields, "
+                                f"source_label,target_label")
             source, target = row[0].strip(), row[1].strip()
             if target in mapping and mapping[target] != source:
                 raise DataError(f"{path}: target label {target!r} mapped twice")

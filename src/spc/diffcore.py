@@ -16,6 +16,12 @@ shared rules live in two places only. `_emit` keeps the pairs whose input
 requires a gradient, and tapes the output (which then requires one) iff
 any pair is kept. `backward` sums each local gradient back over a
 broadcast operand's shape and accumulates it into that input's `.grad`.
+
+Gradient buffers: a tensor whose `.grad` is None gets a fresh array on its
+first gradient, equal to `zeros + g` bit for bit. A parameter's `.grad`
+may instead be a caller-owned array (for example a view of one flat
+gradient vector, see `trainer.train`); `backward` then adds into it in
+place, and the caller zeroes it between passes.
 """
 
 from __future__ import annotations
@@ -65,8 +71,10 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            # a fresh array equal to zeros + g bit for bit (-0.0 becomes +0.0)
+            self.grad = np.add(g, 0.0)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -120,7 +128,7 @@ class Tape:
     """
 
     def __init__(self):
-        self._ops: list[tuple[Tensor, tuple[tuple[Tensor, GradFn], ...]]] = []
+        self._ops: list[tuple[Tensor, list[tuple[Tensor, GradFn]]]] = []
         self._consumed = False
 
     def __enter__(self) -> "Tape":
@@ -132,7 +140,7 @@ class Tape:
             raise GraphError("tape stack corrupted: exiting a tape that is not active")
         _tape_stack.pop()
 
-    def record(self, output: Tensor, pairs: tuple[tuple[Tensor, GradFn], ...]) -> None:
+    def record(self, output: Tensor, pairs: list[tuple[Tensor, GradFn]]) -> None:
         self._ops.append((output, pairs))
 
     def __len__(self) -> int:
@@ -145,7 +153,8 @@ def backward(loss: Tensor, tape: Tape, params: list[Tensor] | None = None) -> No
     `loss` must be a scalar produced under `tape`. Re-invoking backward on a
     consumed tape raises; a second pass means a fresh forward under a new
     tape. Parameters in `params` that the loss does not reach get an
-    explicit zero gradient.
+    explicit zero gradient. A `.grad` that is already an array is added
+    into in place.
     """
     if loss.values.ndim != 0:
         raise GraphError(f"loss must be scalar, got shape {loss.values.shape}")
@@ -167,7 +176,7 @@ def backward(loss: Tensor, tape: Tape, params: list[Tensor] | None = None) -> No
 def _emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
     """The op output `values`, taped with the (input, local gradient) pairs
     whose input requires a gradient; it requires one iff any pair is kept."""
-    kept = tuple(pair for pair in pairs if pair[0].requires_grad)
+    kept = [pair for pair in pairs if pair[0].requires_grad]
     out = Tensor(values, requires_grad=bool(kept))
     if kept and _tape_stack:
         _tape_stack[-1].record(out, kept)
@@ -288,18 +297,27 @@ def _check_axis(a: Tensor, axis: int | None) -> None:
         raise ShapeError(f"reduce: axis {axis} invalid for shape {a.values.shape}")
 
 
+def _spread(g: np.ndarray, shape: tuple[int, ...], axis: int | None) -> np.ndarray:
+    """A reduction's output gradient `g` copied back over the reduced `axis`
+    (all axes if None): the values of `np.broadcast_to(g, shape)`, in a new
+    array made without broadcast_to's Python-level cost."""
+    if axis is None:
+        return np.full(shape, g)
+    return np.repeat(g, shape[axis], axis=axis)
+
+
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over all elements (axis=None, scalar result) or one axis (keepdims)."""
     _check_axis(a, axis)
     out_values = a.values.sum() if axis is None else a.values.sum(axis=axis, keepdims=True)
-    return _emit(out_values, (a, lambda g: np.broadcast_to(g, a.values.shape)))
+    return _emit(out_values, (a, lambda g: _spread(g, a.values.shape, axis)))
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis)
     n = a.values.size if axis is None else a.values.shape[axis]
     out_values = a.values.mean() if axis is None else a.values.mean(axis=axis, keepdims=True)
-    return _emit(out_values, (a, lambda g: np.broadcast_to(g, a.values.shape) / n))
+    return _emit(out_values, (a, lambda g: _spread(g / n, a.values.shape, axis)))
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:

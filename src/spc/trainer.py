@@ -226,13 +226,19 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     }
 
 
-def _snapshot(params: list[Tensor]) -> list[np.ndarray]:
-    return [p.values.copy() for p in params]
-
-
-def _restore(params: list[Tensor], snapshot: list[np.ndarray]) -> None:
-    for p, values in zip(params, snapshot):
-        p.values = values.copy()
+def _flatten(params: list[Tensor]) -> tuple[Tensor, np.ndarray]:
+    """Move `params` into one contiguous vector. Returns it as a Tensor, and
+    a zeroed gradient vector of the same layout; each parameter's `.values`
+    and `.grad` become reshaped views of the two."""
+    flat = Tensor(np.concatenate([p.values.ravel() for p in params]))
+    grad = np.zeros_like(flat.values)
+    start = 0
+    for p in params:
+        end, shape = start + p.values.size, p.values.shape
+        p.values = flat.values[start:end].reshape(shape)
+        p.grad = grad[start:end].reshape(shape)
+        start = end
+    return flat, grad
 
 
 def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
@@ -245,13 +251,23 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     validation score) the best checkpoint so far is restored and the report
     is flagged. An empty train, val or test split is a DataError, raised
     before any work.
+
+    The model's tensors live in one flat float64 vector, and their
+    gradients in another, each tensor a reshaped view of both (see
+    `_flatten`). A step zeroes the gradient vector once, `backward` adds
+    into the views, and Adamax updates the whole vector at once; the
+    best-epoch snapshot is one copy of it. Adamax and weight decay act
+    elementwise with the same scalars on every tensor, so this gives the
+    same bits as per-tensor updates. The returned model's tensors stay views
+    of the flat vector, with no gradient.
     """
     dataset.require_rows("train", "val", "test")
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = build_model(dataset, cfg, rng)
     params = model.parameters()
-    state = AdamaxState.init(params)
+    flat, flat_grad = _flatten(params)
+    state = AdamaxState.init([flat])
     objective = cfg.objective
     metric_name = cfg.headline_metric()
 
@@ -264,7 +280,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     report = RunReport(config=cfg.to_dict(), seed=seed, dataset_info=dataset_info,
                        headline_metric=metric_name)
     best_value = -np.inf
-    best_state = _snapshot(params)
+    best_state = flat.values.copy()
     best_epoch = 0
     step = 0
 
@@ -294,15 +310,14 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             if not np.isfinite(total):
                 report.diverged = True
                 break
-            backward(terms.total, tape, params)
+            flat_grad.fill(0.0)
+            backward(terms.total, tape)
             try:
-                adamax_step(params, [p.grad for p in params], state,
+                adamax_step([flat], [flat_grad], state,
                             lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
             except TrainingDiverged:
                 report.diverged = True
                 break
-            finally:
-                zero_grads(params)
             epoch_totals.append(total)
         if report.diverged:
             break
@@ -318,12 +333,13 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             break
         if value > best_value:
             best_value = value
-            best_state = _snapshot(params)
+            best_state = flat.values.copy()
             best_epoch = epoch
         if epoch - best_epoch >= cfg.patience:
             break
 
-    _restore(params, best_state)
+    flat.values[:] = best_state
+    zero_grads(params)
     report.best_epoch = best_epoch
     report.val_metrics = evaluate_split(model, dataset, "val")
     report.test_metrics = evaluate_split(model, dataset, "test")

@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import hashlib
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ from spc import cli
 from spc import data as dataio
 from spc import trainer
 from spc.data import gen_mixture, save
-from spc.objectives import ObjectiveConfig
+from spc.objectives import OBJECTIVES, ObjectiveConfig
 from spc.encoder import init_encoder, init_vib, save_checkpoint
 from spc.trainer import TrainConfig, TrainingDiverged, train
 
@@ -828,6 +829,19 @@ class TestBadInputs:
         pytest.param("rows.csv", "f0,f1,label\n1,2,a,b\n", 2, id="csv-record-long"),
         pytest.param("map.csv", "source_label,target_label\n0,0\n\n1\n", 4,
                      id="mapping-row-of-one-field"),
+        pytest.param("map.csv", "source_label,target_label\n1,1\n0,0,9\n", 3,
+                     id="mapping-row-of-three-fields"),
+        # rows are named by their line in the file, blank lines included
+        pytest.param("rows.jsonl", '\n\n{"features": [1.0, 2.0], "label": "a"}\n\n'
+                     '{"features": [1.0], "label": "b"}\n', 5, id="feature-count-after-blanks"),
+        pytest.param("rows.jsonl", '\n{"features": [1.0], "label": "a"}\n\n'
+                     '{"text": "x", "label": "b"}\n', 4, id="mixed-schema-after-blanks"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n\n{"features": [2.0]}\n',
+                     3, id="missing-label-after-blank"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
+                     '{"features": [2.0], "label": null}\n', 2, id="null-label"),
+        pytest.param("rows.csv", "f0,f1,label\n1,2,a\n\nx,2,b\n", 4,
+                     id="csv-non-numeric-after-blank"),
     ])
     def test_malformed_input_exits_3_naming_the_line(self, out, tmp_path, data_file,
                                                      monkeypatch, name, text, line, capsys):
@@ -903,3 +917,81 @@ class TestGoldenRunIds:
     def test_run_id(self, argv, run_id):
         assert run_cli(*argv, "--out", "out") == 0
         assert _single_run_id("out") == run_id
+
+
+def _golden_datasets() -> dict:
+    """A 3-class mixture, and the same rows scored by a fixed linear function."""
+    mixture = gen_mixture(3, 6, 20, 2.0, seed=300)
+    scores = mixture.features[:, 0] - 0.5 * mixture.features[:, 1]
+    return {"classification": mixture,
+            "regression": dataclasses.replace(mixture, targets=scores, task="regression",
+                                              num_classes=0, label_names=[])}
+
+
+# every kind takes the weights it accepts, nonzero, so each loss term is in the trajectory
+GOLDEN_WEIGHTS = {"beta": 0.05, "gamma": 0.5, "cp_weight": 0.3}
+GOLDEN_SETTINGS = {
+    "plain": {},
+    "dropout-layer-norm-decay": {"dropout": 0.25, "layer_norm": True, "weight_decay": 0.05},
+    # patience 1 stops training after a worse epoch, so the best epoch is restored
+    "zero-eps-early-stop": {"zero_eps": True, "epochs": 12, "patience": 1},
+}
+
+
+def golden_run(kind: str, setting: str) -> trainer.RunReport:
+    spec = OBJECTIVES[kind]
+    objective = ObjectiveConfig(kind=kind, **{name: GOLDEN_WEIGHTS[name] for name in spec.weights})
+    cfg = TrainConfig(objective=objective, epochs=6, patience=6, batch_size=8,
+                      learning_rate=0.05, hidden_dim=5, vib_latent_dim=3)
+    cfg = dataclasses.replace(cfg, **GOLDEN_SETTINGS[setting])
+    return train(_golden_datasets()[spec.task], cfg, seed=7)
+
+
+def params_digest(report: trainer.RunReport) -> str:
+    return hashlib.sha256(b"".join(p.values.tobytes()
+                                   for p in report.model.parameters())).hexdigest()[:16]
+
+
+# (kind, setting) -> the first 16 hex digits of `run_hash()` and of `params_digest`
+GOLDEN_RESULTS = {
+    ("spc", "plain"): ("4fcdf959950c542b", "7ccf41bfa92d9227"),
+    ("spc", "dropout-layer-norm-decay"): ("b29bc25df6d31223", "403c324e3de07b4f"),
+    ("spc", "zero-eps-early-stop"): ("c0203ad201443214", "c343c58196f1a2b7"),
+    ("pc", "plain"): ("04033a0eb27dcc65", "682c54db348448d7"),
+    ("pc", "dropout-layer-norm-decay"): ("bd222781adf3180b", "f91bb5a58d761bb9"),
+    ("pc", "zero-eps-early-stop"): ("cef29fb4d313503c", "b0c43f964c9c3494"),
+    ("ce", "plain"): ("4cb8f539979c62d6", "e16561f7d9164c9c"),
+    ("ce", "dropout-layer-norm-decay"): ("3154e833a89947a1", "2a3b95296420b94a"),
+    ("ce", "zero-eps-early-stop"): ("9ffb25f546a4bc3b", "e16561f7d9164c9c"),
+    ("ce_cp", "plain"): ("7a1d1a90b5372a9c", "8565969f3007c0ea"),
+    ("ce_cp", "dropout-layer-norm-decay"): ("190a9a28eea59a6f", "c4325eebaeaa9a0d"),
+    ("ce_cp", "zero-eps-early-stop"): ("ff3f53139ddfb394", "8565969f3007c0ea"),
+    ("vib", "plain"): ("5a27b79d950ad5f4", "d381535354f85adc"),
+    ("vib", "dropout-layer-norm-decay"): ("1e471b1b7b8242f1", "0c8a44cd9bf28605"),
+    ("vib", "zero-eps-early-stop"): ("393cf80d50bbacea", "0d56e04d12d90d90"),
+    ("mse", "plain"): ("08d8d232750ab1ed", "287f4bdf9fd8a83e"),
+    ("mse", "dropout-layer-norm-decay"): ("fdbbd122e5836ada", "8e3fa44ae8d85cd2"),
+    ("mse", "zero-eps-early-stop"): ("0aa6682fa4b1d616", "287f4bdf9fd8a83e"),
+    ("mse_pc", "plain"): ("82da65f878598877", "bdbdf000731924f9"),
+    ("mse_pc", "dropout-layer-norm-decay"): ("934fb2e25fa07d20", "c9349c7a31944a20"),
+    ("mse_pc", "zero-eps-early-stop"): ("5d0016a0b4f3c4e8", "2cf103ca5091ba32"),
+    ("mse_vib", "plain"): ("81e598ca3342e1c1", "ca52190c7ee8c7a7"),
+    ("mse_vib", "dropout-layer-norm-decay"): ("f0c3a3b73d50cd42", "d9a77eb6259ef038"),
+    ("mse_vib", "zero-eps-early-stop"): ("4570f345c4ae3d44", "c68b99d5c7c9bd2e"),
+}
+
+
+class TestGoldenResults:
+    """Results and final parameters of tiny `train` runs, bit for bit: every
+    objective kind under plain training, under dropout with layer norm and
+    weight decay, and under zero noise with an early stop. A change to one
+    of these values changes the arithmetic of training."""
+
+    @pytest.mark.parametrize("kind, setting", [pytest.param(*key, id="-".join(key))
+                                               for key in GOLDEN_RESULTS])
+    def test_run_hash_and_parameters(self, kind, setting):
+        report = golden_run(kind, setting)
+        assert (report.run_hash()[:16], params_digest(report)) == GOLDEN_RESULTS[kind, setting]
+        assert not report.diverged
+        if setting == "zero-eps-early-stop":
+            assert report.best_epoch < report.epochs_ran < report.config["epochs"]

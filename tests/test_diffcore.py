@@ -250,6 +250,29 @@ class TestBackward:
         backward(loss, tape, params=[p, q])
         assert np.array_equal(q.grad, np.zeros(3))
 
+    @pytest.mark.parametrize("own_grad", [False, True], ids=["fresh", "zeroed-view"])
+    def test_negative_zero_first_gradient_lands_as_positive_zero(self, own_grad):
+        g = np.array([[-0.0, 1.5, -2.0]])
+        p = param(np.ones((1, 3)))
+        if own_grad:  # a view of a zeroed flat buffer, as `trainer.train` gives
+            buffer = np.zeros(5)
+            p.grad = buffer[1:4].reshape(1, 3)
+        p.accumulate_grad(g)
+        assert p.grad.tobytes() == (np.zeros((1, 3)) + g).tobytes()
+        assert not np.signbit(p.grad[0, 0])
+
+    def test_backward_adds_into_a_caller_owned_grad(self):
+        buffer = np.zeros(6)
+        p = param(np.ones((2, 2)))
+        q = param(np.ones((1, 2)))
+        p.grad, q.grad = buffer[:4].reshape(2, 2), buffer[4:].reshape(1, 2)
+        view = p.grad
+        with Tape() as tape:
+            loss = reduce_sum(add(scale(p, 3.0), q))
+        backward(loss, tape)
+        assert p.grad is view
+        assert np.array_equal(buffer, [3.0, 3.0, 3.0, 3.0, 2.0, 2.0])
+
     def test_op_on_constants_is_not_taped(self):
         with Tape() as tape:
             out = mul(exp(Tensor([[1.0, 2.0]])), Tensor(3.0))

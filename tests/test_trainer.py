@@ -68,6 +68,25 @@ class TestAdamax:
         adamax_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
         assert np.allclose(p.values, 10.0 * (1 - 0.1 * 0.01))
 
+    def test_flat_step_equals_per_tensor_steps(self):
+        # a matrix, a 1xH bias and a scalar, updated apart and as one flat vector
+        rng = np.random.default_rng(3)
+        shapes = [(4, 3), (1, 3), ()]
+        apart = [param(rng.standard_normal(shape)) for shape in shapes]
+        flat = param(np.concatenate([p.values.ravel() for p in apart]))
+        apart_state, flat_state = AdamaxState.init(apart), AdamaxState.init([flat])
+        for _ in range(5):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            grads[1][0, 0] = 0.0  # a zero gradient entry keeps its u
+            adamax_step(apart, grads, apart_state, lr=0.05, weight_decay=0.1)
+            adamax_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state,
+                        lr=0.05, weight_decay=0.1)
+        joined = np.concatenate([p.values.ravel() for p in apart])
+        assert joined.tobytes() == flat.values.tobytes()
+        for name in ("m", "u"):
+            assert (np.concatenate([a.ravel() for a in getattr(apart_state, name)]).tobytes()
+                    == getattr(flat_state, name)[0].tobytes())
+
 
 def one_batch(kind: str, weights: dict[str, float], hidden: int):
     """A model, batch and objective of `kind`, taking the `weights` it accepts."""
