@@ -7,7 +7,9 @@ jsonl: one object per line with either "features": [floats] or
   (train|val|test, default train). csv: a header row with feature columns
   f0..f{D-1} (or a single "text" column), a "label" column, and an
   optional "split" column. A malformed row is a DataError naming its
-  `file:line`, blank lines counted.
+  `file:line`, blank lines counted. Rows are checked as they are read, so
+  the first fault in the file is the one reported. A load holds one N x D
+  float64 array plus one row (and, for text rows, the texts).
 
 Labels are remapped to dense indices 0..C-1 by sorting the distinct label
 strings; the mapping is persisted on the dataset (`label_names`) and in
@@ -203,122 +205,126 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
     )
 
 
-def _row_line(path: str, index: int) -> int:
-    """The file line of row `index` of `path`, counting rows as `load` does
-    (blank lines skipped). It re-reads the file, so that only an error pays
-    for line numbers."""
-    if path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for _ in itertools.islice(reader, index + 1):
-                pass
-            return reader.line_num
+def _line_count(path: str) -> int:
+    """An upper bound on the lines of `path` as a text-mode read splits them
+    (at LF, CRLF or CR), from one binary pass. A CRLF that spans two chunks
+    counts twice, which keeps the bound."""
+    count = 1  # a last line without a newline
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+    return count
+
+
+def _jsonl_rows(path: str):
+    """(line, label, split, text, features) of each non-blank line of a jsonl
+    file; text is None for a feature row, features None for a text row."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = (lineno for lineno, line in enumerate(fh, start=1) if line.strip())
-        return next(itertools.islice(lines, index, None))
-
-
-def _finish_load(rows: list[dict], task: str, path: str, hash_dim: int,
-                 hash_seed: int) -> Dataset:
-    if not rows:
-        raise DataError(f"{path}: empty dataset")
-    has_text = "text" in rows[0]
-    for i, row in enumerate(rows):
-        if ("text" in row) != has_text:
-            raise DataError(f"{path}:{_row_line(path, i)}: row mixes text and feature schemas")
-        if row.get("label") is None:
-            raise DataError(f"{path}:{_row_line(path, i)}: row is missing 'label' or has a "
-                            f"null one")
-    if has_text:
-        features = hash_featurize([r["text"] for r in rows], hash_dim, hash_seed)
-    else:
-        dim = len(rows[0]["features"])
-        features = np.zeros((len(rows), dim))
-        for i, row in enumerate(rows):
-            vec = row["features"]
-            if len(vec) != dim:
-                raise DataError(f"{path}:{_row_line(path, i)}: row has {len(vec)} features, "
-                                f"expected {dim}")
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                features[i] = [float(v) for v in vec]
-            except (TypeError, ValueError) as err:
-                raise DataError(f"{path}:{_row_line(path, i)}: row has a non-numeric "
-                                f"feature") from err
-    split = np.array([row.get("split") or "train" for row in rows])
-    bad = set(split.tolist()) - set(SPLITS)
-    if bad:
-        raise DataError(f"{path}: unknown split tags {sorted(bad)}")
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DataError(f"{path}:{lineno}: invalid json") from err
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a json object")
+            if not (isinstance(obj["text"], str) if "text" in obj
+                    else isinstance(obj.get("features"), list)):
+                raise DataError(f"{path}:{lineno}: need a 'features' list or a 'text' string")
+            yield lineno, obj.get("label"), obj.get("split"), obj.get("text"), obj.get("features")
 
-    raw_labels = [str(row["label"]) for row in rows]
-    if task == "regression":
-        try:
-            targets = np.array([float(v) for v in raw_labels])
-        except ValueError as err:
-            raise DataError(f"{path}: regression labels must be numeric") from err
-        return Dataset(features=features, targets=targets, split=split,
-                       task="regression")
 
-    # every label gets an index, also one seen only in val/test: the
-    # out-of-domain protocol evaluates against a mapping
-    label_names = sorted(set(raw_labels))
-    index = {name: i for i, name in enumerate(label_names)}
-    targets = np.array([index[v] for v in raw_labels], dtype=np.int64)
-    return Dataset(features=features, targets=targets, split=split,
-                   task="classification", num_classes=len(label_names),
-                   label_names=label_names)
+def _csv_rows(path: str):
+    """The rows of a csv file, as `_jsonl_rows` gives them."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise DataError(f"{path}: empty dataset")
+        feature_cols = sorted(
+            (c for c in reader.fieldnames if re.fullmatch(r"f\d+", c)),
+            key=lambda c: int(c[1:]))
+        has_text = "text" in reader.fieldnames
+        if not feature_cols and not has_text:
+            raise DataError(f"{path}: need f0..fK feature columns or a 'text' column")
+        if "label" not in reader.fieldnames:
+            raise DataError(f"{path}: missing 'label' column")
+        for record in reader:
+            if None in record or None in record.values():
+                raise DataError(f"{path}:{reader.line_num}: expected "
+                                f"{len(reader.fieldnames)} fields, as in the header")
+            yield (reader.line_num, record["label"], record.get("split"),
+                   record["text"] if has_text else None,
+                   None if has_text else [record[c] for c in feature_cols])
 
 
 def load(path: str, task: str = "classification", hash_dim: int = 256,
          hash_seed: int = 0) -> Dataset:
-    """Read a jsonl or csv dataset file (csv if the name ends in .csv)."""
+    """Read a jsonl or csv dataset file (csv if the name ends in .csv).
+
+    Each row is checked as it is read, and its features are written straight
+    into one (capacity, D) float64 array, sized by `_line_count` before the
+    parse; besides that array, only a label, a split tag and (for text rows)
+    the text of each row are kept."""
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
     if task not in ("classification", "regression"):
         raise DataError(f"unknown task {task!r}")
 
-    rows: list[dict] = []
-    if not path.endswith(".csv"):
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise DataError(f"{path}:{lineno}: invalid json") from err
-                if not isinstance(obj, dict):
-                    raise DataError(f"{path}:{lineno}: expected a json object")
-                if not (isinstance(obj["text"], str) if "text" in obj
-                        else isinstance(obj.get("features"), list)):
-                    raise DataError(f"{path}:{lineno}: need a 'features' list or a 'text' string")
-                rows.append(obj)
-    else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty dataset")
-            feature_cols = sorted(
-                (c for c in reader.fieldnames if re.fullmatch(r"f\d+", c)),
-                key=lambda c: int(c[1:]))
-            has_text = "text" in reader.fieldnames
-            if not feature_cols and not has_text:
-                raise DataError(f"{path}: need f0..fK feature columns or a 'text' column")
-            if "label" not in reader.fieldnames:
-                raise DataError(f"{path}: missing 'label' column")
-            for record in reader:
-                if None in record or None in record.values():
-                    raise DataError(f"{path}:{reader.line_num}: expected "
-                                    f"{len(reader.fieldnames)} fields, as in the header")
-                row: dict = {"label": record["label"]}
-                if has_text:
-                    row["text"] = record["text"]
-                else:
-                    row["features"] = [record[c] for c in feature_cols]
-                if record.get("split"):
-                    row["split"] = record["split"]
-                rows.append(row)
-    return _finish_load(rows, task, path, hash_dim, hash_seed)
+    rows = _csv_rows(path) if path.endswith(".csv") else _jsonl_rows(path)
+    first = next(rows, None)
+    if first is None:
+        raise DataError(f"{path}: empty dataset")
+    has_text = first[3] is not None  # the first row's schema is the file's
+    texts: list[str] = []
+    if not has_text:
+        dim = len(first[4])
+        features = np.empty((_line_count(path), dim))
+    splits: list[str] = []
+    targets: list = []  # float scores, or class codes in first-seen order
+    codes: dict[str, int] = {}  # label -> its class code
+    for lineno, label, split, text, vec in itertools.chain([first], rows):
+        where = f"{path}:{lineno}"
+        if (text is not None) != has_text:
+            raise DataError(f"{where}: row mixes text and feature schemas")
+        if label is None:
+            raise DataError(f"{where}: row is missing 'label' or has a null one")
+        if has_text:
+            texts.append(text)
+        else:
+            if len(vec) != dim:
+                raise DataError(f"{where}: row has {len(vec)} features, expected {dim}")
+            try:
+                features[len(splits)] = np.fromiter(map(float, vec), np.float64, count=dim)
+            except (TypeError, ValueError) as err:
+                raise DataError(f"{where}: row has a non-numeric feature") from err
+        tag = split or "train"
+        if tag not in SPLITS:
+            raise DataError(f"{where}: unknown split tag {str(tag)!r}")
+        splits.append(SPLITS[SPLITS.index(tag)])  # one shared str per tag
+        if task == "regression":
+            try:
+                targets.append(float(str(label)))
+            except ValueError as err:
+                raise DataError(f"{where}: regression labels must be numeric") from err
+        else:
+            targets.append(codes.setdefault(str(label), len(codes)))
+
+    features = (hash_featurize(texts, hash_dim, hash_seed) if has_text
+                else features[:len(splits)])
+    split = np.array(splits)
+    if task == "regression":
+        return Dataset(features=features, targets=np.array(targets), split=split,
+                       task="regression")
+    # every label gets an index, also one seen only in val/test: the
+    # out-of-domain protocol evaluates against a mapping
+    label_names = sorted(codes)
+    rank = {name: i for i, name in enumerate(label_names)}
+    code_to_index = np.array([rank[name] for name in codes], dtype=np.int64)
+    return Dataset(features=features, targets=code_to_index[np.array(targets, dtype=np.int64)],
+                   split=split, task="classification", num_classes=len(label_names),
+                   label_names=label_names)
 
 
 def save(ds: Dataset, path: str) -> None:

@@ -233,7 +233,7 @@ def save_checkpoint(path: str, params: EncoderParams) -> None:
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))
 
 
 def load_checkpoint_payload(path: str) -> dict:

@@ -271,8 +271,8 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     objective = cfg.objective
     metric_name = cfg.headline_metric()
 
-    train_features, train_targets = dataset.subset("train")
-    n_train = train_features.shape[0]
+    train_rows = dataset.indices("train")
+    n_train = train_rows.size
 
     dataset_info = {"task": dataset.task, "num_classes": dataset.num_classes,
                     "num_features": dataset.num_features,
@@ -289,9 +289,9 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
         perm = rng.permutation(n_train)
         epoch_totals = []
         for start in range(0, n_train, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            x = Tensor(train_features[idx])
-            y = train_targets[idx]
+            idx = train_rows[perm[start:start + cfg.batch_size]]
+            x = Tensor(dataset.features[idx])
+            y = dataset.targets[idx]
             draw = rng.standard_normal((idx.size, model.latent_dim))
             eps = np.zeros_like(draw) if cfg.zero_eps else draw
             mask = None

@@ -842,6 +842,13 @@ class TestBadInputs:
                      '{"features": [2.0], "label": null}\n', 2, id="null-label"),
         pytest.param("rows.csv", "f0,f1,label\n1,2,a\n\nx,2,b\n", 4,
                      id="csv-non-numeric-after-blank"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n\n'
+                     '{"features": [2.0], "label": "b", "split": "tset"}\n', 3,
+                     id="unknown-split-tag"),
+        # the first fault in the file is the one named
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
+                     '{"features": ["x"], "label": "b"}\n\n{"features": [\n', 2,
+                     id="first-fault-in-file-order"),
     ])
     def test_malformed_input_exits_3_naming_the_line(self, out, tmp_path, data_file,
                                                      monkeypatch, name, text, line, capsys):
@@ -856,6 +863,18 @@ class TestBadInputs:
         assert run_cli(*files, "--out", out, "--objective", "ce",
                        "--seeds", "1") == cli.EXIT_DATA
         self._one_line_error(capsys, f"{path}:{line}:")
+        assert calls == []
+        assert not os.path.exists(out)
+
+    def test_non_numeric_regression_label_exits_3_naming_the_line(self, out, tmp_path,
+                                                                  monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(trainer, "train", lambda *args: calls.append(args))
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"features": [1.0], "label": 0.5}\n\n{"features": [2.0], "label": "a"}\n')
+        assert run_cli("train", "--data", str(path), "--out", out, "--objective", "mse",
+                       "--seeds", "1") == cli.EXIT_DATA
+        self._one_line_error(capsys, f"{path}:3:", "regression labels must be numeric")
         assert calls == []
         assert not os.path.exists(out)
 

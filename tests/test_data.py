@@ -1,5 +1,7 @@
 import hashlib
+import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +84,52 @@ class TestLoad:
         ds = load(str(path), task="regression")
         assert ds.task == "regression"
         assert np.allclose(ds.targets, [1.5, 2.5])
+
+
+class TestStreamingLoad:
+    """`load` writes each row into one preallocated array: its memory is
+    bounded by that array, and every format and layout gives the same bits."""
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        ds = gen_mixture(4, 64, 1000, 2.0, seed=11)
+        path = str(tmp_path / "wide.jsonl")
+        save(ds, path)
+        tracemalloc.start()
+        try:
+            load(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a list of rows of Python floats alone is about 6x the array
+        assert peak < 2 * ds.features.nbytes + 2**20
+
+    @staticmethod
+    def _write(path, lines, newline, blank_every):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            for i, line in enumerate(lines, start=1):
+                fh.write(line + newline)
+                if blank_every and i % blank_every == 0:
+                    fh.write(newline)  # a blank line, so capacity exceeds the rows
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("blank_every", [0, 1, 3], ids=["no-blanks", "blanks", "some-blanks"])
+    def test_jsonl_and_csv_give_equal_bits(self, tmp_path, newline, blank_every):
+        ds = gen_mixture(3, 5, 20, 1.0, seed=12)
+        labels = [ds.label_names[t] for t in ds.targets]
+        rows = zip(ds.features.tolist(), labels, ds.split.tolist())
+        jsonl_lines = [json.dumps({"features": f, "label": label, "split": tag})
+                       for f, label, tag in rows]
+        csv_lines = ["f0,f1,f2,f3,f4,label,split"] + [
+            ",".join([*map(repr, f), label, tag]) for f, label, tag in
+            zip(ds.features.tolist(), labels, ds.split.tolist())]
+        self._write(tmp_path / "d.jsonl", jsonl_lines, newline, blank_every)
+        self._write(tmp_path / "d.csv", csv_lines, newline, blank_every)
+        for path in ("d.jsonl", "d.csv"):
+            back = load(str(tmp_path / path))
+            assert back.features.tobytes() == ds.features.tobytes()
+            assert np.array_equal(back.targets, ds.targets)
+            assert np.array_equal(back.split, ds.split)
+            assert back.label_names == ds.label_names
 
 
 class TestHashFeaturize:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from spc.encoder import (
     EncoderParams,
     encode,
     init_encoder,
+    init_vib,
     load_checkpoint,
     load_checkpoint_payload,
     sample,
@@ -161,6 +164,21 @@ class TestCheckpoint:
         for name, tensor in params.named_parameters().items():
             assert np.array_equal(tensor.values, restored.named_parameters()[name].values)
         assert restored.use_layer_norm
+
+    # a checkpoint's bytes are part of every run's artifacts, so the
+    # serialization of fixed parameters is pinned
+    @pytest.mark.parametrize("params, sha256", [
+        pytest.param(init_encoder(3, 4, 2, rng=0),
+                     "78bdb4df1bbe4f72ab73d30273f7e53f0ad17bc0815b4c6cd9277f479e77cc2b",
+                     id="encoder"),
+        pytest.param(init_vib(3, 4, 2, 2, rng=0),
+                     "a072182294bdc83b1659879b5eb9ff36c10c1bededcc7f763045bc4ed2018041",
+                     id="vib"),
+    ])
+    def test_saved_bytes_are_pinned(self, tmp_path, params, sha256):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), params)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_wrong_version_rejected(self, tmp_path):
         import json
