@@ -7,8 +7,10 @@ jsonl: one object per line with either "features": [floats] or
   (train|val|test, default train). csv: a header row with feature columns
   f0..f{D-1} (or a single "text" column), a "label" column, and an
   optional "split" column. A malformed row is a DataError naming its
-  `file:line`, blank lines counted. Rows are checked as they are read, so
-  the first fault in the file is the one reported. A load holds one N x D
+  `file:line`, blank lines counted; every feature, and every regression
+  label, must read as a finite float64 (not NaN, an infinity, or a number
+  beyond the float64 range). Rows are checked as they are read, so the
+  first fault in the file is the one reported. A load holds one N x D
   float64 array plus one row (and, for text rows, the texts).
 
 Labels are remapped to dense indices 0..C-1 by sorting the distinct label
@@ -26,6 +28,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -296,18 +299,26 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
             if len(vec) != dim:
                 raise DataError(f"{where}: row has {len(vec)} features, expected {dim}")
             try:
-                features[len(splits)] = np.fromiter(map(float, vec), np.float64, count=dim)
+                row = np.fromiter(map(float, vec), np.float64, count=dim)
             except (TypeError, ValueError) as err:
                 raise DataError(f"{where}: row has a non-numeric feature") from err
+            except OverflowError as err:  # a json integer beyond the float64 range
+                raise DataError(f"{where}: row has a feature too large for a float") from err
+            if not np.isfinite(row).all():
+                raise DataError(f"{where}: row has a non-finite feature")
+            features[len(splits)] = row
         tag = split or "train"
         if tag not in SPLITS:
             raise DataError(f"{where}: unknown split tag {str(tag)!r}")
         splits.append(SPLITS[SPLITS.index(tag)])  # one shared str per tag
         if task == "regression":
             try:
-                targets.append(float(str(label)))
+                score = float(str(label))
             except ValueError as err:
                 raise DataError(f"{where}: regression labels must be numeric") from err
+            if not math.isfinite(score):
+                raise DataError(f"{where}: regression labels must be finite numbers")
+            targets.append(score)
         else:
             targets.append(codes.setdefault(str(label), len(codes)))
 

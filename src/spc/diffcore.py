@@ -17,11 +17,13 @@ requires a gradient, and tapes the output (which then requires one) iff
 any pair is kept. `backward` sums each local gradient back over a
 broadcast operand's shape and accumulates it into that input's `.grad`.
 
-Gradient buffers: a tensor whose `.grad` is None gets a fresh array on its
-first gradient, equal to `zeros + g` bit for bit. A parameter's `.grad`
-may instead be a caller-owned array (for example a view of one flat
-gradient vector, see `trainer.train`); `backward` then adds into it in
-place, and the caller zeroes it between passes.
+Gradient buffers belong to the caller. A tensor whose `.grad` is None
+gets a fresh array on its first gradient, equal to `zeros + g` bit for
+bit; a `.grad` that is already an array (for example a view of one flat
+gradient vector, see `trainer.train`) is added into in place, and the
+caller zeroes it between passes. A tensor the loss does not reach keeps
+the `.grad` it had, so a caller that needs a zero gradient there sets
+`p.grad = np.zeros_like(p.values)` before the pass.
 """
 
 from __future__ import annotations
@@ -82,36 +84,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all graph building goes through the module-level ops
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
+    # operator sugar for the two ops written infix; all graph building goes
+    # through the module-level ops
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return add(self, other)
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return sub(self, other)
 
 
 def param(values) -> Tensor:
@@ -147,14 +126,13 @@ class Tape:
         return len(self._ops)
 
 
-def backward(loss: Tensor, tape: Tape, params: list[Tensor] | None = None) -> None:
+def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` for everything on the tape.
 
     `loss` must be a scalar produced under `tape`. Re-invoking backward on a
     consumed tape raises; a second pass means a fresh forward under a new
-    tape. Parameters in `params` that the loss does not reach get an
-    explicit zero gradient. A `.grad` that is already an array is added
-    into in place.
+    tape. A `.grad` that is already an array is added into in place; a
+    tensor the loss does not reach keeps the `.grad` it had.
     """
     if loss.values.ndim != 0:
         raise GraphError(f"loss must be scalar, got shape {loss.values.shape}")
@@ -167,10 +145,6 @@ def backward(loss: Tensor, tape: Tape, params: list[Tensor] | None = None) -> No
             continue  # not on any path to the loss
         for t, grad_fn in pairs:
             t.accumulate_grad(_unbroadcast(grad_fn(out.grad), t.values.shape))
-    if params is not None:
-        for p in params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.values)
 
 
 def _emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:

@@ -30,10 +30,6 @@ from .metrics import (MetricError, _per_class_stats, adjusted_rand_index, confus
 from .objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
 
 
-class TrainingDiverged(RuntimeError):
-    """Non-finite loss or gradients encountered during training."""
-
-
 @dataclass
 class TrainConfig:
     """Hyperparameters of one training run (the seed is passed to `train`).
@@ -83,39 +79,36 @@ class TrainConfig:
 
 @dataclass
 class AdamaxState:
-    m: list[np.ndarray]
-    u: list[np.ndarray]
+    """Adamax moments of one parameter vector, and the count of steps taken."""
+
+    m: np.ndarray
+    u: np.ndarray
     t: int = 0
 
-    @classmethod
-    def init(cls, params: list[Tensor]) -> "AdamaxState":
-        return cls(m=[np.zeros_like(p.values) for p in params],
-                   u=[np.zeros_like(p.values) for p in params])
 
-
-def adamax_step(params: list[Tensor], grads: list[np.ndarray], state: AdamaxState,
-                lr: float, weight_decay: float = 0.0) -> None:
-    """One Adamax update, in place.
+def adamax_step(values: np.ndarray, grad: np.ndarray, state: AdamaxState,
+                lr: float, weight_decay: float = 0.0) -> bool:
+    """One Adamax update of the float64 array `values`, in place.
 
     m <- beta1*m + (1-beta1)*g;  u <- max(beta2*u, |g|);
     p <- p - (lr / (1 - beta1^t)) * m / (u + epsilon),
     with beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8. Weight decay is
-    decoupled: p is shrunk by lr*wd before the update.
+    decoupled: p is shrunk by lr*wd before the update. A `grad` with a
+    non-finite entry changes nothing (not `values`, nor any of `state`) and
+    returns False; a step taken returns True.
     """
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
-    for i, g in enumerate(grads):
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged(f"non-finite gradient in parameter {i} "
-                                   f"(shape {g.shape}); aborting")
+    if not np.all(np.isfinite(grad)):
+        return False
     state.t += 1
     correction = 1.0 - beta1 ** state.t
-    for p, g, m, u in zip(params, grads, state.m, state.u):
-        if weight_decay != 0.0:
-            p.values *= 1.0 - lr * weight_decay
-        m *= beta1
-        m += (1.0 - beta1) * g
-        np.maximum(beta2 * u, np.abs(g), out=u)
-        p.values -= (lr / correction) * m / (u + epsilon)
+    if weight_decay != 0.0:
+        values *= 1.0 - lr * weight_decay
+    state.m *= beta1
+    state.m += (1.0 - beta1) * grad
+    np.maximum(beta2 * state.u, np.abs(grad), out=state.u)
+    values -= (lr / correction) * state.m / (state.u + epsilon)
+    return True
 
 
 @dataclass
@@ -226,16 +219,16 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     }
 
 
-def _flatten(params: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-    """Move `params` into one contiguous vector. Returns it as a Tensor, and
-    a zeroed gradient vector of the same layout; each parameter's `.values`
-    and `.grad` become reshaped views of the two."""
-    flat = Tensor(np.concatenate([p.values.ravel() for p in params]))
-    grad = np.zeros_like(flat.values)
+def _flatten(params: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """Move `params` into one contiguous vector. Returns it, and a zeroed
+    gradient vector of the same layout; each parameter's `.values` and
+    `.grad` become reshaped views of the two."""
+    flat = np.concatenate([p.values.ravel() for p in params])
+    grad = np.zeros_like(flat)
     start = 0
     for p in params:
         end, shape = start + p.values.size, p.values.shape
-        p.values = flat.values[start:end].reshape(shape)
+        p.values = flat[start:end].reshape(shape)
         p.grad = grad[start:end].reshape(shape)
         start = end
     return flat, grad
@@ -255,10 +248,11 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     The model's tensors live in one flat float64 vector, and their
     gradients in another, each tensor a reshaped view of both (see
     `_flatten`). A step zeroes the gradient vector once, `backward` adds
-    into the views, and Adamax updates the whole vector at once; the
-    best-epoch snapshot is one copy of it. Adamax and weight decay act
-    elementwise with the same scalars on every tensor, so this gives the
-    same bits as per-tensor updates. The returned model's tensors stay views
+    into the views, and one `adamax_step` updates the whole vector, or
+    returns False on a non-finite gradient, which ends the run as diverged;
+    the best-epoch snapshot is one copy of the vector. Adamax and weight
+    decay act elementwise with the same scalars on every tensor, so this
+    gives the same bits as per-tensor updates. The returned model's tensors stay views
     of the flat vector, with no gradient.
     """
     dataset.require_rows("train", "val", "test")
@@ -267,7 +261,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     model = build_model(dataset, cfg, rng)
     params = model.parameters()
     flat, flat_grad = _flatten(params)
-    state = AdamaxState.init([flat])
+    state = AdamaxState(m=np.zeros_like(flat), u=np.zeros_like(flat))
     objective = cfg.objective
     metric_name = cfg.headline_metric()
 
@@ -280,7 +274,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     report = RunReport(config=cfg.to_dict(), seed=seed, dataset_info=dataset_info,
                        headline_metric=metric_name)
     best_value = -np.inf
-    best_state = flat.values.copy()
+    best_state = flat.copy()
     best_epoch = 0
     step = 0
 
@@ -312,10 +306,8 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
                 break
             flat_grad.fill(0.0)
             backward(terms.total, tape)
-            try:
-                adamax_step([flat], [flat_grad], state,
-                            lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-            except TrainingDiverged:
+            if not adamax_step(flat, flat_grad, state,
+                               lr=cfg.learning_rate, weight_decay=cfg.weight_decay):
                 report.diverged = True
                 break
             epoch_totals.append(total)
@@ -333,12 +325,12 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             break
         if value > best_value:
             best_value = value
-            best_state = flat.values.copy()
+            best_state = flat.copy()
             best_epoch = epoch
         if epoch - best_epoch >= cfg.patience:
             break
 
-    flat.values[:] = best_state
+    flat[:] = best_state
     zero_grads(params)
     report.best_epoch = best_epoch
     report.val_metrics = evaluate_split(model, dataset, "val")

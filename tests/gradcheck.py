@@ -40,10 +40,11 @@ def max_grad_rel_err(loss_fn, params, h: float = 1e-5) -> float:
     every call (it is invoked under a tape once, then repeatedly without
     one for the numeric probe).
     """
-    zero_grads(params)
+    for p in params:  # caller-owned buffers: a parameter the loss misses keeps 0
+        p.grad = np.zeros_like(p.values)
     with Tape() as tape:
         loss = loss_fn()
-    backward(loss, tape, params=params)
+    backward(loss, tape)
     analytic = [p.grad.copy() for p in params]
     zero_grads(params)
 

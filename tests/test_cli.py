@@ -14,7 +14,7 @@ from spc import trainer
 from spc.data import gen_mixture, save
 from spc.objectives import OBJECTIVES, ObjectiveConfig
 from spc.encoder import init_encoder, init_vib, save_checkpoint
-from spc.trainer import TrainConfig, TrainingDiverged, train
+from spc.trainer import TrainConfig, train
 
 
 def run_cli(*argv) -> int:
@@ -393,12 +393,12 @@ def diverge_second_run(monkeypatch):
     original = trainer.adamax_step
     runs = []
 
-    def step(params, grads, state, **kwargs):
+    def step(values, grad, state, **kwargs):
         if state.t == 0:  # a fresh optimizer: a new run begins
             runs.append(state)
         if len(runs) == 2:
-            raise TrainingDiverged("injected")
-        return original(params, grads, state, **kwargs)
+            return False
+        return original(values, grad, state, **kwargs)
 
     monkeypatch.setattr(trainer, "adamax_step", step)
 
@@ -845,10 +845,22 @@ class TestBadInputs:
         pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n\n'
                      '{"features": [2.0], "label": "b", "split": "tset"}\n', 3,
                      id="unknown-split-tag"),
+        # a feature must read as a finite float64
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
+                     '{"features": [1e999], "label": "b"}\n', 2, id="jsonl-feature-1e999"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n\n'
+                     '{"features": [NaN], "label": "b"}\n', 3, id="jsonl-feature-NaN"),
+        pytest.param("rows.csv", "f0,f1,label\n1,2,a\n1,nan,b\n", 3, id="csv-feature-nan"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
+                     '{"features": [1' + "0" * 400 + '], "label": "b"}\n', 2,
+                     id="jsonl-feature-int-beyond-float"),
         # the first fault in the file is the one named
         pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
                      '{"features": ["x"], "label": "b"}\n\n{"features": [\n', 2,
                      id="first-fault-in-file-order"),
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
+                     '{"features": [Infinity], "label": "b"}\n{"features": [\n', 2,
+                     id="non-finite-before-invalid-json"),
     ])
     def test_malformed_input_exits_3_naming_the_line(self, out, tmp_path, data_file,
                                                      monkeypatch, name, text, line, capsys):
@@ -875,6 +887,30 @@ class TestBadInputs:
         assert run_cli("train", "--data", str(path), "--out", out, "--objective", "mse",
                        "--seeds", "1") == cli.EXIT_DATA
         self._one_line_error(capsys, f"{path}:3:", "regression labels must be numeric")
+        assert calls == []
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("label", ['"nan"', '"inf"', "1e999"], ids=["nan", "inf", "1e999"])
+    def test_non_finite_regression_label_exits_3_before_training(self, out, tmp_path,
+                                                                 monkeypatch, capsys, label):
+        calls = []
+        original = trainer.train
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(trainer, "train", counted)
+        path = regression_file(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        row = json.loads(lines[4])
+        lines[4] = f'{{"features": {json.dumps(row["features"])}, "label": {label}}}'
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert run_cli("train", "--data", path, "--out", out, "--objective", "mse",
+                       "--seeds", "1") == cli.EXIT_DATA
+        self._one_line_error(capsys, f"{path}:5:", "regression labels must be finite numbers")
         assert calls == []
         assert not os.path.exists(out)
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from spc.data import SPLITS, DataError, Dataset, gen_mixture
-from spc.diffcore import Tape, Tensor, param
+from spc.diffcore import Tape, Tensor
 from spc.encoder import init_encoder, init_vib, load_checkpoint, save_checkpoint
 from spc.objectives import OBJECTIVES, WEIGHTS, ObjectiveConfig
 from spc.trainer import (
     AdamaxState,
     TrainConfig,
-    TrainingDiverged,
     adamax_step,
     batch_loss,
     summarize,
@@ -32,60 +31,69 @@ def small_cfg(objective: ObjectiveConfig, **kw) -> TrainConfig:
     return TrainConfig(objective=objective, **defaults)
 
 
+def fresh_state(values: np.ndarray) -> AdamaxState:
+    return AdamaxState(m=np.zeros_like(values), u=np.zeros_like(values))
+
+
 class TestAdamax:
     def test_zero_gradient_no_change(self):
-        p = param(np.array([[1.0, -2.0]]))
-        state = AdamaxState.init([p])
-        adamax_step([p], [np.zeros((1, 2))], state, lr=0.1)
-        assert np.array_equal(p.values, [[1.0, -2.0]])
+        p = np.array([[1.0, -2.0]])
+        assert adamax_step(p, np.zeros((1, 2)), fresh_state(p), lr=0.1)
+        assert np.array_equal(p, [[1.0, -2.0]])
 
     def test_first_step_is_signed_lr(self):
-        p = param(np.array([[1.0, -2.0, 0.5]]))
+        p = np.array([[1.0, -2.0, 0.5]])
         g = np.array([[0.3, -0.7, 2.0]])
-        state = AdamaxState.init([p])
-        before = p.values.copy()
-        adamax_step([p], [g], state, lr=0.05)
+        before = p.copy()
+        adamax_step(p, g, fresh_state(p), lr=0.05)
         # m/(u+eps) ~= sign(g) on the first step
-        assert np.allclose(before - p.values, 0.05 * np.sign(g), rtol=1e-6)
+        assert np.allclose(before - p, 0.05 * np.sign(g), rtol=1e-6)
 
     def test_quadratic_convergence(self):
         # matches a direct simulation (and torch.optim.Adamax) from p0 = 1
-        p = param(np.array(1.0))
-        state = AdamaxState.init([p])
+        p = np.array(1.0)
+        state = fresh_state(p)
         for _ in range(200):
-            adamax_step([p], [2.0 * p.values], state, lr=0.05)
-        assert abs(float(p.values)) < 1e-3
+            adamax_step(p, 2.0 * p, state, lr=0.05)
+        assert abs(float(p)) < 1e-3
 
     def test_non_finite_gradient_aborts(self):
-        p = param(np.array([1.0]))
-        state = AdamaxState.init([p])
-        with pytest.raises(TrainingDiverged):
-            adamax_step([p], [np.array([np.nan])], state, lr=0.1)
+        # the step returns False and leaves the values and all of the state as they were
+        rng = np.random.default_rng(4)
+        p = rng.standard_normal(3)
+        state = fresh_state(p)
+        assert adamax_step(p, rng.standard_normal(3), state, lr=0.1, weight_decay=0.1)
+        before = [a.tobytes() for a in (p, state.m, state.u)]
+        for bad in (np.nan, np.inf, -np.inf):
+            assert adamax_step(p, np.array([0.5, bad, -0.5]), state,
+                               lr=0.1, weight_decay=0.1) is False
+            assert [a.tobytes() for a in (p, state.m, state.u)] == before
+            assert state.t == 1
 
     def test_decoupled_decay_shrinks_before_update(self):
-        p = param(np.array([10.0]))
-        state = AdamaxState.init([p])
-        adamax_step([p], [np.zeros(1)], state, lr=0.1, weight_decay=0.01)
-        assert np.allclose(p.values, 10.0 * (1 - 0.1 * 0.01))
+        p = np.array([10.0])
+        adamax_step(p, np.zeros(1), fresh_state(p), lr=0.1, weight_decay=0.01)
+        assert np.allclose(p, 10.0 * (1 - 0.1 * 0.01))
 
     def test_flat_step_equals_per_tensor_steps(self):
         # a matrix, a 1xH bias and a scalar, updated apart and as one flat vector
         rng = np.random.default_rng(3)
         shapes = [(4, 3), (1, 3), ()]
-        apart = [param(rng.standard_normal(shape)) for shape in shapes]
-        flat = param(np.concatenate([p.values.ravel() for p in apart]))
-        apart_state, flat_state = AdamaxState.init(apart), AdamaxState.init([flat])
+        apart = [rng.standard_normal(shape) for shape in shapes]
+        flat = np.concatenate([p.ravel() for p in apart])
+        apart_states, flat_state = [fresh_state(p) for p in apart], fresh_state(flat)
         for _ in range(5):
             grads = [rng.standard_normal(shape) for shape in shapes]
             grads[1][0, 0] = 0.0  # a zero gradient entry keeps its u
-            adamax_step(apart, grads, apart_state, lr=0.05, weight_decay=0.1)
-            adamax_step([flat], [np.concatenate([g.ravel() for g in grads])], flat_state,
-                        lr=0.05, weight_decay=0.1)
-        joined = np.concatenate([p.values.ravel() for p in apart])
-        assert joined.tobytes() == flat.values.tobytes()
+            for p, g, state in zip(apart, grads, apart_states):
+                assert adamax_step(p, g, state, lr=0.05, weight_decay=0.1)
+            assert adamax_step(flat, np.concatenate([g.ravel() for g in grads]), flat_state,
+                               lr=0.05, weight_decay=0.1)
+        joined = np.concatenate([p.ravel() for p in apart])
+        assert joined.tobytes() == flat.tobytes()
         for name in ("m", "u"):
-            assert (np.concatenate([a.ravel() for a in getattr(apart_state, name)]).tobytes()
-                    == getattr(flat_state, name)[0].tobytes())
+            assert (np.concatenate([getattr(s, name).ravel() for s in apart_states]).tobytes()
+                    == getattr(flat_state, name).tobytes())
 
 
 def one_batch(kind: str, weights: dict[str, float], hidden: int):
