@@ -432,8 +432,8 @@ def cmd_repr_quality(args) -> int:
     model, dataset = _load_checkpoint(args)
     run_dir, manifest = start_run(args, "repr-quality", run_inputs(
         args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
-    results = representation_quality(model, dataset, seeds)
-    finish_run(run_dir, manifest, results)
+    results, timing = representation_quality(model, dataset, seeds)
+    finish_run(run_dir, manifest, results, timing=timing)
     print(f"silhouette median {results['silhouette_median']:.4f}, "
           f"ari median {results['ari_median']:.4f}")
     return EXIT_OK

@@ -231,6 +231,8 @@ def _jsonl_rows(path: str):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataError(f"{path}:{lineno}: invalid json") from err
+            except ValueError as err:  # an integer past Python's digit limit
+                raise DataError(f"{path}:{lineno}: a number has too many digits to read") from err
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a json object")
             if not (isinstance(obj["text"], str) if "text" in obj

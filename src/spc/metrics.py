@@ -100,7 +100,8 @@ def spearman(a, b) -> float:
 
 def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     diff = points[:, None, :] - centers[None, :, :]
-    return (diff * diff).sum(axis=2)
+    np.multiply(diff, diff, out=diff)
+    return diff.sum(axis=2)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,38 +162,52 @@ def kmeans(points, k: int, seed: int = 0, iters: int = 100) -> np.ndarray:
 SILHOUETTE_BLOCK_ELEMENTS = 1 << 20
 
 
-def silhouette(points, assignments) -> float:
+def silhouette(points, assignments) -> float | np.ndarray:
     """Mean over points of (b - a) / max(a, b) with Euclidean distances.
 
     a is the mean distance to the point's own cluster (excluding itself),
     b the smallest mean distance to any other cluster. A point alone in its
     cluster contributes 0. Rows are processed in blocks of at most
     SILHOUETTE_BLOCK_ELEMENTS difference entries.
+
+    `assignments` is one partition of the n points (the score is a float)
+    or an (S, n) stack of partitions (an array of S scores). Each distance
+    block is computed once and scored for every partition of the stack, and
+    each score has the bits of scoring its partition alone.
     """
     points = np.asarray(points, dtype=np.float64)
     assignments = np.asarray(assignments, dtype=np.int64)
-    labels, cluster, sizes = np.unique(assignments, return_inverse=True, return_counts=True)
-    if labels.size < 2:
-        raise MetricError("silhouette needs at least 2 clusters")
     n = points.shape[0]
-    members = [np.flatnonzero(cluster == c) for c in range(labels.size)]
+    if assignments.ndim not in (1, 2) or assignments.shape[-1] != n:
+        raise MetricError(f"assignments of shape {assignments.shape} do not "
+                          f"partition {n} points")
+    partitions = []
+    for row in np.atleast_2d(assignments):
+        labels, cluster, sizes = np.unique(row, return_inverse=True, return_counts=True)
+        if labels.size < 2:
+            raise MetricError("silhouette needs at least 2 clusters")
+        members = [np.flatnonzero(cluster == c) for c in range(labels.size)]
+        partitions.append((cluster, sizes, members))
     rows_per_block = max(1, SILHOUETTE_BLOCK_ELEMENTS // max(1, n * points.shape[1]))
-    scores = np.zeros(n)
+    scores = np.zeros((len(partitions), n))
     for lo in range(0, n, rows_per_block):
         block = slice(lo, min(lo + rows_per_block, n))
         dists = np.sqrt(np.maximum(_pairwise_sq_dists(points[block], points), 0.0))
-        # np.take keeps each row contiguous, so each row's sum adds in the
-        # same (pairwise) order as the 1-D sum over the full matrix's row
-        sums = np.stack([np.take(dists, m, axis=1).sum(axis=1) for m in members], axis=1)
-        own = cluster[block]
-        at_own = (np.arange(own.size), own)
-        means = sums / sizes
-        means[at_own] = np.inf
-        b = means.min(axis=1)
-        multi = sizes[own] > 1  # a singleton contributes 0
-        a = sums[at_own][multi] / (sizes[own][multi] - 1)
-        scores[block][multi] = (b[multi] - a) / np.maximum(a, b[multi])
-    return float(scores.mean())
+        for (cluster, sizes, members), score in zip(partitions, scores):
+            # np.take keeps each row contiguous, so each row's sum adds in the
+            # same (pairwise) order as the 1-D sum over the full matrix's row
+            sums = np.stack([np.take(dists, m, axis=1).sum(axis=1) for m in members], axis=1)
+            own = cluster[block]
+            at_own = (np.arange(own.size), own)
+            means = sums / sizes
+            means[at_own] = np.inf
+            b = means.min(axis=1)
+            multi = sizes[own] > 1  # a singleton contributes 0
+            a = sums[at_own][multi] / (sizes[own][multi] - 1)
+            score[block][multi] = (b[multi] - a) / np.maximum(a, b[multi])
+    if assignments.ndim == 1:
+        return float(scores[0].mean())
+    return np.array([score.mean() for score in scores])
 
 
 def adjusted_rand_index(assign_a, assign_b) -> float:

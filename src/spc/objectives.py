@@ -184,6 +184,16 @@ def _check_rows_normalized(probs: Tensor, op: str) -> None:
         raise DomainError(f"{op}: rows must sum to 1 (max deviation {worst:.3e})")
 
 
+def _batch_entropy(probs: Tensor) -> Tensor:
+    marginal = reduce_mean(probs, axis=0)
+    return scale(reduce_sum(xlogx(marginal)), -1.0)
+
+
+def _confidence_penalty(probs: Tensor) -> Tensor:
+    batch = probs.values.shape[0]
+    return scale(reduce_sum(xlogx(probs)), 1.0 / batch)
+
+
 def batch_entropy(probs: Tensor) -> Tensor:
     """Entropy of the column-mean of a row-stochastic matrix (natural log).
 
@@ -192,15 +202,13 @@ def batch_entropy(probs: Tensor) -> Tensor:
     every row concentrates on one shared class.
     """
     _check_rows_normalized(probs, "batch_entropy")
-    marginal = reduce_mean(probs, axis=0)
-    return scale(reduce_sum(xlogx(marginal)), -1.0)
+    return _batch_entropy(probs)
 
 
 def confidence_penalty(probs: Tensor) -> Tensor:
     """Negative mean per-row entropy, -(1/B) sum_i H(p_i); in [-log C, 0]."""
     _check_rows_normalized(probs, "confidence_penalty")
-    batch = probs.values.shape[0]
-    return scale(reduce_sum(xlogx(probs)), 1.0 / batch)
+    return _confidence_penalty(probs)
 
 
 def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTerms:
@@ -210,7 +218,9 @@ def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTe
     in that order. `out` is t itself, or the decoder's output for the
     kinds with a decoder. Zero-weight terms are skipped entirely (not
     multiplied by 0), so beta = gamma = 0 with t = mu is plain
-    cross-entropy, exactly.
+    cross-entropy, exactly. The softmax rows fed to the batch-entropy and
+    penalty terms sum to 1 by construction, so they skip the row-sum check
+    of `batch_entropy` and `confidence_penalty`.
     """
     nll = task_nll(out, y) if cfg.task == "classification" else mse(out, y)
     terms = LossTerms(total=nll, nll=float(nll.values))
@@ -220,11 +230,11 @@ def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTe
         terms.total = terms.total + scale(kl, cfg.beta)
     if cfg.gamma != 0.0:
         source = out if cfg.structured_from == "sample" else code.mu
-        lb = batch_entropy(softmax_probs(source))
+        lb = _batch_entropy(softmax_probs(source))
         terms.batch_entropy = float(lb.values)
         terms.total = terms.total - scale(lb, cfg.gamma)
     if cfg.cp_weight != 0.0:
-        penalty = confidence_penalty(softmax_probs(out))
+        penalty = _confidence_penalty(softmax_probs(out))
         terms.penalty = float(penalty.values)
         terms.total = terms.total + scale(penalty, cfg.cp_weight)
     return terms

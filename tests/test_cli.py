@@ -13,7 +13,9 @@ from spc import data as dataio
 from spc import trainer
 from spc.data import gen_mixture, save
 from spc.objectives import OBJECTIVES, ObjectiveConfig
-from spc.encoder import init_encoder, init_vib, save_checkpoint
+from spc.diffcore import Tensor
+from spc.encoder import encode, init_encoder, init_vib, load_checkpoint, save_checkpoint
+from spc.metrics import adjusted_rand_index, kmeans, silhouette
 from spc.trainer import TrainConfig, train
 
 
@@ -117,10 +119,22 @@ class TestEvalAndReprQuality:
                        "--ckpt", ckpt, "--seeds", "3") == 0
         rq = [r for r in run_ids(out)
               if json.load(open(os.path.join(out, r, "manifest.json")))["command"] == "repr-quality"]
-        results = read_report(out, rq[0])["results"]
+        report = read_report(out, rq[0])
+        results = report["results"]
         assert -1.0 <= results["silhouette_median"] <= 1.0
         assert -1.0 <= results["ari_median"] <= 1.0
         assert len(results["per_seed"]) == 3
+        # timing sits beside the results; the results are those of scoring
+        # one k-means seed at a time
+        assert sorted(report["timing"]) == ["kmeans_s", "silhouette_s"]
+        assert all(v >= 0.0 for v in report["timing"].values())
+        dataset = dataio.load(data_file)
+        features, gold = dataset.subset("test")
+        reps = encode(load_checkpoint(ckpt), Tensor(features)).mu.values
+        assigns = [kmeans(reps, dataset.num_classes, seed=seed) for seed in range(3)]
+        assert results["per_seed"] == [
+            {"seed": seed, "silhouette": silhouette(reps, assign),
+             "ari": adjusted_rand_index(assign, gold)} for seed, assign in enumerate(assigns)]
 
 
 class TestStudies:
@@ -854,6 +868,10 @@ class TestBadInputs:
         pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
                      '{"features": [1' + "0" * 400 + '], "label": "b"}\n', 2,
                      id="jsonl-feature-int-beyond-float"),
+        # json.loads refuses an integer of more than 4300 digits
+        pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
+                     '{"features": [1' + "0" * 5000 + '], "label": "b"}\n', 2,
+                     id="jsonl-feature-int-beyond-digit-limit"),
         # the first fault in the file is the one named
         pytest.param("rows.jsonl", '{"features": [1.0], "label": "a"}\n'
                      '{"features": ["x"], "label": "b"}\n\n{"features": [\n', 2,

@@ -303,6 +303,11 @@ class TestSilhouette:
         with pytest.raises(MetricError):
             silhouette(np.zeros((4, 2)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 5), (1, 2, 4)])
+    def test_assignments_must_partition_the_points(self, shape):
+        with pytest.raises(MetricError, match="do not partition 4 points"):
+            silhouette(np.zeros((4, 2)), np.zeros(shape, dtype=int))
+
     @pytest.mark.parametrize("n, d, labels", [
         (60, 3, [0, 1]),
         (97, 5, [0, 3, 7]),          # non-contiguous labels
@@ -318,8 +323,19 @@ class TestSilhouette:
         assign[n // 2] = 99
         assert silhouette(points, assign) == loop_silhouette(points, assign)
 
-    @pytest.mark.parametrize("budget", [1, 40, 1000])
-    def test_any_block_size_gives_the_same_bits(self, monkeypatch, budget):
+    # budget: SILHOUETTE_BLOCK_ELEMENTS (a row is 53 * 4 = 212 entries, so
+    # 1 and 40 give one row per block, 1000 four); stack: the partitions
+    # scored by one call after the first (None: the first alone, 1-D)
+    @pytest.mark.parametrize("budget, stack", [
+        pytest.param(1, None, id="1"),
+        pytest.param(40, None, id="40"),
+        pytest.param(1000, None, id="1000"),
+        pytest.param(40, "mixed", id="40-stack"),
+        pytest.param(1000, "mixed", id="1000-stack"),
+        pytest.param(1 << 20, "mixed", id="one-block-stack"),
+        pytest.param(1000, "one-cluster", id="1000-stack-with-one-cluster"),
+    ])
+    def test_any_block_size_gives_the_same_bits(self, monkeypatch, budget, stack):
         rng = np.random.default_rng(69)
         points = rng.normal(size=(53, 4))
         assign = rng.choice([0, 3, 7], size=53)
@@ -327,7 +343,19 @@ class TestSilhouette:
         assign[2] = 9        # a singleton
         expected = loop_silhouette(points, assign)
         monkeypatch.setattr(metrics, "SILHOUETTE_BLOCK_ELEMENTS", budget)
-        assert silhouette(points, assign) == expected
+        if stack is None:
+            assert silhouette(points, assign) == expected
+        elif stack == "mixed":
+            # a relabelled copy, one with a singleton moved, a 2-cluster one
+            moved = rng.permutation(assign)
+            partitions = np.array([assign, 10 - assign, moved, rng.integers(0, 2, size=53)])
+            scores = silhouette(points, partitions)
+            assert scores.shape == (4,) and scores[0] == expected
+            assert scores.tolist() == [silhouette(points, p) for p in partitions]
+            assert scores.tolist() == [loop_silhouette(points, p) for p in partitions]
+        else:
+            with pytest.raises(MetricError, match="at least 2 clusters"):
+                silhouette(points, np.array([assign, np.zeros(53, dtype=np.int64)]))
 
     def test_peak_memory_is_bounded(self):
         rng = np.random.default_rng(70)

@@ -3,15 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spc import metrics, trainer
 from spc.data import SPLITS, DataError, Dataset, gen_mixture
 from spc.diffcore import Tape, Tensor
-from spc.encoder import init_encoder, init_vib, load_checkpoint, save_checkpoint
+from spc.encoder import encode, init_encoder, init_vib, load_checkpoint, save_checkpoint
 from spc.objectives import OBJECTIVES, WEIGHTS, ObjectiveConfig
 from spc.trainer import (
     AdamaxState,
     TrainConfig,
     adamax_step,
     batch_loss,
+    representation_quality,
     summarize,
     sweep,
     train,
@@ -343,3 +345,29 @@ class TestModelIO:
         assert summary["metric"] == "macro_f1"
         assert len(summary["values"]) == 3
         assert summary["mean"] == pytest.approx(np.mean(summary["values"]))
+
+
+class TestRepresentationQuality:
+    def test_one_silhouette_call_scores_every_seed(self, monkeypatch):
+        dataset = gen_mixture(3, 6, 40, 2.0, seed=101)
+        model = init_encoder(6, 8, 3, rng=5)
+        seeds = [0, 1, 2, 7, 11]
+        features, gold = dataset.subset("test")
+        reps = encode(model, Tensor(features)).mu.values
+        per_seed_loop = []
+        for seed in seeds:
+            assign = metrics.kmeans(reps, 3, seed=seed)
+            per_seed_loop.append({"seed": seed, "silhouette": metrics.silhouette(reps, assign),
+                                  "ari": metrics.adjusted_rand_index(assign, gold)})
+        shapes = []
+
+        def counted(points, assignments):
+            shapes.append(np.shape(assignments))
+            return metrics.silhouette(points, assignments)
+
+        monkeypatch.setattr(trainer, "silhouette", counted)
+        results, timing = representation_quality(model, dataset, seeds)
+        assert shapes == [(5, gold.size)]
+        assert results["per_seed"] == per_seed_loop
+        assert results["silhouette_median"] == np.median([r["silhouette"] for r in per_seed_loop])
+        assert sorted(timing) == ["kmeans_s", "silhouette_s"]
