@@ -7,15 +7,30 @@ tight tolerances.
 
 Broadcasting is restricted to two cases: scalar-vs-tensor, and adding a
 1xH row vector (a bias) to a BxH matrix. Nothing else is implicit.
+`matmul(a, b, bias)` takes such a row as its optional third operand and
+computes `a @ b + bias` as one op; the bias's local gradient is the output
+gradient, which `backward` sums back to 1xH.
 
-Op contract: an op computes its output values and hands `_emit` one
+Op contract: an op computes its output values and hands `emit` one
 (input, local-gradient function) pair per input; the function maps the
 output gradient `g` to that input's local gradient (`exp`: `g * out`;
 `matmul`: `g @ b.T` and `a.T @ g`; `sub`'s right operand: `-g`). The
-shared rules live in two places only. `_emit` keeps the pairs whose input
+shared rules live in two places only. `emit` keeps the pairs whose input
 requires a gradient, and tapes the output (which then requires one) iff
 any pair is kept. `backward` sums each local gradient back over a
 broadcast operand's shape and accumulates it into that input's `.grad`.
+
+Fused ops. A layer or a loss term (`encoder.sample`, the terms in
+`objectives`) is one op built on `emit`. It computes the same NumPy
+expressions, in the same order, as the chain of primitive ops it
+replaces, and hands `emit` one pair per use of an input in that chain, in
+the order `backward` reached them, so every input gets the same additions
+in the same order and no bit moves. What fusing drops is the copy
+`np.add(g, 0.0)` that made each intermediate's first gradient, which
+turned a -0.0 into +0.0. A zero inside a fused op's gradient may therefore
+keep a -0.0 sign. That cannot reach a parameter: a leaf's gradient is
+either a fresh `np.add(g, 0.0)` or, in training, a view of one flat vector
+zeroed to +0.0, and +0.0 + -0.0 is +0.0.
 
 Gradient buffers belong to the caller. A tensor whose `.grad` is None
 gets a fresh array on its first gradient, equal to `zeros + g` bit for
@@ -147,9 +162,10 @@ def backward(loss: Tensor, tape: Tape) -> None:
             t.accumulate_grad(_unbroadcast(grad_fn(out.grad), t.values.shape))
 
 
-def _emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
+def emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
     """The op output `values`, taped with the (input, local gradient) pairs
-    whose input requires a gradient; it requires one iff any pair is kept."""
+    whose input requires a gradient; it requires one iff any pair is kept.
+    An input may appear in several pairs; `backward` adds them in order."""
     kept = [pair for pair in pairs if pair[0].requires_grad]
     out = Tensor(values, requires_grad=bool(kept))
     if kept and _tape_stack:
@@ -157,10 +173,10 @@ def _emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
     return out
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str, allow_row: bool) -> None:
-    """Raise unless a and b share a shape, one is a scalar, or (with
+def _check_broadcast(shape_a: tuple[int, ...], shape_b: tuple[int, ...], op: str,
+                     allow_row: bool) -> None:
+    """Raise unless the shapes agree, one is a scalar's, or (with
     `allow_row`) b is a 1xH row against a BxH a."""
-    shape_a, shape_b = a.values.shape, b.values.shape
     if shape_a == shape_b or not shape_a or not shape_b:
         return
     if allow_row and len(shape_a) == 2 and shape_b == (1, shape_a[1]):
@@ -178,56 +194,62 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add", allow_row=True)
-    return _emit(a.values + b.values, (a, lambda g: g), (b, lambda g: g))
+    _check_broadcast(a.values.shape, b.values.shape, "add", allow_row=True)
+    return emit(a.values + b.values, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub", allow_row=True)
-    return _emit(a.values - b.values, (a, lambda g: g), (b, lambda g: -g))
+    _check_broadcast(a.values.shape, b.values.shape, "sub", allow_row=True)
+    return emit(a.values - b.values, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; same shape or scalar-vs-tensor only."""
-    _check_broadcast(a, b, "mul", allow_row=False)
-    return _emit(a.values * b.values,
-                 (a, lambda g: g * b.values), (b, lambda g: g * a.values))
+    _check_broadcast(a.values.shape, b.values.shape, "mul", allow_row=False)
+    return emit(a.values * b.values,
+                (a, lambda g: g * b.values), (b, lambda g: g * a.values))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _emit(a.values * c, (a, lambda g: g * c))
+    return emit(a.values * c, (a, lambda g: g * c))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; gradients dL/da = g @ b.T, dL/db = a.T @ g."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product plus an optional bias (a 1xH row, a scalar or a full
+    matrix), `a @ b + bias`; gradients dL/da = g @ b.T, dL/db = a.T @ g,
+    dL/dbias = g summed back to the bias's shape."""
     if a.values.ndim != 2 or b.values.ndim != 2:
         raise ShapeError(f"matmul: expected 2-D operands, got {a.values.shape} and {b.values.shape}")
     if a.values.shape[1] != b.values.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree: {a.values.shape} vs {b.values.shape}")
-    return _emit(a.values @ b.values,
-                 (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g))
+    product = a.values @ b.values
+    pairs = (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g)
+    if bias is None:
+        return emit(product, *pairs)
+    _check_broadcast(product.shape, bias.values.shape, "matmul", allow_row=True)
+    return emit(product + bias.values, *pairs, (bias, lambda g: g))
 
 
 def exp(a: Tensor) -> Tensor:
     out_values = np.exp(a.values)
-    return _emit(out_values, (a, lambda g: g * out_values))
+    return emit(out_values, (a, lambda g: g * out_values))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.values <= 0.0):
         raise DomainError("log: all values must be positive")
-    return _emit(np.log(a.values), (a, lambda g: g / a.values))
+    return emit(np.log(a.values), (a, lambda g: g / a.values))
 
 
 def tanh(a: Tensor) -> Tensor:
     out_values = np.tanh(a.values)
-    return _emit(out_values, (a, lambda g: g * (1.0 - out_values * out_values)))
+    return emit(out_values, (a, lambda g: g * (1.0 - out_values * out_values)))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.values > 0.0
-    return _emit(np.where(mask, a.values, 0.0), (a, lambda g: g * mask))
+    return emit(np.where(mask, a.values, 0.0), (a, lambda g: g * mask))
 
 
 def xlogx(a: Tensor) -> Tensor:
@@ -239,29 +261,45 @@ def xlogx(a: Tensor) -> Tensor:
     """
     if np.any(a.values < 0.0):
         raise DomainError("xlogx: values must be non-negative")
-    positive = a.values > 0.0
-    safe = np.where(positive, a.values, 1.0)
-    return _emit(np.where(positive, a.values * np.log(safe), 0.0),
-                 (a, lambda g: g * np.where(positive, np.log(safe) + 1.0, 0.0)))
+    out_values, slope = xlogx_values(a.values)
+    return emit(out_values, (a, lambda g: g * slope))
+
+
+def xlogx_values(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p*log(p) and its derivative log(p)+1, both 0 where p = 0; p must be
+    non-negative (not checked)."""
+    positive = p > 0.0
+    log_p = np.log(np.where(positive, p, 1.0))
+    return np.where(positive, p * log_p, 0.0), np.where(positive, log_p + 1.0, 0.0)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Hard clamp; gradient passes only where lo <= value <= hi."""
     mask = (a.values >= lo) & (a.values <= hi)
-    return _emit(np.clip(a.values, lo, hi), (a, lambda g: g * mask))
+    return emit(np.clip(a.values, lo, hi), (a, lambda g: g * mask))
 
 
 def log_softmax(a: Tensor) -> Tensor:
     """Row-wise log-probabilities, stabilized by max subtraction."""
-    if a.values.ndim != 2:
-        raise ShapeError(f"log_softmax: expected BxC input, got {a.values.shape}")
-    if a.values.shape[1] < 2:
-        raise ShapeError("log_softmax: need at least 2 columns")
-    shifted = a.values - a.values.max(axis=1, keepdims=True)
-    out_values = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out_values = log_softmax_values(a.values)
     # the softmax is only materialized if the backward pass reaches this op
-    return _emit(out_values,
-                 (a, lambda g: g - np.exp(out_values) * g.sum(axis=1, keepdims=True)))
+    return emit(out_values, (a, lambda g: log_softmax_grad(g, np.exp(out_values))))
+
+
+def log_softmax_values(x: np.ndarray) -> np.ndarray:
+    """The values of `log_softmax` for a BxC array, C >= 2."""
+    if x.ndim != 2:
+        raise ShapeError(f"log_softmax: expected BxC input, got {x.shape}")
+    if x.shape[1] < 2:
+        raise ShapeError("log_softmax: need at least 2 columns")
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def log_softmax_grad(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """log_softmax's local gradient, given its output gradient `g` and
+    `probs`, the exp of its output."""
+    return g - probs * g.sum(axis=1, keepdims=True)
 
 
 def _check_axis(a: Tensor, axis: int | None) -> None:
@@ -284,14 +322,14 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     """Sum over all elements (axis=None, scalar result) or one axis (keepdims)."""
     _check_axis(a, axis)
     out_values = a.values.sum() if axis is None else a.values.sum(axis=axis, keepdims=True)
-    return _emit(out_values, (a, lambda g: _spread(g, a.values.shape, axis)))
+    return emit(out_values, (a, lambda g: _spread(g, a.values.shape, axis)))
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     _check_axis(a, axis)
     n = a.values.size if axis is None else a.values.shape[axis]
     out_values = a.values.mean() if axis is None else a.values.mean(axis=axis, keepdims=True)
-    return _emit(out_values, (a, lambda g: _spread(g / n, a.values.shape, axis)))
+    return emit(out_values, (a, lambda g: _spread(g / n, a.values.shape, axis)))
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
@@ -302,8 +340,8 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     var = a.values.var(axis=1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     y = (a.values - mean) * inv_std
-    return _emit(y, (a, lambda g: inv_std * (g - g.mean(axis=1, keepdims=True)
-                                             - y * (g * y).mean(axis=1, keepdims=True))))
+    return emit(y, (a, lambda g: inv_std * (g - g.mean(axis=1, keepdims=True)
+                                            - y * (g * y).mean(axis=1, keepdims=True))))
 
 
 def zero_grads(tensors) -> None:

@@ -22,18 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError
-from .diffcore import (
-    ShapeError,
-    Tensor,
-    clip,
-    exp,
-    layer_norm,
-    matmul,
-    mul,
-    param,
-    scale,
-    tanh,
-)
+from .diffcore import ShapeError, Tensor, clip, emit, layer_norm, matmul, mul, param, tanh
 
 # hard bounds on predicted log-variance; keeps the KL term finite on outliers
 LOG_VAR_MIN = -8.0
@@ -174,37 +163,39 @@ def encode(params: EncoderParams, x: Tensor,
     if x.values.ndim != 2 or x.values.shape[1] != params.input_dim:
         raise ShapeError(
             f"encode: expected input of shape (B, {params.input_dim}), got {x.values.shape}")
-    pre = matmul(x, params.w_in) + params.b_in
+    pre = matmul(x, params.w_in, params.b_in)
     if params.use_layer_norm:
         pre = layer_norm(pre)
     h = tanh(pre)
     if dropout_mask is not None:
         h = mul(h, Tensor(dropout_mask))
-    mu = matmul(h, params.w_mu) + params.b_mu
-    log_var = clip(matmul(h, params.w_lv) + params.b_lv, LOG_VAR_MIN, LOG_VAR_MAX)
+    mu = matmul(h, params.w_mu, params.b_mu)
+    log_var = clip(matmul(h, params.w_lv, params.b_lv), LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianCode(mu=mu, log_var=log_var)
 
 
 def sample(code: GaussianCode, eps: Tensor | np.ndarray) -> Tensor:
-    """Reparameterized draw t = mu + exp(log_var / 2) * eps.
+    """Reparameterized draw t = mu + exp(log_var / 2) * eps, as one op.
 
     `eps` is treated as a constant: it must be drawn from N(0, I) by the
-    caller, and no gradient flows into it.
+    caller, and no gradient flows into it. The local gradients are g for
+    mu and g * eps * sigma * 0.5 for log_var.
     """
-    eps_t = eps if isinstance(eps, Tensor) else Tensor(eps)
-    if eps_t.values.shape != code.mu.values.shape:
+    eps = (eps if isinstance(eps, Tensor) else Tensor(eps)).values
+    if eps.shape != code.mu.values.shape:
         raise ShapeError(
-            f"sample: eps shape {eps_t.values.shape} != code shape {code.mu.values.shape}")
-    sigma = exp(scale(code.log_var, 0.5))
-    return code.mu + mul(sigma, Tensor(eps_t.values))
+            f"sample: eps shape {eps.shape} != code shape {code.mu.values.shape}")
+    sigma = np.exp(code.log_var.values * 0.5)
+    return emit(code.mu.values + sigma * eps,
+                (code.mu, lambda g: g), (code.log_var, lambda g: g * eps * sigma * 0.5))
 
 
 def decode(params: EncoderParams, t: Tensor) -> Tensor:
     """The prediction from a code sample: t itself, or the decoder's output."""
     if params.w_dec1 is None:
         return t
-    h = tanh(matmul(t, params.w_dec1) + params.b_dec1)
-    return matmul(h, params.w_dec2) + params.b_dec2
+    h = tanh(matmul(t, params.w_dec1, params.b_dec1))
+    return matmul(h, params.w_dec2, params.b_dec2)
 
 
 def softmax_rows(values: np.ndarray) -> np.ndarray:

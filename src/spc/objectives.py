@@ -31,13 +31,11 @@ import numpy as np
 from .diffcore import (
     DomainError,
     Tensor,
-    exp,
-    log_softmax,
-    mul,
-    reduce_mean,
-    reduce_sum,
+    emit,
+    log_softmax_grad,
+    log_softmax_values,
     scale,
-    xlogx,
+    xlogx_values,
 )
 from .encoder import GaussianCode
 
@@ -134,8 +132,9 @@ class LossTerms:
 
 
 def softmax_probs(logits: Tensor) -> Tensor:
-    """Differentiable row-wise softmax, via exp(log_softmax)."""
-    return exp(log_softmax(logits))
+    """Differentiable row-wise softmax: exp(log_softmax), as one op."""
+    probs = np.exp(log_softmax_values(logits.values))
+    return emit(probs, (logits, lambda g: log_softmax_grad(g * probs, probs)))
 
 
 def task_nll(t: Tensor, y) -> Tensor:
@@ -146,30 +145,56 @@ def task_nll(t: Tensor, y) -> Tensor:
         raise ValueError(f"task_nll: expected {batch} labels, got shape {y.shape}")
     if np.any((y < 0) | (y >= num_classes)):
         raise ValueError(f"task_nll: labels out of range [0, {num_classes})")
-    log_probs = log_softmax(t)
-    onehot = np.zeros((batch, num_classes))
+    return _task_nll(t, y)
+
+
+def _task_nll(t: Tensor, y: np.ndarray) -> Tensor:
+    """`task_nll` as one op, for B labels already known to lie in [0, C)."""
+    log_probs = log_softmax_values(t.values)
+    batch = log_probs.shape[0]
+    onehot = np.zeros(log_probs.shape)
     onehot[np.arange(batch), y] = 1.0
-    return scale(reduce_sum(mul(log_probs, Tensor(onehot))), -1.0 / batch)
+    c = -1.0 / batch
+    return emit((log_probs * onehot).sum() * c,
+                (t, lambda g: log_softmax_grad(np.full(onehot.shape, g * c) * onehot,
+                                               np.exp(log_probs))))
 
 
 def mse(t: Tensor, y) -> Tensor:
-    """Mean of (t_i - y_i)^2 over the batch."""
+    """Mean of (t_i - y_i)^2 over the batch, as one op."""
     y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if t.values.shape != y.shape:
         raise ValueError(f"mse: prediction shape {t.values.shape} != target shape {y.shape}")
-    diff = t - Tensor(y)
-    return reduce_mean(mul(diff, diff))
+    diff = t.values - y
+
+    def d_t(g):
+        spread = np.full(diff.shape, g / diff.size)
+        return spread * diff + spread * diff
+
+    return emit((diff * diff).mean(), (t, d_t))
 
 
 def kl_to_std_normal(code: GaussianCode) -> Tensor:
     """Closed-form KL(N(mu, diag sigma^2) || N(0, I)), averaged over the batch.
 
     Per sample: 0.5 * sum_d (mu_d^2 + sigma_d^2 - 1 - log sigma_d^2).
-    Non-negative, zero exactly when mu = 0 and log_var = 0.
+    Non-negative, zero exactly when mu = 0 and log_var = 0. One op: mu gets
+    G*mu twice and log_var gets -G, then G*sigma^2, where G is the output
+    gradient times 0.5/B, spread over the batch.
     """
-    batch = code.mu.values.shape[0]
-    term = mul(code.mu, code.mu) + exp(code.log_var) - code.log_var - Tensor(1.0)
-    return scale(reduce_sum(term), 0.5 / batch)
+    mu, log_var = code.mu.values, code.log_var.values
+    var = np.exp(log_var)
+    c = 0.5 / mu.shape[0]
+
+    def spread(g):
+        return np.full(mu.shape, g * c)
+
+    # one pair per use, as backward added them to the chain's inputs: a mu
+    # that already holds a gradient (structured_from="mu") then gets G*mu
+    # added twice, not 2*G*mu once, which rounds differently
+    return emit((mu * mu + var - log_var - 1.0).sum() * c,
+                (code.log_var, lambda g: -spread(g)), (code.log_var, lambda g: spread(g) * var),
+                (code.mu, lambda g: spread(g) * mu), (code.mu, lambda g: spread(g) * mu))
 
 
 def _check_rows_normalized(probs: Tensor, op: str) -> None:
@@ -185,13 +210,20 @@ def _check_rows_normalized(probs: Tensor, op: str) -> None:
 
 
 def _batch_entropy(probs: Tensor) -> Tensor:
-    marginal = reduce_mean(probs, axis=0)
-    return scale(reduce_sum(xlogx(marginal)), -1.0)
+    """`batch_entropy` as one op, for rows known to be non-negative and to
+    sum to 1 (so their column mean is non-negative too)."""
+    batch = probs.values.shape[0]
+    entropy_terms, slope = xlogx_values(probs.values.mean(axis=0, keepdims=True))
+    return emit(-entropy_terms.sum(),
+                (probs, lambda g: np.repeat(np.full(slope.shape, -g) * slope / batch,
+                                            batch, axis=0)))
 
 
 def _confidence_penalty(probs: Tensor) -> Tensor:
-    batch = probs.values.shape[0]
-    return scale(reduce_sum(xlogx(probs)), 1.0 / batch)
+    """`confidence_penalty` as one op, for rows known to be a distribution."""
+    c = 1.0 / probs.values.shape[0]
+    entropy_terms, slope = xlogx_values(probs.values)
+    return emit(entropy_terms.sum() * c, (probs, lambda g: np.full(slope.shape, g * c) * slope))
 
 
 def batch_entropy(probs: Tensor) -> Tensor:
@@ -218,11 +250,13 @@ def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTe
     in that order. `out` is t itself, or the decoder's output for the
     kinds with a decoder. Zero-weight terms are skipped entirely (not
     multiplied by 0), so beta = gamma = 0 with t = mu is plain
-    cross-entropy, exactly. The softmax rows fed to the batch-entropy and
-    penalty terms sum to 1 by construction, so they skip the row-sum check
-    of `batch_entropy` and `confidence_penalty`.
+    cross-entropy, exactly. Each term is one taped op. The labels `y` are
+    a dataset's targets, whose range `Dataset` checks once, so the NLL
+    skips `task_nll`'s label checks; the softmax rows fed to the
+    batch-entropy and penalty terms are a distribution by construction, so
+    they skip the row checks of `batch_entropy` and `confidence_penalty`.
     """
-    nll = task_nll(out, y) if cfg.task == "classification" else mse(out, y)
+    nll = _task_nll(out, y) if cfg.task == "classification" else mse(out, y)
     terms = LossTerms(total=nll, nll=float(nll.values))
     if cfg.beta != 0.0:
         kl = kl_to_std_normal(code)

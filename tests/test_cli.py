@@ -1008,15 +1008,19 @@ GOLDEN_SETTINGS = {
     "dropout-layer-norm-decay": {"dropout": 0.25, "layer_norm": True, "weight_decay": 0.05},
     # patience 1 stops training after a worse epoch, so the best epoch is restored
     "zero-eps-early-stop": {"zero_eps": True, "epochs": 12, "patience": 1},
+    # the batch entropy of softmax(mu): mu gets gradients from three loss terms
+    "entropy-of-mu": {"structured_from": "mu"},
 }
 
 
 def golden_run(kind: str, setting: str) -> trainer.RunReport:
     spec = OBJECTIVES[kind]
-    objective = ObjectiveConfig(kind=kind, **{name: GOLDEN_WEIGHTS[name] for name in spec.weights})
+    settings = dict(GOLDEN_SETTINGS[setting])
+    objective = ObjectiveConfig(kind=kind, **{name: GOLDEN_WEIGHTS[name] for name in spec.weights},
+                                structured_from=settings.pop("structured_from", "sample"))
     cfg = TrainConfig(objective=objective, epochs=6, patience=6, batch_size=8,
                       learning_rate=0.05, hidden_dim=5, vib_latent_dim=3)
-    cfg = dataclasses.replace(cfg, **GOLDEN_SETTINGS[setting])
+    cfg = dataclasses.replace(cfg, **settings)
     return train(_golden_datasets()[spec.task], cfg, seed=7)
 
 
@@ -1030,6 +1034,7 @@ GOLDEN_RESULTS = {
     ("spc", "plain"): ("4fcdf959950c542b", "7ccf41bfa92d9227"),
     ("spc", "dropout-layer-norm-decay"): ("b29bc25df6d31223", "403c324e3de07b4f"),
     ("spc", "zero-eps-early-stop"): ("c0203ad201443214", "c343c58196f1a2b7"),
+    ("spc", "entropy-of-mu"): ("fdc62b358eeb99cf", "2357cbcf01bfeb0d"),
     ("pc", "plain"): ("04033a0eb27dcc65", "682c54db348448d7"),
     ("pc", "dropout-layer-norm-decay"): ("bd222781adf3180b", "f91bb5a58d761bb9"),
     ("pc", "zero-eps-early-stop"): ("cef29fb4d313503c", "b0c43f964c9c3494"),
@@ -1057,8 +1062,9 @@ GOLDEN_RESULTS = {
 class TestGoldenResults:
     """Results and final parameters of tiny `train` runs, bit for bit: every
     objective kind under plain training, under dropout with layer norm and
-    weight decay, and under zero noise with an early stop. A change to one
-    of these values changes the arithmetic of training."""
+    weight decay, and under zero noise with an early stop; and spc with the
+    batch entropy taken of softmax(mu). A change to one of these values
+    changes the arithmetic of training."""
 
     @pytest.mark.parametrize("kind, setting", [pytest.param(*key, id="-".join(key))
                                                for key in GOLDEN_RESULTS])

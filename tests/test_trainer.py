@@ -129,8 +129,8 @@ class TestBatchLoss:
 
     # Python dispatch per taped op is what a training step costs, so a change
     # to these counts has to be deliberate
-    TAPE_OPS = {"spc": 33, "pc": 25, "ce": 12, "ce_cp": 19, "vib": 30,
-                "mse": 11, "mse_pc": 24, "mse_vib": 29}
+    TAPE_OPS = {"spc": 14, "pc": 10, "ce": 6, "ce_cp": 10, "vib": 13,
+                "mse": 6, "mse_pc": 10, "mse_vib": 13}
 
     @pytest.mark.parametrize("kind", list(OBJECTIVES))
     def test_taped_ops_per_step(self, kind):
@@ -159,7 +159,9 @@ class TestTrainLoop:
         a = train(mixture, cfg, seed=3)
         b = train(mixture, cfg, seed=3)
         assert a.run_hash() == b.run_hash()
-        assert a.wall_clock != b.wall_clock or True  # timing excluded from hash
+        # timing and the model object are not results: changing them keeps the hash
+        other = dataclasses.replace(a, wall_clock=a.wall_clock + 1.0, model=b.model)
+        assert other.model is not a.model and other.run_hash() == a.run_hash()
 
     def test_different_seeds_differ(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="spc", beta=0.1, gamma=0.1))
