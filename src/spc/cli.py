@@ -20,8 +20,9 @@ empty or malformed seed, objective, grid or ratio lists, negative or
 repeated seeds, ratios outside the study's range ([0, 1] for noise, (0, 1]
 for ratio), study objectives of two tasks, a negative or non-finite
 weight, learning rate or weight decay, a zero hidden or latent width,
-batch size below 2, patience above epochs, --config values of the wrong
-type; caught before any dataset is read), 3 data errors (unreadable or
+batch size below 2, patience above epochs, --hash-dim below 2, a
+--hash-seed outside [0, 2**64), --config values of the wrong type; caught
+before any dataset is read), 3 data errors (unreadable or
 malformed inputs, unusable checkpoints or ones whose input or output width
 does not fit the dataset, tensors whose shapes disagree with the
 checkpoint arch, empty splits, a regression split of one row, a
@@ -43,6 +44,7 @@ import io
 import json
 import os
 import sys
+import time
 from collections.abc import Sequence
 
 from . import data as dataio
@@ -207,17 +209,22 @@ def finish_run(run_dir: str, manifest: dict, results: dict,
                   json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _load_dataset(args, task: str, path: str | None = None) -> Dataset:
-    """`path` (default --data) as a dataset of the objective's or checkpoint's `task`."""
-    return dataio.load(path or data_path(args), task=task, hash_dim=args.hash_dim,
-                       hash_seed=args.hash_seed)
+def _load_dataset(args, task: str, timing: dict, path: str | None = None) -> Dataset:
+    """`path` (default --data) as a dataset of the objective's or checkpoint's
+    `task`; the seconds the load took are added to `timing["load_s"]`."""
+    started = time.perf_counter()
+    dataset = dataio.load(path or data_path(args), task=task, hash_dim=args.hash_dim,
+                          hash_seed=args.hash_seed)
+    timing["load_s"] = timing.get("load_s", 0.0) + time.perf_counter() - started
+    return dataset
 
 
-def _load_checkpoint(args) -> tuple[EncoderParams, Dataset]:
+def _load_checkpoint(args, timing: dict) -> tuple[EncoderParams, Dataset]:
     """The --ckpt model, and the --data dataset under its task (one output is
     regression, as classification needs 2 classes); their widths must agree."""
     model = load_checkpoint(args.ckpt)
-    dataset = _load_dataset(args, "regression" if model.out_dim == 1 else "classification")
+    dataset = _load_dataset(args, "regression" if model.out_dim == 1 else "classification",
+                            timing)
     if model.input_dim != dataset.num_features:
         raise DataError(f"{args.ckpt}: checkpoint takes {model.input_dim} input features, "
                         f"the dataset has {dataset.num_features}")
@@ -335,7 +342,8 @@ def _exit_code(rows: list[dict]) -> int:
 def cmd_train(args) -> int:
     [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
-    dataset = _load_dataset(args, cfg.objective.task)
+    timing: dict = {}
+    dataset = _load_dataset(args, cfg.objective.task, timing)
     run_dir, manifest = start_run(args, "train", run_inputs(
         args, {"data": data_path(args)}, [cfg], seeds=seeds))
     reports = train_jobs((dataset, cfg, seed) for seed in seeds)
@@ -344,8 +352,8 @@ def cmd_train(args) -> int:
         "summary": summarize(reports),
         "per_seed": [r.results_dict() for r in reports],
     }
-    finish_run(run_dir, manifest, results, csv_rows=rows,
-               timing={"wall_clock": sum(r.wall_clock for r in reports)})
+    timing["wall_clock"] = sum(r.wall_clock for r in reports)
+    finish_run(run_dir, manifest, results, csv_rows=rows, timing=timing)
     summary = results["summary"]
     print(f"run {manifest['run_id']}: {summary['metric']} = "
           f"{summary['mean']:.4f} +/- {summary['std']:.4f} over seeds {seeds}")
@@ -353,12 +361,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, dataset = _load_checkpoint(args)
+    timing: dict = {}
+    model, dataset = _load_checkpoint(args, timing)
     dataset.require_rows(args.split)
     metrics = evaluate_split(model, dataset, args.split)
     run_dir, manifest = start_run(args, "eval", run_inputs(
         args, {"ckpt": args.ckpt, "data": data_path(args)}, split=args.split, task=dataset.task))
-    finish_run(run_dir, manifest, {"metrics": metrics})
+    finish_run(run_dir, manifest, {"metrics": metrics}, timing=timing)
     print(json.dumps(metrics, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -372,11 +381,13 @@ def cmd_sweep(args) -> int:
     # a kind with one weight has no gamma axis (see trainer.sweep)
     gammas = (parse_floats(args.gammas, "--gammas")
               if len(OBJECTIVES[args.objective].weights) > 1 else [0.0])
-    dataset = _load_dataset(args, cfg.objective.task)
+    timing: dict = {}
+    dataset = _load_dataset(args, cfg.objective.task, timing)
     run_dir, manifest = start_run(args, "sweep", run_inputs(
         args, {"data": data_path(args)}, [cfg], betas=betas, gammas=gammas, seeds=seeds))
     result = sweep(dataset, cfg, betas, gammas, seeds)
-    finish_run(run_dir, manifest, dataclasses.asdict(result), csv_rows=result.rows)
+    finish_run(run_dir, manifest, dataclasses.asdict(result), csv_rows=result.rows,
+               timing=timing)
     # the best cell has the highest mean validation score (see trainer.sweep)
     print(f"run {manifest['run_id']}: best beta={result.best_beta} gamma={result.best_gamma} "
           f"(val {max(row['val_mean'] for row in result.rows):.4f})")
@@ -398,12 +409,13 @@ def cmd_study(args) -> int:
     except DataError as err:
         raise UsageError(f"--ratios: {err}") from None
     seeds = parse_seeds(args.seeds)
-    dataset = _load_dataset(args, cfg.objective.task)
+    timing: dict = {}
+    dataset = _load_dataset(args, cfg.objective.task, timing)
     run_dir, manifest = start_run(args, args.command, run_inputs(
         args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds))
     rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, perturb)
     csv_rows = [{k: v for k, v in row.items() if k != "values"} for row in rows]
-    finish_run(run_dir, manifest, {"rows": rows}, csv_rows=csv_rows)
+    finish_run(run_dir, manifest, {"rows": rows}, csv_rows=csv_rows, timing=timing)
     label, row_key = args.command.split("-")[0], dataio.RATIOS[perturb][0]
     for row in rows:
         print(f"{row['objective']:>8} @ {label} {row[row_key]}: "
@@ -414,13 +426,14 @@ def cmd_study(args) -> int:
 def cmd_ood(args) -> int:
     [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
-    source = _load_dataset(args, "classification", args.source)
-    target = _load_dataset(args, "classification", args.target)
+    timing: dict = {}
+    source = _load_dataset(args, "classification", timing, args.source)
+    target = _load_dataset(args, "classification", timing, args.target)
     mapping = dataio.read_label_mapping(args.mapping)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
     run_dir, manifest = start_run(args, "ood", run_inputs(args, files, [cfg], seeds=seeds))
     results = ood_run(source, target, mapping, cfg, seeds)
-    finish_run(run_dir, manifest, results)
+    finish_run(run_dir, manifest, results, timing=timing)
     print(f"run {manifest['run_id']}: target macro_f1 = {results['mean']:.4f} "
           f"+/- {results['std']:.4f} ({results['evaluated_rows']} rows evaluated, "
           f"{results['excluded_rows']} excluded)")
@@ -429,11 +442,12 @@ def cmd_ood(args) -> int:
 
 def cmd_repr_quality(args) -> int:
     seeds = parse_seeds(args.seeds)
-    model, dataset = _load_checkpoint(args)
+    timing: dict = {}
+    model, dataset = _load_checkpoint(args, timing)
     run_dir, manifest = start_run(args, "repr-quality", run_inputs(
         args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
-    results, timing = representation_quality(model, dataset, seeds)
-    finish_run(run_dir, manifest, results, timing=timing)
+    results, phases = representation_quality(model, dataset, seeds)
+    finish_run(run_dir, manifest, results, timing={**timing, **phases})
     print(f"silhouette median {results['silhouette_median']:.4f}, "
           f"ari median {results['ari_median']:.4f}")
     return EXIT_OK
@@ -573,6 +587,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "hash_dim"):  # before any dataset is read
+            try:
+                dataio.check_featurizer(args.hash_dim, args.hash_seed)
+            except DataError as err:
+                raise UsageError(f"--hash-dim/--hash-seed: {err}") from None
         if hasattr(args, "epochs"):
             resolve_train_args(args)
         return args.handler(args)

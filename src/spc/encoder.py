@@ -33,10 +33,11 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 @dataclass
 class GaussianCode:
-    """Per-sample posterior parameters (mu, log sigma^2) in the output space."""
+    """Per-sample posterior parameters (mu, log sigma^2) in the output space;
+    log_var is None where `encode` was asked for mu alone."""
 
     mu: Tensor
-    log_var: Tensor
+    log_var: Tensor | None
 
 
 # every tensor a model can hold, in checkpoint and init order
@@ -153,12 +154,15 @@ def decoder_param_count(params: EncoderParams) -> int:
                if name in DECODER_NAMES)
 
 
-def encode(params: EncoderParams, x: Tensor,
-           dropout_mask: np.ndarray | None = None) -> GaussianCode:
+def encode(params: EncoderParams, x: Tensor, dropout_mask: np.ndarray | None = None,
+           with_log_var: bool = True) -> GaussianCode:
     """Map a feature batch to per-sample (mu, log_var), log_var clamped to [-8, 8].
 
     The shared trunk is tanh(layer_norm?(x @ w_in + b_in)), times the
-    dropout mask if one is given.
+    dropout mask if one is given. With `with_log_var=False` the
+    log-variance head is neither computed nor taped and log_var is None,
+    for callers that read mu alone (predictions, representations, and the
+    kinds that neither sample nor take a KL term).
     """
     if x.values.ndim != 2 or x.values.shape[1] != params.input_dim:
         raise ShapeError(
@@ -170,6 +174,8 @@ def encode(params: EncoderParams, x: Tensor,
     if dropout_mask is not None:
         h = mul(h, Tensor(dropout_mask))
     mu = matmul(h, params.w_mu, params.b_mu)
+    if not with_log_var:
+        return GaussianCode(mu=mu, log_var=None)
     log_var = clip(matmul(h, params.w_lv, params.b_lv), LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianCode(mu=mu, log_var=log_var)
 

@@ -155,8 +155,9 @@ def build_model(dataset: Dataset, cfg: TrainConfig,
 def batch_loss(model: EncoderParams, x: Tensor, y, objective: ObjectiveConfig,
                eps: np.ndarray, dropout_mask: np.ndarray | None = None) -> LossTerms:
     """One minibatch through the configured objective: encode, set t to a
-    sample (kinds that take beta) or to mu, decode, score."""
-    code = encode(model, x, dropout_mask)
+    sample (kinds that take beta) or to mu, decode, score. A kind that does
+    not sample takes no KL term either, so its log-variance head is skipped."""
+    code = encode(model, x, dropout_mask, with_log_var=objective.samples)
     t = sample(code, eps) if objective.samples else code.mu
     return spc_loss(code, decode(model, t), y, objective)
 
@@ -166,7 +167,7 @@ def model_outputs(model: EncoderParams, features: np.ndarray, task: str) -> np.n
 
     Stochastic heads are read out at their mean (no sampling at inference).
     """
-    out = decode(model, encode(model, Tensor(features)).mu).values
+    out = decode(model, encode(model, Tensor(features), with_log_var=False).mu).values
     return softmax_rows(out) if task == "classification" else out
 
 
@@ -208,7 +209,7 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     if gold.size < dataset.num_classes:
         raise DataError(f"the test split has {gold.size} rows, fewer than the "
                         f"{dataset.num_classes} clusters of k-means")
-    reps = encode(model, Tensor(features)).mu.values
+    reps = encode(model, Tensor(features), with_log_var=False).mu.values
     started = time.perf_counter()
     assigns = np.array([kmeans(reps, dataset.num_classes, seed=seed) for seed in kmeans_seeds])
     clustered = time.perf_counter()

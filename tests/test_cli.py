@@ -4,6 +4,7 @@ import dataclasses
 import json
 import hashlib
 import os
+import random
 
 import numpy as np
 import pytest
@@ -126,7 +127,7 @@ class TestEvalAndReprQuality:
         assert len(results["per_seed"]) == 3
         # timing sits beside the results; the results are those of scoring
         # one k-means seed at a time
-        assert sorted(report["timing"]) == ["kmeans_s", "silhouette_s"]
+        assert sorted(report["timing"]) == ["kmeans_s", "load_s", "silhouette_s"]
         assert all(v >= 0.0 for v in report["timing"].values())
         dataset = dataio.load(data_file)
         features, gold = dataset.subset("test")
@@ -275,6 +276,16 @@ class TestExitCodes:
         ("train", "--objective", "ce_cp", "--cp-weight", "inf"),
         ("noise-study", "--objectives", "ce,mse"),
         ("train", "--structured-from", "logits"),
+        ("train", "--hash-dim", "1"),
+        ("train", "--hash-seed", "-1"),
+        ("train", "--hash-seed", str(2**64)),
+        ("sweep", "--hash-dim", "0"),
+        ("ratio-study", "--hash-seed", str(2**64)),
+        ("ood", "--hash-seed", "-1"),
+        ("ood", "--hash-dim", "1"),
+        ("eval", "--hash-dim", "1"),
+        ("eval", "--hash-seed", str(2**64 + 5)),
+        ("repr-quality", "--hash-seed", "-3"),
     ])
     def test_bad_flag_value_exits_2_before_training(self, out, data_file, argv, monkeypatch,
                                                      capsys):
@@ -282,10 +293,15 @@ class TestExitCodes:
             raise AssertionError("a dataset was read")
 
         monkeypatch.setattr(cli, "_load_dataset", no_load)
+        monkeypatch.setattr(cli, "load_checkpoint", no_load)
         # the case's own flags come last, so they win over the fixed ones
         command, *flags = argv
-        assert run_cli(command, "--out", out, "--data", data_file, "--hidden-dim", "4",
-                       *flags) == cli.EXIT_USAGE
+        fixed = {"ood": ("--source", data_file, "--target", data_file,
+                         "--mapping", data_file, "--hidden-dim", "4"),
+                 "eval": ("--data", data_file, "--ckpt", data_file),
+                 "repr-quality": ("--data", data_file, "--ckpt", data_file),
+                 }.get(command, ("--data", data_file, "--hidden-dim", "4"))
+        assert run_cli(command, "--out", out, *fixed, *flags) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("usage error:")
         assert not os.path.exists(out)
@@ -990,6 +1006,71 @@ class TestGoldenRunIds:
     def test_run_id(self, argv, run_id):
         assert run_cli(*argv, "--out", "out") == 0
         assert _single_run_id("out") == run_id
+
+
+def _text_rows() -> str:
+    """Two topics of short documents, 12 rows each: 6 train, 3 val, 3 test."""
+    rng = random.Random(16)
+    topics = (["apple", "pear", "plum", "fig"], ["rock", "stone", "sand", "clay"])
+    shared = ["the", "a", "of", "and", "Fresh", "old"]
+    lines = []
+    for label, words in enumerate(topics):
+        for k in range(12):
+            text = " ".join(rng.choice(words + shared) for _ in range(rng.randint(3, 9)))
+            split = "train" if k < 6 else "val" if k < 9 else "test"
+            lines.append(json.dumps({"text": text, "label": f"t{label}", "split": split}))
+    return "\n".join(lines) + "\n"
+
+
+TEXT_FLAGS = ("--hash-dim", "16", "--hash-seed", "5", "--epochs", "2", "--patience", "2",
+              "--batch-size", "4", "--hidden-dim", "4", "--seeds", "1")
+
+# every command that loads a dataset, on the text file above, and the sha256
+# of its report's results, captured before load_s was timed
+TEXT_COMMANDS = {
+    "train": (("train", "--data", "text.jsonl", "--objective", "spc", "--beta", "0.1",
+               "--gamma", "0.1", *TEXT_FLAGS),
+              "9df2e05227076fa37b26fc1ebf14d851945683cec7f53aa453a5922b89811e28"),
+    "eval": (("eval", "--data", "text.jsonl", "--ckpt", "ckpt.json", "--hash-dim", "16",
+              "--hash-seed", "5"),
+             "50681fe3a2928caff4d9f2926e827dbb35d9665701c9a91b2db29521b9cab735"),
+    "sweep": (("sweep", "--data", "text.jsonl", "--betas", "0.1", "--gammas", "0.1",
+               *TEXT_FLAGS),
+              "35004c77bd47ec1d848f3859a4b50a1a80c0bfda895b50a13e24a19654efc131"),
+    "noise-study": (("noise-study", "--data", "text.jsonl", "--objectives", "ce",
+                     "--ratios", "0.2", *TEXT_FLAGS),
+                    "52e133d15a3911df79e01bb7764e0c5d624dcfdcc863fd124b5fc74bab580e31"),
+    "ratio-study": (("ratio-study", "--data", "text.jsonl", "--objectives", "ce",
+                     "--ratios", "0.5", *TEXT_FLAGS),
+                    "43a8c20582f8d8553675eec17e946a7fc847ac38a329fb739de0fc7da0c5d9c9"),
+    "ood": (("ood", "--source", "text.jsonl", "--target", "text.jsonl", "--mapping", "map.csv",
+             "--objective", "ce", *TEXT_FLAGS),
+            "7291f4547336ad4ec765b9c9c37f458213608163daf47b604cdbd558319f7622"),
+    "repr-quality": (("repr-quality", "--data", "text.jsonl", "--ckpt", "ckpt.json",
+                      "--hash-dim", "16", "--hash-seed", "5", "--seeds", "2"),
+                     "664afd1386c88963632e193b9d147a322394d3d3e64b8472389dbb2e1c9249ae"),
+}
+
+
+class TestLoadTiming:
+    """Each command that loads a dataset reports the load's seconds in
+    `timing`, which stays outside the results."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "text.jsonl").write_text(_text_rows())
+        (tmp_path / "map.csv").write_text("source_label,target_label\nt0,t0\nt1,t1\n")
+        save_checkpoint("ckpt.json", init_encoder(16, 4, 2, rng=0))
+
+    @pytest.mark.parametrize("command", list(TEXT_COMMANDS))
+    def test_load_s_is_timed_and_the_results_hold(self, command):
+        argv, results_sha256 = TEXT_COMMANDS[command]
+        assert run_cli(*argv, "--out", "out") == 0
+        report = read_report("out", _single_run_id("out"))
+        assert report["timing"]["load_s"] >= 0.0
+        payload = json.dumps(report["results"], sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(payload).hexdigest() == results_sha256
 
 
 def _golden_datasets() -> dict:

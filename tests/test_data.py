@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import re
 import tracemalloc
 
@@ -17,6 +18,9 @@ from spc.data import (
     save,
     subsample_train,
 )
+
+# sha256 of hash_featurize(seeded_corpus(), 256, seed=3) in TestHashFeaturize
+PINNED_CORPUS_SHA256 = "73ff27674259e71f800542239fbc8a907fa464fb30e3ea812e93fc9b9d172dbb"
 
 
 class TestLoad:
@@ -182,9 +186,12 @@ class TestHashFeaturize:
                 out[i] /= norm
         return out
 
-    @pytest.mark.parametrize("dim, seed", [(2, 0), (16, 5), (256, 0)])
+    # the texts hold 53 distinct n-grams, so 64 buckets exceed them
+    @pytest.mark.parametrize("dim, seed", [(2, 0), (16, 5), (256, 0), (64, 2**64 - 1)])
     def test_matches_per_ngram_recipe_exactly(self, dim, seed):
         texts = [
+            "",                                      # leading empty documents
+            "?!",
             "the cat sat on the mat, the cat sat",   # repeats within a document
             "",                                      # no tokens: a zero row
             "The CAT sat; on the mat!",              # the same n-grams again
@@ -192,6 +199,12 @@ class TestHashFeaturize:
             "red fish",                              # at dim 2, bucket 0 cancels (+1, -1)
             "blue green",                            # at dim 2, bucket 1 cancels
             "a b c d e f g h i j k l m n o p a b c",
+            "zebra",                                 # one token between two documents
+            "fish red",                              # ends as the next one starts
+            "red fish",                              # so "red red" must not appear
+            "İstanbul É",                            # lowercases to "i̇stanbul": "i", "stanbul"
+            "",                                      # trailing empty documents
+            " ",
         ]
         produced = hash_featurize(texts, dim, seed=seed)
         assert produced.dtype == np.float64
@@ -199,7 +212,30 @@ class TestHashFeaturize:
         if (dim, seed) == (2, 0):
             # a document has an odd number of +-1 n-grams, so it never cancels
             # to a zero row, but a single bucket can cancel to an exact zero
-            assert np.array_equal(np.abs(produced[4:6]), [[0.0, 1.0], [1.0, 0.0]])
+            assert np.array_equal(np.abs(produced[6:8]), [[0.0, 1.0], [1.0, 0.0]])
+
+    @staticmethod
+    def seeded_corpus(n_docs=2000, seed=15):
+        """Documents of 0-40 tokens over 400 words (digits, mixed case and
+        non-ASCII letters among them), joined by assorted separators."""
+        rng = random.Random(seed)
+        letters = "abcdefghijklmnopqrstuvwxyz0123456789ÉİßAB"
+        words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+                 for _ in range(400)]
+        return ["".join(rng.choice(words) + rng.choice([" ", " ", ", ", "-", "!\n"])
+                        for _ in range(rng.randint(0, 40)))
+                for _ in range(n_docs)]
+
+    def test_seeded_corpus_digest_is_pinned(self):
+        # captured from the per-n-gram featurizer that preceded the array passes
+        produced = hash_featurize(self.seeded_corpus(), 256, seed=3)
+        assert produced.shape == (2000, 256)
+        assert hashlib.sha256(produced.tobytes()).hexdigest() == PINNED_CORPUS_SHA256
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range(self, seed):
+        with pytest.raises(DataError, match="seed"):
+            hash_featurize(["a b"], 8, seed=seed)
 
     def test_no_documents(self):
         produced = hash_featurize([], 8, seed=0)
