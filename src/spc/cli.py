@@ -22,9 +22,11 @@ for ratio), study objectives of two tasks, a negative or non-finite
 weight, learning rate or weight decay, a zero hidden or latent width,
 batch size below 2, patience above epochs, --hash-dim below 2, a
 --hash-seed outside [0, 2**64), --config values of the wrong type; caught
-before any dataset is read), 3 data errors (unreadable or
-malformed inputs, unusable checkpoints or ones whose input or output width
-does not fit the dataset, tensors whose shapes disagree with the
+before any dataset is read; gen-data values that make no mixture, caught
+before anything is written), 3 data errors (missing, unreadable or
+malformed inputs: a directory, a byte that is not UTF-8, a --config that
+is not a json object; unusable checkpoints or ones whose input or output
+width does not fit the dataset, tensors whose shapes disagree with the
 checkpoint arch, empty splits, a regression split of one row, a
 repr-quality test split with fewer rows than classes, a study ratio that
 leaves a train class empty; each caught before any training), 4 a
@@ -84,11 +86,6 @@ def default_data_path(args) -> str:
 
 def data_path(args) -> str:
     return args.data or default_data_path(args)
-
-
-def short_hash(obj) -> str:
-    payload = json.dumps(obj, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
 def file_sha256(path: str) -> str:
@@ -153,7 +150,7 @@ def run_inputs(args, files: dict[str, str], configs: Sequence[TrainConfig] = (),
     featurizer settings, and the command's extras (seeds, grids, ratios).
     """
     digests = {path: file_sha256(path) for path in dict.fromkeys(files.values())}
-    inputs = {"configs": [cfg.to_dict() for cfg in configs],
+    inputs = {"configs": [dataclasses.asdict(cfg) for cfg in configs],
               "hash_dim": args.hash_dim, "hash_seed": args.hash_seed, **extras}
     for role, path in files.items():
         inputs[role] = path
@@ -168,8 +165,8 @@ def start_run(args, command: str, inputs: dict) -> tuple[str, dict]:
     that fails before that leaves nothing behind.
     """
     manifest = {"command": command, "inputs": inputs}
-    run_id = short_hash(manifest)
-    manifest["run_id"] = run_id
+    payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    manifest["run_id"] = run_id = hashlib.sha256(payload).hexdigest()[:12]
     return os.path.join(out_root(args), run_id), manifest
 
 
@@ -250,10 +247,13 @@ def resolve_train_args(args) -> None:
     file_values: dict = {}
     defaults = train_defaults()
     if args.config:
-        if not os.path.exists(args.config):
-            raise DataError(f"config file not found: {args.config}")
         with open(args.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+            try:
+                file_values = json.load(fh)
+            except ValueError as err:  # bad json, or bytes that are not UTF-8
+                raise DataError(f"{args.config}: not a json file ({err})") from None
+        if not isinstance(file_values, dict):
+            raise DataError(f"{args.config}: expected a json object of training keys")
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise DataError(f"{args.config}: unknown config keys {sorted(unknown)}")
@@ -303,7 +303,10 @@ STUDIES = {"noise-study": ("inject_label_noise", "0.1,0.2,0.3", "label-noise rob
 # --- command handlers ---
 
 def cmd_gen_data(args) -> int:
-    ds = dataio.gen_mixture(args.classes, args.dim, args.per_class, args.sep, args.seed)
+    try:
+        ds = dataio.gen_mixture(args.classes, args.dim, args.per_class, args.sep, args.seed)
+    except DataError as err:  # every gen_mixture argument is a flag
+        raise UsageError(str(err)) from None
     path = args.output or default_data_path(args)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     dataio.save(ds, path)
@@ -598,7 +601,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError) as err:
+    except (DataError, OSError) as err:  # OSError: a missing or unreadable file
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
 

@@ -227,6 +227,8 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
     """
     if num_classes < 2:
         raise DataError("gen_mixture: need at least 2 classes")
+    if per_class < 1:
+        raise DataError(f"gen_mixture: per_class must be >= 1, got {per_class}")
     if dim < num_classes:
         raise DataError(f"gen_mixture: dim must be >= num_classes ({num_classes})")
     if separation < 0:
@@ -263,49 +265,57 @@ def _line_count(path: str) -> int:
     return count
 
 
+def _lines(path: str, newline: str | None = None):
+    """The lines of a UTF-8 text file; a byte that does not decode is a
+    DataError naming the file."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise DataError(f"{path}: byte 0x{err.object[err.start]:02x} is not UTF-8") from None
+
+
 def _jsonl_rows(path: str):
     """(line, label, split, text, features) of each non-blank line of a jsonl
     file; text is None for a feature row, features None for a text row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"{path}:{lineno}: invalid json") from err
-            except ValueError as err:  # an integer past Python's digit limit
-                raise DataError(f"{path}:{lineno}: a number has too many digits to read") from err
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a json object")
-            if not (isinstance(obj["text"], str) if "text" in obj
-                    else isinstance(obj.get("features"), list)):
-                raise DataError(f"{path}:{lineno}: need a 'features' list or a 'text' string")
-            yield lineno, obj.get("label"), obj.get("split"), obj.get("text"), obj.get("features")
+    for lineno, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise DataError(f"{path}:{lineno}: invalid json") from err
+        except ValueError as err:  # an integer past Python's digit limit
+            raise DataError(f"{path}:{lineno}: a number has too many digits to read") from err
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a json object")
+        if not (isinstance(obj["text"], str) if "text" in obj
+                else isinstance(obj.get("features"), list)):
+            raise DataError(f"{path}:{lineno}: need a 'features' list or a 'text' string")
+        yield lineno, obj.get("label"), obj.get("split"), obj.get("text"), obj.get("features")
 
 
 def _csv_rows(path: str):
     """The rows of a csv file, as `_jsonl_rows` gives them."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty dataset")
-        feature_cols = sorted(
-            (c for c in reader.fieldnames if re.fullmatch(r"f\d+", c)),
-            key=lambda c: int(c[1:]))
-        has_text = "text" in reader.fieldnames
-        if not feature_cols and not has_text:
-            raise DataError(f"{path}: need f0..fK feature columns or a 'text' column")
-        if "label" not in reader.fieldnames:
-            raise DataError(f"{path}: missing 'label' column")
-        for record in reader:
-            if None in record or None in record.values():
-                raise DataError(f"{path}:{reader.line_num}: expected "
-                                f"{len(reader.fieldnames)} fields, as in the header")
-            yield (reader.line_num, record["label"], record.get("split"),
-                   record["text"] if has_text else None,
-                   None if has_text else [record[c] for c in feature_cols])
+    reader = csv.DictReader(_lines(path, newline=""))
+    if reader.fieldnames is None:
+        raise DataError(f"{path}: empty dataset")
+    feature_cols = sorted(
+        (c for c in reader.fieldnames if re.fullmatch(r"f\d+", c)),
+        key=lambda c: int(c[1:]))
+    has_text = "text" in reader.fieldnames
+    if not feature_cols and not has_text:
+        raise DataError(f"{path}: need f0..fK feature columns or a 'text' column")
+    if "label" not in reader.fieldnames:
+        raise DataError(f"{path}: missing 'label' column")
+    for record in reader:
+        if None in record or None in record.values():
+            raise DataError(f"{path}:{reader.line_num}: expected "
+                            f"{len(reader.fieldnames)} fields, as in the header")
+        yield (reader.line_num, record["label"], record.get("split"),
+               record["text"] if has_text else None,
+               None if has_text else [record[c] for c in feature_cols])
 
 
 def load(path: str, task: str = "classification", hash_dim: int = 256,
@@ -402,21 +412,20 @@ def save(ds: Dataset, path: str) -> None:
 def read_label_mapping(path: str) -> dict[str, str]:
     """Two-column csv (source_label, target_label) -> {target: source}."""
     mapping: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header[:2]] != ["source_label", "target_label"]:
-            raise DataError(f"{path}: expected header 'source_label,target_label'")
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            if len(row) != 2:
-                raise DataError(f"{path}:{reader.line_num}: expected two fields, "
-                                f"source_label,target_label")
-            source, target = row[0].strip(), row[1].strip()
-            if target in mapping and mapping[target] != source:
-                raise DataError(f"{path}: target label {target!r} mapped twice")
-            mapping[target] = source
+    reader = csv.reader(_lines(path, newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip() for c in header[:2]] != ["source_label", "target_label"]:
+        raise DataError(f"{path}: expected header 'source_label,target_label'")
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        if len(row) != 2:
+            raise DataError(f"{path}:{reader.line_num}: expected two fields, "
+                            f"source_label,target_label")
+        source, target = row[0].strip(), row[1].strip()
+        if target in mapping and mapping[target] != source:
+            raise DataError(f"{path}: target label {target!r} mapped twice")
+        mapping[target] = source
     if not mapping:
         raise DataError(f"{path}: empty mapping")
     return mapping

@@ -120,8 +120,7 @@ def tensor_shapes(arch: dict) -> dict[str, tuple[int, int]]:
 
 def _init(arch: dict, rng: np.random.Generator | int) -> EncoderParams:
     """Glorot-uniform weights, zero biases, drawn in TENSOR_NAMES order."""
-    if isinstance(rng, int):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
     tensors = {name: param(_glorot(rng, *shape) if name.startswith("w") else np.zeros(shape))
                for name, shape in tensor_shapes(arch).items()}
     return EncoderParams(**tensors, use_layer_norm=arch["use_layer_norm"])

@@ -28,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import (
-    DomainError,
-    Tensor,
-    emit,
-    log_softmax_grad,
-    log_softmax_values,
-    scale,
-    xlogx_values,
-)
+from .diffcore import ShapeError, Tensor, emit
 from .encoder import GaussianCode
 
 WEIGHTS = ("beta", "gamma", "cp_weight")
@@ -71,6 +63,10 @@ OBJECTIVES = {
 CLASSIFICATION_KINDS = tuple(k for k, spec in OBJECTIVES.items() if spec.task == "classification")
 
 _ROW_SUM_TOL = 1e-9
+
+
+class DomainError(ValueError):
+    """Operand values outside a term's domain (e.g. rows that are not a distribution)."""
 
 
 @dataclass
@@ -129,6 +125,30 @@ class LossTerms:
     @property
     def total_value(self) -> float:
         return float(self.total.values)
+
+
+def xlogx_values(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p*log(p) and its derivative log(p)+1, both 0 where p = 0; p must be
+    non-negative (not checked)."""
+    positive = p > 0.0
+    log_p = np.log(np.where(positive, p, 1.0))
+    return np.where(positive, p * log_p, 0.0), np.where(positive, log_p + 1.0, 0.0)
+
+
+def log_softmax_values(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of a BxC array, C >= 2, less the row max first."""
+    if x.ndim != 2:
+        raise ShapeError(f"log_softmax: expected BxC input, got {x.shape}")
+    if x.shape[1] < 2:
+        raise ShapeError("log_softmax: need at least 2 columns")
+    shifted = x - x.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def log_softmax_grad(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """The local gradient of a row-wise log-softmax, given its output
+    gradient `g` and `probs`, the exp of its output."""
+    return g - probs * g.sum(axis=1, keepdims=True)
 
 
 def softmax_probs(logits: Tensor) -> Tensor:
@@ -247,28 +267,39 @@ def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTe
     """Compose the objective of any kind from the prediction `out`.
 
     NLL(out, y), then + beta*KL(code), - gamma*H_batch, + cp_weight*penalty,
-    in that order. `out` is t itself, or the decoder's output for the
-    kinds with a decoder. Zero-weight terms are skipped entirely (not
-    multiplied by 0), so beta = gamma = 0 with t = mu is plain
-    cross-entropy, exactly. Each term is one taped op. The labels `y` are
-    a dataset's targets, whose range `Dataset` checks once, so the NLL
-    skips `task_nll`'s label checks; the softmax rows fed to the
-    batch-entropy and penalty terms are a distribution by construction, so
-    they skip the row checks of `batch_entropy` and `confidence_penalty`.
+    in that order, each term and their weighted total one taped op. `out`
+    is t itself, or the decoder's output. Zero-weight terms are skipped (not
+    multiplied by 0), so beta = gamma = 0 with t = mu is plain cross-entropy,
+    exactly. `Dataset` checks the labels' range once and the softmax rows
+    are a distribution by construction, so the terms skip the checks of
+    `task_nll`, `batch_entropy` and `confidence_penalty`.
     """
     nll = _task_nll(out, y) if cfg.task == "classification" else mse(out, y)
     terms = LossTerms(total=nll, nll=float(nll.values))
+    weighted = []  # (term, signed weight), added onto the NLL in this order
     if cfg.beta != 0.0:
         kl = kl_to_std_normal(code)
         terms.kl = float(kl.values)
-        terms.total = terms.total + scale(kl, cfg.beta)
+        weighted.append((kl, float(cfg.beta)))
     if cfg.gamma != 0.0:
         source = out if cfg.structured_from == "sample" else code.mu
         lb = _batch_entropy(softmax_probs(source))
         terms.batch_entropy = float(lb.values)
-        terms.total = terms.total - scale(lb, cfg.gamma)
+        weighted.append((lb, -float(cfg.gamma)))
     if cfg.cp_weight != 0.0:
         penalty = _confidence_penalty(softmax_probs(out))
         terms.penalty = float(penalty.values)
-        terms.total = terms.total + scale(penalty, cfg.cp_weight)
+        weighted.append((penalty, float(cfg.cp_weight)))
+    if weighted:
+        terms.total = _weighted_total(nll, weighted)
     return terms
+
+
+def _weighted_total(nll: Tensor, weighted: list[tuple[Tensor, float]]) -> Tensor:
+    """nll + term * w for each (term, w) in order, as one op; adding
+    H * -gamma has the bits of subtracting H * gamma."""
+    total = nll.values
+    for term, w in weighted:
+        total = total + term.values * w
+    return emit(total, (nll, lambda g: g),
+                *((term, lambda g, w=w: g * w) for term, w in weighted))

@@ -73,9 +73,6 @@ class TrainConfig:
     def headline_metric(self) -> str:
         return "macro_f1" if self.objective.task == "classification" else "spearman"
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass
 class AdamaxState:
@@ -250,15 +247,11 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     is flagged. An empty train, val or test split is a DataError, raised
     before any work.
 
-    The model's tensors live in one flat float64 vector, and their
-    gradients in another, each tensor a reshaped view of both (see
-    `_flatten`). A step zeroes the gradient vector once, `backward` adds
-    into the views, and one `adamax_step` updates the whole vector, or
-    returns False on a non-finite gradient, which ends the run as diverged;
-    the best-epoch snapshot is one copy of the vector. Adamax and weight
-    decay act elementwise with the same scalars on every tensor, so this
-    gives the same bits as per-tensor updates. The returned model's tensors stay views
-    of the flat vector, with no gradient.
+    The model's tensors and their gradients are views of two flat vectors
+    (see `_flatten`): a step zeroes the gradient vector once, and one
+    `adamax_step` updates the whole vector, or returns False on a non-finite
+    gradient, which ends the run as diverged. The returned model's tensors
+    stay views of the flat vector, with no gradient.
     """
     dataset.require_rows("train", "val", "test")
     started = time.perf_counter()
@@ -276,7 +269,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     dataset_info = {"task": dataset.task, "num_classes": dataset.num_classes,
                     "num_features": dataset.num_features,
                     "label_names": list(dataset.label_names)}
-    report = RunReport(config=cfg.to_dict(), seed=seed, dataset_info=dataset_info,
+    report = RunReport(config=dataclasses.asdict(cfg), seed=seed, dataset_info=dataset_info,
                        headline_metric=metric_name)
     best_value = -np.inf
     best_state = flat.copy()

@@ -27,25 +27,8 @@ from test_metrics import (
 
 from spc import cli
 from spc.data import gen_mixture, inject_label_noise, save
-from spc.diffcore import (
-    Tensor,
-    add,
-    clip,
-    exp,
-    layer_norm,
-    log,
-    log_softmax,
-    matmul,
-    mul,
-    param,
-    reduce_mean,
-    reduce_sum,
-    relu,
-    scale,
-    sub,
-    tanh,
-    xlogx,
-)
+from primitives import add, exp, log, log_softmax, reduce_mean, reduce_sum, relu, scale, sub, xlogx
+from spc.diffcore import Tensor, clip, layer_norm, matmul, mul, param, tanh
 from spc.encoder import GaussianCode, encode, init_encoder, init_vib, sample
 from spc.metrics import (
     adjusted_rand_index,

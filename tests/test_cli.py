@@ -320,6 +320,18 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("usage error:") and repr(key) in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flags", [
+        ("--per-class", "-1"), ("--per-class", "0"), ("--classes", "1"),
+        ("--classes", "4", "--dim", "3"), ("--sep", "-1"),
+    ])
+    def test_bad_gen_data_flag_exits_2_before_writing(self, out, tmp_path, flags, capsys):
+        output = tmp_path / "mix.jsonl"
+        assert run_cli("gen-data", "--out", out, "--output", str(output), *flags) \
+            == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+        assert not output.exists() and not os.path.exists(out)
+
     def test_bad_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--no-such-flag"])
@@ -946,6 +958,42 @@ class TestBadInputs:
                        "--seeds", "1") == cli.EXIT_DATA
         self._one_line_error(capsys, f"{path}:5:", "regression labels must be finite numbers")
         assert calls == []
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("text", ["{bad", '["epochs"]'], ids=["malformed-json", "json-list"])
+    def test_config_file_that_is_not_a_json_object_exits_3(self, out, data_file, tmp_path,
+                                                           text, capsys):
+        config = tmp_path / "train.json"
+        config.write_text(text)
+        assert run_cli("train", "--out", out, "--data", data_file,
+                       "--config", str(config)) == cli.EXIT_DATA
+        self._one_line_error(capsys, str(config))
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag", ["--data", "--ckpt"])
+    def test_directory_as_input_exits_3_naming_it(self, out, data_file, ckpt, tmp_path, flag,
+                                                  capsys):
+        files = {"--data": data_file, "--ckpt": ckpt, flag: str(tmp_path)}
+        assert run_cli("eval", "--out", out, *(v for item in files.items() for v in item)) \
+            == cli.EXIT_DATA
+        self._one_line_error(capsys, str(tmp_path))
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("name, text", [
+        pytest.param("rows.jsonl", b'{"features": [1.0], "label": "a"}\n\xff\n', id="jsonl"),
+        pytest.param("map.csv", b"source_label,target_label\n0,\xff\n", id="mapping-csv"),
+    ])
+    def test_byte_that_is_not_utf8_exits_3_naming_the_file(self, out, data_file, tmp_path,
+                                                           name, text, capsys):
+        path = tmp_path / name
+        path.write_bytes(text)
+        if name == "map.csv":
+            files = ("ood", "--source", data_file, "--target", data_file, "--mapping", str(path))
+        else:
+            files = ("train", "--data", str(path))
+        assert run_cli(*files, "--out", out, "--objective", "ce",
+                       "--seeds", "1") == cli.EXIT_DATA
+        self._one_line_error(capsys, str(path), "0xff")
         assert not os.path.exists(out)
 
 

@@ -1,33 +1,27 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from gradcheck import finite_diff_grad, max_grad_rel_err, rel_err
+from primitives import add, exp, log, log_softmax, reduce_mean, reduce_sum, relu, scale, sub, xlogx
+import spc.diffcore
 from spc.diffcore import (
-    DomainError,
     GraphError,
     ShapeError,
     Tape,
     Tensor,
-    add,
     backward,
     clip,
-    exp,
     layer_norm,
-    log,
-    log_softmax,
     matmul,
     mul,
     param,
-    reduce_mean,
-    reduce_sum,
-    relu,
-    scale,
-    sub,
     tanh,
-    xlogx,
 )
+from spc.objectives import DomainError
 
 
 class TestMatmul:
@@ -92,7 +86,7 @@ class TestElementwise:
 
     def test_scalar_broadcast(self):
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal((a + Tensor(1.0)).values, [[2.0, 3.0], [4.0, 5.0]])
+        assert np.array_equal(add(a, Tensor(1.0)).values, [[2.0, 3.0], [4.0, 5.0]])
         assert np.array_equal(mul(a, Tensor(2.0)).values, [[2.0, 4.0], [6.0, 8.0]])
 
     @pytest.mark.parametrize("op, operand, expected", [
@@ -287,3 +281,24 @@ class TestBackward:
             out = add(p, p)
         with pytest.raises(GraphError):
             backward(out, tape)
+
+
+def test_every_public_diffcore_function_is_called_from_spc():
+    """The core holds only what the package runs: a public function of
+    `spc.diffcore` is called from another `spc` module, not only from tests.
+    Test-only ops belong in `tests/primitives.py`."""
+    package = pathlib.Path(spc.diffcore.__file__).parent
+    defined = {node.name for node in ast.parse((package / "diffcore.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    called = set()
+    for path in package.glob("*.py"):
+        if path.name == "diffcore.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "diffcore"
+                    for alias in node.names}
+        called |= {imported[node.func.id] for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in imported}
+    assert defined and sorted(defined - called) == []

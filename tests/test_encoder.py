@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gradcheck import max_grad_rel_err
-from spc.diffcore import ShapeError, Tape, Tensor, backward, param, reduce_mean
+from primitives import reduce_mean
+from spc.diffcore import ShapeError, Tape, Tensor, backward, param
 from spc.encoder import (
     EncoderParams,
     encode,

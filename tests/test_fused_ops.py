@@ -13,23 +13,8 @@ import numpy as np
 import pytest
 
 from gradcheck import max_grad_rel_err
-from spc.diffcore import (
-    Tape,
-    Tensor,
-    backward,
-    clip,
-    exp,
-    layer_norm,
-    log_softmax,
-    matmul,
-    mul,
-    param,
-    reduce_mean,
-    reduce_sum,
-    scale,
-    tanh,
-    xlogx,
-)
+from primitives import add, exp, log_softmax, reduce_mean, reduce_sum, scale, sub, xlogx
+from spc.diffcore import Tape, Tensor, backward, clip, layer_norm, matmul, mul, param, tanh
 from spc.encoder import LOG_VAR_MAX, LOG_VAR_MIN, GaussianCode, init_encoder, init_vib, sample
 from spc.objectives import (
     OBJECTIVES,
@@ -37,6 +22,7 @@ from spc.objectives import (
     _batch_entropy,
     _confidence_penalty,
     _task_nll,
+    _weighted_total,
     kl_to_std_normal,
     mse,
     softmax_probs,
@@ -47,11 +33,11 @@ B, D, H, C = 6, 5, 3, 4
 
 
 def chain_matmul(a, b, bias):
-    return matmul(a, b) + bias
+    return add(matmul(a, b), bias)
 
 
 def chain_sample(code, eps):
-    return code.mu + mul(exp(scale(code.log_var, 0.5)), Tensor(eps))
+    return add(code.mu, mul(exp(scale(code.log_var, 0.5)), Tensor(eps)))
 
 
 def chain_nll(t, y):
@@ -62,7 +48,7 @@ def chain_nll(t, y):
 
 
 def chain_kl(code):
-    term = mul(code.mu, code.mu) + exp(code.log_var) - code.log_var - Tensor(1.0)
+    term = sub(sub(add(mul(code.mu, code.mu), exp(code.log_var)), code.log_var), Tensor(1.0))
     return scale(reduce_sum(term), 0.5 / code.mu.values.shape[0])
 
 
@@ -79,32 +65,42 @@ def chain_confidence_penalty(probs):
 
 
 def chain_mse(t, y):
-    diff = t - Tensor(np.asarray(y, dtype=np.float64).reshape(-1, 1))
+    diff = sub(t, Tensor(np.asarray(y, dtype=np.float64).reshape(-1, 1)))
     return reduce_mean(mul(diff, diff))
 
 
 def chain_batch_loss(model, x, y, objective, eps, mask=None):
     """`trainer.batch_loss` as primitive ops: encode, sample, decode, score."""
-    pre = matmul(x, model.w_in) + model.b_in
+    pre = add(matmul(x, model.w_in), model.b_in)
     if model.use_layer_norm:
         pre = layer_norm(pre)
     h = tanh(pre)
     if mask is not None:
         h = mul(h, Tensor(mask))
-    code = GaussianCode(matmul(h, model.w_mu) + model.b_mu,
-                        clip(matmul(h, model.w_lv) + model.b_lv, LOG_VAR_MIN, LOG_VAR_MAX))
+    code = GaussianCode(add(matmul(h, model.w_mu), model.b_mu),
+                        clip(add(matmul(h, model.w_lv), model.b_lv), LOG_VAR_MIN, LOG_VAR_MAX))
     out = chain_sample(code, eps) if objective.samples else code.mu
     if model.w_dec1 is not None:
-        out = matmul(tanh(matmul(out, model.w_dec1) + model.b_dec1), model.w_dec2) + model.b_dec2
+        out = add(matmul(tanh(add(matmul(out, model.w_dec1), model.b_dec1)), model.w_dec2),
+                  model.b_dec2)
     total = chain_nll(out, y) if objective.task == "classification" else chain_mse(out, y)
     if objective.beta != 0.0:
-        total = total + scale(chain_kl(code), objective.beta)
+        total = add(total, scale(chain_kl(code), objective.beta))
     if objective.gamma != 0.0:
         source = out if objective.structured_from == "sample" else code.mu
-        total = total - scale(chain_batch_entropy(chain_softmax(source)), objective.gamma)
+        total = sub(total, scale(chain_batch_entropy(chain_softmax(source)), objective.gamma))
     if objective.cp_weight != 0.0:
-        total = total + scale(chain_confidence_penalty(chain_softmax(out)), objective.cp_weight)
+        total = add(total, scale(chain_confidence_penalty(chain_softmax(out)),
+                                objective.cp_weight))
     return total
+
+
+def chain_weighted_total(nll, kl, lb, penalty):
+    return add(sub(add(nll, scale(kl, 0.3)), scale(lb, 0.7)), scale(penalty, 0.5))
+
+
+def fused_weighted_total(nll, kl, lb, penalty):
+    return _weighted_total(nll, [(kl, 0.3), (lb, -0.7), (penalty, 0.5)])
 
 
 def normalized(values):
@@ -144,6 +140,8 @@ def make_cases():
         "confidence_penalty": (_confidence_penalty, chain_confidence_penalty, [probs], scalar),
         "mse": (lambda t: mse(t, y_reg), lambda t: chain_mse(t, y_reg),
                 [rng.normal(size=(B, 1))], scalar),
+        "weighted_total": (fused_weighted_total, chain_weighted_total,
+                           [rng.normal(size=()) for _ in range(4)], scalar),
     }
 
 

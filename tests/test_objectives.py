@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gradcheck import max_grad_rel_err
-from spc.diffcore import DomainError, Tape, Tensor, backward, param, zero_grads
+from spc.diffcore import Tape, Tensor, backward, param, zero_grads
 from spc.encoder import GaussianCode
 from spc.objectives import (
     OBJECTIVES,
+    DomainError,
     ObjectiveConfig,
     batch_entropy,
     confidence_penalty,
