@@ -14,6 +14,9 @@ only: the training flags and --config keys are the TrainConfig and
 ObjectiveConfig fields (see `train_defaults`), and the protocols live in
 `spc.trainer`. A run's task is its objective's, its checkpoint's for eval
 and repr-quality (one output is regression), and classification for ood.
+eval loads only its --split rows of --data, repr-quality only the test
+rows, and ood only the test rows of --target; every other load holds the
+whole file (see `data.load`, which checks every row either way).
 
 Exit codes: 0 success, 2 bad flags (values that do not resolve into a run:
 empty or malformed seed, objective, grid or ratio lists, negative or
@@ -21,15 +24,18 @@ repeated seeds, ratios outside the study's range ([0, 1] for noise, (0, 1]
 for ratio), study objectives of two tasks, a negative or non-finite
 weight, learning rate or weight decay, a zero hidden or latent width,
 batch size below 2, patience above epochs, --hash-dim below 2, a
---hash-seed outside [0, 2**64), --config values of the wrong type; caught
-before any dataset is read; gen-data values that make no mixture, caught
-before anything is written), 3 data errors (missing, unreadable or
+--hash-seed outside [0, 2**64), --config values of the wrong type, an
+output root that cannot be a directory (a file, or a path below one);
+caught before any dataset is read; gen-data values that make no mixture,
+caught before anything is written), 3 data errors (missing, unreadable or
 malformed inputs: a directory, a byte that is not UTF-8, a --config that
-is not a json object; unusable checkpoints or ones whose input or output
-width does not fit the dataset, tensors whose shapes disagree with the
-checkpoint arch, empty splits, a regression split of one row, a
-repr-quality test split with fewer rows than classes, a study ratio that
-leaves a train class empty; each caught before any training), 4 a
+is not a json object, a run's manifest.json or report.json that report
+cannot read as a json object with its keys; unusable checkpoints or ones
+whose input or output width does not fit the dataset, tensors whose
+shapes disagree with the checkpoint arch, empty splits, a regression
+split of one row, a repr-quality test split with fewer rows than
+classes, a study ratio that leaves a train class empty; each caught
+before any training), 4 a
 diverged seed (a non-finite loss, gradient or validation score), after
 the report is written (train's summary and each sweep or study row count
 them, ood flags each seed).
@@ -80,6 +86,18 @@ def out_root(args) -> str:
     return args.out or os.environ.get("SPC_OUT", "out")
 
 
+def check_out_root(args) -> None:
+    """A UsageError unless the nearest existing ancestor of the output root
+    (the root itself, if it exists) is a directory, so that the run
+    directories can be made under it."""
+    root = out_root(args)
+    ancestor = os.path.abspath(root)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise UsageError(f"output root {root}: {ancestor} is not a directory")
+
+
 def default_data_path(args) -> str:
     return os.path.join(out_root(args), "data", "mixture.jsonl")
 
@@ -98,6 +116,23 @@ def file_sha256(path: str) -> str:
 
 class UsageError(ValueError):
     """A flag value that does not resolve into a run (exit 2)."""
+
+
+def read_json_object(path: str, *keys: str) -> dict:
+    """The json object in `path`, holding `keys`; malformed json, bytes that
+    are not UTF-8, another json value or a missing key is a DataError naming
+    the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as err:
+            raise DataError(f"{path}: not a json file ({err})") from None
+    if not isinstance(value, dict):
+        raise DataError(f"{path}: expected a json object")
+    missing = [key for key in keys if key not in value]
+    if missing:
+        raise DataError(f"{path}: missing keys {missing}")
+    return value
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -206,22 +241,25 @@ def finish_run(run_dir: str, manifest: dict, results: dict,
                   json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _load_dataset(args, task: str, timing: dict, path: str | None = None) -> Dataset:
+def _load_dataset(args, task: str, timing: dict, path: str | None = None,
+                  splits: Sequence[str] | None = None) -> Dataset:
     """`path` (default --data) as a dataset of the objective's or checkpoint's
-    `task`; the seconds the load took are added to `timing["load_s"]`."""
+    `task`, holding the rows of `splits` (default all; see `data.load`); the
+    seconds the load took are added to `timing["load_s"]`."""
     started = time.perf_counter()
     dataset = dataio.load(path or data_path(args), task=task, hash_dim=args.hash_dim,
-                          hash_seed=args.hash_seed)
+                          hash_seed=args.hash_seed, splits=splits)
     timing["load_s"] = timing.get("load_s", 0.0) + time.perf_counter() - started
     return dataset
 
 
-def _load_checkpoint(args, timing: dict) -> tuple[EncoderParams, Dataset]:
-    """The --ckpt model, and the --data dataset under its task (one output is
-    regression, as classification needs 2 classes); their widths must agree."""
+def _load_checkpoint(args, timing: dict, split: str) -> tuple[EncoderParams, Dataset]:
+    """The --ckpt model, and the `split` rows of the --data dataset under its
+    task (one output is regression, as classification needs 2 classes); their
+    widths must agree."""
     model = load_checkpoint(args.ckpt)
     dataset = _load_dataset(args, "regression" if model.out_dim == 1 else "classification",
-                            timing)
+                            timing, splits=(split,))
     if model.input_dim != dataset.num_features:
         raise DataError(f"{args.ckpt}: checkpoint takes {model.input_dim} input features, "
                         f"the dataset has {dataset.num_features}")
@@ -247,13 +285,7 @@ def resolve_train_args(args) -> None:
     file_values: dict = {}
     defaults = train_defaults()
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            try:
-                file_values = json.load(fh)
-            except ValueError as err:  # bad json, or bytes that are not UTF-8
-                raise DataError(f"{args.config}: not a json file ({err})") from None
-        if not isinstance(file_values, dict):
-            raise DataError(f"{args.config}: expected a json object of training keys")
+        file_values = read_json_object(args.config)
         unknown = set(file_values) - set(defaults)
         if unknown:
             raise DataError(f"{args.config}: unknown config keys {sorted(unknown)}")
@@ -365,7 +397,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     timing: dict = {}
-    model, dataset = _load_checkpoint(args, timing)
+    model, dataset = _load_checkpoint(args, timing, args.split)
     dataset.require_rows(args.split)
     metrics = evaluate_split(model, dataset, args.split)
     run_dir, manifest = start_run(args, "eval", run_inputs(
@@ -431,7 +463,7 @@ def cmd_ood(args) -> int:
     seeds = parse_seeds(args.seeds)
     timing: dict = {}
     source = _load_dataset(args, "classification", timing, args.source)
-    target = _load_dataset(args, "classification", timing, args.target)
+    target = _load_dataset(args, "classification", timing, args.target, splits=("test",))
     mapping = dataio.read_label_mapping(args.mapping)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
     run_dir, manifest = start_run(args, "ood", run_inputs(args, files, [cfg], seeds=seeds))
@@ -446,7 +478,7 @@ def cmd_ood(args) -> int:
 def cmd_repr_quality(args) -> int:
     seeds = parse_seeds(args.seeds)
     timing: dict = {}
-    model, dataset = _load_checkpoint(args, timing)
+    model, dataset = _load_checkpoint(args, timing, "test")
     run_dir, manifest = start_run(args, "repr-quality", run_inputs(
         args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
     results, phases = representation_quality(model, dataset, seeds)
@@ -465,11 +497,11 @@ def cmd_report(args) -> int:
             report_path = os.path.join(root, name, "report.json")
             if not (os.path.isfile(manifest_path) and os.path.isfile(report_path)):
                 continue
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            with open(report_path, encoding="utf-8") as fh:
-                results = json.load(fh)["results"]
-            summary = results.get("summary", {})
+            manifest = read_json_object(manifest_path, "run_id", "command")
+            results = read_json_object(report_path, "results")["results"]
+            summary = results.get("summary", {}) if isinstance(results, dict) else None
+            if not isinstance(summary, dict):
+                raise DataError(f"{report_path}: results and their summary must be json objects")
             rows.append({
                 "run_id": manifest["run_id"],
                 "command": manifest["command"],
@@ -590,6 +622,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_out_root(args)
         if hasattr(args, "hash_dim"):  # before any dataset is read
             try:
                 dataio.check_featurizer(args.hash_dim, args.hash_seed)

@@ -13,6 +13,11 @@ jsonl: one object per line with either "features": [floats] or
   first fault in the file is the one reported. A load holds one N x D
   float64 array plus one row (and, for text rows, the texts).
 
+A load may keep only some splits (`load(..., splits=("test",))`): every
+row is still parsed and checked in file order, and every label still gets
+its class index, but the rows of other splits are neither held nor
+featurized. A kept row is bit-equal to the same row of a full load.
+
 Labels are remapped to dense indices 0..C-1 by sorting the distinct label
 strings; the mapping is persisted on the dataset (`label_names`) and in
 saved files the original names are written back.
@@ -31,6 +36,7 @@ import json
 import math
 import os
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -319,17 +325,27 @@ def _csv_rows(path: str):
 
 
 def load(path: str, task: str = "classification", hash_dim: int = 256,
-         hash_seed: int = 0) -> Dataset:
+         hash_seed: int = 0, splits: Sequence[str] | None = None) -> Dataset:
     """Read a jsonl or csv dataset file (csv if the name ends in .csv).
 
     Each row is checked as it is read, and its features are written straight
     into one (capacity, D) float64 array, sized by `_line_count` before the
     parse; besides that array, only a label, a split tag and (for text rows)
-    the text of each row are kept."""
+    the text of each row are kept.
+
+    `splits` (default: all of SPLITS) names the splits whose rows the
+    dataset holds. Every row is still parsed and checked in file order,
+    and every label still gets its class code; a row of another split only
+    skips its write into the array (or, for text, its featurizing), its
+    target and its tag. A hashed row depends on its own n-grams alone, so
+    each kept row is bit-equal to the same row of a full load."""
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
     if task not in ("classification", "regression"):
         raise DataError(f"unknown task {task!r}")
+    kept = set(SPLITS if splits is None else splits)
+    if not kept <= set(SPLITS):
+        raise DataError(f"unknown splits {sorted(kept - set(SPLITS))}")
 
     rows = _csv_rows(path) if path.endswith(".csv") else _jsonl_rows(path)
     first = next(rows, None)
@@ -340,7 +356,7 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
     if not has_text:
         dim = len(first[4])
         features = np.empty((_line_count(path), dim))
-    splits: list[str] = []
+    tags: list[str] = []  # the split tag of each kept row
     targets: list = []  # float scores, or class codes in first-seen order
     codes: dict[str, int] = {}  # label -> its class code
     for lineno, label, split, text, vec in itertools.chain([first], rows):
@@ -349,9 +365,7 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
             raise DataError(f"{where}: row mixes text and feature schemas")
         if label is None:
             raise DataError(f"{where}: row is missing 'label' or has a null one")
-        if has_text:
-            texts.append(text)
-        else:
+        if not has_text:
             if len(vec) != dim:
                 raise DataError(f"{where}: row has {len(vec)} features, expected {dim}")
             try:
@@ -362,30 +376,34 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
                 raise DataError(f"{where}: row has a feature too large for a float") from err
             if not np.isfinite(row).all():
                 raise DataError(f"{where}: row has a non-finite feature")
-            features[len(splits)] = row
         tag = split or "train"
         if tag not in SPLITS:
             raise DataError(f"{where}: unknown split tag {str(tag)!r}")
-        splits.append(SPLITS[SPLITS.index(tag)])  # one shared str per tag
         if task == "regression":
             try:
-                score = float(str(label))
+                target = float(str(label))
             except ValueError as err:
                 raise DataError(f"{where}: regression labels must be numeric") from err
-            if not math.isfinite(score):
+            if not math.isfinite(target):
                 raise DataError(f"{where}: regression labels must be finite numbers")
-            targets.append(score)
         else:
-            targets.append(codes.setdefault(str(label), len(codes)))
+            target = codes.setdefault(str(label), len(codes))
+        if tag in kept:
+            if has_text:
+                texts.append(text)
+            else:
+                features[len(tags)] = row
+            tags.append(SPLITS[SPLITS.index(tag)])  # one shared str per tag
+            targets.append(target)
 
     features = (hash_featurize(texts, hash_dim, hash_seed) if has_text
-                else features[:len(splits)])
-    split = np.array(splits)
+                else features[:len(tags)])
+    split = np.array(tags, dtype=str)  # a str array also when no row is kept
     if task == "regression":
         return Dataset(features=features, targets=np.array(targets), split=split,
                        task="regression")
-    # every label gets an index, also one seen only in val/test: the
-    # out-of-domain protocol evaluates against a mapping
+    # every label gets an index, also one seen only in val/test or in a
+    # split left out: the out-of-domain protocol evaluates against a mapping
     label_names = sorted(codes)
     rank = {name: i for i, name in enumerate(label_names)}
     code_to_index = np.array([rank[name] for name in codes], dtype=np.int64)

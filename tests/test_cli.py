@@ -1,6 +1,7 @@
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import hashlib
 import os
@@ -348,6 +349,48 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval", "gen-data", "report"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_output_root_that_cannot_be_a_directory_exits_2_first(
+            self, tmp_path, data_file, monkeypatch, command, below, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "train_jobs", never)
+        monkeypatch.setattr(cli, "_load_dataset", never)
+        monkeypatch.setattr(cli, "load_checkpoint", never)
+        monkeypatch.setattr(dataio, "gen_mixture", never)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        root = afile / "runs" if below else afile
+        flags = {"train": ("--data", data_file, "--seeds", "1"),
+                 "eval": ("--data", data_file, "--ckpt", data_file)}.get(command, ())
+        assert run_cli(command, "--out", str(root), *flags) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"usage error: output root {root}: {afile} is not a directory\n"
+
+    @pytest.mark.parametrize("name, text", [
+        pytest.param("report.json", "{bad", id="report-not-json"),
+        pytest.param("manifest.json", "{bad", id="manifest-not-json"),
+        pytest.param("report.json", "[1]", id="report-not-an-object"),
+        pytest.param("report.json", '{"timing": {}}', id="report-without-results"),
+        pytest.param("report.json", '{"results": [1]}', id="results-not-an-object"),
+        pytest.param("report.json", '{"results": {"summary": 5}}', id="summary-not-an-object"),
+        pytest.param("manifest.json", '{"command": "gen-data"}', id="manifest-without-run-id"),
+    ])
+    def test_report_on_a_damaged_run_exits_3_naming_the_file(self, out, tmp_path, name, text,
+                                                             capsys):
+        assert run_cli("gen-data", "--out", out, "--classes", "2", "--dim", "2",
+                       "--per-class", "5", "--output", str(tmp_path / "d.jsonl")) == 0
+        [run_id] = run_ids(out)
+        path = os.path.join(out, run_id, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        assert run_cli("report", "--out", out) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"data error: {path}: ")
 
     def test_missing_data_exits_3(self, out):
         assert run_cli("train", "--out", out, "--data", "/does/not/exist.jsonl",
@@ -860,6 +903,44 @@ class TestBadInputs:
                        "--split", "test") == cli.EXIT_DATA
         self._one_line_error(capsys, "test")
 
+    @pytest.mark.parametrize("command", ["eval", "repr-quality", "ood"])
+    def test_fault_in_a_split_not_read_exits_3_naming_the_line(self, out, tmp_path, data_file,
+                                                               command, capsys):
+        path = tmp_path / "rows.jsonl"
+        with open(data_file, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines[2] = '{"features": [1.0], "label": "0", "split": "train"}'  # 1 feature of 8
+        path.write_text("\n".join(lines) + "\n")
+        ckpt = str(tmp_path / "seed0.json")
+        save_checkpoint(ckpt, init_encoder(8, 4, 2, rng=0))
+        files = {"eval": ("--data", str(path), "--ckpt", ckpt, "--split", "test"),
+                 "repr-quality": ("--data", str(path), "--ckpt", ckpt),
+                 "ood": ("--source", data_file, "--target", str(path), "--mapping",
+                         str(tmp_path / "map.csv"), "--objective", "ce", "--seeds", "1")}
+        (tmp_path / "map.csv").write_text("source_label,target_label\n0,0\n1,1\n")
+        assert run_cli(command, "--out", out, *files[command]) == cli.EXIT_DATA
+        self._one_line_error(capsys, f"{path}:3: row has 1 features, expected 8")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("kind", ["features", "text"])
+    def test_eval_of_a_split_the_file_lacks(self, out, tmp_path, kind, capsys):
+        path = tmp_path / "no_val.jsonl"
+        if kind == "text":
+            path.write_text(_text_rows().replace('"val"', '"train"'))
+            ckpt_width, flags = 16, ("--hash-dim", "16")
+        else:
+            ds = gen_mixture(2, 8, 50, 4.0, seed=200)
+            save(dataclasses.replace(ds, split=np.where(ds.split == "val", "test", ds.split)),
+                 str(path))
+            ckpt_width, flags = 8, ()
+        ckpt = str(tmp_path / "seed0.json")
+        save_checkpoint(ckpt, init_encoder(ckpt_width, 4, 2, rng=0))
+        assert run_cli("eval", "--out", out, "--data", str(path), "--ckpt", ckpt,
+                       "--split", "val", *flags) == cli.EXIT_DATA
+        assert capsys.readouterr().err == ("data error: dataset has no 'val' rows; "
+                                           "classification needs at least 1\n")
+        assert not os.path.exists(out)
+
     # each case: the file's name and text, and the line at fault
     @pytest.mark.parametrize("name, text, line", [
         pytest.param("rows.jsonl", '{"features": 5, "label": "a"}\n', 1, id="features-number"),
@@ -1119,6 +1200,112 @@ class TestLoadTiming:
         assert report["timing"]["load_s"] >= 0.0
         payload = json.dumps(report["results"], sort_keys=True).encode("utf-8")
         assert hashlib.sha256(payload).hexdigest() == results_sha256
+
+
+SCOPED_FLAGS = ("--epochs", "2", "--patience", "2", "--batch-size", "4", "--hidden-dim", "4",
+                "--seeds", "1")
+
+
+def _scoped_cases() -> dict:
+    """Each command that reads one split, with the run id and the sha256 of
+    the results it gave when it loaded every row of the file, and the rows
+    each of its loads holds: a 60-row mixture (36/12/12), a 30-row
+    regression file (15/7/8) and the 24-row text file (12/6/6)."""
+    cases = {}
+    for split, mix_rows, reg_rows, text_rows in (("train", 36, 15, 12), ("val", 12, 7, 6),
+                                                 ("test", 12, 8, 6)):
+        cases[f"eval-mixture-{split}"] = (
+            ("eval", "--data", "mix.jsonl", "--ckpt", "mix_ckpt.json", "--split", split),
+            [mix_rows])
+        cases[f"eval-regression-{split}"] = (
+            ("eval", "--data", "reg.jsonl", "--ckpt", "reg_ckpt.json", "--split", split),
+            [reg_rows])
+        cases[f"eval-text-{split}"] = (
+            ("eval", "--data", "text.jsonl", "--ckpt", "text_ckpt.json", "--split", split,
+             "--hash-dim", "16", "--hash-seed", "5"), [text_rows])
+    cases["repr-quality-mixture"] = (
+        ("repr-quality", "--data", "mix.jsonl", "--ckpt", "mix_ckpt.json", "--seeds", "2"), [12])
+    cases["repr-quality-text"] = (
+        ("repr-quality", "--data", "text.jsonl", "--ckpt", "text_ckpt.json", "--seeds", "2",
+         "--hash-dim", "16", "--hash-seed", "5"), [6])
+    # the source loads every split; label 2 has no mapping, so its rows are excluded
+    cases["ood-mixture"] = (
+        ("ood", "--source", "mix.jsonl", "--target", "mix.jsonl", "--mapping", "mix_map.csv",
+         "--objective", "ce", *SCOPED_FLAGS), [60, 12])
+    cases["ood-text"] = (
+        ("ood", "--source", "text.jsonl", "--target", "text.jsonl", "--mapping", "text_map.csv",
+         "--objective", "ce", "--hash-dim", "16", "--hash-seed", "5", *SCOPED_FLAGS), [24, 6])
+    return cases
+
+
+SCOPED_CASES = _scoped_cases()
+
+# run id and results sha256 of each case, captured with a load of every row
+SCOPED_GOLDEN = {
+    "eval-mixture-train": ("3b924e03da67",
+                          "a6667e1a7b3d697c7994c562ea3ff14fda9bc2005938b141cbbabe1341d6c88d"),
+    "eval-regression-train": ("bd38ce80df6f",
+                             "607555131ea8d5eb85c7738805f00978d9e316de76e9e7c9dee67a4f8d894bf8"),
+    "eval-text-train": ("9856468ee7bc",
+                       "25c2ac07c132fd582551028315018153ddd3da7f13f0d785e613b8a969ccd882"),
+    "eval-mixture-val": ("4ec63e7fe1b3",
+                        "371c0c6c47c6c767d0d475c39f40e08831c757081719e45dd6bb7209e33432f1"),
+    "eval-regression-val": ("f4fc788f3844",
+                           "afcd4ab0999317ec27d37f20ad947bd5777b958ba69828caed0ffa68f1142d36"),
+    "eval-text-val": ("071daf7260bd",
+                     "743db96d0a7b4edfc2503f33252160f8e88b2ff9286fcf7161ff2ddea3301fff"),
+    "eval-mixture-test": ("23bd3d2aac3e",
+                         "5470c3e3db81779277ce224614df8a73a2777a0754c55da2a6d65d702809d526"),
+    "eval-regression-test": ("130ebcaf0697",
+                            "9e67c7ac0c693e808008d465f7f6688de2f38935d7a4f96334860c4f50df55f5"),
+    "eval-text-test": ("a3d44d6647b5",
+                      "50681fe3a2928caff4d9f2926e827dbb35d9665701c9a91b2db29521b9cab735"),
+    "repr-quality-mixture": ("f9f4c32c9058",
+                            "f8b1a485a3c0f6a644db5852a4c192755c2eb8d882e2c87637b5b9d3d633feed"),
+    "repr-quality-text": ("ca5781a77bc4",
+                         "664afd1386c88963632e193b9d147a322394d3d3e64b8472389dbb2e1c9249ae"),
+    "ood-mixture": ("3fa83103324e",
+                   "f0666ab5c3678ce61a001a7562b667c007382f04b49f63cbc2178d4208cf06bc"),
+    "ood-text": ("a45d49f9a646",
+                "7291f4547336ad4ec765b9c9c37f458213608163daf47b604cdbd558319f7622"),
+}
+
+
+class TestSplitScopedCommands:
+    """eval, repr-quality and ood's target load only the split they read,
+    and give the run ids and results of a load of the whole file."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save(gen_mixture(3, 4, 20, 1.0, seed=17), "mix.jsonl")
+        regression_file(tmp_path)  # reg.jsonl
+        (tmp_path / "text.jsonl").write_text(_text_rows())
+        (tmp_path / "mix_map.csv").write_text("source_label,target_label\n0,0\n1,1\n")
+        (tmp_path / "text_map.csv").write_text("source_label,target_label\nt0,t0\nt1,t1\n")
+        save_checkpoint("mix_ckpt.json", init_encoder(4, 4, 3, rng=0))
+        save_checkpoint("reg_ckpt.json", init_encoder(3, 4, 1, rng=0))
+        save_checkpoint("text_ckpt.json", init_encoder(16, 4, 2, rng=0))
+        self.held = []
+        original = dataio.load
+
+        @functools.wraps(original)  # the parser reads load's featurizer defaults
+        def recorded(*args, **kwargs):
+            dataset = original(*args, **kwargs)
+            self.held.append(dataset.num_rows)
+            return dataset
+
+        monkeypatch.setattr(dataio, "load", recorded)
+
+    @pytest.mark.parametrize("case", list(SCOPED_CASES))
+    def test_results_of_a_full_load_from_the_split_alone(self, case):
+        argv, held = SCOPED_CASES[case]
+        assert run_cli(*argv, "--out", "out") == 0
+        run_id = _single_run_id("out")
+        payload = json.dumps(read_report("out", run_id)["results"], sort_keys=True)
+        assert (run_id, hashlib.sha256(payload.encode("utf-8")).hexdigest()) == \
+            SCOPED_GOLDEN[case]
+        assert self.held == held
 
 
 def _golden_datasets() -> dict:

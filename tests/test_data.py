@@ -136,6 +136,111 @@ class TestStreamingLoad:
             assert back.label_names == ds.label_names
 
 
+def _split_rows(kind: str, task: str) -> list[dict]:
+    """40 rows of each schema and task over the three splits; for
+    classification, label "z" is only in train and "y" only in test."""
+    rng = random.Random(17)
+    rows = []
+    for i in range(40):
+        row = {"split": ("train", "val", "test")[i % 3]}
+        if kind == "text":
+            row["text"] = " ".join(rng.choice("ab cd ef gh ij kl".split())
+                                   for _ in range(rng.randint(0, 8)))
+        else:
+            row["features"] = [rng.uniform(-2, 2) for _ in range(5)]
+        if task == "regression":
+            row["label"] = rng.uniform(-1, 1)
+        else:
+            row["label"] = {"train": "z", "val": "x", "test": "y"}[row["split"]] \
+                if i % 4 == 0 else rng.choice("xw")
+        rows.append(row)
+    return rows
+
+
+class TestSplitScopedLoad:
+    """`load(..., splits=...)` keeps the rows of those splits, bit-equal to
+    the same rows of a full load, and checks every row of the file."""
+
+    @staticmethod
+    def _write(tmp_path, rows, fmt):
+        path = tmp_path / f"rows.{fmt}"
+        if fmt == "jsonl":
+            path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        else:
+            cols = ["text"] if "text" in rows[0] else [f"f{j}" for j in range(5)]
+            lines = [",".join([*cols, "label", "split"])]
+            for row in rows:
+                values = [row["text"]] if "text" in row else [repr(v) for v in row["features"]]
+                lines.append(",".join([*values, str(row["label"]), row["split"]]))
+            path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("kind, fmt", [("features", "jsonl"), ("features", "csv"),
+                                           ("text", "jsonl"), ("text", "csv")])
+    def test_rows_equal_those_of_a_full_load(self, tmp_path, kind, fmt, task):
+        path = self._write(tmp_path, _split_rows(kind, task), fmt)
+        full = load(path, task=task, hash_dim=16, hash_seed=3)
+        for splits in [("train",), ("val",), ("test",), ("val", "test")]:
+            part = load(path, task=task, hash_dim=16, hash_seed=3, splits=splits)
+            rows = np.flatnonzero(np.isin(full.split, splits))
+            assert part.features.tobytes() == full.features[rows].tobytes()
+            assert part.targets.tobytes() == full.targets[rows].tobytes()
+            assert part.split.tolist() == full.split[rows].tolist()
+            assert (part.label_names, part.num_classes) == (full.label_names, full.num_classes)
+            assert part.features.shape[1] == full.num_features
+
+    def test_a_label_outside_the_kept_split_keeps_its_index(self, tmp_path):
+        path = self._write(tmp_path, _split_rows("features", "classification"), "jsonl")
+        ds = load(path, splits=("test",))
+        assert ds.label_names == ["w", "x", "y", "z"]
+        assert ds.num_classes == 4
+        assert set(ds.targets.tolist()) <= {0, 1, 2}  # "z" is only in train
+        assert 2 in ds.targets
+
+    @pytest.mark.parametrize("bad, message", [
+        ('{"features": [1.0], "label": "x", "split": "train"}', "2: row has 1 features"),
+        ('{"features": [1.0, 2.0], "label": null, "split": "val"}', "2: row is missing"),
+        ('{"features": [1.0, 2.0], "label": "x", "split": "tset"}', "2: unknown split tag"),
+        ('{"features": [1.0, "a"], "label": "x"}', "2: row has a non-numeric feature"),
+        ('{"features": [1.0, NaN], "label": "x"}', "2: row has a non-finite feature"),
+        ('{"text": "a b", "label": "x"}', "2: row mixes text and feature schemas"),
+        ("{bad", "2: invalid json"),
+    ])
+    def test_a_fault_in_a_split_left_out_is_still_reported(self, tmp_path, bad, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"features": [0.0, 1.0], "label": "x", "split": "test"}\n'
+                        f"{bad}\n"
+                        '{"features": [1.0, 0.0], "label": "y", "split": "test"}\n')
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{message}"):
+            load(str(path), splits=("test",))
+
+    def test_a_non_numeric_regression_label_left_out_is_still_reported(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"features": [0.0], "label": 1.0, "split": "test"}\n'
+                        '{"features": [1.0], "label": "a", "split": "train"}\n')
+        with pytest.raises(DataError, match=":2: regression labels must be numeric"):
+            load(str(path), task="regression", splits=("test",))
+
+    @pytest.mark.parametrize("kind", ["features", "text"])
+    def test_no_row_kept_gives_an_empty_dataset_of_str_tags(self, tmp_path, kind):
+        rows = [row for row in _split_rows(kind, "classification") if row["split"] != "val"]
+        path = self._write(tmp_path, rows, "jsonl")
+        ds = load(path, hash_dim=16, splits=("val",))
+        assert ds.split.dtype.kind == "U" and ds.split.shape == (0,)
+        assert ds.features.shape == (0, 5 if kind == "features" else 16)
+        assert ds.targets.dtype == np.int64 and ds.targets.shape == (0,)
+        assert ds.label_names == ["w", "x", "y", "z"]
+        with pytest.raises(DataError, match="^dataset has no 'val' rows; "
+                                            "classification needs at least 1$"):
+            ds.require_rows("val")
+
+    def test_unknown_split_name(self, tmp_path):
+        path = self._write(tmp_path, _split_rows("features", "classification"), "jsonl")
+        with pytest.raises(DataError, match="unknown splits"):
+            load(path, splits=("test", "dev"))
+
+
 class TestHashFeaturize:
     def test_deterministic(self):
         a = hash_featurize(["The quick brown fox"], 64, seed=3)
