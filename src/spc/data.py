@@ -109,10 +109,6 @@ class Dataset:
                 raise DataError(f"dataset has {n or 'no'} {split!r} rows; "
                                 f"{self.task} needs at least {self.min_rows}")
 
-    def subset(self, split: str) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.indices(split)
-        return self.features[idx], self.targets[idx]
-
     def split_fingerprint(self, split: str) -> str:
         """Content hash of one split; used to prove perturbations left it alone."""
         idx = self.indices(split)
@@ -262,12 +258,15 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
 
 def _line_count(path: str) -> int:
     """An upper bound on the lines of `path` as a text-mode read splits them
-    (at LF, CRLF or CR), from one binary pass. A CRLF that spans two chunks
-    counts twice, which keeps the bound."""
+    (at LF, CRLF or CR), from one binary pass. CR and CRLF are counted only
+    in a chunk that holds a CR. A CRLF that spans two chunks counts twice,
+    which keeps the bound."""
     count = 1  # a last line without a newline
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            count += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            count += chunk.count(b"\n")
+            if b"\r" in chunk:
+                count += chunk.count(b"\r") - chunk.count(b"\r\n")
     return count
 
 

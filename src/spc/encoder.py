@@ -10,7 +10,9 @@ non-parametric: softmax of mu for classification, mu itself for regression.
 The VIB baseline is the same encoder into a code of any width, plus a
 trainable single-hidden-layer tanh decoder from t to the output space;
 `decode` is the identity for a model without one. Checkpoints of both are
-written and read here, each tensor's shape checked against the "arch".
+written and read here, each tensor's shape checked against the "arch"; a
+write streams the json text a chunk of values at a time and replaces the
+file only once it is complete.
 """
 
 from __future__ import annotations
@@ -211,25 +213,42 @@ def softmax_rows(values: np.ndarray) -> np.ndarray:
 
 # --- checkpoint serialization (versioned JSON of named tensors) ---
 
+# values a checkpoint write turns into text at once
+CHECKPOINT_CHUNK_VALUES = 4096
+
+
 def save_checkpoint(path: str, params: EncoderParams) -> None:
+    """Write `params` to `path`: the bytes of `json.dumps` of the payload
+    below, streamed one tensor and at most CHECKPOINT_CHUNK_VALUES values at
+    a time, so the payload never exists as one string or as Python lists.
+    The file is written under a temporary name and moved onto `path`, so a
+    failed write leaves any earlier file at `path` as it was."""
     kind = "encoder" if params.w_dec1 is None else "vib"
     dims = {"input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
             "latent_dim": params.latent_dim, "out_dim": params.out_dim,
             "use_layer_norm": params.use_layer_norm}
     if params.w_dec1 is not None:
         dims["decoder_hidden"] = params.w_dec1.values.shape[1]
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "kind": kind,
-        "arch": {key: dims[key] for key in ARCH_KEYS[kind]},
-        "tensors": {
-            name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
-            for name, t in params.named_parameters().items()
-        },
-    }
+    head = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, "kind": kind,
+                       "arch": {key: dims[key] for key in ARCH_KEYS[kind]}})
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(head[:-1] + ', "tensors": {')
+            for i, (name, t) in enumerate(params.named_parameters().items()):
+                fh.write(f'{", " if i else ""}{json.dumps(name)}: '
+                         f'{{"shape": {json.dumps(list(t.values.shape))}, "values": [')
+                values = t.values.ravel()
+                for lo in range(0, values.size, CHECKPOINT_CHUNK_VALUES):
+                    chunk = values[lo:lo + CHECKPOINT_CHUNK_VALUES].tolist()
+                    fh.write((", " if lo else "") + json.dumps(chunk)[1:-1])
+                fh.write("]}")
+            fh.write("}}")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
 
 
 def load_checkpoint_payload(path: str) -> dict:

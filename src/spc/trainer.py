@@ -7,6 +7,12 @@ shuffle permutation, then per batch one noise draw followed by one dropout
 mask (if dropout is on). Deterministic objectives consume the noise draw
 too and ignore it, so runs that differ only in objective kind see identical
 shuffles and can be compared trajectory-for-trajectory.
+
+Every readout of a split (each epoch's validation, the final val and test
+scores, `evaluate_split` for `spc eval` and ood, and the codes of
+`representation_quality`) goes through `readout`, which runs the split's
+rows in blocks of at most EVAL_BLOCK_ELEMENTS // (widest layer) rows, so
+its memory does not grow with the split's size beyond the stacked outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import hashlib
 import itertools
 import json
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,11 +82,16 @@ class TrainConfig:
 
 @dataclass
 class AdamaxState:
-    """Adamax moments of one parameter vector, and the count of steps taken."""
+    """Adamax moments of one parameter vector, the count of steps taken, and
+    two scratch vectors of the same shape that each step computes into."""
 
     m: np.ndarray
     u: np.ndarray
     t: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adamax_step(values: np.ndarray, grad: np.ndarray, state: AdamaxState,
@@ -92,19 +103,23 @@ def adamax_step(values: np.ndarray, grad: np.ndarray, state: AdamaxState,
     with beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8. Weight decay is
     decoupled: p is shrunk by lr*wd before the update. A `grad` with a
     non-finite entry changes nothing (not `values`, nor any of `state`) and
-    returns False; a step taken returns True.
+    returns False; a step taken returns True. Every intermediate goes into
+    `state.scratch`, so a step allocates no vector of the parameters' size.
     """
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
     if not np.all(np.isfinite(grad)):
         return False
     state.t += 1
     correction = 1.0 - beta1 ** state.t
+    a, b = state.scratch
     if weight_decay != 0.0:
         values *= 1.0 - lr * weight_decay
     state.m *= beta1
-    state.m += (1.0 - beta1) * grad
-    np.maximum(beta2 * state.u, np.abs(grad), out=state.u)
-    values -= (lr / correction) * state.m / (state.u + epsilon)
+    state.m += np.multiply(grad, 1.0 - beta1, out=a)
+    state.u *= beta2
+    np.maximum(state.u, np.abs(grad, out=a), out=state.u)
+    np.multiply(state.m, lr / correction, out=a)
+    values -= np.divide(a, np.add(state.u, epsilon, out=b), out=a)
     return True
 
 
@@ -168,9 +183,35 @@ def model_outputs(model: EncoderParams, features: np.ndarray, task: str) -> np.n
     return softmax_rows(out) if task == "classification" else out
 
 
+# Largest rows x width activation a readout builds at once (512 KB of
+# float64), the width being the model's widest layer, input included.
+EVAL_BLOCK_ELEMENTS = 1 << 16
+
+
+def readout(model: EncoderParams, dataset: Dataset, rows: np.ndarray,
+            fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """`fn` of the feature rows `rows`, stacked: the one readout path.
+
+    Rows go through `fn` in blocks of at most EVAL_BLOCK_ELEMENTS // (widest
+    layer) rows, each gathered from `dataset.features` by index, so memory
+    stays bounded whatever the split's size. `rows` that fit in one block
+    are exactly `fn(dataset.features[rows])`. A row's output does not
+    depend on the other rows, but a matmul split into row blocks may differ
+    from the single call in the last bits (BLAS picks its kernel by shape).
+    """
+    step = max(1, EVAL_BLOCK_ELEMENTS // max(max(t.values.shape) for t in model.parameters()))
+    if rows.size <= step:
+        return fn(dataset.features[rows])
+    return np.concatenate([fn(dataset.features[rows[lo:lo + step]])
+                           for lo in range(0, rows.size, step)])
+
+
 def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
-    features, targets = dataset.subset(split)
-    outputs = model_outputs(model, features, dataset.task)
+    """The task's scores of `model` on one split, read out in row blocks."""
+    rows = dataset.indices(split)
+    targets = dataset.targets[rows]
+    outputs = readout(model, dataset, rows,
+                      lambda features: model_outputs(model, features, dataset.task))
     if dataset.task == "classification":
         pred = outputs.argmax(axis=1)
         _, recall, f1 = _per_class_stats(confusion_matrix(targets, pred, dataset.num_classes))
@@ -202,11 +243,13 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     if dataset.task != "classification":
         raise DataError("representation quality is defined for classification")
     dataset.require_rows("test")
-    features, gold = dataset.subset("test")
+    rows = dataset.indices("test")
+    gold = dataset.targets[rows]
     if gold.size < dataset.num_classes:
         raise DataError(f"the test split has {gold.size} rows, fewer than the "
                         f"{dataset.num_classes} clusters of k-means")
-    reps = encode(model, Tensor(features), with_log_var=False).mu.values
+    reps = readout(model, dataset, rows,
+                   lambda features: encode(model, Tensor(features), with_log_var=False).mu.values)
     started = time.perf_counter()
     assigns = np.array([kmeans(reps, dataset.num_classes, seed=seed) for seed in kmeans_seeds])
     clustered = time.perf_counter()
@@ -244,7 +287,9 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     best parameters are kept and training stops once `patience` epochs pass
     without improvement. On divergence (a non-finite loss, gradient or
     validation score) the best checkpoint so far is restored and the report
-    is flagged. An empty train, val or test split is a DataError, raised
+    is flagged. The reported validation scores are the kept epoch's, not
+    computed again; a run that kept no epoch is scored at its initial
+    parameters. An empty train, val or test split is a DataError, raised
     before any work.
 
     The model's tensors and their gradients are views of two flat vectors
@@ -274,6 +319,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     best_value = -np.inf
     best_state = flat.copy()
     best_epoch = 0
+    best_val = None
     step = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -325,13 +371,17 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             best_value = value
             best_state = flat.copy()
             best_epoch = epoch
+            best_val = val
         if epoch - best_epoch >= cfg.patience:
             break
 
     flat[:] = best_state
     zero_grads(params)
     report.best_epoch = best_epoch
-    report.val_metrics = evaluate_split(model, dataset, "val")
+    # the restored parameters are the kept epoch's, so its val scores stand
+    if best_val is None:
+        best_val = evaluate_split(model, dataset, "val")
+    report.val_metrics = best_val
     report.test_metrics = evaluate_split(model, dataset, "test")
     report.wall_clock = time.perf_counter() - started
     report.model = model

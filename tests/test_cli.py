@@ -131,8 +131,9 @@ class TestEvalAndReprQuality:
         assert sorted(report["timing"]) == ["kmeans_s", "load_s", "silhouette_s"]
         assert all(v >= 0.0 for v in report["timing"].values())
         dataset = dataio.load(data_file)
-        features, gold = dataset.subset("test")
-        reps = encode(load_checkpoint(ckpt), Tensor(features)).mu.values
+        rows = dataset.indices("test")
+        reps = encode(load_checkpoint(ckpt), Tensor(dataset.features[rows])).mu.values
+        gold = dataset.targets[rows]
         assigns = [kmeans(reps, dataset.num_classes, seed=seed) for seed in range(3)]
         assert results["per_seed"] == [
             {"seed": seed, "silhouette": silhouette(reps, assign),

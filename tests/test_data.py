@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spc import data as dataio
 from spc.data import (
     DataError,
     Dataset,
@@ -134,6 +135,35 @@ class TestStreamingLoad:
             assert np.array_equal(back.targets, ds.targets)
             assert np.array_equal(back.split, ds.split)
             assert back.label_names == ds.label_names
+
+    def test_crlf_across_the_count_chunk_boundary(self, tmp_path):
+        # `_line_count` reads 1 MB chunks; the CRLF that ends one row here is
+        # split between the first and second chunk, and counts twice
+        chunk = 1 << 20
+        row = '{"features": [0.5], "label": "a", "split": "train"}'
+        lines, size = [], 0
+        while size + len(row) + 2 < chunk - 200:
+            lines.append(row)
+            size += len(row) + 2
+        pad = chunk - 1 - size - len(row)  # the padded row's CR is the chunk's last byte
+        lines.append(row.replace(", ", "," + " " * (pad + 1), 1))
+        lines += [row.replace('"a", "split": "train"', '"b", "split": "test"')] * 3
+        path = tmp_path / "d.jsonl"
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode("utf-8"))
+        assert path.read_bytes()[chunk - 1:chunk + 1] == b"\r\n"
+        assert dataio._line_count(str(path)) == len(lines) + 2
+        back = load(str(path))
+        assert back.num_rows == len(lines)
+        assert back.split.tolist() == ["train"] * (len(lines) - 3) + ["test"] * 3
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r", "mixed"])
+    def test_line_count_is_one_past_the_lines(self, tmp_path, newline):
+        ends = ["\n", "\r\n", "\r"] * 4 if newline == "mixed" else [newline] * 12
+        path = tmp_path / "d.txt"
+        path.write_bytes("".join(f"row {i}{end}" for i, end in enumerate(ends)).encode())
+        with open(path, encoding="utf-8") as fh:
+            assert len(fh.readlines()) == 12
+        assert dataio._line_count(str(path)) == 13
 
 
 def _split_rows(kind: str, task: str) -> list[dict]:

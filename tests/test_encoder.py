@@ -1,12 +1,18 @@
 import hashlib
+import json
+import os
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from gradcheck import max_grad_rel_err
 from primitives import reduce_mean
+from spc import encoder
 from spc.diffcore import ShapeError, Tape, Tensor, backward, param
 from spc.encoder import (
+    ARCH_KEYS,
     EncoderParams,
     encode,
     init_encoder,
@@ -182,8 +188,91 @@ class TestCheckpoint:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_wrong_version_rejected(self, tmp_path):
-        import json
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99, "kind": "encoder"}))
         with pytest.raises(ValueError):
             load_checkpoint_payload(str(path))
+
+
+def whole_payload_text(params: EncoderParams) -> str:
+    """`json.dumps` of the checkpoint payload built whole, as the format
+    defines it: the text a streamed write must equal byte for byte."""
+    kind = "encoder" if params.w_dec1 is None else "vib"
+    dims = {"input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
+            "latent_dim": params.latent_dim, "out_dim": params.out_dim,
+            "use_layer_norm": params.use_layer_norm}
+    if params.w_dec1 is not None:
+        dims["decoder_hidden"] = params.w_dec1.values.shape[1]
+    return json.dumps({
+        "format_version": 1, "kind": kind, "arch": {key: dims[key] for key in ARCH_KEYS[kind]},
+        "tensors": {name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
+                    for name, t in params.named_parameters().items()},
+    })
+
+
+def with_special_values() -> EncoderParams:
+    params = init_encoder(3, 4, 2, rng=7)
+    params.w_in.values[0, 0] = np.nan
+    params.b_mu.values[0, 1] = -np.inf
+    params.w_lv.values[2, 0] = 1e-310  # subnormal
+    return params
+
+
+class TestStreamedCheckpoint:
+    """`save_checkpoint` writes a chunk of values at a time; the bytes are
+    those of one `json.dumps` of the whole payload."""
+
+    @pytest.mark.parametrize("params", [
+        pytest.param(init_encoder(3, 4, 2, rng=0), id="encoder"),
+        pytest.param(init_vib(5, 6, 3, 2, rng=1), id="vib"),
+        pytest.param(init_encoder(4, 5, 3, rng=2, use_layer_norm=True), id="layer-norm"),
+        pytest.param(init_vib(4, 5, 2, 3, rng=3, use_layer_norm=True), id="vib-layer-norm"),
+        pytest.param(init_encoder(9, 1, 2, rng=4), id="hidden-1"),
+        pytest.param(init_vib(3, 1, 1, 1, rng=5), id="vib-widths-1"),
+        pytest.param(init_encoder(64, 64, 2, rng=6), id="chunk-multiple"),  # w_in: 4096 values
+        pytest.param(init_encoder(100, 50, 3, rng=8), id="chunk-and-a-tail"),  # w_in: 5000
+        pytest.param(with_special_values(), id="nan-inf-subnormal"),
+    ])
+    def test_bytes_equal_one_dumps(self, tmp_path, params):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(str(path), params)
+        assert path.read_bytes() == whole_payload_text(params).encode("utf-8")
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
+    def test_memory_is_a_chunk_not_the_payload(self, tmp_path):
+        params = init_encoder(2000, 64, 4, rng=9)  # 128k values in w_in
+        peaks = []
+        for write in (lambda: save_checkpoint(str(tmp_path / "ckpt.json"), params),
+                      lambda: whole_payload_text(params)):
+            tracemalloc.start()
+            try:
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        streamed, whole = peaks
+        # the whole payload holds every value as a Python float and as text
+        assert whole > 4 * 2**20 > streamed
+
+    @pytest.mark.parametrize("earlier", [True, False], ids=["over-a-file", "new-path"])
+    def test_a_write_failing_mid_tensor_leaves_the_path_as_it_was(self, tmp_path, monkeypatch,
+                                                                  earlier):
+        path = tmp_path / "ckpt.json"
+        if earlier:
+            save_checkpoint(str(path), init_encoder(3, 4, 2, rng=0))
+            before = path.read_bytes()
+
+        def failing_dumps(obj):
+            # w_in's 5000 values go out as 4096 and then 904: fail at the 904
+            if isinstance(obj, list) and len(obj) == 5000 - encoder.CHECKPOINT_CHUNK_VALUES:
+                raise OSError("no space left on device")
+            return json.dumps(obj)
+
+        monkeypatch.setattr(encoder, "json", types.SimpleNamespace(dumps=failing_dumps))
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(str(path), init_encoder(100, 50, 3, rng=8))
+        if earlier:
+            assert path.read_bytes() == before
+            assert os.listdir(tmp_path) == ["ckpt.json"]
+        else:
+            assert os.listdir(tmp_path) == []

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from spc.trainer import (
     TrainConfig,
     adamax_step,
     batch_loss,
+    build_model,
+    evaluate_split,
+    model_outputs,
+    readout,
     representation_quality,
     summarize,
     sweep,
@@ -96,6 +101,46 @@ class TestAdamax:
         for name in ("m", "u"):
             assert (np.concatenate([getattr(s, name).ravel() for s in apart_states]).tobytes()
                     == getattr(flat_state, name).tobytes())
+
+    @staticmethod
+    def step_with_temporaries(values, grad, state, lr, weight_decay):
+        """The update as one expression per line, each building its temporaries."""
+        state.t += 1
+        if weight_decay != 0.0:
+            values *= 1.0 - lr * weight_decay
+        state.m *= 0.9
+        state.m += (1.0 - 0.9) * grad
+        np.maximum(0.999 * state.u, np.abs(grad), out=state.u)
+        values -= (lr / (1.0 - 0.9 ** state.t)) * state.m / (state.u + 1e-8)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.1])
+    def test_bits_equal_the_update_with_temporaries(self, weight_decay):
+        rng = np.random.default_rng(17)
+        values = rng.standard_normal(1000)
+        expected = values.copy()
+        state, expected_state = fresh_state(values), fresh_state(values)
+        for step in range(60):
+            grad = rng.standard_normal(1000) * 10.0 ** (step % 9 - 6)
+            grad[::7] = 0.0
+            assert adamax_step(values, grad, state, lr=0.01, weight_decay=weight_decay)
+            self.step_with_temporaries(expected, grad, expected_state, 0.01, weight_decay)
+        for got, want in ((values, expected), (state.m, expected_state.m),
+                          (state.u, expected_state.u)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_step_allocates_no_parameter_sized_vector(self):
+        rng = np.random.default_rng(18)
+        values = rng.standard_normal(100_000)
+        state = fresh_state(values)
+        grad = rng.standard_normal(values.size)
+        tracemalloc.start()
+        try:
+            assert adamax_step(values, grad, state, lr=0.01, weight_decay=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the finiteness check's booleans are an eighth of a float64 vector
+        assert peak < values.nbytes // 2
 
 
 def one_batch(kind: str, weights: dict[str, float], hidden: int):
@@ -224,6 +269,135 @@ class TestTrainLoop:
         values = [e["val_metric"] for e in report.epoch_logs]
         first_best = 1 + int(np.argmax(values))
         assert report.best_epoch == first_best
+
+    def test_val_metrics_are_the_kept_epochs(self, mixture, monkeypatch):
+        # one val readout per epoch and one test readout, none after training
+        calls = []
+
+        def counted(model, dataset, split):
+            calls.append(split)
+            return evaluate_split(model, dataset, split)
+
+        monkeypatch.setattr(trainer, "evaluate_split", counted)
+        report = train(mixture, small_cfg(ObjectiveConfig(kind="spc", beta=0.1, gamma=0.1),
+                                          epochs=6), seed=2)
+        assert calls == ["val"] * report.epochs_ran + ["test"]
+        assert report.val_metrics == evaluate_split(report.model, mixture, "val")
+        best = report.epoch_logs[report.best_epoch - 1]["val_metric"]
+        assert report.val_metrics["macro_f1"] == best
+
+    def test_a_run_that_kept_no_epoch_is_scored_at_its_start(self, mixture, monkeypatch):
+        monkeypatch.setattr(trainer, "adamax_step", lambda *args, **kw: False)
+        cfg = small_cfg(ObjectiveConfig(kind="spc", beta=0.1, gamma=0.1))
+        report = train(mixture, cfg, seed=2)
+        assert report.diverged and report.best_epoch == 0 and not report.epoch_logs
+        start = build_model(mixture, cfg, np.random.default_rng(2))
+        assert report.val_metrics == evaluate_split(start, mixture, "val")
+        assert report.test_metrics == evaluate_split(start, mixture, "test")
+
+
+def readout_case(kind: str, layer_norm: bool = False):
+    """A model of `kind` (built as training builds it) and a dataset of its
+    task, with 45 test rows."""
+    task = OBJECTIVES[kind].task
+    rng = np.random.default_rng(21)
+    features = rng.standard_normal((90, 6))
+    targets = (rng.integers(0, 3, 90) if task == "classification"
+               else features @ rng.standard_normal(6))
+    dataset = Dataset(features=features, targets=targets, task=task,
+                      split=np.array(["train", "test"] * 45),
+                      num_classes=3 if task == "classification" else 0)
+    cfg = TrainConfig(objective=ObjectiveConfig(kind=kind), hidden_dim=12, vib_latent_dim=5,
+                      layer_norm=layer_norm)
+    return build_model(dataset, cfg, rng), dataset
+
+
+def mean_codes(model):
+    return lambda features: encode(model, Tensor(features), with_log_var=False).mu.values
+
+
+READOUT_CASES = [pytest.param(kind, layer_norm, id=f"{kind}{'-layer-norm' * layer_norm}")
+                 for kind in OBJECTIVES for layer_norm in (False, True)]
+
+
+class TestReadout:
+    """Every split readout runs in row blocks of EVAL_BLOCK_ELEMENTS // (widest
+    layer) rows, each gathered by index."""
+
+    @pytest.mark.parametrize("kind, layer_norm", READOUT_CASES)
+    def test_one_block_is_one_call_on_the_whole_split(self, kind, layer_norm):
+        model, dataset = readout_case(kind, layer_norm)
+        rows = dataset.indices("test")
+        whole = dataset.features[rows]
+        for fn in (lambda x: model_outputs(model, x, dataset.task), mean_codes(model)):
+            seen = []
+
+            def recorded(features, fn=fn):
+                seen.append(features)
+                return fn(features)
+
+            out = readout(model, dataset, rows, recorded)
+            assert len(seen) == 1 and seen[0].tobytes() == whole.tobytes()
+            assert out.tobytes() == fn(whole).tobytes()
+
+    @pytest.mark.parametrize("kind, layer_norm", READOUT_CASES)
+    def test_many_blocks_agree_with_one_call(self, kind, layer_norm, monkeypatch):
+        model, dataset = readout_case(kind, layer_norm)
+        rows = dataset.indices("test")
+        single = evaluate_split(model, dataset, "test")
+        whole = [fn(dataset.features[rows]) for fn in
+                 (lambda x: model_outputs(model, x, dataset.task), mean_codes(model))]
+        widest = max(max(t.values.shape) for t in model.parameters())
+        monkeypatch.setattr(trainer, "EVAL_BLOCK_ELEMENTS", 7 * widest)  # 7 rows a block
+        sizes = []
+
+        def recorded(fn):
+            def block(features):
+                sizes.append(len(features))
+                return fn(features)
+            return block
+
+        outs = [readout(model, dataset, rows, recorded(fn)) for fn in
+                (lambda x: model_outputs(model, x, dataset.task), mean_codes(model))]
+        assert sizes == 2 * ([7] * 6 + [3])  # 45 rows, twice
+        for out, want in zip(outs, whole):
+            np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
+            assert np.array_equal(out.argmax(axis=1), want.argmax(axis=1))
+        blocked = evaluate_split(model, dataset, "test")
+        if dataset.task == "classification":
+            assert blocked == single
+        else:
+            assert blocked == pytest.approx(single, rel=0, abs=1e-12)
+
+    @staticmethod
+    def peak_bytes(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("vib", [False, True], ids=["encoder", "vib"])
+    def test_memory_does_not_grow_with_the_split(self, vib, monkeypatch):
+        # 8000 rows at hidden 128: one call builds several 8000 x 128 float64
+        # activations (8 MB each); a block of 512 rows builds 512 KB ones
+        rng = np.random.default_rng(22)
+        n = 8000
+        dataset = Dataset(features=rng.standard_normal((n, 16)), targets=rng.integers(0, 4, n),
+                          split=np.full(n, "test"), task="classification", num_classes=4)
+        model = (init_vib(16, 128, 8, 4, rng=1, use_layer_norm=True) if vib
+                 else init_encoder(16, 128, 4, rng=1))
+        # silhouette bounds its own memory (test_metrics); stubbed here, the
+        # readout sets the peak
+        monkeypatch.setattr(trainer, "silhouette", lambda points, assigns: np.zeros(len(assigns)))
+        bound = 6 * 2**20
+        for readout_fn in (lambda: evaluate_split(model, dataset, "test"),
+                           lambda: representation_quality(model, dataset, [0])):
+            assert self.peak_bytes(readout_fn) < bound
+            with monkeypatch.context() as one_call:
+                one_call.setattr(trainer, "EVAL_BLOCK_ELEMENTS", 1 << 40)
+                assert self.peak_bytes(readout_fn) > 2 * bound
 
 
 class TestAblationIdentities:
@@ -356,8 +530,9 @@ class TestRepresentationQuality:
         dataset = gen_mixture(3, 6, 40, 2.0, seed=101)
         model = init_encoder(6, 8, 3, rng=5)
         seeds = [0, 1, 2, 7, 11]
-        features, gold = dataset.subset("test")
-        reps = encode(model, Tensor(features)).mu.values
+        rows = dataset.indices("test")
+        reps = encode(model, Tensor(dataset.features[rows])).mu.values
+        gold = dataset.targets[rows]
         per_seed_loop = []
         for seed in seeds:
             assign = metrics.kmeans(reps, 3, seed=seed)
