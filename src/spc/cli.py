@@ -2,7 +2,8 @@
 
 Commands: gen-data, train, eval, sweep, noise-study, ratio-study, ood,
 repr-quality, report. Every run writes its artifacts under
-<out-root>/<run-id>/. The run id is a short hash of the command, the
+<out-root>/<run-id>/, each with `data.write_atomic`, and times its phases
+with `trainer.timed`. The run id is a short hash of the command, the
 resolved TrainConfig of every objective it trains (see `run_inputs`), the
 content hash of each input file, the featurizer settings and the command's
 extras (seeds, grids, ratios). Invocations that differ in any effective
@@ -21,24 +22,24 @@ whole file (see `data.load`, which checks every row either way).
 Exit codes: 0 success, 2 bad flags (values that do not resolve into a run:
 empty or malformed seed, objective, grid or ratio lists, negative or
 repeated seeds, ratios outside the study's range ([0, 1] for noise, (0, 1]
-for ratio), study objectives of two tasks, a negative or non-finite
-weight, learning rate or weight decay, a zero hidden or latent width,
-batch size below 2, patience above epochs, --hash-dim below 2, a
---hash-seed outside [0, 2**64), --config values of the wrong type, an
-output root that cannot be a directory (a file, or a path below one);
-caught before any dataset is read; gen-data values that make no mixture,
-caught before anything is written), 3 data errors (missing, unreadable or
-malformed inputs: a directory, a byte that is not UTF-8, a --config that
-is not a json object, a run's manifest.json or report.json that report
-cannot read as a json object with its keys; unusable checkpoints or ones
-whose input or output width does not fit the dataset, tensors whose
-shapes disagree with the checkpoint arch, empty splits, a regression
-split of one row, a repr-quality test split with fewer rows than
-classes, a study ratio that leaves a train class empty; each caught
-before any training), 4 a
-diverged seed (a non-finite loss, gradient or validation score), after
-the report is written (train's summary and each sweep or study row count
-them, ood flags each seed).
+for ratio), study objectives of two tasks, a negative or non-finite weight
+(a flag or a sweep grid value), learning rate or weight decay, a zero
+hidden or latent width, batch size below 2, patience above epochs,
+--hash-dim below 2, a --hash-seed outside [0, 2**64), --config values of
+the wrong type, an output root that cannot be a directory (a file, or a
+path below one); caught before any dataset is read; gen-data values that
+make no mixture or a negative seed, caught before anything is written), 3
+data errors (missing, unreadable or malformed inputs: a directory, a byte
+that is not UTF-8, a --config that is not a json object, a run's
+manifest.json or report.json that report cannot read as a json object with
+its keys; unusable checkpoints or ones whose input or output width does
+not fit the dataset, tensors whose shapes disagree with the checkpoint
+arch, empty splits, a regression split of one row, a repr-quality test
+split with fewer rows than classes, a study ratio that leaves a train
+class empty; each caught before any training), 4 a diverged seed (a
+non-finite loss, gradient or validation score), after the report is
+written (train's summary and each sweep or study row count them, ood flags
+each seed).
 """
 
 from __future__ import annotations
@@ -48,26 +49,26 @@ import csv
 import dataclasses
 import hashlib
 import inspect
-import io
 import json
 import os
 import sys
-import time
 from collections.abc import Sequence
 
 from . import data as dataio
-from .data import DataError, Dataset
+from .data import DataError, Dataset, write_atomic
 from .encoder import EncoderParams, load_checkpoint, save_checkpoint
 from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, WEIGHTS, ObjectiveConfig
 from .trainer import (
     RunReport,
     TrainConfig,
+    cell_objective,
     evaluate_split,
     ood_run,
     perturbation_study,
     representation_quality,
     summarize,
     sweep,
+    timed,
     train,  # not called here; bench/tests/test_bench_tracer.py reads cli.train
     train_jobs,
 )
@@ -205,40 +206,30 @@ def start_run(args, command: str, inputs: dict) -> tuple[str, dict]:
     return os.path.join(out_root(args), run_id), manifest
 
 
-def _write_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path: str, rows: list[dict]) -> None:
     """`rows` under a header of the first row's keys, written atomically."""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
-    writer.writeheader()
-    writer.writerows(rows)
-    _write_atomic(path, buf.getvalue())
+    with write_atomic(path) as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def finish_run(run_dir: str, manifest: dict, results: dict,
                csv_rows: list[dict] | None = None, timing: dict | None = None) -> None:
-    os.makedirs(run_dir, exist_ok=True)
-    report_path = os.path.join(run_dir, "report.json")
-    _write_atomic(report_path, json.dumps({"results": results, "timing": timing or {}},
-                                          indent=2, sort_keys=True))
-    artifacts = {"report.json": file_sha256(report_path)}
+    """Write report.json, report.csv (given rows) and manifest.json, atomically."""
+    with write_atomic(os.path.join(run_dir, "report.json")) as fh:
+        fh.write(json.dumps({"results": results, "timing": timing or {}},
+                            indent=2, sort_keys=True))
+    names = ["report.json"]
     if csv_rows:
-        csv_path = os.path.join(run_dir, "report.csv")
-        _write_csv(csv_path, csv_rows)
-        artifacts["report.csv"] = file_sha256(csv_path)
+        _write_csv(os.path.join(run_dir, "report.csv"), csv_rows)
+        names.append("report.csv")
     ckpt_dir = os.path.join(run_dir, "ckpt")
     if os.path.isdir(ckpt_dir):
-        for name in sorted(os.listdir(ckpt_dir)):
-            artifacts[f"ckpt/{name}"] = file_sha256(os.path.join(ckpt_dir, name))
-    manifest["artifacts"] = artifacts
-    _write_atomic(os.path.join(run_dir, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True))
+        names += [f"ckpt/{name}" for name in sorted(os.listdir(ckpt_dir))]
+    manifest["artifacts"] = {name: file_sha256(os.path.join(run_dir, name)) for name in names}
+    with write_atomic(os.path.join(run_dir, "manifest.json")) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _load_dataset(args, task: str, timing: dict, path: str | None = None,
@@ -246,11 +237,9 @@ def _load_dataset(args, task: str, timing: dict, path: str | None = None,
     """`path` (default --data) as a dataset of the objective's or checkpoint's
     `task`, holding the rows of `splits` (default all; see `data.load`); the
     seconds the load took are added to `timing["load_s"]`."""
-    started = time.perf_counter()
-    dataset = dataio.load(path or data_path(args), task=task, hash_dim=args.hash_dim,
-                          hash_seed=args.hash_seed, splits=splits)
-    timing["load_s"] = timing.get("load_s", 0.0) + time.perf_counter() - started
-    return dataset
+    with timed(timing, "load_s"):
+        return dataio.load(path or data_path(args), task=task, hash_dim=args.hash_dim,
+                           hash_seed=args.hash_seed, splits=splits)
 
 
 def _load_checkpoint(args, timing: dict, split: str) -> tuple[EncoderParams, Dataset]:
@@ -340,7 +329,6 @@ def cmd_gen_data(args) -> int:
     except DataError as err:  # every gen_mixture argument is a flag
         raise UsageError(str(err)) from None
     path = args.output or default_data_path(args)
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     dataio.save(ds, path)
     inputs = {"classes": args.classes, "dim": args.dim, "per_class": args.per_class,
               "sep": args.sep, "seed": args.seed, "output": path}
@@ -381,13 +369,13 @@ def cmd_train(args) -> int:
     dataset = _load_dataset(args, cfg.objective.task, timing)
     run_dir, manifest = start_run(args, "train", run_inputs(
         args, {"data": data_path(args)}, [cfg], seeds=seeds))
-    reports = train_jobs((dataset, cfg, seed) for seed in seeds)
+    with timed(timing, "wall_clock"):
+        reports = train_jobs((dataset, cfg, seed) for seed in seeds)
     rows = _seed_reports_artifacts(run_dir, reports)
     results = {
         "summary": summarize(reports),
         "per_seed": [r.results_dict() for r in reports],
     }
-    timing["wall_clock"] = sum(r.wall_clock for r in reports)
     finish_run(run_dir, manifest, results, csv_rows=rows, timing=timing)
     summary = results["summary"]
     print(f"run {manifest['run_id']}: {summary['metric']} = "
@@ -416,6 +404,10 @@ def cmd_sweep(args) -> int:
     # a kind with one weight has no gamma axis (see trainer.sweep)
     gammas = (parse_floats(args.gammas, "--gammas")
               if len(OBJECTIVES[args.objective].weights) > 1 else [0.0])
+    try:  # every cell's weights, checked before the dataset is read
+        [cell_objective(cfg.objective, beta, gamma) for beta in betas for gamma in gammas]
+    except ValueError as err:
+        raise UsageError(f"--betas/--gammas: {err}") from None
     timing: dict = {}
     dataset = _load_dataset(args, cfg.objective.task, timing)
     run_dir, manifest = start_run(args, "sweep", run_inputs(
@@ -481,8 +473,8 @@ def cmd_repr_quality(args) -> int:
     model, dataset = _load_checkpoint(args, timing, "test")
     run_dir, manifest = start_run(args, "repr-quality", run_inputs(
         args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
-    results, phases = representation_quality(model, dataset, seeds)
-    finish_run(run_dir, manifest, results, timing={**timing, **phases})
+    results = representation_quality(model, dataset, seeds, timing)
+    finish_run(run_dir, manifest, results, timing=timing)
     print(f"silhouette median {results['silhouette_median']:.4f}, "
           f"ari median {results['ari_median']:.4f}")
     return EXIT_OK

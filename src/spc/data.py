@@ -24,11 +24,14 @@ saved files the original names are written back.
 
 Randomized operations (generation, noise injection, subsampling) are pure
 functions of their inputs and an explicit seed; they return new datasets
-and never touch the val/test splits.
+and never touch the val/test splits. Every file the package writes goes
+through `write_atomic`, so a failed write leaves any earlier file at its
+path as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -235,6 +238,8 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
         raise DataError(f"gen_mixture: dim must be >= num_classes ({num_classes})")
     if separation < 0:
         raise DataError("gen_mixture: separation must be non-negative")
+    if seed < 0:
+        raise DataError(f"gen_mixture: seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     features, targets, split = [], [], []
     n_train = int(round(0.6 * per_class))
@@ -411,9 +416,25 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
                    label_names=label_names)
 
 
+@contextlib.contextmanager
+def write_atomic(path: str):
+    """A UTF-8 text file (newline="") on `path + ".tmp"`, in a parent made if
+    missing, moved onto `path` when the block ends; on any failure it is
+    removed instead, so an earlier file at `path` stays as it was."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed
+            os.remove(tmp)
+
+
 def save(ds: Dataset, path: str) -> None:
-    """Write jsonl that `load` reads back to identical values."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write jsonl that `load` reads back to identical values, atomically."""
+    with write_atomic(path) as fh:
         for i in range(ds.num_rows):
             if ds.task == "classification":
                 label = ds.label_names[int(ds.targets[i])]

@@ -11,19 +11,18 @@ The VIB baseline is the same encoder into a code of any width, plus a
 trainable single-hidden-layer tanh decoder from t to the output space;
 `decode` is the identity for a model without one. Checkpoints of both are
 written and read here, each tensor's shape checked against the "arch"; a
-write streams the json text a chunk of values at a time and replaces the
-file only once it is complete.
+write streams the json text a chunk of values at a time through
+`data.write_atomic`, which replaces the file only once it is complete.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, write_atomic
 from .diffcore import ShapeError, Tensor, clip, emit, layer_norm, matmul, mul, param, tanh
 
 # hard bounds on predicted log-variance; keeps the KL term finite on outliers
@@ -45,7 +44,6 @@ class GaussianCode:
 # every tensor a model can hold, in checkpoint and init order
 TENSOR_NAMES = ("w_in", "b_in", "w_mu", "b_mu", "w_lv", "b_lv",
                 "w_dec1", "b_dec1", "w_dec2", "b_dec2")
-DECODER_NAMES = TENSOR_NAMES[6:]
 
 # checkpoint kind -> its "arch" keys, in file order
 ARCH_KEYS = {
@@ -145,16 +143,6 @@ def init_vib(input_dim: int, hidden_dim: int, latent_dim: int, out_dim: int,
                   "use_layer_norm": use_layer_norm}, rng)
 
 
-def decoder_param_count(params: EncoderParams) -> int:
-    """Trainable parameters between the code t and the final prediction.
-
-    The stochastic-coding head predicts by softmax/identity on t, so zero;
-    VIB runs t through its decoder.
-    """
-    return sum(t.values.size for name, t in params.named_parameters().items()
-               if name in DECODER_NAMES)
-
-
 def encode(params: EncoderParams, x: Tensor, dropout_mask: np.ndarray | None = None,
            with_log_var: bool = True) -> GaussianCode:
     """Map a feature batch to per-sample (mu, log_var), log_var clamped to [-8, 8].
@@ -221,8 +209,7 @@ def save_checkpoint(path: str, params: EncoderParams) -> None:
     """Write `params` to `path`: the bytes of `json.dumps` of the payload
     below, streamed one tensor and at most CHECKPOINT_CHUNK_VALUES values at
     a time, so the payload never exists as one string or as Python lists.
-    The file is written under a temporary name and moved onto `path`, so a
-    failed write leaves any earlier file at `path` as it was."""
+    A failed write leaves any earlier file at `path` as it was (`write_atomic`)."""
     kind = "encoder" if params.w_dec1 is None else "vib"
     dims = {"input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
             "latent_dim": params.latent_dim, "out_dim": params.out_dim,
@@ -231,24 +218,17 @@ def save_checkpoint(path: str, params: EncoderParams) -> None:
         dims["decoder_hidden"] = params.w_dec1.values.shape[1]
     head = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, "kind": kind,
                        "arch": {key: dims[key] for key in ARCH_KEYS[kind]}})
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(head[:-1] + ', "tensors": {')
-            for i, (name, t) in enumerate(params.named_parameters().items()):
-                fh.write(f'{", " if i else ""}{json.dumps(name)}: '
-                         f'{{"shape": {json.dumps(list(t.values.shape))}, "values": [')
-                values = t.values.ravel()
-                for lo in range(0, values.size, CHECKPOINT_CHUNK_VALUES):
-                    chunk = values[lo:lo + CHECKPOINT_CHUNK_VALUES].tolist()
-                    fh.write((", " if lo else "") + json.dumps(chunk)[1:-1])
-                fh.write("]}")
-            fh.write("}}")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.remove(tmp)
+    with write_atomic(path) as fh:
+        fh.write(head[:-1] + ', "tensors": {')
+        for i, (name, t) in enumerate(params.named_parameters().items()):
+            fh.write(f'{", " if i else ""}{json.dumps(name)}: '
+                     f'{{"shape": {json.dumps(list(t.values.shape))}, "values": [')
+            values = t.values.ravel()
+            for lo in range(0, values.size, CHECKPOINT_CHUNK_VALUES):
+                chunk = values[lo:lo + CHECKPOINT_CHUNK_VALUES].tolist()
+                fh.write((", " if lo else "") + json.dumps(chunk)[1:-1])
+            fh.write("]}")
+        fh.write("}}")
 
 
 def load_checkpoint_payload(path: str) -> dict:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import contextlib
 import itertools
 import json
 import time
@@ -138,7 +139,6 @@ class RunReport:
     test_metrics: dict = field(default_factory=dict)
     headline_metric: str = ""
     diverged: bool = False
-    wall_clock: float = 0.0
     model: EncoderParams | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -146,9 +146,8 @@ class RunReport:
         return self.test_metrics[self.headline_metric]
 
     def results_dict(self) -> dict:
-        """Reported numbers only; excludes timing, stable across reruns."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-                if f.name not in ("wall_clock", "model")}
+        """The fields that compare: reported numbers, stable across reruns."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.compare}
 
     def run_hash(self) -> str:
         payload = json.dumps(self.results_dict(), sort_keys=True)
@@ -230,15 +229,24 @@ def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
     return scores
 
 
+@contextlib.contextmanager
+def timed(timing: dict, key: str):
+    """Add the seconds the block takes (`time.perf_counter`) to `timing[key]`:
+    the one timer of every phase a report's `timing` records."""
+    started = time.perf_counter()
+    yield
+    timing[key] = timing.get(key, 0.0) + time.perf_counter() - started
+
+
 def representation_quality(model: EncoderParams, dataset: Dataset,
-                           kmeans_seeds: list[int]) -> tuple[dict, dict]:
+                           kmeans_seeds: list[int], timing: dict) -> dict:
     """Cluster the mean codes of the test split and score SC / ARI.
 
     Representations are mu(x) (the latent mean for the bottleneck model),
     clustered by k-means with k equal to the class count; the median over
     the k-means seeds is reported for both scores. Every seed's partition is
     scored by one `silhouette` call, which computes the distances once.
-    Returns the results and their timing (`kmeans_s`, `silhouette_s`).
+    The k-means and silhouette seconds go to `timing` (`kmeans_s`, `silhouette_s`).
     """
     if dataset.task != "classification":
         raise DataError("representation quality is defined for classification")
@@ -250,18 +258,17 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
                         f"{dataset.num_classes} clusters of k-means")
     reps = readout(model, dataset, rows,
                    lambda features: encode(model, Tensor(features), with_log_var=False).mu.values)
-    started = time.perf_counter()
-    assigns = np.array([kmeans(reps, dataset.num_classes, seed=seed) for seed in kmeans_seeds])
-    clustered = time.perf_counter()
-    scores = silhouette(reps, assigns)
-    timing = {"kmeans_s": clustered - started, "silhouette_s": time.perf_counter() - clustered}
+    with timed(timing, "kmeans_s"):
+        assigns = np.array([kmeans(reps, dataset.num_classes, seed=seed) for seed in kmeans_seeds])
+    with timed(timing, "silhouette_s"):
+        scores = silhouette(reps, assigns)
     per_seed = [{"seed": seed, "silhouette": float(score), "ari": adjusted_rand_index(assign, gold)}
                 for seed, assign, score in zip(kmeans_seeds, assigns, scores)]
     return {
         "silhouette_median": float(np.median([r["silhouette"] for r in per_seed])),
         "ari_median": float(np.median([r["ari"] for r in per_seed])),
         "per_seed": per_seed,
-    }, timing
+    }
 
 
 def _flatten(params: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +306,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     stay views of the flat vector, with no gradient.
     """
     dataset.require_rows("train", "val", "test")
-    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     model = build_model(dataset, cfg, rng)
     params = model.parameters()
@@ -383,7 +389,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
         best_val = evaluate_split(model, dataset, "val")
     report.val_metrics = best_val
     report.test_metrics = evaluate_split(model, dataset, "test")
-    report.wall_clock = time.perf_counter() - started
     report.model = model
     return report
 
@@ -416,8 +421,9 @@ class SweepResult:
     best_gamma: float
 
 
-def _cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> ObjectiveConfig:
-    # the beta grid drives the kind's first weight and the gamma grid its second
+def cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> ObjectiveConfig:
+    """`objective` with a sweep cell's weights (beta its kind's first, gamma its
+    second); a weight the kind does not take or cannot have is a ValueError."""
     names = OBJECTIVES[objective.kind].weights
     if any(value != 0.0 for value in (beta, gamma)[len(names):]):
         raise ValueError(f"kind {objective.kind!r} takes {len(names)} swept weight(s), "
@@ -438,7 +444,7 @@ def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
     rows = []
     for beta in betas:
         for gamma in gammas:
-            objective = _cell_objective(cfg.objective, beta, gamma)
+            objective = cell_objective(cfg.objective, beta, gamma)
             cell_cfg = dataclasses.replace(cfg, objective=objective)
             reports = train_jobs((dataset, cell_cfg, seed) for seed in seeds)
             rows.append({

@@ -1,10 +1,13 @@
 import argparse
+import ast
+import builtins
 import csv
 import dataclasses
 import functools
 import json
 import hashlib
 import os
+import pathlib
 import random
 
 import numpy as np
@@ -288,6 +291,11 @@ class TestExitCodes:
         ("eval", "--hash-dim", "1"),
         ("eval", "--hash-seed", str(2**64 + 5)),
         ("repr-quality", "--hash-seed", "-3"),
+        # every sweep cell's weights are checked before any cell trains
+        ("sweep", "--betas", "0.1,-1"),
+        ("sweep", "--betas", "nan"),
+        ("sweep", "--gammas", "1e999"),
+        ("sweep", "--objective", "ce_cp", "--betas", "-0.5"),
     ])
     def test_bad_flag_value_exits_2_before_training(self, out, data_file, argv, monkeypatch,
                                                      capsys):
@@ -324,7 +332,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ("--per-class", "-1"), ("--per-class", "0"), ("--classes", "1"),
-        ("--classes", "4", "--dim", "3"), ("--sep", "-1"),
+        ("--classes", "4", "--dim", "3"), ("--sep", "-1"), ("--seed", "-1"),
     ])
     def test_bad_gen_data_flag_exits_2_before_writing(self, out, tmp_path, flags, capsys):
         output = tmp_path / "mix.jsonl"
@@ -624,6 +632,101 @@ class TestOutputRoot:
                        "--batch-size", "16", "--hidden-dim", "8", "--seeds", "1") == 0
         assert run_ids(explicit)
         assert not os.path.isdir(str(tmp_path / "ignored"))
+
+
+class _FailingFile:
+    """A file whose first write puts half its text on disk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        self.fh.write(text[:len(text) // 2])
+        self.fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrites:
+    """Every file a command writes replaces its path only once complete."""
+
+    @pytest.mark.parametrize("command, name", [("gen-data", "d.jsonl"),
+                                               ("gen-data", "report.json"),
+                                               ("train", "seed0.json")],
+                             ids=["dataset", "report-json", "checkpoint"])
+    def test_a_failed_write_leaves_the_earlier_file_and_no_tmp(
+            self, out, tmp_path, data_file, monkeypatch, command, name, capsys):
+        flags = {"gen-data": ("--classes", "2", "--dim", "2", "--per-class", "5",
+                              "--output", str(tmp_path / "d.jsonl")),
+                 "train": ("--data", data_file, "--objective", "ce", "--epochs", "1",
+                           "--patience", "1", "--hidden-dim", "4", "--seeds", "1")}[command]
+        assert run_cli(command, "--out", out, *flags) == 0
+        [path] = [os.path.join(d, name) for d, _, files in os.walk(tmp_path) if name in files]
+        before = open(path, "rb").read()
+        real_open = builtins.open
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            written = any(flag in mode for flag in "wax+")
+            return _FailingFile(fh) if written and os.path.basename(file).startswith(name) else fh
+
+        monkeypatch.setattr(builtins, "open", failing_open)
+        assert run_cli(command, "--out", out, *flags) == cli.EXIT_DATA
+        monkeypatch.undo()
+        assert "No space left on device" in capsys.readouterr().err
+        assert open(path, "rb").read() == before
+        assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
+
+    def test_gen_data_makes_the_output_directory(self, out, tmp_path):
+        output = tmp_path / "new" / "deeper" / "mix.jsonl"
+        assert run_cli("gen-data", "--out", out, "--classes", "2", "--dim", "2",
+                       "--per-class", "5", "--output", str(output)) == 0
+        assert dataio.load(str(output)).num_rows == 10
+
+
+def _write_mode_open(call: ast.Call) -> bool:
+    """A call of `open` (or an `.open` method) whose mode writes, or is not a literal."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    position = 1 if isinstance(func, ast.Name) or ast.unparse(func) == "io.open" else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[position:position + 1]
+    if not modes:  # the default mode reads
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not any(flag in mode.value for flag in "wax+"))
+
+
+def test_files_are_written_and_phases_timed_in_one_place():
+    """In `spc`, `os.replace` and a write-mode `open` occur only in
+    `data.write_atomic`, and `time.perf_counter` only in `trainer.timed`."""
+    package = pathlib.Path(cli.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module in ("os", "time"):
+                    found += [f"{owner}: from {node.module} import {alias.name}"
+                              for alias in node.names
+                              if alias.name in ("replace", "rename", "perf_counter")]
+                elif isinstance(node, ast.Attribute) and ast.unparse(node) in (
+                        "os.replace", "os.rename", "time.perf_counter"):
+                    found.append(f"{owner}: {ast.unparse(node)}")
+                elif isinstance(node, ast.Call) and _write_mode_open(node):
+                    found.append(f"{owner}: open for writing")
+    assert found == ["data.write_atomic: open for writing", "data.write_atomic: os.replace",
+                     "trainer.timed: time.perf_counter", "trainer.timed: time.perf_counter"]
 
 
 class TestObjectiveChoices:
@@ -1198,7 +1301,10 @@ class TestLoadTiming:
         argv, results_sha256 = TEXT_COMMANDS[command]
         assert run_cli(*argv, "--out", "out") == 0
         report = read_report("out", _single_run_id("out"))
-        assert report["timing"]["load_s"] >= 0.0
+        keys = {"train": ["load_s", "wall_clock"],
+                "repr-quality": ["kmeans_s", "load_s", "silhouette_s"]}.get(command, ["load_s"])
+        assert sorted(report["timing"]) == keys
+        assert all(value >= 0.0 for value in report["timing"].values())
         payload = json.dumps(report["results"], sort_keys=True).encode("utf-8")
         assert hashlib.sha256(payload).hexdigest() == results_sha256
 
