@@ -1,45 +1,31 @@
 """Command-line entry point for the full experimental protocol.
 
 Commands: gen-data, train, eval, sweep, noise-study, ratio-study, ood,
-repr-quality, report. Every run writes its artifacts under
-<out-root>/<run-id>/, each with `data.write_atomic`, and times its phases
-with `trainer.timed`. The run id is a short hash of the command, the
-resolved TrainConfig of every objective it trains (see `run_inputs`), the
-content hash of each input file, the featurizer settings and the command's
-extras (seeds, grids, ratios). Invocations that differ in any effective
-input get different ids, and re-running one reproduces the same directory
-with byte-identical result numbers. The output root comes from --out or
-the SPC_OUT environment variable (default ./out). Input dataset files are
-never modified. This module holds flags, run directories and printing
-only: the training flags and --config keys are the TrainConfig and
-ObjectiveConfig fields (see `train_defaults`), and the protocols live in
-`spc.trainer`. A run's task is its objective's, its checkpoint's for eval
-and repr-quality (one output is regression), and classification for ood.
-eval loads only its --split rows of --data, repr-quality only the test
-rows, and ood only the test rows of --target; every other load holds the
-whole file (see `data.load`, which checks every row either way).
+repr-quality, report. Every command but report runs one sequence: its
+handler computes a `Run` (the inputs its run id hashes, its results, a
+headline, report.csv rows, checkpoints and the count of diverged seeds),
+and `main` hands it to `finish_run`, which names the run and writes its
+files under <out-root>/<run-id>/ (each with `data.write_atomic`) and a
+manifest.json that hashes exactly those files; `main` then prints
+`run <id>: <headline>` and sets the exit code. Phases are timed with
+`trainer.timed`. The run id is a short hash of the command, the resolved
+TrainConfig of every objective it trains (see `run_inputs`), the content
+hash of each input file, the featurizer settings and the command's extras
+(seeds, grids, ratios). Invocations that differ in any effective input get
+different ids, and re-running one reproduces the same directory with
+byte-identical result numbers. The output root comes from --out or a
+non-empty SPC_OUT environment variable (default ./out). Input dataset
+files are never modified. This module holds flags, run directories and
+printing only: the training flags and --config keys are the TrainConfig
+and ObjectiveConfig fields (see `train_defaults`), and the protocols live
+in `spc.trainer`. A run's task is its objective's, its checkpoint's for
+eval and repr-quality (one output is regression), and classification for
+ood. eval loads only its --split rows of --data, repr-quality only the
+test rows, and ood only the test rows of --target; every other load holds
+the whole file (see `data.load`, which checks every row either way).
 
-Exit codes: 0 success, 2 bad flags (values that do not resolve into a run:
-empty or malformed seed, objective, grid or ratio lists, negative or
-repeated seeds, ratios outside the study's range ([0, 1] for noise, (0, 1]
-for ratio), study objectives of two tasks, a negative or non-finite weight
-(a flag or a sweep grid value), learning rate or weight decay, a zero
-hidden or latent width, batch size below 2, patience above epochs,
---hash-dim below 2, a --hash-seed outside [0, 2**64), --config values of
-the wrong type, an output root that cannot be a directory (a file, or a
-path below one); caught before any dataset is read; gen-data values that
-make no mixture or a negative seed, caught before anything is written), 3
-data errors (missing, unreadable or malformed inputs: a directory, a byte
-that is not UTF-8, a --config that is not a json object, a run's
-manifest.json or report.json that report cannot read as a json object with
-its keys; unusable checkpoints or ones whose input or output width does
-not fit the dataset, tensors whose shapes disagree with the checkpoint
-arch, empty splits, a regression split of one row, a repr-quality test
-split with fewer rows than classes, a study ratio that leaves a train
-class empty; each caught before any training), 4 a diverged seed (a
-non-finite loss, gradient or validation score), after the report is
-written (train's summary and each sweep or study row count them, ood flags
-each seed).
+Exit codes: 0 success, 2 bad flags, 3 data errors, 4 a diverged seed
+(after the run is written); README's exit-code paragraphs list every case.
 """
 
 from __future__ import annotations
@@ -59,7 +45,6 @@ from .data import DataError, Dataset, write_atomic
 from .encoder import EncoderParams, load_checkpoint, save_checkpoint
 from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, WEIGHTS, ObjectiveConfig
 from .trainer import (
-    RunReport,
     TrainConfig,
     cell_objective,
     evaluate_split,
@@ -84,7 +69,7 @@ FLAG_NAMES = {"learning_rate": "lr"}
 
 
 def out_root(args) -> str:
-    return args.out or os.environ.get("SPC_OUT", "out")
+    return args.out or os.environ.get("SPC_OUT") or "out"
 
 
 def check_out_root(args) -> None:
@@ -194,16 +179,19 @@ def run_inputs(args, files: dict[str, str], configs: Sequence[TrainConfig] = (),
     return inputs
 
 
-def start_run(args, command: str, inputs: dict) -> tuple[str, dict]:
-    """Name the run; returns (run_dir, manifest skeleton).
+@dataclasses.dataclass
+class Run:
+    """What a command computed, for `main` to name, write, print and exit:
+    the inputs its run id hashes (see `run_inputs`), its results, the
+    headline printed after the run id, the report.csv rows (none: no
+    report.csv), its checkpoints by file name and how many seeds diverged."""
 
-    The directory is created when the first artifact is written, so a run
-    that fails before that leaves nothing behind.
-    """
-    manifest = {"command": command, "inputs": inputs}
-    payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    manifest["run_id"] = run_id = hashlib.sha256(payload).hexdigest()[:12]
-    return os.path.join(out_root(args), run_id), manifest
+    inputs: dict
+    results: dict
+    headline: str
+    rows: list[dict]
+    checkpoints: dict[str, EncoderParams]
+    diverged: int
 
 
 def _write_csv(path: str, rows: list[dict]) -> None:
@@ -214,22 +202,29 @@ def _write_csv(path: str, rows: list[dict]) -> None:
         writer.writerows(rows)
 
 
-def finish_run(run_dir: str, manifest: dict, results: dict,
-               csv_rows: list[dict] | None = None, timing: dict | None = None) -> None:
-    """Write report.json, report.csv (given rows) and manifest.json, atomically."""
+def finish_run(args, run: Run, timing: dict) -> str:
+    """Name `run` by a hash of its command and inputs and write it to
+    <out-root>/<run-id>/: each checkpoint under ckpt/, report.json,
+    report.csv (given rows) and a manifest.json that hashes exactly those
+    files. Returns the run id. The directory is made by the first write, so
+    a command that fails before this leaves nothing behind."""
+    manifest = {"command": args.command, "inputs": run.inputs}
+    payload = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    manifest["run_id"] = run_id = hashlib.sha256(payload).hexdigest()[:12]
+    run_dir = os.path.join(out_root(args), run_id)
+    names = [f"ckpt/{name}" for name in run.checkpoints] + ["report.json"]
+    for name, model in run.checkpoints.items():
+        save_checkpoint(os.path.join(run_dir, "ckpt", name), model)
     with write_atomic(os.path.join(run_dir, "report.json")) as fh:
-        fh.write(json.dumps({"results": results, "timing": timing or {}},
+        fh.write(json.dumps({"results": run.results, "timing": timing},
                             indent=2, sort_keys=True))
-    names = ["report.json"]
-    if csv_rows:
-        _write_csv(os.path.join(run_dir, "report.csv"), csv_rows)
+    if run.rows:
+        _write_csv(os.path.join(run_dir, "report.csv"), run.rows)
         names.append("report.csv")
-    ckpt_dir = os.path.join(run_dir, "ckpt")
-    if os.path.isdir(ckpt_dir):
-        names += [f"ckpt/{name}" for name in sorted(os.listdir(ckpt_dir))]
     manifest["artifacts"] = {name: file_sha256(os.path.join(run_dir, name)) for name in names}
     with write_atomic(os.path.join(run_dir, "manifest.json")) as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True))
+    return run_id
 
 
 def _load_dataset(args, task: str, timing: dict, path: str | None = None,
@@ -323,7 +318,7 @@ STUDIES = {"noise-study": ("inject_label_noise", "0.1,0.2,0.3", "label-noise rob
 
 # --- command handlers ---
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args, timing: dict) -> Run:
     try:
         ds = dataio.gen_mixture(args.classes, args.dim, args.per_class, args.sep, args.seed)
     except DataError as err:  # every gen_mixture argument is a flag
@@ -332,70 +327,40 @@ def cmd_gen_data(args) -> int:
     dataio.save(ds, path)
     inputs = {"classes": args.classes, "dim": args.dim, "per_class": args.per_class,
               "sep": args.sep, "seed": args.seed, "output": path}
-    run_dir, manifest = start_run(args, "gen-data", inputs)
-    finish_run(run_dir, manifest, {
-        "rows": ds.num_rows, "features": ds.num_features,
-        "classes": ds.num_classes, "dataset_sha256": file_sha256(path),
-    })
-    print(f"wrote {ds.num_rows} rows to {path}")
-    return EXIT_OK
+    results = {"rows": ds.num_rows, "features": ds.num_features,
+               "classes": ds.num_classes, "dataset_sha256": file_sha256(path)}
+    return Run(inputs, results, f"wrote {ds.num_rows} rows to {path}", [], {}, 0)
 
 
-def _seed_reports_artifacts(run_dir: str, reports: list[RunReport]) -> list[dict]:
-    rows = []
-    for report in reports:
-        save_checkpoint(os.path.join(run_dir, "ckpt", f"seed{report.seed}.json"), report.model)
-        row = {"seed": report.seed, "best_epoch": report.best_epoch,
-               "epochs_ran": report.epochs_ran, "diverged": report.diverged}
-        for name, value in report.test_metrics.items():
-            if isinstance(value, float):
-                row[f"test_{name}"] = value
-        rows.append(row)
-    return rows
-
-
-def _exit_code(rows: list[dict]) -> int:
-    """Exit 4, with a warning, once a report with a diverged seed is written."""
-    if any(row["diverged"] for row in rows):
-        print("warning: at least one seed diverged", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
-
-
-def cmd_train(args) -> int:
+def cmd_train(args, timing: dict) -> Run:
     [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
-    timing: dict = {}
     dataset = _load_dataset(args, cfg.objective.task, timing)
-    run_dir, manifest = start_run(args, "train", run_inputs(
-        args, {"data": data_path(args)}, [cfg], seeds=seeds))
+    inputs = run_inputs(args, {"data": data_path(args)}, [cfg], seeds=seeds)
     with timed(timing, "wall_clock"):
         reports = train_jobs((dataset, cfg, seed) for seed in seeds)
-    rows = _seed_reports_artifacts(run_dir, reports)
-    results = {
-        "summary": summarize(reports),
-        "per_seed": [r.results_dict() for r in reports],
-    }
-    finish_run(run_dir, manifest, results, csv_rows=rows, timing=timing)
-    summary = results["summary"]
-    print(f"run {manifest['run_id']}: {summary['metric']} = "
-          f"{summary['mean']:.4f} +/- {summary['std']:.4f} over seeds {seeds}")
-    return _exit_code([summary])
+    summary = summarize(reports)
+    rows = [{"seed": r.seed, "best_epoch": r.best_epoch, "epochs_ran": r.epochs_ran,
+             "diverged": r.diverged,
+             **{f"test_{name}": value for name, value in r.test_metrics.items()
+                if isinstance(value, float)}} for r in reports]
+    return Run(inputs, {"summary": summary, "per_seed": [r.results_dict() for r in reports]},
+               f"{summary['metric']} = {summary['mean']:.4f} +/- {summary['std']:.4f} "
+               f"over seeds {seeds}",
+               rows, {f"seed{r.seed}.json": r.model for r in reports}, summary["diverged"])
 
 
-def cmd_eval(args) -> int:
-    timing: dict = {}
+def cmd_eval(args, timing: dict) -> Run:
     model, dataset = _load_checkpoint(args, timing, args.split)
     dataset.require_rows(args.split)
     metrics = evaluate_split(model, dataset, args.split)
-    run_dir, manifest = start_run(args, "eval", run_inputs(
-        args, {"ckpt": args.ckpt, "data": data_path(args)}, split=args.split, task=dataset.task))
-    finish_run(run_dir, manifest, {"metrics": metrics}, timing=timing)
-    print(json.dumps(metrics, indent=2, sort_keys=True))
-    return EXIT_OK
+    inputs = run_inputs(args, {"ckpt": args.ckpt, "data": data_path(args)},
+                        split=args.split, task=dataset.task)
+    return Run(inputs, {"metrics": metrics},
+               "\n" + json.dumps(metrics, indent=2, sort_keys=True), [], {}, 0)
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, timing: dict) -> Run:
     # the grid sets every weight of each cell, so only the kind and the
     # batch-entropy input come from the flags
     [cfg] = _train_configs(args, [args.objective], weights=False)
@@ -408,20 +373,18 @@ def cmd_sweep(args) -> int:
         [cell_objective(cfg.objective, beta, gamma) for beta in betas for gamma in gammas]
     except ValueError as err:
         raise UsageError(f"--betas/--gammas: {err}") from None
-    timing: dict = {}
     dataset = _load_dataset(args, cfg.objective.task, timing)
-    run_dir, manifest = start_run(args, "sweep", run_inputs(
-        args, {"data": data_path(args)}, [cfg], betas=betas, gammas=gammas, seeds=seeds))
+    inputs = run_inputs(args, {"data": data_path(args)}, [cfg],
+                        betas=betas, gammas=gammas, seeds=seeds)
     result = sweep(dataset, cfg, betas, gammas, seeds)
-    finish_run(run_dir, manifest, dataclasses.asdict(result), csv_rows=result.rows,
-               timing=timing)
     # the best cell has the highest mean validation score (see trainer.sweep)
-    print(f"run {manifest['run_id']}: best beta={result.best_beta} gamma={result.best_gamma} "
-          f"(val {max(row['val_mean'] for row in result.rows):.4f})")
-    return _exit_code(result.rows)
+    return Run(inputs, dataclasses.asdict(result),
+               f"best beta={result.best_beta} gamma={result.best_gamma} "
+               f"(val {max(row['val_mean'] for row in result.rows):.4f})",
+               result.rows, {}, sum(row["diverged"] for row in result.rows))
 
 
-def cmd_study(args) -> int:
+def cmd_study(args, timing: dict) -> Run:
     """noise-study and ratio-study: one table per perturbation in STUDIES."""
     perturb = STUDIES[args.command][0]
     kinds = [k.strip() for k in args.objectives.split(",") if k.strip()]
@@ -436,51 +399,43 @@ def cmd_study(args) -> int:
     except DataError as err:
         raise UsageError(f"--ratios: {err}") from None
     seeds = parse_seeds(args.seeds)
-    timing: dict = {}
     dataset = _load_dataset(args, cfg.objective.task, timing)
-    run_dir, manifest = start_run(args, args.command, run_inputs(
-        args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds))
+    inputs = run_inputs(args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds)
     rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, perturb)
-    csv_rows = [{k: v for k, v in row.items() if k != "values"} for row in rows]
-    finish_run(run_dir, manifest, {"rows": rows}, csv_rows=csv_rows, timing=timing)
     label, row_key = args.command.split("-")[0], dataio.RATIOS[perturb][0]
-    for row in rows:
-        print(f"{row['objective']:>8} @ {label} {row[row_key]}: "
-              f"{row['mean']:.4f} +/- {row['std']:.4f}")
-    return _exit_code(rows)
+    headline = "".join(f"\n{row['objective']:>8} @ {label} {row[row_key]}: "
+                       f"{row['mean']:.4f} +/- {row['std']:.4f}" for row in rows)
+    return Run(inputs, {"rows": rows}, headline,
+               [{k: v for k, v in row.items() if k != "values"} for row in rows], {},
+               sum(row["diverged"] for row in rows))
 
 
-def cmd_ood(args) -> int:
+def cmd_ood(args, timing: dict) -> Run:
     [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
-    timing: dict = {}
     source = _load_dataset(args, "classification", timing, args.source)
     target = _load_dataset(args, "classification", timing, args.target, splits=("test",))
     mapping = dataio.read_label_mapping(args.mapping)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
-    run_dir, manifest = start_run(args, "ood", run_inputs(args, files, [cfg], seeds=seeds))
+    inputs = run_inputs(args, files, [cfg], seeds=seeds)
     results = ood_run(source, target, mapping, cfg, seeds)
-    finish_run(run_dir, manifest, results, timing=timing)
-    print(f"run {manifest['run_id']}: target macro_f1 = {results['mean']:.4f} "
-          f"+/- {results['std']:.4f} ({results['evaluated_rows']} rows evaluated, "
-          f"{results['excluded_rows']} excluded)")
-    return _exit_code(results["per_seed"])
+    return Run(inputs, results,
+               f"target macro_f1 = {results['mean']:.4f} +/- {results['std']:.4f} "
+               f"({results['evaluated_rows']} rows evaluated, "
+               f"{results['excluded_rows']} excluded)",
+               [], {}, sum(r["diverged"] for r in results["per_seed"]))
 
 
-def cmd_repr_quality(args) -> int:
+def cmd_repr_quality(args, timing: dict) -> Run:
     seeds = parse_seeds(args.seeds)
-    timing: dict = {}
     model, dataset = _load_checkpoint(args, timing, "test")
-    run_dir, manifest = start_run(args, "repr-quality", run_inputs(
-        args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds))
+    inputs = run_inputs(args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds)
     results = representation_quality(model, dataset, seeds, timing)
-    finish_run(run_dir, manifest, results, timing=timing)
-    print(f"silhouette median {results['silhouette_median']:.4f}, "
-          f"ari median {results['ari_median']:.4f}")
-    return EXIT_OK
+    return Run(inputs, results, f"silhouette median {results['silhouette_median']:.4f}, "
+                                f"ari median {results['ari_median']:.4f}", [], {}, 0)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, timing: dict) -> None:
     root = out_root(args)
     rows = []
     if os.path.isdir(root):
@@ -503,13 +458,12 @@ def cmd_report(args) -> int:
             })
     if not rows:
         print(f"no runs found under {root}")
-        return EXIT_OK
+        return
     path = os.path.join(root, "summary.csv")
     _write_csv(path, rows)
     for row in rows:
         print(f"{row['run_id']}  {row['command']:<12} {row['metric']} {row['mean']}")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
 def _add_common(parser: argparse.ArgumentParser, with_data: bool = True) -> None:
@@ -566,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     _add_common(p)
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=dataio.SPLITS)
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("sweep", help="grid-search beta/gamma (or the ce_cp penalty weight)")
@@ -622,7 +576,18 @@ def main(argv=None) -> int:
                 raise UsageError(f"--hash-dim/--hash-seed: {err}") from None
         if hasattr(args, "epochs"):
             resolve_train_args(args)
-        return args.handler(args)
+        timing: dict = {}
+        run = args.handler(args, timing)
+        if run is None:  # report prints its own table
+            return EXIT_OK
+        run_id = finish_run(args, run, timing)
+        # eval's metrics and a study's rows start on the line below the run id
+        sep = "" if run.headline.startswith("\n") else " "
+        print(f"run {run_id}:{sep}{run.headline}")
+        if run.diverged:
+            print("warning: at least one seed diverged", file=sys.stderr)
+            return EXIT_DIVERGED
+        return EXIT_OK
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

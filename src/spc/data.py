@@ -418,18 +418,24 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
 
 @contextlib.contextmanager
 def write_atomic(path: str):
-    """A UTF-8 text file (newline="") on `path + ".tmp"`, in a parent made if
-    missing, moved onto `path` when the block ends; on any failure it is
-    removed instead, so an earlier file at `path` stays as it was."""
+    """A UTF-8 text file (newline="") on a temporary name of its own beside
+    `path` (`<path>.<n>.tmp`, the first n no other writer holds), in a parent
+    made if missing, moved onto `path` when the block ends; on any failure it
+    is removed instead, so an earlier file at `path` stays as it was, and two
+    writers of one path each move one whole file onto it."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    tmp = path + ".tmp"
+    for n in itertools.count():
+        tmp = f"{path}.{n}.tmp"
+        with contextlib.suppress(FileExistsError):
+            fh = open(tmp, "x", encoding="utf-8", newline="")
+            break
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):  # the write failed
-            os.remove(tmp)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def save(ds: Dataset, path: str) -> None:

@@ -633,6 +633,13 @@ class TestOutputRoot:
         assert run_ids(explicit)
         assert not os.path.isdir(str(tmp_path / "ignored"))
 
+    def test_an_empty_env_var_means_unset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SPC_OUT", "")
+        assert run_cli("gen-data", "--classes", "2", "--dim", "2", "--per-class", "5") == 0
+        assert os.listdir(tmp_path) == ["out"]
+        assert len(run_ids("out")) == 1 and os.path.isfile("out/data/mixture.jsonl")
+
 
 class _FailingFile:
     """A file whose first write puts half its text on disk, then fails."""
@@ -682,6 +689,17 @@ class TestAtomicWrites:
         assert open(path, "rb").read() == before
         assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
 
+    def test_two_writers_of_one_path_each_move_a_whole_file(self, tmp_path):
+        path = str(tmp_path / "f.txt")
+        with dataio.write_atomic(path) as first:
+            first.write("AAAA")
+            with dataio.write_atomic(path) as second:
+                second.write("BBBBBB")
+            assert open(path).read() == "BBBBBB"
+            first.write("AAAAAA")
+        assert open(path).read() == "AAAAAAAAAA"
+        assert os.listdir(tmp_path) == ["f.txt"]
+
     def test_gen_data_makes_the_output_directory(self, out, tmp_path):
         output = tmp_path / "new" / "deeper" / "mix.jsonl"
         assert run_cli("gen-data", "--out", out, "--classes", "2", "--dim", "2",
@@ -727,6 +745,93 @@ def test_files_are_written_and_phases_timed_in_one_place():
                     found.append(f"{owner}: open for writing")
     assert found == ["data.write_atomic: open for writing", "data.write_atomic: os.replace",
                      "trainer.timed: time.perf_counter", "trainer.timed: time.perf_counter"]
+
+
+SEQUENCE_FLAGS = ("--epochs", "1", "--patience", "1", "--batch-size", "16",
+                  "--hidden-dim", "4", "--seeds", "2")
+
+# every command that writes a run, and the files its run directory holds
+# besides manifest.json
+SEQUENCE_CASES = {
+    "gen-data": (("gen-data", "--classes", "2", "--dim", "2", "--per-class", "5",
+                  "--output", "d.jsonl"), ["report.json"]),
+    "train": (("train", "--data", "mix.jsonl", "--objective", "ce", *SEQUENCE_FLAGS),
+              ["ckpt/seed0.json", "ckpt/seed1.json", "report.csv", "report.json"]),
+    "eval": (("eval", "--data", "mix.jsonl", "--ckpt", "ckpt.json"), ["report.json"]),
+    "sweep": (("sweep", "--data", "mix.jsonl", "--betas", "0.1", "--gammas", "0.1",
+               *SEQUENCE_FLAGS), ["report.csv", "report.json"]),
+    "noise-study": (("noise-study", "--data", "mix.jsonl", "--objectives", "ce",
+                     "--ratios", "0.1,0.2", *SEQUENCE_FLAGS), ["report.csv", "report.json"]),
+    "ratio-study": (("ratio-study", "--data", "mix.jsonl", "--objectives", "ce",
+                     "--ratios", "0.5", *SEQUENCE_FLAGS), ["report.csv", "report.json"]),
+    "ood": (("ood", "--source", "mix.jsonl", "--target", "mix.jsonl", "--mapping", "map.csv",
+             "--objective", "ce", *SEQUENCE_FLAGS), ["report.json"]),
+    "repr-quality": (("repr-quality", "--data", "mix.jsonl", "--ckpt", "ckpt.json",
+                      "--seeds", "1"), ["report.json"]),
+}
+
+
+class TestRunSequence:
+    """Every command that writes a run prints `run <id>:` first, names the one
+    directory it wrote, and its manifest lists exactly the files it wrote."""
+
+    @pytest.fixture(autouse=True)
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save(gen_mixture(2, 8, 50, 4.0, seed=200), "mix.jsonl")
+        (tmp_path / "map.csv").write_text("source_label,target_label\n0,0\n1,1\n")
+        save_checkpoint("ckpt.json", init_encoder(8, 4, 2, rng=0))
+
+    @staticmethod
+    def artifacts(run_dir):
+        with open(os.path.join(run_dir, "manifest.json"), encoding="utf-8") as fh:
+            return sorted(json.load(fh)["artifacts"])
+
+    @pytest.mark.parametrize("command", list(SEQUENCE_CASES))
+    def test_run_line_directory_and_manifest(self, command, capsys):
+        argv, files = SEQUENCE_CASES[command]
+        assert run_cli(*argv, "--out", "out") == 0
+        lines = capsys.readouterr().out.splitlines()
+        [run_id] = os.listdir("out")
+        assert lines[0] == f"run {run_id}:" or lines[0].startswith(f"run {run_id}: ")
+        run_dir = os.path.join("out", run_id)
+        written = sorted(os.path.relpath(os.path.join(d, f), run_dir)
+                         for d, _, names in os.walk(run_dir) for f in names)
+        assert written == sorted(files + ["manifest.json"])
+        assert self.artifacts(run_dir) == files
+        if command == "eval":  # the metrics follow the run line as json
+            metrics = read_report("out", run_id)["results"]["metrics"]
+            assert json.loads("\n".join(lines[1:])) == metrics
+        # a stray file in ckpt/ is not an artifact of the rerun
+        stray = os.path.join(run_dir, "ckpt", "seed0.json.0.tmp")
+        os.makedirs(os.path.dirname(stray), exist_ok=True)
+        open(stray, "w").close()
+        assert run_cli(*argv, "--out", "out") == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith(f"run {run_id}:")
+        assert self.artifacts(run_dir) == files
+
+    def test_a_study_prints_each_row_on_its_own_line(self, capsys):
+        argv, _ = SEQUENCE_CASES["noise-study"]
+        assert run_cli(*argv, "--out", "out") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"run {_single_run_id('out')}:"
+        assert [line.split(":")[0] for line in lines[1:]] == [
+            "      ce @ noise 0.1", "      ce @ noise 0.2"]
+
+
+def test_only_main_finishes_and_prints_a_run():
+    """No command handler but report's prints, writes a checkpoint or
+    finishes a run; `main` does, once."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    calls = {top.name: [ast.unparse(node.func) for node in ast.walk(top)
+                        if isinstance(node, ast.Call)]
+             for top in tree.body if isinstance(top, ast.FunctionDef)}
+    once = ("finish_run", "save_checkpoint", "print")
+    assert [name for name, called in calls.items()
+            if name.startswith("cmd_") and set(once) & set(called)] == ["cmd_report"]
+    assert [name for name, called in calls.items() if "finish_run" in called] == ["main"]
+    assert [name for name, called in calls.items() if "save_checkpoint" in called] == \
+        ["finish_run"]
 
 
 class TestObjectiveChoices:
