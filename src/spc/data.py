@@ -11,7 +11,9 @@ jsonl: one object per line with either "features": [floats] or
   label, must read as a finite float64 (not NaN, an infinity, or a number
   beyond the float64 range). Rows are checked as they are read, so the
   first fault in the file is the one reported. A load holds one N x D
-  float64 array plus one row (and, for text rows, the texts).
+  float64 array plus one row, or for text rows at most one block of
+  TEXT_BLOCK_DOCS texts, which are featurized into their rows of that
+  array as the block fills.
 
 A load may keep only some splits (`load(..., splits=("test",))`): every
 row is still parsed and checked in file order, and every label still gets
@@ -47,6 +49,9 @@ import numpy as np
 SPLITS = ("train", "val", "test")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+# kept texts `load` holds before it featurizes them into their rows
+TEXT_BLOCK_DOCS = 1024
 
 
 class DataError(ValueError):
@@ -135,7 +140,7 @@ def check_featurizer(dim: int, seed: int) -> None:
         raise DataError(f"hash_seed must be in [0, 2**64), got {seed}")
 
 
-def hash_featurize(texts, dim: int, seed: int = 0) -> np.ndarray:
+def hash_featurize(texts, dim: int, seed: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Signed hashing of unigram+bigram counts into `dim` buckets, L2-normalized.
 
     Exact recipe (stable across runs and platforms): tokens are lowercased
@@ -146,12 +151,21 @@ def hash_featurize(texts, dim: int, seed: int = 0) -> np.ndarray:
     +1 if bit 63 of h is 0 else -1; signed counts are accumulated and each
     row is L2-normalized (all-zero rows stay zero).
 
-    Each distinct n-gram is hashed once per call (see `_ngram_counts`). The
-    counts are small integers, so their sums and squared norms are exact in
-    any order.
+    The rows are written into `out` (a C-contiguous float64 array of shape
+    (len(texts), dim), such as a slice of rows of a larger array) if given,
+    else into a new array, and that array is returned. Each distinct n-gram
+    is hashed once per call (see `_ngram_counts`). A row depends only on its
+    own n-grams: the counts are small integers, so their sums and squared
+    norms are exact in any order, and texts featurized in several calls give
+    the bits of one call.
     """
     check_featurizer(dim, seed)
-    out = _ngram_counts(texts, dim, seed)
+    if out is None:
+        out = np.empty((len(texts), dim))
+    elif out.shape != (len(texts), dim) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"({len(texts)}, {dim}), got {out.dtype} {out.shape}")
+    _ngram_counts(texts, dim, seed, out)
     norm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
     np.divide(out, norm, out=out, where=norm > 0)
     return out
@@ -165,9 +179,9 @@ class _Vocabulary(dict):
         return new_id
 
 
-def _ngram_counts(texts, dim: int, seed: int) -> np.ndarray:
-    """The (len(texts), dim) float64 signed n-gram counts, in a few array
-    passes.
+def _ngram_counts(texts, dim: int, seed: int, out: np.ndarray) -> None:
+    """Zero `out`, a C-contiguous (len(texts), dim) float64 array, and count
+    the signed n-grams of `texts` into it, in a few array passes.
 
     Tokens stream into one int64 array of vocabulary ids. A bigram is a pair
     of neighbouring ids in the same document, coded as id_a * V + id_b; one
@@ -193,7 +207,7 @@ def _ngram_counts(texts, dim: int, seed: int) -> np.ndarray:
         h.update(ngram.encode("utf-8"))
         return h.digest()
 
-    out = np.zeros((len(texts), dim))
+    out.fill(0.0)
     row_starts = np.arange(len(texts), dtype=np.int64) * dim
 
     def add(ngrams, occurrences: np.ndarray, per_doc: np.ndarray) -> None:
@@ -219,7 +233,6 @@ def _ngram_counts(texts, dim: int, seed: int) -> np.ndarray:
     bigrams = (f"{words[a]} {words[b]}"
                for a, b in zip((pairs // len(words)).tolist(), (pairs % len(words)).tolist()))
     add(bigrams, np.searchsorted(pairs, pair_codes), np.maximum(lengths - 1, 0))
-    return out
 
 
 def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
@@ -334,15 +347,20 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
 
     Each row is checked as it is read, and its features are written straight
     into one (capacity, D) float64 array, sized by `_line_count` before the
-    parse; besides that array, only a label, a split tag and (for text rows)
-    the text of each row are kept.
+    parse; besides that array, only a label and a split tag of each row are
+    kept. Text rows are hashed into D = `hash_dim` columns (after
+    `check_featurizer`): their texts are held until TEXT_BLOCK_DOCS of them
+    are kept, then one `hash_featurize` call writes the block into its rows
+    and the texts are dropped; the last, partial block is featurized the
+    same way after the parse.
 
     `splits` (default: all of SPLITS) names the splits whose rows the
     dataset holds. Every row is still parsed and checked in file order,
     and every label still gets its class code; a row of another split only
     skips its write into the array (or, for text, its featurizing), its
     target and its tag. A hashed row depends on its own n-grams alone, so
-    each kept row is bit-equal to the same row of a full load."""
+    each kept row is bit-equal to the same row of a full load, whatever
+    the blocks."""
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
     if task not in ("classification", "regression"):
@@ -356,10 +374,11 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
     if first is None:
         raise DataError(f"{path}: empty dataset")
     has_text = first[3] is not None  # the first row's schema is the file's
-    texts: list[str] = []
-    if not has_text:
-        dim = len(first[4])
-        features = np.empty((_line_count(path), dim))
+    if has_text:
+        check_featurizer(hash_dim, hash_seed)
+    dim = hash_dim if has_text else len(first[4])
+    features = np.empty((_line_count(path), dim))
+    texts: list[str] = []  # the kept texts not yet featurized
     tags: list[str] = []  # the split tag of each kept row
     targets: list = []  # float scores, or class codes in first-seen order
     codes: dict[str, int] = {}  # label -> its class code
@@ -399,9 +418,12 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
                 features[len(tags)] = row
             tags.append(SPLITS[SPLITS.index(tag)])  # one shared str per tag
             targets.append(target)
-
-    features = (hash_featurize(texts, hash_dim, hash_seed) if has_text
-                else features[:len(tags)])
+            if len(texts) == TEXT_BLOCK_DOCS:
+                hash_featurize(texts, dim, hash_seed, out=features[len(tags) - len(texts):len(tags)])
+                texts.clear()
+    if has_text:
+        hash_featurize(texts, dim, hash_seed, out=features[len(tags) - len(texts):len(tags)])
+    features = features[:len(tags)]
     split = np.array(tags, dtype=str)  # a str array also when no row is kept
     if task == "regression":
         return Dataset(features=features, targets=np.array(targets), split=split,
@@ -419,13 +441,17 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
 @contextlib.contextmanager
 def write_atomic(path: str):
     """A UTF-8 text file (newline="") on a temporary name of its own beside
-    `path` (`<path>.<n>.tmp`, the first n no other writer holds), in a parent
-    made if missing, moved onto `path` when the block ends; on any failure it
-    is removed instead, so an earlier file at `path` stays as it was, and two
-    writers of one path each move one whole file onto it."""
+    `path` (`<path>.<pid>.<n>.tmp`: the writer's pid and the first n no other
+    writer holds), in a parent made if missing, moved onto `path` when the
+    block ends; on any failure it is removed instead, so an earlier file at
+    `path` stays as it was, and two writers of one path each move one whole
+    file onto it. A writer killed inside the block leaves its temporary file;
+    the next write of `path` removes it once no process has that pid (as
+    this process sees pids), and never the file of a live writer."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    _remove_stale_temporaries(path)
     for n in itertools.count():
-        tmp = f"{path}.{n}.tmp"
+        tmp = f"{path}.{os.getpid()}.{n}.tmp"
         with contextlib.suppress(FileExistsError):
             fh = open(tmp, "x", encoding="utf-8", newline="")
             break
@@ -436,6 +462,27 @@ def write_atomic(path: str):
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def _remove_stale_temporaries(path: str) -> None:
+    """Remove each `write_atomic` temporary file of `path` whose writer's pid
+    no process has; one that cannot be removed is left."""
+    if os.name != "posix":  # elsewhere os.kill(pid, 0) is not a probe
+        return
+    directory, name = os.path.split(os.path.abspath(path))
+    # pids stay below 2**31, which 9 digits keep to; os.kill rejects larger ones
+    pattern = re.compile(re.escape(name) + r"\.(\d{1,9})\.\d+\.tmp")
+    for entry in os.listdir(directory):
+        match = pattern.fullmatch(entry)
+        if match is None:
+            continue
+        try:
+            os.kill(int(match[1]), 0)
+        except ProcessLookupError:  # no process has the pid
+            with contextlib.suppress(OSError):  # such as another writer removing it first
+                os.remove(os.path.join(directory, entry))
+        except PermissionError:  # a live process of another user
+            pass
 
 
 def save(ds: Dataset, path: str) -> None:

@@ -25,9 +25,8 @@ def confusion_matrix(gold, pred, num_classes: int) -> np.ndarray:
         raise MetricError("empty input")
     if np.any((gold < 0) | (gold >= num_classes) | (pred < 0) | (pred >= num_classes)):
         raise MetricError(f"labels out of range [0, {num_classes})")
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (gold, pred), 1)
-    return cm
+    cells = np.bincount(gold * num_classes + pred, minlength=num_classes * num_classes)
+    return cells.reshape(num_classes, num_classes)
 
 
 def _per_class_stats(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,6 +9,8 @@ import hashlib
 import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -699,6 +701,25 @@ class TestAtomicWrites:
             first.write("AAAAAA")
         assert open(path).read() == "AAAAAAAAAA"
         assert os.listdir(tmp_path) == ["f.txt"]
+
+    def test_the_next_write_removes_a_killed_writers_temporary_file(self, tmp_path):
+        path = str(tmp_path / "f.txt")
+        code = ("import os, sys\n"
+                "from spc import data\n"
+                "with data.write_atomic(sys.argv[1]) as fh:\n"
+                "    fh.write('partial')\n"
+                "    fh.flush()\n"
+                "    os._exit(9)\n")
+        src = os.path.dirname(os.path.dirname(dataio.__file__))
+        killed = subprocess.run([sys.executable, "-c", code, path], timeout=60,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert killed.returncode == 9
+        [stale] = os.listdir(tmp_path)
+        assert stale.startswith("f.txt.") and stale.endswith(".tmp")
+        with dataio.write_atomic(path) as fh:
+            fh.write("whole")
+        assert os.listdir(tmp_path) == ["f.txt"]
+        assert open(path).read() == "whole"
 
     def test_gen_data_makes_the_output_directory(self, out, tmp_path):
         output = tmp_path / "new" / "deeper" / "mix.jsonl"

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import random
@@ -164,6 +165,98 @@ class TestStreamingLoad:
         with open(path, encoding="utf-8") as fh:
             assert len(fh.readlines()) == 12
         assert dataio._line_count(str(path)) == 13
+
+
+class TestBlockedTextLoad:
+    """`load` featurizes text rows a block of TEXT_BLOCK_DOCS kept texts at a
+    time, straight into their rows: every block size gives the bits of one
+    `hash_featurize` call, and the texts held stay one block long."""
+
+    @staticmethod
+    def _write(path, fmt, newline, texts, tags):
+        """`texts` with their tags as jsonl or csv rows, lines ended by
+        `newline`, with a blank line after every fifth row."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            if fmt == "csv":
+                writer = csv.writer(fh, lineterminator=newline)
+                writer.writerow(["text", "label", "split"])
+            for i, (text, tag) in enumerate(zip(texts, tags)):
+                label = "ab"[len(text) % 2]
+                if fmt == "csv":
+                    writer.writerow([text, label, tag])
+                else:
+                    fh.write(json.dumps({"text": text, "label": label, "split": tag}) + newline)
+                if i % 5 == 4:
+                    fh.write(newline)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_every_block_size_gives_the_bits_of_one_call(self, tmp_path, monkeypatch,
+                                                          block, fmt, newline):
+        # the corpus has commas, newlines and empty documents in its texts
+        texts = TestHashFeaturize.seeded_corpus(n_docs=50, seed=23)
+        tags = [("train", "val", "test", "train")[i % 4] for i in range(len(texts))]
+        path = str(tmp_path / f"t.{fmt}")
+        self._write(path, fmt, newline, texts, tags)
+        monkeypatch.setattr(dataio, "TEXT_BLOCK_DOCS", block)
+        for splits in [None, ("train",), ("val",), ("test",), ("val", "test"), ("train", "test")]:
+            kept = set(splits or dataio.SPLITS)
+            ds = load(path, hash_dim=64, hash_seed=5, splits=splits)
+            expected = hash_featurize([t for t, tag in zip(texts, tags) if tag in kept], 64, seed=5)
+            assert ds.features.tobytes() == expected.tobytes()
+            assert ds.split.tolist() == [tag for tag in tags if tag in kept]
+
+    @pytest.mark.parametrize("block", [1, 3, dataio.TEXT_BLOCK_DOCS])
+    def test_the_featurized_documents_are_the_kept_rows(self, tmp_path, monkeypatch, block):
+        texts = TestHashFeaturize.seeded_corpus(n_docs=40, seed=24)
+        tags = [("train", "val", "test")[i % 3] for i in range(len(texts))]
+        path = str(tmp_path / "t.jsonl")
+        self._write(path, "jsonl", "\n", texts, tags)
+        monkeypatch.setattr(dataio, "TEXT_BLOCK_DOCS", block)
+        calls = []
+        real = dataio.hash_featurize
+
+        def counted(texts, *args, **kwargs):
+            calls.append(len(texts))
+            return real(texts, *args, **kwargs)
+
+        monkeypatch.setattr(dataio, "hash_featurize", counted)
+        for splits in [None, ("test",), ("train", "val")]:
+            calls.clear()
+            ds = load(path, hash_dim=16, splits=splits)
+            assert sum(calls) == ds.num_rows == sum(tag in (splits or dataio.SPLITS) for tag in tags)
+            assert max(calls) <= block
+
+    def test_peak_memory_is_one_array_and_one_block(self, tmp_path):
+        texts = TestHashFeaturize.seeded_corpus(n_docs=6 * dataio.TEXT_BLOCK_DOCS, seed=25)
+        path = tmp_path / "long.jsonl"  # no blank lines: capacity is the rows and one
+        path.write_text("".join(json.dumps({"text": text, "label": "ab"[i % 2]}) + "\n"
+                                for i, text in enumerate(texts)))
+        tracemalloc.start()
+        try:
+            ds = load(str(path), hash_dim=256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.features.shape == (len(texts), 256)
+        # featurizing every text in one call peaks near 1.6x the array here
+        assert peak < 1.25 * ds.features.nbytes + 2**21
+
+    @pytest.mark.parametrize("hash_dim", [1, 0, -1])
+    def test_a_hash_dim_below_two_is_a_data_error(self, tmp_path, hash_dim):
+        path = str(tmp_path / "t.jsonl")
+        self._write(path, "jsonl", "\n", ["a b", "c"], ["train", "test"])
+        with pytest.raises(DataError, match=f"hash_dim must be >= 2, got {hash_dim}"):
+            load(path, hash_dim=hash_dim)
+
+    @pytest.mark.parametrize("block", [1, dataio.TEXT_BLOCK_DOCS])
+    def test_a_load_that_keeps_no_row_has_no_feature_rows(self, tmp_path, monkeypatch, block):
+        path = str(tmp_path / "t.jsonl")
+        self._write(path, "jsonl", "\n", ["a b", "cd", "d e f"], ["train", "test", "train"])
+        monkeypatch.setattr(dataio, "TEXT_BLOCK_DOCS", block)
+        ds = load(path, hash_dim=32, splits=("val",))
+        assert ds.features.shape == (0, 32) and ds.features.dtype == np.float64
 
 
 def _split_rows(kind: str, task: str) -> list[dict]:

@@ -447,3 +447,15 @@ class TestConfusionMatrix:
     def test_out_of_range(self):
         with pytest.raises(MetricError):
             confusion_matrix([0, 3], [0, 1], 3)
+
+    def test_counts_equal_those_of_add_at(self):
+        rng = np.random.default_rng(41)
+        for num_classes in (2, 5, 9):
+            present = rng.choice(num_classes, size=max(1, num_classes - 2), replace=False)
+            gold = rng.choice(present, size=300)
+            pred = rng.choice(present, size=300)  # some classes in neither
+            expected = np.zeros((num_classes, num_classes), dtype=np.int64)
+            np.add.at(expected, (gold, pred), 1)
+            cm = confusion_matrix(gold, pred, num_classes)
+            assert cm.dtype == np.int64 and cm.shape == (num_classes, num_classes)
+            assert np.array_equal(cm, expected)
