@@ -117,14 +117,6 @@ class Dataset:
                 raise DataError(f"dataset has {n or 'no'} {split!r} rows; "
                                 f"{self.task} needs at least {self.min_rows}")
 
-    def split_fingerprint(self, split: str) -> str:
-        """Content hash of one split; used to prove perturbations left it alone."""
-        idx = self.indices(split)
-        h = hashlib.sha256()
-        h.update(self.features[idx].tobytes())
-        h.update(np.ascontiguousarray(self.targets[idx]).tobytes())
-        return h.hexdigest()
-
 
 def tokenize(text: str) -> list[str]:
     """Lowercased alphanumeric runs; everything else is a separator."""

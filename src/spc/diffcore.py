@@ -69,9 +69,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
-    def item(self) -> float:
-        return float(self.values)
-
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
             # a fresh array equal to zeros + g bit for bit (-0.0 becomes +0.0)

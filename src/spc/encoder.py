@@ -242,20 +242,27 @@ def load_checkpoint_payload(path: str) -> dict:
 
 def load_checkpoint(path: str) -> EncoderParams:
     """Read a checkpoint. Any malformed content, including a tensor whose
-    shape disagrees with the "arch", is a DataError naming the file."""
+    shape disagrees with the "arch" or that holds a non-finite value, is a
+    DataError naming the file."""
     try:
         payload = load_checkpoint_payload(path)
         kind = payload["kind"]
         if kind not in ARCH_KEYS:
             raise ValueError(f"unknown checkpoint kind {kind!r}")
         arch = {key: payload["arch"][key] for key in ARCH_KEYS[kind]}
+        if not isinstance(arch["use_layer_norm"], bool):
+            raise ValueError(f"arch use_layer_norm must be true or false, "
+                             f"got {arch['use_layer_norm']!r}")
         tensors = {}
         for name, shape in tensor_shapes(arch).items():
             entry = payload["tensors"][name]
             if tuple(entry["shape"]) != shape:
                 raise ValueError(f"tensor {name} has shape {entry['shape']}, "
                                  f"the arch needs {list(shape)}")
-            tensors[name] = param(np.asarray(entry["values"], dtype=np.float64).reshape(shape))
-        return EncoderParams(**tensors, use_layer_norm=bool(arch["use_layer_norm"]))
+            values = np.asarray(entry["values"], dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError(f"tensor {name} holds a non-finite value")
+            tensors[name] = param(values.reshape(shape))
+        return EncoderParams(**tensors, use_layer_norm=arch["use_layer_norm"])
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: not a usable checkpoint ({type(err).__name__}: {err})") from err

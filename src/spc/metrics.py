@@ -40,28 +40,6 @@ def _per_class_stats(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return precision, recall, f1
 
 
-def macro_f1(gold, pred, num_classes: int) -> float:
-    """Unweighted mean of per-class F1 over all `num_classes` classes."""
-    _, _, f1 = _per_class_stats(confusion_matrix(gold, pred, num_classes))
-    return float(f1.mean())
-
-
-def f1_of_class(gold, pred, cls: int) -> float:
-    """F1 = 2PR/(P+R) of one class; 0 when P+R = 0."""
-    gold = np.asarray(gold, dtype=np.int64)
-    pred = np.asarray(pred, dtype=np.int64)
-    num_classes = int(max(gold.max(initial=0), pred.max(initial=0), cls)) + 1
-    if cls < 0:
-        raise MetricError(f"class {cls} out of range")
-    _, _, f1 = _per_class_stats(confusion_matrix(gold, pred, num_classes))
-    return float(f1[cls])
-
-
-def macro_recall(gold, pred, num_classes: int) -> float:
-    _, recall, _ = _per_class_stats(confusion_matrix(gold, pred, num_classes))
-    return float(recall.mean())
-
-
 def pearson(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

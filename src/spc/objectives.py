@@ -62,13 +62,6 @@ OBJECTIVES = {
 }
 CLASSIFICATION_KINDS = tuple(k for k, spec in OBJECTIVES.items() if spec.task == "classification")
 
-_ROW_SUM_TOL = 1e-9
-
-
-class DomainError(ValueError):
-    """Operand values outside a term's domain (e.g. rows that are not a distribution)."""
-
-
 @dataclass
 class ObjectiveConfig:
     """Which loss to optimize and with what trade-off weights.
@@ -157,19 +150,9 @@ def softmax_probs(logits: Tensor) -> Tensor:
     return emit(probs, (logits, lambda g: log_softmax_grad(g * probs, probs)))
 
 
-def task_nll(t: Tensor, y) -> Tensor:
-    """Mean over the batch of -log softmax(t)[i, y[i]]."""
-    y = np.asarray(y)
-    batch, num_classes = t.values.shape
-    if y.shape != (batch,):
-        raise ValueError(f"task_nll: expected {batch} labels, got shape {y.shape}")
-    if np.any((y < 0) | (y >= num_classes)):
-        raise ValueError(f"task_nll: labels out of range [0, {num_classes})")
-    return _task_nll(t, y)
-
-
 def _task_nll(t: Tensor, y: np.ndarray) -> Tensor:
-    """`task_nll` as one op, for B labels already known to lie in [0, C)."""
+    """Mean over the batch of -log softmax(t)[i, y[i]], as one op, for B
+    labels already known to lie in [0, C)."""
     log_probs = log_softmax_values(t.values)
     batch = log_probs.shape[0]
     onehot = np.zeros(log_probs.shape)
@@ -217,21 +200,14 @@ def kl_to_std_normal(code: GaussianCode) -> Tensor:
                 (code.mu, lambda g: spread(g) * mu), (code.mu, lambda g: spread(g) * mu))
 
 
-def _check_rows_normalized(probs: Tensor, op: str) -> None:
-    values = probs.values
-    if values.ndim != 2:
-        raise DomainError(f"{op}: expected a BxC probability matrix, got {values.shape}")
-    if np.any(values < 0.0):
-        raise DomainError(f"{op}: probabilities must be non-negative")
-    row_sums = values.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > _ROW_SUM_TOL):
-        worst = float(np.abs(row_sums - 1.0).max())
-        raise DomainError(f"{op}: rows must sum to 1 (max deviation {worst:.3e})")
-
-
 def _batch_entropy(probs: Tensor) -> Tensor:
-    """`batch_entropy` as one op, for rows known to be non-negative and to
-    sum to 1 (so their column mean is non-negative too)."""
+    """Entropy of the column-mean of a row-stochastic matrix (natural log),
+    as one op, for rows known to be non-negative and to sum to 1.
+
+    By Jensen this upper-bounds the mean per-row entropy; it is maximal
+    (log C) when the batch-averaged class marginal is uniform and 0 when
+    every row concentrates on one shared class.
+    """
     batch = probs.values.shape[0]
     entropy_terms, slope = xlogx_values(probs.values.mean(axis=0, keepdims=True))
     return emit(-entropy_terms.sum(),
@@ -240,27 +216,11 @@ def _batch_entropy(probs: Tensor) -> Tensor:
 
 
 def _confidence_penalty(probs: Tensor) -> Tensor:
-    """`confidence_penalty` as one op, for rows known to be a distribution."""
+    """Negative mean per-row entropy, -(1/B) sum_i H(p_i), in [-log C, 0],
+    as one op, for rows known to be a distribution."""
     c = 1.0 / probs.values.shape[0]
     entropy_terms, slope = xlogx_values(probs.values)
     return emit(entropy_terms.sum() * c, (probs, lambda g: np.full(slope.shape, g * c) * slope))
-
-
-def batch_entropy(probs: Tensor) -> Tensor:
-    """Entropy of the column-mean of a row-stochastic matrix (natural log).
-
-    By Jensen this upper-bounds the mean per-row entropy; it is maximal
-    (log C) when the batch-averaged class marginal is uniform and 0 when
-    every row concentrates on one shared class.
-    """
-    _check_rows_normalized(probs, "batch_entropy")
-    return _batch_entropy(probs)
-
-
-def confidence_penalty(probs: Tensor) -> Tensor:
-    """Negative mean per-row entropy, -(1/B) sum_i H(p_i); in [-log C, 0]."""
-    _check_rows_normalized(probs, "confidence_penalty")
-    return _confidence_penalty(probs)
 
 
 def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTerms:
@@ -271,8 +231,7 @@ def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTe
     is t itself, or the decoder's output. Zero-weight terms are skipped (not
     multiplied by 0), so beta = gamma = 0 with t = mu is plain cross-entropy,
     exactly. `Dataset` checks the labels' range once and the softmax rows
-    are a distribution by construction, so the terms skip the checks of
-    `task_nll`, `batch_entropy` and `confidence_penalty`.
+    are a distribution by construction, so the terms check neither.
     """
     nll = _task_nll(out, y) if cfg.task == "classification" else mse(out, y)
     terms = LossTerms(total=nll, nll=float(nll.values))

@@ -7,7 +7,12 @@ from __future__ import annotations
 import numpy as np
 
 from spc.diffcore import ShapeError, Tensor, _check_broadcast, emit
-from spc.objectives import DomainError, log_softmax_grad, log_softmax_values, xlogx_values
+from spc.objectives import log_softmax_grad, log_softmax_values, xlogx_values
+
+
+class DomainError(ValueError):
+    """Operand values outside an op's domain: `log` of a non-positive value,
+    `xlogx` of a negative one."""
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

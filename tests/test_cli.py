@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import json
 import hashlib
+import math
 import os
 import pathlib
 import random
@@ -528,6 +529,12 @@ class TestOneTrainCallPerRun:
     RUN_FLAGS = ("--epochs", "1", "--patience", "1", "--batch-size", "16",
                  "--hidden-dim", "4", "--seeds", "3,5")
 
+    @staticmethod
+    def train_split(dataset):
+        """The bytes of the train split's features and targets."""
+        rows = dataset.indices("train")
+        return dataset.features[rows].tobytes(), dataset.targets[rows].tobytes()
+
     @pytest.mark.parametrize("argv, cells", [
         (("train", "--objective", "ce"), [("ce", 0.0, 0.0, None, None)]),
         (("sweep", "--objective", "spc", "--betas", "0.01,0.1", "--gammas", "0.1,1"),
@@ -548,7 +555,7 @@ class TestOneTrainCallPerRun:
 
         def counted(dataset, cfg, seed):
             calls.append((cfg.objective.kind, cfg.objective.beta, cfg.objective.gamma, seed,
-                          dataset.split_fingerprint("train")))
+                          self.train_split(dataset)))
             return original(dataset, cfg, seed)
 
         monkeypatch.setattr(trainer, "train", counted)
@@ -561,8 +568,7 @@ class TestOneTrainCallPerRun:
         assert run_cli(*argv, *files, "--out", out, *self.RUN_FLAGS) == 0
         ds = dataio.load(data_file)
         expected = [(kind, beta, gamma, seed,
-                     (getattr(dataio, perturb)(ds, ratio, seed) if perturb else ds)
-                     .split_fingerprint("train"))
+                     self.train_split(getattr(dataio, perturb)(ds, ratio, seed) if perturb else ds))
                     for kind, beta, gamma, perturb, ratio in cells for seed in (3, 5)]
         assert calls == expected
 
@@ -1037,6 +1043,29 @@ class TestBadInputs:
         assert run_cli("eval", "--out", out, "--data", data_file,
                        "--ckpt", ckpt) == cli.EXIT_DATA
         self._one_line_error(capsys, ckpt, "w_mu")
+
+    @pytest.mark.parametrize("command", ["eval", "repr-quality"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_checkpoint_with_a_non_finite_value(self, out, data_file, ckpt, command, value,
+                                                capsys):
+        payload = json.load(open(ckpt))
+        payload["tensors"]["w_in"]["values"][5] = value  # written as NaN, Infinity, -Infinity
+        with open(ckpt, "w") as fh:
+            json.dump(payload, fh)
+        assert run_cli(command, "--out", out, "--data", data_file,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt, "w_in", "non-finite")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_checkpoint_layer_norm_flag_not_a_boolean(self, out, data_file, ckpt, value, capsys):
+        payload = json.load(open(ckpt))
+        payload["arch"]["use_layer_norm"] = value
+        with open(ckpt, "w") as fh:
+            json.dump(payload, fh)
+        assert run_cli("eval", "--out", out, "--data", data_file,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt, "use_layer_norm")
 
     @pytest.mark.parametrize("field, value", [("format_version", 99), ("kind", "mystery")])
     def test_checkpoint_of_unknown_format(self, out, data_file, ckpt, field, value, capsys):

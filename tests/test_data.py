@@ -548,7 +548,9 @@ class TestInjectLabelNoise:
         ds = gen_mixture(3, 4, 50, 2.0, seed=10)
         noisy = inject_label_noise(ds, 0.5, seed=5)
         for split in ("val", "test"):
-            assert ds.split_fingerprint(split) == noisy.split_fingerprint(split)
+            rows, kept = ds.indices(split), noisy.indices(split)
+            assert np.array_equal(ds.features[rows], noisy.features[kept])
+            assert np.array_equal(ds.targets[rows], noisy.targets[kept])
 
     def test_regression_unsupported(self):
         ds = gen_mixture(2, 4, 20, 1.0, seed=11)
@@ -596,7 +598,9 @@ class TestSubsampleTrain:
         ds = gen_mixture(2, 4, 40, 2.0, seed=15)
         sub = subsample_train(ds, 0.25, seed=2)
         for split in ("val", "test"):
-            assert ds.split_fingerprint(split) == sub.split_fingerprint(split)
+            rows, kept = ds.indices(split), sub.indices(split)
+            assert np.array_equal(ds.features[rows], sub.features[kept])
+            assert np.array_equal(ds.targets[rows], sub.targets[kept])
 
     def test_different_seeds_different_subsets(self):
         ds = gen_mixture(2, 4, 200, 2.0, seed=16)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import math
 import pathlib
 
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_diff_grad, max_grad_rel_err, rel_err
-from primitives import add, exp, log, log_softmax, reduce_mean, reduce_sum, relu, scale, sub, xlogx
-import spc.diffcore
+from primitives import (DomainError, add, exp, log, log_softmax, reduce_mean, reduce_sum, relu, scale,
+                        sub, xlogx)
+import spc.data
 from spc.diffcore import (
     GraphError,
     ShapeError,
@@ -21,7 +23,6 @@ from spc.diffcore import (
     param,
     tanh,
 )
-from spc.objectives import DomainError
 
 
 class TestMatmul:
@@ -55,7 +56,7 @@ class TestMatmul:
 
 class TestElementwise:
     def test_exp_zero(self):
-        assert exp(Tensor(0.0)).item() == 1.0
+        assert float(exp(Tensor(0.0)).values) == 1.0
 
     def test_tanh_grad_at_zero(self):
         x = param(np.array([[0.0]]))
@@ -70,7 +71,7 @@ class TestElementwise:
         x = param(np.array([[-3.0]]))
         with Tape() as tape:
             y = reduce_sum(relu(x))
-        assert y.item() == 0.0
+        assert float(y.values) == 0.0
         backward(y, tape)
         assert x.grad[0, 0] == 0.0
 
@@ -157,7 +158,7 @@ class TestLogSoftmax:
 
 class TestReduce:
     def test_mean(self):
-        assert reduce_mean(Tensor([1.0, 2.0, 3.0])).item() == 2.0
+        assert float(reduce_mean(Tensor([1.0, 2.0, 3.0])).values) == 2.0
 
     def test_sum_grad_all_ones(self):
         x = param(np.arange(6.0).reshape(2, 3))
@@ -283,22 +284,73 @@ class TestBackward:
             backward(out, tape)
 
 
-def test_every_public_diffcore_function_is_called_from_spc():
-    """The core holds only what the package runs: a public function of
-    `spc.diffcore` is called from another `spc` module, not only from tests.
-    Test-only ops belong in `tests/primitives.py`."""
-    package = pathlib.Path(spc.diffcore.__file__).parent
-    defined = {node.name for node in ast.parse((package / "diffcore.py").read_text()).body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-    called = set()
-    for path in package.glob("*.py"):
-        if path.name == "diffcore.py":
-            continue
-        tree = ast.parse(path.read_text())
-        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and node.module == "diffcore"
-                    for alias in node.names}
-        called |= {imported[node.func.id] for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                   and node.func.id in imported}
-    assert defined and sorted(defined - called) == []
+# used outside the package only: README's Library usage block calls it
+README_ONLY = {"RunReport.run_hash"}
+
+
+def _uses(tree: ast.AST) -> tuple[collections.Counter, collections.Counter]:
+    """Function and class uses in `tree`, by name (an import alias read as
+    the name it binds, `module.name` for a module imported from the
+    package), and attribute reads, by attribute name."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+               for alias in node.names}
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    names, attrs = collections.Counter(), collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[aliases.get(node.id, node.id)] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                names[node.attr] += 1
+    return names, attrs
+
+
+def test_every_public_name_in_spc_is_used_in_spc():
+    """The package holds only what it runs: each public top-level function
+    or class of an `spc` module, and each public method, is used somewhere
+    in `spc` outside its own definition. A re-export in `spc/__init__` is
+    not a use, and a dataclass field of the same name (`LossTerms.penalty`)
+    is not a use of a function. Test-only code belongs in `tests/`."""
+    package = pathlib.Path(spc.data.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py"}
+    names, attrs = collections.Counter(), collections.Counter()
+    for tree in trees.values():
+        tree_names, tree_attrs = _uses(tree)
+        names += tree_names
+        attrs += tree_attrs
+    # `trainer.perturbation_study` looks each perturbation up by its name
+    names.update(spc.data.RATIOS.keys())
+
+    def public(body):
+        return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")]
+
+    unused = []
+    for module, tree in trees.items():
+        for node in public(tree.body):
+            if names[node.name] == _uses(node)[0][node.name]:
+                unused.append(f"{module}.{node.name}")
+            for method in public(node.body) if isinstance(node, ast.ClassDef) else []:
+                qualified = f"{node.name}.{method.name}"
+                if (attrs[method.name] == _uses(method)[1][method.name]
+                        and qualified not in README_ONLY):
+                    unused.append(f"{module}.{qualified}")
+    assert trees.keys() >= {"cli", "data", "diffcore", "encoder", "metrics", "objectives", "trainer"}
+    assert unused == []
+
+
+def test_readme_library_usage_runs(tmp_path, monkeypatch, capsys):
+    """README's Library usage block runs as written and calls each name
+    that the guard above keeps for it alone."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library usage", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert all(f".{name.split('.')[1]}(" in block for name in README_ONLY)
+    monkeypatch.chdir(tmp_path)  # anything it writes lands here
+    exec(compile(block, "README.md", "exec"), {})
+    macro_f1, run_hash = capsys.readouterr().out.split()
+    assert 0.0 <= float(macro_f1) <= 1.0 and len(run_hash) == 64

@@ -11,16 +11,21 @@ from spc.metrics import (
     _average_ranks,
     _lloyd,
     _pairwise_sq_dists,
+    _per_class_stats,
     adjusted_rand_index,
     confusion_matrix,
-    f1_of_class,
     kmeans,
-    macro_f1,
-    macro_recall,
     pearson,
     silhouette,
     spearman,
 )
+
+
+def class_scores(gold, pred, num_classes):
+    """Per-class (precision, recall, F1) arrays, scored as
+    `trainer.evaluate_split` scores a classification split."""
+    return _per_class_stats(confusion_matrix(gold, pred, num_classes))
+
 
 # --- definition-level oracles, deliberately naive ---
 
@@ -140,56 +145,56 @@ def brute_ari(a, b):
 
 class TestMacroF1:
     def test_perfect(self):
-        assert macro_f1([0, 1, 2], [0, 1, 2], 3) == 1.0
+        assert class_scores([0, 1, 2], [0, 1, 2], 3)[2].mean() == 1.0
 
     def test_crossed_case(self):
         # per-class F1 is 0.5 and 0.5
-        assert macro_f1([0, 0, 1, 1], [0, 1, 0, 1], 2) == pytest.approx(0.5)
+        assert class_scores([0, 0, 1, 1], [0, 1, 0, 1], 2)[2].mean() == pytest.approx(0.5)
 
     def test_all_one_class_predictor(self):
         # balanced 2-class data, everything predicted as class 0:
         # F1(class 0) = 2/3, F1(class 1) = 0 -> macro 1/3
-        value = macro_f1([0, 0, 1, 1], [0, 0, 0, 0], 2)
+        value = class_scores([0, 0, 1, 1], [0, 0, 0, 0], 2)[2].mean()
         assert value == pytest.approx(1.0 / 3.0)
 
     def test_empty_input(self):
         with pytest.raises(MetricError):
-            macro_f1([], [], 2)
+            class_scores([], [], 2)
 
     def test_relabel_invariance(self):
         rng = np.random.default_rng(60)
         gold = rng.integers(0, 3, size=30)
         pred = rng.integers(0, 3, size=30)
         relabel = np.array([2, 0, 1])
-        assert macro_f1(gold, pred, 3) == pytest.approx(
-            macro_f1(relabel[gold], relabel[pred], 3))
+        assert class_scores(gold, pred, 3)[2].mean() == pytest.approx(
+            class_scores(relabel[gold], relabel[pred], 3)[2].mean())
 
 
 class TestF1OfClass:
     def test_perfect(self):
-        assert f1_of_class([0, 1, 0], [0, 1, 0], 1) == 1.0
+        assert class_scores([0, 1, 0], [0, 1, 0], 2)[2][1] == 1.0
 
     def test_absent_class_zero(self):
-        assert f1_of_class([0, 0], [0, 0], 1) == 0.0
+        assert class_scores([0, 0], [0, 0], 2)[2][1] == 0.0
 
     def test_precision_one_recall_half(self):
         # gold has two positives, prediction marks exactly one of them
-        assert f1_of_class([1, 1, 0], [1, 0, 0], 1) == pytest.approx(2.0 / 3.0)
+        assert class_scores([1, 1, 0], [1, 0, 0], 2)[2][1] == pytest.approx(2.0 / 3.0)
 
 
 class TestMacroRecall:
     def test_perfect(self):
-        assert macro_recall([0, 1], [0, 1], 2) == 1.0
+        assert class_scores([0, 1], [0, 1], 2)[1].mean() == 1.0
 
     def test_uniform_random_predictor(self):
         rng = np.random.default_rng(61)
         gold = np.repeat(np.arange(4), 2500)
         pred = rng.integers(0, 4, size=gold.size)
-        assert macro_recall(gold, pred, 4) == pytest.approx(0.25, abs=0.02)
+        assert class_scores(gold, pred, 4)[1].mean() == pytest.approx(0.25, abs=0.02)
 
     def test_empty_gold_class_convention(self):
         # class 1 never appears in gold: contributes recall 0, not excluded
-        assert macro_recall([0, 0], [0, 0], 2) == pytest.approx(0.5)
+        assert class_scores([0, 0], [0, 0], 2)[1].mean() == pytest.approx(0.5)
 
 
 class TestCorrelations:
@@ -393,12 +398,12 @@ class TestBruteForceAgreement:
             c = int(rng.integers(2, 6))
             gold = rng.integers(0, c, size=n)
             pred = rng.integers(0, c, size=n)
-            assert macro_f1(gold, pred, c) == pytest.approx(
+            assert class_scores(gold, pred, c)[2].mean() == pytest.approx(
                 brute_macro_f1(gold.tolist(), pred.tolist(), c), abs=1e-10)
-            assert macro_recall(gold, pred, c) == pytest.approx(
+            assert class_scores(gold, pred, c)[1].mean() == pytest.approx(
                 brute_macro_recall(gold.tolist(), pred.tolist(), c), abs=1e-10)
             cls = int(rng.integers(0, c))
-            assert f1_of_class(gold, pred, cls) == pytest.approx(
+            assert class_scores(gold, pred, c)[2][cls] == pytest.approx(
                 brute_f1(gold.tolist(), pred.tolist(), cls), abs=1e-10)
 
     def test_correlations(self):
@@ -430,8 +435,8 @@ class TestBruteForceAgreement:
             c = int(rng.integers(2, 5))
             gold = rng.integers(0, c, size=n)
             pred = rng.integers(0, c, size=n)
-            assert 0.0 <= macro_f1(gold, pred, c) <= 1.0
-            assert 0.0 <= macro_recall(gold, pred, c) <= 1.0
+            assert 0.0 <= class_scores(gold, pred, c)[2].mean() <= 1.0
+            assert 0.0 <= class_scores(gold, pred, c)[1].mean() <= 1.0
             a, b = rng.normal(size=n), rng.normal(size=n)
             assert -1.0 <= pearson(a, b) <= 1.0
             assert -1.0 <= spearman(a, b) <= 1.0
