@@ -24,8 +24,9 @@ ood. eval loads only its --split rows of --data, repr-quality only the
 test rows, and ood only the test rows of --target; every other load holds
 the whole file (see `data.load`, which checks every row either way).
 
-Exit codes: 0 success, 2 bad flags, 3 data errors, 4 a diverged seed
-(after the run is written); README's exit-code paragraphs list every case.
+Exit codes: 0 success, 2 bad flags, 3 data errors (an array too large
+to allocate among them), 4 a diverged seed (after the run is written);
+README's exit-code paragraphs list every case.
 """
 
 from __future__ import annotations
@@ -593,6 +594,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DataError, OSError) as err:  # OSError: a missing or unreadable file
         print(f"data error: {err}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as err:  # an array the flags size past what can be allocated
+        print(f"data error: out of memory: {err}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -2,11 +2,12 @@
 
 File formats
 ------------
-jsonl: one object per line with either "features": [floats] or
-  "text": str, plus a non-null "label" and an optional "split"
-  (train|val|test, default train). csv: a header row with feature columns
-  f0..f{D-1} (or a single "text" column), a "label" column, and an
-  optional "split" column. A malformed row is a DataError naming its
+jsonl: one object per line with either "features": [floats] (at least
+  one) or "text": str, plus a non-null "label" and an optional "split"
+  (train|val|test; only a missing or null split means train). csv: a
+  header row with feature columns f0..f{D-1} (or a single "text" column),
+  a "label" column, and an optional "split" column (an empty cell means
+  train). A malformed row is a DataError naming its
   `file:line`, blank lines counted; every feature, and every regression
   label, must read as a finite float64 (not NaN, an infinity, or a number
   beyond the float64 range). Rows are checked as they are read, so the
@@ -328,7 +329,8 @@ def _csv_rows(path: str):
         if None in record or None in record.values():
             raise DataError(f"{path}:{reader.line_num}: expected "
                             f"{len(reader.fieldnames)} fields, as in the header")
-        yield (reader.line_num, record["label"], record.get("split"),
+        # csv cannot write null: an empty split cell means train, as a missing one
+        yield (reader.line_num, record["label"], record.get("split") or None,
                record["text"] if has_text else None,
                None if has_text else [record[c] for c in feature_cols])
 
@@ -369,6 +371,8 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
     if has_text:
         check_featurizer(hash_dim, hash_seed)
     dim = hash_dim if has_text else len(first[4])
+    if dim == 0:
+        raise DataError(f"{path}:{first[0]}: row has no features")
     features = np.empty((_line_count(path), dim))
     texts: list[str] = []  # the kept texts not yet featurized
     tags: list[str] = []  # the split tag of each kept row
@@ -391,7 +395,7 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
                 raise DataError(f"{where}: row has a feature too large for a float") from err
             if not np.isfinite(row).all():
                 raise DataError(f"{where}: row has a non-finite feature")
-        tag = split or "train"
+        tag = "train" if split is None else split
         if tag not in SPLITS:
             raise DataError(f"{where}: unknown split tag {str(tag)!r}")
         if task == "regression":
@@ -561,9 +565,8 @@ def inject_label_noise(ds: Dataset, noise_ratio: float, seed: int) -> Dataset:
     train_idx = ds.indices("train")
     n_flip = int(round(noise_ratio * train_idx.size))
     rng = np.random.default_rng(seed)
-    chosen = rng.choice(train_idx, size=n_flip, replace=False) if n_flip else np.array([], dtype=np.int64)
     targets = ds.targets.copy()
-    for i in chosen:
+    for i in rng.choice(train_idx, size=n_flip, replace=False):
         draw = int(rng.integers(0, ds.num_classes - 1))
         if draw >= targets[i]:
             draw += 1

@@ -96,13 +96,18 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centers
 
 
-def _lloyd(points: np.ndarray, k: int, seed: int,
-           iters: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(points, k, rng)
+def kmeans(points, k: int, seed: int = 0, iters: int = 100) -> np.ndarray:
+    """Lloyd's algorithm with k-means++ seeding; deterministic given seed.
+    Stops after `iters` iterations, or at the first iteration after the
+    first that leaves every assignment unchanged."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise MetricError(f"points must be 2-D, got shape {points.shape}")
+    if not 1 <= k <= points.shape[0]:
+        raise MetricError(f"k must be in [1, {points.shape[0]}], got {k}")
+    centers = _kmeans_pp_init(points, k, np.random.default_rng(seed))
     assign = np.zeros(points.shape[0], dtype=np.int64)
-    inertia_history: list[float] = []
-    for _ in range(iters):
+    for it in range(iters):
         dists = _pairwise_sq_dists(points, centers)
         new_assign = dists.argmin(axis=1)
         for c in range(k):
@@ -114,23 +119,9 @@ def _lloyd(points: np.ndarray, k: int, seed: int,
                 new_assign[farthest] = c
             else:
                 centers[c] = members.mean(axis=0)
-        inertia = float(((points - centers[new_assign]) ** 2).sum())
-        inertia_history.append(inertia)
-        if np.array_equal(new_assign, assign) and len(inertia_history) > 1:
-            assign = new_assign
+        if it > 0 and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    return assign, centers, inertia_history
-
-
-def kmeans(points, k: int, seed: int = 0, iters: int = 100) -> np.ndarray:
-    """Lloyd's algorithm with k-means++ seeding; deterministic given seed."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise MetricError(f"points must be 2-D, got shape {points.shape}")
-    if not 1 <= k <= points.shape[0]:
-        raise MetricError(f"k must be in [1, {points.shape[0]}], got {k}")
-    assign, _, _ = _lloyd(points, k, seed, iters)
     return assign
 
 
@@ -196,8 +187,8 @@ def adjusted_rand_index(assign_a, assign_b) -> float:
     n = a.size
     _, a_ids = np.unique(a, return_inverse=True)
     _, b_ids = np.unique(b, return_inverse=True)
-    contingency = np.zeros((a_ids.max() + 1, b_ids.max() + 1), dtype=np.int64)
-    np.add.at(contingency, (a_ids, b_ids), 1)
+    # square; the extra zero rows or columns add nothing to any comb2 sum
+    contingency = confusion_matrix(a_ids, b_ids, max(a_ids.max(), b_ids.max()) + 1)
 
     def comb2(x):
         return x * (x - 1) / 2.0

@@ -199,10 +199,9 @@ def readout(model: EncoderParams, dataset: Dataset, rows: np.ndarray,
     from the single call in the last bits (BLAS picks its kernel by shape).
     """
     step = max(1, EVAL_BLOCK_ELEMENTS // max(max(t.values.shape) for t in model.parameters()))
-    if rows.size <= step:
-        return fn(dataset.features[rows])
+    # an empty `rows` still makes one (zero-row) block
     return np.concatenate([fn(dataset.features[rows[lo:lo + step]])
-                           for lo in range(0, rows.size, step)])
+                           for lo in range(0, max(rows.size, 1), step)])
 
 
 def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
@@ -296,8 +295,8 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     validation score) the best checkpoint so far is restored and the report
     is flagged. The reported validation scores are the kept epoch's, not
     computed again; a run that kept no epoch is scored at its initial
-    parameters. An empty train, val or test split is a DataError, raised
-    before any work.
+    parameters. An empty train, val or test split, or a dataset whose task
+    is not the objective's, is a DataError, raised before any work.
 
     The model's tensors and their gradients are views of two flat vectors
     (see `_flatten`): a step zeroes the gradient vector once, and one
@@ -306,6 +305,9 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     stay views of the flat vector, with no gradient.
     """
     dataset.require_rows("train", "val", "test")
+    if dataset.task != cfg.objective.task:
+        raise DataError(f"a {dataset.task} dataset cannot train the "
+                        f"{cfg.objective.kind} objective, a {cfg.objective.task} one")
     rng = np.random.default_rng(seed)
     model = build_model(dataset, cfg, rng)
     params = model.parameters()

@@ -1077,6 +1077,41 @@ class TestBadInputs:
                        "--ckpt", ckpt) == cli.EXIT_DATA
         self._one_line_error(capsys, ckpt)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("split", 0, ":1: unknown split tag '0'"),
+        ("features", [], ":1: row has no features"),
+    ])
+    def test_a_bad_first_row_fails_before_training(self, out, data_file, tmp_path, key, value,
+                                                  message, capsys):
+        lines = open(data_file).read().splitlines()
+        first = json.loads(lines[0])
+        first[key] = value
+        path = str(tmp_path / "bad_first_row.jsonl")
+        with open(path, "w") as fh:
+            fh.write("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        assert run_cli("train", "--out", out, "--data", path, "--epochs", "1",
+                       "--patience", "1", "--seeds", "1") == cli.EXIT_DATA
+        self._one_line_error(capsys, path + message)
+        assert not os.path.exists(out)
+
+    # an allocation is never attempted for real: where the kernel overcommits,
+    # a huge np.empty succeeds and only filling it would exhaust the machine
+    @pytest.mark.parametrize("command, module, name", [
+        ("train", dataio, "_line_count"),  # sizes the feature array: a huge --hash-dim
+        ("train", trainer, "build_model"),  # a huge --hidden-dim
+        ("gen-data", dataio, "gen_mixture"),  # a huge --per-class
+    ])
+    def test_out_of_memory_is_one_line_exit_3(self, out, data_file, tmp_path, command, module,
+                                              name, monkeypatch, capsys):
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+        monkeypatch.setattr(module, name, unallocatable)
+        flags = (("--data", data_file, "--epochs", "1", "--patience", "1", "--seeds", "1")
+                 if command == "train" else ("--output", str(tmp_path / "gen.jsonl")))
+        assert run_cli(command, "--out", out, *flags) == cli.EXIT_DATA
+        self._one_line_error(capsys, "data error: out of memory: Unable to allocate 14.6 TiB")
+
     @staticmethod
     def _with_rows(tmp_path, task, split, keep):
         """A dataset file whose `split` keeps only its first `keep` rows

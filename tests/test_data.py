@@ -91,6 +91,37 @@ class TestLoad:
         assert ds.task == "regression"
         assert np.allclose(ds.targets, [1.5, 2.5])
 
+    @pytest.mark.parametrize("split", ["0", "false", '""'])
+    def test_a_falsy_jsonl_split_is_an_unknown_tag(self, tmp_path, split):
+        path = tmp_path / "falsy.jsonl"
+        path.write_text('{"features": [0.0], "label": "a"}\n'
+                        f'{{"features": [1.0], "label": "b", "split": {split}}}\n')
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: unknown split tag"):
+            load(str(path))
+
+    def test_a_missing_or_null_jsonl_split_is_train(self, tmp_path):
+        path = tmp_path / "train.jsonl"
+        path.write_text('{"features": [0.0], "label": "a"}\n'
+                        '{"features": [1.0], "label": "b", "split": null}\n')
+        assert load(str(path)).split.tolist() == ["train", "train"]
+
+    def test_an_empty_csv_split_cell_is_train(self, tmp_path):
+        path = tmp_path / "empty_cell.csv"
+        path.write_text("f0,label,split\n0.5,a,\n1.5,b,test\n")
+        assert load(str(path)).split.tolist() == ["train", "test"]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_rows_without_features_are_rejected(self, tmp_path, fmt):
+        path = tmp_path / f"empty_rows.{fmt}"
+        if fmt == "jsonl":
+            path.write_text('{"features": [], "label": "a"}\n{"features": [], "label": "b"}\n')
+            message = ":1: row has no features"
+        else:  # a csv needs a feature or text column in its header
+            path.write_text("label,split\na,train\n")
+            message = ": need f0..fK feature columns"
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}{message}"):
+            load(str(path))
+
 
 class TestStreamingLoad:
     """`load` writes each row into one preallocated array: its memory is

@@ -9,7 +9,6 @@ from spc import metrics
 from spc.metrics import (
     MetricError,
     _average_ranks,
-    _lloyd,
     _pairwise_sq_dists,
     _per_class_stats,
     adjusted_rand_index,
@@ -252,17 +251,24 @@ class TestKmeans:
         assert assign[2] == assign[3]
         assert assign[0] != assign[2]
 
+    @staticmethod
+    def within_cluster_ss(points, k, seed, iters):
+        """Sum of squared distances of the points to their cluster's mean."""
+        assign = kmeans(points, k, seed=seed, iters=iters)
+        return assign, sum(float(((points[assign == c] - points[assign == c].mean(axis=0))
+                                  ** 2).sum()) for c in np.unique(assign))
+
     def test_k_equals_n_zero_inertia(self):
         rng = np.random.default_rng(63)
         points = rng.normal(size=(6, 3))
-        assign, _, history = _lloyd(points, 6, seed=0, iters=50)
+        assign, inertia = self.within_cluster_ss(points, 6, 0, 50)
         assert sorted(assign.tolist()) == list(range(6))
-        assert history[-1] == pytest.approx(0.0, abs=1e-20)
+        assert inertia == pytest.approx(0.0, abs=1e-20)
 
     def test_inertia_non_increasing(self):
         rng = np.random.default_rng(64)
         points = rng.normal(size=(60, 4))
-        _, _, history = _lloyd(points, 4, seed=1, iters=50)
+        history = [self.within_cluster_ss(points, 4, 1, iters)[1] for iters in range(1, 51)]
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier + 1e-10
 

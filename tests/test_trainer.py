@@ -248,6 +248,16 @@ class TestTrainLoop:
         with pytest.raises(DataError, match=empty):
             train(broken, small_cfg(ObjectiveConfig(kind=kind)), seed=0)
 
+    @pytest.mark.parametrize("task, kind", [("regression", "spc"), ("classification", "mse")])
+    def test_a_dataset_of_the_other_task_is_a_data_error(self, mixture, task, kind, monkeypatch):
+        ds = mixture if task == "classification" else dataclasses.replace(
+            mixture, task="regression", targets=mixture.targets.astype(np.float64))
+        monkeypatch.setattr(trainer, "build_model", lambda *args: pytest.fail("a model was built"))
+        other = ObjectiveConfig(kind=kind).task
+        with pytest.raises(DataError, match=f"^a {task} dataset cannot train the {kind} "
+                                            f"objective, a {other} one$"):
+            train(ds, small_cfg(ObjectiveConfig(kind=kind)), seed=0)
+
     def test_divergence_aborts_with_checkpoint(self):
         # Adamax steps are magnitude-bounded by lr, so overflow needs an
         # absurd rate plus a squared loss
