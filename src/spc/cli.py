@@ -106,10 +106,10 @@ class UsageError(ValueError):
 
 
 def read_json_object(path: str, *keys: str) -> dict:
-    """The json object in `path`, holding `keys`; malformed json, bytes that
-    are not UTF-8, another json value or a missing key is a DataError naming
-    the file."""
-    with open(path, encoding="utf-8") as fh:
+    """The json object in `path` (UTF-8, a leading byte-order mark dropped),
+    holding `keys`; malformed json, bytes that are not UTF-8, another json
+    value or a missing key is a DataError naming the file."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             value = json.load(fh)
         except ValueError as err:
@@ -377,12 +377,13 @@ def cmd_sweep(args, timing: dict) -> Run:
     dataset = _load_dataset(args, cfg.objective.task, timing)
     inputs = run_inputs(args, {"data": data_path(args)}, [cfg],
                         betas=betas, gammas=gammas, seeds=seeds)
-    result = sweep(dataset, cfg, betas, gammas, seeds)
+    results = sweep(dataset, cfg, betas, gammas, seeds)
+    rows = results["rows"]
     # the best cell has the highest mean validation score (see trainer.sweep)
-    return Run(inputs, dataclasses.asdict(result),
-               f"best beta={result.best_beta} gamma={result.best_gamma} "
-               f"(val {max(row['val_mean'] for row in result.rows):.4f})",
-               result.rows, {}, sum(row["diverged"] for row in result.rows))
+    return Run(inputs, results,
+               f"best beta={results['best_beta']} gamma={results['best_gamma']} "
+               f"(val {max(row['val_mean'] for row in rows):.4f})",
+               rows, {}, sum(row["diverged"] for row in rows))
 
 
 def cmd_study(args, timing: dict) -> Run:
@@ -393,6 +394,10 @@ def cmd_study(args, timing: dict) -> Run:
         raise UsageError(f"--objectives {args.objectives!r} names no objective")
     configs = _train_configs(args, kinds)
     objectives, cfg = [c.objective for c in configs], configs[0]
+    try:
+        dataio.check_task(perturb, cfg.objective.task)
+    except DataError as err:
+        raise UsageError(f"--objectives {args.objectives!r}: {err}") from None
     ratios = parse_floats(args.ratios, "--ratios")
     try:
         for ratio in ratios:
@@ -481,17 +486,19 @@ def _add_featurizer(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    """--config and one flag per `train_defaults` key. The defaults are None
-    so that a --config file can fill the gaps; see resolve_train_args."""
+    """--config and one flag per `train_defaults` key, its default in its
+    help. The parsed defaults are None so that a --config file can fill the
+    gaps; see resolve_train_args."""
     parser.add_argument("--config", default=None,
                         help="json file of training keys; explicit flags win")
     for key, default in train_defaults().items():
+        kwargs = {"help": f"default: {default}"}
         if key == "seeds":
-            kwargs = {"help": "count ('5' -> 0..4) or explicit list ('0,1,2')"}
+            kwargs["help"] = f"count ('5' -> 0..4) or explicit list ('0,1,2'); default: {default}"
         elif isinstance(default, bool):
-            kwargs = {"action": argparse.BooleanOptionalAction}
+            kwargs["action"] = argparse.BooleanOptionalAction
         else:
-            kwargs = {"type": type(default)}
+            kwargs["type"] = type(default)
         parser.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
 
 

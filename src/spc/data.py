@@ -5,16 +5,17 @@ File formats
 jsonl: one object per line with either "features": [floats] (at least
   one) or "text": str, plus a non-null "label" and an optional "split"
   (train|val|test; only a missing or null split means train). csv: a
-  header row with feature columns f0..f{D-1} (or a single "text" column),
-  a "label" column, and an optional "split" column (an empty cell means
-  train). A malformed row is a DataError naming its
-  `file:line`, blank lines counted; every feature, and every regression
-  label, must read as a finite float64 (not NaN, an infinity, or a number
-  beyond the float64 range). Rows are checked as they are read, so the
-  first fault in the file is the one reported. A load holds one N x D
-  float64 array plus one row, or for text rows at most one block of
-  TEXT_BLOCK_DOCS texts, which are featurized into their rows of that
-  array as the block fills.
+  header row that names each column once: feature columns f0..f{D-1}, in
+  any order, or a single "text" column (not both), a "label" column, and
+  an optional "split" column (an empty cell means train). A leading UTF-8
+  byte-order mark of any input file is dropped. A malformed row is a
+  DataError naming its `file:line`, blank lines counted; every feature,
+  and every regression label, must read as a finite float64 (not NaN, an
+  infinity, or a number beyond the float64 range). Rows are checked as
+  they are read, so the first fault in the file is the one reported. A
+  load holds one N x D float64 array plus one row, or for text rows at
+  most one block of TEXT_BLOCK_DOCS texts, which are featurized into their
+  rows of that array as the block fills.
 
 A load may keep only some splits (`load(..., splits=("test",))`): every
 row is still parsed and checked in file order, and every label still gets
@@ -42,6 +43,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
@@ -282,9 +284,9 @@ def _line_count(path: str) -> int:
 
 
 def _lines(path: str, newline: str | None = None):
-    """The lines of a UTF-8 text file; a byte that does not decode is a
-    DataError naming the file."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped; a
+    byte that does not decode is a DataError naming the file."""
+    with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield from fh
         except UnicodeDecodeError as err:
@@ -315,20 +317,28 @@ def _jsonl_rows(path: str):
 def _csv_rows(path: str):
     """The rows of a csv file, as `_jsonl_rows` gives them."""
     reader = csv.DictReader(_lines(path, newline=""))
-    if reader.fieldnames is None:
+    header = reader.fieldnames
+    if header is None:
         raise DataError(f"{path}: empty dataset")
-    feature_cols = sorted(
-        (c for c in reader.fieldnames if re.fullmatch(r"f\d+", c)),
-        key=lambda c: int(c[1:]))
-    has_text = "text" in reader.fieldnames
+    repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+    if repeated:
+        raise DataError(f"{path}: the header names {repeated} more than once")
+    feature_cols = sorted((c for c in header if re.fullmatch(r"f\d+", c)),
+                          key=lambda c: int(c[1:]))
+    has_text = "text" in header
     if not feature_cols and not has_text:
         raise DataError(f"{path}: need f0..fK feature columns or a 'text' column")
-    if "label" not in reader.fieldnames:
+    if feature_cols and has_text:
+        raise DataError(f"{path}: the header holds both a 'text' column and feature columns")
+    if feature_cols != [f"f{i}" for i in range(len(feature_cols))]:
+        raise DataError(f"{path}: feature columns must be f0..f{len(feature_cols) - 1}, "
+                        f"got {feature_cols}")
+    if "label" not in header:
         raise DataError(f"{path}: missing 'label' column")
     for record in reader:
         if None in record or None in record.values():
             raise DataError(f"{path}:{reader.line_num}: expected "
-                            f"{len(reader.fieldnames)} fields, as in the header")
+                            f"{len(header)} fields, as in the header")
         # csv cannot write null: an empty split cell means train, as a missing one
         yield (reader.line_num, record["label"], record.get("split") or None,
                record["text"] if has_text else None,
@@ -530,14 +540,20 @@ def check_ratio(perturbation: str, ratio: float) -> None:
         raise DataError(f"{name} must be in {'[' if zero_ok else '('}0, 1], got {ratio}")
 
 
+def check_task(perturbation: str, task: str) -> None:
+    """Label noise is defined for classification alone: a DataError for a
+    regression `task`."""
+    if perturbation == "inject_label_noise" and task != "classification":
+        raise DataError("label noise is only defined for classification datasets")
+
+
 def check_perturbation(perturbation: str, ds: Dataset, ratio: float) -> None:
     """Raise DataError unless `perturbation` can apply `ratio` to `ds`: the
-    ratio is in range, label noise needs a classification dataset, and a
-    subsample keeps round(ratio * n) >= ds.min_rows of the n train rows of
+    ratio is in range, the task is one it is defined for (`check_task`), and
+    a subsample keeps round(ratio * n) >= ds.min_rows of the n train rows of
     every class (of the whole train split, for regression)."""
     check_ratio(perturbation, ratio)
-    if perturbation == "inject_label_noise" and ds.task != "classification":
-        raise DataError("label noise is only defined for classification datasets")
+    check_task(perturbation, ds.task)
     if perturbation == "subsample_train" and ratio < 1.0:
         for rows in _train_strata(ds):
             if round(ratio * rows.size) < ds.min_rows:

@@ -4,8 +4,10 @@ A single-hidden-layer tanh trunk feeds two linear heads that predict the
 mean and log-variance of a Gaussian over the output space (one dimension
 per class, or one dimension for regression). Sampling uses the
 reparameterization t = mu + exp(log_var / 2) * eps with caller-supplied
-eps, so gradients reach mu and log_var but never the noise. Prediction is
-non-parametric: softmax of mu for classification, mu itself for regression.
+eps, so gradients reach mu and log_var but never the noise. Prediction
+reads mu (decoded, for VIB): the predicted class is its argmax (softmax(mu),
+the predictive distribution, has the same argmax), and a regression
+estimate is mu itself.
 
 The VIB baseline is the same encoder into a code of any width, plus a
 trainable single-hidden-layer tanh decoder from t to the output space;
@@ -191,12 +193,6 @@ def decode(params: EncoderParams, t: Tensor) -> Tensor:
         return t
     h = tanh(matmul(t, params.w_dec1, params.b_dec1))
     return matmul(h, params.w_dec2, params.b_dec2)
-
-
-def softmax_rows(values: np.ndarray) -> np.ndarray:
-    shifted = values - values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 # --- checkpoint serialization (versioned JSON of named tensors) ---

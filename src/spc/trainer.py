@@ -13,6 +13,8 @@ scores, `evaluate_split` for `spc eval` and ood, and the codes of
 `representation_quality`) goes through `readout`, which runs the split's
 rows in blocks of at most EVAL_BLOCK_ELEMENTS // (widest layer) rows, so
 its memory does not grow with the split's size beyond the stacked outputs.
+A split is scored at its code means (no sampling at inference), from the
+decoded logits: a predicted class is their argmax.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from . import data as dataio
 from .data import DataError, Dataset
 from .diffcore import Tape, Tensor, backward, zero_grads
-from .encoder import EncoderParams, decode, encode, init_encoder, init_vib, sample, softmax_rows
+from .encoder import EncoderParams, decode, encode, init_encoder, init_vib, sample
 from .metrics import (MetricError, _per_class_stats, adjusted_rand_index, confusion_matrix,
                       kmeans, pearson, silhouette, spearman)
 from .objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
@@ -173,15 +175,6 @@ def batch_loss(model: EncoderParams, x: Tensor, y, objective: ObjectiveConfig,
     return spc_loss(code, decode(model, t), y, objective)
 
 
-def model_outputs(model: EncoderParams, features: np.ndarray, task: str) -> np.ndarray:
-    """Deterministic predictions: class probabilities or point estimates.
-
-    Stochastic heads are read out at their mean (no sampling at inference).
-    """
-    out = decode(model, encode(model, Tensor(features), with_log_var=False).mu).values
-    return softmax_rows(out) if task == "classification" else out
-
-
 # Largest rows x width activation a readout builds at once (512 KB of
 # float64), the width being the model's widest layer, input included.
 EVAL_BLOCK_ELEMENTS = 1 << 16
@@ -208,8 +201,8 @@ def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
     """The task's scores of `model` on one split, read out in row blocks."""
     rows = dataset.indices(split)
     targets = dataset.targets[rows]
-    outputs = readout(model, dataset, rows,
-                      lambda features: model_outputs(model, features, dataset.task))
+    outputs = readout(model, dataset, rows, lambda features: decode(
+        model, encode(model, Tensor(features), with_log_var=False).mu).values)
     if dataset.task == "classification":
         pred = outputs.argmax(axis=1)
         _, recall, f1 = _per_class_stats(confusion_matrix(targets, pred, dataset.num_classes))
@@ -416,13 +409,6 @@ def summarize(reports: list[RunReport]) -> dict:
     }
 
 
-@dataclass
-class SweepResult:
-    rows: list[dict]
-    best_beta: float
-    best_gamma: float
-
-
 def cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> ObjectiveConfig:
     """`objective` with a sweep cell's weights (beta its kind's first, gamma its
     second); a weight the kind does not take or cannot have is a ValueError."""
@@ -434,29 +420,30 @@ def cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> Obj
 
 
 def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
-          gammas: list[float], seeds: Sequence[int]) -> SweepResult:
+          gammas: list[float], seeds: Sequence[int]) -> dict:
     """Grid search over (beta, gamma); each cell averages over the seeds.
 
     The beta grid drives the kind's first weight in OBJECTIVES and the gamma
     grid its second (so for "ce_cp" the beta grid sets cp_weight); a kind
-    with fewer weights takes gammas=[0.0]. The winning cell maximizes the mean
-    validation metric; ties go to the lexicographically smaller (beta, gamma).
-    Each row counts its diverged seeds.
+    with fewer weights takes gammas=[0.0]; every cell's config is built
+    before any cell trains. Returns {"rows", "best_beta", "best_gamma"}:
+    each row counts its diverged seeds, and the best cell maximizes the mean
+    validation metric, ties going to the lexicographically smaller (beta, gamma).
     """
+    cells = [(beta, gamma,
+              dataclasses.replace(cfg, objective=cell_objective(cfg.objective, beta, gamma)))
+             for beta in betas for gamma in gammas]
     rows = []
-    for beta in betas:
-        for gamma in gammas:
-            objective = cell_objective(cfg.objective, beta, gamma)
-            cell_cfg = dataclasses.replace(cfg, objective=objective)
-            reports = train_jobs((dataset, cell_cfg, seed) for seed in seeds)
-            rows.append({
-                "beta": beta, "gamma": gamma,
-                **mean_std("val_", [r.val_metrics[r.headline_metric] for r in reports]),
-                **mean_std("test_", [r.headline_value for r in reports]),
-                "diverged": sum(r.diverged for r in reports),
-            })
+    for beta, gamma, cell_cfg in cells:
+        reports = train_jobs((dataset, cell_cfg, seed) for seed in seeds)
+        rows.append({
+            "beta": beta, "gamma": gamma,
+            **mean_std("val_", [r.val_metrics[r.headline_metric] for r in reports]),
+            **mean_std("test_", [r.headline_value for r in reports]),
+            "diverged": sum(r.diverged for r in reports),
+        })
     best = min(rows, key=lambda r: (-r["val_mean"], r["beta"], r["gamma"]))
-    return SweepResult(rows=rows, best_beta=best["beta"], best_gamma=best["gamma"])
+    return {"rows": rows, "best_beta": best["beta"], "best_gamma": best["gamma"]}
 
 
 def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,

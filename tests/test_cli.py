@@ -283,6 +283,7 @@ class TestExitCodes:
         ("train", "--beta", "nan"),
         ("train", "--objective", "ce_cp", "--cp-weight", "inf"),
         ("noise-study", "--objectives", "ce,mse"),
+        ("noise-study", "--objectives", "mse"),  # label noise needs classification
         ("train", "--structured-from", "logits"),
         ("train", "--hash-dim", "1"),
         ("train", "--hash-seed", "-1"),
@@ -615,6 +616,25 @@ class TestConfigFile:
                        "--hidden-dim", "4") == 0
         report = read_report(out, run_ids(out)[0])
         assert report["results"]["per_seed"][0]["config"]["hidden_dim"] == 4
+
+    def test_a_byte_order_mark_is_dropped(self, out, data_file, tmp_path):
+        config = tmp_path / "train.json"
+        config.write_text("\ufeff" + json.dumps({"epochs": 1, "patience": 1, "batch_size": 16,
+                                                  "hidden_dim": 4, "seeds": "1"}),
+                          encoding="utf-8")
+        assert run_cli("train", "--out", out, "--data", data_file,
+                       "--objective", "ce", "--config", str(config)) == 0
+        report = read_report(out, run_ids(out)[0])
+        assert report["results"]["per_seed"][0]["config"]["hidden_dim"] == 4
+
+    def test_help_names_each_default(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli("train", "--help")
+        assert exited.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, default in (("--epochs EPOCHS", "20"), ("--lr LR", "0.01")):
+            assert f"{flag} default: {default}" in text
+        assert "explicit list ('0,1,2'); default: 5" in text
 
     def test_unknown_config_key_is_data_error(self, out, data_file, tmp_path):
         config = tmp_path / "train.json"

@@ -123,6 +123,62 @@ class TestLoad:
             load(str(path))
 
 
+BOM = "\ufeff"
+
+
+class TestInputFiles:
+    """Every input text file may start with a UTF-8 byte-order mark, and a
+    csv header names each column once, its feature columns f0..f{D-1}."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, fmt):
+        ds = gen_mixture(3, 4, 10, 2.0, seed=2)
+        plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+        if fmt == "jsonl":
+            save(ds, str(plain))
+        else:
+            plain.write_text("f0,f1,f2,f3,label,split\n" + "".join(
+                ",".join([*map(repr, row), str(label), tag]) + "\n"
+                for row, label, tag in zip(ds.features.tolist(), ds.targets, ds.split)))
+        marked.write_text(BOM + plain.read_text(encoding="utf-8"), encoding="utf-8")
+        want, got = load(str(plain)), load(str(marked))
+        assert got.num_features == 4
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.targets, want.targets)
+        assert got.split.tolist() == want.split.tolist()
+
+    def test_a_label_mapping_with_a_byte_order_mark(self, tmp_path):
+        path = tmp_path / "mapping.csv"
+        path.write_text(BOM + "source_label,target_label\na,x\n", encoding="utf-8")
+        assert dataio.read_label_mapping(str(path)) == {"x": "a"}
+
+    @pytest.mark.parametrize("header, message", [
+        ("f0,f0,label,split", r"the header names \['f0'\] more than once"),
+        ("f0,f1,label,label", r"the header names \['label'\] more than once"),
+        ("f0,f2,label,split", r"feature columns must be f0..f1, got \['f0', 'f2'\]"),
+        ("f0,f01,label,split", r"feature columns must be f0..f1, got \['f0', 'f01'\]"),
+        ("text,f0,label,split", r"the header holds both a 'text' column and feature columns"),
+    ])
+    def test_a_bad_csv_header_is_a_data_error(self, tmp_path, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * (header.count(",") - 1) + ["a", "train"])
+                        + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}"):
+            load(str(path))
+
+    @pytest.mark.parametrize("header", ["f1,f0,label,split", "label,f0,split,f1", "split,label,f1,f0"])
+    def test_feature_columns_in_any_order_load_as_f0_to_fk(self, tmp_path, header):
+        cells = {"f0": ["0.5", "1.5"], "f1": ["-1", "2"], "label": ["a", "b"],
+                 "split": ["train", "test"]}
+        names = header.split(",")
+        path = tmp_path / "shuffled.csv"
+        path.write_text(header + "\n" + "".join(",".join(cells[c][i] for c in names) + "\n"
+                                                for i in range(2)))
+        ds = load(str(path))
+        assert ds.features.tolist() == [[0.5, -1.0], [1.5, 2.0]]
+        assert ds.split.tolist() == ["train", "test"]
+
+
 class TestStreamingLoad:
     """`load` writes each row into one preallocated array: its memory is
     bounded by that array, and every format and layout gives the same bits."""

@@ -308,12 +308,13 @@ def _uses(tree: ast.AST) -> tuple[collections.Counter, collections.Counter]:
     return names, attrs
 
 
-def test_every_public_name_in_spc_is_used_in_spc():
-    """The package holds only what it runs: each public top-level function
-    or class of an `spc` module, and each public method, is used somewhere
-    in `spc` outside its own definition. A re-export in `spc/__init__` is
-    not a use, and a dataclass field of the same name (`LossTerms.penalty`)
-    is not a use of a function. Test-only code belongs in `tests/`."""
+def test_every_name_in_spc_is_used_in_spc():
+    """The package holds only what it runs: each top-level function or class
+    of an `spc` module, and each method, private or public (dunders aside),
+    is used somewhere in `spc` outside its own definition, so a helper left
+    behind by a deletion fails here. A re-export in `spc/__init__` is not a
+    use, and a dataclass field of the same name (`LossTerms.penalty`) is not
+    a use of a function. Test-only code belongs in `tests/`."""
     package = pathlib.Path(spc.data.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
              if path.name != "__init__.py"}
@@ -325,16 +326,16 @@ def test_every_public_name_in_spc_is_used_in_spc():
     # `trainer.perturbation_study` looks each perturbation up by its name
     names.update(spc.data.RATIOS.keys())
 
-    def public(body):
+    def defined(body):
         return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")]
+                and not (node.name.startswith("__") and node.name.endswith("__"))]
 
     unused = []
     for module, tree in trees.items():
-        for node in public(tree.body):
+        for node in defined(tree.body):
             if names[node.name] == _uses(node)[0][node.name]:
                 unused.append(f"{module}.{node.name}")
-            for method in public(node.body) if isinstance(node, ast.ClassDef) else []:
+            for method in defined(node.body) if isinstance(node, ast.ClassDef) else []:
                 qualified = f"{node.name}.{method.name}"
                 if (attrs[method.name] == _uses(method)[1][method.name]
                         and qualified not in README_ONLY):

@@ -10,10 +10,12 @@ import pytest
 from gradcheck import max_grad_rel_err
 from primitives import reduce_mean
 from spc import encoder
+from spc.data import Dataset
 from spc.diffcore import ShapeError, Tape, Tensor, backward, param
 from spc.encoder import (
     ARCH_KEYS,
     EncoderParams,
+    decode,
     encode,
     init_encoder,
     init_vib,
@@ -22,7 +24,7 @@ from spc.encoder import (
     sample,
     save_checkpoint,
 )
-from spc.trainer import model_outputs
+from spc.trainer import evaluate_split
 
 
 def zero_encoder(input_dim=3, hidden_dim=4, out_dim=2) -> EncoderParams:
@@ -128,35 +130,46 @@ class TestSample:
         assert abs(draws.var() - 4.0) < 0.2
 
 
-class TestPredict:
-    """The readout every command runs: `trainer.model_outputs`."""
+def logits(params: EncoderParams, features: np.ndarray) -> np.ndarray:
+    """The readout `trainer.evaluate_split` scores: the decoded code means."""
+    return decode(params, encode(params, Tensor(features), with_log_var=False).mu).values
 
-    def test_uniform(self):
-        probs = model_outputs(zero_encoder(out_dim=3, hidden_dim=4, input_dim=3),
-                              np.zeros((2, 3)), "classification")
-        assert np.allclose(probs, 1.0 / 3.0, atol=1e-15)
+
+class TestPredict:
+    """The readout every command runs: the logits, whose argmax is the class."""
+
+    def test_evaluate_split_predicts_the_argmax_of_the_logits(self):
+        rng = np.random.default_rng(13)
+        params = init_encoder(3, 4, 3, rng=rng)
+        features = rng.normal(size=(40, 3))
+        targets = rng.integers(0, 3, size=40)
+        dataset = Dataset(features=features, targets=targets, split=np.full(40, "test"),
+                          task="classification", num_classes=3)
+        pred = logits(params, features).argmax(axis=1)
+        scores = evaluate_split(params, dataset, "test")
+        assert scores["accuracy"] == float((pred == targets).mean())
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(14)
         params = init_encoder(3, 4, 5, rng=rng)
         features = rng.normal(size=(6, 3))
-        base = model_outputs(params, features, "classification").argmax(axis=1)
+        base = logits(params, features).argmax(axis=1)
         params.b_mu.values = params.b_mu.values + 123.45
-        shifted = model_outputs(params, features, "classification").argmax(axis=1)
+        shifted = logits(params, features).argmax(axis=1)
         assert np.array_equal(base, shifted)
 
     def test_regression_identity(self):
         params = zero_encoder(out_dim=1)
         params.b_mu.values = np.array([[2.5]])
-        assert model_outputs(params, np.zeros((1, 3)), "regression")[0, 0] == 2.5
+        assert logits(params, np.zeros((1, 3)))[0, 0] == 2.5
 
     def test_no_randomness(self):
         rng = np.random.default_rng(15)
         params = init_encoder(3, 4, 2, rng=rng)
         features = rng.normal(size=(4, 3))
         state = np.random.get_state()
-        a = model_outputs(params, features, "classification")
-        b = model_outputs(params, features, "classification")
+        a = logits(params, features)
+        b = logits(params, features)
         assert np.array_equal(a, b)
         after = np.random.get_state()
         assert state[1].tolist() == after[1].tolist()

@@ -7,7 +7,7 @@ import pytest
 from spc import metrics, trainer
 from spc.data import SPLITS, DataError, Dataset, gen_mixture
 from spc.diffcore import Tape, Tensor
-from spc.encoder import encode, init_encoder, init_vib, load_checkpoint, save_checkpoint
+from spc.encoder import decode, encode, init_encoder, init_vib, load_checkpoint, save_checkpoint
 from spc.objectives import OBJECTIVES, WEIGHTS, ObjectiveConfig
 from spc.trainer import (
     AdamaxState,
@@ -16,7 +16,6 @@ from spc.trainer import (
     batch_loss,
     build_model,
     evaluate_split,
-    model_outputs,
     readout,
     representation_quality,
     summarize,
@@ -326,6 +325,12 @@ def mean_codes(model):
     return lambda features: encode(model, Tensor(features), with_log_var=False).mu.values
 
 
+def logits(model):
+    """The readout `evaluate_split` scores: the decoded mean codes."""
+    return lambda features: decode(
+        model, encode(model, Tensor(features), with_log_var=False).mu).values
+
+
 READOUT_CASES = [pytest.param(kind, layer_norm, id=f"{kind}{'-layer-norm' * layer_norm}")
                  for kind in OBJECTIVES for layer_norm in (False, True)]
 
@@ -339,7 +344,7 @@ class TestReadout:
         model, dataset = readout_case(kind, layer_norm)
         rows = dataset.indices("test")
         whole = dataset.features[rows]
-        for fn in (lambda x: model_outputs(model, x, dataset.task), mean_codes(model)):
+        for fn in (logits(model), mean_codes(model)):
             seen = []
 
             def recorded(features, fn=fn):
@@ -356,7 +361,7 @@ class TestReadout:
         rows = dataset.indices("test")
         single = evaluate_split(model, dataset, "test")
         whole = [fn(dataset.features[rows]) for fn in
-                 (lambda x: model_outputs(model, x, dataset.task), mean_codes(model))]
+                 (logits(model), mean_codes(model))]
         widest = max(max(t.values.shape) for t in model.parameters())
         monkeypatch.setattr(trainer, "EVAL_BLOCK_ELEMENTS", 7 * widest)  # 7 rows a block
         sizes = []
@@ -368,7 +373,7 @@ class TestReadout:
             return block
 
         outs = [readout(model, dataset, rows, recorded(fn)) for fn in
-                (lambda x: model_outputs(model, x, dataset.task), mean_codes(model))]
+                (logits(model), mean_codes(model))]
         assert sizes == 2 * ([7] * 6 + [3])  # 45 rows, twice
         for out, want in zip(outs, whole):
             np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
@@ -470,42 +475,51 @@ class TestSweep:
     def test_single_cell_equals_train(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="spc", beta=0.1, gamma=0.1))
         result = sweep(mixture, cfg, betas=[0.1], gammas=[0.1], seeds=(0, 1))
-        assert len(result.rows) == 1
+        assert len(result["rows"]) == 1
         reports = train_jobs((mixture, cfg, seed) for seed in (0, 1))
         expected = float(np.mean([r.headline_value for r in reports]))
-        assert result.rows[0]["test_mean"] == pytest.approx(expected, abs=1e-15)
+        assert result["rows"][0]["test_mean"] == pytest.approx(expected, abs=1e-15)
+
+    def test_a_cell_the_kind_cannot_take_fails_before_any_run(self, mixture, monkeypatch):
+        def no_train(*args):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(trainer, "train", no_train)
+        with pytest.raises(ValueError, match="kind 'pc' takes 1 swept weight"):
+            sweep(mixture, small_cfg(ObjectiveConfig(kind="pc")), betas=[0.1, 0.2],
+                  gammas=[0.0, 0.5], seeds=[0, 1])
 
     def test_grid_cardinality(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="spc"), epochs=2)
         result = sweep(mixture, cfg, betas=[0.01, 0.1], gammas=[0.0, 0.1, 1.0],
                        seeds=(0,))
-        assert len(result.rows) == 6
+        assert len(result["rows"]) == 6
 
     def test_full_grid_emits_25_rows(self, mixture):
         grid = [0.001, 0.01, 0.1, 1.0, 10.0]
         cfg = small_cfg(ObjectiveConfig(kind="spc"), epochs=1, patience=1)
         result = sweep(mixture, cfg, betas=grid, gammas=grid, seeds=(0,))
-        assert len(result.rows) == 25
-        assert result.best_beta in grid and result.best_gamma in grid
+        assert len(result["rows"]) == 25
+        assert result["best_beta"] in grid and result["best_gamma"] in grid
 
     def test_ce_cp_sweeps_penalty_weight(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="ce_cp"), epochs=2)
         result = sweep(mixture, cfg, betas=[0.01, 0.1], gammas=[0.0], seeds=(0,))
-        assert len(result.rows) == 2
+        assert len(result["rows"]) == 2
         # weights land in cp_weight, so the two cells genuinely differ
         reports = [train(mixture, small_cfg(ObjectiveConfig(kind="ce_cp", cp_weight=w),
                                             epochs=2), seed=0) for w in (0.01, 0.1)]
-        assert result.rows[0]["val_mean"] == pytest.approx(
+        assert result["rows"][0]["val_mean"] == pytest.approx(
             reports[0].val_metrics["macro_f1"], abs=1e-15)
 
     def test_best_matches_table_recomputation(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="spc"), epochs=3)
         result = sweep(mixture, cfg, betas=[0.01, 0.1], gammas=[0.01, 0.1],
                        seeds=(0, 1))
-        best_val = max(r["val_mean"] for r in result.rows)
-        candidates = sorted((r["beta"], r["gamma"]) for r in result.rows
+        best_val = max(r["val_mean"] for r in result["rows"])
+        candidates = sorted((r["beta"], r["gamma"]) for r in result["rows"]
                             if r["val_mean"] == best_val)
-        assert (result.best_beta, result.best_gamma) == candidates[0]
+        assert (result["best_beta"], result["best_gamma"]) == candidates[0]
 
 
 class TestModelIO:
