@@ -32,7 +32,6 @@ README's exit-code paragraphs list every case.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import inspect
@@ -195,14 +194,6 @@ class Run:
     diverged: int
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    """`rows` under a header of the first row's keys, written atomically."""
-    with write_atomic(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def finish_run(args, run: Run, timing: dict) -> str:
     """Name `run` by a hash of its command and inputs and write it to
     <out-root>/<run-id>/: each checkpoint under ckpt/, report.json,
@@ -220,7 +211,7 @@ def finish_run(args, run: Run, timing: dict) -> str:
         fh.write(json.dumps({"results": run.results, "timing": timing},
                             indent=2, sort_keys=True))
     if run.rows:
-        _write_csv(os.path.join(run_dir, "report.csv"), run.rows)
+        dataio.write_csv(os.path.join(run_dir, "report.csv"), run.rows, list(run.rows[0]))
         names.append("report.csv")
     manifest["artifacts"] = {name: file_sha256(os.path.join(run_dir, name)) for name in names}
     with write_atomic(os.path.join(run_dir, "manifest.json")) as fh:
@@ -466,7 +457,7 @@ def cmd_report(args, timing: dict) -> None:
         print(f"no runs found under {root}")
         return
     path = os.path.join(root, "summary.csv")
-    _write_csv(path, rows)
+    dataio.write_csv(path, rows, list(rows[0]))
     for row in rows:
         print(f"{row['run_id']}  {row['command']:<12} {row['metric']} {row['mean']}")
     print(f"wrote {path}")

@@ -44,7 +44,7 @@ import math
 import os
 import re
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -240,19 +240,20 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
     """
     if num_classes < 2:
         raise DataError("gen_mixture: need at least 2 classes")
-    if per_class < 1:
-        raise DataError(f"gen_mixture: per_class must be >= 1, got {per_class}")
     if dim < num_classes:
         raise DataError(f"gen_mixture: dim must be >= num_classes ({num_classes})")
     if separation < 0:
         raise DataError("gen_mixture: separation must be non-negative")
     if seed < 0:
         raise DataError(f"gen_mixture: seed must be non-negative, got {seed}")
-    rng = np.random.default_rng(seed)
-    features, targets, split = [], [], []
     n_train = int(round(0.6 * per_class))
     n_val = int(round(0.2 * per_class))
     n_test = per_class - n_train - n_val
+    if min(n_train, n_val, n_test) < 1:
+        raise DataError(f"gen_mixture: per_class must be >= 4, so that every split of a class "
+                        f"gets a row, got {per_class}")
+    rng = np.random.default_rng(seed)
+    features, targets, split = [], [], []
     for c in range(num_classes):
         mean = np.zeros(dim)
         mean[c] = separation
@@ -291,6 +292,12 @@ def _lines(path: str, newline: str | None = None):
             yield from fh
         except UnicodeDecodeError as err:
             raise DataError(f"{path}: byte 0x{err.object[err.start]:02x} is not UTF-8") from None
+
+
+def _is_csv(path: str) -> bool:
+    """Whether `load` reads and `save` writes `path` as csv (its name ends in
+    .csv) rather than as jsonl."""
+    return path.endswith(".csv")
 
 
 def _jsonl_rows(path: str):
@@ -373,7 +380,7 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
     if not kept <= set(SPLITS):
         raise DataError(f"unknown splits {sorted(kept - set(SPLITS))}")
 
-    rows = _csv_rows(path) if path.endswith(".csv") else _jsonl_rows(path)
+    rows = _csv_rows(path) if _is_csv(path) else _jsonl_rows(path)
     first = next(rows, None)
     if first is None:
         raise DataError(f"{path}: empty dataset")
@@ -491,14 +498,27 @@ def _remove_stale_temporaries(path: str) -> None:
             pass
 
 
-def save(ds: Dataset, path: str) -> None:
-    """Write jsonl that `load` reads back to identical values, atomically."""
+def write_csv(path: str, rows: Iterable[dict], header: Sequence[str]) -> None:
+    """`rows` under `header` (a key missing from a row is an empty cell),
+    through one csv writer, atomically."""
     with write_atomic(path) as fh:
-        for i in range(ds.num_rows):
-            if ds.task == "classification":
-                label = ds.label_names[int(ds.targets[i])]
-            else:
-                label = float(ds.targets[i])
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def save(ds: Dataset, path: str) -> None:
+    """Write csv (header f0..f{D-1},label,split) if `path` ends in .csv, else
+    jsonl, that `load` reads back to identical values, atomically."""
+    labels = (ds.label_names[int(t)] if ds.task == "classification" else float(t)
+              for t in ds.targets)
+    if _is_csv(path):
+        header = [f"f{j}" for j in range(ds.num_features)] + ["label", "split"]
+        write_csv(path, (dict(zip(header, [*ds.features[i].tolist(), label, str(ds.split[i])]))
+                         for i, label in enumerate(labels)), header)
+        return
+    with write_atomic(path) as fh:
+        for i, label in enumerate(labels):
             fh.write(json.dumps({
                 "features": ds.features[i].tolist(),
                 "label": label,
@@ -511,8 +531,9 @@ def read_label_mapping(path: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     reader = csv.reader(_lines(path, newline=""))
     header = next(reader, None)
-    if header is None or [c.strip() for c in header[:2]] != ["source_label", "target_label"]:
-        raise DataError(f"{path}: expected header 'source_label,target_label'")
+    if header is None or [c.strip() for c in header] != ["source_label", "target_label"]:
+        raise DataError(f"{path}: expected the header 'source_label,target_label', "
+                        f"got {','.join(header or [])!r}")
     for row in reader:
         if not row:  # a blank line
             continue

@@ -11,8 +11,8 @@ estimate is mu itself.
 
 The VIB baseline is the same encoder into a code of any width, plus a
 trainable single-hidden-layer tanh decoder from t to the output space;
-`decode` is the identity for a model without one. Checkpoints of both are
-written and read here, each tensor's shape checked against the "arch"; a
+`decode` is the identity for a model without one. A model is its
+checkpoint's "arch" plus its named tensors (`EncoderParams`). A checkpoint
 write streams the json text a chunk of values at a time through
 `data.write_atomic`, which replaces the file only once it is complete.
 """
@@ -43,11 +43,7 @@ class GaussianCode:
     log_var: Tensor | None
 
 
-# every tensor a model can hold, in checkpoint and init order
-TENSOR_NAMES = ("w_in", "b_in", "w_mu", "b_mu", "w_lv", "b_lv",
-                "w_dec1", "b_dec1", "w_dec2", "b_dec2")
-
-# checkpoint kind -> its "arch" keys, in file order
+# checkpoint kind -> its "arch" keys, in file order; all but use_layer_norm are dimensions
 ARCH_KEYS = {
     "encoder": ("input_dim", "hidden_dim", "out_dim", "use_layer_norm"),
     "vib": ("input_dim", "hidden_dim", "latent_dim", "decoder_hidden", "out_dim",
@@ -57,50 +53,38 @@ ARCH_KEYS = {
 
 @dataclass
 class EncoderParams:
-    """Trunk + mean head + log-variance head, and optionally a decoder.
+    """A model: its checkpoint "arch", which describes it whole (its kind's
+    ARCH_KEYS, in file order), and its tensors by name (`tensor_shapes` order).
 
-    Without a decoder the code lives in the output space. With one (the VIB
-    baseline, checkpoint kind "vib") the code is `latent_dim` wide and the
-    decoder maps t to the `out_dim` outputs. `use_layer_norm` standardizes
-    the trunk pre-activation row-wise before the tanh. Dropout, when used,
-    is applied by the caller as a mask on the hidden layer (see `encode`).
+    Kind "encoder" is the trunk, mean head and log-variance head, its code in
+    the output space; kind "vib" (the VIB baseline) adds a decoder from its
+    `latent_dim`-wide code t to the `out_dim` outputs. `use_layer_norm`
+    standardizes the trunk pre-activation row-wise before the tanh. Dropout,
+    when used, is a mask the caller puts on the hidden layer (see `encode`).
     """
 
-    w_in: Tensor
-    b_in: Tensor
-    w_mu: Tensor
-    b_mu: Tensor
-    w_lv: Tensor
-    b_lv: Tensor
-    use_layer_norm: bool = False
-    w_dec1: Tensor | None = None
-    b_dec1: Tensor | None = None
-    w_dec2: Tensor | None = None
-    b_dec2: Tensor | None = None
+    arch: dict
+    tensors: dict[str, Tensor]
+
+    @property
+    def kind(self) -> str:
+        return "vib" if "decoder_hidden" in self.arch else "encoder"
 
     @property
     def input_dim(self) -> int:
-        return self.w_in.values.shape[0]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_in.values.shape[1]
+        return self.arch["input_dim"]
 
     @property
     def latent_dim(self) -> int:
         """Width of the Gaussian code (and of every noise draw)."""
-        return self.w_mu.values.shape[1]
+        return self.arch.get("latent_dim", self.out_dim)
 
     @property
     def out_dim(self) -> int:
-        return self.latent_dim if self.w_dec2 is None else self.w_dec2.values.shape[1]
+        return self.arch["out_dim"]
 
     def parameters(self) -> list[Tensor]:
-        return list(self.named_parameters().values())
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {name: getattr(self, name) for name in TENSOR_NAMES
-                if getattr(self, name) is not None}
+        return list(self.tensors.values())
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -109,7 +93,7 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def tensor_shapes(arch: dict) -> dict[str, tuple[int, int]]:
-    """Each tensor's shape under a checkpoint "arch", in TENSOR_NAMES order."""
+    """Each tensor's shape under a checkpoint "arch", in checkpoint and init order."""
     d_in, hidden, out = arch["input_dim"], arch["hidden_dim"], arch["out_dim"]
     code = arch.get("latent_dim", out)
     shapes = {"w_in": (d_in, hidden), "b_in": (1, hidden), "w_mu": (hidden, code),
@@ -120,12 +104,23 @@ def tensor_shapes(arch: dict) -> dict[str, tuple[int, int]]:
     return shapes
 
 
+def _check_arch(arch: dict) -> None:
+    """Raise ValueError unless each dimension of `arch` is an int >= 1 (not
+    a bool) and its use_layer_norm is true or false."""
+    for key, value in arch.items():
+        if key == "use_layer_norm" and not isinstance(value, bool):
+            raise ValueError(f"arch use_layer_norm must be true or false, got {value!r}")
+        if key != "use_layer_norm" and (type(value) is not int or value < 1):
+            raise ValueError(f"arch {key} must be an integer >= 1, got {value!r}")
+
+
 def _init(arch: dict, rng: np.random.Generator | int) -> EncoderParams:
-    """Glorot-uniform weights, zero biases, drawn in TENSOR_NAMES order."""
+    """Glorot-uniform weights, zero biases, drawn in `tensor_shapes` order."""
+    _check_arch(arch)
     rng = np.random.default_rng(rng)  # a Generator is returned as it is
-    tensors = {name: param(_glorot(rng, *shape) if name.startswith("w") else np.zeros(shape))
-               for name, shape in tensor_shapes(arch).items()}
-    return EncoderParams(**tensors, use_layer_norm=arch["use_layer_norm"])
+    return EncoderParams(arch, {
+        name: param(_glorot(rng, *shape) if name.startswith("w") else np.zeros(shape))
+        for name, shape in tensor_shapes(arch).items()})
 
 
 def init_encoder(input_dim: int, hidden_dim: int, out_dim: int,
@@ -158,16 +153,17 @@ def encode(params: EncoderParams, x: Tensor, dropout_mask: np.ndarray | None = N
     if x.values.ndim != 2 or x.values.shape[1] != params.input_dim:
         raise ShapeError(
             f"encode: expected input of shape (B, {params.input_dim}), got {x.values.shape}")
-    pre = matmul(x, params.w_in, params.b_in)
-    if params.use_layer_norm:
+    w = params.tensors
+    pre = matmul(x, w["w_in"], w["b_in"])
+    if params.arch["use_layer_norm"]:
         pre = layer_norm(pre)
     h = tanh(pre)
     if dropout_mask is not None:
         h = mul(h, Tensor(dropout_mask))
-    mu = matmul(h, params.w_mu, params.b_mu)
+    mu = matmul(h, w["w_mu"], w["b_mu"])
     if not with_log_var:
         return GaussianCode(mu=mu, log_var=None)
-    log_var = clip(matmul(h, params.w_lv, params.b_lv), LOG_VAR_MIN, LOG_VAR_MAX)
+    log_var = clip(matmul(h, w["w_lv"], w["b_lv"]), LOG_VAR_MIN, LOG_VAR_MAX)
     return GaussianCode(mu=mu, log_var=log_var)
 
 
@@ -189,10 +185,10 @@ def sample(code: GaussianCode, eps: Tensor | np.ndarray) -> Tensor:
 
 def decode(params: EncoderParams, t: Tensor) -> Tensor:
     """The prediction from a code sample: t itself, or the decoder's output."""
-    if params.w_dec1 is None:
+    if params.kind == "encoder":
         return t
-    h = tanh(matmul(t, params.w_dec1, params.b_dec1))
-    return matmul(h, params.w_dec2, params.b_dec2)
+    w = params.tensors
+    return matmul(tanh(matmul(t, w["w_dec1"], w["b_dec1"])), w["w_dec2"], w["b_dec2"])
 
 
 # --- checkpoint serialization (versioned JSON of named tensors) ---
@@ -206,17 +202,11 @@ def save_checkpoint(path: str, params: EncoderParams) -> None:
     below, streamed one tensor and at most CHECKPOINT_CHUNK_VALUES values at
     a time, so the payload never exists as one string or as Python lists.
     A failed write leaves any earlier file at `path` as it was (`write_atomic`)."""
-    kind = "encoder" if params.w_dec1 is None else "vib"
-    dims = {"input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
-            "latent_dim": params.latent_dim, "out_dim": params.out_dim,
-            "use_layer_norm": params.use_layer_norm}
-    if params.w_dec1 is not None:
-        dims["decoder_hidden"] = params.w_dec1.values.shape[1]
-    head = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, "kind": kind,
-                       "arch": {key: dims[key] for key in ARCH_KEYS[kind]}})
+    head = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, "kind": params.kind,
+                       "arch": params.arch})
     with write_atomic(path) as fh:
         fh.write(head[:-1] + ', "tensors": {')
-        for i, (name, t) in enumerate(params.named_parameters().items()):
+        for i, (name, t) in enumerate(params.tensors.items()):
             fh.write(f'{", " if i else ""}{json.dumps(name)}: '
                      f'{{"shape": {json.dumps(list(t.values.shape))}, "values": [')
             values = t.values.ravel()
@@ -237,18 +227,16 @@ def load_checkpoint_payload(path: str) -> dict:
 
 
 def load_checkpoint(path: str) -> EncoderParams:
-    """Read a checkpoint. Any malformed content, including a tensor whose
-    shape disagrees with the "arch" or that holds a non-finite value, is a
-    DataError naming the file."""
+    """Read a checkpoint. Any malformed content, including an "arch" that
+    `_check_arch` rejects, a tensor whose shape disagrees with the arch or a
+    tensor that holds a non-finite value, is a DataError naming the file."""
     try:
         payload = load_checkpoint_payload(path)
         kind = payload["kind"]
         if kind not in ARCH_KEYS:
             raise ValueError(f"unknown checkpoint kind {kind!r}")
         arch = {key: payload["arch"][key] for key in ARCH_KEYS[kind]}
-        if not isinstance(arch["use_layer_norm"], bool):
-            raise ValueError(f"arch use_layer_norm must be true or false, "
-                             f"got {arch['use_layer_norm']!r}")
+        _check_arch(arch)
         tensors = {}
         for name, shape in tensor_shapes(arch).items():
             entry = payload["tensors"][name]
@@ -259,6 +247,6 @@ def load_checkpoint(path: str) -> EncoderParams:
             if not np.isfinite(values).all():
                 raise ValueError(f"tensor {name} holds a non-finite value")
             tensors[name] = param(values.reshape(shape))
-        return EncoderParams(**tensors, use_layer_norm=arch["use_layer_norm"])
+        return EncoderParams(arch, tensors)
     except (KeyError, TypeError, ValueError) as err:
         raise DataError(f"{path}: not a usable checkpoint ({type(err).__name__}: {err})") from err

@@ -73,7 +73,7 @@ class TestCeCpForward:
         params = init_encoder(3, 4, 2, rng=45)
         for p in params.parameters():
             p.values[:] = 0.0
-        params.b_mu.values[:] = np.array([[40.0, -40.0]])  # softmax ~ one-hot
+        params.tensors["b_mu"].values[:] = np.array([[40.0, -40.0]])  # softmax ~ one-hot
         x = Tensor(np.zeros((4, 3)))
         terms = batch_loss(params, x, np.zeros(4, dtype=int), ce_cp(1.0), no_eps(4, 2))
         assert abs(terms.penalty) < 1e-12
@@ -157,8 +157,8 @@ class TestVib:
         path = str(tmp_path / "vib.json")
         save_checkpoint(path, params)
         restored = load_checkpoint(path)
-        for name, tensor in params.named_parameters().items():
-            assert np.array_equal(tensor.values, restored.named_parameters()[name].values)
+        for name, tensor in params.tensors.items():
+            assert np.array_equal(tensor.values, restored.tensors[name].values)
 
 
 class TestStructuralContrast:
@@ -167,9 +167,9 @@ class TestStructuralContrast:
         vib = init_vib(4, 8, 16, 3, rng=55)
         # the stochastic-coding head predicts from t itself; VIB runs t through a decoder
         decoder = {"w_dec1", "b_dec1", "w_dec2", "b_dec2"}
-        assert not decoder & set(enc.named_parameters())
-        assert decoder <= set(vib.named_parameters())
-        assert sum(vib.named_parameters()[name].values.size for name in decoder) >= 1
+        assert not decoder & set(enc.tensors)
+        assert decoder <= set(vib.tensors)
+        assert sum(vib.tensors[name].values.size for name in decoder) >= 1
 
     def test_mse_forward_baseline(self):
         rng = np.random.default_rng(56)

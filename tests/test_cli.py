@@ -22,7 +22,8 @@ from spc import trainer
 from spc.data import gen_mixture, save
 from spc.objectives import OBJECTIVES, ObjectiveConfig
 from spc.diffcore import Tensor
-from spc.encoder import encode, init_encoder, init_vib, load_checkpoint, save_checkpoint
+from spc.encoder import (encode, init_encoder, init_vib, load_checkpoint, save_checkpoint,
+                         tensor_shapes)
 from spc.metrics import adjusted_rand_index, kmeans, silhouette
 from spc.trainer import TrainConfig, train
 
@@ -94,6 +95,28 @@ class TestPipeline:
         assert run_cli(*argv) == 0
         second = read_report(out, run_id)["results"]
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+    def test_gen_data_csv_trains_as_its_jsonl(self, out, tmp_path):
+        results = {}
+        for fmt in ("jsonl", "csv"):
+            path = str(tmp_path / f"mix.{fmt}")
+            assert run_cli("gen-data", "--out", out, "--classes", "3", "--dim", "4",
+                           "--per-class", "20", "--seed", "3", "--output", path) == 0
+            root = f"{out}_{fmt}"
+            assert run_cli("train", "--out", root, "--data", path, "--objective", "spc",
+                           "--beta", "0.1", "--gamma", "0.1", "--epochs", "3", "--patience", "3",
+                           "--batch-size", "16", "--hidden-dim", "8", "--seeds", "2") == 0
+            [run_id] = run_ids(root)
+            results[fmt] = read_report(root, run_id)["results"]
+        with open(tmp_path / "mix.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == ["f0", "f1", "f2", "f3", "label", "split"]
+        want, got = (dataio.load(str(tmp_path / f"mix.{fmt}")) for fmt in ("jsonl", "csv"))
+        assert got.features.tobytes() == want.features.tobytes()
+        assert got.targets.tobytes() == want.targets.tobytes()
+        assert got.split.tolist() == want.split.tolist()
+        assert got.label_names == want.label_names
+        assert json.dumps(results["csv"], sort_keys=True) == json.dumps(results["jsonl"],
+                                                                        sort_keys=True)
 
     def test_input_dataset_never_mutated(self, out, data_file):
         before = open(data_file, "rb").read()
@@ -335,7 +358,8 @@ class TestExitCodes:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("flags", [
-        ("--per-class", "-1"), ("--per-class", "0"), ("--classes", "1"),
+        ("--per-class", "-1"), ("--per-class", "0"), ("--per-class", "1"), ("--per-class", "2"),
+        ("--per-class", "3"), ("--classes", "1"),
         ("--classes", "4", "--dim", "3"), ("--sep", "-1"), ("--seed", "-1"),
     ])
     def test_bad_gen_data_flag_exits_2_before_writing(self, out, tmp_path, flags, capsys):
@@ -1086,6 +1110,32 @@ class TestBadInputs:
         assert run_cli("eval", "--out", out, "--data", data_file,
                        "--ckpt", ckpt) == cli.EXIT_DATA
         self._one_line_error(capsys, ckpt, "use_layer_norm")
+
+    # a -1 or 0 would pass as a tensor shape (reshape infers a -1, and a
+    # zero-width tensor holds no values), so the tensors are made to agree
+    @pytest.mark.parametrize("model, key", [
+        ("encoder", "input_dim"), ("encoder", "hidden_dim"), ("encoder", "out_dim"),
+        ("vib", "latent_dim"), ("vib", "decoder_hidden"),
+    ])
+    @pytest.mark.parametrize("value", [-1, 0, True, 2.0, "4", None])
+    def test_checkpoint_dimension_not_an_integer_of_at_least_1(self, out, data_file, tmp_path,
+                                                               model, key, value, capsys):
+        ckpt = str(tmp_path / f"{model}.json")
+        params = init_encoder(8, 4, 2, rng=0) if model == "encoder" else init_vib(8, 4, 3, 2, rng=0)
+        save_checkpoint(ckpt, params)
+        payload = json.load(open(ckpt))
+        payload["arch"][key] = value
+        if isinstance(value, int):
+            for name, shape in tensor_shapes(payload["arch"]).items():
+                payload["tensors"][name]["shape"] = list(shape)
+                if 0 in shape:
+                    payload["tensors"][name]["values"] = []
+        with open(ckpt, "w") as fh:
+            json.dump(payload, fh)
+        assert run_cli("eval", "--out", out, "--data", data_file,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt, f"arch {key} must be an integer >= 1, got {value!r}")
+        assert not os.path.exists(out)
 
     @pytest.mark.parametrize("field, value", [("format_version", 99), ("kind", "mystery")])
     def test_checkpoint_of_unknown_format(self, out, data_file, ckpt, field, value, capsys):

@@ -59,6 +59,21 @@ class TestLoad:
         assert np.array_equal(ds.split, back.split)
         assert ds.label_names == back.label_names
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_csv_save_loads_as_its_jsonl(self, tmp_path, task):
+        ds = gen_mixture(3, 4, 30, 2.0, seed=1)
+        if task == "regression":
+            ds = Dataset(features=ds.features, split=ds.split, task="regression",
+                         targets=np.random.default_rng(1).normal(size=ds.num_rows))
+        save(ds, str(tmp_path / "rt.jsonl"))
+        save(ds, str(tmp_path / "rt.csv"))
+        assert (tmp_path / "rt.csv").read_text().splitlines()[0] == "f0,f1,f2,f3,label,split"
+        want, got = (load(str(tmp_path / name), task=task) for name in ("rt.jsonl", "rt.csv"))
+        assert got.features.tobytes() == want.features.tobytes() == ds.features.tobytes()
+        assert got.targets.tobytes() == want.targets.tobytes()
+        assert got.split.tolist() == want.split.tolist() == ds.split.tolist()
+        assert got.label_names == want.label_names
+
     def test_non_numeric_feature(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("f0,label\nnotanumber,a\n0.3,b\n")
@@ -151,6 +166,15 @@ class TestInputFiles:
         path = tmp_path / "mapping.csv"
         path.write_text(BOM + "source_label,target_label\na,x\n", encoding="utf-8")
         assert dataio.read_label_mapping(str(path)) == {"x": "a"}
+
+    @pytest.mark.parametrize("header", ["source_label,target_label,note", "source_label"])
+    def test_a_label_mapping_header_of_other_columns(self, tmp_path, header):
+        path = tmp_path / "map.csv"
+        path.write_text(header + "\n0,0,x\n")
+        with pytest.raises(DataError) as err:
+            dataio.read_label_mapping(str(path))
+        assert str(err.value) == (f"{path}: expected the header 'source_label,target_label', "
+                                  f"got {header!r}")
 
     @pytest.mark.parametrize("header, message", [
         ("f0,f0,label,split", r"the header names \['f0'\] more than once"),
@@ -591,6 +615,17 @@ class TestGenMixture:
     def test_dim_check(self):
         with pytest.raises(DataError):
             gen_mixture(5, 4, 10, 1.0, seed=0)
+
+    # 60/20/20 of 1, 2 or 3 rows leaves a split of each class empty
+    @pytest.mark.parametrize("per_class", [1, 2, 3])
+    def test_too_few_rows_for_every_split(self, per_class):
+        with pytest.raises(DataError, match="per_class must be >= 4"):
+            gen_mixture(2, 2, per_class, 1.0, seed=0)
+
+    def test_four_rows_fill_every_split(self):
+        ds = gen_mixture(2, 2, 4, 1.0, seed=0)
+        for split, per_class in (("train", 2), ("val", 1), ("test", 1)):
+            assert np.bincount(ds.targets[ds.indices(split)]).tolist() == [per_class] * 2
 
 
 class TestInjectLabelNoise:

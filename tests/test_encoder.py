@@ -13,7 +13,6 @@ from spc import encoder
 from spc.data import Dataset
 from spc.diffcore import ShapeError, Tape, Tensor, backward, param
 from spc.encoder import (
-    ARCH_KEYS,
     EncoderParams,
     decode,
     encode,
@@ -23,19 +22,16 @@ from spc.encoder import (
     load_checkpoint_payload,
     sample,
     save_checkpoint,
+    tensor_shapes,
 )
 from spc.trainer import evaluate_split
 
 
 def zero_encoder(input_dim=3, hidden_dim=4, out_dim=2) -> EncoderParams:
-    return EncoderParams(
-        w_in=param(np.zeros((input_dim, hidden_dim))),
-        b_in=param(np.zeros((1, hidden_dim))),
-        w_mu=param(np.zeros((hidden_dim, out_dim))),
-        b_mu=param(np.zeros((1, out_dim))),
-        w_lv=param(np.zeros((hidden_dim, out_dim))),
-        b_lv=param(np.zeros((1, out_dim))),
-    )
+    arch = {"input_dim": input_dim, "hidden_dim": hidden_dim, "out_dim": out_dim,
+            "use_layer_norm": False}
+    return EncoderParams(arch, {name: param(np.zeros(shape))
+                                for name, shape in tensor_shapes(arch).items()})
 
 
 class TestEncode:
@@ -57,7 +53,7 @@ class TestEncode:
 
     def test_log_var_clamped(self):
         params = zero_encoder()
-        params.b_lv.values[:] = 50.0
+        params.tensors["b_lv"].values[:] = 50.0
         code = encode(params, Tensor(np.zeros((3, 3))))
         assert np.all(code.log_var.values == 8.0)
 
@@ -154,13 +150,13 @@ class TestPredict:
         params = init_encoder(3, 4, 5, rng=rng)
         features = rng.normal(size=(6, 3))
         base = logits(params, features).argmax(axis=1)
-        params.b_mu.values = params.b_mu.values + 123.45
+        params.tensors["b_mu"].values = params.tensors["b_mu"].values + 123.45
         shifted = logits(params, features).argmax(axis=1)
         assert np.array_equal(base, shifted)
 
     def test_regression_identity(self):
         params = zero_encoder(out_dim=1)
-        params.b_mu.values = np.array([[2.5]])
+        params.tensors["b_mu"].values = np.array([[2.5]])
         assert logits(params, np.zeros((1, 3)))[0, 0] == 2.5
 
     def test_no_randomness(self):
@@ -181,9 +177,9 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt.json")
         save_checkpoint(path, params)
         restored = load_checkpoint(path)
-        for name, tensor in params.named_parameters().items():
-            assert np.array_equal(tensor.values, restored.named_parameters()[name].values)
-        assert restored.use_layer_norm
+        for name, tensor in params.tensors.items():
+            assert np.array_equal(tensor.values, restored.tensors[name].values)
+        assert restored.arch["use_layer_norm"]
 
     # a checkpoint's bytes are part of every run's artifacts, so the
     # serialization of fixed parameters is pinned
@@ -200,6 +196,11 @@ class TestCheckpoint:
         save_checkpoint(str(path), params)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("dims", [(3, 0, 2), (3, -1, 2), (3, True, 2), (3, 4.0, 2)])
+    def test_init_rejects_a_dimension_not_an_integer_of_at_least_1(self, dims):
+        with pytest.raises(ValueError, match="arch hidden_dim must be an integer >= 1"):
+            init_encoder(*dims, rng=0)
+
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99, "kind": "encoder"}))
@@ -210,24 +211,18 @@ class TestCheckpoint:
 def whole_payload_text(params: EncoderParams) -> str:
     """`json.dumps` of the checkpoint payload built whole, as the format
     defines it: the text a streamed write must equal byte for byte."""
-    kind = "encoder" if params.w_dec1 is None else "vib"
-    dims = {"input_dim": params.input_dim, "hidden_dim": params.hidden_dim,
-            "latent_dim": params.latent_dim, "out_dim": params.out_dim,
-            "use_layer_norm": params.use_layer_norm}
-    if params.w_dec1 is not None:
-        dims["decoder_hidden"] = params.w_dec1.values.shape[1]
     return json.dumps({
-        "format_version": 1, "kind": kind, "arch": {key: dims[key] for key in ARCH_KEYS[kind]},
+        "format_version": 1, "kind": params.kind, "arch": params.arch,
         "tensors": {name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
-                    for name, t in params.named_parameters().items()},
+                    for name, t in params.tensors.items()},
     })
 
 
 def with_special_values() -> EncoderParams:
     params = init_encoder(3, 4, 2, rng=7)
-    params.w_in.values[0, 0] = np.nan
-    params.b_mu.values[0, 1] = -np.inf
-    params.w_lv.values[2, 0] = 1e-310  # subnormal
+    params.tensors["w_in"].values[0, 0] = np.nan
+    params.tensors["b_mu"].values[0, 1] = -np.inf
+    params.tensors["w_lv"].values[2, 0] = 1e-310  # subnormal
     return params
 
 

@@ -71,18 +71,19 @@ def chain_mse(t, y):
 
 def chain_batch_loss(model, x, y, objective, eps, mask=None):
     """`trainer.batch_loss` as primitive ops: encode, sample, decode, score."""
-    pre = add(matmul(x, model.w_in), model.b_in)
-    if model.use_layer_norm:
+    w = model.tensors
+    pre = add(matmul(x, w["w_in"]), w["b_in"])
+    if model.arch["use_layer_norm"]:
         pre = layer_norm(pre)
     h = tanh(pre)
     if mask is not None:
         h = mul(h, Tensor(mask))
-    code = GaussianCode(add(matmul(h, model.w_mu), model.b_mu),
-                        clip(add(matmul(h, model.w_lv), model.b_lv), LOG_VAR_MIN, LOG_VAR_MAX))
+    code = GaussianCode(add(matmul(h, w["w_mu"]), w["b_mu"]),
+                        clip(add(matmul(h, w["w_lv"]), w["b_lv"]), LOG_VAR_MIN, LOG_VAR_MAX))
     out = chain_sample(code, eps) if objective.samples else code.mu
-    if model.w_dec1 is not None:
-        out = add(matmul(tanh(add(matmul(out, model.w_dec1), model.b_dec1)), model.w_dec2),
-                  model.b_dec2)
+    if "w_dec1" in w:
+        out = add(matmul(tanh(add(matmul(out, w["w_dec1"]), w["b_dec1"])), w["w_dec2"]),
+                  w["b_dec2"])
     total = chain_nll(out, y) if objective.task == "classification" else chain_mse(out, y)
     if objective.beta != 0.0:
         total = add(total, scale(chain_kl(code), objective.beta))
@@ -217,7 +218,7 @@ def test_training_step_has_the_chains_bytes(kind, structured_from, variant):
     model = (init_vib(D, 8, 3, out_dim, rng, use_layer_norm=layer_norm_on) if spec.decoder
              else init_encoder(D, 8, out_dim, rng, use_layer_norm=layer_norm_on))
     if variant == "clamped":
-        model.w_lv.values *= 40.0  # drive log_var past both ends of the clamp
+        model.tensors["w_lv"].values *= 40.0  # drive log_var past both ends of the clamp
     x = Tensor(rng.normal(size=(B, D)))
     y = rng.integers(0, C, size=B) if spec.task == "classification" else rng.normal(size=B)
     eps = rng.standard_normal((B, model.latent_dim))
@@ -234,6 +235,7 @@ def test_training_step_has_the_chains_bytes(kind, structured_from, variant):
     fused = step(lambda: batch_loss(model, x, y, objective, eps, mask).total)
     assert fused == step(lambda: chain_batch_loss(model, x, y, objective, eps, mask))
     if variant == "clamped":
-        hidden = np.tanh(x.values @ model.w_in.values + model.b_in.values)
-        log_var = hidden @ model.w_lv.values + model.b_lv.values
+        w = {name: t.values for name, t in model.tensors.items()}
+        hidden = np.tanh(x.values @ w["w_in"] + w["b_in"])
+        log_var = hidden @ w["w_lv"] + w["b_lv"]
         assert log_var.max() > LOG_VAR_MAX and log_var.min() < LOG_VAR_MIN
