@@ -1,32 +1,33 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The core holds what training tapes: `Tensor`, one explicit `Tape` per
-forward pass, `emit`, `backward`, and the five ops the encoder calls
-(`matmul`, `mul`, `tanh`, `clip`, `layer_norm`). Each loss term, and their
-weighted total, is an op built on `emit` in `objectives`. Storage is
-64-bit, so analytic gradients can be checked against central finite
-differences to tight tolerances.
+The core holds what the model tapes: `Tensor`, one explicit `Tape` per
+forward pass, `emit`, `backward`, and the ops the readout forward
+(`encoder.encode`, `encoder.decode`) calls: `matmul`, `tanh` and
+`layer_norm`. A training step is one op (`trainer.batch_loss`), with a
+hand-written backward. Storage is 64-bit, so analytic gradients can be
+checked against central finite differences to tight tolerances.
 
-Broadcasting has two cases, nothing else is implicit: `mul` of a scalar
-and a tensor, and the optional bias of `matmul(a, b, bias)`, which
-computes `a @ b + bias` as one op for a 1xH row, a scalar or a full
-matrix bias.
+Broadcasting has one case, nothing else is implicit: the optional bias of
+`matmul(a, b, bias)`, which computes `a @ b + bias` as one op for a 1xH
+row, a scalar or a full matrix bias.
 
 Op contract: an op computes its output values and hands `emit` one
 (input, local-gradient function) pair per input; the function maps the
 output gradient `g` to that input's local gradient (`tanh`:
-`g * (1 - out**2)`; `matmul`: `g @ b.T` and `a.T @ g`; `mul`'s right
-operand: `g * a`). `emit` keeps the pairs whose input requires a
-gradient, and tapes the output (which then requires one) iff any pair is
-kept. `backward` sums each local gradient back over a broadcast operand's
-shape and accumulates it into that input's `.grad`.
+`g * (1 - out**2)`; `matmul`: `g @ b.T` and `a.T @ g`). `emit` keeps the
+pairs whose input requires a gradient, and tapes the output (which then
+requires one) iff any pair is kept. `backward` sums each local gradient
+back over a broadcast operand's shape and accumulates it into that
+input's `.grad`. The training step's one op hands `emit` one pair per
+model tensor; the first pair `backward` calls runs the whole hand-written
+backward, and each pair returns its tensor's gradient.
 
-Fused ops. A layer or a loss term computes the NumPy expressions of the
-primitive chain it replaced (kept in `tests/primitives.py`) in the same
-order, and hands `emit` one pair per use of an input in that chain, in
-the order `backward` reached them, so no bit moves. Only a zero inside a
-fused op's gradient may keep a -0.0 sign, which a leaf's fresh or
-+0.0-zeroed gradient turns into +0.0.
+Fused ops. An op computes the NumPy expressions of the primitive chain it
+replaced (the chains are kept in `tests/primitives.py` and
+`tests/fused.py`) in the same order, and adds each contribution to a
+gradient in the order `backward` reached it in that chain, so no bit
+moves. Only a zero inside a fused op's gradient may keep a -0.0 sign,
+which a leaf's fresh or +0.0-zeroed gradient turns into +0.0.
 
 Gradient buffers belong to the caller. A `.grad` of None becomes a fresh
 array equal to `zeros + g` bit for bit; an array `.grad` (for example a
@@ -165,13 +166,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=0, keepdims=True)  # a 1xH row
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; same shape or scalar-vs-tensor only."""
-    _check_broadcast(a.values.shape, b.values.shape, "mul", allow_row=False)
-    return emit(a.values * b.values,
-                (a, lambda g: g * b.values), (b, lambda g: g * a.values))
-
-
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product plus an optional bias (a 1xH row, a scalar or a full
     matrix), `a @ b + bias`; gradients dL/da = g @ b.T, dL/db = a.T @ g,
@@ -193,22 +187,24 @@ def tanh(a: Tensor) -> Tensor:
     return emit(out_values, (a, lambda g: g * (1.0 - out_values * out_values)))
 
 
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Hard clamp; gradient passes only where lo <= value <= hi."""
-    mask = (a.values >= lo) & (a.values <= hi)
-    return emit(np.clip(a.values, lo, hi), (a, lambda g: g * mask))
+def layer_norm_values(a: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of `a` standardized (no affine parameters), and 1/std."""
+    mean = a.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(a.var(axis=1, keepdims=True) + eps)
+    return (a - mean) * inv_std, inv_std
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm_grad(g: np.ndarray, y: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """The local gradient of a row-wise layer norm with output `y`."""
+    return inv_std * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True))
+
+
+def layer_norm(a: Tensor) -> Tensor:
     """Row-wise standardization (no affine parameters)."""
     if a.values.ndim != 2:
         raise ShapeError(f"layer_norm: expected 2-D input, got {a.values.shape}")
-    mean = a.values.mean(axis=1, keepdims=True)
-    var = a.values.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    y = (a.values - mean) * inv_std
-    return emit(y, (a, lambda g: inv_std * (g - g.mean(axis=1, keepdims=True)
-                                            - y * (g * y).mean(axis=1, keepdims=True))))
+    y, inv_std = layer_norm_values(a.values)
+    return emit(y, (a, lambda g: layer_norm_grad(g, y, inv_std)))
 
 
 def zero_grads(tensors) -> None:

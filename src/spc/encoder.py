@@ -2,12 +2,13 @@
 
 A single-hidden-layer tanh trunk feeds two linear heads that predict the
 mean and log-variance of a Gaussian over the output space (one dimension
-per class, or one dimension for regression). Sampling uses the
-reparameterization t = mu + exp(log_var / 2) * eps with caller-supplied
-eps, so gradients reach mu and log_var but never the noise. Prediction
-reads mu (decoded, for VIB): the predicted class is its argmax (softmax(mu),
-the predictive distribution, has the same argmax), and a regression
-estimate is mu itself.
+per class, or one dimension for regression). Training samples with the
+reparameterization t = mu + exp(log_var / 2) * eps, eps drawn by the
+caller, so gradients reach mu and log_var but never the noise (`forward`,
+which runs a training batch on plain arrays and returns its hand-written
+backward). Prediction reads mu (decoded, for VIB) through `encode` and
+`decode`: the predicted class is its argmax (softmax(mu), the predictive
+distribution, has the same argmax), and a regression estimate is mu itself.
 
 The VIB baseline is the same encoder into a code of any width, plus a
 trainable single-hidden-layer tanh decoder from t to the output space;
@@ -20,27 +21,20 @@ write streams the json text a chunk of values at a time through
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataError, write_atomic
-from .diffcore import ShapeError, Tensor, clip, emit, layer_norm, matmul, mul, param, tanh
+from .diffcore import (ShapeError, Tensor, layer_norm, layer_norm_grad, layer_norm_values, matmul,
+                       param, tanh)
 
 # hard bounds on predicted log-variance; keeps the KL term finite on outliers
 LOG_VAR_MIN = -8.0
 LOG_VAR_MAX = 8.0
 
 CHECKPOINT_FORMAT_VERSION = 1
-
-
-@dataclass
-class GaussianCode:
-    """Per-sample posterior parameters (mu, log sigma^2) in the output space;
-    log_var is None where `encode` was asked for mu alone."""
-
-    mu: Tensor
-    log_var: Tensor | None
 
 
 # checkpoint kind -> its "arch" keys, in file order; all but use_layer_norm are dimensions
@@ -140,16 +134,10 @@ def init_vib(input_dim: int, hidden_dim: int, latent_dim: int, out_dim: int,
                   "use_layer_norm": use_layer_norm}, rng)
 
 
-def encode(params: EncoderParams, x: Tensor, dropout_mask: np.ndarray | None = None,
-           with_log_var: bool = True) -> GaussianCode:
-    """Map a feature batch to per-sample (mu, log_var), log_var clamped to [-8, 8].
-
-    The shared trunk is tanh(layer_norm?(x @ w_in + b_in)), times the
-    dropout mask if one is given. With `with_log_var=False` the
-    log-variance head is neither computed nor taped and log_var is None,
-    for callers that read mu alone (predictions, representations, and the
-    kinds that neither sample nor take a KL term).
-    """
+def encode(params: EncoderParams, x: Tensor) -> Tensor:
+    """The code means mu of a feature batch, as a readout takes them (no
+    log-variance head, no dropout): the trunk tanh(layer_norm?(x @ w_in +
+    b_in)), then the mean head."""
     if x.values.ndim != 2 or x.values.shape[1] != params.input_dim:
         raise ShapeError(
             f"encode: expected input of shape (B, {params.input_dim}), got {x.values.shape}")
@@ -157,30 +145,7 @@ def encode(params: EncoderParams, x: Tensor, dropout_mask: np.ndarray | None = N
     pre = matmul(x, w["w_in"], w["b_in"])
     if params.arch["use_layer_norm"]:
         pre = layer_norm(pre)
-    h = tanh(pre)
-    if dropout_mask is not None:
-        h = mul(h, Tensor(dropout_mask))
-    mu = matmul(h, w["w_mu"], w["b_mu"])
-    if not with_log_var:
-        return GaussianCode(mu=mu, log_var=None)
-    log_var = clip(matmul(h, w["w_lv"], w["b_lv"]), LOG_VAR_MIN, LOG_VAR_MAX)
-    return GaussianCode(mu=mu, log_var=log_var)
-
-
-def sample(code: GaussianCode, eps: Tensor | np.ndarray) -> Tensor:
-    """Reparameterized draw t = mu + exp(log_var / 2) * eps, as one op.
-
-    `eps` is treated as a constant: it must be drawn from N(0, I) by the
-    caller, and no gradient flows into it. The local gradients are g for
-    mu and g * eps * sigma * 0.5 for log_var.
-    """
-    eps = (eps if isinstance(eps, Tensor) else Tensor(eps)).values
-    if eps.shape != code.mu.values.shape:
-        raise ShapeError(
-            f"sample: eps shape {eps.shape} != code shape {code.mu.values.shape}")
-    sigma = np.exp(code.log_var.values * 0.5)
-    return emit(code.mu.values + sigma * eps,
-                (code.mu, lambda g: g), (code.log_var, lambda g: g * eps * sigma * 0.5))
+    return matmul(tanh(pre), w["w_mu"], w["b_mu"])
 
 
 def decode(params: EncoderParams, t: Tensor) -> Tensor:
@@ -189,6 +154,72 @@ def decode(params: EncoderParams, t: Tensor) -> Tensor:
         return t
     w = params.tensors
     return matmul(tanh(matmul(t, w["w_dec1"], w["b_dec1"])), w["w_dec2"], w["b_dec2"])
+
+
+def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
+            dropout_mask: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, Callable]:
+    """A training batch through the model on plain arrays: (mu, log_var, out, backprop).
+
+    `dropout_mask` multiplies the trunk's hidden layer. With `eps` (a
+    constant B x latent_dim draw) log_var is the clamped log-variance head
+    and t = mu + exp(log_var / 2) * eps; without it t = mu and log_var is
+    None. `out` is t decoded, by the expressions of `encode` and `decode`, so
+    with no mask and eps = 0 it is the readout of x. `backprop(d_out, d_mu,
+    d_log_var)` maps the loss's gradients (None where it reaches none) to
+    each tensor's, by name (zeros for a head it does not reach), with the
+    expressions and accumulation order of the taped ops it replaced
+    (`tests/fused.py`), so with their bits.
+    """
+    w = {name: t.values for name, t in params.tensors.items()}
+    pre = x @ w["w_in"] + w["b_in"]
+    if params.arch["use_layer_norm"]:
+        pre, inv_std = layer_norm_values(pre)
+    hidden = np.tanh(pre)
+    h = hidden if dropout_mask is None else hidden * dropout_mask
+    t = mu = h @ w["w_mu"] + w["b_mu"]
+    log_var = None
+    if eps is not None:
+        if eps.shape != mu.shape:
+            raise ShapeError(f"forward: eps shape {eps.shape} != code shape {mu.shape}")
+        raw = h @ w["w_lv"] + w["b_lv"]
+        in_clamp = (raw >= LOG_VAR_MIN) & (raw <= LOG_VAR_MAX)  # where the clamp passes a gradient
+        log_var = np.clip(raw, LOG_VAR_MIN, LOG_VAR_MAX)
+        sigma = np.exp(log_var * 0.5)
+        t = mu + sigma * eps
+    out = t
+    if params.kind == "vib":
+        dec = np.tanh(t @ w["w_dec1"] + w["b_dec1"])
+        out = dec @ w["w_dec2"] + w["b_dec2"]
+
+    def backprop(d_out, d_mu, d_log_var):
+        grads = {}
+        d_t = d_out
+        if params.kind == "vib":
+            grads["w_dec2"], grads["b_dec2"] = dec.T @ d_out, d_out.sum(axis=0, keepdims=True)
+            d_dec = (d_out @ w["w_dec2"].T) * (1.0 - dec * dec)
+            grads["w_dec1"], grads["b_dec1"] = t.T @ d_dec, d_dec.sum(axis=0, keepdims=True)
+            d_t = d_dec @ w["w_dec1"].T
+        if eps is None:
+            grads["w_lv"], grads["b_lv"] = np.zeros_like(w["w_lv"]), np.zeros_like(w["b_lv"])
+        else:
+            d_sample = d_t * eps * sigma * 0.5
+            d_raw = (d_sample if d_log_var is None else d_log_var + d_sample) * in_clamp
+            grads["w_lv"], grads["b_lv"] = h.T @ d_raw, d_raw.sum(axis=0, keepdims=True)
+        d_mu = d_t if d_mu is None else d_mu + d_t
+        grads["w_mu"], grads["b_mu"] = h.T @ d_mu, d_mu.sum(axis=0, keepdims=True)
+        d_h = d_mu @ w["w_mu"].T
+        if eps is not None:
+            d_h = d_raw @ w["w_lv"].T + d_h
+        if dropout_mask is not None:
+            d_h = d_h * dropout_mask
+        d_pre = d_h * (1.0 - hidden * hidden)
+        if params.arch["use_layer_norm"]:
+            d_pre = layer_norm_grad(d_pre, pre, inv_std)
+        grads["w_in"], grads["b_in"] = x.T @ d_pre, d_pre.sum(axis=0, keepdims=True)
+        return grads
+
+    return mu, log_var, out, backprop
 
 
 # --- checkpoint serialization (versioned JSON of named tensors) ---

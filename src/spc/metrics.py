@@ -135,8 +135,9 @@ def silhouette(points, assignments) -> float | np.ndarray:
 
     a is the mean distance to the point's own cluster (excluding itself),
     b the smallest mean distance to any other cluster. A point alone in its
-    cluster contributes 0. Rows are processed in blocks of at most
-    SILHOUETTE_BLOCK_ELEMENTS difference entries.
+    cluster contributes 0, and so does one with a = b = 0 (its own and its
+    nearest other cluster sit on it), as Rousseeuw defines it. Rows are
+    processed in blocks of at most SILHOUETTE_BLOCK_ELEMENTS difference entries.
 
     `assignments` is one partition of the n points (the score is a float)
     or an (S, n) stack of partitions (an array of S scores). Each distance
@@ -172,7 +173,9 @@ def silhouette(points, assignments) -> float | np.ndarray:
             b = means.min(axis=1)
             multi = sizes[own] > 1  # a singleton contributes 0
             a = sums[at_own][multi] / (sizes[own][multi] - 1)
-            score[block][multi] = (b[multi] - a) / np.maximum(a, b[multi])
+            scale = np.maximum(a, b[multi])
+            score[block][multi] = np.divide(b[multi] - a, scale, out=np.zeros_like(scale),
+                                            where=scale > 0)
     if assignments.ndim == 1:
         return float(scores[0].mean())
     return np.array([score.mean() for score in scores])

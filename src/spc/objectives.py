@@ -20,16 +20,18 @@ different effect from the batch-marginal term above.
 `OBJECTIVES` declares each kind once: its task, the weights it takes and
 whether it decodes t. Validation, the command-line choices, the sweep
 grid and sampling all derive from it; `spc_loss` is the only composition.
+It computes every term, and their gradients, on plain arrays: the
+training step (`trainer.batch_loss`) tapes the whole loss as one op.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import ShapeError, Tensor, emit
-from .encoder import GaussianCode
+from .diffcore import ShapeError, Tensor
 
 WEIGHTS = ("beta", "gamma", "cp_weight")
 
@@ -102,7 +104,8 @@ class ObjectiveConfig:
 
 @dataclass
 class LossTerms:
-    """A scalar loss tensor plus its additive components as plain floats.
+    """The scalar loss (taped as one op by `trainer.batch_loss`) plus its
+    additive components as plain floats.
 
     Components that a configuration does not compute (weight zero) are
     reported as 0.0. Identity: total = nll + beta*kl - gamma*batch_entropy
@@ -144,121 +147,73 @@ def log_softmax_grad(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return g - probs * g.sum(axis=1, keepdims=True)
 
 
-def softmax_probs(logits: Tensor) -> Tensor:
-    """Differentiable row-wise softmax: exp(log_softmax), as one op."""
-    probs = np.exp(log_softmax_values(logits.values))
-    return emit(probs, (logits, lambda g: log_softmax_grad(g * probs, probs)))
+def spc_loss(out: np.ndarray, mu: np.ndarray, log_var: np.ndarray | None, y,
+             cfg: ObjectiveConfig) -> tuple[LossTerms, Callable]:
+    """Compose the objective of any kind from the prediction `out` and the
+    code (mu, log_var): the terms, their total untaped, and `grads`.
 
-
-def _task_nll(t: Tensor, y: np.ndarray) -> Tensor:
-    """Mean over the batch of -log softmax(t)[i, y[i]], as one op, for B
-    labels already known to lie in [0, C)."""
-    log_probs = log_softmax_values(t.values)
-    batch = log_probs.shape[0]
-    onehot = np.zeros(log_probs.shape)
-    onehot[np.arange(batch), y] = 1.0
-    c = -1.0 / batch
-    return emit((log_probs * onehot).sum() * c,
-                (t, lambda g: log_softmax_grad(np.full(onehot.shape, g * c) * onehot,
-                                               np.exp(log_probs))))
-
-
-def mse(t: Tensor, y) -> Tensor:
-    """Mean of (t_i - y_i)^2 over the batch, as one op."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    if t.values.shape != y.shape:
-        raise ValueError(f"mse: prediction shape {t.values.shape} != target shape {y.shape}")
-    diff = t.values - y
-
-    def d_t(g):
-        spread = np.full(diff.shape, g / diff.size)
-        return spread * diff + spread * diff
-
-    return emit((diff * diff).mean(), (t, d_t))
-
-
-def kl_to_std_normal(code: GaussianCode) -> Tensor:
-    """Closed-form KL(N(mu, diag sigma^2) || N(0, I)), averaged over the batch.
-
-    Per sample: 0.5 * sum_d (mu_d^2 + sigma_d^2 - 1 - log sigma_d^2).
-    Non-negative, zero exactly when mu = 0 and log_var = 0. One op: mu gets
-    G*mu twice and log_var gets -G, then G*sigma^2, where G is the output
-    gradient times 0.5/B, spread over the batch.
+    NLL(out, y) (mean cross-entropy, or squared error), then + beta*KL(code),
+    - gamma*H_batch (of softmax(out), or of softmax(mu)), + cp_weight*penalty,
+    added in that order. `out` is t itself, or the decoder's output.
+    Zero-weight terms are skipped (not multiplied by 0), so beta = gamma = 0
+    with t = mu is plain cross-entropy, exactly. `grads(g)` maps the total's
+    gradient g to those of (out, mu, log_var), None where the total does not
+    reach one. It computes each term's gradient with the expressions of the
+    taped op it replaced (`tests/fused.py`) and adds them in the order
+    `backward` reached them in the chain of those ops: the weighted total,
+    the penalty, the batch entropy, the KL (G*mu into mu twice), the NLL.
+    `Dataset` checks the labels' range once and the softmax rows are a
+    distribution by construction, so the terms check neither.
     """
-    mu, log_var = code.mu.values, code.log_var.values
-    var = np.exp(log_var)
-    c = 0.5 / mu.shape[0]
-
-    def spread(g):
-        return np.full(mu.shape, g * c)
-
-    # one pair per use, as backward added them to the chain's inputs: a mu
-    # that already holds a gradient (structured_from="mu") then gets G*mu
-    # added twice, not 2*G*mu once, which rounds differently
-    return emit((mu * mu + var - log_var - 1.0).sum() * c,
-                (code.log_var, lambda g: -spread(g)), (code.log_var, lambda g: spread(g) * var),
-                (code.mu, lambda g: spread(g) * mu), (code.mu, lambda g: spread(g) * mu))
-
-
-def _batch_entropy(probs: Tensor) -> Tensor:
-    """Entropy of the column-mean of a row-stochastic matrix (natural log),
-    as one op, for rows known to be non-negative and to sum to 1.
-
-    By Jensen this upper-bounds the mean per-row entropy; it is maximal
-    (log C) when the batch-averaged class marginal is uniform and 0 when
-    every row concentrates on one shared class.
-    """
-    batch = probs.values.shape[0]
-    entropy_terms, slope = xlogx_values(probs.values.mean(axis=0, keepdims=True))
-    return emit(-entropy_terms.sum(),
-                (probs, lambda g: np.repeat(np.full(slope.shape, -g) * slope / batch,
-                                            batch, axis=0)))
-
-
-def _confidence_penalty(probs: Tensor) -> Tensor:
-    """Negative mean per-row entropy, -(1/B) sum_i H(p_i), in [-log C, 0],
-    as one op, for rows known to be a distribution."""
-    c = 1.0 / probs.values.shape[0]
-    entropy_terms, slope = xlogx_values(probs.values)
-    return emit(entropy_terms.sum() * c, (probs, lambda g: np.full(slope.shape, g * c) * slope))
-
-
-def spc_loss(code: GaussianCode, out: Tensor, y, cfg: ObjectiveConfig) -> LossTerms:
-    """Compose the objective of any kind from the prediction `out`.
-
-    NLL(out, y), then + beta*KL(code), - gamma*H_batch, + cp_weight*penalty,
-    in that order, each term and their weighted total one taped op. `out`
-    is t itself, or the decoder's output. Zero-weight terms are skipped (not
-    multiplied by 0), so beta = gamma = 0 with t = mu is plain cross-entropy,
-    exactly. `Dataset` checks the labels' range once and the softmax rows
-    are a distribution by construction, so the terms check neither.
-    """
-    nll = _task_nll(out, y) if cfg.task == "classification" else mse(out, y)
-    terms = LossTerms(total=nll, nll=float(nll.values))
-    weighted = []  # (term, signed weight), added onto the NLL in this order
+    batch = out.shape[0]
+    if cfg.task == "classification":
+        log_probs = log_softmax_values(out)
+        probs = np.exp(log_probs)
+        onehot = np.zeros(log_probs.shape)
+        onehot[np.arange(batch), y] = 1.0
+        nll = (log_probs * onehot).sum() * (-1.0 / batch)
+    else:
+        diff = out - np.asarray(y, dtype=np.float64).reshape(-1, 1)
+        nll = (diff * diff).mean()
+    total = nll  # plus term * w, in order; adding H * -gamma has the bits of subtracting H * gamma
+    kl = batch_entropy = penalty = 0.0
     if cfg.beta != 0.0:
-        kl = kl_to_std_normal(code)
-        terms.kl = float(kl.values)
-        weighted.append((kl, float(cfg.beta)))
+        var = np.exp(log_var)
+        kl = (mu * mu + var - log_var - 1.0).sum() * (0.5 / batch)
+        total = total + kl * float(cfg.beta)
     if cfg.gamma != 0.0:
-        source = out if cfg.structured_from == "sample" else code.mu
-        lb = _batch_entropy(softmax_probs(source))
-        terms.batch_entropy = float(lb.values)
-        weighted.append((lb, -float(cfg.gamma)))
+        source_probs = probs if cfg.structured_from == "sample" else np.exp(log_softmax_values(mu))
+        entropy_terms, marginal_slope = xlogx_values(source_probs.mean(axis=0, keepdims=True))
+        batch_entropy = -entropy_terms.sum()
+        total = total + batch_entropy * -float(cfg.gamma)
     if cfg.cp_weight != 0.0:
-        penalty = _confidence_penalty(softmax_probs(out))
-        terms.penalty = float(penalty.values)
-        weighted.append((penalty, float(cfg.cp_weight)))
-    if weighted:
-        terms.total = _weighted_total(nll, weighted)
-    return terms
+        entropy_terms, slope = xlogx_values(probs)
+        penalty = entropy_terms.sum() * (1.0 / batch)
+        total = total + penalty * float(cfg.cp_weight)
+    terms = LossTerms(Tensor(total), float(nll), float(kl), float(batch_entropy), float(penalty))
 
+    # each product of a spread scalar and an array below is one of the taped
+    # op's np.full(shape, scalar) * array, with its bits
+    def grads(g):
+        d_out = d_mu = d_log_var = None
+        if cfg.cp_weight != 0.0:  # no kind takes both cp_weight and gamma
+            d_out = log_softmax_grad(slope * (g * float(cfg.cp_weight) * (1.0 / batch)) * probs,
+                                     probs)
+        if cfg.gamma != 0.0:
+            d_probs = np.repeat(marginal_slope * -(g * -float(cfg.gamma)) / batch, batch, axis=0)
+            d_source = log_softmax_grad(d_probs * source_probs, source_probs)
+            d_out, d_mu = ((d_source, None) if cfg.structured_from == "sample"
+                           else (None, d_source))
+        if cfg.beta != 0.0:
+            spread = g * float(cfg.beta) * (0.5 / batch)
+            d_log_var = var * spread - spread
+            d_mu = mu * spread if d_mu is None else d_mu + mu * spread
+            d_mu = d_mu + mu * spread
+        if cfg.task == "classification":
+            d_nll = log_softmax_grad(onehot * (g * (-1.0 / batch)), probs)
+        else:
+            spread = g / diff.size
+            d_nll = diff * spread + diff * spread
+        return (d_nll if d_out is None else d_out + d_nll), d_mu, d_log_var
 
-def _weighted_total(nll: Tensor, weighted: list[tuple[Tensor, float]]) -> Tensor:
-    """nll + term * w for each (term, w) in order, as one op; adding
-    H * -gamma has the bits of subtracting H * gamma."""
-    total = nll.values
-    for term, w in weighted:
-        total = total + term.values * w
-    return emit(total, (nll, lambda g: g),
-                *((term, lambda g, w=w: g * w) for term, w in weighted))
+    return terms, grads

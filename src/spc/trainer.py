@@ -32,8 +32,8 @@ import numpy as np
 
 from . import data as dataio
 from .data import DataError, Dataset
-from .diffcore import Tape, Tensor, backward, zero_grads
-from .encoder import EncoderParams, decode, encode, init_encoder, init_vib, sample
+from .diffcore import Tape, Tensor, backward, emit, zero_grads
+from .encoder import EncoderParams, decode, encode, forward, init_encoder, init_vib
 from .metrics import (MetricError, _per_class_stats, adjusted_rand_index, confusion_matrix,
                       kmeans, pearson, silhouette, spearman)
 from .objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
@@ -167,12 +167,27 @@ def build_model(dataset: Dataset, cfg: TrainConfig,
 
 def batch_loss(model: EncoderParams, x: Tensor, y, objective: ObjectiveConfig,
                eps: np.ndarray, dropout_mask: np.ndarray | None = None) -> LossTerms:
-    """One minibatch through the configured objective: encode, set t to a
-    sample (kinds that take beta) or to mu, decode, score. A kind that does
-    not sample takes no KL term either, so its log-variance head is skipped."""
-    code = encode(model, x, dropout_mask, with_log_var=objective.samples)
-    t = sample(code, eps) if objective.samples else code.mu
-    return spc_loss(code, decode(model, t), y, objective)
+    """One minibatch through the configured objective as one taped op:
+    encode, set t to a sample (kinds that take beta) or to mu, decode, score.
+    A kind that does not sample takes no KL term either, so its log-variance
+    head is skipped. The op has one pair per model tensor; the first that
+    `backward` calls runs the hand-written backward (`spc_loss`'s, then
+    `encoder.forward`'s) for all of them."""
+    mu, log_var, out, backprop = forward(model, x.values, eps if objective.samples else None,
+                                         dropout_mask)
+    terms, loss_grads = spc_loss(out, mu, log_var, y, objective)
+    grads = {}
+
+    def grad_of(name):
+        def local_grad(g):
+            if not grads:
+                grads.update(backprop(*loss_grads(g)))
+            return grads[name]
+        return local_grad
+
+    terms.total = emit(terms.total.values,
+                       *((t, grad_of(name)) for name, t in model.tensors.items()))
+    return terms
 
 
 # Largest rows x width activation a readout builds at once (512 KB of
@@ -201,8 +216,8 @@ def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
     """The task's scores of `model` on one split, read out in row blocks."""
     rows = dataset.indices(split)
     targets = dataset.targets[rows]
-    outputs = readout(model, dataset, rows, lambda features: decode(
-        model, encode(model, Tensor(features), with_log_var=False).mu).values)
+    outputs = readout(model, dataset, rows,
+                      lambda features: decode(model, encode(model, Tensor(features))).values)
     if dataset.task == "classification":
         pred = outputs.argmax(axis=1)
         _, recall, f1 = _per_class_stats(confusion_matrix(targets, pred, dataset.num_classes))
@@ -248,8 +263,7 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     if gold.size < dataset.num_classes:
         raise DataError(f"the test split has {gold.size} rows, fewer than the "
                         f"{dataset.num_classes} clusters of k-means")
-    reps = readout(model, dataset, rows,
-                   lambda features: encode(model, Tensor(features), with_log_var=False).mu.values)
+    reps = readout(model, dataset, rows, lambda features: encode(model, Tensor(features)).values)
     with timed(timing, "kmeans_s"):
         assigns = np.array([kmeans(reps, dataset.num_classes, seed=seed) for seed in kmeans_seeds])
     with timed(timing, "silhouette_s"):

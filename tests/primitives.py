@@ -1,6 +1,7 @@
 """The primitive ops that the fused ops of `spc` replaced, built on
 `spc.diffcore.emit`: the reference chains of `test_fused_ops.py`, and ops
-whose gradients `test_diffcore.py` and acceptance criterion 1 check."""
+whose gradients `test_diffcore.py` and acceptance criterion 1 check.
+`mul` and `clip` were the encoder's dropout mask and log-variance clamp."""
 
 from __future__ import annotations
 
@@ -28,6 +29,19 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return emit(a.values * c, (a, lambda g: g * c))
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product; same shape or scalar-vs-tensor only."""
+    _check_broadcast(a.values.shape, b.values.shape, "mul", allow_row=False)
+    return emit(a.values * b.values,
+                (a, lambda g: g * b.values), (b, lambda g: g * a.values))
+
+
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """Hard clamp; gradient passes only where lo <= value <= hi."""
+    mask = (a.values >= lo) & (a.values <= hi)
+    return emit(np.clip(a.values, lo, hi), (a, lambda g: g * mask))
 
 
 def exp(a: Tensor) -> Tensor:

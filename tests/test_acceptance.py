@@ -27,9 +27,11 @@ from test_metrics import (
 
 from spc import cli
 from spc.data import gen_mixture, inject_label_noise, save
-from primitives import add, exp, log, log_softmax, reduce_mean, reduce_sum, relu, scale, sub, xlogx
-from spc.diffcore import Tensor, clip, layer_norm, matmul, mul, param, tanh
-from spc.encoder import GaussianCode, encode, init_encoder, init_vib, sample
+from fused import _batch_entropy, _confidence_penalty
+from primitives import (add, clip, exp, log, log_softmax, mul, reduce_mean, reduce_sum, relu, scale,
+                        sub, xlogx)
+from spc.diffcore import Tensor, layer_norm, matmul, param, tanh
+from spc.encoder import forward, init_encoder, init_vib
 from spc.metrics import (
     _per_class_stats,
     adjusted_rand_index,
@@ -38,8 +40,7 @@ from spc.metrics import (
     silhouette,
     spearman,
 )
-from spc.objectives import (ObjectiveConfig, _batch_entropy, _confidence_penalty, kl_to_std_normal,
-                            spc_loss)
+from spc.objectives import OBJECTIVES, ObjectiveConfig, spc_loss
 from spc.trainer import TrainConfig, batch_loss, perturbation_study, train
 
 GRID = [0.001, 0.01, 0.1, 1.0, 10.0]
@@ -120,15 +121,16 @@ def _op_cases(rng):
 
 
 def _objective_case(kind, rng):
-    """Random tiny model + batch for one composite objective."""
+    """Random tiny model + batch for one objective kind, through the training step."""
     d_in, hidden, classes, batch, latent = 5, 6, 4, 3, 3
-    out_dim = 1 if kind == "mse" else classes
+    out_dim = classes if OBJECTIVES[kind].task == "classification" else 1
     x = Tensor(rng.normal(size=(batch, d_in)))
-    if kind == "vib":
-        model = init_vib(d_in, hidden, latent, classes, rng=rng)
-        y = rng.integers(0, classes, size=batch)
+    if OBJECTIVES[kind].decoder:
+        model = init_vib(d_in, hidden, latent, out_dim, rng=rng)
+        y = (rng.integers(0, classes, size=batch) if out_dim == classes
+             else rng.normal(size=batch))
         eps = rng.standard_normal((batch, latent))
-        cfg = ObjectiveConfig(kind="vib", beta=0.2)
+        cfg = ObjectiveConfig(kind=kind, beta=0.2)
         return lambda: batch_loss(model, x, y, cfg, eps).total, model.parameters()
     model = init_encoder(d_in, hidden, out_dim, rng=rng)
     no_eps = np.zeros((batch, out_dim))  # deterministic kinds ignore eps; nothing is drawn
@@ -144,18 +146,12 @@ def _objective_case(kind, rng):
         y = rng.normal(size=batch)
         cfg = ObjectiveConfig(kind="mse")
         return lambda: batch_loss(model, x, y, cfg, no_eps).total, model.parameters()
-    # spc / pc
-    y = rng.integers(0, classes, size=batch)
+    # spc / pc / mse_pc
+    y = rng.integers(0, classes, size=batch) if out_dim == classes else rng.normal(size=batch)
     eps = rng.standard_normal((batch, out_dim))
     cfg = (ObjectiveConfig(kind="spc", beta=0.2, gamma=0.3) if kind == "spc"
-           else ObjectiveConfig(kind="pc", beta=0.2))
-
-    def loss_fn():
-        code = encode(model, x)
-        t = sample(code, eps)
-        return spc_loss(code, t, y, cfg).total
-
-    return loss_fn, model.parameters()
+           else ObjectiveConfig(kind=kind, beta=0.2))
+    return lambda: batch_loss(model, x, y, cfg, eps).total, model.parameters()
 
 
 def test_criterion_1_gradient_correctness():
@@ -169,7 +165,8 @@ def test_criterion_1_gradient_correctness():
                 worst[name] = max(worst.get(name, 0.0), err)
         for name, err in worst.items():
             assert err < 1e-4, f"op {name}: rel err {err:.3e}"
-        for kind in ("spc", "pc", "ce", "ce_cp", "vib", "mse"):
+        # the first six in their former order, so they see the same instances
+        for kind in ("spc", "pc", "ce", "ce_cp", "vib", "mse", "mse_pc", "mse_vib"):
             worst_obj = 0.0
             for i in range(n_instances):
                 loss_fn, params = _objective_case(kind, rng)
@@ -187,8 +184,9 @@ def test_criterion_2_kl_monte_carlo_oracle():
             batch, dim = 2, 3
             mu = rng.uniform(0.8, 2.2, size=(batch, dim)) * np.sign(rng.normal(size=(batch, dim)))
             log_var = rng.uniform(-1.5, 1.5, size=(batch, dim))
-            code = GaussianCode(param(mu), param(log_var))
-            closed = float(kl_to_std_normal(code).values)
+            # the KL that `spc_loss` reports; the NLL of out = mu is not read
+            closed = spc_loss(mu, mu, log_var, np.zeros(batch, dtype=int),
+                              ObjectiveConfig(kind="pc", beta=1.0))[0].kl
 
             total = 0.0
             sigma = np.exp(0.5 * log_var)
@@ -235,9 +233,13 @@ def test_criterion_4_reparameterization_moments():
     with criterion(4, "1e6 reparameterized draws match (mu=1, var=4) within (0.01, 0.05)"):
         n = 1_000_000
         rng = np.random.default_rng(4000)
-        code = GaussianCode(param(np.full((n, 1), 1.0)),
-                            param(np.full((n, 1), math.log(4.0))))
-        draws = sample(code, rng.standard_normal((n, 1))).values.ravel()
+        # the training forward's draws from a model whose code is (1, log 4) for every x
+        model = init_encoder(1, 1, 1, rng=0)
+        for t in model.parameters():
+            t.values[:] = 0.0
+        model.tensors["b_mu"].values[:] = 1.0
+        model.tensors["b_lv"].values[:] = math.log(4.0)
+        draws = forward(model, np.zeros((n, 1)), rng.standard_normal((n, 1)))[2].ravel()
         assert abs(draws.mean() - 1.0) < 0.01, f"mean {draws.mean():.5f}"
         assert abs(draws.var() - 4.0) < 0.05, f"var {draws.var():.5f}"
 

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from fused import GaussianCode, _task_nll, kl_to_std_normal
 from gradcheck import max_grad_rel_err
 from spc.diffcore import Tensor
 from spc.encoder import (
     decode,
     encode,
+    forward,
     init_encoder,
     init_vib,
     load_checkpoint,
-    sample,
     save_checkpoint,
 )
-from spc.objectives import ObjectiveConfig, _task_nll, kl_to_std_normal, spc_loss
+from spc.objectives import ObjectiveConfig, spc_loss
 from spc.trainer import batch_loss
 
 CE = ObjectiveConfig(kind="ce")
@@ -36,9 +37,8 @@ class TestCeForward:
         x = Tensor(rng.normal(size=(6, 5)))
         y = rng.integers(0, 3, size=6)
         ce = batch_loss(params, x, y, CE, no_eps(6, 3))
-        code = encode(params, x)
-        t = sample(code, np.zeros((6, 3)))
-        reduced = spc_loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.0, gamma=0.0))
+        mu, log_var, t, _ = forward(params, x.values, np.zeros((6, 3)))
+        reduced, _ = spc_loss(t, mu, log_var, y, ObjectiveConfig(kind="spc", beta=0.0, gamma=0.0))
         assert ce.total_value == reduced.total_value
 
     def test_uniform_logits_give_log_c(self):
@@ -86,7 +86,7 @@ class TestCeCpForward:
         w = 0.8
         terms = batch_loss(params, x, y, ce_cp(w), no_eps(6, 3))
 
-        logits = encode(params, x).mu.values
+        logits = encode(params, x).values
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         nll = -log_probs[np.arange(6), y].mean()
@@ -120,14 +120,14 @@ class TestVib:
     def test_beta_zero_eps_zero_is_deterministic_ce(self):
         params, x, y, _ = self._setup()
         terms = batch_loss(params, x, y, ObjectiveConfig(kind="vib"), np.zeros((5, 3)))
-        code = encode(params, x)
-        logits = decode(params, code.mu)
+        logits = decode(params, encode(params, x))
         assert terms.total_value == float(_task_nll(logits, y).values)
 
     def test_kl_matches_closed_form(self):
         params, x, y, eps = self._setup(seed=50)
         terms = batch_loss(params, x, y, ObjectiveConfig(kind="vib", beta=1.0), eps)
-        code = encode(params, x)
+        mu, log_var, _, _ = forward(params, x.values, eps)
+        code = GaussianCode(Tensor(mu), Tensor(log_var))
         assert abs(terms.kl - float(kl_to_std_normal(code).values)) < 1e-15
 
     def test_gradcheck(self):
@@ -178,5 +178,5 @@ class TestStructuralContrast:
         y = rng.normal(size=5)
         terms = batch_loss(params, x, y, ObjectiveConfig(kind="mse"),
                            no_eps(5, 1))
-        pred = encode(params, x).mu.values
+        pred = encode(params, x).values
         assert abs(terms.total_value - ((pred.ravel() - y) ** 2).mean()) < 1e-12

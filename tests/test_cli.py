@@ -12,6 +12,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -161,7 +162,7 @@ class TestEvalAndReprQuality:
         assert all(v >= 0.0 for v in report["timing"].values())
         dataset = dataio.load(data_file)
         rows = dataset.indices("test")
-        reps = encode(load_checkpoint(ckpt), Tensor(dataset.features[rows])).mu.values
+        reps = encode(load_checkpoint(ckpt), Tensor(dataset.features[rows])).values
         gold = dataset.targets[rows]
         assigns = [kmeans(reps, dataset.num_classes, seed=seed) for seed in range(3)]
         assert results["per_seed"] == [
@@ -1257,6 +1258,25 @@ class TestBadInputs:
                        "--ckpt", ckpt) == cli.EXIT_DATA
         self._one_line_error(capsys, "2 rows", "4 clusters")
         assert not os.path.exists(out)
+
+    def test_repr_quality_of_codes_that_coincide(self, out, tmp_path):
+        # eight test rows of two distinct feature vectors for four clusters:
+        # a point whose own and nearest clusters sit on it (a = b = 0) scores
+        # 0, where 0/0 made the median NaN (with a RuntimeWarning) and exit 0
+        ds = gen_mixture(4, 8, 10, 4.0, seed=206)
+        test_rows = np.flatnonzero(ds.split == "test")
+        features = ds.features.copy()
+        features[test_rows] = features[test_rows[np.arange(test_rows.size) % 2]]
+        path = str(tmp_path / "two_points.jsonl")
+        save(dataclasses.replace(ds, features=features), path)
+        ckpt = str(tmp_path / "four_class.json")
+        save_checkpoint(ckpt, init_encoder(8, 4, 4, rng=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("repr-quality", "--out", out, "--data", path, "--ckpt", ckpt) == 0
+        results = read_report(out, run_ids(out)[0])["results"]
+        assert all(-1.0 <= r["silhouette"] <= 1.0 for r in results["per_seed"])
+        assert -1.0 <= results["silhouette_median"] <= 1.0
 
     def test_eval_on_empty_split(self, out, tmp_path, ckpt, capsys):
         ds = gen_mixture(2, 8, 50, 4.0, seed=200)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_diff_grad, max_grad_rel_err, rel_err
-from primitives import (DomainError, add, exp, log, log_softmax, reduce_mean, reduce_sum, relu, scale,
-                        sub, xlogx)
+from primitives import (DomainError, add, clip, exp, log, log_softmax, mul, reduce_mean, reduce_sum,
+                        relu, scale, sub, xlogx)
 import spc.data
 from spc.diffcore import (
     GraphError,
@@ -16,10 +16,8 @@ from spc.diffcore import (
     Tape,
     Tensor,
     backward,
-    clip,
     layer_norm,
     matmul,
-    mul,
     param,
     tanh,
 )

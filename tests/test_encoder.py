@@ -11,16 +11,16 @@ from gradcheck import max_grad_rel_err
 from primitives import reduce_mean
 from spc import encoder
 from spc.data import Dataset
-from spc.diffcore import ShapeError, Tape, Tensor, backward, param
+from spc.diffcore import ShapeError, Tensor, param
 from spc.encoder import (
     EncoderParams,
     decode,
     encode,
+    forward,
     init_encoder,
     init_vib,
     load_checkpoint,
     load_checkpoint_payload,
-    sample,
     save_checkpoint,
     tensor_shapes,
 )
@@ -36,15 +36,17 @@ def zero_encoder(input_dim=3, hidden_dim=4, out_dim=2) -> EncoderParams:
 
 class TestEncode:
     def test_zero_network(self):
-        code = encode(zero_encoder(), Tensor(np.ones((5, 3))))
-        assert np.array_equal(code.mu.values, np.zeros((5, 2)))
-        assert np.array_equal(code.log_var.values, np.zeros((5, 2)))
+        params = zero_encoder()
+        assert np.array_equal(encode(params, Tensor(np.ones((5, 3)))).values, np.zeros((5, 2)))
+        _, log_var, _, _ = forward(params, np.ones((5, 3)), np.zeros((5, 2)))
+        assert np.array_equal(log_var, np.zeros((5, 2)))
 
     def test_output_shape(self):
         params = init_encoder(7, 16, 4, rng=0)
-        code = encode(params, Tensor(np.random.default_rng(0).normal(size=(9, 7))))
-        assert code.mu.values.shape == (9, 4)
-        assert code.log_var.values.shape == (9, 4)
+        x = np.random.default_rng(0).normal(size=(9, 7))
+        assert encode(params, Tensor(x)).values.shape == (9, 4)
+        _, log_var, _, _ = forward(params, x, np.zeros((9, 4)))
+        assert log_var.shape == (9, 4)
 
     def test_dimension_mismatch(self):
         params = init_encoder(7, 16, 4, rng=0)
@@ -54,14 +56,14 @@ class TestEncode:
     def test_log_var_clamped(self):
         params = zero_encoder()
         params.tensors["b_lv"].values[:] = 50.0
-        code = encode(params, Tensor(np.zeros((3, 3))))
-        assert np.all(code.log_var.values == 8.0)
+        _, log_var, _, _ = forward(params, np.zeros((3, 3)), np.zeros((3, 2)))
+        assert np.all(log_var == 8.0)
 
     def test_trunk_gradcheck(self):
         rng = np.random.default_rng(7)
         params = init_encoder(5, 6, 3, rng=rng)
         x = Tensor(rng.normal(size=(4, 5)))
-        err = max_grad_rel_err(lambda: reduce_mean(encode(params, x).mu),
+        err = max_grad_rel_err(lambda: reduce_mean(encode(params, x)),
                                params.parameters())
         assert err < 1e-4
 
@@ -69,66 +71,65 @@ class TestEncode:
         rng = np.random.default_rng(8)
         params = init_encoder(5, 6, 3, rng=rng, use_layer_norm=True)
         x = Tensor(rng.normal(size=(4, 5)))
-        err = max_grad_rel_err(lambda: reduce_mean(encode(params, x).mu),
+        err = max_grad_rel_err(lambda: reduce_mean(encode(params, x)),
                                params.parameters())
         assert err < 1e-4
 
 
 class TestSample:
+    """The training forward's reparameterized draw t = mu + exp(log_var / 2) * eps."""
+
     def test_zero_eps_returns_mu(self):
         rng = np.random.default_rng(9)
         params = init_encoder(3, 4, 2, rng=rng)
-        code = encode(params, Tensor(rng.normal(size=(6, 3))))
-        t = sample(code, np.zeros((6, 2)))
-        assert np.array_equal(t.values, code.mu.values)
+        mu, _, t, _ = forward(params, rng.normal(size=(6, 3)), np.zeros((6, 2)))
+        assert np.array_equal(t, mu)
 
     def test_unit_variance_unit_eps(self):
-        code_mu = np.array([[1.0, -2.0]])
-        code = encode(zero_encoder(), Tensor(np.zeros((1, 3))))
-        code.mu.values = code_mu.copy()
-        t = sample(code, np.ones((1, 2)))
-        assert np.allclose(t.values, code_mu + 1.0)
+        params = zero_encoder()
+        params.tensors["b_mu"].values[:] = [[1.0, -2.0]]
+        _, _, t, _ = forward(params, np.zeros((1, 3)), np.ones((1, 2)))
+        assert np.allclose(t, [[1.0 + 1.0, -2.0 + 1.0]])
 
     def test_shape_mismatch(self):
-        code = encode(zero_encoder(), Tensor(np.zeros((2, 3))))
         with pytest.raises(ShapeError):
-            sample(code, np.zeros((3, 2)))
+            forward(zero_encoder(), np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_identical_eps_bit_identical(self):
         rng = np.random.default_rng(10)
         params = init_encoder(3, 4, 2, rng=rng)
-        x = Tensor(rng.normal(size=(8, 3)))
+        x = rng.normal(size=(8, 3))
         eps = np.random.default_rng(42).standard_normal((8, 2))
-        a = sample(encode(params, x), eps.copy()).values
-        b = sample(encode(params, x), eps.copy()).values
+        a = forward(params, x, eps.copy())[2]
+        b = forward(params, x, eps.copy())[2]
         assert np.array_equal(a, b)
 
     def test_no_gradient_into_eps(self):
+        # the backward returns a gradient for each model tensor, and nothing else
         params = init_encoder(3, 4, 2, rng=11)
-        x = Tensor(np.random.default_rng(11).normal(size=(4, 3)))
-        eps = param(np.random.default_rng(12).standard_normal((4, 2)))
-        with Tape() as tape:
-            loss = reduce_mean(sample(encode(params, x), eps))
-        backward(loss, tape)
-        assert eps.grad is None
+        x = np.random.default_rng(11).normal(size=(4, 3))
+        eps = np.random.default_rng(12).standard_normal((4, 2))
+        _, _, t, backprop = forward(params, x, eps.copy())
+        grads = backprop(np.ones_like(t), None, None)
+        assert list(grads) != [] and set(grads) == set(params.tensors)
+        assert all(grads[name].shape == tensor.values.shape
+                   for name, tensor in params.tensors.items())
 
     def test_moments_smallscale(self):
         # the acceptance suite runs the full million-draw version
         rng = np.random.default_rng(13)
         mu, log_var = 1.0, np.log(4.0)
-        code = encode(zero_encoder(1, 2, 2), Tensor(np.zeros((1, 1))))
-        code.mu.values = np.full((1, 2), mu)
-        code.log_var.values = np.full((1, 2), log_var)
-        draws = np.array([
-            sample(code, rng.standard_normal((1, 2))).values for _ in range(20000)
-        ]).ravel()
+        params = zero_encoder(1, 2, 2)
+        params.tensors["b_mu"].values[:] = mu
+        params.tensors["b_lv"].values[:] = log_var
+        _, _, draws, _ = forward(params, np.zeros((20000, 1)), rng.standard_normal((20000, 2)))
         assert abs(draws.mean() - mu) < 0.05
         assert abs(draws.var() - 4.0) < 0.2
 
 
 def logits(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     """The readout `trainer.evaluate_split` scores: the decoded code means."""
-    return decode(params, encode(params, Tensor(features), with_log_var=False).mu).values
+    return decode(params, encode(params, Tensor(features))).values
 
 
 class TestPredict:

@@ -1,32 +1,35 @@
 """Each fused op against the chain of primitive ops it replaced, byte for byte.
 
-A layer or a loss term is one taped op (see the `diffcore` docstring). The
-`chain_*` functions below rebuild those terms from primitive ops, the way
-they were written before they were fused. Each fused op must give the
-chain's value and, for every input, the chain's gradient bytes: into a
-fresh gradient and added onto one the input already holds. A whole
-training step of every objective kind is checked the same way, and each
-fused op's gradient against finite differences.
+A layer (`spc.diffcore.matmul`) or a loss term (`fused.py`) is one taped
+op (see the `diffcore` docstring). The `chain_*` functions below rebuild
+those terms from primitive ops, the way they were written before they
+were fused. Each fused op must give the chain's value and, for every
+input, the chain's gradient bytes: into a fresh gradient and added onto
+one the input already holds. A whole training step of every objective
+kind, one op with a hand-written backward (`trainer.batch_loss`), is
+checked the same way, and each fused op's gradient against finite
+differences.
 """
 
 import numpy as np
 import pytest
 
-from gradcheck import max_grad_rel_err
-from primitives import add, exp, log_softmax, reduce_mean, reduce_sum, scale, sub, xlogx
-from spc.diffcore import Tape, Tensor, backward, clip, layer_norm, matmul, mul, param, tanh
-from spc.encoder import LOG_VAR_MAX, LOG_VAR_MIN, GaussianCode, init_encoder, init_vib, sample
-from spc.objectives import (
-    OBJECTIVES,
-    ObjectiveConfig,
+from fused import (
+    GaussianCode,
     _batch_entropy,
     _confidence_penalty,
     _task_nll,
     _weighted_total,
     kl_to_std_normal,
     mse,
+    sample,
     softmax_probs,
 )
+from gradcheck import max_grad_rel_err
+from primitives import add, clip, exp, log_softmax, mul, reduce_mean, reduce_sum, scale, sub, xlogx
+from spc.diffcore import Tape, Tensor, backward, layer_norm, matmul, param, tanh
+from spc.encoder import LOG_VAR_MAX, LOG_VAR_MIN, init_encoder, init_vib
+from spc.objectives import OBJECTIVES, ObjectiveConfig
 from spc.trainer import batch_loss
 
 B, D, H, C = 6, 5, 3, 4

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 import tracemalloc
 
 import numpy as np
@@ -88,7 +89,7 @@ def brute_silhouette(points, assign):
                 continue
             members = [j for j in range(n) if assign[j] == c]
             b = min(b, sum(math.dist(points[i], points[j]) for j in members) / len(members))
-        scores.append((b - a) / max(a, b))
+        scores.append((b - a) / max(a, b) if max(a, b) > 0 else 0.0)
     return sum(scores) / n
 
 
@@ -107,7 +108,7 @@ def loop_silhouette(points, assignments):
             continue
         a = dists[i, own].sum() / (own.size - 1)
         b = min(dists[i, members[c]].mean() for c in labels if c != assignments[i])
-        scores[i] = (b - a) / max(a, b)
+        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
 
 
@@ -309,6 +310,19 @@ class TestSilhouette:
         points = rng.normal(size=(15, 2))
         assign = rng.integers(0, 2, size=15)
         assert silhouette(points, assign) == pytest.approx(silhouette(points, 1 - assign))
+
+    def test_a_point_on_its_own_and_nearest_cluster_scores_0(self):
+        # rows 0-2 coincide, and so do rows 3-4: with clusters {0, 1}, {2}, {3, 4},
+        # points 0 and 1 have a = b = 0, which scores 0, not 0/0
+        points = np.array([[1.0, 2.0]] * 3 + [[5.0, -1.0]] * 2)
+        assign = np.array([0, 0, 1, 2, 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            score = silhouette(points, assign)
+        assert score == (0.0 + 0.0 + 0.0 + 1.0 + 1.0) / 5
+        assert score == loop_silhouette(points, assign)
+        assert score == pytest.approx(brute_silhouette(points.tolist(), assign.tolist()),
+                                      abs=1e-12)
 
     def test_single_cluster_error(self):
         with pytest.raises(MetricError):

@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import max_grad_rel_err
-from spc.diffcore import Tape, Tensor, backward, param, zero_grads
-from spc.encoder import GaussianCode
-from spc.objectives import (
-    OBJECTIVES,
-    ObjectiveConfig,
+from fused import (
+    GaussianCode,
     _batch_entropy,
     _confidence_penalty,
     _task_nll,
     kl_to_std_normal,
     mse,
+    sample,
     softmax_probs,
-    spc_loss,
 )
+from gradcheck import finite_diff_grad, max_grad_rel_err, rel_err
+from spc.diffcore import Tape, Tensor, backward, param, zero_grads
+from spc.objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
+
+
+def loss(code: GaussianCode, t: Tensor, y, cfg: ObjectiveConfig) -> LossTerms:
+    """`spc_loss` of the arrays of a code and its sample t."""
+    return spc_loss(t.values, code.mu.values, code.log_var.values, y, cfg)[0]
 
 
 def make_code(mu: np.ndarray, log_var: np.ndarray) -> GaussianCode:
@@ -173,7 +177,6 @@ class TestSpcLoss:
         log_var = param(rng.uniform(-1, 1, size=(batch, classes)))
         code = GaussianCode(mu, log_var)
         eps = rng.standard_normal((batch, classes))
-        from spc.encoder import sample
         t = sample(code, eps)
         y = rng.integers(0, classes, size=batch)
         return code, t, y
@@ -181,21 +184,21 @@ class TestSpcLoss:
     def test_zero_weights_reduce_to_nll(self):
         code, t, y = self._setup()
         cfg = ObjectiveConfig(kind="spc", beta=0.0, gamma=0.0)
-        terms = spc_loss(code, t, y, cfg)
+        terms = loss(code, t, y, cfg)
         assert terms.total_value == float(_task_nll(t, y).values)
         assert terms.kl == 0.0 and terms.batch_entropy == 0.0
 
     def test_gamma_zero_equals_pc(self):
         code, t, y = self._setup()
-        spc_terms = spc_loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.3, gamma=0.0))
-        pc_terms = spc_loss(code, t, y, ObjectiveConfig(kind="pc", beta=0.3))
+        spc_terms = loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.3, gamma=0.0))
+        pc_terms = loss(code, t, y, ObjectiveConfig(kind="pc", beta=0.3))
         assert spc_terms.total_value == pc_terms.total_value
 
     def test_hand_built_breakdown(self):
         # recompute every term with plain numpy, outside the graph
         code, t, y = self._setup(seed=29)
         beta, gamma = 0.7, 0.3
-        terms = spc_loss(code, t, y, ObjectiveConfig(kind="spc", beta=beta, gamma=gamma))
+        terms = loss(code, t, y, ObjectiveConfig(kind="spc", beta=beta, gamma=gamma))
 
         logits = t.values
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -215,34 +218,47 @@ class TestSpcLoss:
     def test_breakdown_sums_to_total(self):
         code, t, y = self._setup(seed=30, batch=5, classes=3)
         cfg = ObjectiveConfig(kind="spc", beta=0.05, gamma=2.0)
-        terms = spc_loss(code, t, y, cfg)
+        terms = loss(code, t, y, cfg)
         recomposed = terms.nll + cfg.beta * terms.kl - cfg.gamma * terms.batch_entropy
         assert abs(terms.total_value - recomposed) < 1e-12
 
     def test_structured_from_mu(self):
         code, t, y = self._setup(seed=31)
-        by_sample = spc_loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.1, gamma=0.5))
-        by_mu = spc_loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.1, gamma=0.5,
+        by_sample = loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.1, gamma=0.5))
+        by_mu = loss(code, t, y, ObjectiveConfig(kind="spc", beta=0.1, gamma=0.5,
                                                      structured_from="mu"))
         mu_probs = softmax_probs(code.mu)
         assert abs(by_mu.batch_entropy - float(_batch_entropy(mu_probs).values)) < 1e-15
         assert by_sample.batch_entropy != by_mu.batch_entropy
 
-    def test_gradcheck_full_objective(self):
+    @staticmethod
+    def grads_match_finite_differences(cfg):
+        # the gradients `grads` gives out, mu and log_var, each taken as an
+        # independent input, against finite differences of the total
         rng = np.random.default_rng(32)
-        mu = param(rng.normal(size=(3, 4)))
-        log_var = param(rng.uniform(-1, 1, size=(3, 4)))
-        eps = rng.standard_normal((3, 4))
+        mu = rng.normal(size=(3, 4))
+        log_var = rng.uniform(-1, 1, size=(3, 4))
+        out = mu + np.exp(0.5 * log_var) * rng.standard_normal((3, 4))
         y = rng.integers(0, 4, size=3)
-        cfg = ObjectiveConfig(kind="spc", beta=0.2, gamma=0.4)
+        arrays = (out, mu, log_var)
+        analytic = spc_loss(*arrays, y, cfg)[1](1.0)
 
-        def loss_fn():
-            from spc.encoder import sample
-            code = GaussianCode(mu, log_var)
-            t = sample(code, eps)
-            return spc_loss(code, t, y, cfg).total
+        def value():
+            return spc_loss(*arrays, y, cfg)[0].total_value
 
-        assert max_grad_rel_err(loss_fn, [mu, log_var]) < 1e-4
+        for array, grad in zip(arrays, analytic):
+            grad = np.zeros_like(array) if grad is None else grad
+            assert rel_err(finite_diff_grad(value, array), grad) < 1e-4
+
+    def test_gradcheck_full_objective(self):
+        self.grads_match_finite_differences(ObjectiveConfig(kind="spc", beta=0.2, gamma=0.4))
+
+    @pytest.mark.parametrize("cfg", [
+        ObjectiveConfig(kind="spc", beta=0.2, gamma=0.4, structured_from="mu"),
+        ObjectiveConfig(kind="ce_cp", cp_weight=0.5),
+    ], ids=["spc-mu", "ce_cp"])
+    def test_gradcheck_other_routes(self, cfg):
+        self.grads_match_finite_differences(cfg)
 
 
 class TestRegressionObjective:
@@ -251,11 +267,10 @@ class TestRegressionObjective:
         mu = param(rng.normal(size=(4, 1)))
         log_var = param(rng.uniform(-1, 1, size=(4, 1)))
         code = GaussianCode(mu, log_var)
-        from spc.encoder import sample
         t = sample(code, rng.standard_normal((4, 1)))
         y = rng.normal(size=4)
         cfg = ObjectiveConfig(kind="mse_pc", beta=0.25)
-        terms = spc_loss(code, t, y, cfg)
+        terms = loss(code, t, y, cfg)
         assert abs(terms.total_value - (terms.nll + 0.25 * terms.kl)) < 1e-12
 
     def test_regression_rejects_gamma(self):
