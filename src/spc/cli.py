@@ -66,6 +66,8 @@ EXIT_DIVERGED = 4
 # config fields that are not training flags, and the flags named otherwise
 NOT_FLAGS = ("objective", "zero_eps", "kind")
 FLAG_NAMES = {"learning_rate": "lr"}
+# a sweep's default --betas, and its --gammas for a kind with two weights
+SWEEP_GRID = "0.001,0.01,0.1,1,10"
 
 
 def out_root(args) -> str:
@@ -151,8 +153,9 @@ def make_objective(kind: str, beta: float = 0.0, gamma: float = 0.0,
                    cp_weight: float = 0.0, structured_from: str = "sample") -> ObjectiveConfig:
     """Build a config for `kind`, dropping weights the kind does not take.
 
-    Lets one flag set (--beta/--gamma/--cp-weight) drive a list of
-    objectives: ce simply ignores them instead of erroring.
+    Lets one flag set (--beta/--gamma/--cp-weight) drive a study's list of
+    objectives: each kind takes the weights it has (`_train_configs` has
+    already rejected a nonzero weight that no kind of the list takes).
     """
     weights = {"beta": beta, "gamma": gamma, "cp_weight": cp_weight}
     taken = OBJECTIVES[kind].weights if kind in OBJECTIVES else ()
@@ -280,26 +283,35 @@ def resolve_train_args(args) -> None:
             setattr(args, key, file_values.get(key, default))
 
 
-def _train_configs(args, kinds: Sequence[str], weights: bool = True) -> list[TrainConfig]:
-    """One resolved TrainConfig per objective kind; a bad value, or kinds
-    of two tasks, is a UsageError. The run's data has the kinds' task.
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
-    The kinds share the training flags and take the weight flags they use;
-    with `weights=False` every weight stays 0 (a sweep grid sets them).
+
+def _train_configs(args, kinds: Sequence[str]) -> list[TrainConfig]:
+    """One resolved TrainConfig per objective kind; a bad value, kinds of
+    two tasks, or a nonzero weight that none of the kinds takes is a
+    UsageError. The run's data has the kinds' task.
+
+    The kinds share the training flags, and each takes the weight flags it
+    has (see `make_objective`).
     """
     settings = {f.name: getattr(args, FLAG_NAMES.get(f.name, f.name))
                 for f in dataclasses.fields(TrainConfig) if f.name not in NOT_FLAGS}
-    flag_weights = {name: getattr(args, name) for name in WEIGHTS} if weights else {}
+    weights = {name: getattr(args, name) for name in WEIGHTS}
     configs = []
     for kind in kinds:
         try:
             configs.append(TrainConfig(
-                objective=make_objective(kind, structured_from=args.structured_from,
-                                         **flag_weights), **settings))
+                objective=make_objective(kind, structured_from=args.structured_from, **weights),
+                **settings))
         except ValueError as err:
             raise UsageError(str(err)) from None
     if len({cfg.objective.task for cfg in configs}) > 1:
         raise UsageError(f"objectives {','.join(kinds)} mix classification and regression")
+    for name, value in weights.items():
+        if value != 0.0 and not any(name in OBJECTIVES[kind].weights for kind in kinds):
+            raise UsageError(f"{_flag(name)} {value} (flag or --config key): "
+                             f"objective(s) {','.join(kinds)} take no {name}")
     return configs
 
 
@@ -353,15 +365,22 @@ def cmd_eval(args, timing: dict) -> Run:
 
 
 def cmd_sweep(args, timing: dict) -> Run:
-    # the grid sets every weight of each cell, so only the kind and the
-    # batch-entropy input come from the flags
-    [cfg] = _train_configs(args, [args.objective], weights=False)
+    """The --betas x --gammas grid sets every weight of each cell (see
+    trainer.sweep), so a nonzero --beta, --gamma or --cp-weight is a
+    UsageError. --gammas defaults to SWEEP_GRID for a kind with two weights
+    and to 0 for a kind with one; every cell's weights are checked before
+    the dataset is read."""
+    given = [f"{_flag(name)} {getattr(args, name)}" for name in WEIGHTS
+             if getattr(args, name) != 0.0]
+    if given:
+        raise UsageError(f"{', '.join(given)} (flag or --config key): "
+                         f"a sweep's weights come from its --betas/--gammas grid")
+    [cfg] = _train_configs(args, [args.objective])
     seeds = parse_seeds(args.seeds)
     betas = parse_floats(args.betas, "--betas")
-    # a kind with one weight has no gamma axis (see trainer.sweep)
-    gammas = (parse_floats(args.gammas, "--gammas")
-              if len(OBJECTIVES[args.objective].weights) > 1 else [0.0])
-    try:  # every cell's weights, checked before the dataset is read
+    default_gammas = SWEEP_GRID if len(OBJECTIVES[args.objective].weights) > 1 else "0"
+    gammas = parse_floats(default_gammas if args.gammas is None else args.gammas, "--gammas")
+    try:
         [cell_objective(cfg.objective, beta, gamma) for beta in betas for gamma in gammas]
     except ValueError as err:
         raise UsageError(f"--betas/--gammas: {err}") from None
@@ -427,7 +446,10 @@ def cmd_repr_quality(args, timing: dict) -> Run:
     seeds = parse_seeds(args.seeds)
     model, dataset = _load_checkpoint(args, timing, "test")
     inputs = run_inputs(args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds)
-    results = representation_quality(model, dataset, seeds, timing)
+    try:
+        results = representation_quality(model, dataset, seeds, timing)
+    except DataError as err:  # what it rejects is this checkpoint on these rows
+        raise DataError(f"{args.ckpt}: {err}") from None
     return Run(inputs, results, f"silhouette median {results['silhouette_median']:.4f}, "
                                 f"ari median {results['ari_median']:.4f}", [], {}, 0)
 
@@ -490,7 +512,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
             kwargs["action"] = argparse.BooleanOptionalAction
         else:
             kwargs["type"] = type(default)
-        parser.add_argument("--" + key.replace("_", "-"), default=None, **kwargs)
+        parser.add_argument(_flag(key), default=None, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -527,8 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--objective", default="spc",
                    choices=[kind for kind, spec in OBJECTIVES.items() if spec.weights])
-    p.add_argument("--betas", default="0.001,0.01,0.1,1,10")
-    p.add_argument("--gammas", default="0.001,0.01,0.1,1,10")
+    p.add_argument("--betas", default=SWEEP_GRID, help=f"default: {SWEEP_GRID}")
+    p.add_argument("--gammas", default=None,
+                   help=f"default: {SWEEP_GRID} for a kind with two weights (spc), "
+                        f"0 for a kind with one")
     p.set_defaults(handler=cmd_sweep)
 
     for name, (_, ratios, help_text) in STUDIES.items():

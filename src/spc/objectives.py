@@ -193,14 +193,16 @@ def spc_loss(out: np.ndarray, mu: np.ndarray, log_var: np.ndarray | None, y,
     terms = LossTerms(Tensor(total), float(nll), float(kl), float(batch_entropy), float(penalty))
 
     # each product of a spread scalar and an array below is one of the taped
-    # op's np.full(shape, scalar) * array, with its bits
+    # op's np.full(shape, scalar) * array, with its bits; the batch entropy's
+    # (1, C) gradient row broadcasts over the batch, which multiplies the same
+    # values as the taped op's B-fold np.repeat, so no copy is needed for the bits
     def grads(g):
         d_out = d_mu = d_log_var = None
         if cfg.cp_weight != 0.0:  # no kind takes both cp_weight and gamma
             d_out = log_softmax_grad(slope * (g * float(cfg.cp_weight) * (1.0 / batch)) * probs,
                                      probs)
         if cfg.gamma != 0.0:
-            d_probs = np.repeat(marginal_slope * -(g * -float(cfg.gamma)) / batch, batch, axis=0)
+            d_probs = marginal_slope * -(g * -float(cfg.gamma)) / batch
             d_source = log_softmax_grad(d_probs * source_probs, source_probs)
             d_out, d_mu = ((d_source, None) if cfg.structured_from == "sample"
                            else (None, d_source))

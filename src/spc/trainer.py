@@ -254,6 +254,8 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     the k-means seeds is reported for both scores. Every seed's partition is
     scored by one `silhouette` call, which computes the distances once.
     The k-means and silhouette seconds go to `timing` (`kmeans_s`, `silhouette_s`).
+    Codes so large (or non-finite) that their squared distances, or
+    k-means++'s sum of them, would overflow are a DataError.
     """
     if dataset.task != "classification":
         raise DataError("representation quality is defined for classification")
@@ -264,6 +266,12 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
         raise DataError(f"the test split has {gold.size} rows, fewer than the "
                         f"{dataset.num_classes} clusters of k-means")
     reps = readout(model, dataset, rows, lambda features: encode(model, Tensor(features)).values)
+    # a squared distance of two codes is at most 4 * d * max|code|^2, and
+    # k-means++ sums n of them: both must be finite to cluster
+    peak, limit = np.abs(reps).max(), np.sqrt(np.finfo(np.float64).max / (4.0 * reps.size))
+    if not peak <= limit:
+        raise DataError(f"test codes reach {peak:.3g} in magnitude, past the {limit:.3g} "
+                        f"whose squared distances stay finite: too large to cluster")
     with timed(timing, "kmeans_s"):
         assigns = np.array([kmeans(reps, dataset.num_classes, seed=seed) for seed in kmeans_seeds])
     with timed(timing, "silhouette_s"):
@@ -292,6 +300,9 @@ def _flatten(params: list[Tensor]) -> tuple[np.ndarray, np.ndarray]:
     return flat, grad
 
 
+# every non-finite value of a run is a divergence that the loop detects and
+# reports, so numpy's floating-point warnings would only repeat it on stderr
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     """Train one model; returns a report reproducible byte-for-byte from
     (dataset, cfg, seed).

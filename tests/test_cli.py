@@ -547,6 +547,27 @@ class TestDivergedSeeds:
         per_seed = read_report(out, run_ids(out)[0])["results"]["per_seed"]
         assert [r["diverged"] for r in per_seed] == [False, True, False]
 
+    @pytest.mark.parametrize("objective, weights", [("mse_vib", ("--beta", "1")), ("mse", ())])
+    def test_a_diverging_run_prints_one_stderr_line(self, out, tmp_path, capsys, objective,
+                                                     weights):
+        # the overflows of a diverging run are the divergence it reports,
+        # not numpy RuntimeWarnings of their own
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(60, 4))
+        path = tmp_path / "sum.jsonl"
+        path.write_text("".join(
+            json.dumps({"features": x.tolist(), "label": float(x.sum()),
+                        "split": "train" if i < 36 else ("val" if i < 48 else "test")}) + "\n"
+            for i, x in enumerate(features)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("train", "--out", out, "--data", str(path), "--objective", objective,
+                           *weights, "--lr", "1e200", "--epochs", "3", "--patience", "3",
+                           "--seeds", "1", "--batch-size", "8", "--hidden-dim", "8")
+        assert code == cli.EXIT_DIVERGED
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == "warning: at least one seed diverged\n"
+
 
 class TestOneTrainCallPerRun:
     """Each multi-run command trains each (cell, seed) once, in cell order;
@@ -939,6 +960,98 @@ class TestSeedParsing:
         assert obj.beta == 0.5 and obj.gamma == 0.0
 
 
+class TestWeightsHaveOneSource:
+    """A sweep's --betas/--gammas grid is the only source of its cells'
+    weights, and a weight that no objective of a command takes is a bad
+    flag: each such input exits 2 in one line, before any dataset is read."""
+
+    @pytest.fixture()
+    def no_read(self, monkeypatch):
+        @functools.wraps(dataio.load)  # the parser reads load's featurizer defaults
+        def no_load(*args, **kwargs):
+            raise AssertionError("a dataset was read")
+
+        monkeypatch.setattr(dataio, "load", no_load)
+
+    def _exits_2(self, out, capsys, command, files, *flags, names=()):
+        assert run_cli(command, "--out", out, *files, *flags) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+        for name in names:
+            assert name in err
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags", [
+        ("--beta", "5"),
+        ("--gamma", "7"),
+        ("--cp-weight", "1"),
+        ("--objective", "ce_cp", "--cp-weight", "1"),
+        ("--objective", "pc", "--gammas", "0.5"),
+        ("--objective", "vib", "--gammas", "0,0.5"),
+    ])
+    def test_a_sweep_weight_off_the_grid_exits_2(self, out, data_file, no_read, capsys, flags):
+        self._exits_2(out, capsys, "sweep", ("--data", data_file), *flags)
+
+    @pytest.mark.parametrize("command, flags, names", [
+        ("train", ("--objective", "pc", "--beta", "0.1", "--gamma", "0.1"), ("--gamma", "pc")),
+        ("train", ("--objective", "ce", "--beta", "0.1"), ("--beta", "ce")),
+        ("train", ("--objective", "mse_pc", "--gamma", "0.1"), ("--gamma", "mse_pc")),
+        ("ood", ("--objective", "ce", "--cp-weight", "0.5"), ("--cp-weight", "ce")),
+        ("noise-study", ("--objectives", "ce,pc", "--gamma", "0.1"), ("--gamma", "ce,pc")),
+        ("ratio-study", ("--objectives", "ce,spc", "--cp-weight", "0.1"),
+         ("--cp-weight", "ce,spc")),
+    ])
+    def test_a_weight_no_objective_takes_exits_2(self, out, data_file, no_read, capsys,
+                                                  command, flags, names):
+        files = (("--source", data_file, "--target", data_file, "--mapping", data_file)
+                 if command == "ood" else ("--data", data_file))
+        self._exits_2(out, capsys, command, files, *flags, names=names)
+
+    @pytest.mark.parametrize("command, kind", [("sweep", "spc"), ("train", "ce")])
+    def test_a_config_weight_counts_as_its_flag(self, out, data_file, tmp_path, no_read,
+                                                capsys, command, kind):
+        config = tmp_path / "weights.json"
+        config.write_text(json.dumps({"beta": 0.5}))
+        self._exits_2(out, capsys, command, ("--data", data_file), "--objective", kind,
+                      "--config", str(config), names=("--beta",))
+
+    def test_a_study_weight_reaches_each_objective_that_takes_it(self):
+        args = cli.build_parser().parse_args(["noise-study", "--beta", "0.1", "--gamma", "0.2"])
+        cli.resolve_train_args(args)
+        weights = [(cfg.objective.beta, cfg.objective.gamma)
+                   for cfg in cli._train_configs(args, ["ce", "pc", "spc"])]
+        assert weights == [(0.0, 0.0), (0.1, 0.0), (0.1, 0.2)]
+
+    def test_zero_weights_and_gammas_0_name_the_same_sweep(self, tmp_path, data_file):
+        config = tmp_path / "zero.json"
+        config.write_text(json.dumps({"beta": 0, "gamma": 0.0}))
+        ids = []
+        for i, extra in enumerate(((), ("--gammas", "0"), ("--config", str(config)),
+                                   ("--beta", "0", "--gamma", "0", "--cp-weight", "0"))):
+            out = str(tmp_path / f"out{i}")
+            assert run_cli("sweep", "--out", out, "--data", data_file, "--objective", "pc",
+                           "--betas", "0.1", "--seeds", "1", "--epochs", "1", "--patience", "1",
+                           "--batch-size", "16", "--hidden-dim", "4", *extra) == 0
+            ids.append(_single_run_id(out))
+        assert len(set(ids)) == 1
+
+    def test_gammas_default_by_the_kinds_weight_count(self, out, tmp_path, data_file,
+                                                      monkeypatch):
+        grids = []
+
+        def one_cell(dataset, cfg, betas, gammas, seeds):
+            grids.append(gammas)
+            return {"rows": [{"beta": betas[0], "gamma": gammas[0], "val_mean": 0.0,
+                              "diverged": 0}],
+                    "best_beta": betas[0], "best_gamma": gammas[0]}
+
+        monkeypatch.setattr(cli, "sweep", one_cell)
+        for kind in ("spc", "pc", "ce_cp", "mse_vib"):
+            data = data_file if kind != "mse_vib" else regression_file(tmp_path)
+            assert run_cli("sweep", "--out", out, "--data", data, "--objective", kind) == 0
+        assert grids == [[0.001, 0.01, 0.1, 1.0, 10.0], [0.0], [0.0], [0.0]]
+
+
 def _single_run_id(out_root):
     ids = run_ids(out_root)
     assert len(ids) == 1
@@ -1277,6 +1390,25 @@ class TestBadInputs:
         results = read_report(out, run_ids(out)[0])["results"]
         assert all(-1.0 <= r["silhouette"] <= 1.0 for r in results["per_seed"])
         assert -1.0 <= results["silhouette_median"] <= 1.0
+
+    def test_repr_quality_of_codes_too_large_to_cluster(self, out, tmp_path, capsys):
+        # --lr 1e300 leaves finite weights near 1e300 and a perfect score;
+        # the squared distances of their codes overflow k-means++
+        data = str(tmp_path / "mix3.jsonl")
+        train_out = str(tmp_path / "train_out")
+        assert run_cli("gen-data", "--out", train_out, "--classes", "3", "--dim", "8",
+                       "--per-class", "30", "--output", data) == 0
+        assert run_cli("train", "--out", train_out, "--data", data, "--objective", "ce",
+                       "--lr", "1e300", "--seeds", "1", "--epochs", "3", "--patience", "3",
+                       "--batch-size", "8", "--hidden-dim", "8") == 0
+        [run_id] = [r for r in run_ids(train_out)
+                    if os.path.isdir(os.path.join(train_out, r, "ckpt"))]
+        ckpt = os.path.join(train_out, run_id, "ckpt", "seed0.json")
+        capsys.readouterr()
+        assert run_cli("repr-quality", "--out", out, "--data", data,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt, "too large to cluster")
+        assert not os.path.exists(out)
 
     def test_eval_on_empty_split(self, out, tmp_path, ckpt, capsys):
         ds = gen_mixture(2, 8, 50, 4.0, seed=200)
