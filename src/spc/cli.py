@@ -351,7 +351,7 @@ def cmd_train(args, timing: dict) -> Run:
     return Run(inputs, {"summary": summary, "per_seed": [r.results_dict() for r in reports]},
                f"{summary['metric']} = {summary['mean']:.4f} +/- {summary['std']:.4f} "
                f"over seeds {seeds}",
-               rows, {f"seed{r.seed}.json": r.model for r in reports}, summary["diverged"])
+               rows, {f"seed{r.seed}.npz": r.model for r in reports}, summary["diverged"])
 
 
 def cmd_eval(args, timing: dict) -> Run:

@@ -260,14 +260,9 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
         features.append(rng.standard_normal((per_class, dim)) + mean)
         targets.append(np.full(per_class, c, dtype=np.int64))
         split.extend(["train"] * n_train + ["val"] * n_val + ["test"] * n_test)
-    return Dataset(
-        features=np.concatenate(features),
-        targets=np.concatenate(targets),
-        split=np.array(split),
-        task="classification",
-        num_classes=num_classes,
-        label_names=[str(c) for c in range(num_classes)],
-    )
+    return Dataset(features=np.concatenate(features), targets=np.concatenate(targets),
+                   split=np.array(split), task="classification", num_classes=num_classes,
+                   label_names=[str(c) for c in range(num_classes)])
 
 
 def _line_count(path: str) -> int:
@@ -452,10 +447,10 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
 
 
 @contextlib.contextmanager
-def write_atomic(path: str):
-    """A UTF-8 text file (newline="") on a temporary name of its own beside
-    `path` (`<path>.<pid>.<n>.tmp`: the writer's pid and the first n no other
-    writer holds), in a parent made if missing, moved onto `path` when the
+def write_atomic(path: str, binary: bool = False):
+    """A UTF-8 text file (newline=""), or a `binary` one, on a temporary name
+    of its own beside `path` (`<path>.<pid>.<n>.tmp`: the writer's pid and the
+    first n no other writer holds), in a parent made if missing, moved onto `path` when the
     block ends; on any failure it is removed instead, so an earlier file at
     `path` stays as it was, and two writers of one path each move one whole
     file onto it. A writer killed inside the block leaves its temporary file;
@@ -463,10 +458,11 @@ def write_atomic(path: str):
     this process sees pids), and never the file of a live writer."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     _remove_stale_temporaries(path)
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
     for n in itertools.count():
         tmp = f"{path}.{os.getpid()}.{n}.tmp"
         with contextlib.suppress(FileExistsError):
-            fh = open(tmp, "x", encoding="utf-8", newline="")
+            fh = open(tmp, "xb" if binary else "x", **text)
             break
     try:
         with fh:

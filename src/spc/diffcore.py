@@ -146,17 +146,6 @@ def emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
     return out
 
 
-def _check_broadcast(shape_a: tuple[int, ...], shape_b: tuple[int, ...], op: str,
-                     allow_row: bool) -> None:
-    """Raise unless the shapes agree, one is a scalar's, or (with
-    `allow_row`) b is a 1xH row against a BxH a."""
-    if shape_a == shape_b or not shape_a or not shape_b:
-        return
-    if allow_row and len(shape_a) == 2 and shape_b == (1, shape_a[1]):
-        return
-    raise ShapeError(f"{op}: incompatible shapes {shape_a} and {shape_b}")
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """The output gradient `g` summed back to an operand of `shape`."""
     if g.shape == shape:
@@ -178,7 +167,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     pairs = (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g)
     if bias is None:
         return emit(product, *pairs)
-    _check_broadcast(product.shape, bias.values.shape, "matmul", allow_row=True)
+    if bias.values.shape not in (product.shape, (), (1, product.shape[1])):
+        raise ShapeError(f"matmul: incompatible shapes {product.shape} and {bias.values.shape}")
     return emit(product + bias.values, *pairs, (bias, lambda g: g))
 
 

@@ -14,13 +14,15 @@ The VIB baseline is the same encoder into a code of any width, plus a
 trainable single-hidden-layer tanh decoder from t to the output space;
 `decode` is the identity for a model without one. A model is its
 checkpoint's "arch" plus its named tensors (`EncoderParams`). A checkpoint
-write streams the json text a chunk of values at a time through
-`data.write_atomic`, which replaces the file only once it is complete.
+(format 2) is an uncompressed `.npz`: one float64 member per tensor and a
+JSON header, written through `data.write_atomic`, which replaces the file
+only once it is complete. Format 1, JSON text, is still read.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,7 +36,7 @@ from .diffcore import (ShapeError, Tensor, layer_norm, layer_norm_grad, layer_no
 LOG_VAR_MIN = -8.0
 LOG_VAR_MAX = 8.0
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 # checkpoint kind -> its "arch" keys, in file order; all but use_layer_norm are dimensions
@@ -222,45 +224,55 @@ def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
     return mu, log_var, out, backprop
 
 
-# --- checkpoint serialization (versioned JSON of named tensors) ---
-
-# values a checkpoint write turns into text at once
-CHECKPOINT_CHUNK_VALUES = 4096
+# --- checkpoint serialization (versioned, named float64 tensors) ---
 
 
 def save_checkpoint(path: str, params: EncoderParams) -> None:
-    """Write `params` to `path`: the bytes of `json.dumps` of the payload
-    below, streamed one tensor and at most CHECKPOINT_CHUNK_VALUES values at
-    a time, so the payload never exists as one string or as Python lists.
-    A failed write leaves any earlier file at `path` as it was (`write_atomic`)."""
-    head = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, "kind": params.kind,
-                       "arch": params.arch})
-    with write_atomic(path) as fh:
-        fh.write(head[:-1] + ', "tensors": {')
-        for i, (name, t) in enumerate(params.tensors.items()):
-            fh.write(f'{", " if i else ""}{json.dumps(name)}: '
-                     f'{{"shape": {json.dumps(list(t.values.shape))}, "values": [')
-            values = t.values.ravel()
-            for lo in range(0, values.size, CHECKPOINT_CHUNK_VALUES):
-                chunk = values[lo:lo + CHECKPOINT_CHUNK_VALUES].tolist()
-                fh.write((", " if lo else "") + json.dumps(chunk)[1:-1])
-            fh.write("]}")
-        fh.write("}}")
+    """Write `params` to `path` in format 2, an uncompressed `np.savez`: one
+    float64 member per tensor, in `tensor_shapes` order, and a 0-d string
+    "header", the JSON of the format version, kind and arch. Zip members carry
+    a fixed timestamp, so one model always has the same bytes. A failed write
+    leaves any earlier file at `path` as it was (`write_atomic`)."""
+    header = json.dumps({"format_version": CHECKPOINT_FORMAT_VERSION, "kind": params.kind,
+                         "arch": params.arch})
+    with write_atomic(path, binary=True) as fh:
+        np.savez(fh, **{name: t.values for name, t in params.tensors.items()},
+                 header=np.array(header))
 
 
 def load_checkpoint_payload(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """A checkpoint's header ("format_version", "kind", "arch") and its
+    "tensors", each a "shape" and its "values": format 2's members as stored,
+    format 1's (JSON text) flat lists of numbers."""
+    with open(path, "rb") as fh:
+        is_archive = fh.read(4) == b"PK\x03\x04"  # format 2 is a zip archive, 1 JSON text
+        fh.seek(0)
+        if not is_archive:
+            payload = json.load(fh)
+        else:  # np.load reads the open handle: a damaged archive leaves no file open
+            tensors = {}
+            with np.load(fh, allow_pickle=False) as archive:
+                for name in archive.files:
+                    try:
+                        values = archive[name]
+                    except ValueError as err:  # such as an object array, which needs a pickle
+                        raise ValueError(f"tensor {name}: {err}") from None
+                    tensors[name] = {"shape": list(values.shape), "values": values}
+            try:
+                payload = {**json.loads(tensors.pop("header")["values"].item()), "tensors": tensors}
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"header is not a JSON object ({err})") from None
     version = payload.get("format_version") if isinstance(payload, dict) else None
-    if version != CHECKPOINT_FORMAT_VERSION:
+    if version != (CHECKPOINT_FORMAT_VERSION if is_archive else 1):
         raise ValueError(f"unsupported checkpoint format_version: {version!r}")
     return payload
 
 
 def load_checkpoint(path: str) -> EncoderParams:
-    """Read a checkpoint. Any malformed content, including an "arch" that
-    `_check_arch` rejects, a tensor whose shape disagrees with the arch or a
-    tensor that holds a non-finite value, is a DataError naming the file."""
+    """Read a checkpoint of either format, without a cast. Any malformed
+    content, such as an "arch" that `_check_arch` rejects, or a tensor that
+    is missing, disagrees with the arch in shape, is not float64 or holds a
+    non-finite value, is a DataError naming the file."""
     try:
         payload = load_checkpoint_payload(path)
         kind = payload["kind"]
@@ -274,10 +286,12 @@ def load_checkpoint(path: str) -> EncoderParams:
             if tuple(entry["shape"]) != shape:
                 raise ValueError(f"tensor {name} has shape {entry['shape']}, "
                                  f"the arch needs {list(shape)}")
-            values = np.asarray(entry["values"], dtype=np.float64)
+            values = np.asarray(entry["values"])  # float64 for format 1's JSON floats
+            if values.dtype != np.float64:
+                raise ValueError(f"tensor {name} holds {values.dtype} values, not float64")
             if not np.isfinite(values).all():
                 raise ValueError(f"tensor {name} holds a non-finite value")
             tensors[name] = param(values.reshape(shape))
         return EncoderParams(arch, tensors)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
         raise DataError(f"{path}: not a usable checkpoint ({type(err).__name__}: {err})") from err

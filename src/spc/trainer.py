@@ -335,7 +335,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     metric_name = cfg.headline_metric()
 
     train_rows = dataset.indices("train")
-    n_train = train_rows.size
 
     dataset_info = {"task": dataset.task, "num_classes": dataset.num_classes,
                     "num_features": dataset.num_features,
@@ -350,9 +349,9 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
 
     for epoch in range(1, cfg.epochs + 1):
         report.epochs_ran = epoch
-        perm = rng.permutation(n_train)
+        perm = rng.permutation(train_rows.size)
         epoch_totals = []
-        for start in range(0, n_train, cfg.batch_size):
+        for start in range(0, train_rows.size, cfg.batch_size):
             idx = train_rows[perm[start:start + cfg.batch_size]]
             x = Tensor(dataset.features[idx])
             y = dataset.targets[idx]
@@ -385,11 +384,8 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             break
         val = evaluate_split(model, dataset, "val")
         value = val[metric_name]
-        report.epoch_logs.append({
-            "epoch": epoch,
-            "train_total": float(np.mean(epoch_totals)),
-            "val_metric": value,
-        })
+        report.epoch_logs.append({"epoch": epoch, "train_total": float(np.mean(epoch_totals)),
+                                  "val_metric": value})
         if not np.isfinite(value):
             report.diverged = True
             break

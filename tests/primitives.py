@@ -7,13 +7,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from spc.diffcore import ShapeError, Tensor, _check_broadcast, emit
+from spc.diffcore import ShapeError, Tensor, emit
 from spc.objectives import log_softmax_grad, log_softmax_values, xlogx_values
 
 
 class DomainError(ValueError):
     """Operand values outside an op's domain: `log` of a non-positive value,
     `xlogx` of a negative one."""
+
+
+def _check_broadcast(shape_a: tuple[int, ...], shape_b: tuple[int, ...], op: str,
+                     allow_row: bool) -> None:
+    """Raise unless the shapes agree, one is a scalar's, or (with
+    `allow_row`) b is a 1xH row against a BxH a."""
+    if shape_a == shape_b or not shape_a or not shape_b:
+        return
+    if allow_row and len(shape_a) == 2 and shape_b == (1, shape_a[1]):
+        return
+    raise ShapeError(f"{op}: incompatible shapes {shape_a} and {shape_b}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

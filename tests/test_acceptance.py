@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 from contextlib import contextmanager
 
 import numpy as np
@@ -379,7 +380,7 @@ def test_criterion_9_manifest_determinism(tmp_path):
             manifest = json.load(fh)
         first = results_bytes()
         first_ckpts = {
-            name: open(os.path.join(out, run_id, "ckpt", name), "rb").read()
+            name: pathlib.Path(out, run_id, "ckpt", name).read_bytes()
             for name in os.listdir(os.path.join(out, run_id, "ckpt"))
         }
 
@@ -388,4 +389,4 @@ def test_criterion_9_manifest_determinism(tmp_path):
         assert cli.main(list(argv)) == 0
         assert results_bytes() == first
         for name, blob in first_ckpts.items():
-            assert open(os.path.join(out, run_id, "ckpt", name), "rb").read() == blob
+            assert pathlib.Path(out, run_id, "ckpt", name).read_bytes() == blob

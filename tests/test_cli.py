@@ -17,6 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
+from checkpoint_files import format_1_payload, format_2_parts, write_format_1, write_format_2
 from spc import cli
 from spc import data as dataio
 from spc import trainer
@@ -63,6 +64,11 @@ def read_report(out_root, run_id):
         return json.load(fh)
 
 
+def command_of(out_root, run_id):
+    with open(os.path.join(out_root, run_id, "manifest.json"), encoding="utf-8") as fh:
+        return json.load(fh)["command"]
+
+
 def run_ids(out_root):
     return [d for d in os.listdir(out_root)
             if os.path.isdir(os.path.join(out_root, d))
@@ -77,14 +83,13 @@ class TestPipeline:
                        "--beta", "0.1", "--gamma", "0.1",
                        "--epochs", "3", "--patience", "3", "--batch-size", "32",
                        "--hidden-dim", "16", "--seeds", "2") == 0
-        train_runs = [r for r in run_ids(out)
-                      if json.load(open(os.path.join(out, r, "manifest.json")))["command"] == "train"]
+        train_runs = [r for r in run_ids(out) if command_of(out, r) == "train"]
         assert len(train_runs) == 1
         report = read_report(out, train_runs[0])
         assert report["results"]["summary"]["metric"] == "macro_f1"
         assert 0.0 <= report["results"]["summary"]["mean"] <= 1.0
         ckpts = os.listdir(os.path.join(out, train_runs[0], "ckpt"))
-        assert sorted(ckpts) == ["seed0.json", "seed1.json"]
+        assert sorted(ckpts) == ["seed0.npz", "seed1.npz"]
 
     def test_train_twice_identical_results(self, out, data_file):
         argv = ("train", "--out", out, "--data", data_file, "--objective", "spc",
@@ -120,11 +125,11 @@ class TestPipeline:
                                                                         sort_keys=True)
 
     def test_input_dataset_never_mutated(self, out, data_file):
-        before = open(data_file, "rb").read()
+        before = pathlib.Path(data_file).read_bytes()
         run_cli("train", "--out", out, "--data", data_file, "--objective", "ce",
                 "--epochs", "2", "--patience", "2", "--batch-size", "16",
                 "--hidden-dim", "8", "--seeds", "1")
-        assert open(data_file, "rb").read() == before
+        assert pathlib.Path(data_file).read_bytes() == before
 
 
 class TestEvalAndReprQuality:
@@ -133,11 +138,10 @@ class TestEvalAndReprQuality:
                 "--epochs", "2", "--patience", "2", "--batch-size", "16",
                 "--hidden-dim", "8", "--seeds", "1")
         run_id = run_ids(out)[0]
-        ckpt = os.path.join(out, run_id, "ckpt", "seed0.json")
+        ckpt = os.path.join(out, run_id, "ckpt", "seed0.npz")
         assert run_cli("eval", "--out", out, "--data", data_file,
                        "--ckpt", ckpt, "--split", "test") == 0
-        eval_runs = [r for r in run_ids(out)
-                     if json.load(open(os.path.join(out, r, "manifest.json")))["command"] == "eval"]
+        eval_runs = [r for r in run_ids(out) if command_of(out, r) == "eval"]
         metrics = read_report(out, eval_runs[0])["results"]["metrics"]
         assert "macro_f1" in metrics
 
@@ -146,11 +150,10 @@ class TestEvalAndReprQuality:
                 "--beta", "0.1", "--gamma", "0.1", "--epochs", "2", "--patience", "2",
                 "--batch-size", "16", "--hidden-dim", "8", "--seeds", "1")
         run_id = run_ids(out)[0]
-        ckpt = os.path.join(out, run_id, "ckpt", "seed0.json")
+        ckpt = os.path.join(out, run_id, "ckpt", "seed0.npz")
         assert run_cli("repr-quality", "--out", out, "--data", data_file,
                        "--ckpt", ckpt, "--seeds", "3") == 0
-        rq = [r for r in run_ids(out)
-              if json.load(open(os.path.join(out, r, "manifest.json")))["command"] == "repr-quality"]
+        rq = [r for r in run_ids(out) if command_of(out, r) == "repr-quality"]
         report = read_report(out, rq[0])
         results = report["results"]
         assert -1.0 <= results["silhouette_median"] <= 1.0
@@ -492,7 +495,7 @@ class TestTaskFromObjectiveOrCheckpoint:
         path = regression_file(tmp_path)
         assert run_cli("train", "--out", out, "--data", path, "--objective", "mse",
                        *self.RUN_FLAGS) == 0
-        ckpt = os.path.join(out, _single_run_id(out), "ckpt", "seed0.json")
+        ckpt = os.path.join(out, _single_run_id(out), "ckpt", "seed0.npz")
         eval_out = str(tmp_path / "eval_out")
         assert run_cli("eval", "--out", eval_out, "--data", path, "--ckpt", ckpt) == 0
         run_id = _single_run_id(eval_out)
@@ -716,15 +719,19 @@ class TestOutputRoot:
 
 
 class _FailingFile:
-    """A file whose first write puts half its text on disk, then fails."""
+    """A text or binary file whose first write puts half its data on disk,
+    then fails; its other methods are the file's."""
 
     def __init__(self, fh):
         self.fh = fh
 
-    def write(self, text):
-        self.fh.write(text[:len(text) // 2])
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
         self.fh.flush()
         raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
 
     def __enter__(self):
         return self
@@ -738,7 +745,7 @@ class TestAtomicWrites:
 
     @pytest.mark.parametrize("command, name", [("gen-data", "d.jsonl"),
                                                ("gen-data", "report.json"),
-                                               ("train", "seed0.json")],
+                                               ("train", "seed0.npz")],
                              ids=["dataset", "report-json", "checkpoint"])
     def test_a_failed_write_leaves_the_earlier_file_and_no_tmp(
             self, out, tmp_path, data_file, monkeypatch, command, name, capsys):
@@ -748,7 +755,7 @@ class TestAtomicWrites:
                            "--patience", "1", "--hidden-dim", "4", "--seeds", "1")}[command]
         assert run_cli(command, "--out", out, *flags) == 0
         [path] = [os.path.join(d, name) for d, _, files in os.walk(tmp_path) if name in files]
-        before = open(path, "rb").read()
+        before = pathlib.Path(path).read_bytes()
         real_open = builtins.open
 
         def failing_open(file, mode="r", *args, **kwargs):
@@ -760,7 +767,7 @@ class TestAtomicWrites:
         assert run_cli(command, "--out", out, *flags) == cli.EXIT_DATA
         monkeypatch.undo()
         assert "No space left on device" in capsys.readouterr().err
-        assert open(path, "rb").read() == before
+        assert pathlib.Path(path).read_bytes() == before
         assert [f for _, _, files in os.walk(tmp_path) for f in files if f.endswith(".tmp")] == []
 
     def test_two_writers_of_one_path_each_move_a_whole_file(self, tmp_path):
@@ -769,9 +776,9 @@ class TestAtomicWrites:
             first.write("AAAA")
             with dataio.write_atomic(path) as second:
                 second.write("BBBBBB")
-            assert open(path).read() == "BBBBBB"
+            assert pathlib.Path(path).read_text() == "BBBBBB"
             first.write("AAAAAA")
-        assert open(path).read() == "AAAAAAAAAA"
+        assert pathlib.Path(path).read_text() == "AAAAAAAAAA"
         assert os.listdir(tmp_path) == ["f.txt"]
 
     def test_the_next_write_removes_a_killed_writers_temporary_file(self, tmp_path):
@@ -791,7 +798,7 @@ class TestAtomicWrites:
         with dataio.write_atomic(path) as fh:
             fh.write("whole")
         assert os.listdir(tmp_path) == ["f.txt"]
-        assert open(path).read() == "whole"
+        assert pathlib.Path(path).read_text() == "whole"
 
     def test_gen_data_makes_the_output_directory(self, out, tmp_path):
         output = tmp_path / "new" / "deeper" / "mix.jsonl"
@@ -849,7 +856,7 @@ SEQUENCE_CASES = {
     "gen-data": (("gen-data", "--classes", "2", "--dim", "2", "--per-class", "5",
                   "--output", "d.jsonl"), ["report.json"]),
     "train": (("train", "--data", "mix.jsonl", "--objective", "ce", *SEQUENCE_FLAGS),
-              ["ckpt/seed0.json", "ckpt/seed1.json", "report.csv", "report.json"]),
+              ["ckpt/seed0.npz", "ckpt/seed1.npz", "report.csv", "report.json"]),
     "eval": (("eval", "--data", "mix.jsonl", "--ckpt", "ckpt.json"), ["report.json"]),
     "sweep": (("sweep", "--data", "mix.jsonl", "--betas", "0.1", "--gammas", "0.1",
                *SEQUENCE_FLAGS), ["report.csv", "report.json"]),
@@ -896,7 +903,7 @@ class TestRunSequence:
             metrics = read_report("out", run_id)["results"]["metrics"]
             assert json.loads("\n".join(lines[1:])) == metrics
         # a stray file in ckpt/ is not an artifact of the rerun
-        stray = os.path.join(run_dir, "ckpt", "seed0.json.0.tmp")
+        stray = os.path.join(run_dir, "ckpt", "seed0.npz.0.tmp")
         os.makedirs(os.path.dirname(stray), exist_ok=True)
         open(stray, "w").close()
         assert run_cli(*argv, "--out", "out") == 0
@@ -1146,12 +1153,33 @@ class TestRunIdentity:
 
 
 class TestBadInputs:
-    """Bad checkpoints and empty splits exit 3 with one line, before any training."""
+    """Bad checkpoints and empty splits exit 3 with one line, before any training.
+    A checkpoint edited as JSON text is format 1; each such case has a twin
+    that edits a format-2 archive's header or members."""
 
     @pytest.fixture()
     def ckpt(self, tmp_path):
-        path = str(tmp_path / "seed0.json")
+        path = str(tmp_path / "seed0.npz")
         save_checkpoint(path, init_encoder(8, 4, 2, rng=0))
+        return path
+
+    @staticmethod
+    def _format_1(tmp_path, params, edit) -> str:
+        """A format-1 checkpoint of `params`, its payload changed by `edit`."""
+        path = str(tmp_path / f"{params.kind}.json")
+        payload = format_1_payload(params)
+        edit(payload)
+        write_format_1(path, payload)
+        return path
+
+    @staticmethod
+    def _format_2(tmp_path, params, edit) -> str:
+        """A format-2 checkpoint of `params`, its header and members changed
+        by `edit(header, members)`."""
+        path = str(tmp_path / f"{params.kind}.npz")
+        header, members = format_2_parts(params)
+        edit(header, members)
+        write_format_2(path, header, members)
         return path
 
     def _one_line_error(self, capsys, *names):
@@ -1160,70 +1188,90 @@ class TestBadInputs:
         for name in names:
             assert name in err
 
+    def _rejected(self, capsys, out, data_file, ckpt, *names, command="eval"):
+        assert run_cli(command, "--out", out, "--data", data_file,
+                       "--ckpt", ckpt) == cli.EXIT_DATA
+        self._one_line_error(capsys, ckpt, *names)
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["eval", "repr-quality"])
     def test_checkpoint_of_wrong_input_width(self, out, tmp_path, ckpt, command, capsys):
         narrow = str(tmp_path / "narrow.jsonl")
         save(gen_mixture(2, 5, 20, 4.0, seed=205), narrow)
-        assert run_cli(command, "--out", out, "--data", narrow,
-                       "--ckpt", ckpt) == cli.EXIT_DATA
-        self._one_line_error(capsys, ckpt)
-        assert not os.path.exists(out)
+        self._rejected(capsys, out, narrow, ckpt, command=command)
 
     @pytest.mark.parametrize("command", ["eval", "repr-quality"])
     def test_checkpoint_of_wrong_output_width(self, out, data_file, tmp_path, command, capsys):
-        wide = str(tmp_path / "four_class.json")
+        wide = str(tmp_path / "four_class.npz")
         save_checkpoint(wide, init_encoder(8, 4, 4, rng=0))  # the dataset has 2 classes
-        assert run_cli(command, "--out", out, "--data", data_file,
-                       "--ckpt", wide) == cli.EXIT_DATA
-        self._one_line_error(capsys, wide, "4 outputs")
-        assert not os.path.exists(out)
+        self._rejected(capsys, out, data_file, wide, "4 outputs", command=command)
 
-    def test_checkpoint_missing_a_tensor(self, out, data_file, ckpt, capsys):
-        payload = json.load(open(ckpt))
-        del payload["tensors"]["w_lv"]
-        with open(ckpt, "w") as fh:
-            json.dump(payload, fh)
-        assert run_cli("eval", "--out", out, "--data", data_file,
-                       "--ckpt", ckpt) == cli.EXIT_DATA
-        self._one_line_error(capsys, ckpt)
+    def test_checkpoint_missing_a_tensor(self, out, data_file, tmp_path, capsys):
+        ckpt = self._format_1(tmp_path, init_encoder(8, 4, 2, rng=0),
+                              lambda payload: payload["tensors"].pop("w_lv"))
+        self._rejected(capsys, out, data_file, ckpt, "w_lv")
+
+    def test_format_2_checkpoint_missing_a_tensor(self, out, data_file, tmp_path, capsys):
+        ckpt = self._format_2(tmp_path, init_encoder(8, 4, 2, rng=0),
+                              lambda header, members: members.pop("w_lv"))
+        self._rejected(capsys, out, data_file, ckpt, "w_lv")
+
+    @staticmethod
+    def _model(model):
+        return init_encoder(8, 4, 2, rng=0) if model == "encoder" else init_vib(8, 4, 3, 2, rng=0)
 
     @pytest.mark.parametrize("model", ["encoder", "vib"])
     def test_checkpoint_tensor_of_wrong_shape(self, out, data_file, tmp_path, model, capsys):
-        ckpt = str(tmp_path / f"{model}.json")
-        params = init_encoder(8, 4, 2, rng=0) if model == "encoder" else init_vib(8, 4, 3, 2, rng=0)
-        save_checkpoint(ckpt, params)
-        payload = json.load(open(ckpt))
-        w_mu = payload["tensors"]["w_mu"]  # one hidden row short, values to match
-        w_mu["shape"][0] -= 1
-        w_mu["values"] = w_mu["values"][:w_mu["shape"][0] * w_mu["shape"][1]]
-        with open(ckpt, "w") as fh:
-            json.dump(payload, fh)
-        assert run_cli("eval", "--out", out, "--data", data_file,
-                       "--ckpt", ckpt) == cli.EXIT_DATA
-        self._one_line_error(capsys, ckpt, "w_mu")
+        def edit(payload):
+            w_mu = payload["tensors"]["w_mu"]  # one hidden row short, values to match
+            w_mu["shape"][0] -= 1
+            w_mu["values"] = w_mu["values"][:w_mu["shape"][0] * w_mu["shape"][1]]
+
+        ckpt = self._format_1(tmp_path, self._model(model), edit)
+        self._rejected(capsys, out, data_file, ckpt, "w_mu")
+
+    @pytest.mark.parametrize("model", ["encoder", "vib"])
+    def test_format_2_checkpoint_tensor_of_wrong_shape(self, out, data_file, tmp_path, model,
+                                                       capsys):
+        def edit(header, members):
+            members["w_mu"] = members["w_mu"][:-1]  # one hidden row short
+
+        ckpt = self._format_2(tmp_path, self._model(model), edit)
+        self._rejected(capsys, out, data_file, ckpt, "w_mu")
 
     @pytest.mark.parametrize("command", ["eval", "repr-quality"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_checkpoint_with_a_non_finite_value(self, out, data_file, ckpt, command, value,
+    def test_checkpoint_with_a_non_finite_value(self, out, data_file, tmp_path, command, value,
                                                 capsys):
-        payload = json.load(open(ckpt))
-        payload["tensors"]["w_in"]["values"][5] = value  # written as NaN, Infinity, -Infinity
-        with open(ckpt, "w") as fh:
-            json.dump(payload, fh)
-        assert run_cli(command, "--out", out, "--data", data_file,
-                       "--ckpt", ckpt) == cli.EXIT_DATA
-        self._one_line_error(capsys, ckpt, "w_in", "non-finite")
-        assert not os.path.exists(out)
+        def edit(payload):
+            payload["tensors"]["w_in"]["values"][5] = value  # written as NaN, Infinity, -Infinity
+
+        ckpt = self._format_1(tmp_path, init_encoder(8, 4, 2, rng=0), edit)
+        self._rejected(capsys, out, data_file, ckpt, "w_in", "non-finite", command=command)
+
+    @pytest.mark.parametrize("command", ["eval", "repr-quality"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_format_2_checkpoint_with_a_non_finite_value(self, out, data_file, tmp_path,
+                                                         command, value, capsys):
+        def edit(header, members):
+            members["w_in"].flat[5] = value
+
+        ckpt = self._format_2(tmp_path, init_encoder(8, 4, 2, rng=0), edit)
+        self._rejected(capsys, out, data_file, ckpt, "w_in", "non-finite", command=command)
 
     @pytest.mark.parametrize("value", ["no", 1, None])
-    def test_checkpoint_layer_norm_flag_not_a_boolean(self, out, data_file, ckpt, value, capsys):
-        payload = json.load(open(ckpt))
-        payload["arch"]["use_layer_norm"] = value
-        with open(ckpt, "w") as fh:
-            json.dump(payload, fh)
-        assert run_cli("eval", "--out", out, "--data", data_file,
-                       "--ckpt", ckpt) == cli.EXIT_DATA
-        self._one_line_error(capsys, ckpt, "use_layer_norm")
+    def test_checkpoint_layer_norm_flag_not_a_boolean(self, out, data_file, tmp_path, value,
+                                                      capsys):
+        ckpt = self._format_1(tmp_path, init_encoder(8, 4, 2, rng=0),
+                              lambda payload: payload["arch"].update(use_layer_norm=value))
+        self._rejected(capsys, out, data_file, ckpt, "use_layer_norm")
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_format_2_checkpoint_layer_norm_flag_not_a_boolean(self, out, data_file, tmp_path,
+                                                               value, capsys):
+        ckpt = self._format_2(tmp_path, init_encoder(8, 4, 2, rng=0),
+                              lambda header, members: header["arch"].update(use_layer_norm=value))
+        self._rejected(capsys, out, data_file, ckpt, "use_layer_norm")
 
     # a -1 or 0 would pass as a tensor shape (reshape infers a -1, and a
     # zero-width tensor holds no values), so the tensors are made to agree
@@ -1234,32 +1282,69 @@ class TestBadInputs:
     @pytest.mark.parametrize("value", [-1, 0, True, 2.0, "4", None])
     def test_checkpoint_dimension_not_an_integer_of_at_least_1(self, out, data_file, tmp_path,
                                                                model, key, value, capsys):
-        ckpt = str(tmp_path / f"{model}.json")
-        params = init_encoder(8, 4, 2, rng=0) if model == "encoder" else init_vib(8, 4, 3, 2, rng=0)
-        save_checkpoint(ckpt, params)
-        payload = json.load(open(ckpt))
-        payload["arch"][key] = value
-        if isinstance(value, int):
-            for name, shape in tensor_shapes(payload["arch"]).items():
-                payload["tensors"][name]["shape"] = list(shape)
-                if 0 in shape:
-                    payload["tensors"][name]["values"] = []
-        with open(ckpt, "w") as fh:
-            json.dump(payload, fh)
-        assert run_cli("eval", "--out", out, "--data", data_file,
-                       "--ckpt", ckpt) == cli.EXIT_DATA
-        self._one_line_error(capsys, ckpt, f"arch {key} must be an integer >= 1, got {value!r}")
-        assert not os.path.exists(out)
+        def edit(payload):
+            payload["arch"][key] = value
+            if isinstance(value, int):
+                for name, shape in tensor_shapes(payload["arch"]).items():
+                    payload["tensors"][name]["shape"] = list(shape)
+                    if 0 in shape:
+                        payload["tensors"][name]["values"] = []
+
+        ckpt = self._format_1(tmp_path, self._model(model), edit)
+        self._rejected(capsys, out, data_file, ckpt,
+                       f"arch {key} must be an integer >= 1, got {value!r}")
+
+    # an array cannot have a -1 dimension; the other integers get tensors that agree
+    @pytest.mark.parametrize("model, key", [
+        ("encoder", "input_dim"), ("encoder", "hidden_dim"), ("encoder", "out_dim"),
+        ("vib", "latent_dim"), ("vib", "decoder_hidden"),
+    ])
+    @pytest.mark.parametrize("value", [-1, 0, True, 2.0, "4", None])
+    def test_format_2_checkpoint_dimension_not_an_integer_of_at_least_1(
+            self, out, data_file, tmp_path, model, key, value, capsys):
+        def edit(header, members):
+            header["arch"][key] = value
+            if isinstance(value, int) and value >= 0:
+                members.update({name: np.zeros([int(n) for n in shape])
+                                for name, shape in tensor_shapes(header["arch"]).items()})
+
+        ckpt = self._format_2(tmp_path, self._model(model), edit)
+        self._rejected(capsys, out, data_file, ckpt,
+                       f"arch {key} must be an integer >= 1, got {value!r}")
 
     @pytest.mark.parametrize("field, value", [("format_version", 99), ("kind", "mystery")])
-    def test_checkpoint_of_unknown_format(self, out, data_file, ckpt, field, value, capsys):
-        payload = json.load(open(ckpt))
-        payload[field] = value
-        with open(ckpt, "w") as fh:
-            json.dump(payload, fh)
-        assert run_cli("eval", "--out", out, "--data", data_file,
-                       "--ckpt", ckpt) == cli.EXIT_DATA
-        self._one_line_error(capsys, ckpt)
+    def test_checkpoint_of_unknown_format(self, out, data_file, tmp_path, field, value, capsys):
+        ckpt = self._format_1(tmp_path, init_encoder(8, 4, 2, rng=0),
+                              lambda payload: payload.update({field: value}))
+        self._rejected(capsys, out, data_file, ckpt, str(value))
+
+    @pytest.mark.parametrize("field, value", [("format_version", 99), ("kind", "mystery")])
+    def test_format_2_checkpoint_of_unknown_format(self, out, data_file, tmp_path, field, value,
+                                                   capsys):
+        ckpt = self._format_2(tmp_path, init_encoder(8, 4, 2, rng=0),
+                              lambda header, members: header.update({field: value}))
+        self._rejected(capsys, out, data_file, ckpt, str(value))
+
+    # format 2 never casts: each member is read as stored, or refused
+    @pytest.mark.parametrize("name, member, words", [
+        ("w_in", np.zeros((8, 4), dtype=np.float32), ["w_in", "float32"]),
+        ("b_mu", np.zeros((1, 2), dtype=np.int64), ["b_mu", "int64"]),
+        ("w_lv", np.full((4, 2), 0.5, dtype=object), ["w_lv", "allow_pickle=False"]),
+        ("header", np.array("{format_version: 2"), ["header is not a JSON object"]),
+        ("header", np.array(2.0), ["header is not a JSON object"]),
+        ("header", None, ["KeyError", "header"]),
+    ], ids=["float32", "int64", "object", "header-text-not-json", "header-a-number",
+            "no-header"])
+    def test_format_2_member_that_is_not_read_as_stored(self, out, data_file, tmp_path, name,
+                                                        member, words, capsys):
+        path = str(tmp_path / "seed0.npz")
+        header, members = format_2_parts(init_encoder(8, 4, 2, rng=0))
+        if name == "header":
+            header = member
+        else:
+            members[name] = member
+        write_format_2(path, header, members)
+        self._rejected(capsys, out, data_file, path, *words)
 
     @pytest.mark.parametrize("key, value, message", [
         ("split", 0, ":1: unknown split tag '0'"),
@@ -1267,7 +1352,7 @@ class TestBadInputs:
     ])
     def test_a_bad_first_row_fails_before_training(self, out, data_file, tmp_path, key, value,
                                                   message, capsys):
-        lines = open(data_file).read().splitlines()
+        lines = pathlib.Path(data_file).read_text().splitlines()
         first = json.loads(lines[0])
         first[key] = value
         path = str(tmp_path / "bad_first_row.jsonl")
@@ -1403,7 +1488,7 @@ class TestBadInputs:
                        "--batch-size", "8", "--hidden-dim", "8") == 0
         [run_id] = [r for r in run_ids(train_out)
                     if os.path.isdir(os.path.join(train_out, r, "ckpt"))]
-        ckpt = os.path.join(train_out, run_id, "ckpt", "seed0.json")
+        ckpt = os.path.join(train_out, run_id, "ckpt", "seed0.npz")
         capsys.readouterr()
         assert run_cli("repr-quality", "--out", out, "--data", data,
                        "--ckpt", ckpt) == cli.EXIT_DATA
@@ -1631,8 +1716,11 @@ class TestGoldenRunIds:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cls.jsonl").write_text(CLASSIFICATION_ROWS)
         (tmp_path / "reg.jsonl").write_text(REGRESSION_ROWS)
-        save_checkpoint("cls_ckpt.json", init_encoder(2, 4, 2, rng=0))
-        save_checkpoint("reg_ckpt.json", init_encoder(2, 4, 1, rng=0))
+        # format 1, as the JSON writer wrote them, then format 2
+        write_format_1("cls_ckpt.json", format_1_payload(init_encoder(2, 4, 2, rng=0)))
+        write_format_1("reg_ckpt.json", format_1_payload(init_encoder(2, 4, 1, rng=0)))
+        save_checkpoint("cls_ckpt.npz", init_encoder(2, 4, 2, rng=0))
+        save_checkpoint("reg_ckpt.npz", init_encoder(2, 4, 1, rng=0))
 
     @pytest.mark.parametrize("argv, run_id", [
         pytest.param(("train", "--data", "cls.jsonl", "--objective", "spc", *GOLDEN_FLAGS),
@@ -1649,6 +1737,20 @@ class TestGoldenRunIds:
                       "--seeds", "1"), "8eafc92e1e04", id="repr-quality"),
     ])
     def test_run_id(self, argv, run_id):
+        assert run_cli(*argv, "--out", "out") == 0
+        assert _single_run_id("out") == run_id
+
+    # a checkpoint's bytes enter the run id of eval and repr-quality, so
+    # these pin format 2's bytes too
+    @pytest.mark.parametrize("argv, run_id", [
+        pytest.param(("eval", "--data", "cls.jsonl", "--ckpt", "cls_ckpt.npz"),
+                     "38ae6e1d7f51", id="eval-classification"),
+        pytest.param(("eval", "--data", "reg.jsonl", "--ckpt", "reg_ckpt.npz"),
+                     "4634f2560298", id="eval-regression"),
+        pytest.param(("repr-quality", "--data", "cls.jsonl", "--ckpt", "cls_ckpt.npz",
+                      "--seeds", "1"), "f6c5a53678c1", id="repr-quality"),
+    ])
+    def test_run_id_on_format_2(self, argv, run_id):
         assert run_cli(*argv, "--out", "out") == 0
         assert _single_run_id("out") == run_id
 
@@ -1802,9 +1904,11 @@ class TestSplitScopedCommands:
         (tmp_path / "text.jsonl").write_text(_text_rows())
         (tmp_path / "mix_map.csv").write_text("source_label,target_label\n0,0\n1,1\n")
         (tmp_path / "text_map.csv").write_text("source_label,target_label\nt0,t0\nt1,t1\n")
-        save_checkpoint("mix_ckpt.json", init_encoder(4, 4, 3, rng=0))
-        save_checkpoint("reg_ckpt.json", init_encoder(3, 4, 1, rng=0))
-        save_checkpoint("text_ckpt.json", init_encoder(16, 4, 2, rng=0))
+        # format 1, as the JSON writer wrote them when the goldens were taken
+        for name, params in (("mix", init_encoder(4, 4, 3, rng=0)),
+                             ("reg", init_encoder(3, 4, 1, rng=0)),
+                             ("text", init_encoder(16, 4, 2, rng=0))):
+            write_format_1(f"{name}_ckpt.json", format_1_payload(params))
         self.held = []
         original = dataio.load
 

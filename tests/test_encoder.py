@@ -1,16 +1,17 @@
 import hashlib
 import json
 import os
+import time
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
 
+from checkpoint_files import format_1_payload, format_2_parts, write_format_1, write_format_2
 from gradcheck import max_grad_rel_err
 from primitives import reduce_mean
 from spc import encoder
-from spc.data import Dataset
+from spc.data import DataError, Dataset
 from spc.diffcore import ShapeError, Tensor, param
 from spc.encoder import (
     EncoderParams,
@@ -175,7 +176,7 @@ class TestPredict:
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         params = init_encoder(6, 8, 3, rng=16, use_layer_norm=True)
-        path = str(tmp_path / "ckpt.json")
+        path = str(tmp_path / "ckpt.npz")
         save_checkpoint(path, params)
         restored = load_checkpoint(path)
         for name, tensor in params.tensors.items():
@@ -186,14 +187,14 @@ class TestCheckpoint:
     # serialization of fixed parameters is pinned
     @pytest.mark.parametrize("params, sha256", [
         pytest.param(init_encoder(3, 4, 2, rng=0),
-                     "78bdb4df1bbe4f72ab73d30273f7e53f0ad17bc0815b4c6cd9277f479e77cc2b",
+                     "4d2f9612628e77c085aeeee075c9555140d1dc0f596ccdc67bd7625358a0ad5e",
                      id="encoder"),
         pytest.param(init_vib(3, 4, 2, 2, rng=0),
-                     "a072182294bdc83b1659879b5eb9ff36c10c1bededcc7f763045bc4ed2018041",
+                     "3b607e77508ca2cfa6d2950e0635b34b7cee79a8f53c589b0c449bbf18a32210",
                      id="vib"),
     ])
     def test_saved_bytes_are_pinned(self, tmp_path, params, sha256):
-        path = tmp_path / "ckpt.json"
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(str(path), params)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
@@ -208,15 +209,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint_payload(str(path))
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_each_format_has_its_own_container(self, tmp_path, version):
+        """JSON text is format 1 and an archive format 2, whatever the
+        header's format_version says."""
+        params = init_encoder(3, 4, 2, rng=0)
+        path = tmp_path / "ckpt"
+        if version == 1:  # a format-2 header in JSON text
+            write_format_1(path, {**format_1_payload(params), "format_version": 2})
+        else:  # a format-1 header in an archive
+            header, members = format_2_parts(params)
+            write_format_2(path, {**header, "format_version": 1}, members)
+        with pytest.raises(DataError, match=f"unsupported checkpoint format_version: {3 - version}"):
+            load_checkpoint(str(path))
 
-def whole_payload_text(params: EncoderParams) -> str:
-    """`json.dumps` of the checkpoint payload built whole, as the format
-    defines it: the text a streamed write must equal byte for byte."""
-    return json.dumps({
-        "format_version": 1, "kind": params.kind, "arch": params.arch,
-        "tensors": {name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
-                    for name, t in params.tensors.items()},
-    })
+    @pytest.mark.parametrize("params", [
+        pytest.param(init_encoder(3, 4, 2, rng=0), id="encoder"),
+        pytest.param(init_vib(4, 5, 2, 3, rng=3, use_layer_norm=True), id="vib-layer-norm"),
+    ])
+    def test_format_1_is_still_read_bit_for_bit(self, tmp_path, params):
+        path = tmp_path / "seed0.json"
+        write_format_1(path, format_1_payload(params))
+        restored = load_checkpoint(str(path))
+        assert restored.arch == params.arch
+        for name, tensor in params.tensors.items():
+            assert restored.tensors[name].values.tobytes() == tensor.values.tobytes()
 
 
 def with_special_values() -> EncoderParams:
@@ -224,12 +241,12 @@ def with_special_values() -> EncoderParams:
     params.tensors["w_in"].values[0, 0] = np.nan
     params.tensors["b_mu"].values[0, 1] = -np.inf
     params.tensors["w_lv"].values[2, 0] = 1e-310  # subnormal
+    params.tensors["b_lv"].values[0, 0] = -0.0
     return params
 
 
-class TestStreamedCheckpoint:
-    """`save_checkpoint` writes a chunk of values at a time; the bytes are
-    those of one `json.dumps` of the whole payload."""
+class TestCheckpointFormat2:
+    """`save_checkpoint` writes one uncompressed `np.savez` archive."""
 
     @pytest.mark.parametrize("params", [
         pytest.param(init_encoder(3, 4, 2, rng=0), id="encoder"),
@@ -238,50 +255,69 @@ class TestStreamedCheckpoint:
         pytest.param(init_vib(4, 5, 2, 3, rng=3, use_layer_norm=True), id="vib-layer-norm"),
         pytest.param(init_encoder(9, 1, 2, rng=4), id="hidden-1"),
         pytest.param(init_vib(3, 1, 1, 1, rng=5), id="vib-widths-1"),
-        pytest.param(init_encoder(64, 64, 2, rng=6), id="chunk-multiple"),  # w_in: 4096 values
-        pytest.param(init_encoder(100, 50, 3, rng=8), id="chunk-and-a-tail"),  # w_in: 5000
+        pytest.param(init_encoder(64, 64, 2, rng=6), id="wide-64x64"),
+        pytest.param(init_encoder(100, 50, 3, rng=8), id="wide-100x50"),
         pytest.param(with_special_values(), id="nan-inf-subnormal"),
     ])
-    def test_bytes_equal_one_dumps(self, tmp_path, params):
-        path = tmp_path / "ckpt.json"
+    def test_round_trip_is_bit_for_bit(self, tmp_path, params):
+        path = tmp_path / "ckpt.npz"
         save_checkpoint(str(path), params)
-        assert path.read_bytes() == whole_payload_text(params).encode("utf-8")
-        assert os.listdir(tmp_path) == ["ckpt.json"]
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+        payload = load_checkpoint_payload(str(path))
+        assert (payload["format_version"], payload["kind"], payload["arch"]) == \
+            (2, params.kind, params.arch)
+        assert list(payload["tensors"]) == list(tensor_shapes(params.arch))
+        for name, tensor in params.tensors.items():
+            values = payload["tensors"][name]["values"]
+            assert values.dtype == np.float64 and values.shape == tensor.values.shape
+            assert values.tobytes() == tensor.values.tobytes()
+        if all(np.isfinite(t.values).all() for t in params.parameters()):
+            restored = load_checkpoint(str(path))
+            assert all(restored.tensors[name].values.tobytes() == t.values.tobytes()
+                       for name, t in params.tensors.items())
 
-    def test_memory_is_a_chunk_not_the_payload(self, tmp_path):
-        params = init_encoder(2000, 64, 4, rng=9)  # 128k values in w_in
-        peaks = []
-        for write in (lambda: save_checkpoint(str(tmp_path / "ckpt.json"), params),
-                      lambda: whole_payload_text(params)):
-            tracemalloc.start()
-            try:
-                write()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        streamed, whole = peaks
-        # the whole payload holds every value as a Python float and as text
-        assert whole > 4 * 2**20 > streamed
+    def test_two_saves_are_byte_identical_and_one_savez(self, tmp_path, monkeypatch):
+        """Zip members carry a fixed timestamp, so reruns compare equal."""
+        params = init_vib(5, 6, 3, 2, rng=1)
+        save_checkpoint(str(tmp_path / "a.npz"), params)
+        monkeypatch.setattr(time, "time", lambda: 1.9e9)  # a save in 2030
+        save_checkpoint(str(tmp_path / "b.npz"), params)
+        monkeypatch.undo()
+        write_format_2(tmp_path / "c.npz", *format_2_parts(params))
+        blob = (tmp_path / "a.npz").read_bytes()
+        assert blob[:4] == b"PK\x03\x04"
+        assert (tmp_path / "b.npz").read_bytes() == blob == (tmp_path / "c.npz").read_bytes()
+
+    def test_memory_is_a_small_multiple_of_the_largest_tensor(self, tmp_path):
+        params = init_encoder(2000, 64, 4, rng=9)  # 128k values (1 MB) in w_in
+        largest = max(t.values.nbytes for t in params.parameters())
+        tracemalloc.start()
+        try:
+            save_checkpoint(str(tmp_path / "ckpt.npz"), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * largest
 
     @pytest.mark.parametrize("earlier", [True, False], ids=["over-a-file", "new-path"])
-    def test_a_write_failing_mid_tensor_leaves_the_path_as_it_was(self, tmp_path, monkeypatch,
-                                                                  earlier):
-        path = tmp_path / "ckpt.json"
+    def test_a_failure_inside_savez_leaves_the_path_as_it_was(self, tmp_path, monkeypatch,
+                                                             earlier):
+        path = tmp_path / "ckpt.npz"
         if earlier:
             save_checkpoint(str(path), init_encoder(3, 4, 2, rng=0))
             before = path.read_bytes()
+        real_savez = np.savez
 
-        def failing_dumps(obj):
-            # w_in's 5000 values go out as 4096 and then 904: fail at the 904
-            if isinstance(obj, list) and len(obj) == 5000 - encoder.CHECKPOINT_CHUNK_VALUES:
-                raise OSError("no space left on device")
-            return json.dumps(obj)
+        def failing_savez(fh, **members):
+            real_savez(fh, **members)  # a whole archive is on the temporary file
+            raise OSError("no space left on device")
 
-        monkeypatch.setattr(encoder, "json", types.SimpleNamespace(dumps=failing_dumps))
+        monkeypatch.setattr(encoder.np, "savez", failing_savez)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(str(path), init_encoder(100, 50, 3, rng=8))
+        monkeypatch.undo()
         if earlier:
             assert path.read_bytes() == before
-            assert os.listdir(tmp_path) == ["ckpt.json"]
+            assert os.listdir(tmp_path) == ["ckpt.npz"]
         else:
             assert os.listdir(tmp_path) == []
