@@ -26,19 +26,23 @@ the whole file (see `data.load`, which checks every row either way).
 
 Exit codes: 0 success, 2 bad flags, 3 data errors (an array too large
 to allocate among them), 4 a diverged seed (after the run is written);
-README's exit-code paragraphs list every case.
+README's exit-code paragraphs list every case. Each flag check (every list
+flag's in `parse_list`) fails before any read, in one `usage error:` line
+naming its flag(s) (`flag_check`), as does a setting no objective reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
 import json
 import os
+import re
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from . import data as dataio
 from .data import DataError, Dataset, write_atomic
@@ -123,44 +127,48 @@ def read_json_object(path: str, *keys: str) -> dict:
     return value
 
 
-def parse_seeds(text: str) -> list[int]:
-    """Either a count ("5" -> seeds 0..4) or an explicit list ("3,7,11") of
-    distinct non-negative seeds; at least one seed."""
+@contextlib.contextmanager
+def flag_check(*flags: str):
+    """Turn a ValueError from checking `flags` (a DataError among them) into a
+    UsageError naming those whose setting the message names as a word (--lr's
+    is learning_rate), else all of them. A UsageError passes through."""
     try:
-        seeds = ([int(v) for v in text.split(",") if v != ""] if "," in text
-                 else list(range(int(text))))
-    except ValueError:
-        raise UsageError(f"--seeds {text!r}: expected a count or a list of integers") from None
-    if not seeds:
-        raise UsageError(f"--seeds {text!r} names no seed")
-    if min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise UsageError(f"--seeds {text!r}: seeds must be distinct and non-negative")
-    return seeds
+        yield
+    except UsageError:
+        raise
+    except ValueError as err:
+        words = {_flag(FLAG_NAMES.get(word, word)) for word in re.findall(r"\w+", str(err))}
+        named = [flag for flag in flags if flag in words] or flags
+        raise UsageError(f"{'/'.join(named)}: {err}") from None
 
 
-def parse_floats(text: str, flag: str) -> list[float]:
-    """A comma-separated list of at least one number, given to `flag`."""
-    try:
-        values = [float(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise UsageError(f"{flag} {text!r}: expected a list of numbers") from None
-    if not values:
-        raise UsageError(f"{flag} {text!r} names no value")
+def parse_list(text: str, flag: str, item: Callable = float, items: str = "numbers") -> list:
+    """The comma-separated values given to a list `flag`, each read by `item`
+    (blank items skipped): at least one, and no two equal as read, so 1 and
+    1.0 repeat. Anything else is a UsageError naming `flag`."""
+    with flag_check(flag):
+        values = [item(v) for v in map(str.strip, text.split(",")) if v]
+        if not values or len(set(values)) < len(values):
+            raise ValueError(f"{text!r}: expected distinct {items}, at least one")
     return values
 
 
-def make_objective(kind: str, beta: float = 0.0, gamma: float = 0.0,
-                   cp_weight: float = 0.0, structured_from: str = "sample") -> ObjectiveConfig:
-    """Build a config for `kind`, dropping weights the kind does not take.
+def parse_seeds(text: str) -> list[int]:
+    """Either a count ("5" -> seeds 0..4) or a list ("3,7,11", see
+    `parse_list`) of distinct non-negative seeds; at least one seed."""
+    seeds = parse_list(text, "--seeds", int, "and non-negative seeds")
+    seeds = seeds if "," in text else list(range(seeds[0]))
+    if not seeds or min(seeds) < 0:
+        raise UsageError(f"--seeds: {text!r}: expected a count of at least 1, "
+                         f"or distinct and non-negative seeds")
+    return seeds
 
-    Lets one flag set (--beta/--gamma/--cp-weight) drive a study's list of
-    objectives: each kind takes the weights it has (`_train_configs` has
-    already rejected a nonzero weight that no kind of the list takes).
-    """
-    weights = {"beta": beta, "gamma": gamma, "cp_weight": cp_weight}
-    taken = OBJECTIVES[kind].weights if kind in OBJECTIVES else ()
+
+def make_objective(kind: str, structured_from: str = "sample", **weights: float) -> ObjectiveConfig:
+    """A config for `kind` with the `weights` it takes (an omitted one is 0),
+    so one flag set (--beta/--gamma/--cp-weight) drives a study's objectives."""
     return ObjectiveConfig(kind=kind, structured_from=structured_from,
-                           **{name: weights[name] for name in taken})
+                           **{name: weights.get(name, 0.0) for name in OBJECTIVES[kind].weights})
 
 
 # --- artifact plumbing ---
@@ -289,29 +297,34 @@ def _flag(key: str) -> str:
 
 def _train_configs(args, kinds: Sequence[str]) -> list[TrainConfig]:
     """One resolved TrainConfig per objective kind; a bad value, kinds of
-    two tasks, or a nonzero weight that none of the kinds takes is a
-    UsageError. The run's data has the kinds' task.
+    two tasks, or a setting that none of the kinds reads (a nonzero weight,
+    a --structured-from other than sample, a --vib-latent-dim other than
+    its default) is a UsageError. The run's data has the kinds' task.
 
     The kinds share the training flags, and each takes the weight flags it
     has (see `make_objective`).
     """
+    defaults = train_defaults()
     settings = {f.name: getattr(args, FLAG_NAMES.get(f.name, f.name))
                 for f in dataclasses.fields(TrainConfig) if f.name not in NOT_FLAGS}
     weights = {name: getattr(args, name) for name in WEIGHTS}
-    configs = []
-    for kind in kinds:
-        try:
-            configs.append(TrainConfig(
-                objective=make_objective(kind, structured_from=args.structured_from, **weights),
-                **settings))
-        except ValueError as err:
-            raise UsageError(str(err)) from None
+    with flag_check(*map(_flag, defaults)):
+        configs = [TrainConfig(objective=make_objective(kind, structured_from=args.structured_from,
+                                                        **weights), **settings)
+                   for kind in kinds]
     if len({cfg.objective.task for cfg in configs}) > 1:
         raise UsageError(f"objectives {','.join(kinds)} mix classification and regression")
-    for name, value in weights.items():
-        if value != 0.0 and not any(name in OBJECTIVES[kind].weights for kind in kinds):
+    # whether a kind reads each setting some kinds ignore: a weight, the batch
+    # entropy's input (read with gamma) or the decoder's width
+    specs = [OBJECTIVES[kind] for kind in kinds]
+    read = {**{name: any(name in spec.weights for spec in specs) for name in WEIGHTS},
+            "structured_from": any("gamma" in spec.weights for spec in specs),
+            "vib_latent_dim": any(spec.decoder for spec in specs)}
+    for name, is_read in read.items():
+        value = getattr(args, name)
+        if value != defaults[name] and not is_read:
             raise UsageError(f"{_flag(name)} {value} (flag or --config key): "
-                             f"objective(s) {','.join(kinds)} take no {name}")
+                             f"objective(s) {','.join(kinds)} do not read {name}")
     return configs
 
 
@@ -323,10 +336,8 @@ STUDIES = {"noise-study": ("inject_label_noise", "0.1,0.2,0.3", "label-noise rob
 # --- command handlers ---
 
 def cmd_gen_data(args, timing: dict) -> Run:
-    try:
+    with flag_check("--classes", "--dim", "--per-class", "--sep", "--seed"):
         ds = dataio.gen_mixture(args.classes, args.dim, args.per_class, args.sep, args.seed)
-    except DataError as err:  # every gen_mixture argument is a flag
-        raise UsageError(str(err)) from None
     path = args.output or default_data_path(args)
     dataio.save(ds, path)
     inputs = {"classes": args.classes, "dim": args.dim, "per_class": args.per_class,
@@ -338,11 +349,10 @@ def cmd_gen_data(args, timing: dict) -> Run:
 
 def cmd_train(args, timing: dict) -> Run:
     [cfg] = _train_configs(args, [args.objective])
-    seeds = parse_seeds(args.seeds)
     dataset = _load_dataset(args, cfg.objective.task, timing)
-    inputs = run_inputs(args, {"data": data_path(args)}, [cfg], seeds=seeds)
+    inputs = run_inputs(args, {"data": data_path(args)}, [cfg], seeds=args.seeds)
     with timed(timing, "wall_clock"):
-        reports = train_jobs((dataset, cfg, seed) for seed in seeds)
+        reports = train_jobs((dataset, cfg, seed) for seed in args.seeds)
     summary = summarize(reports)
     rows = [{"seed": r.seed, "best_epoch": r.best_epoch, "epochs_ran": r.epochs_ran,
              "diverged": r.diverged,
@@ -350,7 +360,7 @@ def cmd_train(args, timing: dict) -> Run:
                 if isinstance(value, float)}} for r in reports]
     return Run(inputs, {"summary": summary, "per_seed": [r.results_dict() for r in reports]},
                f"{summary['metric']} = {summary['mean']:.4f} +/- {summary['std']:.4f} "
-               f"over seeds {seeds}",
+               f"over seeds {args.seeds}",
                rows, {f"seed{r.seed}.npz": r.model for r in reports}, summary["diverged"])
 
 
@@ -376,18 +386,15 @@ def cmd_sweep(args, timing: dict) -> Run:
         raise UsageError(f"{', '.join(given)} (flag or --config key): "
                          f"a sweep's weights come from its --betas/--gammas grid")
     [cfg] = _train_configs(args, [args.objective])
-    seeds = parse_seeds(args.seeds)
-    betas = parse_floats(args.betas, "--betas")
+    betas = parse_list(args.betas, "--betas")
     default_gammas = SWEEP_GRID if len(OBJECTIVES[args.objective].weights) > 1 else "0"
-    gammas = parse_floats(default_gammas if args.gammas is None else args.gammas, "--gammas")
-    try:
+    gammas = parse_list(default_gammas if args.gammas is None else args.gammas, "--gammas")
+    with flag_check("--betas", "--gammas"):
         [cell_objective(cfg.objective, beta, gamma) for beta in betas for gamma in gammas]
-    except ValueError as err:
-        raise UsageError(f"--betas/--gammas: {err}") from None
     dataset = _load_dataset(args, cfg.objective.task, timing)
     inputs = run_inputs(args, {"data": data_path(args)}, [cfg],
-                        betas=betas, gammas=gammas, seeds=seeds)
-    results = sweep(dataset, cfg, betas, gammas, seeds)
+                        betas=betas, gammas=gammas, seeds=args.seeds)
+    results = sweep(dataset, cfg, betas, gammas, args.seeds)
     rows = results["rows"]
     # the best cell has the highest mean validation score (see trainer.sweep)
     return Run(inputs, results,
@@ -399,25 +406,19 @@ def cmd_sweep(args, timing: dict) -> Run:
 def cmd_study(args, timing: dict) -> Run:
     """noise-study and ratio-study: one table per perturbation in STUDIES."""
     perturb = STUDIES[args.command][0]
-    kinds = [k.strip() for k in args.objectives.split(",") if k.strip()]
-    if not kinds:
-        raise UsageError(f"--objectives {args.objectives!r} names no objective")
+    kinds = parse_list(args.objectives, "--objectives", str, "objectives")
+    with flag_check("--objectives"):  # an unknown kind, or one of a task the study lacks
+        for kind in kinds:
+            dataio.check_task(perturb, ObjectiveConfig(kind).task)
     configs = _train_configs(args, kinds)
     objectives, cfg = [c.objective for c in configs], configs[0]
-    try:
-        dataio.check_task(perturb, cfg.objective.task)
-    except DataError as err:
-        raise UsageError(f"--objectives {args.objectives!r}: {err}") from None
-    ratios = parse_floats(args.ratios, "--ratios")
-    try:
+    ratios = parse_list(args.ratios, "--ratios")
+    with flag_check("--ratios"):
         for ratio in ratios:
             dataio.check_ratio(perturb, ratio)
-    except DataError as err:
-        raise UsageError(f"--ratios: {err}") from None
-    seeds = parse_seeds(args.seeds)
     dataset = _load_dataset(args, cfg.objective.task, timing)
-    inputs = run_inputs(args, {"data": data_path(args)}, configs, ratios=ratios, seeds=seeds)
-    rows = perturbation_study(dataset, cfg, objectives, ratios, seeds, perturb)
+    inputs = run_inputs(args, {"data": data_path(args)}, configs, ratios=ratios, seeds=args.seeds)
+    rows = perturbation_study(dataset, cfg, objectives, ratios, args.seeds, perturb)
     label, row_key = args.command.split("-")[0], dataio.RATIOS[perturb][0]
     headline = "".join(f"\n{row['objective']:>8} @ {label} {row[row_key]}: "
                        f"{row['mean']:.4f} +/- {row['std']:.4f}" for row in rows)
@@ -428,13 +429,12 @@ def cmd_study(args, timing: dict) -> Run:
 
 def cmd_ood(args, timing: dict) -> Run:
     [cfg] = _train_configs(args, [args.objective])
-    seeds = parse_seeds(args.seeds)
     source = _load_dataset(args, "classification", timing, args.source)
     target = _load_dataset(args, "classification", timing, args.target, splits=("test",))
     mapping = dataio.read_label_mapping(args.mapping)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
-    inputs = run_inputs(args, files, [cfg], seeds=seeds)
-    results = ood_run(source, target, mapping, cfg, seeds)
+    inputs = run_inputs(args, files, [cfg], seeds=args.seeds)
+    results = ood_run(source, target, mapping, cfg, args.seeds)
     return Run(inputs, results,
                f"target macro_f1 = {results['mean']:.4f} +/- {results['std']:.4f} "
                f"({results['evaluated_rows']} rows evaluated, "
@@ -443,11 +443,10 @@ def cmd_ood(args, timing: dict) -> Run:
 
 
 def cmd_repr_quality(args, timing: dict) -> Run:
-    seeds = parse_seeds(args.seeds)
     model, dataset = _load_checkpoint(args, timing, "test")
-    inputs = run_inputs(args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=seeds)
+    inputs = run_inputs(args, {"ckpt": args.ckpt, "data": data_path(args)}, kmeans_seeds=args.seeds)
     try:
-        results = representation_quality(model, dataset, seeds, timing)
+        results = representation_quality(model, dataset, args.seeds, timing)
     except DataError as err:  # what it rejects is this checkpoint on these rows
         raise DataError(f"{args.ckpt}: {err}") from None
     return Run(inputs, results, f"silhouette median {results['silhouette_median']:.4f}, "
@@ -593,12 +592,12 @@ def main(argv=None) -> int:
     try:
         check_out_root(args)
         if hasattr(args, "hash_dim"):  # before any dataset is read
-            try:
+            with flag_check("--hash-dim", "--hash-seed"):
                 dataio.check_featurizer(args.hash_dim, args.hash_seed)
-            except DataError as err:
-                raise UsageError(f"--hash-dim/--hash-seed: {err}") from None
         if hasattr(args, "epochs"):
             resolve_train_args(args)
+        if hasattr(args, "seeds"):
+            args.seeds = parse_seeds(args.seeds)
         timing: dict = {}
         run = args.handler(args, timing)
         if run is None:  # report prints its own table

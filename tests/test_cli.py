@@ -967,18 +967,20 @@ class TestSeedParsing:
         assert obj.beta == 0.5 and obj.gamma == 0.0
 
 
+@pytest.fixture()
+def no_read(monkeypatch):
+    @functools.wraps(dataio.load)  # the parser reads load's featurizer defaults
+    def no_load(*args, **kwargs):
+        raise AssertionError("a dataset was read")
+
+    monkeypatch.setattr(dataio, "load", no_load)
+
+
 class TestWeightsHaveOneSource:
     """A sweep's --betas/--gammas grid is the only source of its cells'
-    weights, and a weight that no objective of a command takes is a bad
-    flag: each such input exits 2 in one line, before any dataset is read."""
-
-    @pytest.fixture()
-    def no_read(self, monkeypatch):
-        @functools.wraps(dataio.load)  # the parser reads load's featurizer defaults
-        def no_load(*args, **kwargs):
-            raise AssertionError("a dataset was read")
-
-        monkeypatch.setattr(dataio, "load", no_load)
+    weights, and a weight or setting that no objective of a command reads is
+    a bad flag: each such input exits 2 in one line, before any dataset is
+    read."""
 
     def _exits_2(self, out, capsys, command, files, *flags, names=()):
         assert run_cli(command, "--out", out, *files, *flags) == cli.EXIT_USAGE
@@ -1057,6 +1059,116 @@ class TestWeightsHaveOneSource:
             data = data_file if kind != "mse_vib" else regression_file(tmp_path)
             assert run_cli("sweep", "--out", out, "--data", data, "--objective", kind) == 0
         assert grids == [[0.001, 0.01, 0.1, 1.0, 10.0], [0.0], [0.0], [0.0]]
+
+    @pytest.mark.parametrize("command, flags, names", [
+        ("train", ("--objective", "pc", "--structured-from", "mu"), ("--structured-from", "pc")),
+        ("train", ("--objective", "ce", "--structured-from", "mu"), ("--structured-from", "ce")),
+        ("sweep", ("--objective", "vib", "--structured-from", "mu"),
+         ("--structured-from", "vib")),
+        ("noise-study", ("--objectives", "ce,pc", "--structured-from", "mu"),
+         ("--structured-from", "ce,pc")),
+        ("train", ("--objective", "spc", "--vib-latent-dim", "3"), ("--vib-latent-dim", "spc")),
+        ("ood", ("--objective", "pc", "--vib-latent-dim", "3"), ("--vib-latent-dim", "pc")),
+        ("ratio-study", ("--objectives", "ce,spc", "--vib-latent-dim", "3"),
+         ("--vib-latent-dim", "ce,spc")),
+    ])
+    def test_a_setting_no_objective_reads_exits_2(self, out, data_file, no_read, capsys,
+                                                   command, flags, names):
+        files = (("--source", data_file, "--target", data_file, "--mapping", data_file)
+                 if command == "ood" else ("--data", data_file))
+        self._exits_2(out, capsys, command, files, *flags, names=names)
+
+    @pytest.mark.parametrize("key, value, kind", [
+        ("structured_from", "mu", "pc"), ("vib_latent_dim", 3, "spc"),
+    ])
+    def test_a_config_setting_counts_as_its_flag(self, out, data_file, tmp_path, no_read,
+                                                 capsys, key, value, kind):
+        config = tmp_path / "settings.json"
+        config.write_text(json.dumps({key: value}))
+        self._exits_2(out, capsys, "train", ("--data", data_file), "--objective", kind,
+                      "--config", str(config), names=(cli._flag(key), kind))
+
+    def test_a_study_setting_reaches_each_objective(self):
+        args = cli.build_parser().parse_args(["noise-study", "--structured-from", "mu",
+                                              "--vib-latent-dim", "3"])
+        cli.resolve_train_args(args)
+        configs = cli._train_configs(args, ["ce", "spc", "vib"])
+        assert [cfg.objective.structured_from for cfg in configs] == ["mu"] * 3
+        assert [cfg.vib_latent_dim for cfg in configs] == [3] * 3
+
+
+class TestListFlags:
+    """Every comma-separated flag is read by one parser under one rule: at
+    least one value, none repeated (as read, so 1 and 1.0 repeat), blank
+    items skipped. Each failed flag check exits 2 in one line that names
+    the flag, before any dataset is read."""
+
+    def _exits_2(self, tmp_path, capsys, command, *flags, names):
+        out = str(tmp_path / "out")
+        data = str(tmp_path / "unread.jsonl")
+        fixed = ("--ckpt", data) if command == "repr-quality" else ()
+        assert run_cli(command, "--out", out, "--data", data, *fixed, *flags) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+        for name in names:
+            assert name in err
+        assert not os.path.exists(out)
+
+    LIST_FLAGS = [("train", "--seeds"), ("repr-quality", "--seeds"), ("sweep", "--betas"),
+                  ("sweep", "--gammas"), ("noise-study", "--ratios"),
+                  ("ratio-study", "--ratios"), ("noise-study", "--objectives")]
+
+    @pytest.mark.parametrize("command, flag", LIST_FLAGS)
+    @pytest.mark.parametrize("text", ["repeated", ","])
+    def test_a_repeated_or_empty_list_exits_2(self, tmp_path, no_read, capsys, command, flag,
+                                              text):
+        if text == "repeated":
+            text = {"--seeds": "3,3", "--objectives": "ce, ce"}.get(flag, "0.1,0.1")
+        self._exits_2(tmp_path, capsys, command, flag, text, names=(flag,))
+
+    @pytest.mark.parametrize("command, flag", [("sweep", "--betas"), ("sweep", "--gammas"),
+                                               ("ratio-study", "--ratios")])
+    def test_numbers_repeat_as_read(self, tmp_path, no_read, capsys, command, flag):
+        self._exits_2(tmp_path, capsys, command, flag, "1,1.0", names=(flag,))
+
+    def test_blank_items_are_skipped(self):
+        assert cli.parse_list(" 0.5, ,1e-3,", "--betas") == [0.5, 0.001]
+        assert cli.parse_list("ce , spc", "--objectives", str, "objectives") == ["ce", "spc"]
+        assert cli.parse_seeds("3, 7,") == [3, 7]
+
+    @pytest.mark.parametrize("command, flags, names", [
+        ("train", ("--seeds", "abc"), ("--seeds",)),
+        ("sweep", ("--betas", "0.1,x"), ("--betas",)),
+        ("train", ("--lr", "-1"), ("--lr",)),
+        ("train", ("--patience", "30"), ("--patience", "--epochs")),
+        ("train", ("--hidden-dim", "0"), ("--hidden-dim",)),
+        ("sweep", ("--betas", "0.1,-1"), ("--betas/--gammas",)),
+        ("noise-study", ("--objectives", "mse"), ("--objectives",)),
+        ("noise-study", ("--objectives", "ce,nope"), ("--objectives", "'nope'")),
+        ("ratio-study", ("--ratios", "0"), ("--ratios",)),
+        ("train", ("--hash-dim", "1"), ("--hash-dim",)),
+        ("repr-quality", ("--hash-seed", "-1"), ("--hash-seed",)),
+    ])
+    def test_each_failed_check_names_its_flag(self, tmp_path, no_read, capsys, command, flags,
+                                              names):
+        self._exits_2(tmp_path, capsys, command, *flags, names=names)
+
+    def test_a_config_value_out_of_range_names_its_flag(self, tmp_path, no_read, capsys):
+        config = tmp_path / "lr.json"
+        config.write_text(json.dumps({"lr": -1}))
+        self._exits_2(tmp_path, capsys, "train", "--config", str(config), names=("--lr",))
+
+    @pytest.mark.parametrize("flags, name", [
+        (("--classes", "1"), "--classes"), (("--classes", "4", "--dim", "3"), "--dim"),
+        (("--per-class", "2"), "--per-class"), (("--seed", "-1"), "--seed"),
+        (("--sep", "-1"), "--sep"),
+    ])
+    def test_a_bad_gen_data_flag_is_named(self, tmp_path, capsys, flags, name):
+        output = tmp_path / "mix.jsonl"
+        assert run_cli("gen-data", "--out", str(tmp_path / "out"), "--output", str(output),
+                       *flags) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:") and name in err
 
 
 def _single_run_id(out_root):
