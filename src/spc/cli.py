@@ -2,27 +2,17 @@
 
 Commands: gen-data, train, eval, sweep, noise-study, ratio-study, ood,
 repr-quality, report. Every command but report runs one sequence: its
-handler computes a `Run` (the inputs its run id hashes, its results, a
-headline, report.csv rows, checkpoints and the count of diverged seeds),
-and `main` hands it to `finish_run`, which names the run and writes its
-files under <out-root>/<run-id>/ (each with `data.write_atomic`) and a
-manifest.json that hashes exactly those files; `main` then prints
-`run <id>: <headline>` and sets the exit code. Phases are timed with
-`trainer.timed`. The run id is a short hash of the command, the resolved
-TrainConfig of every objective it trains (see `run_inputs`), the content
-hash of each input file, the featurizer settings and the command's extras
-(seeds, grids, ratios). Invocations that differ in any effective input get
+handler computes a `Run`, and `main` hands it to `finish_run`, which names
+the run by a hash of its inputs (`run_inputs`) and writes its files under
+<out-root>/<run-id>/; `main` then prints `run <id>: <headline>` and sets
+the exit code. Invocations that differ in any effective input get
 different ids, and re-running one reproduces the same directory with
 byte-identical result numbers. The output root comes from --out or a
-non-empty SPC_OUT environment variable (default ./out). Input dataset
-files are never modified. This module holds flags, run directories and
-printing only: the training flags and --config keys are the TrainConfig
-and ObjectiveConfig fields (see `train_defaults`), and the protocols live
-in `spc.trainer`. A run's task is its objective's, its checkpoint's for
-eval and repr-quality (one output is regression), and classification for
-ood. eval loads only its --split rows of --data, repr-quality only the
-test rows, and ood only the test rows of --target; every other load holds
-the whole file (see `data.load`, which checks every row either way).
+non-empty SPC_OUT environment variable (default ./out). This module holds
+flags, run directories and printing only: the training flags and --config
+keys are the TrainConfig and ObjectiveConfig fields (see `train_defaults`),
+and the protocols live in `spc.trainer`. A run's task is its objective's,
+its checkpoint's for eval and repr-quality, and classification for ood.
 
 Exit codes: 0 success, 2 bad flags, 3 data errors (an array too large
 to allocate among them), 4 a diverged seed (after the run is written);
@@ -50,13 +40,13 @@ from .encoder import EncoderParams, load_checkpoint, save_checkpoint
 from .objectives import CLASSIFICATION_KINDS, OBJECTIVES, WEIGHTS, ObjectiveConfig
 from .trainer import (
     TrainConfig,
-    cell_objective,
     evaluate_split,
     ood_run,
     perturbation_study,
     representation_quality,
     summarize,
     sweep,
+    sweep_cells,
     timed,
     train,  # not called here; bench/tests/test_bench_tracer.py reads cli.train
     train_jobs,
@@ -68,8 +58,12 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 # config fields that are not training flags, and the flags named otherwise
+# than the setting they give (a config field, or gen_mixture's separation)
 NOT_FLAGS = ("objective", "zero_eps", "kind")
-FLAG_NAMES = {"learning_rate": "lr"}
+FLAG_NAMES = {"learning_rate": "lr", "separation": "sep"}
+# the featurizer flags' settings, with data.load's defaults
+FEATURIZER = {name: inspect.signature(dataio.load).parameters[name].default
+              for name in ("hash_dim", "hash_seed")}
 # a sweep's default --betas, and its --gammas for a kind with two weights
 SWEEP_GRID = "0.001,0.01,0.1,1,10"
 
@@ -154,12 +148,13 @@ def parse_list(text: str, flag: str, item: Callable = float, items: str = "numbe
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Either a count ("5" -> seeds 0..4) or a list ("3,7,11", see
-    `parse_list`) of distinct non-negative seeds; at least one seed."""
+    """Either a count ("5" -> seeds 0..4) of 1 to data.MAX_SIZE, or a list
+    ("3,7,11", see `parse_list`) of distinct non-negative seeds."""
     seeds = parse_list(text, "--seeds", int, "and non-negative seeds")
-    seeds = seeds if "," in text else list(range(seeds[0]))
+    if "," not in text:  # a count, checked before its seeds are listed
+        seeds = list(range(seeds[0])) if seeds[0] <= dataio.MAX_SIZE else []
     if not seeds or min(seeds) < 0:
-        raise UsageError(f"--seeds: {text!r}: expected a count of at least 1, "
+        raise UsageError(f"--seeds: {text!r}: expected a count in [1, {dataio.MAX_SIZE}], "
                          f"or distinct and non-negative seeds")
     return seeds
 
@@ -179,8 +174,14 @@ def run_inputs(args, files: dict[str, str], configs: Sequence[TrainConfig] = (),
 
     That is each resolved config with its objective, the path and content
     hash of each input file (a file named twice is read once), the
-    featurizer settings, and the command's extras (seeds, grids, ratios).
-    """
+    featurizer settings, and the command's extras (seeds, grids, ratios). A
+    featurizer setting other than its default is a UsageError where no
+    dataset file is text, since none would read it."""
+    unread = [f"{_flag(name)} {getattr(args, name)}" for name, default in FEATURIZER.items()
+              if getattr(args, name) != default]
+    datasets = list(dict.fromkeys(files[r] for r in ("data", "source", "target") if r in files))
+    if unread and not any(map(dataio.is_text, datasets)):
+        raise UsageError(f"{', '.join(unread)}: no text to featurize in {', '.join(datasets)}")
     digests = {path: file_sha256(path) for path in dict.fromkeys(files.values())}
     inputs = {"configs": [dataclasses.asdict(cfg) for cfg in configs],
               "hash_dim": args.hash_dim, "hash_seed": args.hash_seed, **extras}
@@ -366,35 +367,30 @@ def cmd_train(args, timing: dict) -> Run:
 
 def cmd_eval(args, timing: dict) -> Run:
     model, dataset = _load_checkpoint(args, timing, args.split)
-    dataset.require_rows(args.split)
-    metrics = evaluate_split(model, dataset, args.split)
     inputs = run_inputs(args, {"ckpt": args.ckpt, "data": data_path(args)},
                         split=args.split, task=dataset.task)
+    dataset.require_rows(args.split)
+    metrics = evaluate_split(model, dataset, args.split)
     return Run(inputs, {"metrics": metrics},
                "\n" + json.dumps(metrics, indent=2, sort_keys=True), [], {}, 0)
 
 
 def cmd_sweep(args, timing: dict) -> Run:
-    """The --betas x --gammas grid sets every weight of each cell (see
-    trainer.sweep), so a nonzero --beta, --gamma or --cp-weight is a
-    UsageError. --gammas defaults to SWEEP_GRID for a kind with two weights
-    and to 0 for a kind with one; every cell's weights are checked before
-    the dataset is read."""
-    given = [f"{_flag(name)} {getattr(args, name)}" for name in WEIGHTS
-             if getattr(args, name) != 0.0]
-    if given:
-        raise UsageError(f"{', '.join(given)} (flag or --config key): "
-                         f"a sweep's weights come from its --betas/--gammas grid")
+    """Train each cell of the --betas x --gammas grid, which sets every weight
+    (a nonzero --beta, --gamma or --cp-weight is a UsageError); --gammas is
+    SWEEP_GRID for a kind with two weights and 0 for one with one by default.
+    `trainer.sweep_cells` builds the cells, by its rule, before any read."""
     [cfg] = _train_configs(args, [args.objective])
     betas = parse_list(args.betas, "--betas")
     default_gammas = SWEEP_GRID if len(OBJECTIVES[args.objective].weights) > 1 else "0"
     gammas = parse_list(default_gammas if args.gammas is None else args.gammas, "--gammas")
-    with flag_check("--betas", "--gammas"):
-        [cell_objective(cfg.objective, beta, gamma) for beta in betas for gamma in gammas]
+    given = [_flag(name) for name in WEIGHTS if getattr(args, name)]  # the grid overrides them
+    with flag_check(*given, "--betas", "--gammas"):
+        cells = sweep_cells(cfg, betas, gammas)
     dataset = _load_dataset(args, cfg.objective.task, timing)
     inputs = run_inputs(args, {"data": data_path(args)}, [cfg],
                         betas=betas, gammas=gammas, seeds=args.seeds)
-    results = sweep(dataset, cfg, betas, gammas, args.seeds)
+    results = sweep(dataset, cells, args.seeds)
     rows = results["rows"]
     # the best cell has the highest mean validation score (see trainer.sweep)
     return Run(inputs, results,
@@ -411,14 +407,13 @@ def cmd_study(args, timing: dict) -> Run:
         for kind in kinds:
             dataio.check_task(perturb, ObjectiveConfig(kind).task)
     configs = _train_configs(args, kinds)
-    objectives, cfg = [c.objective for c in configs], configs[0]
     ratios = parse_list(args.ratios, "--ratios")
     with flag_check("--ratios"):
         for ratio in ratios:
             dataio.check_ratio(perturb, ratio)
-    dataset = _load_dataset(args, cfg.objective.task, timing)
+    dataset = _load_dataset(args, configs[0].objective.task, timing)
     inputs = run_inputs(args, {"data": data_path(args)}, configs, ratios=ratios, seeds=args.seeds)
-    rows = perturbation_study(dataset, cfg, objectives, ratios, args.seeds, perturb)
+    rows = perturbation_study(dataset, configs, ratios, args.seeds, perturb)
     label, row_key = args.command.split("-")[0], dataio.RATIOS[perturb][0]
     headline = "".join(f"\n{row['objective']:>8} @ {label} {row[row_key]}: "
                        f"{row['mean']:.4f} +/- {row['std']:.4f}" for row in rows)
@@ -456,24 +451,18 @@ def cmd_repr_quality(args, timing: dict) -> Run:
 def cmd_report(args, timing: dict) -> None:
     root = out_root(args)
     rows = []
-    if os.path.isdir(root):
-        for name in sorted(os.listdir(root)):
-            manifest_path = os.path.join(root, name, "manifest.json")
-            report_path = os.path.join(root, name, "report.json")
-            if not (os.path.isfile(manifest_path) and os.path.isfile(report_path)):
-                continue
-            manifest = read_json_object(manifest_path, "run_id", "command")
-            results = read_json_object(report_path, "results")["results"]
-            summary = results.get("summary", {}) if isinstance(results, dict) else None
-            if not isinstance(summary, dict):
-                raise DataError(f"{report_path}: results and their summary must be json objects")
-            rows.append({
-                "run_id": manifest["run_id"],
-                "command": manifest["command"],
-                "metric": summary.get("metric", ""),
-                "mean": summary.get("mean", ""),
-                "std": summary.get("std", ""),
-            })
+    for name in sorted(os.listdir(root)) if os.path.isdir(root) else []:
+        manifest_path = os.path.join(root, name, "manifest.json")
+        report_path = os.path.join(root, name, "report.json")
+        if not (os.path.isfile(manifest_path) and os.path.isfile(report_path)):
+            continue
+        manifest = read_json_object(manifest_path, "run_id", "command")
+        results = read_json_object(report_path, "results")["results"]
+        summary = results.get("summary", {}) if isinstance(results, dict) else None
+        if not isinstance(summary, dict):
+            raise DataError(f"{report_path}: results and their summary must be json objects")
+        rows.append({"run_id": manifest["run_id"], "command": manifest["command"],
+                     **{key: summary.get(key, "") for key in ("metric", "mean", "std")}})
     if not rows:
         print(f"no runs found under {root}")
         return
@@ -492,9 +481,8 @@ def _add_common(parser: argparse.ArgumentParser, with_data: bool = True) -> None
 
 
 def _add_featurizer(parser: argparse.ArgumentParser) -> None:
-    for name in ("hash_dim", "hash_seed"):  # with data.load's defaults
-        parser.add_argument("--" + name.replace("_", "-"), type=int,
-                            default=inspect.signature(dataio.load).parameters[name].default)
+    for name, default in FEATURIZER.items():
+        parser.add_argument(_flag(name), type=int, default=default)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -534,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one objective over several seeds")
     _add_common(p)
     _add_train_flags(p)
-    p.add_argument("--objective", default="spc", choices=list(OBJECTIVES))
+    p.add_argument("--objective", default=ObjectiveConfig().kind, choices=list(OBJECTIVES))
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
@@ -546,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid-search beta/gamma (or the ce_cp penalty weight)")
     _add_common(p)
     _add_train_flags(p)
-    p.add_argument("--objective", default="spc",
+    p.add_argument("--objective", default=ObjectiveConfig().kind,
                    choices=[kind for kind, spec in OBJECTIVES.items() if spec.weights])
     p.add_argument("--betas", default=SWEEP_GRID, help=f"default: {SWEEP_GRID}")
     p.add_argument("--gammas", default=None,
@@ -569,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--mapping", required=True,
                    help="csv with header source_label,target_label")
-    p.add_argument("--objective", default="spc", choices=list(CLASSIFICATION_KINDS))
+    p.add_argument("--objective", default=ObjectiveConfig().kind,
+                   choices=list(CLASSIFICATION_KINDS))
     _add_featurizer(p)
     p.set_defaults(handler=cmd_ood)
 

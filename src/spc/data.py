@@ -13,14 +13,8 @@ jsonl: one object per line with either "features": [floats] (at least
   and every regression label, must read as a finite float64 (not NaN, an
   infinity, or a number beyond the float64 range). Rows are checked as
   they are read, so the first fault in the file is the one reported. A
-  load holds one N x D float64 array plus one row, or for text rows at
-  most one block of TEXT_BLOCK_DOCS texts, which are featurized into their
-  rows of that array as the block fills.
-
-A load may keep only some splits (`load(..., splits=("test",))`): every
-row is still parsed and checked in file order, and every label still gets
-its class index, but the rows of other splits are neither held nor
-featurized. A kept row is bit-equal to the same row of a full load.
+  load holds one N x D float64 array, and may keep only some splits (see
+  `load` for both).
 
 Labels are remapped to dense indices 0..C-1 by sorting the distinct label
 strings; the mapping is persisted on the dataset (`label_names`) and in
@@ -55,6 +49,10 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # kept texts `load` holds before it featurizes them into their rows
 TEXT_BLOCK_DOCS = 1024
+
+# the largest integer setting that sizes an array or a loop: an array two of
+# them size stays addressable, so one too large to hold is a MemoryError
+MAX_SIZE = 1 << 20
 
 
 class DataError(ValueError):
@@ -127,10 +125,12 @@ def tokenize(text: str) -> list[str]:
 
 
 def check_featurizer(dim: int, seed: int) -> None:
-    """The featurizer's ranges: at least 2 buckets, and a seed that fits its
+    """The featurizer's ranges: 2 to MAX_SIZE buckets, and a seed that fits its
     8-byte blake2b key (0 <= seed < 2**64); a value outside is a DataError."""
     if dim < 2:
         raise DataError(f"hash_dim must be >= 2, got {dim}")
+    if dim > MAX_SIZE:
+        raise DataError(f"hash_dim must be at most {MAX_SIZE}, got {dim}")
     if not 0 <= seed < 1 << 64:
         raise DataError(f"hash_seed must be in [0, 2**64), got {seed}")
 
@@ -236,8 +236,11 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
 
     All class means are mutually separation*sqrt(2) apart (requires
     dim >= num_classes). Rows are split 60/20/20 per class, so each split
-    is exactly class-balanced up to rounding.
+    is exactly class-balanced up to rounding. Each count is at most MAX_SIZE.
     """
+    for name, value in (("classes", num_classes), ("dim", dim), ("per_class", per_class)):
+        if value > MAX_SIZE:
+            raise DataError(f"gen_mixture: {name} must be at most {MAX_SIZE}, got {value}")
     if num_classes < 2:
         raise DataError("gen_mixture: need at least 2 classes")
     if dim < num_classes:
@@ -345,6 +348,12 @@ def _csv_rows(path: str):
         yield (reader.line_num, record["label"], record.get("split") or None,
                record["text"] if has_text else None,
                None if has_text else [record[c] for c in feature_cols])
+
+
+def is_text(path: str) -> bool:
+    """Whether `load` featurizes the dataset file `path`: its first row's schema."""
+    with contextlib.closing(_csv_rows(path) if _is_csv(path) else _jsonl_rows(path)) as rows:
+        return next(rows, (None,) * 5)[3] is not None
 
 
 def load(path: str, task: str = "classification", hash_dim: int = 256,

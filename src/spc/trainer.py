@@ -8,13 +8,11 @@ mask (if dropout is on). Deterministic objectives consume the noise draw
 too and ignore it, so runs that differ only in objective kind see identical
 shuffles and can be compared trajectory-for-trajectory.
 
-Every readout of a split (each epoch's validation, the final val and test
-scores, `evaluate_split` for `spc eval` and ood, and the codes of
-`representation_quality`) goes through `readout`, which runs the split's
-rows in blocks of at most EVAL_BLOCK_ELEMENTS // (widest layer) rows, so
-its memory does not grow with the split's size beyond the stacked outputs.
-A split is scored at its code means (no sampling at inference), from the
-decoded logits: a predicted class is their argmax.
+Every readout of a split (each epoch's validation, the final scores,
+`evaluate_split` and the codes of `representation_quality`) goes through
+`readout`, in row blocks of bounded memory. A split is scored at its code
+means (no sampling at inference): a predicted class is the argmax of the
+decoded logits.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .diffcore import Tape, Tensor, backward, emit, zero_grads
 from .encoder import EncoderParams, decode, encode, forward, init_encoder, init_vib
 from .metrics import (MetricError, _per_class_stats, adjusted_rand_index, confusion_matrix,
                       kmeans, pearson, silhouette, spearman)
-from .objectives import OBJECTIVES, LossTerms, ObjectiveConfig, spc_loss
+from .objectives import OBJECTIVES, WEIGHTS, LossTerms, ObjectiveConfig, spc_loss
 
 
 @dataclass
@@ -75,9 +73,10 @@ class TrainConfig:
                             ("weight_decay", self.weight_decay)):
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if min(self.hidden_dim, self.vib_latent_dim) < 1:
-            raise ValueError(f"hidden_dim and vib_latent_dim must be >= 1, "
-                             f"got {self.hidden_dim} and {self.vib_latent_dim}")
+        for name in ("hidden_dim", "vib_latent_dim"):
+            if not 1 <= getattr(self, name) <= dataio.MAX_SIZE:
+                raise ValueError(f"{name} must be in [1, {dataio.MAX_SIZE}], "
+                                 f"got {getattr(self, name)}")
 
     def headline_metric(self) -> str:
         return "macro_f1" if self.objective.task == "classification" else "spearman"
@@ -337,8 +336,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     train_rows = dataset.indices("train")
 
     dataset_info = {"task": dataset.task, "num_classes": dataset.num_classes,
-                    "num_features": dataset.num_features,
-                    "label_names": list(dataset.label_names)}
+                    "num_features": dataset.num_features, "label_names": list(dataset.label_names)}
     report = RunReport(config=dataclasses.asdict(cfg), seed=seed, dataset_info=dataset_info,
                        headline_metric=metric_name)
     best_value = -np.inf
@@ -430,33 +428,38 @@ def summarize(reports: list[RunReport]) -> dict:
     }
 
 
-def cell_objective(objective: ObjectiveConfig, beta: float, gamma: float) -> ObjectiveConfig:
-    """`objective` with a sweep cell's weights (beta its kind's first, gamma its
-    second); a weight the kind does not take or cannot have is a ValueError."""
+def sweep_cells(cfg: TrainConfig, betas: Sequence[float],
+                gammas: Sequence[float]) -> list[tuple[float, float, TrainConfig]]:
+    """(beta, gamma, config) of each cell of the betas x gammas grid, in order:
+    `cfg` with beta as its kind's first weight in OBJECTIVES and gamma as its
+    second (so "ce_cp" sweeps cp_weight over the betas). The grid sets every
+    weight: a nonzero weight of `cfg` is a ValueError, as is a grid value the
+    kind does not take (one weight takes gammas [0]) or no weight can have."""
+    objective = cfg.objective
     names = OBJECTIVES[objective.kind].weights
-    if any(value != 0.0 for value in (beta, gamma)[len(names):]):
+    given = [f"{name}={getattr(objective, name)}" for name in WEIGHTS if getattr(objective, name)]
+    if given:
+        raise ValueError(f"a sweep's grid sets every weight, got {', '.join(given)} outside it")
+    untaken = [grid for grid, values in (("betas", betas), ("gammas", gammas))[len(names):]
+               if any(values)]
+    if untaken:
         raise ValueError(f"kind {objective.kind!r} takes {len(names)} swept weight(s), "
-                         f"got beta={beta}, gamma={gamma}")
-    return dataclasses.replace(objective, **dict(zip(names, (beta, gamma))))
+                         f"so its {' and '.join(untaken)} must be 0")
+    return [(beta, gamma, dataclasses.replace(cfg, objective=dataclasses.replace(
+                objective, **dict(zip(names, (beta, gamma))))))
+            for beta in betas for gamma in gammas]
 
 
-def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
-          gammas: list[float], seeds: Sequence[int]) -> dict:
-    """Grid search over (beta, gamma); each cell averages over the seeds.
-
-    The beta grid drives the kind's first weight in OBJECTIVES and the gamma
-    grid its second (so for "ce_cp" the beta grid sets cp_weight); a kind
-    with fewer weights takes gammas=[0.0]; every cell's config is built
-    before any cell trains. Returns {"rows", "best_beta", "best_gamma"}:
-    each row counts its diverged seeds, and the best cell maximizes the mean
-    validation metric, ties going to the lexicographically smaller (beta, gamma).
-    """
-    cells = [(beta, gamma,
-              dataclasses.replace(cfg, objective=cell_objective(cfg.objective, beta, gamma)))
-             for beta in betas for gamma in gammas]
+def sweep(dataset: Dataset, cells: Iterable[tuple[float, float, TrainConfig]],
+          seeds: Sequence[int]) -> dict:
+    """Train each (beta, gamma, config) cell (see `sweep_cells`) over the seeds.
+    Returns {"rows", "best_beta", "best_gamma"}: a row per cell with its mean
+    validation and test metric and its count of diverged seeds; the best cell
+    maximizes the mean validation metric, ties going to the lexicographically
+    smaller (beta, gamma)."""
     rows = []
-    for beta, gamma, cell_cfg in cells:
-        reports = train_jobs((dataset, cell_cfg, seed) for seed in seeds)
+    for beta, gamma, cfg in cells:
+        reports = train_jobs((dataset, cfg, seed) for seed in seeds)
         rows.append({
             "beta": beta, "gamma": gamma,
             **mean_std("val_", [r.val_metrics[r.headline_metric] for r in reports]),
@@ -467,27 +470,24 @@ def sweep(dataset: Dataset, cfg: TrainConfig, betas: list[float],
     return {"rows": rows, "best_beta": best["beta"], "best_gamma": best["gamma"]}
 
 
-def perturbation_study(dataset: Dataset, cfg_base: TrainConfig,
-                       objectives: list[ObjectiveConfig], ratios: list[float],
+def perturbation_study(dataset: Dataset, configs: Sequence[TrainConfig], ratios: list[float],
                        seeds: Sequence[int], perturb: str) -> list[dict]:
-    """objective x ratio table under the `data` function named `perturb`
-    (dataset, ratio, seed) -> Dataset, the ratio in its `data.RATIOS`
-    column. Each cell averages over the seeds; the perturbation seed is the
-    run seed, so each seed sees its own perturbed train split, and val/test
-    stay intact.
-    """
+    """config x ratio table (a row names its config's objective kind) under
+    the `data` function named `perturb` (dataset, ratio, seed) -> Dataset,
+    the ratio in its `data.RATIOS` column. Each cell averages over the seeds;
+    the perturbation seed is the run seed, so each seed sees its own
+    perturbed train split, and val/test stay intact."""
     row_key = dataio.RATIOS[perturb][0]
     for ratio in ratios:  # a ratio the dataset cannot take fails before any training
         dataio.check_perturbation(perturb, dataset, ratio)
     rows = []
-    for objective in objectives:
-        cfg = dataclasses.replace(cfg_base, objective=objective)
+    for cfg in configs:
         for ratio in ratios:
             # looked up here, not at import, so a wrapper installed on the module is used
             perturbed = getattr(dataio, perturb)
             reports = train_jobs((perturbed(dataset, ratio, seed), cfg, seed) for seed in seeds)
             values = [r.headline_value for r in reports]
-            rows.append({"objective": objective.kind, row_key: ratio, **mean_std("", values),
+            rows.append({"objective": cfg.objective.kind, row_key: ratio, **mean_std("", values),
                          "values": [float(v) for v in values],
                          "diverged": sum(r.diverged for r in reports)})
     return rows

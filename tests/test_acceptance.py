@@ -348,8 +348,8 @@ def test_criterion_8_limited_data_trend():
             cli.make_objective("spc", beta=0.01, gamma=0.1),
             cli.make_objective("vib", beta=0.01),
         ]
-        cfg = TrainConfig(objective=objectives[0])
-        rows = perturbation_study(ds, cfg, objectives, ratios, list(SEEDS), "subsample_train")
+        configs = [TrainConfig(objective=objective) for objective in objectives]
+        rows = perturbation_study(ds, configs, ratios, list(SEEDS), "subsample_train")
         for objective in objectives:
             means = [r["mean"] for r in rows if r["objective"] == objective.kind]
             rho = spearman(ratios, means)

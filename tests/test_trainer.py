@@ -21,6 +21,7 @@ from spc.trainer import (
     representation_quality,
     summarize,
     sweep,
+    sweep_cells,
     train,
     train_jobs,
 )
@@ -485,7 +486,7 @@ class TestRegressionTraining:
 class TestSweep:
     def test_single_cell_equals_train(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="spc", beta=0.1, gamma=0.1))
-        result = sweep(mixture, cfg, betas=[0.1], gammas=[0.1], seeds=(0, 1))
+        result = sweep(mixture, [(0.1, 0.1, cfg)], seeds=(0, 1))
         assert len(result["rows"]) == 1
         reports = train_jobs((mixture, cfg, seed) for seed in (0, 1))
         expected = float(np.mean([r.headline_value for r in reports]))
@@ -497,25 +498,50 @@ class TestSweep:
 
         monkeypatch.setattr(trainer, "train", no_train)
         with pytest.raises(ValueError, match="kind 'pc' takes 1 swept weight"):
-            sweep(mixture, small_cfg(ObjectiveConfig(kind="pc")), betas=[0.1, 0.2],
-                  gammas=[0.0, 0.5], seeds=[0, 1])
+            sweep(mixture, sweep_cells(small_cfg(ObjectiveConfig(kind="pc")), betas=[0.1, 0.2],
+                                       gammas=[0.0, 0.5]), seeds=[0, 1])
+
+    @pytest.mark.parametrize("weights", [{"beta": 0.5}, {"gamma": 0.5}])
+    def test_a_nonzero_base_weight_is_refused(self, mixture, monkeypatch, weights):
+        # the grid sets every weight: a base weight would be replaced unread
+        def no_train(*args):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(trainer, "train", no_train)
+        name, value = next(iter(weights.items()))
+        with pytest.raises(ValueError, match=f"grid sets every weight, got {name}={value}"):
+            sweep(mixture, sweep_cells(small_cfg(ObjectiveConfig(kind="spc", **weights)),
+                                       betas=[0.1], gammas=[0.1]), seeds=[0])
+
+    @pytest.mark.parametrize("betas, gammas, name", [([0.1, -1.0], [0.0], "beta"),
+                                                     ([0.1], [np.inf], "gamma")])
+    def test_a_grid_value_out_of_range_is_refused(self, betas, gammas, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+            sweep_cells(small_cfg(ObjectiveConfig(kind="spc")), betas, gammas)
+
+    def test_cells_follow_the_grid_order(self):
+        cells = sweep_cells(small_cfg(ObjectiveConfig(kind="spc")), [0.1, 1.0], [0.0, 0.5])
+        assert [(beta, gamma) for beta, gamma, _ in cells] == [
+            (0.1, 0.0), (0.1, 0.5), (1.0, 0.0), (1.0, 0.5)]
+        assert [(cfg.objective.beta, cfg.objective.gamma) for _, _, cfg in cells] == [
+            (0.1, 0.0), (0.1, 0.5), (1.0, 0.0), (1.0, 0.5)]
 
     def test_grid_cardinality(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="spc"), epochs=2)
-        result = sweep(mixture, cfg, betas=[0.01, 0.1], gammas=[0.0, 0.1, 1.0],
+        result = sweep(mixture, sweep_cells(cfg, betas=[0.01, 0.1], gammas=[0.0, 0.1, 1.0]),
                        seeds=(0,))
         assert len(result["rows"]) == 6
 
     def test_full_grid_emits_25_rows(self, mixture):
         grid = [0.001, 0.01, 0.1, 1.0, 10.0]
         cfg = small_cfg(ObjectiveConfig(kind="spc"), epochs=1, patience=1)
-        result = sweep(mixture, cfg, betas=grid, gammas=grid, seeds=(0,))
+        result = sweep(mixture, sweep_cells(cfg, betas=grid, gammas=grid), seeds=(0,))
         assert len(result["rows"]) == 25
         assert result["best_beta"] in grid and result["best_gamma"] in grid
 
     def test_ce_cp_sweeps_penalty_weight(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="ce_cp"), epochs=2)
-        result = sweep(mixture, cfg, betas=[0.01, 0.1], gammas=[0.0], seeds=(0,))
+        result = sweep(mixture, sweep_cells(cfg, betas=[0.01, 0.1], gammas=[0.0]), seeds=(0,))
         assert len(result["rows"]) == 2
         # weights land in cp_weight, so the two cells genuinely differ
         reports = [train(mixture, small_cfg(ObjectiveConfig(kind="ce_cp", cp_weight=w),
@@ -525,7 +551,7 @@ class TestSweep:
 
     def test_best_matches_table_recomputation(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="spc"), epochs=3)
-        result = sweep(mixture, cfg, betas=[0.01, 0.1], gammas=[0.01, 0.1],
+        result = sweep(mixture, sweep_cells(cfg, betas=[0.01, 0.1], gammas=[0.01, 0.1]),
                        seeds=(0, 1))
         best_val = max(r["val_mean"] for r in result["rows"])
         candidates = sorted((r["beta"], r["gamma"]) for r in result["rows"]
