@@ -148,14 +148,14 @@ def parse_list(text: str, flag: str, item: Callable = float, items: str = "numbe
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Either a count ("5" -> seeds 0..4) of 1 to data.MAX_SIZE, or a list
-    ("3,7,11", see `parse_list`) of distinct non-negative seeds."""
+    """Either a count ("5" -> seeds 0..4) or a list ("3,7,11", see
+    `parse_list`) of distinct non-negative seeds, of 1 to data.MAX_SIZE seeds."""
     seeds = parse_list(text, "--seeds", int, "and non-negative seeds")
     if "," not in text:  # a count, checked before its seeds are listed
         seeds = list(range(seeds[0])) if seeds[0] <= dataio.MAX_SIZE else []
-    if not seeds or min(seeds) < 0:
-        raise UsageError(f"--seeds: {text!r}: expected a count in [1, {dataio.MAX_SIZE}], "
-                         f"or distinct and non-negative seeds")
+    if not seeds or min(seeds) < 0 or len(seeds) > dataio.MAX_SIZE:
+        raise UsageError(f"--seeds: {text[:40]!r}: expected 1 to {dataio.MAX_SIZE} seeds, "
+                         f"a count or distinct and non-negative seeds")
     return seeds
 
 

@@ -2,8 +2,8 @@
 
 File formats
 ------------
-jsonl: one object per line with either "features": [floats] (at least
-  one) or "text": str, plus a non-null "label" and an optional "split"
+jsonl: one object per line with either "features": [JSON numbers] (at
+  least one) or "text": str, plus a non-null "label" and an optional "split"
   (train|val|test; only a missing or null split means train). csv: a
   header row that names each column once: feature columns f0..f{D-1}, in
   any order, or a single "text" column (not both), a "label" column, and
@@ -384,7 +384,8 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
     if not kept <= set(SPLITS):
         raise DataError(f"unknown splits {sorted(kept - set(SPLITS))}")
 
-    rows = _csv_rows(path) if _is_csv(path) else _jsonl_rows(path)
+    is_csv = _is_csv(path)
+    rows = _csv_rows(path) if is_csv else _jsonl_rows(path)
     first = next(rows, None)
     if first is None:
         raise DataError(f"{path}: empty dataset")
@@ -408,8 +409,12 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
         if not has_text:
             if len(vec) != dim:
                 raise DataError(f"{where}: row has {len(vec)} features, expected {dim}")
+            # a csv cell is text; a jsonl feature is a JSON number (not a bool
+            # or a string), which np.fromiter reads as float() would
+            if not (is_csv or set(map(type, vec)) <= {int, float}):
+                raise DataError(f"{where}: row has a non-numeric feature")
             try:
-                row = np.fromiter(map(float, vec), np.float64, count=dim)
+                row = np.fromiter(map(float, vec) if is_csv else vec, np.float64, count=dim)
             except (TypeError, ValueError) as err:
                 raise DataError(f"{where}: row has a non-numeric feature") from err
             except OverflowError as err:  # a json integer beyond the float64 range

@@ -1,33 +1,24 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The core holds what the model tapes: `Tensor`, one explicit `Tape` per
-forward pass, `emit`, `backward`, and the ops the readout forward
-(`encoder.encode`, `encoder.decode`) calls: `matmul`, `tanh` and
-`layer_norm`. A training step is one op (`trainer.batch_loss`), with a
-hand-written backward. Storage is 64-bit, so analytic gradients can be
-checked against central finite differences to tight tolerances.
-
-Broadcasting has one case, nothing else is implicit: the optional bias of
-`matmul(a, b, bias)`, which computes `a @ b + bias` as one op for a 1xH
-row, a scalar or a full matrix bias.
+forward pass, `emit` and `backward`. A training step is one op
+(`trainer.batch_loss`), with a hand-written backward. Storage is 64-bit,
+so analytic gradients can be checked against central finite differences
+to tight tolerances. The readout forward (`encoder.encode`,
+`encoder.decode`) runs `matmul`, `tanh` and `layer_norm`, which are
+forward-only: each returns a `Tensor` of its values and tapes nothing.
+Their differentiable forms are reference ops in `tests/primitives.py`.
 
 Op contract: an op computes its output values and hands `emit` one
 (input, local-gradient function) pair per input; the function maps the
-output gradient `g` to that input's local gradient (`tanh`:
-`g * (1 - out**2)`; `matmul`: `g @ b.T` and `a.T @ g`). `emit` keeps the
-pairs whose input requires a gradient, and tapes the output (which then
-requires one) iff any pair is kept. `backward` sums each local gradient
-back over a broadcast operand's shape and accumulates it into that
-input's `.grad`. The training step's one op hands `emit` one pair per
-model tensor; the first pair `backward` calls runs the whole hand-written
-backward, and each pair returns its tensor's gradient.
-
-Fused ops. An op computes the NumPy expressions of the primitive chain it
-replaced (the chains are kept in `tests/primitives.py` and
-`tests/fused.py`) in the same order, and adds each contribution to a
-gradient in the order `backward` reached it in that chain, so no bit
-moves. Only a zero inside a fused op's gradient may keep a -0.0 sign,
-which a leaf's fresh or +0.0-zeroed gradient turns into +0.0.
+output gradient `g` to that input's local gradient, of the input's shape.
+`emit` keeps the pairs whose input requires a gradient, and tapes the
+output (which then requires one) iff any pair is kept. `backward`
+accumulates each local gradient into that input's `.grad`; one of another
+shape is a `GraphError`, as nothing is summed back over a broadcast. The
+training step's one op hands `emit` one pair per model tensor; the first
+pair `backward` calls runs the whole hand-written backward, and each pair
+returns its tensor's gradient.
 
 Gradient buffers belong to the caller. A `.grad` of None becomes a fresh
 array equal to `zeros + g` bit for bit; an array `.grad` (for example a
@@ -132,7 +123,11 @@ def backward(loss: Tensor, tape: Tape) -> None:
         if out.grad is None:
             continue  # not on any path to the loss
         for t, grad_fn in pairs:
-            t.accumulate_grad(_unbroadcast(grad_fn(out.grad), t.values.shape))
+            g = grad_fn(out.grad)
+            if np.shape(g) != t.values.shape:
+                raise GraphError(f"a local gradient of shape {np.shape(g)} "
+                                 f"for an input of shape {t.values.shape}")
+            t.accumulate_grad(g)
 
 
 def emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
@@ -146,35 +141,13 @@ def emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The output gradient `g` summed back to an operand of `shape`."""
-    if g.shape == shape:
-        return g
-    if not shape:
-        return g.sum()
-    return g.sum(axis=0, keepdims=True)  # a 1xH row
-
-
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product plus an optional bias (a 1xH row, a scalar or a full
-    matrix), `a @ b + bias`; gradients dL/da = g @ b.T, dL/db = a.T @ g,
-    dL/dbias = g summed back to the bias's shape."""
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.values.shape} and {b.values.shape}")
-    if a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions disagree: {a.values.shape} vs {b.values.shape}")
-    product = a.values @ b.values
-    pairs = (a, lambda g: g @ b.values.T), (b, lambda g: a.values.T @ g)
-    if bias is None:
-        return emit(product, *pairs)
-    if bias.values.shape not in (product.shape, (), (1, product.shape[1])):
-        raise ShapeError(f"matmul: incompatible shapes {product.shape} and {bias.values.shape}")
-    return emit(product + bias.values, *pairs, (bias, lambda g: g))
+def matmul(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
+    """The layer `a @ b + bias`, for a 1xH `bias` row."""
+    return Tensor(a.values @ b.values + bias.values)
 
 
 def tanh(a: Tensor) -> Tensor:
-    out_values = np.tanh(a.values)
-    return emit(out_values, (a, lambda g: g * (1.0 - out_values * out_values)))
+    return Tensor(np.tanh(a.values))
 
 
 def layer_norm_values(a: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
@@ -191,10 +164,7 @@ def layer_norm_grad(g: np.ndarray, y: np.ndarray, inv_std: np.ndarray) -> np.nda
 
 def layer_norm(a: Tensor) -> Tensor:
     """Row-wise standardization (no affine parameters)."""
-    if a.values.ndim != 2:
-        raise ShapeError(f"layer_norm: expected 2-D input, got {a.values.shape}")
-    y, inv_std = layer_norm_values(a.values)
-    return emit(y, (a, lambda g: layer_norm_grad(g, y, inv_std)))
+    return Tensor(layer_norm_values(a.values)[0])
 
 
 def zero_grads(tensors) -> None:

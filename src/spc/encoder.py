@@ -7,8 +7,9 @@ reparameterization t = mu + exp(log_var / 2) * eps, eps drawn by the
 caller, so gradients reach mu and log_var but never the noise (`forward`,
 which runs a training batch on plain arrays and returns its hand-written
 backward). Prediction reads mu (decoded, for VIB) through `encode` and
-`decode`: the predicted class is its argmax (softmax(mu), the predictive
-distribution, has the same argmax), and a regression estimate is mu itself.
+`decode`, readouts that cannot be differentiated: the predicted class is
+its argmax (softmax(mu), the predictive distribution, has the same
+argmax), and a regression estimate is mu itself.
 
 The VIB baseline is the same encoder into a code of any width, plus a
 trainable single-hidden-layer tanh decoder from t to the output space;
@@ -139,7 +140,8 @@ def init_vib(input_dim: int, hidden_dim: int, latent_dim: int, out_dim: int,
 def encode(params: EncoderParams, x: Tensor) -> Tensor:
     """The code means mu of a feature batch, as a readout takes them (no
     log-variance head, no dropout): the trunk tanh(layer_norm?(x @ w_in +
-    b_in)), then the mean head."""
+    b_in)), then the mean head. A readout tapes nothing, so it cannot be
+    differentiated; training runs `forward`."""
     if x.values.ndim != 2 or x.values.shape[1] != params.input_dim:
         raise ShapeError(
             f"encode: expected input of shape (B, {params.input_dim}), got {x.values.shape}")
@@ -151,7 +153,8 @@ def encode(params: EncoderParams, x: Tensor) -> Tensor:
 
 
 def decode(params: EncoderParams, t: Tensor) -> Tensor:
-    """The prediction from a code sample: t itself, or the decoder's output."""
+    """The prediction from a code: t itself, or the decoder's output (a
+    readout, as `encode`)."""
     if params.kind == "encoder":
         return t
     w = params.tensors

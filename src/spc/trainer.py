@@ -60,8 +60,12 @@ class TrainConfig:
     zero_eps: bool = False  # replace every noise draw with zeros (draws still consumed)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        # epochs bounds patience too, and so the loop: with patience equal to
+        # epochs, early stopping never fires
+        for name in ("epochs", "hidden_dim", "vib_latent_dim"):
+            if not 1 <= getattr(self, name) <= dataio.MAX_SIZE:
+                raise ValueError(f"{name} must be in [1, {dataio.MAX_SIZE}], "
+                                 f"got {getattr(self, name)}")
         if not 1 <= self.patience <= self.epochs:
             raise ValueError(f"patience must be in [1, epochs={self.epochs}], got {self.patience}")
         if self.batch_size < 2:
@@ -73,10 +77,6 @@ class TrainConfig:
                             ("weight_decay", self.weight_decay)):
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        for name in ("hidden_dim", "vib_latent_dim"):
-            if not 1 <= getattr(self, name) <= dataio.MAX_SIZE:
-                raise ValueError(f"{name} must be in [1, {dataio.MAX_SIZE}], "
-                                 f"got {getattr(self, name)}")
 
     def headline_metric(self) -> str:
         return "macro_f1" if self.objective.task == "classification" else "spearman"

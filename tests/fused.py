@@ -2,7 +2,8 @@
 one op (`trainer.batch_loss`): the reparameterized sample and each loss
 term as one fused op, and their weighted total, built on
 `spc.diffcore.emit`. `test_fused_ops.py` checks each against the chain of
-primitive ops it replaced, and the other tests check their values."""
+primitive ops it replaced, byte for byte (the bit contract is in the
+`primitives` docstring), and the other tests check their values."""
 
 from __future__ import annotations
 

@@ -29,9 +29,9 @@ from test_metrics import (
 from spc import cli
 from spc.data import gen_mixture, inject_label_noise, save
 from fused import _batch_entropy, _confidence_penalty
-from primitives import (add, clip, exp, log, log_softmax, mul, reduce_mean, reduce_sum, relu, scale,
-                        sub, xlogx)
-from spc.diffcore import Tensor, layer_norm, matmul, param, tanh
+from primitives import (add, clip, exp, layer_norm, log, log_softmax, matmul, mul, reduce_mean,
+                        reduce_sum, relu, scale, sub, tanh, xlogx)
+from spc.diffcore import Tensor, param
 from spc.encoder import forward, init_encoder, init_vib
 from spc.metrics import (
     _per_class_stats,

@@ -1215,6 +1215,9 @@ class TestSizeBounds:
         ("repr-quality", ("--seeds", HUGE), "--seeds"),
         ("train", ("--hash-dim", HUGE), "--hash-dim"),
         ("eval", ("--hash-dim", str(dataio.MAX_SIZE + 1)), "--hash-dim"),
+        # with patience equal to epochs, early stopping never fires
+        ("train", ("--epochs", HUGE, "--patience", HUGE), "--epochs"),
+        ("sweep", ("--epochs", str(dataio.MAX_SIZE + 1)), "--epochs"),
     ])
     def test_a_flag_past_the_bound_exits_2(self, tmp_path, no_read, capsys, command, flags,
                                            name):
@@ -1236,6 +1239,20 @@ class TestSizeBounds:
                        "--config", str(config)) == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"usage error: {cli._flag(key)}: ")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("values, name", [
+        ({"epochs": 2 ** 70, "patience": 2 ** 70}, "--epochs"),
+        ({"seeds": ",".join(map(str, range(dataio.MAX_SIZE + 1)))}, "--seeds"),
+    ], ids=["epochs", "seed-list"])
+    def test_epochs_and_a_seed_list_from_config_are_bounded(self, tmp_path, no_read, capsys,
+                                                            values, name):
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps(values))
+        out = str(tmp_path / "out")
+        assert run_cli("train", "--out", out, "--config", str(config)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"usage error: {name}: ")
+        assert len(err) < 200 and not os.path.exists(out)
 
     def test_the_bound_itself_is_valid(self):
         bound = dataio.MAX_SIZE

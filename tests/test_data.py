@@ -80,6 +80,16 @@ class TestLoad:
         with pytest.raises(DataError, match="non-numeric"):
             load(str(path))
 
+    @pytest.mark.parametrize("feature", ["true", '"2.5"', "null", "[1.0]"])
+    def test_a_jsonl_feature_must_be_a_json_number(self, tmp_path, feature):
+        # a bool or a numeric string is not read as a number (json true is 1.0 to float())
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"features": [0.0, 1.0], "label": "x"}\n'
+                        f'{{"features": [{feature}, 2.5], "label": "y"}}\n')
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "
+                                            f"row has a non-numeric feature$"):
+            load(str(path))
+
     def test_val_only_label_reported_not_fatal(self, tmp_path):
         path = tmp_path / "ood.jsonl"
         path.write_text('{"features": [0.0], "label": "a", "split": "train"}\n'

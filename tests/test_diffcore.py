@@ -7,20 +7,11 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_diff_grad, max_grad_rel_err, rel_err
-from primitives import (DomainError, add, clip, exp, log, log_softmax, mul, reduce_mean, reduce_sum,
-                        relu, scale, sub, xlogx)
+from primitives import (DomainError, add, clip, exp, layer_norm, log, log_softmax, matmul, mul,
+                        reduce_mean, reduce_sum, relu, scale, sub, tanh, xlogx)
 import spc.data
-from spc.diffcore import (
-    GraphError,
-    ShapeError,
-    Tape,
-    Tensor,
-    backward,
-    layer_norm,
-    matmul,
-    param,
-    tanh,
-)
+from spc import diffcore
+from spc.diffcore import GraphError, ShapeError, Tape, Tensor, backward, emit, param
 
 
 class TestMatmul:
@@ -280,6 +271,46 @@ class TestBackward:
             out = add(p, p)
         with pytest.raises(GraphError):
             backward(out, tape)
+
+    def test_local_gradient_of_another_shape_is_rejected(self):
+        # nothing is summed back over a broadcast: an op hands each input
+        # its gradient at the input's shape
+        p = param(np.ones((1, 2)))
+        with Tape() as tape:
+            loss = emit(np.array(2.0), (p, lambda g: np.full((3, 2), g)))
+        with pytest.raises(GraphError, match=r"shape \(3, 2\).*shape \(1, 2\)"):
+            backward(loss, tape)
+
+
+class TestReadoutOps:
+    """`spc.diffcore`'s matmul, tanh and layer_norm run the readouts: the
+    values of the differentiable reference ops, bit for bit, and no tape."""
+
+    def test_values_are_the_reference_ops_and_nothing_is_taped(self):
+        rng = np.random.default_rng(9)
+        x, w, b = param(rng.normal(size=(4, 5))), param(rng.normal(size=(5, 3))), \
+            param(rng.normal(size=(1, 3)))
+        with Tape() as tape:
+            readout = diffcore.tanh(diffcore.layer_norm(diffcore.matmul(x, w, b)))
+        assert len(tape) == 0 and not readout.requires_grad
+        with Tape() as tape:
+            reference = tanh(layer_norm(matmul(x, w, b)))
+        assert len(tape) == 3
+        assert readout.values.tobytes() == reference.values.tobytes()
+
+
+def test_only_the_training_step_emits():
+    """A training step is the one taped op of `spc`: `emit` is called in
+    `trainer.batch_loss` alone, and the readout ops tape nothing."""
+    package = pathlib.Path(spc.data.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "emit"]
+            callers += [f"{path.stem}.{getattr(top, 'name', '<module>')}"] * len(calls)
+    assert callers == ["trainer.batch_loss"]
+    assert not hasattr(diffcore, "_unbroadcast")
 
 
 # used outside the package only: README's Library usage block calls it

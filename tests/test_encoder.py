@@ -9,10 +9,9 @@ import pytest
 
 from checkpoint_files import format_1_payload, format_2_parts, write_format_1, write_format_2
 from gradcheck import max_grad_rel_err
-from primitives import reduce_mean
 from spc import encoder
 from spc.data import DataError, Dataset
-from spc.diffcore import ShapeError, Tensor, param
+from spc.diffcore import ShapeError, Tape, Tensor, param
 from spc.encoder import (
     EncoderParams,
     decode,
@@ -25,7 +24,8 @@ from spc.encoder import (
     save_checkpoint,
     tensor_shapes,
 )
-from spc.trainer import evaluate_split
+from spc.objectives import ObjectiveConfig
+from spc.trainer import batch_loss, evaluate_split
 
 
 def zero_encoder(input_dim=3, hidden_dim=4, out_dim=2) -> EncoderParams:
@@ -60,21 +60,30 @@ class TestEncode:
         _, log_var, _, _ = forward(params, np.zeros((3, 3)), np.zeros((3, 2)))
         assert np.all(log_var == 8.0)
 
-    def test_trunk_gradcheck(self):
-        rng = np.random.default_rng(7)
-        params = init_encoder(5, 6, 3, rng=rng)
+    @staticmethod
+    def step_grad_err(seed, use_layer_norm):
+        """The training step's worst gradient error: `encode` is a readout
+        that tapes nothing, so the trunk is checked through `batch_loss`."""
+        rng = np.random.default_rng(seed)
+        params = init_encoder(5, 6, 3, rng=rng, use_layer_norm=use_layer_norm)
         x = Tensor(rng.normal(size=(4, 5)))
-        err = max_grad_rel_err(lambda: reduce_mean(encode(params, x)),
-                               params.parameters())
-        assert err < 1e-4
+        y = rng.integers(0, 3, size=4)
+        eps = rng.standard_normal((4, 3))
+        objective = ObjectiveConfig(kind="spc", beta=0.2, gamma=0.3)
+        return max_grad_rel_err(lambda: batch_loss(params, x, y, objective, eps).total,
+                                params.parameters())
+
+    def test_trunk_gradcheck(self):
+        assert self.step_grad_err(7, use_layer_norm=False) < 1e-4
 
     def test_layer_norm_trunk_gradcheck(self):
-        rng = np.random.default_rng(8)
-        params = init_encoder(5, 6, 3, rng=rng, use_layer_norm=True)
-        x = Tensor(rng.normal(size=(4, 5)))
-        err = max_grad_rel_err(lambda: reduce_mean(encode(params, x)),
-                               params.parameters())
-        assert err < 1e-4
+        assert self.step_grad_err(8, use_layer_norm=True) < 1e-4
+
+    def test_encode_is_a_readout(self):
+        params = init_encoder(5, 6, 3, rng=9, use_layer_norm=True)
+        with Tape() as tape:
+            mu = encode(params, Tensor(np.ones((2, 5))))
+        assert len(tape) == 0 and not mu.requires_grad
 
 
 class TestSample:

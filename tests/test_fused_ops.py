@@ -1,7 +1,7 @@
 """Each fused op against the chain of primitive ops it replaced, byte for byte.
 
-A layer (`spc.diffcore.matmul`) or a loss term (`fused.py`) is one taped
-op (see the `diffcore` docstring). The `chain_*` functions below rebuild
+A layer (`primitives.matmul`) or a loss term (`fused.py`) is one taped
+op (see the `primitives` docstring). The `chain_*` functions below rebuild
 those terms from primitive ops, the way they were written before they
 were fused. Each fused op must give the chain's value and, for every
 input, the chain's gradient bytes: into a fresh gradient and added onto
@@ -26,8 +26,9 @@ from fused import (
     softmax_probs,
 )
 from gradcheck import max_grad_rel_err
-from primitives import add, clip, exp, log_softmax, mul, reduce_mean, reduce_sum, scale, sub, xlogx
-from spc.diffcore import Tape, Tensor, backward, layer_norm, matmul, param, tanh
+from primitives import (add, clip, exp, layer_norm, log_softmax, matmul, mul, reduce_mean,
+                        reduce_sum, scale, sub, tanh, xlogx)
+from spc.diffcore import Tape, Tensor, backward, param
 from spc.encoder import LOG_VAR_MAX, LOG_VAR_MIN, init_encoder, init_vib
 from spc.objectives import OBJECTIVES, ObjectiveConfig
 from spc.trainer import batch_loss
