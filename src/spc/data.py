@@ -316,6 +316,8 @@ def _jsonl_rows(path: str):
         if not (isinstance(obj["text"], str) if "text" in obj
                 else isinstance(obj.get("features"), list)):
             raise DataError(f"{path}:{lineno}: need a 'features' list or a 'text' string")
+        if isinstance(obj.get("label"), (list, dict)):  # a class is named by its label's str
+            raise DataError(f"{path}:{lineno}: a label must be a string, a number or a bool")
         yield lineno, obj.get("label"), obj.get("split"), obj.get("text"), obj.get("features")
 
 
@@ -344,8 +346,9 @@ def _csv_rows(path: str):
         if None in record or None in record.values():
             raise DataError(f"{path}:{reader.line_num}: expected "
                             f"{len(header)} fields, as in the header")
-        # csv cannot write null: an empty split cell means train, as a missing one
-        yield (reader.line_num, record["label"], record.get("split") or None,
+        # csv cannot write null: an empty label cell is a missing label, and
+        # an empty split cell means train, as a missing one
+        yield (reader.line_num, record["label"] or None, record.get("split") or None,
                record["text"] if has_text else None,
                None if has_text else [record[c] for c in feature_cols])
 

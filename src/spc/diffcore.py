@@ -1,13 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-The core holds what the model tapes: `Tensor`, one explicit `Tape` per
-forward pass, `emit` and `backward`. A training step is one op
-(`trainer.batch_loss`), with a hand-written backward. Storage is 64-bit,
-so analytic gradients can be checked against central finite differences
-to tight tolerances. The readout forward (`encoder.encode`,
-`encoder.decode`) runs `matmul`, `tanh` and `layer_norm`, which are
-forward-only: each returns a `Tensor` of its values and tapes nothing.
-Their differentiable forms are reference ops in `tests/primitives.py`.
+The module is the tape: `Tensor`, one explicit `Tape` per forward pass,
+`emit` and `backward`. A training step is one op (`trainer.batch_loss`),
+with a hand-written backward. Storage is 64-bit, so analytic gradients
+can be checked against central finite differences to tight tolerances.
+`matmul`, the readouts' forward-only layer, stays beside it while
+`bench/tracer.py` counts its flops (until ROADMAP item 4); it tapes
+nothing.
 
 Op contract: an op computes its output values and hands `emit` one
 (input, local-gradient function) pair per input; the function maps the
@@ -144,29 +143,3 @@ def emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
 def matmul(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
     """The layer `a @ b + bias`, for a 1xH `bias` row."""
     return Tensor(a.values @ b.values + bias.values)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return Tensor(np.tanh(a.values))
-
-
-def layer_norm_values(a: np.ndarray, eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of `a` standardized (no affine parameters), and 1/std."""
-    mean = a.mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(a.var(axis=1, keepdims=True) + eps)
-    return (a - mean) * inv_std, inv_std
-
-
-def layer_norm_grad(g: np.ndarray, y: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
-    """The local gradient of a row-wise layer norm with output `y`."""
-    return inv_std * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True))
-
-
-def layer_norm(a: Tensor) -> Tensor:
-    """Row-wise standardization (no affine parameters)."""
-    return Tensor(layer_norm_values(a.values)[0])
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError, write_atomic
-from .diffcore import (ShapeError, Tensor, layer_norm, layer_norm_grad, layer_norm_values, matmul,
-                       param, tanh)
+from .diffcore import ShapeError, Tensor, matmul, param
 
 # hard bounds on predicted log-variance; keeps the KL term finite on outliers
 LOG_VAR_MIN = -8.0
@@ -146,10 +145,10 @@ def encode(params: EncoderParams, x: Tensor) -> Tensor:
         raise ShapeError(
             f"encode: expected input of shape (B, {params.input_dim}), got {x.values.shape}")
     w = params.tensors
-    pre = matmul(x, w["w_in"], w["b_in"])
+    pre = matmul(x, w["w_in"], w["b_in"]).values
     if params.arch["use_layer_norm"]:
-        pre = layer_norm(pre)
-    return matmul(tanh(pre), w["w_mu"], w["b_mu"])
+        pre = layer_norm_values(pre)[0]
+    return matmul(Tensor(np.tanh(pre)), w["w_mu"], w["b_mu"])
 
 
 def decode(params: EncoderParams, t: Tensor) -> Tensor:
@@ -158,7 +157,20 @@ def decode(params: EncoderParams, t: Tensor) -> Tensor:
     if params.kind == "encoder":
         return t
     w = params.tensors
-    return matmul(tanh(matmul(t, w["w_dec1"], w["b_dec1"])), w["w_dec2"], w["b_dec2"])
+    hidden = np.tanh(matmul(t, w["w_dec1"], w["b_dec1"]).values)
+    return matmul(Tensor(hidden), w["w_dec2"], w["b_dec2"])
+
+
+def layer_norm_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of `a` standardized (no affine parameters), and 1/std."""
+    mean = a.mean(axis=1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(a.var(axis=1, keepdims=True) + 1e-5)
+    return (a - mean) * inv_std, inv_std
+
+
+def layer_norm_grad(g: np.ndarray, y: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """The local gradient of a row-wise layer norm with output `y`."""
+    return inv_std * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True))
 
 
 def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,

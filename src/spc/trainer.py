@@ -30,7 +30,7 @@ import numpy as np
 
 from . import data as dataio
 from .data import DataError, Dataset
-from .diffcore import Tape, Tensor, backward, emit, zero_grads
+from .diffcore import Tape, Tensor, backward, emit
 from .encoder import EncoderParams, decode, encode, forward, init_encoder, init_vib
 from .metrics import (MetricError, _per_class_stats, adjusted_rand_index, confusion_matrix,
                       kmeans, pearson, silhouette, spearman)
@@ -396,7 +396,8 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
             break
 
     flat[:] = best_state
-    zero_grads(params)
+    for p in params:  # the returned model holds no views of the gradient buffer
+        p.grad = None
     report.best_epoch = best_epoch
     # the restored parameters are the kept epoch's, so its val scores stand
     if best_val is None:

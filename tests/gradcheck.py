@@ -6,7 +6,7 @@ max elementwise deviation scaled by the larger gradient magnitude.
 
 import numpy as np
 
-from spc.diffcore import Tape, backward, zero_grads
+from spc.diffcore import Tape, backward
 
 
 def finite_diff_grad(value_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -46,7 +46,8 @@ def max_grad_rel_err(loss_fn, params, h: float = 1e-5) -> float:
         loss = loss_fn()
     backward(loss, tape)
     analytic = [p.grad.copy() for p in params]
-    zero_grads(params)
+    for p in params:
+        p.grad = None
 
     def value():
         return float(loss_fn().values)

@@ -2,8 +2,9 @@
 `spc.diffcore.emit`: the reference chains of `test_fused_ops.py`, and ops
 whose gradients `test_diffcore.py` and acceptance criterion 1 check.
 `matmul`, `tanh` and `layer_norm` are the differentiable forms of the
-readout layers of `spc.diffcore`, which tape nothing; `mul` and `clip`
-were the encoder's dropout mask and log-variance clamp.
+layers of the readouts `spc.encoder.encode` and `decode`, which tape
+nothing; `mul` and `clip` were the encoder's dropout mask and
+log-variance clamp.
 
 Broadcasting has three cases: a scalar against a tensor (`add`, `sub`,
 `mul`, the bias of `matmul`), and a 1xH row against a BxH matrix (`add`,
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from spc.diffcore import ShapeError, Tensor, emit, layer_norm_grad, layer_norm_values
+from spc.diffcore import ShapeError, Tensor, emit
+from spc.encoder import layer_norm_grad, layer_norm_values
 from spc.objectives import log_softmax_grad, log_softmax_values, xlogx_values
 
 

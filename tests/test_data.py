@@ -90,6 +90,30 @@ class TestLoad:
                                             f"row has a non-numeric feature$"):
             load(str(path))
 
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_an_empty_csv_label_cell_is_a_missing_label(self, tmp_path, task):
+        # csv cannot write null: an empty cell is no label, not a class named ''
+        path = tmp_path / "blank.csv"
+        path.write_text("f0,f1,label,split\n0.5,1.0,1,train\n1.5,-2.0,,train\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "
+                                            f"row is missing 'label' or has a null one$"):
+            load(str(path), task=task)
+
+    @pytest.mark.parametrize("label", ["[1]", '{"k": 2}'])
+    def test_a_jsonl_label_must_not_be_an_array_or_an_object(self, tmp_path, label):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"features": [0.0], "label": "a"}\n'
+                        f'{{"features": [1.0], "label": {label}}}\n')
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:2: "
+                                            f"a label must be a string, a number or a bool$"):
+            load(str(path))
+
+    def test_a_jsonl_label_is_named_by_its_str(self, tmp_path):
+        path = tmp_path / "labels.jsonl"
+        path.write_text("".join(f'{{"features": [0.0], "label": {label}}}\n'
+                                for label in ('"a"', "1", "1.5", "true")))
+        assert load(str(path)).label_names == ["1", "1.5", "True", "a"]
+
     def test_val_only_label_reported_not_fatal(self, tmp_path):
         path = tmp_path / "ood.jsonl"
         path.write_text('{"features": [0.0], "label": "a", "split": "train"}\n'

@@ -12,6 +12,7 @@ from primitives import (DomainError, add, clip, exp, layer_norm, log, log_softma
 import spc.data
 from spc import diffcore
 from spc.diffcore import GraphError, ShapeError, Tape, Tensor, backward, emit, param
+from spc.encoder import decode, encode, init_encoder, init_vib
 
 
 class TestMatmul:
@@ -283,20 +284,40 @@ class TestBackward:
 
 
 class TestReadoutOps:
-    """`spc.diffcore`'s matmul, tanh and layer_norm run the readouts: the
-    values of the differentiable reference ops, bit for bit, and no tape."""
+    """`encoder.encode` and `decode` give the values of the differentiable
+    reference chain, bit for bit, and tape nothing."""
 
-    def test_values_are_the_reference_ops_and_nothing_is_taped(self):
-        rng = np.random.default_rng(9)
-        x, w, b = param(rng.normal(size=(4, 5))), param(rng.normal(size=(5, 3))), \
-            param(rng.normal(size=(1, 3)))
+    @pytest.mark.parametrize("kind, use_layer_norm",
+                             [("encoder", False), ("encoder", True), ("vib", False)])
+    def test_values_are_the_reference_ops_and_nothing_is_taped(self, kind, use_layer_norm):
+        if kind == "vib":
+            model = init_vib(5, 6, 4, 3, rng=9, use_layer_norm=use_layer_norm)
+        else:
+            model = init_encoder(5, 6, 3, rng=9, use_layer_norm=use_layer_norm)
+        w = model.tensors
+        x = param(np.random.default_rng(9).normal(size=(4, 5)))
         with Tape() as tape:
-            readout = diffcore.tanh(diffcore.layer_norm(diffcore.matmul(x, w, b)))
+            mu = encode(model, x)
+            readout = decode(model, mu)
         assert len(tape) == 0 and not readout.requires_grad
         with Tape() as tape:
-            reference = tanh(layer_norm(matmul(x, w, b)))
-        assert len(tape) == 3
+            pre = matmul(x, w["w_in"], w["b_in"])
+            reference = matmul(tanh(layer_norm(pre) if use_layer_norm else pre),
+                               w["w_mu"], w["b_mu"])
+            assert mu.values.tobytes() == reference.values.tobytes()
+            if kind == "vib":
+                reference = matmul(tanh(matmul(reference, w["w_dec1"], w["b_dec1"])),
+                                   w["w_dec2"], w["b_dec2"])
+        assert len(tape) == 3 + use_layer_norm + 3 * (kind == "vib")
         assert readout.values.tobytes() == reference.values.tobytes()
+
+
+def test_diffcore_is_the_tape_and_matmul():
+    """`spc.diffcore` defines the tape and the readouts' `matmul`, nothing more."""
+    tree = ast.parse(pathlib.Path(diffcore.__file__).read_text())
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined == {"Tensor", "param", "Tape", "backward", "emit", "matmul", "ShapeError",
+                       "GraphError"}
 
 
 def test_only_the_training_step_emits():
