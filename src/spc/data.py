@@ -245,8 +245,8 @@ def gen_mixture(num_classes: int, dim: int, per_class: int, separation: float,
         raise DataError("gen_mixture: need at least 2 classes")
     if dim < num_classes:
         raise DataError(f"gen_mixture: dim must be >= num_classes ({num_classes})")
-    if separation < 0:
-        raise DataError("gen_mixture: separation must be non-negative")
+    if not (np.isfinite(separation) and separation >= 0):
+        raise DataError(f"gen_mixture: separation must be finite and non-negative, got {separation}")
     if seed < 0:
         raise DataError(f"gen_mixture: seed must be non-negative, got {seed}")
     n_train = int(round(0.6 * per_class))

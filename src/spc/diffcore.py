@@ -4,9 +4,8 @@ The module is the tape: `Tensor`, one explicit `Tape` per forward pass,
 `emit` and `backward`. A training step is one op (`trainer.batch_loss`),
 with a hand-written backward. Storage is 64-bit, so analytic gradients
 can be checked against central finite differences to tight tolerances.
-`matmul`, the readouts' forward-only layer, stays beside it while
-`bench/tracer.py` counts its flops (until ROADMAP item 4); it tapes
-nothing.
+`matmul`, which tapes nothing, is the model's affine layer, kept while
+`bench/tracer.py` counts its flops (until ROADMAP item 4).
 
 Op contract: an op computes its output values and hands `emit` one
 (input, local-gradient function) pair per input; the function maps the

@@ -4,20 +4,20 @@ A single-hidden-layer tanh trunk feeds two linear heads that predict the
 mean and log-variance of a Gaussian over the output space (one dimension
 per class, or one dimension for regression). Training samples with the
 reparameterization t = mu + exp(log_var / 2) * eps, eps drawn by the
-caller, so gradients reach mu and log_var but never the noise (`forward`,
-which runs a training batch on plain arrays and returns its hand-written
-backward). Prediction reads mu (decoded, for VIB) through `encode` and
-`decode`, readouts that cannot be differentiated: the predicted class is
-its argmax (softmax(mu), the predictive distribution, has the same
-argmax), and a regression estimate is mu itself.
+caller, so gradients reach mu and log_var but never the noise. `forward`
+computes the layers on plain arrays, for training and readouts alike, and
+returns a hand-written backward; its affine layers call `diffcore.matmul`,
+the model's affine layer, kept while `bench/tracer.py` counts its flops.
+A readout runs `forward` without noise: the predicted class is the argmax
+of mu (decoded, for VIB), as of softmax(mu), the predictive distribution,
+and a regression estimate is mu itself; `encode` gives a readout's mu.
 
 The VIB baseline is the same encoder into a code of any width, plus a
-trainable single-hidden-layer tanh decoder from t to the output space;
-`decode` is the identity for a model without one. A model is its
-checkpoint's "arch" plus its named tensors (`EncoderParams`). A checkpoint
-(format 2) is an uncompressed `.npz`: one float64 member per tensor and a
-JSON header, written through `data.write_atomic`, which replaces the file
-only once it is complete. Format 1, JSON text, is still read.
+trainable single-hidden-layer tanh decoder from t to the output space. A
+model is its checkpoint's "arch" plus its named tensors (`EncoderParams`).
+A checkpoint (format 2) is an uncompressed `.npz`, one float64 member per
+tensor and a JSON header, written through `data.write_atomic` (which
+replaces the file only once complete). Format 1, JSON text, is still read.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class EncoderParams:
     the output space; kind "vib" (the VIB baseline) adds a decoder from its
     `latent_dim`-wide code t to the `out_dim` outputs. `use_layer_norm`
     standardizes the trunk pre-activation row-wise before the tanh. Dropout,
-    when used, is a mask the caller puts on the hidden layer (see `encode`).
+    when used, is a mask the caller puts on the hidden layer (see `forward`).
     """
 
     arch: dict
@@ -136,31 +136,6 @@ def init_vib(input_dim: int, hidden_dim: int, latent_dim: int, out_dim: int,
                   "use_layer_norm": use_layer_norm}, rng)
 
 
-def encode(params: EncoderParams, x: Tensor) -> Tensor:
-    """The code means mu of a feature batch, as a readout takes them (no
-    log-variance head, no dropout): the trunk tanh(layer_norm?(x @ w_in +
-    b_in)), then the mean head. A readout tapes nothing, so it cannot be
-    differentiated; training runs `forward`."""
-    if x.values.ndim != 2 or x.values.shape[1] != params.input_dim:
-        raise ShapeError(
-            f"encode: expected input of shape (B, {params.input_dim}), got {x.values.shape}")
-    w = params.tensors
-    pre = matmul(x, w["w_in"], w["b_in"]).values
-    if params.arch["use_layer_norm"]:
-        pre = layer_norm_values(pre)[0]
-    return matmul(Tensor(np.tanh(pre)), w["w_mu"], w["b_mu"])
-
-
-def decode(params: EncoderParams, t: Tensor) -> Tensor:
-    """The prediction from a code: t itself, or the decoder's output (a
-    readout, as `encode`)."""
-    if params.kind == "encoder":
-        return t
-    w = params.tensors
-    hidden = np.tanh(matmul(t, w["w_dec1"], w["b_dec1"]).values)
-    return matmul(Tensor(hidden), w["w_dec2"], w["b_dec2"])
-
-
 def layer_norm_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of `a` standardized (no affine parameters), and 1/std."""
     mean = a.mean(axis=1, keepdims=True)
@@ -176,38 +151,40 @@ def layer_norm_grad(g: np.ndarray, y: np.ndarray, inv_std: np.ndarray) -> np.nda
 def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
             dropout_mask: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, Callable]:
-    """A training batch through the model on plain arrays: (mu, log_var, out, backprop).
-
+    """(mu, log_var, out, backprop) of a B x input_dim batch `x` of plain arrays
+    (else a ShapeError): the one forward, of training and readouts alike.
     `dropout_mask` multiplies the trunk's hidden layer. With `eps` (a
     constant B x latent_dim draw) log_var is the clamped log-variance head
     and t = mu + exp(log_var / 2) * eps; without it t = mu and log_var is
-    None. `out` is t decoded, by the expressions of `encode` and `decode`, so
-    with no mask and eps = 0 it is the readout of x. `backprop(d_out, d_mu,
-    d_log_var)` maps the loss's gradients (None where it reaches none) to
-    each tensor's, by name (zeros for a head it does not reach), with the
-    expressions and accumulation order of the taped ops it replaced
-    (`tests/fused.py`), so with their bits.
+    None. `out` is t decoded, so with no eps and no mask mu and out are the
+    readouts of x. `backprop(d_out, d_mu, d_log_var)` maps the loss's
+    gradients (None where it reaches none) to each tensor's, by name (zeros
+    for a head it does not reach), with the expressions and accumulation
+    order of the taped ops it replaced (`tests/fused.py`), so with their bits.
     """
-    w = {name: t.values for name, t in params.tensors.items()}
-    pre = x @ w["w_in"] + w["b_in"]
+    if x.ndim != 2 or x.shape[1] != params.input_dim:
+        raise ShapeError(f"forward: expected input of shape (B, {params.input_dim}), got {x.shape}")
+    p = params.tensors
+    w = {name: t.values for name, t in p.items()}
+    pre = matmul(Tensor(x), p["w_in"], p["b_in"]).values
     if params.arch["use_layer_norm"]:
         pre, inv_std = layer_norm_values(pre)
     hidden = np.tanh(pre)
     h = hidden if dropout_mask is None else hidden * dropout_mask
-    t = mu = h @ w["w_mu"] + w["b_mu"]
+    t = mu = matmul(Tensor(h), p["w_mu"], p["b_mu"]).values
     log_var = None
     if eps is not None:
         if eps.shape != mu.shape:
             raise ShapeError(f"forward: eps shape {eps.shape} != code shape {mu.shape}")
-        raw = h @ w["w_lv"] + w["b_lv"]
+        raw = matmul(Tensor(h), p["w_lv"], p["b_lv"]).values
         in_clamp = (raw >= LOG_VAR_MIN) & (raw <= LOG_VAR_MAX)  # where the clamp passes a gradient
         log_var = np.clip(raw, LOG_VAR_MIN, LOG_VAR_MAX)
         sigma = np.exp(log_var * 0.5)
         t = mu + sigma * eps
     out = t
     if params.kind == "vib":
-        dec = np.tanh(t @ w["w_dec1"] + w["b_dec1"])
-        out = dec @ w["w_dec2"] + w["b_dec2"]
+        dec = np.tanh(matmul(Tensor(t), p["w_dec1"], p["b_dec1"]).values)
+        out = matmul(Tensor(dec), p["w_dec2"], p["b_dec2"]).values
 
     def backprop(d_out, d_mu, d_log_var):
         grads = {}
@@ -237,6 +214,11 @@ def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
         return grads
 
     return mu, log_var, out, backprop
+
+
+def encode(params: EncoderParams, x: np.ndarray) -> np.ndarray:
+    """The code means mu of a feature batch: `forward`'s, with no noise or dropout."""
+    return forward(params, x, None)[0]
 
 
 # --- checkpoint serialization (versioned, named float64 tensors) ---

@@ -9,10 +9,10 @@ too and ignore it, so runs that differ only in objective kind see identical
 shuffles and can be compared trajectory-for-trajectory.
 
 Every readout of a split (each epoch's validation, the final scores,
-`evaluate_split` and the codes of `representation_quality`) goes through
-`readout`, in row blocks of bounded memory. A split is scored at its code
-means (no sampling at inference): a predicted class is the argmax of the
-decoded logits.
+`evaluate_split` and the codes of `representation_quality`) runs the
+training step's `encoder.forward` without noise or dropout, in row blocks of
+bounded memory (`readout`). Its layers are `diffcore.matmul`, the model's
+affine layer, kept while `bench/tracer.py` counts its flops.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import data as dataio
 from .data import DataError, Dataset
 from .diffcore import Tape, Tensor, backward, emit
-from .encoder import EncoderParams, decode, encode, forward, init_encoder, init_vib
+from .encoder import EncoderParams, encode, forward, init_encoder, init_vib
 from .metrics import (MetricError, _per_class_stats, adjusted_rand_index, confusion_matrix,
                       kmeans, pearson, silhouette, spearman)
 from .objectives import OBJECTIVES, WEIGHTS, LossTerms, ObjectiveConfig, spc_loss
@@ -164,15 +164,15 @@ def build_model(dataset: Dataset, cfg: TrainConfig,
                         use_layer_norm=cfg.layer_norm)
 
 
-def batch_loss(model: EncoderParams, x: Tensor, y, objective: ObjectiveConfig,
+def batch_loss(model: EncoderParams, x: np.ndarray, y, objective: ObjectiveConfig,
                eps: np.ndarray, dropout_mask: np.ndarray | None = None) -> LossTerms:
-    """One minibatch through the configured objective as one taped op:
-    encode, set t to a sample (kinds that take beta) or to mu, decode, score.
+    """One minibatch, plain arrays, through the configured objective as one
+    taped op: t is a sample (kinds that take beta) or mu, decoded and scored.
     A kind that does not sample takes no KL term either, so its log-variance
     head is skipped. The op has one pair per model tensor; the first that
     `backward` calls runs the hand-written backward (`spc_loss`'s, then
     `encoder.forward`'s) for all of them."""
-    mu, log_var, out, backprop = forward(model, x.values, eps if objective.samples else None,
+    mu, log_var, out, backprop = forward(model, x, eps if objective.samples else None,
                                          dropout_mask)
     terms, loss_grads = spc_loss(out, mu, log_var, y, objective)
     grads = {}
@@ -215,8 +215,7 @@ def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
     """The task's scores of `model` on one split, read out in row blocks."""
     rows = dataset.indices(split)
     targets = dataset.targets[rows]
-    outputs = readout(model, dataset, rows,
-                      lambda features: decode(model, encode(model, Tensor(features))).values)
+    outputs = readout(model, dataset, rows, lambda features: forward(model, features, None)[2])
     if dataset.task == "classification":
         pred = outputs.argmax(axis=1)
         _, recall, f1 = _per_class_stats(confusion_matrix(targets, pred, dataset.num_classes))
@@ -264,7 +263,7 @@ def representation_quality(model: EncoderParams, dataset: Dataset,
     if gold.size < dataset.num_classes:
         raise DataError(f"the test split has {gold.size} rows, fewer than the "
                         f"{dataset.num_classes} clusters of k-means")
-    reps = readout(model, dataset, rows, lambda features: encode(model, Tensor(features)).values)
+    reps = readout(model, dataset, rows, lambda features: encode(model, features))
     # a squared distance of two codes is at most 4 * d * max|code|^2, and
     # k-means++ sums n of them: both must be finite to cluster
     peak, limit = np.abs(reps).max(), np.sqrt(np.finfo(np.float64).max / (4.0 * reps.size))
@@ -330,7 +329,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     params = model.parameters()
     flat, flat_grad = _flatten(params)
     state = AdamaxState(m=np.zeros_like(flat), u=np.zeros_like(flat))
-    objective = cfg.objective
     metric_name = cfg.headline_metric()
 
     train_rows = dataset.indices("train")
@@ -351,8 +349,6 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
         epoch_totals = []
         for start in range(0, train_rows.size, cfg.batch_size):
             idx = train_rows[perm[start:start + cfg.batch_size]]
-            x = Tensor(dataset.features[idx])
-            y = dataset.targets[idx]
             draw = rng.standard_normal((idx.size, model.latent_dim))
             eps = np.zeros_like(draw) if cfg.zero_eps else draw
             mask = None
@@ -360,7 +356,8 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
                 keep = rng.random((idx.size, cfg.hidden_dim)) >= cfg.dropout
                 mask = keep / (1.0 - cfg.dropout)
             with Tape() as tape:
-                terms = batch_loss(model, x, y, objective, eps, mask)
+                terms = batch_loss(model, dataset.features[idx], dataset.targets[idx],
+                                   cfg.objective, eps, mask)
             total = terms.total_value
             step += 1
             report.step_logs.append({
@@ -441,11 +438,17 @@ def sweep_cells(cfg: TrainConfig, betas: Sequence[float],
     given = [f"{name}={getattr(objective, name)}" for name in WEIGHTS if getattr(objective, name)]
     if given:
         raise ValueError(f"a sweep's grid sets every weight, got {', '.join(given)} outside it")
-    untaken = [grid for grid, values in (("betas", betas), ("gammas", gammas))[len(names):]
-               if any(values)]
+    grids = (("betas", betas), ("gammas", gammas))
+    untaken = [grid for grid, values in grids[len(names):] if any(values)]
     if untaken:
         raise ValueError(f"kind {objective.kind!r} takes {len(names)} swept weight(s), "
                          f"so its {' and '.join(untaken)} must be 0")
+    for (grid, values), name in zip(grids, names):  # a bad value is named by its grid
+        for value in values:
+            try:
+                dataclasses.replace(objective, **{name: value})
+            except ValueError as err:
+                raise ValueError(f"{err} in the {grid}") from None
     return [(beta, gamma, dataclasses.replace(cfg, objective=dataclasses.replace(
                 objective, **dict(zip(names, (beta, gamma))))))
             for beta in betas for gamma in gammas]

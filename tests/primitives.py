@@ -2,9 +2,8 @@
 `spc.diffcore.emit`: the reference chains of `test_fused_ops.py`, and ops
 whose gradients `test_diffcore.py` and acceptance criterion 1 check.
 `matmul`, `tanh` and `layer_norm` are the differentiable forms of the
-layers of the readouts `spc.encoder.encode` and `decode`, which tape
-nothing; `mul` and `clip` were the encoder's dropout mask and
-log-variance clamp.
+layers of `spc.encoder.forward`, which tapes nothing; `mul` and `clip`
+were the encoder's dropout mask and log-variance clamp.
 
 Broadcasting has three cases: a scalar against a tensor (`add`, `sub`,
 `mul`, the bias of `matmul`), and a 1xH row against a BxH matrix (`add`,

@@ -125,7 +125,7 @@ def _objective_case(kind, rng):
     """Random tiny model + batch for one objective kind, through the training step."""
     d_in, hidden, classes, batch, latent = 5, 6, 4, 3, 3
     out_dim = classes if OBJECTIVES[kind].task == "classification" else 1
-    x = Tensor(rng.normal(size=(batch, d_in)))
+    x = rng.normal(size=(batch, d_in))
     if OBJECTIVES[kind].decoder:
         model = init_vib(d_in, hidden, latent, out_dim, rng=rng)
         y = (rng.integers(0, classes, size=batch) if out_dim == classes

@@ -7,7 +7,6 @@ from fused import GaussianCode, _task_nll, kl_to_std_normal
 from gradcheck import max_grad_rel_err
 from spc.diffcore import Tensor
 from spc.encoder import (
-    decode,
     encode,
     forward,
     init_encoder,
@@ -34,10 +33,10 @@ class TestCeForward:
     def test_equals_spc_with_zero_everything(self):
         rng = np.random.default_rng(40)
         params = init_encoder(5, 8, 3, rng=rng)
-        x = Tensor(rng.normal(size=(6, 5)))
+        x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, size=6)
         ce = batch_loss(params, x, y, CE, no_eps(6, 3))
-        mu, log_var, t, _ = forward(params, x.values, np.zeros((6, 3)))
+        mu, log_var, t, _ = forward(params, x, np.zeros((6, 3)))
         reduced, _ = spc_loss(t, mu, log_var, y, ObjectiveConfig(kind="spc", beta=0.0, gamma=0.0))
         assert ce.total_value == reduced.total_value
 
@@ -45,14 +44,14 @@ class TestCeForward:
         params = init_encoder(4, 6, 5, rng=41)
         for p in params.parameters():
             p.values[:] = 0.0
-        x = Tensor(np.random.default_rng(41).normal(size=(7, 4)))
+        x = np.random.default_rng(41).normal(size=(7, 4))
         y = np.random.default_rng(42).integers(0, 5, size=7)
         assert abs(batch_loss(params, x, y, CE, no_eps(7, 5)).total_value - math.log(5)) < 1e-15
 
     def test_gradcheck(self):
         rng = np.random.default_rng(43)
         params = init_encoder(4, 5, 3, rng=rng)
-        x = Tensor(rng.normal(size=(5, 4)))
+        x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
         err = max_grad_rel_err(lambda: batch_loss(params, x, y, CE, no_eps(5, 3)).total,
                                params.parameters())
@@ -63,7 +62,7 @@ class TestCeCpForward:
     def test_zero_weight_equals_ce(self):
         rng = np.random.default_rng(44)
         params = init_encoder(4, 5, 3, rng=rng)
-        x = Tensor(rng.normal(size=(5, 4)))
+        x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
         eps = no_eps(5, 3)
         assert (batch_loss(params, x, y, ce_cp(0.0), eps).total_value
@@ -74,19 +73,19 @@ class TestCeCpForward:
         for p in params.parameters():
             p.values[:] = 0.0
         params.tensors["b_mu"].values[:] = np.array([[40.0, -40.0]])  # softmax ~ one-hot
-        x = Tensor(np.zeros((4, 3)))
+        x = np.zeros((4, 3))
         terms = batch_loss(params, x, np.zeros(4, dtype=int), ce_cp(1.0), no_eps(4, 2))
         assert abs(terms.penalty) < 1e-12
 
     def test_external_recomputation(self):
         rng = np.random.default_rng(46)
         params = init_encoder(4, 5, 3, rng=rng)
-        x = Tensor(rng.normal(size=(6, 4)))
+        x = rng.normal(size=(6, 4))
         y = rng.integers(0, 3, size=6)
         w = 0.8
         terms = batch_loss(params, x, y, ce_cp(w), no_eps(6, 3))
 
-        logits = encode(params, x).values
+        logits = encode(params, x)
         shifted = logits - logits.max(axis=1, keepdims=True)
         log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         nll = -log_probs[np.arange(6), y].mean()
@@ -97,7 +96,7 @@ class TestCeCpForward:
     def test_gradcheck(self):
         rng = np.random.default_rng(47)
         params = init_encoder(4, 5, 3, rng=rng)
-        x = Tensor(rng.normal(size=(5, 4)))
+        x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
         err = max_grad_rel_err(lambda: batch_loss(params, x, y, ce_cp(0.5), no_eps(5, 3)).total,
                                params.parameters())
@@ -112,7 +111,7 @@ class TestVib:
     def _setup(self, seed=49, batch=5, input_dim=4, latent=3, classes=3):
         rng = np.random.default_rng(seed)
         params = init_vib(input_dim, 6, latent, classes, rng=rng)
-        x = Tensor(rng.normal(size=(batch, input_dim)))
+        x = rng.normal(size=(batch, input_dim))
         y = rng.integers(0, classes, size=batch)
         eps = rng.standard_normal((batch, latent))
         return params, x, y, eps
@@ -120,13 +119,13 @@ class TestVib:
     def test_beta_zero_eps_zero_is_deterministic_ce(self):
         params, x, y, _ = self._setup()
         terms = batch_loss(params, x, y, ObjectiveConfig(kind="vib"), np.zeros((5, 3)))
-        logits = decode(params, encode(params, x))
+        logits = Tensor(forward(params, x, None)[2])
         assert terms.total_value == float(_task_nll(logits, y).values)
 
     def test_kl_matches_closed_form(self):
         params, x, y, eps = self._setup(seed=50)
         terms = batch_loss(params, x, y, ObjectiveConfig(kind="vib", beta=1.0), eps)
-        mu, log_var, _, _ = forward(params, x.values, eps)
+        mu, log_var, _, _ = forward(params, x, eps)
         code = GaussianCode(Tensor(mu), Tensor(log_var))
         assert abs(terms.kl - float(kl_to_std_normal(code).values)) < 1e-15
 
@@ -145,7 +144,7 @@ class TestVib:
     def test_regression_variant(self):
         rng = np.random.default_rng(52)
         params = init_vib(4, 6, 3, 1, rng=rng)
-        x = Tensor(rng.normal(size=(5, 4)))
+        x = rng.normal(size=(5, 4))
         y = rng.normal(size=5)
         eps = rng.standard_normal((5, 3))
         terms = batch_loss(params, x, y,
@@ -174,9 +173,9 @@ class TestStructuralContrast:
     def test_mse_forward_baseline(self):
         rng = np.random.default_rng(56)
         params = init_encoder(4, 5, 1, rng=rng)
-        x = Tensor(rng.normal(size=(5, 4)))
+        x = rng.normal(size=(5, 4))
         y = rng.normal(size=5)
         terms = batch_loss(params, x, y, ObjectiveConfig(kind="mse"),
                            no_eps(5, 1))
-        pred = encode(params, x).values
+        pred = encode(params, x)
         assert abs(terms.total_value - ((pred.ravel() - y) ** 2).mean()) < 1e-12

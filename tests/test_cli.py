@@ -23,7 +23,6 @@ from spc import data as dataio
 from spc import trainer
 from spc.data import gen_mixture, save
 from spc.objectives import OBJECTIVES, ObjectiveConfig
-from spc.diffcore import Tensor
 from spc.encoder import (encode, init_encoder, init_vib, load_checkpoint, save_checkpoint,
                          tensor_shapes)
 from spc.metrics import adjusted_rand_index, kmeans, silhouette
@@ -44,6 +43,18 @@ try:
 except ImportError:  # NumPy 1.x
     from numpy.core._multiarray_umath import __cpu_features__
 X86_V4 = bool(__cpu_features__.get("X86_V4"))
+# the NumPy every pinned digest of this file was taken on
+PINNED_NUMPY = "2.4.6"
+
+
+def pinned_on(table: str) -> str:
+    """A pinned digest's failure message: the table it read, and the NumPy
+    that ran beside the one the tables were pinned on."""
+    return f"{table} table, NumPy {np.__version__} (pinned on NumPy {PINNED_NUMPY})"
+
+
+# the table of this machine's class
+CLASS_TABLE = "AVX512F" if X86_V4 else "AVX2"
 
 
 @pytest.fixture()
@@ -177,7 +188,7 @@ class TestEvalAndReprQuality:
         assert all(v >= 0.0 for v in report["timing"].values())
         dataset = dataio.load(data_file)
         rows = dataset.indices("test")
-        reps = encode(load_checkpoint(ckpt), Tensor(dataset.features[rows])).values
+        reps = encode(load_checkpoint(ckpt), dataset.features[rows])
         gold = dataset.targets[rows]
         assigns = [kmeans(reps, dataset.num_classes, seed=seed) for seed in range(3)]
         assert results["per_seed"] == [
@@ -1154,7 +1165,13 @@ class TestListFlags:
         ("train", ("--lr", "-1"), ("--lr",)),
         ("train", ("--patience", "30"), ("--patience", "--epochs")),
         ("train", ("--hidden-dim", "0"), ("--hidden-dim",)),
-        ("sweep", ("--betas", "0.1,-1"), ("--betas/--gammas",)),
+        # a bad grid value is named by its grid alone; ce_cp's --betas set its cp_weight
+        ("sweep", ("--betas", "0.1,-1"), ("usage error: --betas: beta ",)),
+        ("sweep", ("--betas", "nan"), ("usage error: --betas: beta ",)),
+        ("sweep", ("--gammas", "inf"), ("usage error: --gammas: gamma ",)),
+        ("sweep", ("--objective", "ce_cp", "--betas", "inf"),
+         ("usage error: --betas: cp_weight ",)),
+        ("sweep", ("--objective", "ce_cp", "--gammas", "nan"), ("usage error: --gammas: ",)),
         ("noise-study", ("--objectives", "mse"), ("--objectives",)),
         ("noise-study", ("--objectives", "ce,nope"), ("--objectives", "'nope'")),
         ("ratio-study", ("--ratios", "0"), ("--ratios",)),
@@ -1187,6 +1204,8 @@ class TestListFlags:
         (("--per-class", "2"), "--per-class"), (("--seed", "-1"), "--seed"),
         (("--sep", "-1"), "--sep"), (("--classes", str(2 ** 70)), "--classes"),
         (("--dim", str(2 ** 70)), "--dim"), (("--per-class", str(2 ** 70)), "--per-class"),
+        # a non-finite separation is refused before any row is drawn
+        (("--sep", "nan"), "--sep"), (("--sep", "inf"), "--sep"),
     ])
     def test_a_gen_data_check_names_only_its_flag(self, tmp_path, capsys, flags, name):
         output = tmp_path / "mix.jsonl"
@@ -2087,7 +2106,7 @@ class TestLoadTiming:
         assert sorted(report["timing"]) == keys
         assert all(value >= 0.0 for value in report["timing"].values())
         payload = json.dumps(report["results"], sort_keys=True).encode("utf-8")
-        assert hashlib.sha256(payload).hexdigest() == results_sha256
+        assert hashlib.sha256(payload).hexdigest() == results_sha256, pinned_on(CLASS_TABLE)
 
 
 SCOPED_FLAGS = ("--epochs", "2", "--patience", "2", "--batch-size", "4", "--hidden-dim", "4",
@@ -2194,7 +2213,7 @@ class TestSplitScopedCommands:
         run_id = _single_run_id("out")
         payload = json.dumps(read_report("out", run_id)["results"], sort_keys=True)
         assert (run_id, hashlib.sha256(payload.encode("utf-8")).hexdigest()) == \
-            SCOPED_GOLDEN[case]
+            SCOPED_GOLDEN[case], pinned_on("the one (AVX512F and AVX2)")
         assert self.held == held
 
 
@@ -2306,7 +2325,8 @@ class TestGoldenResults:
     def test_run_hash_and_parameters(self, kind, setting):
         report = golden_run(kind, setting)
         pinned = GOLDEN_RESULTS if X86_V4 else GOLDEN_RESULTS_AVX2
-        assert (report.run_hash()[:16], params_digest(report)) == pinned[kind, setting]
+        assert (report.run_hash()[:16], params_digest(report)) == pinned[kind, setting], \
+            pinned_on(CLASS_TABLE)
         assert not report.diverged
         if setting == "zero-eps-early-stop":
             assert report.best_epoch < report.epochs_ran < report.config["epochs"]

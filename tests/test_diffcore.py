@@ -12,7 +12,7 @@ from primitives import (DomainError, add, clip, exp, layer_norm, log, log_softma
 import spc.data
 from spc import diffcore
 from spc.diffcore import GraphError, ShapeError, Tape, Tensor, backward, emit, param
-from spc.encoder import decode, encode, init_encoder, init_vib
+from spc.encoder import forward, init_encoder, init_vib
 
 
 class TestMatmul:
@@ -284,8 +284,9 @@ class TestBackward:
 
 
 class TestReadoutOps:
-    """`encoder.encode` and `decode` give the values of the differentiable
-    reference chain, bit for bit, and tape nothing."""
+    """A readout, `encoder.forward` with no noise on plain arrays, gives the
+    values of the differentiable reference chain, bit for bit, and tapes
+    nothing."""
 
     @pytest.mark.parametrize("kind, use_layer_norm",
                              [("encoder", False), ("encoder", True), ("vib", False)])
@@ -297,41 +298,53 @@ class TestReadoutOps:
         w = model.tensors
         x = param(np.random.default_rng(9).normal(size=(4, 5)))
         with Tape() as tape:
-            mu = encode(model, x)
-            readout = decode(model, mu)
-        assert len(tape) == 0 and not readout.requires_grad
+            mu, _, readout, _ = forward(model, x.values, None)
+        assert len(tape) == 0 and type(readout) is np.ndarray
         with Tape() as tape:
             pre = matmul(x, w["w_in"], w["b_in"])
             reference = matmul(tanh(layer_norm(pre) if use_layer_norm else pre),
                                w["w_mu"], w["b_mu"])
-            assert mu.values.tobytes() == reference.values.tobytes()
+            assert mu.tobytes() == reference.values.tobytes()
             if kind == "vib":
                 reference = matmul(tanh(matmul(reference, w["w_dec1"], w["b_dec1"])),
                                    w["w_dec2"], w["b_dec2"])
         assert len(tape) == 3 + use_layer_norm + 3 * (kind == "vib")
-        assert readout.values.tobytes() == reference.values.tobytes()
+        assert readout.tobytes() == reference.values.tobytes()
 
 
 def test_diffcore_is_the_tape_and_matmul():
-    """`spc.diffcore` defines the tape and the readouts' `matmul`, nothing more."""
+    """`spc.diffcore` defines the tape and the model's affine layer `matmul`,
+    nothing more."""
     tree = ast.parse(pathlib.Path(diffcore.__file__).read_text())
     defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined == {"Tensor", "param", "Tape", "backward", "emit", "matmul", "ShapeError",
                        "GraphError"}
 
 
-def test_only_the_training_step_emits():
-    """A training step is the one taped op of `spc`: `emit` is called in
-    `trainer.batch_loss` alone, and the readout ops tape nothing."""
+def _callers(name: str) -> list[str]:
+    """The `module.top_level_name` around each call of `name` in `spc`, once per call."""
     package = pathlib.Path(spc.data.__file__).parent
     callers = []
     for path in sorted(package.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             calls = [node for node in ast.walk(top) if isinstance(node, ast.Call)
-                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == "emit"]
+                     and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
             callers += [f"{path.stem}.{getattr(top, 'name', '<module>')}"] * len(calls)
-    assert callers == ["trainer.batch_loss"]
+    return callers
+
+
+def test_only_the_training_step_emits():
+    """A training step is the one taped op of `spc`: `emit` is called in
+    `trainer.batch_loss` alone, and the readout ops tape nothing."""
+    assert _callers("emit") == ["trainer.batch_loss"]
     assert not hasattr(diffcore, "_unbroadcast")
+
+
+def test_only_the_forward_runs_the_layers():
+    """`encoder.forward` is the one place the model's layers are computed,
+    for training and readouts alike: `matmul` is called in it alone."""
+    callers = _callers("matmul")
+    assert callers and set(callers) == {"encoder.forward"}
 
 
 # used outside the package only: README's Library usage block calls it

@@ -11,10 +11,9 @@ from checkpoint_files import format_1_payload, format_2_parts, write_format_1, w
 from gradcheck import max_grad_rel_err
 from spc import encoder
 from spc.data import DataError, Dataset
-from spc.diffcore import ShapeError, Tape, Tensor, param
+from spc.diffcore import ShapeError, Tape, param
 from spc.encoder import (
     EncoderParams,
-    decode,
     encode,
     forward,
     init_encoder,
@@ -38,21 +37,21 @@ def zero_encoder(input_dim=3, hidden_dim=4, out_dim=2) -> EncoderParams:
 class TestEncode:
     def test_zero_network(self):
         params = zero_encoder()
-        assert np.array_equal(encode(params, Tensor(np.ones((5, 3)))).values, np.zeros((5, 2)))
+        assert np.array_equal(encode(params, np.ones((5, 3))), np.zeros((5, 2)))
         _, log_var, _, _ = forward(params, np.ones((5, 3)), np.zeros((5, 2)))
         assert np.array_equal(log_var, np.zeros((5, 2)))
 
     def test_output_shape(self):
         params = init_encoder(7, 16, 4, rng=0)
         x = np.random.default_rng(0).normal(size=(9, 7))
-        assert encode(params, Tensor(x)).values.shape == (9, 4)
+        assert encode(params, x).shape == (9, 4)
         _, log_var, _, _ = forward(params, x, np.zeros((9, 4)))
         assert log_var.shape == (9, 4)
 
     def test_dimension_mismatch(self):
         params = init_encoder(7, 16, 4, rng=0)
-        with pytest.raises(ShapeError):
-            encode(params, Tensor(np.zeros((2, 5))))
+        with pytest.raises(ShapeError, match=r"forward: expected input of shape \(B, 7\)"):
+            forward(params, np.zeros((2, 5)), None)
 
     def test_log_var_clamped(self):
         params = zero_encoder()
@@ -62,11 +61,11 @@ class TestEncode:
 
     @staticmethod
     def step_grad_err(seed, use_layer_norm):
-        """The training step's worst gradient error: `encode` is a readout
-        that tapes nothing, so the trunk is checked through `batch_loss`."""
+        """The training step's worst gradient error: the trunk is checked
+        through `batch_loss`, the one taped op."""
         rng = np.random.default_rng(seed)
         params = init_encoder(5, 6, 3, rng=rng, use_layer_norm=use_layer_norm)
-        x = Tensor(rng.normal(size=(4, 5)))
+        x = rng.normal(size=(4, 5))
         y = rng.integers(0, 3, size=4)
         eps = rng.standard_normal((4, 3))
         objective = ObjectiveConfig(kind="spc", beta=0.2, gamma=0.3)
@@ -82,8 +81,9 @@ class TestEncode:
     def test_encode_is_a_readout(self):
         params = init_encoder(5, 6, 3, rng=9, use_layer_norm=True)
         with Tape() as tape:
-            mu = encode(params, Tensor(np.ones((2, 5))))
-        assert len(tape) == 0 and not mu.requires_grad
+            mu = encode(params, np.ones((2, 5)))
+        assert len(tape) == 0 and type(mu) is np.ndarray
+        assert mu.tobytes() == forward(params, np.ones((2, 5)), None)[0].tobytes()
 
 
 class TestSample:
@@ -139,7 +139,7 @@ class TestSample:
 
 def logits(params: EncoderParams, features: np.ndarray) -> np.ndarray:
     """The readout `trainer.evaluate_split` scores: the decoded code means."""
-    return decode(params, encode(params, Tensor(features))).values
+    return forward(params, features, None)[2]
 
 
 class TestPredict:

@@ -236,7 +236,7 @@ def test_training_step_has_the_chains_bytes(kind, structured_from, variant):
         backward(total, tape)
         return [total.values.tobytes()] + [p.grad.tobytes() for p in model.parameters()]
 
-    fused = step(lambda: batch_loss(model, x, y, objective, eps, mask).total)
+    fused = step(lambda: batch_loss(model, x.values, y, objective, eps, mask).total)
     assert fused == step(lambda: chain_batch_loss(model, x, y, objective, eps, mask))
     if variant == "clamped":
         w = {name: t.values for name, t in model.tensors.items()}

@@ -6,9 +6,8 @@ import pytest
 
 from spc import metrics, trainer
 from spc.data import SPLITS, DataError, Dataset, gen_mixture
-from spc.diffcore import Tape, Tensor
-from spc.encoder import (decode, encode, forward, init_encoder, init_vib, load_checkpoint,
-                         save_checkpoint)
+from spc.diffcore import Tape
+from spc.encoder import encode, forward, init_encoder, init_vib, load_checkpoint, save_checkpoint
 from spc.objectives import OBJECTIVES, WEIGHTS, ObjectiveConfig, spc_loss
 from spc.trainer import (
     AdamaxState,
@@ -153,7 +152,7 @@ def one_batch(kind: str, weights: dict[str, float], hidden: int):
     out_dim = 3 if spec.task == "classification" else 1
     model = (init_vib(4, hidden, 2, out_dim, rng=rng) if spec.decoder
              else init_encoder(4, hidden, out_dim, rng=rng))
-    x = Tensor(rng.normal(size=(5, 4)))
+    x = rng.normal(size=(5, 4))
     y = rng.integers(0, 3, size=5) if spec.task == "classification" else rng.normal(size=5)
     return model, x, y, objective, rng.standard_normal((5, model.latent_dim))
 
@@ -320,12 +319,12 @@ def readout_case(kind: str, layer_norm: bool = False):
 
 
 def mean_codes(model):
-    return lambda features: encode(model, Tensor(features)).values
+    return lambda features: encode(model, features)
 
 
 def logits(model):
     """The readout `evaluate_split` scores: the decoded mean codes."""
-    return lambda features: decode(model, encode(model, Tensor(features))).values
+    return lambda features: forward(model, features, None)[2]
 
 
 READOUT_CASES = [pytest.param(kind, layer_norm, id=f"{kind}{'-layer-norm' * layer_norm}")
@@ -354,15 +353,15 @@ class TestReadout:
 
     @pytest.mark.parametrize("kind, layer_norm", READOUT_CASES)
     def test_the_step_scores_the_readout(self, kind, layer_norm):
-        # with eps = 0 and no dropout, a training step's forward gives the
-        # readout's output byte for byte, so the two forwards cannot drift apart
+        # with eps = 0 and no dropout, a training step's sampled forward gives
+        # the readout's output byte for byte, so a step scores what a readout reads
         model, dataset = readout_case(kind, layer_norm)
         rows = dataset.indices("test")
         features, targets = dataset.features[rows], dataset.targets[rows]
         eps = np.zeros((rows.size, model.latent_dim))
         readout_out = logits(model)(features)
         assert forward(model, features, eps)[2].tobytes() == readout_out.tobytes()
-        step = batch_loss(model, Tensor(features), targets, ObjectiveConfig(kind=kind), eps)
+        step = batch_loss(model, features, targets, ObjectiveConfig(kind=kind), eps)
         plain = ObjectiveConfig(kind="ce" if dataset.task == "classification" else "mse")
         readout_terms, _ = spc_loss(readout_out, None, None, targets, plain)
         assert step.nll == readout_terms.nll
@@ -592,7 +591,7 @@ class TestRepresentationQuality:
         model = init_encoder(6, 8, 3, rng=5)
         seeds = [0, 1, 2, 7, 11]
         rows = dataset.indices("test")
-        reps = encode(model, Tensor(dataset.features[rows])).values
+        reps = encode(model, dataset.features[rows])
         gold = dataset.targets[rows]
         per_seed_loop = []
         for seed in seeds:
