@@ -140,5 +140,7 @@ def emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
-    """The layer `a @ b + bias`, for a 1xH `bias` row."""
-    return Tensor(a.values @ b.values + bias.values)
+    """The layer `a @ b + bias`, for a 1xH `bias` row (added in place)."""
+    out = a.values @ b.values
+    out += bias.values
+    return Tensor(out)

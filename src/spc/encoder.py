@@ -136,16 +136,30 @@ def init_vib(input_dim: int, hidden_dim: int, latent_dim: int, out_dim: int,
                   "use_layer_norm": use_layer_norm}, rng)
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """`a.mean(axis=1, keepdims=True)` bit for bit: the row sums over the row length."""
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
 def layer_norm_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row of `a` standardized (no affine parameters), and 1/std."""
-    mean = a.mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(a.var(axis=1, keepdims=True) + 1e-5)
-    return (a - mean) * inv_std, inv_std
+    centered = a - _row_mean(a)
+    inv_std = 1.0 / np.sqrt(_row_mean(np.square(centered)) + 1e-5)  # a.var(axis=1)'s bits
+    centered *= inv_std
+    return centered, inv_std
 
 
 def layer_norm_grad(g: np.ndarray, y: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
     """The local gradient of a row-wise layer norm with output `y`."""
-    return inv_std * (g - g.mean(axis=1, keepdims=True) - y * (g * y).mean(axis=1, keepdims=True))
+    d = g - _row_mean(g)
+    d -= y * _row_mean(g * y)
+    d *= inv_std
+    return d
+
+
+def _affine_grads(a: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradients of `a @ w + b`'s w and b, given its output gradient `d`."""
+    return a.T @ d, np.add.reduce(d, axis=0, keepdims=True)
 
 
 def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
@@ -165,11 +179,11 @@ def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
     if x.ndim != 2 or x.shape[1] != params.input_dim:
         raise ShapeError(f"forward: expected input of shape (B, {params.input_dim}), got {x.shape}")
     p = params.tensors
-    w = {name: t.values for name, t in p.items()}
+    vib, layer_norm = params.kind == "vib", params.arch["use_layer_norm"]
     pre = matmul(Tensor(x), p["w_in"], p["b_in"]).values
-    if params.arch["use_layer_norm"]:
+    if layer_norm:
         pre, inv_std = layer_norm_values(pre)
-    hidden = np.tanh(pre)
+    hidden = np.tanh(pre, out=None if layer_norm else pre)  # layer_norm_grad reads pre
     h = hidden if dropout_mask is None else hidden * dropout_mask
     t = mu = matmul(Tensor(h), p["w_mu"], p["b_mu"]).values
     log_var = None
@@ -178,39 +192,47 @@ def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
             raise ShapeError(f"forward: eps shape {eps.shape} != code shape {mu.shape}")
         raw = matmul(Tensor(h), p["w_lv"], p["b_lv"]).values
         in_clamp = (raw >= LOG_VAR_MIN) & (raw <= LOG_VAR_MAX)  # where the clamp passes a gradient
-        log_var = np.clip(raw, LOG_VAR_MIN, LOG_VAR_MAX)
+        log_var = raw.clip(LOG_VAR_MIN, LOG_VAR_MAX, out=raw)
         sigma = np.exp(log_var * 0.5)
-        t = mu + sigma * eps
+        t = sigma * eps
+        t += mu  # mu + sigma * eps, as addition commutes bit for bit
     out = t
-    if params.kind == "vib":
-        dec = np.tanh(matmul(Tensor(t), p["w_dec1"], p["b_dec1"]).values)
+    if vib:
+        dec = matmul(Tensor(t), p["w_dec1"], p["b_dec1"]).values
+        np.tanh(dec, out=dec)
         out = matmul(Tensor(dec), p["w_dec2"], p["b_dec2"]).values
 
     def backprop(d_out, d_mu, d_log_var):
+        # every array written in place below is a temporary made here, so
+        # backprop may run again and its arguments keep their values
         grads = {}
         d_t = d_out
-        if params.kind == "vib":
-            grads["w_dec2"], grads["b_dec2"] = dec.T @ d_out, d_out.sum(axis=0, keepdims=True)
-            d_dec = (d_out @ w["w_dec2"].T) * (1.0 - dec * dec)
-            grads["w_dec1"], grads["b_dec1"] = t.T @ d_dec, d_dec.sum(axis=0, keepdims=True)
-            d_t = d_dec @ w["w_dec1"].T
+        if vib:
+            grads["w_dec2"], grads["b_dec2"] = _affine_grads(dec, d_out)
+            d_dec = d_out @ p["w_dec2"].values.T
+            d_dec *= 1.0 - dec * dec
+            grads["w_dec1"], grads["b_dec1"] = _affine_grads(t, d_dec)
+            d_t = d_dec @ p["w_dec1"].values.T
         if eps is None:
-            grads["w_lv"], grads["b_lv"] = np.zeros_like(w["w_lv"]), np.zeros_like(w["b_lv"])
+            grads.update((name, np.zeros_like(p[name].values)) for name in ("w_lv", "b_lv"))
         else:
-            d_sample = d_t * eps * sigma * 0.5
-            d_raw = (d_sample if d_log_var is None else d_log_var + d_sample) * in_clamp
-            grads["w_lv"], grads["b_lv"] = h.T @ d_raw, d_raw.sum(axis=0, keepdims=True)
+            d_raw = d_t * eps  # d_t * eps * sigma * 0.5, then d_log_var + it, then * in_clamp
+            d_raw *= sigma
+            d_raw *= 0.5
+            if d_log_var is not None:
+                np.add(d_log_var, d_raw, out=d_raw)
+            d_raw *= in_clamp
+            grads["w_lv"], grads["b_lv"] = _affine_grads(h, d_raw)
         d_mu = d_t if d_mu is None else d_mu + d_t
-        grads["w_mu"], grads["b_mu"] = h.T @ d_mu, d_mu.sum(axis=0, keepdims=True)
-        d_h = d_mu @ w["w_mu"].T
-        if eps is not None:
-            d_h = d_raw @ w["w_lv"].T + d_h
+        grads["w_mu"], grads["b_mu"] = _affine_grads(h, d_mu)
+        d_h = d_mu @ p["w_mu"].values.T
+        if eps is not None:  # d_raw @ w_lv.T + d_h
+            d_h = np.add(d_raw @ p["w_lv"].values.T, d_h, out=d_h)
         if dropout_mask is not None:
-            d_h = d_h * dropout_mask
-        d_pre = d_h * (1.0 - hidden * hidden)
-        if params.arch["use_layer_norm"]:
-            d_pre = layer_norm_grad(d_pre, pre, inv_std)
-        grads["w_in"], grads["b_in"] = x.T @ d_pre, d_pre.sum(axis=0, keepdims=True)
+            d_h *= dropout_mask
+        d_h *= 1.0 - hidden * hidden
+        d_pre = layer_norm_grad(d_h, pre, inv_std) if layer_norm else d_h
+        grads["w_in"], grads["b_in"] = _affine_grads(x, d_pre)
         return grads
 
     return mu, log_var, out, backprop

@@ -23,16 +23,17 @@ def confusion_matrix(gold, pred, num_classes: int) -> np.ndarray:
         raise MetricError("gold and pred must be equal-length 1-D arrays")
     if gold.size == 0:
         raise MetricError("empty input")
-    if np.any((gold < 0) | (gold >= num_classes) | (pred < 0) | (pred >= num_classes)):
+    outside = (gold < 0) | (gold >= num_classes) | (pred < 0) | (pred >= num_classes)
+    if np.logical_or.reduce(outside):
         raise MetricError(f"labels out of range [0, {num_classes})")
     cells = np.bincount(gold * num_classes + pred, minlength=num_classes * num_classes)
     return cells.reshape(num_classes, num_classes)
 
 
 def _per_class_stats(cm: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tp = np.diag(cm).astype(np.float64)
-    gold_count = cm.sum(axis=1).astype(np.float64)
-    pred_count = cm.sum(axis=0).astype(np.float64)
+    tp = cm.diagonal().astype(np.float64)
+    gold_count = np.add.reduce(cm, axis=1, dtype=np.float64)  # exact, as counts are integers
+    pred_count = np.add.reduce(cm, axis=0, dtype=np.float64)
     precision = np.divide(tp, pred_count, out=np.zeros_like(tp), where=pred_count > 0)
     recall = np.divide(tp, gold_count, out=np.zeros_like(tp), where=gold_count > 0)
     pr = precision + recall

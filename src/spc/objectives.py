@@ -137,14 +137,14 @@ def log_softmax_values(x: np.ndarray) -> np.ndarray:
         raise ShapeError(f"log_softmax: expected BxC input, got {x.shape}")
     if x.shape[1] < 2:
         raise ShapeError("log_softmax: need at least 2 columns")
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def log_softmax_grad(g: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The local gradient of a row-wise log-softmax, given its output
     gradient `g` and `probs`, the exp of its output."""
-    return g - probs * g.sum(axis=1, keepdims=True)
+    return g - probs * np.add.reduce(g, axis=1, keepdims=True)
 
 
 def spc_loss(out: np.ndarray, mu: np.ndarray, log_var: np.ndarray | None, y,
@@ -171,24 +171,25 @@ def spc_loss(out: np.ndarray, mu: np.ndarray, log_var: np.ndarray | None, y,
         probs = np.exp(log_probs)
         onehot = np.zeros(log_probs.shape)
         onehot[np.arange(batch), y] = 1.0
-        nll = (log_probs * onehot).sum() * (-1.0 / batch)
+        nll = np.add.reduce(log_probs * onehot, axis=None) * (-1.0 / batch)
     else:
         diff = out - np.asarray(y, dtype=np.float64).reshape(-1, 1)
-        nll = (diff * diff).mean()
+        nll = np.add.reduce(diff * diff, axis=None) / diff.size  # (diff * diff).mean()
     total = nll  # plus term * w, in order; adding H * -gamma has the bits of subtracting H * gamma
     kl = batch_entropy = penalty = 0.0
     if cfg.beta != 0.0:
         var = np.exp(log_var)
-        kl = (mu * mu + var - log_var - 1.0).sum() * (0.5 / batch)
+        kl = np.add.reduce(mu * mu + var - log_var - 1.0, axis=None) * (0.5 / batch)
         total = total + kl * float(cfg.beta)
     if cfg.gamma != 0.0:
         source_probs = probs if cfg.structured_from == "sample" else np.exp(log_softmax_values(mu))
-        entropy_terms, marginal_slope = xlogx_values(source_probs.mean(axis=0, keepdims=True))
-        batch_entropy = -entropy_terms.sum()
+        marginal = np.add.reduce(source_probs, axis=0, keepdims=True) / batch  # its mean
+        entropy_terms, marginal_slope = xlogx_values(marginal)
+        batch_entropy = -np.add.reduce(entropy_terms, axis=None)
         total = total + batch_entropy * -float(cfg.gamma)
     if cfg.cp_weight != 0.0:
         entropy_terms, slope = xlogx_values(probs)
-        penalty = entropy_terms.sum() * (1.0 / batch)
+        penalty = np.add.reduce(entropy_terms, axis=None) * (1.0 / batch)
         total = total + penalty * float(cfg.cp_weight)
     terms = LossTerms(Tensor(total), float(nll), float(kl), float(batch_entropy), float(penalty))
 
@@ -209,13 +210,13 @@ def spc_loss(out: np.ndarray, mu: np.ndarray, log_var: np.ndarray | None, y,
         if cfg.beta != 0.0:
             spread = g * float(cfg.beta) * (0.5 / batch)
             d_log_var = var * spread - spread
-            d_mu = mu * spread if d_mu is None else d_mu + mu * spread
-            d_mu = d_mu + mu * spread
+            mu_spread = mu * spread  # added into d_mu twice
+            d_mu = mu_spread + mu_spread if d_mu is None else d_mu + mu_spread + mu_spread
         if cfg.task == "classification":
             d_nll = log_softmax_grad(onehot * (g * (-1.0 / batch)), probs)
         else:
-            spread = g / diff.size
-            d_nll = diff * spread + diff * spread
+            d_nll = diff * (g / diff.size)
+            d_nll += d_nll  # diff * spread + diff * spread
         return (d_nll if d_out is None else d_out + d_nll), d_mu, d_log_var
 
     return terms, grads

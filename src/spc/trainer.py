@@ -22,6 +22,7 @@ import hashlib
 import contextlib
 import itertools
 import json
+import math
 import time
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
@@ -103,23 +104,24 @@ def adamax_step(values: np.ndarray, grad: np.ndarray, state: AdamaxState,
     m <- beta1*m + (1-beta1)*g;  u <- max(beta2*u, |g|);
     p <- p - (lr / (1 - beta1^t)) * m / (u + epsilon),
     with beta1 = 0.9, beta2 = 0.999, epsilon = 1e-8. Weight decay is
-    decoupled: p is shrunk by lr*wd before the update. A `grad` with a
-    non-finite entry changes nothing (not `values`, nor any of `state`) and
-    returns False; a step taken returns True. Every intermediate goes into
-    `state.scratch`, so a step allocates no vector of the parameters' size.
+    decoupled: p is shrunk by lr*wd before the update. A non-finite entry in
+    `grad` changes neither `values` nor `state`'s m, u and t, and returns
+    False; a step taken returns True. Every intermediate, the finiteness check's
+    too, goes into `state.scratch`: a step allocates no parameter-sized vector.
     """
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
-    if not np.all(np.isfinite(grad)):
+    a, b = state.scratch
+    # the largest |g| is inf or nan exactly when some entry of g is
+    if not math.isfinite(np.maximum.reduce(np.abs(grad, out=b), axis=None)):
         return False
     state.t += 1
     correction = 1.0 - beta1 ** state.t
-    a, b = state.scratch
     if weight_decay != 0.0:
         values *= 1.0 - lr * weight_decay
     state.m *= beta1
     state.m += np.multiply(grad, 1.0 - beta1, out=a)
     state.u *= beta2
-    np.maximum(state.u, np.abs(grad, out=a), out=state.u)
+    np.maximum(state.u, b, out=state.u)
     np.multiply(state.m, lr / correction, out=a)
     values -= np.divide(a, np.add(state.u, epsilon, out=b), out=a)
     return True
@@ -201,14 +203,15 @@ def readout(model: EncoderParams, dataset: Dataset, rows: np.ndarray,
     Rows go through `fn` in blocks of at most EVAL_BLOCK_ELEMENTS // (widest
     layer) rows, each gathered from `dataset.features` by index, so memory
     stays bounded whatever the split's size. `rows` that fit in one block
-    are exactly `fn(dataset.features[rows])`. A row's output does not
+    give `fn(dataset.features[rows])` itself, uncopied. A row's output does not
     depend on the other rows, but a matmul split into row blocks may differ
     from the single call in the last bits (BLAS picks its kernel by shape).
     """
     step = max(1, EVAL_BLOCK_ELEMENTS // max(max(t.values.shape) for t in model.parameters()))
-    # an empty `rows` still makes one (zero-row) block
+    if rows.size <= step:  # an empty `rows` too
+        return fn(dataset.features[rows])
     return np.concatenate([fn(dataset.features[rows[lo:lo + step]])
-                           for lo in range(0, max(rows.size, 1), step)])
+                           for lo in range(0, rows.size, step)])
 
 
 def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
@@ -219,10 +222,10 @@ def evaluate_split(model: EncoderParams, dataset: Dataset, split: str) -> dict:
     if dataset.task == "classification":
         pred = outputs.argmax(axis=1)
         _, recall, f1 = _per_class_stats(confusion_matrix(targets, pred, dataset.num_classes))
-        return {
-            "macro_f1": float(f1.mean()),
-            "macro_recall": float(recall.mean()),
-            "accuracy": float((pred == targets).mean()),
+        return {  # each mean a sum over its count, as .mean() computes it
+            "macro_f1": float(np.add.reduce(f1) / f1.size),
+            "macro_recall": float(np.add.reduce(recall) / recall.size),
+            "accuracy": float(np.count_nonzero(pred == targets) / targets.size),
             "per_class_f1": [float(v) for v in f1],
         }
     scores = {}
@@ -365,7 +368,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
                 "batch_entropy": terms.batch_entropy, "penalty": terms.penalty,
                 "total": total,
             })
-            if not np.isfinite(total):
+            if not math.isfinite(total):
                 report.diverged = True
                 break
             flat_grad.fill(0.0)

@@ -181,6 +181,23 @@ class TestPredict:
         after = np.random.get_state()
         assert state[1].tolist() == after[1].tolist()
 
+    @pytest.mark.parametrize("vib", [False, True], ids=["encoder", "vib"])
+    def test_a_readout_block_keeps_few_activations_alive(self, vib):
+        # a 256 x 256 block at hidden 256: each activation is 512 KB, and the
+        # layers write their tanh in place, so a VIB block holds no more than
+        # about two at once, as the encoder kind does
+        rng = np.random.default_rng(16)
+        params = (init_vib(256, 256, 16, 20, rng=rng) if vib
+                  else init_encoder(256, 256, 20, rng=rng))
+        features = rng.normal(size=(256, 256))
+        tracemalloc.start()
+        try:
+            forward(params, features, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):

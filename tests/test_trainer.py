@@ -128,19 +128,33 @@ class TestAdamax:
                           (state.u, expected_state.u)):
             assert got.tobytes() == want.tobytes()
 
-    def test_a_step_allocates_no_parameter_sized_vector(self):
+    @staticmethod
+    def one_step_peak(bad_entry=None) -> tuple[bool, int]:
+        """What one step on 100,000 parameters returns, and tracemalloc's peak
+        over it; `bad_entry` replaces one gradient entry."""
         rng = np.random.default_rng(18)
         values = rng.standard_normal(100_000)
         state = fresh_state(values)
         grad = rng.standard_normal(values.size)
+        if bad_entry is not None:
+            grad[54_321] = bad_entry
         tracemalloc.start()
         try:
-            assert adamax_step(values, grad, state, lr=0.01, weight_decay=0.1)
-            _, peak = tracemalloc.get_traced_memory()
+            taken = adamax_step(values, grad, state, lr=0.01, weight_decay=0.1)
+            return taken, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the finiteness check's booleans are an eighth of a float64 vector
-        assert peak < values.nbytes // 2
+
+    def test_a_step_allocates_no_parameter_sized_vector(self):
+        # the finiteness check writes into state.scratch too, so a step peaks
+        # below even one bool per parameter
+        taken, peak = self.one_step_peak()
+        assert taken and peak < 100_000
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_refused_step_allocates_no_vector(self, bad):
+        taken, peak = self.one_step_peak(bad)
+        assert taken is False and peak < 100_000
 
 
 def one_batch(kind: str, weights: dict[str, float], hidden: int):
@@ -407,23 +421,28 @@ class TestReadout:
     @pytest.mark.parametrize("vib", [False, True], ids=["encoder", "vib"])
     def test_memory_does_not_grow_with_the_split(self, vib, monkeypatch):
         # 8000 rows at hidden 128: one call builds several 8000 x 128 float64
-        # activations (8 MB each); a block of 512 rows builds 512 KB ones
+        # activations (8 MB each); a block of 512 rows builds 512 KB ones. The
+        # one-call control reads 16000 rows, so that its peak stays above
+        # twice the bound however few activations a call keeps alive at once
         rng = np.random.default_rng(22)
-        n = 8000
-        dataset = Dataset(features=rng.standard_normal((n, 16)), targets=rng.integers(0, 4, n),
-                          split=np.full(n, "test"), task="classification", num_classes=4)
+
+        def split_of(n):
+            return Dataset(features=rng.standard_normal((n, 16)), targets=rng.integers(0, 4, n),
+                           split=np.full(n, "test"), task="classification", num_classes=4)
+
+        dataset, control = split_of(8000), split_of(16000)
         model = (init_vib(16, 128, 8, 4, rng=1, use_layer_norm=True) if vib
                  else init_encoder(16, 128, 4, rng=1))
         # silhouette bounds its own memory (test_metrics); stubbed here, the
         # readout sets the peak
         monkeypatch.setattr(trainer, "silhouette", lambda points, assigns: np.zeros(len(assigns)))
         bound = 6 * 2**20
-        for readout_fn in (lambda: evaluate_split(model, dataset, "test"),
-                           lambda: representation_quality(model, dataset, [0], {})):
-            assert self.peak_bytes(readout_fn) < bound
+        for readout_fn in (lambda split: evaluate_split(model, split, "test"),
+                           lambda split: representation_quality(model, split, [0], {})):
+            assert self.peak_bytes(lambda: readout_fn(dataset)) < bound
             with monkeypatch.context() as one_call:
                 one_call.setattr(trainer, "EVAL_BLOCK_ELEMENTS", 1 << 40)
-                assert self.peak_bytes(readout_fn) > 2 * bound
+                assert self.peak_bytes(lambda: readout_fn(control)) > 2 * bound
 
 
 class TestAblationIdentities:
