@@ -1,9 +1,13 @@
 """Command-line entry point for the full experimental protocol.
 
-Commands: gen-data, train, eval, sweep, noise-study, ratio-study, ood,
-repr-quality, report. Every command but report runs one sequence: its
-handler computes a `Run`, and `main` hands it to `finish_run`, which names
-the run by a hash of its inputs (`run_inputs`) and writes its files under
+Each command (gen-data, train, eval, sweep, noise-study, ratio-study, ood,
+repr-quality, report) is one `Command` record in `COMMANDS`: its help, flag
+groups, own flags and `cmd_*` handler. `build_parser` makes each subparser
+from its record, and `main` runs every command one way: as the record says,
+it checks the featurizer flags, fills the training flags
+(`resolve_train_args`) and reads --seeds (`parse_seeds`), before any read;
+the handler computes a `Run` (report's prints its own table), which
+`finish_run` names by a hash of its inputs (`run_inputs`) and writes under
 <out-root>/<run-id>/; `main` then prints `run <id>: <headline>` and sets
 the exit code. Invocations that differ in any effective input get
 different ids, and re-running one reproduces the same directory with
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import inspect
 import json
@@ -111,7 +116,7 @@ def read_json_object(path: str, *keys: str) -> dict:
     with open(path, encoding="utf-8-sig") as fh:
         try:
             value = json.load(fh)
-        except ValueError as err:
+        except (ValueError, RecursionError) as err:  # RecursionError: nested too deep
             raise DataError(f"{path}: not a json file ({err})") from None
     if not isinstance(value, dict):
         raise DataError(f"{path}: expected a json object")
@@ -329,11 +334,6 @@ def _train_configs(args, kinds: Sequence[str]) -> list[TrainConfig]:
     return configs
 
 
-# each study's `data` perturbation (see data.RATIOS), default --ratios and help
-STUDIES = {"noise-study": ("inject_label_noise", "0.1,0.2,0.3", "label-noise robustness table"),
-           "ratio-study": ("subsample_train", "0.2,0.4,0.6,0.8,1.0", "limited-training-data table")}
-
-
 # --- command handlers ---
 
 def cmd_gen_data(args, timing: dict) -> Run:
@@ -399,9 +399,8 @@ def cmd_sweep(args, timing: dict) -> Run:
                rows, {}, sum(row["diverged"] for row in rows))
 
 
-def cmd_study(args, timing: dict) -> Run:
-    """noise-study and ratio-study: one table per perturbation in STUDIES."""
-    perturb = STUDIES[args.command][0]
+def cmd_study(args, timing: dict, perturb: str) -> Run:
+    """noise-study and ratio-study: the table of `data`'s perturbation `perturb`."""
     kinds = parse_list(args.objectives, "--objectives", str, "objectives")
     with flag_check("--objectives"):  # an unknown kind, or one of a task the study lacks
         for kind in kinds:
@@ -473,22 +472,9 @@ def cmd_report(args, timing: dict) -> None:
     print(f"wrote {path}")
 
 
-def _add_common(parser: argparse.ArgumentParser, with_data: bool = True) -> None:
-    parser.add_argument("--out", default=None, help="output root (default $SPC_OUT or ./out)")
-    if with_data:
-        parser.add_argument("--data", default=None, help="dataset file (jsonl or csv)")
-        _add_featurizer(parser)
-
-
-def _add_featurizer(parser: argparse.ArgumentParser) -> None:
-    for name, default in FEATURIZER.items():
-        parser.add_argument(_flag(name), type=int, default=default)
-
-
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    """--config and one flag per `train_defaults` key, its default in its
-    help. The parsed defaults are None so that a --config file can fill the
-    gaps; see resolve_train_args."""
+    """--config and one flag per `train_defaults` key, its default in its help;
+    each parses to None, so that a --config file can fill the gaps (resolve_train_args)."""
     parser.add_argument("--config", default=None,
                         help="json file of training keys; explicit flags win")
     for key, default in train_defaults().items():
@@ -502,93 +488,94 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(_flag(key), default=None, **kwargs)
 
 
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One subcommand, as `build_parser` and `main` read it. Every command
+    takes --out; `flags` maps each of its own flags to `add_argument`'s keywords."""
+
+    help: str
+    handler: Callable[..., Run | None]  # (args, timing); report's prints its own table
+    data: bool = True  # --data
+    featurizer: bool = True  # --hash-dim and --hash-seed, checked before any read
+    training: bool = False  # --config and the training flags (see _add_train_flags)
+    flags: dict[str, dict] = dataclasses.field(default_factory=dict)
+
+
+COMMANDS = {
+    "gen-data": Command("generate a Gaussian-mixture dataset", cmd_gen_data,
+                        data=False, featurizer=False, flags={
+        "--classes": dict(type=int, default=4), "--dim": dict(type=int, default=32),
+        "--per-class": dict(type=int, default=200), "--sep": dict(type=float, default=3.0),
+        "--seed": dict(type=int, default=0), "--output": dict(help="dataset file to write")}),
+    "train": Command("train one objective over several seeds", cmd_train, training=True, flags={
+        "--objective": dict(default=ObjectiveConfig().kind, choices=list(OBJECTIVES))}),
+    "eval": Command("evaluate a checkpoint on a dataset split", cmd_eval, flags={
+        "--ckpt": dict(required=True), "--split": dict(default="test", choices=dataio.SPLITS)}),
+    "sweep": Command("grid-search beta/gamma (or the ce_cp penalty weight)", cmd_sweep,
+                     training=True, flags={
+        "--objective": dict(default=ObjectiveConfig().kind,
+                            choices=[kind for kind, spec in OBJECTIVES.items() if spec.weights]),
+        "--betas": dict(default=SWEEP_GRID, help=f"default: {SWEEP_GRID}"),
+        "--gammas": dict(help=f"default: {SWEEP_GRID} for a kind with two weights (spc), "
+                              f"0 for a kind with one")}),
+    "noise-study": Command("label-noise robustness table",
+                           functools.partial(cmd_study, perturb="inject_label_noise"),
+                           training=True, flags={
+        "--ratios": dict(default="0.1,0.2,0.3"), "--objectives": dict(default="ce,spc")}),
+    "ratio-study": Command("limited-training-data table",
+                           functools.partial(cmd_study, perturb="subsample_train"),
+                           training=True, flags={
+        "--ratios": dict(default="0.2,0.4,0.6,0.8,1.0"), "--objectives": dict(default="ce,spc")}),
+    "ood": Command("train on a source domain, test on a mapped target", cmd_ood,
+                   data=False, training=True, flags={
+        "--source": dict(required=True), "--target": dict(required=True),
+        "--mapping": dict(required=True, help="csv with header source_label,target_label"),
+        "--objective": dict(default=ObjectiveConfig().kind, choices=list(CLASSIFICATION_KINDS))}),
+    "repr-quality": Command("cluster test-split codes; report SC/ARI", cmd_repr_quality, flags={
+        "--ckpt": dict(required=True),
+        "--seeds": dict(default="5", help="k-means seeds (count or list)")}),
+    "report": Command("summarize all runs under the output root", cmd_report,
+                      data=False, featurizer=False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per `COMMANDS` record: --out, the record's flag groups,
+    then its own flags."""
     parser = argparse.ArgumentParser(
         prog="spc",
         description="Stochastic label-space coding experiments: train, sweep, "
                     "perturbation studies, and representation-quality reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate a Gaussian-mixture dataset")
-    _add_common(p, with_data=False)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--per-class", type=int, default=200, dest="per_class")
-    p.add_argument("--sep", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default=None, help="dataset file to write")
-    p.set_defaults(handler=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train one objective over several seeds")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--objective", default=ObjectiveConfig().kind, choices=list(OBJECTIVES))
-    p.set_defaults(handler=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--split", default="test", choices=dataio.SPLITS)
-    p.set_defaults(handler=cmd_eval)
-
-    p = sub.add_parser("sweep", help="grid-search beta/gamma (or the ce_cp penalty weight)")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--objective", default=ObjectiveConfig().kind,
-                   choices=[kind for kind, spec in OBJECTIVES.items() if spec.weights])
-    p.add_argument("--betas", default=SWEEP_GRID, help=f"default: {SWEEP_GRID}")
-    p.add_argument("--gammas", default=None,
-                   help=f"default: {SWEEP_GRID} for a kind with two weights (spc), "
-                        f"0 for a kind with one")
-    p.set_defaults(handler=cmd_sweep)
-
-    for name, (_, ratios, help_text) in STUDIES.items():
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        _add_train_flags(p)
-        p.add_argument("--ratios", default=ratios)
-        p.add_argument("--objectives", default="ce,spc")
-        p.set_defaults(handler=cmd_study)
-
-    p = sub.add_parser("ood", help="train on a source domain, test on a mapped target")
-    _add_common(p, with_data=False)
-    _add_train_flags(p)
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--mapping", required=True,
-                   help="csv with header source_label,target_label")
-    p.add_argument("--objective", default=ObjectiveConfig().kind,
-                   choices=list(CLASSIFICATION_KINDS))
-    _add_featurizer(p)
-    p.set_defaults(handler=cmd_ood)
-
-    p = sub.add_parser("repr-quality", help="cluster test-split codes; report SC/ARI")
-    _add_common(p)
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--seeds", default="5", help="k-means seeds (count or list)")
-    p.set_defaults(handler=cmd_repr_quality)
-
-    p = sub.add_parser("report", help="summarize all runs under the output root")
-    _add_common(p, with_data=False)
-    p.set_defaults(handler=cmd_report)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--out", default=None, help="output root (default $SPC_OUT or ./out)")
+        if command.data:
+            p.add_argument("--data", default=None, help="dataset file (jsonl or csv)")
+        if command.featurizer:
+            for key, default in FEATURIZER.items():
+                p.add_argument(_flag(key), type=int, default=default)
+        if command.training:
+            _add_train_flags(p)
+        for flag, kwargs in command.flags.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         check_out_root(args)
-        if hasattr(args, "hash_dim"):  # before any dataset is read
+        if command.featurizer:  # before any dataset is read
             with flag_check("--hash-dim", "--hash-seed"):
                 dataio.check_featurizer(args.hash_dim, args.hash_seed)
-        if hasattr(args, "epochs"):
+        if command.training:
             resolve_train_args(args)
-        if hasattr(args, "seeds"):
+        if command.training or "--seeds" in command.flags:  # a training flag, or its own
             args.seeds = parse_seeds(args.seeds)
         timing: dict = {}
-        run = args.handler(args, timing)
+        run = command.handler(args, timing)
         if run is None:  # report prints its own table
             return EXIT_OK
         run_id = finish_run(args, run, timing)

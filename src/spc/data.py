@@ -311,6 +311,8 @@ def _jsonl_rows(path: str):
             raise DataError(f"{path}:{lineno}: invalid json") from err
         except ValueError as err:  # an integer past Python's digit limit
             raise DataError(f"{path}:{lineno}: a number has too many digits to read") from err
+        except RecursionError:
+            raise DataError(f"{path}:{lineno}: json nested too deeply to read") from None
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected a json object")
         if not (isinstance(obj["text"], str) if "text" in obj
@@ -324,33 +326,36 @@ def _jsonl_rows(path: str):
 def _csv_rows(path: str):
     """The rows of a csv file, as `_jsonl_rows` gives them."""
     reader = csv.DictReader(_lines(path, newline=""))
-    header = reader.fieldnames
-    if header is None:
-        raise DataError(f"{path}: empty dataset")
-    repeated = sorted(name for name, count in Counter(header).items() if count > 1)
-    if repeated:
-        raise DataError(f"{path}: the header names {repeated} more than once")
-    feature_cols = sorted((c for c in header if re.fullmatch(r"f\d+", c)),
-                          key=lambda c: int(c[1:]))
-    has_text = "text" in header
-    if not feature_cols and not has_text:
-        raise DataError(f"{path}: need f0..fK feature columns or a 'text' column")
-    if feature_cols and has_text:
-        raise DataError(f"{path}: the header holds both a 'text' column and feature columns")
-    if feature_cols != [f"f{i}" for i in range(len(feature_cols))]:
-        raise DataError(f"{path}: feature columns must be f0..f{len(feature_cols) - 1}, "
-                        f"got {feature_cols}")
-    if "label" not in header:
-        raise DataError(f"{path}: missing 'label' column")
-    for record in reader:
-        if None in record or None in record.values():
-            raise DataError(f"{path}:{reader.line_num}: expected "
-                            f"{len(header)} fields, as in the header")
-        # csv cannot write null: an empty label cell is a missing label, and
-        # an empty split cell means train, as a missing one
-        yield (reader.line_num, record["label"] or None, record.get("split") or None,
-               record["text"] if has_text else None,
-               None if has_text else [record[c] for c in feature_cols])
+    try:
+        header = reader.fieldnames
+        if header is None:
+            raise DataError(f"{path}: empty dataset")
+        repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+        if repeated:
+            raise DataError(f"{path}: the header names {repeated} more than once")
+        feature_cols = sorted((c for c in header if re.fullmatch(r"f\d+", c)),
+                              key=lambda c: int(c[1:]))
+        has_text = "text" in header
+        if not feature_cols and not has_text:
+            raise DataError(f"{path}: need f0..fK feature columns or a 'text' column")
+        if feature_cols and has_text:
+            raise DataError(f"{path}: the header holds both a 'text' column and feature columns")
+        if feature_cols != [f"f{i}" for i in range(len(feature_cols))]:
+            raise DataError(f"{path}: feature columns must be f0..f{len(feature_cols) - 1}, "
+                            f"got {feature_cols}")
+        if "label" not in header:
+            raise DataError(f"{path}: missing 'label' column")
+        for record in reader:
+            if None in record or None in record.values():
+                raise DataError(f"{path}:{reader.line_num}: expected "
+                                f"{len(header)} fields, as in the header")
+            # csv cannot write null: an empty label cell is a missing label, and
+            # an empty split cell means train, as a missing one
+            yield (reader.line_num, record["label"] or None, record.get("split") or None,
+                   record["text"] if has_text else None,
+                   None if has_text else [record[c] for c in feature_cols])
+    except csv.Error as err:  # such as a cell over csv.field_size_limit()
+        raise DataError(f"{path}:{reader.reader.line_num}: {err}") from None
 
 
 def is_text(path: str) -> bool:
@@ -542,21 +547,25 @@ def save(ds: Dataset, path: str) -> None:
 def read_label_mapping(path: str) -> dict[str, str]:
     """Two-column csv (source_label, target_label) -> {target: source}."""
     mapping: dict[str, str] = {}
-    reader = csv.reader(_lines(path, newline=""))
-    header = next(reader, None)
-    if header is None or [c.strip() for c in header] != ["source_label", "target_label"]:
-        raise DataError(f"{path}: expected the header 'source_label,target_label', "
-                        f"got {','.join(header or [])!r}")
-    for row in reader:
-        if not row:  # a blank line
-            continue
-        if len(row) != 2:
-            raise DataError(f"{path}:{reader.line_num}: expected two fields, "
-                            f"source_label,target_label")
-        source, target = row[0].strip(), row[1].strip()
-        if target in mapping and mapping[target] != source:
-            raise DataError(f"{path}: target label {target!r} mapped twice")
-        mapping[target] = source
+    with contextlib.closing(_lines(path, newline="")) as lines:  # closed by any error
+        reader = csv.reader(lines)
+        try:
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != ["source_label", "target_label"]:
+                raise DataError(f"{path}: expected the header 'source_label,target_label', "
+                                f"got {','.join(header or [])!r}")
+            for row in reader:
+                if not row:  # a blank line
+                    continue
+                if len(row) != 2:
+                    raise DataError(f"{path}:{reader.line_num}: expected two fields, "
+                                    f"source_label,target_label")
+                source, target = row[0].strip(), row[1].strip()
+                if target in mapping and mapping[target] != source:
+                    raise DataError(f"{path}: target label {target!r} mapped twice")
+                mapping[target] = source
+        except csv.Error as err:  # such as a cell over csv.field_size_limit()
+            raise DataError(f"{path}:{reader.line_num}: {err}") from None
     if not mapping:
         raise DataError(f"{path}: empty mapping")
     return mapping

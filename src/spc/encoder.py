@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import zipfile
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -312,5 +313,5 @@ def load_checkpoint(path: str) -> EncoderParams:
                 raise ValueError(f"tensor {name} holds a non-finite value")
             tensors[name] = param(values.reshape(shape))
         return EncoderParams(arch, tensors)
-    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as err:
+    except (KeyError, TypeError, ValueError, RecursionError, zipfile.BadZipFile, zlib.error) as err:
         raise DataError(f"{path}: not a usable checkpoint ({type(err).__name__}: {err})") from err

@@ -111,8 +111,8 @@ def adamax_step(values: np.ndarray, grad: np.ndarray, state: AdamaxState,
     """
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
     a, b = state.scratch
-    # the largest |g| is inf or nan exactly when some entry of g is
-    if not math.isfinite(np.maximum.reduce(np.abs(grad, out=b), axis=None)):
+    # the largest |g| is inf or nan exactly when some entry of g is (0 for no entry)
+    if not math.isfinite(np.maximum.reduce(np.abs(grad, out=b), axis=None, initial=0.0)):
         return False
     state.t += 1
     correction = 1.0 - beta1 ** state.t

@@ -10,9 +10,11 @@ import math
 import os
 import pathlib
 import random
+import struct
 import subprocess
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -969,6 +971,101 @@ class TestObjectiveChoices:
         assert choices("train") == ["spc", "pc", "ce", "ce_cp", "vib", "mse", "mse_pc", "mse_vib"]
         assert choices("sweep") == ["spc", "pc", "ce_cp", "vib", "mse_pc", "mse_vib"]
         assert choices("ood") == ["spc", "pc", "ce", "ce_cp", "vib"]
+
+
+# The parser's surface, pinned: each command's help and each of its actions
+# as (option strings, dest, default, type, choices, required, help). A change
+# to how the parser is built must move no flag, default or help text; the
+# order in which a command's flags are listed is not part of the surface.
+_HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, None, False,
+         "show this help message and exit")
+_OUT = (("--out",), "out", None, None, None, False, "output root (default $SPC_OUT or ./out)")
+_FEATURIZER = [(("--hash-dim",), "hash_dim", 256, "int", None, False, None),
+               (("--hash-seed",), "hash_seed", 0, "int", None, False, None)]
+_DATA = [(("--data",), "data", None, None, None, False, "dataset file (jsonl or csv)"),
+         *_FEATURIZER]
+_TRAIN = [
+    (("--config",), "config", None, None, None, False,
+     "json file of training keys; explicit flags win"),
+    (("--epochs",), "epochs", None, "int", None, False, "default: 20"),
+    (("--batch-size",), "batch_size", None, "int", None, False, "default: 128"),
+    (("--lr",), "lr", None, "float", None, False, "default: 0.01"),
+    (("--weight-decay",), "weight_decay", None, "float", None, False, "default: 0.0"),
+    (("--patience",), "patience", None, "int", None, False, "default: 5"),
+    (("--hidden-dim",), "hidden_dim", None, "int", None, False, "default: 64"),
+    (("--vib-latent-dim",), "vib_latent_dim", None, "int", None, False, "default: 16"),
+    (("--dropout",), "dropout", None, "float", None, False, "default: 0.0"),
+    (("--layer-norm", "--no-layer-norm"), "layer_norm", None, None, None, False,
+     "default: False"),
+    (("--beta",), "beta", None, "float", None, False, "default: 0.0"),
+    (("--gamma",), "gamma", None, "float", None, False, "default: 0.0"),
+    (("--cp-weight",), "cp_weight", None, "float", None, False, "default: 0.0"),
+    (("--structured-from",), "structured_from", None, "str", None, False, "default: sample"),
+    (("--seeds",), "seeds", None, None, None, False,
+     "count ('5' -> 0..4) or explicit list ('0,1,2'); default: 5"),
+]
+_ALL_KINDS = ["spc", "pc", "ce", "ce_cp", "vib", "mse", "mse_pc", "mse_vib"]
+_GRID = "0.001,0.01,0.1,1,10"
+PARSER_SURFACE = {
+    "gen-data": ("generate a Gaussian-mixture dataset", [
+        _HELP, _OUT,
+        (("--classes",), "classes", 4, "int", None, False, None),
+        (("--dim",), "dim", 32, "int", None, False, None),
+        (("--per-class",), "per_class", 200, "int", None, False, None),
+        (("--sep",), "sep", 3.0, "float", None, False, None),
+        (("--seed",), "seed", 0, "int", None, False, None),
+        (("--output",), "output", None, None, None, False, "dataset file to write")]),
+    "train": ("train one objective over several seeds", [
+        _HELP, _OUT, *_DATA, *_TRAIN,
+        (("--objective",), "objective", "spc", None, _ALL_KINDS, False, None)]),
+    "eval": ("evaluate a checkpoint on a dataset split", [
+        _HELP, _OUT, *_DATA,
+        (("--ckpt",), "ckpt", None, None, None, True, None),
+        (("--split",), "split", "test", None, ["train", "val", "test"], False, None)]),
+    "sweep": ("grid-search beta/gamma (or the ce_cp penalty weight)", [
+        _HELP, _OUT, *_DATA, *_TRAIN,
+        (("--objective",), "objective", "spc", None,
+         ["spc", "pc", "ce_cp", "vib", "mse_pc", "mse_vib"], False, None),
+        (("--betas",), "betas", _GRID, None, None, False, f"default: {_GRID}"),
+        (("--gammas",), "gammas", None, None, None, False,
+         f"default: {_GRID} for a kind with two weights (spc), 0 for a kind with one")]),
+    "noise-study": ("label-noise robustness table", [
+        _HELP, _OUT, *_DATA, *_TRAIN,
+        (("--ratios",), "ratios", "0.1,0.2,0.3", None, None, False, None),
+        (("--objectives",), "objectives", "ce,spc", None, None, False, None)]),
+    "ratio-study": ("limited-training-data table", [
+        _HELP, _OUT, *_DATA, *_TRAIN,
+        (("--ratios",), "ratios", "0.2,0.4,0.6,0.8,1.0", None, None, False, None),
+        (("--objectives",), "objectives", "ce,spc", None, None, False, None)]),
+    "ood": ("train on a source domain, test on a mapped target", [
+        _HELP, _OUT, *_FEATURIZER, *_TRAIN,
+        (("--source",), "source", None, None, None, True, None),
+        (("--target",), "target", None, None, None, True, None),
+        (("--mapping",), "mapping", None, None, None, True,
+         "csv with header source_label,target_label"),
+        (("--objective",), "objective", "spc", None, ["spc", "pc", "ce", "ce_cp", "vib"],
+         False, None)]),
+    "repr-quality": ("cluster test-split codes; report SC/ARI", [
+        _HELP, _OUT, *_DATA,
+        (("--ckpt",), "ckpt", None, None, None, True, None),
+        (("--seeds",), "seeds", "5", None, None, False, "k-means seeds (count or list)")]),
+    "report": ("summarize all runs under the output root", [_HELP, _OUT]),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSER_SURFACE))
+def test_the_parser_surface_is_pinned(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(PARSER_SURFACE)
+    help_text = next(a.help for a in sub._choices_actions if a.dest == command)
+    actions = {a.dest: (tuple(a.option_strings), a.dest, a.default,
+                        getattr(a.type, "__name__", a.type),
+                        None if a.choices is None else list(a.choices), a.required, a.help)
+               for a in sub.choices[command]._actions}
+    expected_help, expected = PARSER_SURFACE[command]
+    assert (help_text, actions) == (expected_help, {record[1]: record for record in expected})
+    assert len(sub.choices[command]._actions) == len(expected)
 
 
 class TestSeedParsing:
@@ -1981,6 +2078,76 @@ REGRESSION_ROWS = """\
 
 GOLDEN_FLAGS = ("--epochs", "1", "--patience", "1", "--batch-size", "2", "--hidden-dim", "4",
                 "--seeds", "1")
+
+
+class TestUnreadableInputs:
+    """JSON nested past the parser's recursion limit, a csv cell over
+    csv.field_size_limit() and a damaged compressed checkpoint member are
+    data errors: exit 3 in one line naming the file (`file:line` for a row)."""
+
+    DEEP = "[" * 10_000 + "]" * 10_000
+
+    def _exits_3(self, capsys, argv, *names):
+        assert run_cli(*argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error:")
+        for name in names:
+            assert name in err
+
+    def test_a_deep_dataset_row(self, out, data_file, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        first = pathlib.Path(data_file).read_text().splitlines()[0]
+        path.write_text(f"{first}\n{self.DEEP}\n")
+        self._exits_3(capsys, ["train", "--out", out, "--data", str(path)], f"{path}:2")
+
+    def test_a_deep_config_file(self, out, data_file, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text(self.DEEP)
+        self._exits_3(capsys, ["train", "--out", out, "--data", data_file,
+                               "--config", str(config)], str(config))
+
+    def test_a_deep_format_1_checkpoint(self, out, data_file, tmp_path, capsys):
+        ckpt = tmp_path / "deep.json"
+        ckpt.write_text(self.DEEP)
+        self._exits_3(capsys, ["eval", "--out", out, "--data", data_file, "--ckpt", str(ckpt)],
+                      str(ckpt))
+
+    def test_a_deep_format_2_header(self, out, data_file, tmp_path, capsys):
+        ckpt = str(tmp_path / "deep.npz")
+        write_format_2(ckpt, np.array(self.DEEP), format_2_parts(init_encoder(8, 4, 2, rng=0))[1])
+        self._exits_3(capsys, ["eval", "--out", out, "--data", data_file, "--ckpt", ckpt], ckpt)
+
+    def test_a_deep_report(self, tmp_path, capsys):
+        run_dir = tmp_path / "out" / "abc"
+        run_dir.mkdir(parents=True)
+        (run_dir / "manifest.json").write_text(json.dumps({"run_id": "abc", "command": "train"}))
+        (run_dir / "report.json").write_text(self.DEEP)
+        self._exits_3(capsys, ["report", "--out", str(tmp_path / "out")],
+                      str(run_dir / "report.json"))
+
+    def test_a_csv_cell_over_the_limit(self, out, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("text,label\nshort doc,a\n" + "x" * (csv.field_size_limit() + 1) + ",b\n")
+        self._exits_3(capsys, ["train", "--out", out, "--data", str(path)], f"{path}:3")
+
+    def test_a_mapping_cell_over_the_limit(self, out, data_file, tmp_path, capsys):
+        mapping = tmp_path / "map.csv"
+        mapping.write_text("source_label,target_label\n0,0\n1," + "x" * 200_000 + "\n")
+        self._exits_3(capsys, ["ood", "--out", out, "--source", data_file, "--target", data_file,
+                               "--mapping", str(mapping)], f"{mapping}:3")
+
+    def test_a_damaged_compressed_member(self, out, data_file, tmp_path, capsys):
+        """A first deflate byte of 0xff starts a block of the reserved type."""
+        ckpt = str(tmp_path / "compressed.npz")
+        header, members = format_2_parts(init_encoder(8, 4, 2, rng=0))
+        np.savez_compressed(ckpt, **members, header=json.dumps(header))
+        with zipfile.ZipFile(ckpt) as archive:
+            offset = archive.getinfo("w_in.npy").header_offset
+        blob = bytearray(pathlib.Path(ckpt).read_bytes())
+        name_len, extra_len = struct.unpack("<HH", blob[offset + 26:offset + 30])
+        blob[offset + 30 + name_len + extra_len] = 0xFF
+        pathlib.Path(ckpt).write_bytes(blob)
+        self._exits_3(capsys, ["eval", "--out", out, "--data", data_file, "--ckpt", ckpt], ckpt)
 
 
 class TestGoldenRunIds:

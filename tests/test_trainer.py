@@ -77,6 +77,12 @@ class TestAdamax:
             assert [a.tobytes() for a in (p, state.m, state.u)] == before
             assert state.t == 1
 
+    def test_a_zero_length_vector_takes_the_step(self):
+        p = np.zeros(0)
+        state = fresh_state(p)
+        assert adamax_step(p, np.zeros(0), state, lr=0.1, weight_decay=0.1) is True
+        assert state.t == 1 and p.shape == (0,)
+
     def test_decoupled_decay_shrinks_before_update(self):
         p = np.array([10.0])
         adamax_step(p, np.zeros(1), fresh_state(p), lr=0.1, weight_decay=0.01)
