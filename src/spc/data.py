@@ -282,12 +282,13 @@ def _line_count(path: str) -> int:
     return count
 
 
+@contextlib.contextmanager
 def _lines(path: str, newline: str | None = None):
-    """The lines of a UTF-8 text file, a leading byte-order mark dropped; a
-    byte that does not decode is a DataError naming the file."""
+    """A UTF-8 text file open for a block, a leading byte-order mark dropped; a
+    byte read in the block that does not decode is a DataError naming the file."""
     with open(path, "r", encoding="utf-8-sig", newline=newline) as fh:
         try:
-            yield from fh
+            yield fh
         except UnicodeDecodeError as err:
             raise DataError(f"{path}: byte 0x{err.object[err.start]:02x} is not UTF-8") from None
 
@@ -298,10 +299,10 @@ def _is_csv(path: str) -> bool:
     return path.endswith(".csv")
 
 
-def _jsonl_rows(path: str):
-    """(line, label, split, text, features) of each non-blank line of a jsonl
-    file; text is None for a feature row, features None for a text row."""
-    for lineno, line in enumerate(_lines(path), start=1):
+def _jsonl_rows(fh, path: str):
+    """(line, label, split, text, features) of each non-blank line of `fh`, an
+    open jsonl file; text is None for a feature row, features None for a text row."""
+    for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
@@ -323,9 +324,9 @@ def _jsonl_rows(path: str):
         yield lineno, obj.get("label"), obj.get("split"), obj.get("text"), obj.get("features")
 
 
-def _csv_rows(path: str):
-    """The rows of a csv file, as `_jsonl_rows` gives them."""
-    reader = csv.DictReader(_lines(path, newline=""))
+def _csv_rows(fh, path: str):
+    """The rows of `fh`, the open csv file `path`, as `_jsonl_rows` gives them."""
+    reader = csv.DictReader(fh)
     try:
         header = reader.fieldnames
         if header is None:
@@ -360,7 +361,9 @@ def _csv_rows(path: str):
 
 def is_text(path: str) -> bool:
     """Whether `load` featurizes the dataset file `path`: its first row's schema."""
-    with contextlib.closing(_csv_rows(path) if _is_csv(path) else _jsonl_rows(path)) as rows:
+    is_csv = _is_csv(path)
+    with _lines(path, newline="" if is_csv else None) as fh:
+        rows = _csv_rows(fh, path) if is_csv else _jsonl_rows(fh, path)
         return next(rows, (None,) * 5)[3] is not None
 
 
@@ -393,64 +396,66 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
         raise DataError(f"unknown splits {sorted(kept - set(SPLITS))}")
 
     is_csv = _is_csv(path)
-    rows = _csv_rows(path) if is_csv else _jsonl_rows(path)
-    first = next(rows, None)
-    if first is None:
-        raise DataError(f"{path}: empty dataset")
-    has_text = first[3] is not None  # the first row's schema is the file's
-    if has_text:
-        check_featurizer(hash_dim, hash_seed)
-    dim = hash_dim if has_text else len(first[4])
-    if dim == 0:
-        raise DataError(f"{path}:{first[0]}: row has no features")
-    features = np.empty((_line_count(path), dim))
-    texts: list[str] = []  # the kept texts not yet featurized
-    tags: list[str] = []  # the split tag of each kept row
-    targets: list = []  # float scores, or class codes in first-seen order
-    codes: dict[str, int] = {}  # label -> its class code
-    for lineno, label, split, text, vec in itertools.chain([first], rows):
-        where = f"{path}:{lineno}"
-        if (text is not None) != has_text:
-            raise DataError(f"{where}: row mixes text and feature schemas")
-        if label is None:
-            raise DataError(f"{where}: row is missing 'label' or has a null one")
-        if not has_text:
-            if len(vec) != dim:
-                raise DataError(f"{where}: row has {len(vec)} features, expected {dim}")
-            # a csv cell is text; a jsonl feature is a JSON number (not a bool
-            # or a string), which np.fromiter reads as float() would
-            if not (is_csv or set(map(type, vec)) <= {int, float}):
-                raise DataError(f"{where}: row has a non-numeric feature")
-            try:
-                row = np.fromiter(map(float, vec) if is_csv else vec, np.float64, count=dim)
-            except (TypeError, ValueError) as err:
-                raise DataError(f"{where}: row has a non-numeric feature") from err
-            except OverflowError as err:  # a json integer beyond the float64 range
-                raise DataError(f"{where}: row has a feature too large for a float") from err
-            if not np.isfinite(row).all():
-                raise DataError(f"{where}: row has a non-finite feature")
-        tag = "train" if split is None else split
-        if tag not in SPLITS:
-            raise DataError(f"{where}: unknown split tag {str(tag)!r}")
-        if task == "regression":
-            try:
-                target = float(str(label))
-            except ValueError as err:
-                raise DataError(f"{where}: regression labels must be numeric") from err
-            if not math.isfinite(target):
-                raise DataError(f"{where}: regression labels must be finite numbers")
-        else:
-            target = codes.setdefault(str(label), len(codes))
-        if tag in kept:
-            if has_text:
-                texts.append(text)
+    with _lines(path, newline="" if is_csv else None) as fh:
+        rows = _csv_rows(fh, path) if is_csv else _jsonl_rows(fh, path)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: empty dataset")
+        has_text = first[3] is not None  # the first row's schema is the file's
+        if has_text:
+            check_featurizer(hash_dim, hash_seed)
+        dim = hash_dim if has_text else len(first[4])
+        if dim == 0:
+            raise DataError(f"{path}:{first[0]}: row has no features")
+        features = np.empty((_line_count(path), dim))
+        texts: list[str] = []  # the kept texts not yet featurized
+        tags: list[str] = []  # the split tag of each kept row
+        targets: list = []  # float scores, or class codes in first-seen order
+        codes: dict[str, int] = {}  # label -> its class code
+        for lineno, label, split, text, vec in itertools.chain([first], rows):
+            where = f"{path}:{lineno}"
+            if (text is not None) != has_text:
+                raise DataError(f"{where}: row mixes text and feature schemas")
+            if label is None:
+                raise DataError(f"{where}: row is missing 'label' or has a null one")
+            if not has_text:
+                if len(vec) != dim:
+                    raise DataError(f"{where}: row has {len(vec)} features, expected {dim}")
+                # a csv cell is text; a jsonl feature is a JSON number (not a bool
+                # or a string), which np.fromiter reads as float() would
+                if not (is_csv or set(map(type, vec)) <= {int, float}):
+                    raise DataError(f"{where}: row has a non-numeric feature")
+                try:
+                    row = np.fromiter(map(float, vec) if is_csv else vec, np.float64, count=dim)
+                except (TypeError, ValueError) as err:
+                    raise DataError(f"{where}: row has a non-numeric feature") from err
+                except OverflowError as err:  # a json integer beyond the float64 range
+                    raise DataError(f"{where}: row has a feature too large for a float") from err
+                if not np.isfinite(row).all():
+                    raise DataError(f"{where}: row has a non-finite feature")
+            tag = "train" if split is None else split
+            if tag not in SPLITS:
+                raise DataError(f"{where}: unknown split tag {str(tag)!r}")
+            if task == "regression":
+                try:
+                    target = float(str(label))
+                except ValueError as err:
+                    raise DataError(f"{where}: regression labels must be numeric") from err
+                if not math.isfinite(target):
+                    raise DataError(f"{where}: regression labels must be finite numbers")
             else:
-                features[len(tags)] = row
-            tags.append(SPLITS[SPLITS.index(tag)])  # one shared str per tag
-            targets.append(target)
-            if len(texts) == TEXT_BLOCK_DOCS:
-                hash_featurize(texts, dim, hash_seed, out=features[len(tags) - len(texts):len(tags)])
-                texts.clear()
+                target = codes.setdefault(str(label), len(codes))
+            if tag in kept:
+                if has_text:
+                    texts.append(text)
+                else:
+                    features[len(tags)] = row
+                tags.append(SPLITS[SPLITS.index(tag)])  # one shared str per tag
+                targets.append(target)
+                if len(texts) == TEXT_BLOCK_DOCS:
+                    hash_featurize(texts, dim, hash_seed,
+                                   out=features[len(tags) - len(texts):len(tags)])
+                    texts.clear()
     if has_text:
         hash_featurize(texts, dim, hash_seed, out=features[len(tags) - len(texts):len(tags)])
     features = features[:len(tags)]
@@ -547,8 +552,8 @@ def save(ds: Dataset, path: str) -> None:
 def read_label_mapping(path: str) -> dict[str, str]:
     """Two-column csv (source_label, target_label) -> {target: source}."""
     mapping: dict[str, str] = {}
-    with contextlib.closing(_lines(path, newline="")) as lines:  # closed by any error
-        reader = csv.reader(lines)
+    with _lines(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None or [c.strip() for c in header] != ["source_label", "target_label"]:

@@ -237,6 +237,67 @@ class TestInputFiles:
         assert ds.split.tolist() == ["train", "test"]
 
 
+class TestReadsCloseTheirFiles:
+    """A read of a dataset or a label mapping has closed every file it opened
+    by the time its DataError reaches the caller: the error's traceback, kept
+    as pytest.raises keeps it, holds no open file, so none is left for the
+    cyclic collector to close (and warn about) during a later test."""
+
+    # files whose second row is malformed: the error raised by the reader, by
+    # `load`'s row checks, or by the UTF-8 decoder
+    SECOND_ROW_BAD = [
+        ("bad.jsonl", b'{"features": [1, 2], "label": "a"}\n{"features": [1,\n', ":2: invalid json"),
+        ("short.jsonl", b'{"features": [1, 2], "label": "a"}\n{"features": [1], "label": "b"}\n',
+         ":2: row has 1 features, expected 2"),
+        ("bytes.jsonl", b'{"features": [1, 2], "label": "a"}\n{"label": "\xff"}\n',
+         ": byte 0xff is not UTF-8"),
+        ("fields.csv", b"f0,f1,label\n1,2,a\n1,2\n", ":3: expected 3 fields, as in the header"),
+        ("cell.csv", b"f0,f1,label\n1,2,a\n1,x,b\n", ":3: row has a non-numeric feature"),
+    ]
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Each file `spc.data` opens, recorded as it is opened."""
+        files = []
+
+        def recording_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        monkeypatch.setattr(dataio, "open", recording_open, raising=False)
+        return files
+
+    @pytest.mark.parametrize("name, content, message", SECOND_ROW_BAD)
+    def test_a_load_error_leaves_no_file_open(self, tmp_path, opened, name, content, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        with pytest.raises(DataError) as err:
+            load(str(path))
+        assert str(err.value) == f"{path}{message}"
+        assert err.tb is not None  # the traceback is alive as the files are checked
+        assert opened and all(fh.closed for fh in opened)
+
+    @pytest.mark.parametrize("name, content, message", SECOND_ROW_BAD)
+    def test_is_text_leaves_no_file_open(self, tmp_path, opened, name, content, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        if "UTF-8" in message:  # the decoder reads past the first row
+            with pytest.raises(DataError, match=re.escape(f"{path}{message}")):
+                dataio.is_text(str(path))
+        else:
+            assert dataio.is_text(str(path)) is False
+        assert opened and all(fh.closed for fh in opened)
+
+    def test_a_label_mapping_error_leaves_no_file_open(self, tmp_path, opened):
+        path = tmp_path / "map.csv"
+        path.write_text("source_label,target_label\na,x\nb\n")
+        with pytest.raises(DataError) as err:
+            dataio.read_label_mapping(str(path))
+        assert str(err.value) == f"{path}:3: expected two fields, source_label,target_label"
+        assert err.tb is not None
+        assert opened and all(fh.closed for fh in opened)
+
+
 class TestStreamingLoad:
     """`load` writes each row into one preallocated array: its memory is
     bounded by that array, and every format and layout gives the same bits."""

@@ -407,6 +407,42 @@ def test_every_name_in_spc_is_used_in_spc():
     assert unused == []
 
 
+def _own_nodes(function: ast.AST):
+    """The nodes of `function`'s own body, not those of a function, lambda or
+    class defined in it."""
+    todo = list(ast.iter_child_nodes(function))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_generator_in_spc_opens_a_file():
+    """A generator that opens a file leaves it open until the generator is
+    closed or collected, which its caller must know to do: a reader takes an
+    open file instead, and only a `contextlib.contextmanager` opens one for a
+    block (`data._lines`, `data.write_atomic`)."""
+    package = pathlib.Path(spc.data.__file__).parent
+    owners, managers = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_nodes(node))
+            opens = any(isinstance(call, ast.Call) and (
+                getattr(call.func, "id", None) == "open" or getattr(call.func, "attr", None) == "open")
+                for call in own)
+            if not (opens and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own)):
+                continue
+            if any(ast.unparse(d) == "contextlib.contextmanager" for d in node.decorator_list):
+                managers.append(f"{path.stem}.{node.name}")
+            else:
+                owners.append(f"{path.stem}.{node.name}")
+    assert owners == []
+    assert managers == ["data._lines", "data.write_atomic"]
+
+
 def test_readme_library_usage_runs(tmp_path, monkeypatch, capsys):
     """README's Library usage block runs as written and calls each name
     that the guard above keeps for it alone."""
