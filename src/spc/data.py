@@ -13,8 +13,9 @@ jsonl: one object per line with either "features": [JSON numbers] (at
   and every regression label, must read as a finite float64 (not NaN, an
   infinity, or a number beyond the float64 range). Rows are checked as
   they are read, so the first fault in the file is the one reported. A
-  load holds one N x D float64 array, and may keep only some splits (see
-  `load` for both).
+  load holds one N x D float64 array, and may keep only some splits; a
+  jsonl row of a split left out has its numbers checked by the JSON
+  scanner but converted only when they might not be finite (see `load`).
 
 Labels are remapped to dense indices 0..C-1 by sorting the distinct label
 strings; the mapping is persisted on the dataset (`label_names`) and in
@@ -276,9 +277,11 @@ def _line_count(path: str) -> int:
     count = 1  # a last line without a newline
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            count += chunk.count(b"\n")
+            # NumPy compares a chunk's bytes in about half the time bytes.count takes
+            octets = np.frombuffer(chunk, np.uint8)
+            count += np.count_nonzero(octets == 10)
             if b"\r" in chunk:
-                count += chunk.count(b"\r") - chunk.count(b"\r\n")
+                count += np.count_nonzero(octets == 13) - chunk.count(b"\r\n")
     return count
 
 
@@ -299,15 +302,39 @@ def _is_csv(path: str) -> bool:
     return path.endswith(".csv")
 
 
-def _jsonl_rows(fh, path: str):
+# decodes a line as json.loads does, except that each JSON float stays the
+# ASCII bytes of its token, its grammar checked by the C scanner but its value
+# not yet converted; float() of a token gives the bits json.loads gives, as
+# both run PyFloat_FromString
+_TOKENS = json.JSONDecoder(parse_float=str.encode)
+
+
+def _decode_tokens(line: str):
+    """`line` as `_TOKENS` decodes it, with a float label or split converted
+    by float(); a line whose label or split is an array or an object is
+    decoded by json.loads instead, so a message shows it as a full load does."""
+    obj = _TOKENS.decode(line)
+    if isinstance(obj, dict):
+        for key in ("label", "split"):
+            value = obj.get(key)
+            if type(value) is bytes:
+                obj[key] = float(value)
+            elif isinstance(value, (list, dict)):
+                return json.loads(line)
+    return obj
+
+
+def _jsonl_rows(fh, path: str, decode=json.loads):
     """(line, label, split, text, features) of each non-blank line of `fh`, an
-    open jsonl file; text is None for a feature row, features None for a text row."""
+    open jsonl file, each line decoded by `decode` (json.loads, or
+    `_decode_tokens`); text is None for a feature row, features None for a
+    text row."""
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = decode(line)
         except json.JSONDecodeError as err:
             raise DataError(f"{path}:{lineno}: invalid json") from err
         except ValueError as err:  # an integer past Python's digit limit
@@ -359,6 +386,28 @@ def _csv_rows(fh, path: str):
         raise DataError(f"{path}:{reader.reader.line_num}: {err}") from None
 
 
+def _plain_tokens(tokens: list[bytes]) -> bool:
+    """Whether no float token of `tokens` has an exponent or 309 characters or
+    more: each token then reads as a finite float64 below 1e308 (float64
+    reaches about 1.8e308)."""
+    joined = b"".join(tokens)
+    return b"e" not in joined and b"E" not in joined and max(map(len, tokens)) < 309
+
+
+def _feature_row(values, dim: int, where: str) -> np.ndarray:
+    """The `dim` float64 values of the iterable `values`; a value that does not
+    read as a finite float64 is a DataError naming `where`."""
+    try:
+        row = np.fromiter(values, np.float64, count=dim)
+    except (TypeError, ValueError) as err:
+        raise DataError(f"{where}: row has a non-numeric feature") from err
+    except OverflowError as err:  # a json integer beyond the float64 range
+        raise DataError(f"{where}: row has a feature too large for a float") from err
+    if not np.isfinite(row).all():
+        raise DataError(f"{where}: row has a non-finite feature")
+    return row
+
+
 def is_text(path: str) -> bool:
     """Whether `load` featurizes the dataset file `path`: its first row's schema."""
     is_csv = _is_csv(path)
@@ -386,18 +435,31 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
     skips its write into the array (or, for text, its featurizing), its
     target and its tag. A hashed row depends on its own n-grams alone, so
     each kept row is bit-equal to the same row of a full load, whatever
-    the blocks."""
+    the blocks.
+
+    A jsonl load that leaves a split out decodes its lines with `_TOKENS`,
+    which keeps each float as its token: the JSON scanner checks every
+    number's grammar, but a left-out row converts its features only when
+    they might not be finite (a token with an exponent or of 309 characters
+    or more, or any element that is not a float token). A kept row, and a
+    float label or split, is converted by float(), which gives json.loads's
+    bits; every message is a full load's. Converting floats is most of the
+    time json.loads takes, but when every row is kept json.loads does it
+    faster than float() of each token, so a full load decodes with
+    json.loads; a csv load converts every cell."""
     if not os.path.exists(path):
         raise DataError(f"dataset file not found: {path}")
     if task not in ("classification", "regression"):
         raise DataError(f"unknown task {task!r}")
-    kept = set(SPLITS if splits is None else splits)
-    if not kept <= set(SPLITS):
-        raise DataError(f"unknown splits {sorted(kept - set(SPLITS))}")
+    wanted = set(SPLITS if splits is None else splits)
+    if not wanted <= set(SPLITS):
+        raise DataError(f"unknown splits {sorted(wanted - set(SPLITS))}")
+    kept = tuple(tag for tag in SPLITS if tag in wanted)  # a tuple: a row's tag may not hash
 
     is_csv = _is_csv(path)
     with _lines(path, newline="" if is_csv else None) as fh:
-        rows = _csv_rows(fh, path) if is_csv else _jsonl_rows(fh, path)
+        rows = (_csv_rows(fh, path) if is_csv else
+                _jsonl_rows(fh, path, json.loads if kept == SPLITS else _decode_tokens))
         first = next(rows, None)
         if first is None:
             raise DataError(f"{path}: empty dataset")
@@ -418,22 +480,20 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
                 raise DataError(f"{where}: row mixes text and feature schemas")
             if label is None:
                 raise DataError(f"{where}: row is missing 'label' or has a null one")
+            tag = "train" if split is None else split
             if not has_text:
                 if len(vec) != dim:
                     raise DataError(f"{where}: row has {len(vec)} features, expected {dim}")
+                types = set(map(type, vec))
                 # a csv cell is text; a jsonl feature is a JSON number (not a bool
-                # or a string), which np.fromiter reads as float() would
-                if not (is_csv or set(map(type, vec)) <= {int, float}):
+                # or a string): an int or a float, or a float's token (bytes) from
+                # _decode_tokens; np.fromiter reads a number as float() would
+                if not (is_csv or types <= {int, float, bytes}):
                     raise DataError(f"{where}: row has a non-numeric feature")
-                try:
-                    row = np.fromiter(map(float, vec) if is_csv else vec, np.float64, count=dim)
-                except (TypeError, ValueError) as err:
-                    raise DataError(f"{where}: row has a non-numeric feature") from err
-                except OverflowError as err:  # a json integer beyond the float64 range
-                    raise DataError(f"{where}: row has a feature too large for a float") from err
-                if not np.isfinite(row).all():
-                    raise DataError(f"{where}: row has a non-finite feature")
-            tag = "train" if split is None else split
+                # a row left out is converted only where it might fail the check
+                if tag in kept or types != {bytes} or not _plain_tokens(vec):
+                    row = _feature_row(vec if types <= {int, float} else map(float, vec),
+                                       dim, where)
             if tag not in SPLITS:
                 raise DataError(f"{where}: unknown split tag {str(tag)!r}")
             if task == "regression":

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 import random
 import re
@@ -535,6 +536,23 @@ class TestSplitScopedLoad:
         ('{"features": [1.0, NaN], "label": "x"}', "2: row has a non-finite feature"),
         ('{"text": "a b", "label": "x"}', "2: row mixes text and feature schemas"),
         ("{bad", "2: invalid json"),
+        # a float token is read only where it might not be finite
+        ('{"features": [1.0, 1e999], "label": "x"}', "2: row has a non-finite feature"),
+        ('{"features": [-1e999, 1.0], "label": "x"}', "2: row has a non-finite feature"),
+        ('{"features": [1.0, %s.5], "label": "x"}' % ("9" * 400),
+         "2: row has a non-finite feature"),
+        ('{"features": [1.0, Infinity], "label": "x"}', "2: row has a non-finite feature"),
+        ('{"features": [-Infinity, 1.0], "label": "x"}', "2: row has a non-finite feature"),
+        ('{"features": [1.0, %s], "label": "x"}' % ("9" * 400),
+         "2: row has a feature too large for a float"),
+        ('{"features": [1.0, true], "label": "x"}', "2: row has a non-numeric feature"),
+        ('{"features": [null, 1.0], "label": "x"}', "2: row has a non-numeric feature"),
+        ('{"features": [1.0, "1.5"], "label": "x"}', "2: row has a non-numeric feature"),
+        ('{"features": [1.0, 2.0], "label": "x", "split": 1.50}', "2: unknown split tag '1.5'"),
+        ('{"features": [1.0, 2.0], "label": "x", "split": [1.50]}',
+         r"2: unknown split tag '\[1.5\]'"),
+        ('{"features": [1.0, 2.0], "label": [1.5]}',
+         "2: a label must be a string, a number or a bool"),
     ])
     def test_a_fault_in_a_split_left_out_is_still_reported(self, tmp_path, bad, message):
         path = tmp_path / "bad.jsonl"
@@ -549,6 +567,13 @@ class TestSplitScopedLoad:
         path.write_text('{"features": [0.0], "label": 1.0, "split": "test"}\n'
                         '{"features": [1.0], "label": "a", "split": "train"}\n')
         with pytest.raises(DataError, match=":2: regression labels must be numeric"):
+            load(str(path), task="regression", splits=("test",))
+
+    def test_an_infinite_regression_label_left_out_is_still_reported(self, tmp_path):
+        path = tmp_path / "reg.jsonl"
+        path.write_text('{"features": [0.0], "label": 1.0, "split": "test"}\n'
+                        '{"features": [1.0], "label": 1e400, "split": "train"}\n')
+        with pytest.raises(DataError, match=":2: regression labels must be finite numbers"):
             load(str(path), task="regression", splits=("test",))
 
     @pytest.mark.parametrize("kind", ["features", "text"])
@@ -568,6 +593,118 @@ class TestSplitScopedLoad:
         path = self._write(tmp_path, _split_rows("features", "classification"), "jsonl")
         with pytest.raises(DataError, match="unknown splits"):
             load(path, splits=("test", "dev"))
+
+    # float tokens at the edges of float64, and the exponent forms json allows
+    EDGE_TOKENS = ["-0.0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e308",
+                   "1E+2", "12e-3"]
+    # (the field it replaces, its JSON text): each makes a full load fail, or
+    # reads a value in a form only a full decode gives
+    FAULTS = [("feature", "1e999"), ("feature", "-1e999"), ("feature", "9" * 400 + ".5"),
+              ("feature", "Infinity"), ("feature", "-Infinity"), ("feature", "9" * 400),
+              ("feature", "true"), ("feature", "null"), ("feature", '"1.5"'),
+              ("split", "1.50"), ("split", "[1.50]"), ("label", "[1.5]"), ("label", "1e400")]
+    SUBSETS = [splits for n in range(len(dataio.SPLITS) + 1)
+               for splits in itertools.combinations(dataio.SPLITS, n)]
+
+    @staticmethod
+    def _random_file(rng: random.Random, fault) -> str:
+        """Lines of 3 JSON-text features, a label and a split (or none), with
+        `fault` (None, or a FAULTS entry) in one random row."""
+        def number():
+            pick = rng.random()
+            if pick < 0.5:
+                return repr(rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 308))
+            if pick < 0.75:
+                return rng.choice(TestSplitScopedLoad.EDGE_TOKENS)
+            return str(rng.randint(-2**70, 2**70))
+
+        rows = []
+        for _ in range(rng.randint(2, 9)):
+            row = {"features": [number() for _ in range(3)],
+                   "label": rng.choice(["1.50", "2", "1E+2", "-0.0", "12e-3", "5e-324"]),
+                   "split": rng.choice(['"train"', '"val"', '"test"', "null", None])}
+            rows.append(row)
+        if fault is not None:
+            field, text = fault
+            row = rng.choice(rows)
+            if field == "feature":
+                row["features"][rng.randrange(3)] = text
+            else:
+                row[field] = text
+        lines = [f'{{"features": [{", ".join(row["features"])}], "label": {row["label"]}'
+                 + ("" if row["split"] is None else f', "split": {row["split"]}') + "}"
+                 for row in rows]
+        return "".join(line + "\n" for line in lines)
+
+    @staticmethod
+    def _outcome(path, task, splits):
+        """The dataset a load gives, or the message of its DataError."""
+        try:
+            return load(path, task=task, splits=splits)
+        except DataError as err:
+            return str(err)
+
+    def test_a_scoped_load_gives_the_full_load_bits_or_its_message(self, tmp_path):
+        rng = random.Random(38)
+        path = str(tmp_path / "d.jsonl")
+        failed = loaded = 0
+        for case in range(240):
+            fault = None if case % 2 == 0 else rng.choice(self.FAULTS)
+            with open(path, "w") as fh:
+                fh.write(self._random_file(rng, fault))
+            for task in ("classification", "regression"):
+                full = self._outcome(path, task, None)
+                failed += isinstance(full, str)
+                loaded += not isinstance(full, str)
+                for splits in self.SUBSETS:
+                    part = self._outcome(path, task, splits)
+                    if isinstance(full, str):
+                        assert part == full, (case, task, splits)
+                        continue
+                    rows = np.flatnonzero(np.isin(full.split, splits))
+                    assert part.features.tobytes() == full.features[rows].tobytes()
+                    assert part.targets.tobytes() == full.targets[rows].tobytes()
+                    assert part.split.tolist() == full.split[rows].tolist()
+                    assert part.label_names == full.label_names
+        assert failed > 100 and loaded > 100  # both outcomes are compared often
+
+    def test_a_left_out_row_is_converted_only_when_it_might_not_be_finite(self, tmp_path,
+                                                                         monkeypatch):
+        plain = ["0.5", "-12.25", "0." + "0" * 305 + "1"]  # the last is 308 characters
+        odd = [["1E+2", "0.5", "0.5"], ["0.5", "12e-3", "0.5"],
+               ["0." + "0" * 306 + "1", "0.5", "0.5"]]  # 309 characters
+        lines = [(plain, "test")] * 3 + [(plain, "train")] * 4 + [(plain, "val")] \
+            + [(vec, "train") for vec in odd]
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(f'{{"features": [{", ".join(vec)}], "label": "{"ab"[i % 2]}", '
+                                f'"split": "{tag}"}}\n' for i, (vec, tag) in enumerate(lines)))
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("f0,f1,f2,label,split\n" + "".join(
+            f"{','.join(vec)},{'ab'[i % 2]},{tag}\n" for i, (vec, tag) in enumerate(lines)))
+        real_row = dataio._feature_row
+        converted, decoded = [], []
+
+        def counted_row(values, dim, where):
+            converted.append(where)
+            return real_row(values, dim, where)
+
+        class CountedDecoder(json.JSONDecoder):
+            def decode(self, line):
+                decoded.append(line)
+                return super().decode(line)
+
+        monkeypatch.setattr(dataio, "_feature_row", counted_row)
+        monkeypatch.setattr(dataio, "_TOKENS", CountedDecoder(parse_float=str.encode))
+        ds = load(str(path), splits=("test",))
+        assert ds.num_rows == 3
+        assert len(converted) == 3 + len(odd)  # k kept rows and u with an odd token
+        assert len(decoded) == len(lines)
+        for source, splits in [(path, None), (csv_path, None), (csv_path, ("test",))]:
+            converted.clear()
+            decoded.clear()
+            assert load(str(source), splits=splits).num_rows == (3 if splits else len(lines))
+            assert len(converted) == len(lines)
+            assert decoded == []
 
 
 class TestHashFeaturize:
