@@ -4,8 +4,9 @@ The module is the tape: `Tensor`, one explicit `Tape` per forward pass,
 `emit` and `backward`. A training step is one op (`trainer.batch_loss`),
 with a hand-written backward. Storage is 64-bit, so analytic gradients
 can be checked against central finite differences to tight tolerances.
-`matmul`, which tapes nothing, is the model's affine layer, kept while
-`bench/tracer.py` counts its flops (until ROADMAP item 4).
+`matmul`, the model's affine layer, tapes nothing and returns an array; a
+`Tensor` is built only in `param`, in `emit` and for `matmul`'s operands,
+which `bench/tracer.py` reads while it counts the flops (ROADMAP item 4).
 
 Op contract: an op computes its output values and hands `emit` one
 (input, local-gradient function) pair per input; the function maps the
@@ -139,8 +140,8 @@ def emit(values: np.ndarray, *pairs: tuple[Tensor, GradFn]) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor) -> np.ndarray:
     """The layer `a @ b + bias`, for a 1xH `bias` row (added in place)."""
     out = a.values @ b.values
     out += bias.values
-    return Tensor(out)
+    return out

@@ -181,17 +181,17 @@ def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
         raise ShapeError(f"forward: expected input of shape (B, {params.input_dim}), got {x.shape}")
     p = params.tensors
     vib, layer_norm = params.kind == "vib", params.arch["use_layer_norm"]
-    pre = matmul(Tensor(x), p["w_in"], p["b_in"]).values
+    pre = matmul(Tensor(x), p["w_in"], p["b_in"])
     if layer_norm:
         pre, inv_std = layer_norm_values(pre)
     hidden = np.tanh(pre, out=None if layer_norm else pre)  # layer_norm_grad reads pre
     h = hidden if dropout_mask is None else hidden * dropout_mask
-    t = mu = matmul(Tensor(h), p["w_mu"], p["b_mu"]).values
+    t = mu = matmul(Tensor(h), p["w_mu"], p["b_mu"])
     log_var = None
     if eps is not None:
         if eps.shape != mu.shape:
             raise ShapeError(f"forward: eps shape {eps.shape} != code shape {mu.shape}")
-        raw = matmul(Tensor(h), p["w_lv"], p["b_lv"]).values
+        raw = matmul(Tensor(h), p["w_lv"], p["b_lv"])
         in_clamp = (raw >= LOG_VAR_MIN) & (raw <= LOG_VAR_MAX)  # where the clamp passes a gradient
         log_var = raw.clip(LOG_VAR_MIN, LOG_VAR_MAX, out=raw)
         sigma = np.exp(log_var * 0.5)
@@ -199,9 +199,9 @@ def forward(params: EncoderParams, x: np.ndarray, eps: np.ndarray | None,
         t += mu  # mu + sigma * eps, as addition commutes bit for bit
     out = t
     if vib:
-        dec = matmul(Tensor(t), p["w_dec1"], p["b_dec1"]).values
+        dec = matmul(Tensor(t), p["w_dec1"], p["b_dec1"])
         np.tanh(dec, out=dec)
-        out = matmul(Tensor(dec), p["w_dec2"], p["b_dec2"]).values
+        out = matmul(Tensor(dec), p["w_dec2"], p["b_dec2"])
 
     def backprop(d_out, d_mu, d_log_var):
         # every array written in place below is a temporary made here, so

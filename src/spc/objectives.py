@@ -20,8 +20,8 @@ different effect from the batch-marginal term above.
 `OBJECTIVES` declares each kind once: its task, the weights it takes and
 whether it decodes t. Validation, the command-line choices, the sweep
 grid and sampling all derive from it; `spc_loss` is the only composition.
-It computes every term, and their gradients, on plain arrays: the
-training step (`trainer.batch_loss`) tapes the whole loss as one op.
+It computes every term, their total and their gradients on plain arrays
+and floats: the training step (`trainer.batch_loss`) tapes it as one op.
 """
 
 from __future__ import annotations
@@ -104,23 +104,20 @@ class ObjectiveConfig:
 
 @dataclass
 class LossTerms:
-    """The scalar loss (taped as one op by `trainer.batch_loss`) plus its
-    additive components as plain floats.
+    """The scalar loss and its additive components, as plain floats, plus
+    `total`, the loss taped as one op, which `trainer.batch_loss` sets.
 
     Components that a configuration does not compute (weight zero) are
-    reported as 0.0. Identity: total = nll + beta*kl - gamma*batch_entropy
+    reported as 0.0. Identity: total_value = nll + beta*kl - gamma*batch_entropy
     + cp_weight*penalty, with each weight taken from the config in force.
     """
 
-    total: Tensor
+    total_value: float
     nll: float = 0.0
     kl: float = 0.0
     batch_entropy: float = 0.0
     penalty: float = 0.0
-
-    @property
-    def total_value(self) -> float:
-        return float(self.total.values)
+    total: Tensor | None = None
 
 
 def xlogx_values(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,7 +188,7 @@ def spc_loss(out: np.ndarray, mu: np.ndarray, log_var: np.ndarray | None, y,
         entropy_terms, slope = xlogx_values(probs)
         penalty = np.add.reduce(entropy_terms, axis=None) * (1.0 / batch)
         total = total + penalty * float(cfg.cp_weight)
-    terms = LossTerms(Tensor(total), float(nll), float(kl), float(batch_entropy), float(penalty))
+    terms = LossTerms(float(total), float(nll), float(kl), float(batch_entropy), float(penalty))
 
     # each product of a spread scalar and an array below is one of the taped
     # op's np.full(shape, scalar) * array, with its bits; the batch entropy's

@@ -186,7 +186,7 @@ def batch_loss(model: EncoderParams, x: np.ndarray, y, objective: ObjectiveConfi
             return grads[name]
         return local_grad
 
-    terms.total = emit(terms.total.values,
+    terms.total = emit(np.asarray(terms.total_value),
                        *((t, grad_of(name)) for name, t in model.tensors.items()))
     return terms
 
@@ -314,8 +314,10 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     validation score) the best checkpoint so far is restored and the report
     is flagged. The reported validation scores are the kept epoch's, not
     computed again; a run that kept no epoch is scored at its initial
-    parameters. An empty train, val or test split, or a dataset whose task
-    is not the objective's, is a DataError, raised before any work.
+    parameters. An empty train, val or test split, a regression val or test
+    split whose targets are all equal (its correlations are undefined), or
+    a dataset whose task is not the objective's, is a DataError, raised
+    before any work.
 
     The model's tensors and their gradients are views of two flat vectors
     (see `_flatten`): a step zeroes the gradient vector once, and one
@@ -327,6 +329,11 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     if dataset.task != cfg.objective.task:
         raise DataError(f"a {dataset.task} dataset cannot train the "
                         f"{cfg.objective.kind} objective, a {cfg.objective.task} one")
+    for split in ("val", "test") if dataset.task == "regression" else ():
+        targets = dataset.targets[dataset.indices(split)]
+        if targets.min() == targets.max():
+            raise DataError(f"every {split!r} target is {targets[0]:g}; a correlation "
+                            f"needs two distinct values")
     rng = np.random.default_rng(seed)
     model = build_model(dataset, cfg, rng)
     params = model.parameters()

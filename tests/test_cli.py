@@ -458,6 +458,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"data error: {path}: ")
 
+    def test_a_dataset_that_grows_while_read_exits_3(self, out, data_file, monkeypatch, capsys):
+        monkeypatch.setattr(dataio, "_line_count", lambda _: 5)  # the count of an older file
+        assert run_cli("train", "--out", out, "--data", data_file, "--objective", "ce",
+                       "--epochs", "1", "--patience", "1", "--seeds", "1") == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: {data_file}: "
+                                           f"the file grew while it was read\n")
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    @pytest.mark.parametrize("command", [("train", "--objective", "mse"),
+                                         ("sweep", "--objective", "mse_pc", "--betas", "0.1")])
+    def test_constant_regression_targets_exit_3_before_training(self, out, tmp_path, monkeypatch,
+                                                                capsys, split, command):
+        """A regression val or test split whose targets are all equal has no
+        defined correlation: a data error, not a divergence, before any model."""
+        rng = np.random.default_rng(39)
+        tags = ["train"] * 40 + ["val"] * 10 + ["test"] * 10
+        path = tmp_path / "flat.jsonl"
+        path.write_text("".join(json.dumps({"features": rng.normal(size=3).tolist(),
+                                            "label": 0.5 if tag == split else float(rng.normal()),
+                                            "split": tag}) + "\n" for tag in tags))
+        monkeypatch.setattr(trainer, "build_model", None)  # no model may be built
+        assert run_cli(*command, "--out", out, "--data", str(path), "--epochs", "1",
+                       "--patience", "1", "--seeds", "1") == cli.EXIT_DATA
+        assert capsys.readouterr().err == (f"data error: every {split!r} target is 0.5; "
+                                           f"a correlation needs two distinct values\n")
+
     def test_missing_data_exits_3(self, out):
         assert run_cli("train", "--out", out, "--data", "/does/not/exist.jsonl",
                        "--objective", "ce") == cli.EXIT_DATA

@@ -671,9 +671,11 @@ class TestSplitScopedLoad:
     def test_a_left_out_row_is_converted_only_when_it_might_not_be_finite(self, tmp_path,
                                                                          monkeypatch):
         plain = ["0.5", "-12.25", "0." + "0" * 305 + "1"]  # the last is 308 characters
-        odd = [["1E+2", "0.5", "0.5"], ["0.5", "12e-3", "0.5"],
-               ["0." + "0" * 306 + "1", "0.5", "0.5"]]  # 309 characters
-        lines = [(plain, "test")] * 3 + [(plain, "train")] * 4 + [(plain, "val")] \
+        odd = [["1E+2", "0.5", "0.5"],
+               ["0." + "0" * 306 + "1", "0.5", "0.5"],  # 309 characters
+               ["0.5", "0." + "0" * 303 + "1e-5", "0.5"]]  # 309, with a negative exponent
+        small = ["0.5", "12e-3", "0.5"]  # a negative exponent under 309 characters
+        lines = [(plain, "test")] * 3 + [(plain, "train")] * 4 + [(plain, "val"), (small, "val")] \
             + [(vec, "train") for vec in odd]
         path = tmp_path / "d.jsonl"
         path.write_text("".join(f'{{"features": [{", ".join(vec)}], "label": "{"ab"[i % 2]}", '
@@ -705,6 +707,22 @@ class TestSplitScopedLoad:
             assert load(str(source), splits=splits).num_rows == (3 if splits else len(lines))
             assert len(converted) == len(lines)
             assert decoded == []
+
+
+@pytest.mark.parametrize("splits", [None, ("test",)], ids=["full", "test-only"])
+@pytest.mark.parametrize("kind, fmt", [("features", "jsonl"), ("features", "csv"),
+                                       ("text", "jsonl"), ("text", "csv")])
+def test_a_file_that_grows_while_read_is_a_data_error(tmp_path, monkeypatch, kind, fmt, splits):
+    """`load` sizes its array by `_line_count` before it parses: a file that
+    gains lines in between (a count that falls short of the kept rows) is a
+    DataError naming the file, raised before a kept row would pass the array."""
+    path = TestSplitScopedLoad._write(tmp_path, _split_rows(kind, "classification"), fmt)
+    want = load(path, hash_dim=16, splits=splits)
+    monkeypatch.setattr(dataio, "_line_count", lambda _: want.num_rows)
+    assert load(path, hash_dim=16, splits=splits).features.tobytes() == want.features.tobytes()
+    monkeypatch.setattr(dataio, "_line_count", lambda _: want.num_rows - 1)
+    with pytest.raises(DataError, match=rf"^{re.escape(path)}: the file grew while it was read$"):
+        load(path, hash_dim=16, splits=splits)
 
 
 class TestHashFeaturize:

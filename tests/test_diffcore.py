@@ -13,6 +13,8 @@ import spc.data
 from spc import diffcore
 from spc.diffcore import GraphError, ShapeError, Tape, Tensor, backward, emit, param
 from spc.encoder import forward, init_encoder, init_vib
+from spc.objectives import ObjectiveConfig, spc_loss
+from spc.trainer import batch_loss
 
 
 class TestMatmul:
@@ -338,6 +340,31 @@ def test_only_the_training_step_emits():
     `trainer.batch_loss` alone, and the readout ops tape nothing."""
     assert _callers("emit") == ["trainer.batch_loss"]
     assert not hasattr(diffcore, "_unbroadcast")
+
+
+def test_only_the_tape_and_the_affine_operands_build_tensors():
+    """A `Tensor` is built only where the tape or `bench/tracer.py` reads
+    `.values`: a parameter (`param`), an op's output (`emit`) and the affine
+    layer's operands (`encoder.forward`)."""
+    assert set(_callers("Tensor")) == {"diffcore.param", "diffcore.emit", "encoder.forward"}
+
+
+def test_the_affine_layer_and_the_loss_hand_back_plain_values():
+    """`matmul` returns the array it computes, and `spc_loss` a total of plain
+    floats; `trainer.batch_loss` emits the step's one taped scalar from it."""
+    rng = np.random.default_rng(39)
+    layer = diffcore.matmul(Tensor(rng.normal(size=(4, 3))), param(rng.normal(size=(3, 2))),
+                            param(rng.normal(size=(1, 2))))
+    assert type(layer) is np.ndarray
+    objective = ObjectiveConfig(kind="spc", beta=0.1, gamma=0.2)
+    terms, _ = spc_loss(layer, layer, layer, [0, 1, 1, 0], objective)
+    assert terms.total is None and type(terms.total_value) is float
+    model = init_encoder(3, 5, 2, rng=39)
+    with Tape() as tape:
+        step = batch_loss(model, rng.normal(size=(4, 3)), [0, 1, 1, 0], objective,
+                          rng.normal(size=(4, 2)))
+    assert len(tape) == 1 and step.total.values.ndim == 0
+    assert step.total.values.tobytes() == np.float64(step.total_value).tobytes()
 
 
 def test_only_the_forward_runs_the_layers():
