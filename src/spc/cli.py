@@ -353,7 +353,7 @@ def cmd_train(args, timing: dict) -> Run:
     dataset = _load_dataset(args, cfg.objective.task, timing)
     inputs = run_inputs(args, {"data": data_path(args)}, [cfg], seeds=args.seeds)
     with timed(timing, "wall_clock"):
-        reports = train_jobs((dataset, cfg, seed) for seed in args.seeds)
+        reports = list(train_jobs((dataset, cfg, seed) for seed in args.seeds))
     summary = summarize(reports)
     rows = [{"seed": r.seed, "best_epoch": r.best_epoch, "epochs_ran": r.epochs_ran,
              "diverged": r.diverged,
@@ -370,6 +370,7 @@ def cmd_eval(args, timing: dict) -> Run:
     inputs = run_inputs(args, {"ckpt": args.ckpt, "data": data_path(args)},
                         split=args.split, task=dataset.task)
     dataset.require_rows(args.split)
+    dataset.require_distinct_targets(args.split)
     metrics = evaluate_split(model, dataset, args.split)
     return Run(inputs, {"metrics": metrics},
                "\n" + json.dumps(metrics, indent=2, sort_keys=True), [], {}, 0)
@@ -428,6 +429,9 @@ def cmd_ood(args, timing: dict) -> Run:
     mapping = dataio.read_label_mapping(args.mapping)
     files = {"source": args.source, "target": args.target, "mapping": args.mapping}
     inputs = run_inputs(args, files, [cfg], seeds=args.seeds)
+    if source.num_features != target.num_features:  # ood_run's check, naming the files
+        raise DataError(f"{args.source} has {source.num_features} features, "
+                        f"{args.target} has {target.num_features}")
     results = ood_run(source, target, mapping, cfg, args.seeds)
     return Run(inputs, results,
                f"target macro_f1 = {results['mean']:.4f} +/- {results['std']:.4f} "

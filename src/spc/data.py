@@ -3,7 +3,7 @@
 File formats
 ------------
 jsonl: one object per line with either "features": [JSON numbers] (at
-  least one) or "text": str, plus a non-null "label" and an optional "split"
+  least one) or "text": str (not both), plus a non-null "label" and an optional "split"
   (train|val|test; only a missing or null split means train). csv: a
   header row that names each column once: feature columns f0..f{D-1}, in
   any order, or a single "text" column (not both), a "label" column, and
@@ -119,6 +119,15 @@ class Dataset:
             if n < self.min_rows:
                 raise DataError(f"dataset has {n or 'no'} {split!r} rows; "
                                 f"{self.task} needs at least {self.min_rows}")
+
+    def require_distinct_targets(self, *splits: str) -> None:
+        """Raise DataError if a regression split of `splits` (each of at least
+        `min_rows` rows) has all its targets equal: its correlations are undefined."""
+        for split in splits if self.task == "regression" else ():
+            targets = self.targets[self.indices(split)]
+            if targets.min() == targets.max():
+                raise DataError(f"every {split!r} target is {targets[0]:g}; a correlation "
+                                f"needs two distinct values")
 
 
 def tokenize(text: str) -> list[str]:
@@ -344,6 +353,8 @@ def _jsonl_rows(fh, path: str, decode=json.loads):
             raise DataError(f"{path}:{lineno}: json nested too deeply to read") from None
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected a json object")
+        if "text" in obj and "features" in obj:  # as a csv header may not hold both
+            raise DataError(f"{path}:{lineno}: the row holds both a 'text' and a 'features' key")
         if not (isinstance(obj["text"], str) if "text" in obj
                 else isinstance(obj.get("features"), list)):
             raise DataError(f"{path}:{lineno}: need a 'features' list or a 'text' string")
@@ -544,17 +555,19 @@ def load(path: str, task: str = "classification", hash_dim: int = 256,
         hash_featurize(texts, dim, hash_seed, out=features[len(tags) - len(texts):len(tags)])
     features = features[:len(tags)]
     split = np.array(tags, dtype=str)  # a str array also when no row is kept
-    if task == "regression":
-        return Dataset(features=features, targets=np.array(targets), split=split,
-                       task="regression")
-    # every label gets an index, also one seen only in val/test or in a
-    # split left out: the out-of-domain protocol evaluates against a mapping
-    label_names = sorted(codes)
-    rank = {name: i for i, name in enumerate(label_names)}
-    code_to_index = np.array([rank[name] for name in codes], dtype=np.int64)
-    return Dataset(features=features, targets=code_to_index[np.array(targets, dtype=np.int64)],
-                   split=split, task="classification", num_classes=len(label_names),
-                   label_names=label_names)
+    label_names: list[str] = []
+    if task == "classification":
+        # every label gets an index, also one seen only in val/test or in a
+        # split left out: the out-of-domain protocol evaluates against a mapping
+        label_names = sorted(codes)
+        rank = {name: i for i, name in enumerate(label_names)}
+        code_to_index = np.array([rank[name] for name in codes], dtype=np.int64)
+        targets = code_to_index[np.array(targets, dtype=np.int64)]
+    try:
+        return Dataset(features=features, targets=np.asarray(targets), split=split, task=task,
+                       num_classes=len(label_names), label_names=label_names)
+    except DataError as err:  # Dataset's own check: a classification file of one label
+        raise DataError(f"{path}: {err}") from None
 
 
 @contextlib.contextmanager

@@ -24,7 +24,7 @@ import itertools
 import json
 import math
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -329,11 +329,7 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     if dataset.task != cfg.objective.task:
         raise DataError(f"a {dataset.task} dataset cannot train the "
                         f"{cfg.objective.kind} objective, a {cfg.objective.task} one")
-    for split in ("val", "test") if dataset.task == "regression" else ():
-        targets = dataset.targets[dataset.indices(split)]
-        if targets.min() == targets.max():
-            raise DataError(f"every {split!r} target is {targets[0]:g}; a correlation "
-                            f"needs two distinct values")
+    dataset.require_distinct_targets("val", "test")
     rng = np.random.default_rng(seed)
     model = build_model(dataset, cfg, rng)
     params = model.parameters()
@@ -415,25 +411,29 @@ def train(dataset: Dataset, cfg: TrainConfig, seed: int) -> RunReport:
     return report
 
 
-def train_jobs(jobs: Iterable[tuple[Dataset, TrainConfig, int]]) -> list[RunReport]:
-    """`train(dataset, cfg, seed)` of each job, in order: the one loop over runs.
-    A job is dropped once trained, so a generator of jobs holds one dataset."""
-    return list(itertools.starmap(train, jobs))
+def train_jobs(jobs: Iterable[tuple[Dataset, TrainConfig, int]]) -> Iterator[RunReport]:
+    """`train(dataset, cfg, seed)` of each job, in order, each report yielded as
+    its run ends: the one loop over runs. A job is dropped once trained, so a
+    generator of jobs holds one dataset."""
+    return itertools.starmap(train, jobs)
 
 
 def mean_std(prefix: str, values: list[float]) -> dict:
     return {f"{prefix}mean": float(np.mean(values)), f"{prefix}std": float(np.std(values))}
 
 
-def summarize(reports: list[RunReport]) -> dict:
+def seed_stats(reports: Iterable[RunReport]) -> dict:
+    """The fold of one cell's seeds: mean, std and values of the reports'
+    headline test metric, and how many diverged."""
+    reports = list(reports)
     values = [r.headline_value for r in reports]
-    return {
-        "metric": reports[0].headline_metric,
-        **mean_std("", values),
-        "values": [float(v) for v in values],
-        "seeds": [r.seed for r in reports],
-        "diverged": sum(r.diverged for r in reports),
-    }
+    return {**mean_std("", values), "values": [float(v) for v in values],
+            "diverged": sum(r.diverged for r in reports)}
+
+
+def summarize(reports: Sequence[RunReport]) -> dict:
+    return {"metric": reports[0].headline_metric, **seed_stats(reports),
+            "seeds": [r.seed for r in reports]}
 
 
 def sweep_cells(cfg: TrainConfig, betas: Sequence[float],
@@ -464,21 +464,22 @@ def sweep_cells(cfg: TrainConfig, betas: Sequence[float],
             for beta in betas for gamma in gammas]
 
 
-def sweep(dataset: Dataset, cells: Iterable[tuple[float, float, TrainConfig]],
+def sweep(dataset: Dataset, cells: Sequence[tuple[float, float, TrainConfig]],
           seeds: Sequence[int]) -> dict:
     """Train each (beta, gamma, config) cell (see `sweep_cells`) over the seeds.
     Returns {"rows", "best_beta", "best_gamma"}: a row per cell with its mean
     validation and test metric and its count of diverged seeds; the best cell
     maximizes the mean validation metric, ties going to the lexicographically
     smaller (beta, gamma)."""
+    reports = train_jobs((dataset, cfg, seed) for _, _, cfg in cells for seed in seeds)
     rows = []
-    for beta, gamma, cfg in cells:
-        reports = train_jobs((dataset, cfg, seed) for seed in seeds)
+    for beta, gamma, _ in cells:
+        cell = list(itertools.islice(reports, len(seeds)))
         rows.append({
             "beta": beta, "gamma": gamma,
-            **mean_std("val_", [r.val_metrics[r.headline_metric] for r in reports]),
-            **mean_std("test_", [r.headline_value for r in reports]),
-            "diverged": sum(r.diverged for r in reports),
+            **mean_std("val_", [r.val_metrics[r.headline_metric] for r in cell]),
+            **mean_std("test_", [r.headline_value for r in cell]),
+            "diverged": sum(r.diverged for r in cell),
         })
     best = min(rows, key=lambda r: (-r["val_mean"], r["beta"], r["gamma"]))
     return {"rows": rows, "best_beta": best["beta"], "best_gamma": best["gamma"]}
@@ -494,17 +495,12 @@ def perturbation_study(dataset: Dataset, configs: Sequence[TrainConfig], ratios:
     row_key = dataio.RATIOS[perturb][0]
     for ratio in ratios:  # a ratio the dataset cannot take fails before any training
         dataio.check_perturbation(perturb, dataset, ratio)
-    rows = []
-    for cfg in configs:
-        for ratio in ratios:
-            # looked up here, not at import, so a wrapper installed on the module is used
-            perturbed = getattr(dataio, perturb)
-            reports = train_jobs((perturbed(dataset, ratio, seed), cfg, seed) for seed in seeds)
-            values = [r.headline_value for r in reports]
-            rows.append({"objective": cfg.objective.kind, row_key: ratio, **mean_std("", values),
-                         "values": [float(v) for v in values],
-                         "diverged": sum(r.diverged for r in reports)})
-    return rows
+    # looked up per job, not at import, so a wrapper installed on the module is used
+    reports = train_jobs((getattr(dataio, perturb)(dataset, ratio, seed), cfg, seed)
+                         for cfg in configs for ratio in ratios for seed in seeds)
+    return [{"objective": cfg.objective.kind, row_key: ratio,
+             **seed_stats(itertools.islice(reports, len(seeds)))}
+            for cfg in configs for ratio in ratios]
 
 
 def ood_run(source_ds: Dataset, target_ds: Dataset, mapping: dict[str, str],
@@ -518,16 +514,20 @@ def ood_run(source_ds: Dataset, target_ds: Dataset, mapping: dict[str, str],
     if source_ds.task != "classification" or target_ds.task != "classification":
         raise DataError("out-of-domain evaluation is defined for classification")
     if source_ds.num_features != target_ds.num_features:
-        raise DataError("source and target feature dimensions differ")
+        raise DataError(f"the source has {source_ds.num_features} features, "
+                        f"the target {target_ds.num_features}")
     unknown_sources = sorted(set(mapping.values()) - set(source_ds.label_names))
     if unknown_sources:
         raise DataError(f"mapping uses labels absent from the source dataset: {unknown_sources}")
 
     test_idx = target_ds.indices("test")
+    if not test_idx.size:
+        raise DataError("the target has no test rows")
     gold_names = [target_ds.label_names[int(target_ds.targets[i])] for i in test_idx]
     keep = [j for j, name in enumerate(gold_names) if name in mapping]
     if not keep:
-        raise DataError("no target test rows are covered by the label mapping")
+        raise DataError(f"the label mapping covers none of the target's {test_idx.size} "
+                        f"test rows")
     source_index = {name: i for i, name in enumerate(source_ds.label_names)}
     mapped = Dataset(features=target_ds.features[test_idx[keep]],
                      targets=np.array([source_index[mapping[gold_names[j]]] for j in keep],

@@ -314,6 +314,123 @@ class TestOod:
                        "--hidden-dim", "8", "--seeds", "1") == cli.EXIT_DATA
 
 
+class TestErrorPaths:
+    """Each data or flag fault below exits with its documented code and one
+    stderr line, and leaves no run directory."""
+
+    RUN = ("--epochs", "1", "--patience", "1", "--batch-size", "16", "--hidden-dim", "4",
+           "--seeds", "1")
+
+    @staticmethod
+    def failed(capsys, out) -> str:
+        """The one stderr line of a command that wrote no run."""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and not os.path.exists(out)
+        return err
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_eval_of_a_constant_regression_split_exits_3(self, out, tmp_path, monkeypatch,
+                                                         capsys, split):
+        """eval refuses the split train refuses, rather than writing NaN scores."""
+        rng = np.random.default_rng(40)
+        tags = ["train"] * 40 + ["val"] * 10 + ["test"] * 10
+        path = tmp_path / "flat.jsonl"
+        path.write_text("".join(json.dumps({"features": rng.normal(size=3).tolist(),
+                                            "label": 0.5 if tag == split else float(rng.normal()),
+                                            "split": tag}) + "\n" for tag in tags))
+        ckpt = str(tmp_path / "regressor.json")
+        save_checkpoint(ckpt, init_encoder(3, 4, 1, rng=0))
+        monkeypatch.setattr(cli, "evaluate_split", None)  # no split may be read out
+        assert run_cli("eval", "--out", out, "--data", str(path), "--ckpt", ckpt,
+                       "--split", split) == cli.EXIT_DATA
+        assert self.failed(capsys, out) == (f"data error: every {split!r} target is 0.5; "
+                                            f"a correlation needs two distinct values\n")
+
+    def test_a_jsonl_row_of_text_and_features_exits_3(self, out, tmp_path, capsys):
+        path = tmp_path / "both.jsonl"
+        path.write_text('{"text": "a b", "label": "x"}\n'
+                        '{"text": "a b", "features": [1, 2], "label": "y"}\n')
+        assert run_cli("train", "--out", out, "--data", str(path), *self.RUN) == cli.EXIT_DATA
+        assert self.failed(capsys, out) == (f"data error: {path}:2: the row holds both "
+                                            f"a 'text' and a 'features' key\n")
+
+    def test_a_one_label_classification_file_exits_3_naming_it(self, out, tmp_path, capsys):
+        path = tmp_path / "one.jsonl"
+        path.write_text("".join(json.dumps({"features": [float(i), 1.0], "label": "x",
+                                            "split": tag}) + "\n"
+                                for i, tag in enumerate(["train", "val", "test"] * 4)))
+        assert run_cli("train", "--out", out, "--data", str(path), *self.RUN) == cli.EXIT_DATA
+        assert self.failed(capsys, out) == (f"data error: {path}: classification dataset "
+                                            f"needs num_classes >= 2\n")
+
+    def test_an_empty_csv_dataset_exits_3(self, out, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert run_cli("train", "--out", out, "--data", str(path), *self.RUN) == cli.EXIT_DATA
+        assert self.failed(capsys, out) == f"data error: {path}: empty dataset\n"
+
+    def ood(self, out, tmp_path, mapping: str, target: str | None = None) -> int:
+        """`ood` of a 2-class, 8-feature source, tmp_path/source.jsonl, on
+        `target` (the source's file by default) under the mapping csv `mapping`."""
+        source = str(tmp_path / "source.jsonl")
+        save(gen_mixture(2, 8, 20, 4.0, seed=40), source)
+        path = tmp_path / "mapping.csv"
+        path.write_text(mapping)
+        return run_cli("ood", "--out", out, "--source", source, "--target", target or source,
+                       "--mapping", str(path), *self.RUN)
+
+    def test_ood_of_two_widths_names_both_files(self, out, tmp_path, capsys):
+        source, target = str(tmp_path / "source.jsonl"), str(tmp_path / "target.jsonl")
+        save(gen_mixture(2, 6, 20, 4.0, seed=41), target)
+        assert self.ood(out, tmp_path, "source_label,target_label\n0,0\n",
+                        target) == cli.EXIT_DATA
+        assert self.failed(capsys, out) == (f"data error: {source} has 8 features, "
+                                            f"{target} has 6\n")
+
+    def test_ood_whose_mapping_covers_no_test_row(self, out, tmp_path, capsys):
+        assert self.ood(out, tmp_path, "source_label,target_label\n0,9\n") == cli.EXIT_DATA
+        assert self.failed(capsys, out) == ("data error: the label mapping covers none of "
+                                            "the target's 8 test rows\n")
+
+    def test_ood_whose_target_has_no_test_rows(self, out, tmp_path, capsys):
+        ds = gen_mixture(2, 8, 20, 4.0, seed=42)
+        target = tmp_path / "target.jsonl"
+        target.write_text("".join(json.dumps({"features": ds.features[i].tolist(),
+                                              "label": str(ds.targets[i]),
+                                              "split": str(ds.split[i])}) + "\n"
+                                  for i in np.flatnonzero(ds.split != "test")))
+        assert self.ood(out, tmp_path, "source_label,target_label\n0,0\n",
+                        str(target)) == cli.EXIT_DATA
+        assert self.failed(capsys, out) == "data error: the target has no test rows\n"
+
+    @pytest.mark.parametrize("mapping, message", [
+        ("source_label,target_label\n0,0\n1,0\n", ": target label '0' mapped twice\n"),
+        ("source_label,target_label\n", ": empty mapping\n"),
+    ])
+    def test_a_bad_mapping_exits_3_naming_it(self, out, tmp_path, capsys, mapping, message):
+        assert self.ood(out, tmp_path, mapping) == cli.EXIT_DATA
+        assert self.failed(capsys, out) == f"data error: {tmp_path / 'mapping.csv'}{message}"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("ratio-study", "--objectives", "ce,mse"),
+         "usage error: objectives ce,mse mix classification and regression\n"),
+        (("train", "--dropout", "1.5"),
+         "usage error: --dropout: dropout must be in [0, 1), got 1.5\n"),
+    ])
+    def test_a_bad_flag_exits_2(self, out, data_file, capsys, argv, message):
+        assert run_cli(*argv, "--out", out, "--data", data_file) == cli.EXIT_USAGE
+        assert self.failed(capsys, out) == message
+
+    @pytest.mark.parametrize("entries", [[], ["unfinished"]], ids=["empty", "no-manifest"])
+    def test_report_of_a_root_without_runs(self, out, capsys, entries):
+        os.makedirs(out)
+        for name in entries:
+            os.makedirs(os.path.join(out, name))
+        assert run_cli("report", "--out", out) == cli.EXIT_OK
+        assert capsys.readouterr().out == f"no runs found under {out}\n"
+        assert sorted(os.listdir(out)) == entries  # no summary.csv
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("train", "--seeds", "0"),
@@ -672,6 +789,36 @@ class TestOneTrainCallPerRun:
                      self.train_split(getattr(dataio, perturb)(ds, ratio, seed) if perturb else ds))
                     for kind, beta, gamma, perturb, ratio in cells for seed in (3, 5)]
         assert calls == expected
+
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--objective", "ce"),
+        ("sweep", "--objective", "spc", "--betas", "0.01,0.1", "--gammas", "0.1,1"),
+        ("noise-study", "--objectives", "ce,spc", "--beta", "0.1", "--gamma", "0.2",
+         "--ratios", "0.1,0.3"),
+        ("ratio-study", "--objectives", "ce,spc", "--beta", "0.1", "--gamma", "0.2",
+         "--ratios", "0.5,1"),
+        ("ood", "--objective", "ce"),
+    ])
+    def test_one_train_jobs_call_per_command(self, out, tmp_path, data_file, monkeypatch, argv):
+        """Every command hands its whole job list to one `train_jobs` call."""
+        calls = []
+        original = trainer.train_jobs
+
+        def counted(jobs):
+            calls.append(jobs)
+            return original(jobs)
+
+        monkeypatch.setattr(trainer, "train_jobs", counted)
+        monkeypatch.setattr(cli, "train_jobs", counted)
+        if argv[0] == "ood":
+            mapping = tmp_path / "identity.csv"
+            mapping.write_text("source_label,target_label\n0,0\n1,1\n")
+            files = ("--source", data_file, "--target", data_file, "--mapping", str(mapping))
+        else:
+            files = ("--data", data_file)
+        assert run_cli(*argv, *files, "--out", out, *self.RUN_FLAGS) == 0
+        assert len(calls) == 1
 
 
 class TestConfigFile:

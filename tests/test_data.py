@@ -589,6 +589,31 @@ class TestSplitScopedLoad:
                                             "classification needs at least 1$"):
             ds.require_rows("val")
 
+    def test_a_jsonl_row_of_text_and_features_is_refused(self, tmp_path):
+        """As a csv header may not hold both, a jsonl row may not: it is not
+        read as a text row that drops its features, in a split left out too."""
+        path = tmp_path / "both.jsonl"
+        path.write_text('{"features": [0.0, 1.0], "label": "x", "split": "test"}\n'
+                        '{"text": "a b", "features": [1, 2], "label": "y", "split": "train"}\n')
+        message = f"^{re.escape(str(path))}:2: the row holds both a 'text' and a 'features' key$"
+        for splits in (None, ("test",)):
+            with pytest.raises(DataError, match=message):
+                load(str(path), splits=splits)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_a_one_label_classification_file_is_named(self, tmp_path, fmt):
+        """`load` names the file in Dataset's own check, as in every other
+        fault; full and scoped loads give the one message."""
+        rows = [{**row, "label": "x"} for row in _split_rows("features", "classification")]
+        path = self._write(tmp_path, rows, fmt)
+        message = f"^{re.escape(path)}: classification dataset needs num_classes >= 2$"
+        for splits in (None, ("test",), ("val",)):
+            with pytest.raises(DataError, match=message):
+                load(path, splits=splits)
+        with pytest.raises(DataError, match="^classification dataset needs num_classes >= 2$"):
+            Dataset(features=np.zeros((1, 2)), targets=np.zeros(1, dtype=np.int64),
+                    split=np.array(["train"]), task="classification", num_classes=1)
+
     def test_unknown_split_name(self, tmp_path):
         path = self._write(tmp_path, _split_rows("features", "classification"), "jsonl")
         with pytest.raises(DataError, match="unknown splits"):

@@ -601,9 +601,24 @@ class TestModelIO:
         restored = load_checkpoint(path)
         assert restored.latent_dim == cfg.vib_latent_dim
 
+    def test_train_jobs_trains_each_job_as_its_report_is_taken(self, mixture, monkeypatch):
+        trained = []
+        original = trainer.train
+
+        def counted(dataset, cfg, seed):
+            trained.append(seed)
+            return original(dataset, cfg, seed)
+
+        monkeypatch.setattr(trainer, "train", counted)
+        cfg = small_cfg(ObjectiveConfig(kind="ce"), epochs=1)
+        reports = train_jobs((mixture, cfg, seed) for seed in (0, 1, 2))
+        assert trained == []
+        assert next(reports).seed == 0 and trained == [0]
+        assert [r.seed for r in reports] == [1, 2] and trained == [0, 1, 2]
+
     def test_summarize(self, mixture):
         cfg = small_cfg(ObjectiveConfig(kind="ce"), epochs=2)
-        reports = train_jobs((mixture, cfg, seed) for seed in (0, 1, 2))
+        reports = list(train_jobs((mixture, cfg, seed) for seed in (0, 1, 2)))
         summary = summarize(reports)
         assert summary["metric"] == "macro_f1"
         assert len(summary["values"]) == 3
